@@ -1,0 +1,133 @@
+"""Golden pins: sha256 of every deterministic output for a fixed capture and seed.
+
+The run-to-run determinism check (acceptance Criterion 7) compares two runs
+of the same build; these pins compare against the bytes earlier builds
+wrote, so a refactor that moves one bit of a model, a report or a
+prediction fails here. A deliberate output change regenerates the pins with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and records the change in CHANGES.md.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from corpus import TRAINING_REGISTRY, build_training_capture  # noqa: E402
+
+from devfp.classifiers import ALL_VARIANTS, load_model  # noqa: E402
+from devfp.cli import main  # noqa: E402
+from devfp.features import CANONICAL_ATTRIBUTES, read_csv  # noqa: E402
+
+TRAIN_SEED = 7
+FRESH_SEED = 8
+# run name -> extra pipeline flags; vote-nb puts naive Bayes inside a vote
+RUNS = {variant: ["--model", variant] for variant in ALL_VARIANTS}
+RUNS["vote-nb"] = ["--model", "vote", "--vote-members", "nb,rt"]
+
+GOLDEN = {
+    "dataset.csv": "ac82a130cceb21e1f25bab58a5700cb61c253c8b94d4dd94652d3b6c80cc0dd0",
+    "j48/model.json": "05df2bed40cac20acdc1b0b895e61cd96a0aeae277abcd37062d4371725dd991",
+    "j48/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "j48/summary.csv": "f34dbfd8235b80fa1e46279bdcb777e3c836f9355b4aacf6c572dfe824c2761c",
+    "j48/predictions.csv": "4c9054df4a8eecbf098a456a0cfec563cfe702281f001c7c365d568a44fa88b2",
+    "j48/distributions": "854874e7a7848defb2892248d70025339ef8bda8f92559bd5247dc76f3a451ea",
+    "rf/model.json": "4c080ab43949e9879ebcb6dd5879b34606638469f6c123e1ec9eac45bd633d34",
+    "rf/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "rf/summary.csv": "5b75778ae74a0af99da68766ddd2f90784341a90af25260f80ef00f3ab9302a8",
+    "rf/predictions.csv": "c11d9544cc28276d95d89597a47e71b6da6dbfe5fcb9f12aecaaa51e28ec5281",
+    "rf/distributions": "11b6ddf58285c812432a9b956af8f1e466c50ecb7c7106a854d8ba1782ad13eb",
+    "rt/model.json": "1dc14d4ed62215507d5f5d96f65974a67e0ac7de78167a26e83e4dc15a5653a8",
+    "rt/report_classes.csv": "5a3bd4cd394bfae3f4af5e1f945334bc8efd71fb12270dd457aee51e213a6926",
+    "rt/summary.csv": "a537ca1de435ce11c651dbe6830d131e4e67f3bf111b53be84a8241a3b71131d",
+    "rt/predictions.csv": "fe17ee019945026b575d5cf62f5f49a630fdec8e2da766ca5c98fa299bfc60e2",
+    "rt/distributions": "09b63f6ff93b522bfb7f832335981647758db2903ae916d7ac5c02292f43d094",
+    "nb/model.json": "727606364ea5df34656fbcc897936695a81593b0054b7b52691b19db290ff8de",
+    "nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "nb/summary.csv": "bf4230ac88a84de747a7903bea7794c6f4785bac3cd49f39d044d59a06453ef5",
+    "nb/predictions.csv": "1e90e89fd2c7ba1b979eafa5921ecdf3596d5bd29466f72ed4aae55fa36424e1",
+    "nb/distributions": "444843ab7c02898ba5c52a57fb00818826e5abbef53d52eaae714160e1f2c67e",
+    "bagging/model.json": "c027d26a7ba4b41c7f54df7c4077d0903b0ea5a8f11c79d05847ebe9733e72be",
+    "bagging/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "bagging/summary.csv": "6735a12f8cc69e36c428b0cc0d682325b4ab63902049de4383f3e7c509fb9da2",
+    "bagging/predictions.csv": "68ad18b5323959c3e97f9c3f31ec3a15deda462fef9ddc3f34c2eaa0d9292fbf",
+    "bagging/distributions": "f1285a563dac0d0e7db85809ad74f9a9835346ae26495214b97202dc1082bf0b",
+    "vote/model.json": "a76fb5ec461ab3f5b9a709d7114a38cd387a870e2cd438d3e22f92cf524a7f5f",
+    "vote/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "vote/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
+    "vote/predictions.csv": "2de990aa4127bb301e6e630167ba2c82ac1a7f9ba1dc444d41fdce8433134347",
+    "vote/distributions": "8a8439a013bd01535be8a31dedd1cfbb126ddaa4ffaba5b269fafe53f95d20b3",
+    "vote-nb/model.json": "5577de4e8ea1ad041f22d3359f2fd9f1fec0b77038ee518c895b7eec6bdfb452",
+    "vote-nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
+    "vote-nb/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
+    "vote-nb/predictions.csv": "3cfbcdab9302fb6db4a8838c96cbab548d3f9da1c004137e8f867d69eb61bebe",
+    "vote-nb/distributions": "679afafc228497472322f9790d07b9fa38c8e0c3953a6944ee615c947f3d0844",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _distributions_text(model_path: Path, csv_path: Path) -> bytes:
+    """Every row's full-precision class distribution, one repr per cell."""
+    model = load_model(model_path.read_text(encoding="utf-8"))
+    dataset = read_csv(csv_path.read_text(encoding="utf-8"))
+    index = [CANONICAL_ATTRIBUTES.index(a) for a in model.schema]
+    lines = []
+    for row in dataset.rows:
+        cells = row.values(CANONICAL_ATTRIBUTES)
+        dist = model.distribution(tuple(cells[j] for j in index))
+        lines.append(",".join(repr(float(p)) for p in dist))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def golden_hashes(work: Path) -> dict[str, str]:
+    """Run pipeline + classify for every variant under `work`; hash each output."""
+    train_pcap = work / "train.pcap"
+    train_pcap.write_bytes(build_training_capture(seed=TRAIN_SEED))
+    fresh_pcap = work / "fresh.pcap"
+    fresh_pcap.write_bytes(build_training_capture(seed=FRESH_SEED))
+    registry = work / "devices.tsv"
+    registry.write_text(TRAINING_REGISTRY, encoding="utf-8")
+    fresh_csv = work / "fresh.csv"
+    assert main(["extract", "--input", str(fresh_pcap), "--registry", str(registry),
+                 "--out", str(fresh_csv)]) == 0
+    hashes = {}
+    for run, flags in RUNS.items():
+        out = work / run
+        assert main(["pipeline", "--input", str(train_pcap), "--registry", str(registry),
+                     *flags, "--seed", "1", "--out", str(out)]) == 0
+        assert main(["classify", "--model-file", str(out / "model.json"),
+                     "--input", str(fresh_pcap), "--out", str(out / "predictions.csv")]) == 0
+        hashes["dataset.csv"] = _sha((out / "dataset.csv").read_bytes())
+        for name in ("model.json", "report_classes.csv", "summary.csv", "predictions.csv"):
+            hashes[f"{run}/{name}"] = _sha((out / name).read_bytes())
+        hashes[f"{run}/distributions"] = _sha(_distributions_text(out / "model.json", fresh_csv))
+    return hashes
+
+
+@pytest.fixture(scope="module")
+def hashes(tmp_path_factory):
+    return golden_hashes(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden(hashes, name):
+    assert hashes[name] == GOLDEN[name], f"{name} changed"
+
+
+if __name__ == "__main__":
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        found = golden_hashes(Path(tmp))
+    for key in found:
+        print(f'    "{key}": "{found[key]}",')
