@@ -5,11 +5,11 @@ from .base import (
     Hyperparams,
     ModelSpec,
     TrainedModel,
+    argmax_lowest,
     derive_rng,
+    feature_matrix,
     predict,
     predict_proba,
-    predict_values,
-    vector_values,
 )
 from .bayes import NaiveBayesModel, train_naive_bayes
 from .ensembles import (
@@ -17,30 +17,23 @@ from .ensembles import (
     RandomForestModel,
     VoteModel,
     train_bagging,
+    train_model,
     train_random_forest,
     train_vote,
 )
 from .persist import load_model, save_model
-from .trees import (
-    C45Model,
-    Leaf,
-    RandomTreeModel,
-    Split,
-    TreeModel,
-    train_c45,
-    train_random_tree,
-)
+from .trees import C45Model, RandomTreeModel, TreeModel, train_c45, train_random_tree
 
 __all__ = [
     "ALL_VARIANTS",
     "Hyperparams",
     "ModelSpec",
     "TrainedModel",
+    "argmax_lowest",
     "derive_rng",
+    "feature_matrix",
     "predict",
     "predict_proba",
-    "predict_values",
-    "vector_values",
     "NaiveBayesModel",
     "train_naive_bayes",
     "BaggingModel",
@@ -52,29 +45,10 @@ __all__ = [
     "load_model",
     "save_model",
     "C45Model",
-    "Leaf",
     "RandomTreeModel",
-    "Split",
     "TreeModel",
     "train_c45",
     "train_random_tree",
     "train_model",
 ]
 
-
-def train_model(dataset, spec: ModelSpec, rng=None) -> TrainedModel:
-    """Train the classifier named by a ModelSpec on a dataset."""
-    hp = spec.hyperparams
-    if spec.variant == "j48":
-        return train_c45(dataset, hp)
-    if spec.variant == "rt":
-        return train_random_tree(dataset, hp, rng)
-    if spec.variant == "rf":
-        return train_random_forest(dataset, hp, rng)
-    if spec.variant == "nb":
-        return train_naive_bayes(dataset, hp)
-    if spec.variant == "bagging":
-        return train_bagging(dataset, hp, rng)
-    if spec.variant == "vote":
-        return train_vote(spec.vote_members, dataset, hp)
-    raise ValueError(f"unknown classifier variant {spec.variant!r}")

@@ -3,7 +3,12 @@
 All six classifier variants sit behind one contract: a trained model holds
 the attribute schema and the ordered class names fixed at training time, and
 produces a probability distribution over those classes for any vector that
-matches the schema. Trained models are immutable and safe for concurrent
+matches the schema. Prediction has one path, `distribution_batch(X)`: X is
+a float64 n x k matrix of rows aligned to the schema (k attributes), with
+NaN marking Absent cells, and the result is an n x C float64 matrix of
+class distributions (C classes, each row sums to 1). Row i holds the same
+bits whatever the other rows are; the per-row `distribution(values)` is a
+one-row call to it. Trained models are immutable and safe for concurrent
 prediction.
 
 Determinism: all randomness is drawn from `random.Random` instances seeded
@@ -112,6 +117,20 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
 
 
+def feature_matrix(rows: Sequence[FeatureVector], attributes: Sequence[str]) -> np.ndarray:
+    """Rows as a float64 n x k matrix over `attributes`; NaN marks Absent cells.
+
+    Every feature is a non-negative int below 2**53, so the floats are exact.
+    """
+    try:
+        cells = [
+            [math.nan if v is None else v for v in row.values(attributes)] for row in rows
+        ]
+    except KeyError as exc:
+        raise SchemaMismatch(f"vector has no attribute {exc.args[0]!r}") from None
+    return np.array(cells, dtype=np.float64).reshape(len(cells), len(attributes))
+
+
 def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Dataset rows as (X, y, class_names); NaN marks Absent feature cells.
 
@@ -129,18 +148,12 @@ def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str,
     if len(class_names) < 2:
         raise SingleClassDataset("training needs at least 2 classes")
     index = {name: i for i, name in enumerate(class_names)}
-    n, k = len(dataset.rows), len(dataset.attributes)
-    X = np.full((n, k), np.nan, dtype=np.float64)
-    for i, row in enumerate(dataset.rows):
-        for j, attribute in enumerate(dataset.attributes):
-            value = row.value(attribute)
-            if value is not None:
-                X[i, j] = float(value)
+    X = feature_matrix(dataset.rows, dataset.attributes)
     y = np.asarray([index[t] for t in targets], dtype=np.intp)
     return X, y, class_names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     """Base of all trained classifiers: schema + ordered class names."""
 
@@ -150,39 +163,28 @@ class TrainedModel:
 
     variant: str = field(init=False, default="")
 
-    def distribution(self, values: Sequence[Optional[float]]) -> np.ndarray:
-        """Class distribution for schema-aligned feature values (None = Absent)."""
+    def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        """Class distributions (n x C) for schema-aligned rows X (n x k, NaN = Absent)."""
         raise NotImplementedError
 
-
-def vector_values(model: TrainedModel, vector: FeatureVector) -> tuple[Optional[float], ...]:
-    """Pull the model's schema attributes out of a feature vector."""
-    try:
-        return tuple(vector.value(a) for a in model.schema)
-    except KeyError as exc:
-        raise SchemaMismatch(f"vector has no attribute {exc.args[0]!r}") from None
+    def distribution(self, values: Sequence[Optional[float]]) -> np.ndarray:
+        """Class distribution for schema-aligned feature values (None = Absent)."""
+        row = [math.nan if v is None else v for v in values]
+        return self.distribution_batch(np.array([row], dtype=np.float64))[0]
 
 
-def _argmax_lowest(dist: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(dist)):
-        if dist[i] > dist[best]:
-            best = i
-    return best
+def argmax_lowest(dist: np.ndarray) -> np.ndarray:
+    """Most probable class index along the last axis; ties go to the lowest index."""
+    return np.argmax(dist, axis=-1)
 
 
 def predict_proba(model: TrainedModel, vector: FeatureVector) -> dict[str, float]:
     """Probability per class name; entries are >= 0 and sum to 1."""
-    dist = model.distribution(vector_values(model, vector))
+    dist = model.distribution_batch(feature_matrix([vector], model.schema))[0]
     return {name: float(p) for name, p in zip(model.class_names, dist)}
 
 
 def predict(model: TrainedModel, vector: FeatureVector) -> str:
     """Most probable class; ties break toward the lower class index."""
-    dist = model.distribution(vector_values(model, vector))
-    return model.class_names[_argmax_lowest(dist)]
-
-
-def predict_values(model: TrainedModel, values: Sequence[Optional[float]]) -> str:
-    """predict() for already schema-aligned values (evaluation fast path)."""
-    return model.class_names[_argmax_lowest(model.distribution(values))]
+    dist = model.distribution_batch(feature_matrix([vector], model.schema))[0]
+    return model.class_names[argmax_lowest(dist)]

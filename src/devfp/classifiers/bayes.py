@@ -6,14 +6,15 @@ keep a finite density. Priors are raw class frequencies, which keeps the
 posterior invariant under duplicating the whole training set. Absent query
 attributes are skipped; a class that never exhibited a present query
 attribute is assigned a fixed tiny density, heavily penalizing it without
-producing NaNs.
+producing NaNs. Prediction broadcasts over all rows of a batch, one
+attribute at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,32 +24,28 @@ _LOG_MIN_DENSITY = math.log(1e-300)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NaiveBayesModel(TrainedModel):
-    priors: tuple[float, ...]
-    # [class][attribute]; None where the class had no present training values
-    means: tuple[tuple[Optional[float], ...], ...]
-    stddevs: tuple[tuple[Optional[float], ...], ...]
-    present_rates: tuple[tuple[float, ...], ...]
+    priors: np.ndarray  # [class]
+    # [class, attribute]; NaN where the class had no present training values
+    means: np.ndarray
+    stddevs: np.ndarray
+    present_rates: np.ndarray
     variant: str = field(init=False, default=VARIANT_NAIVE_BAYES)
 
-    def distribution(self, values: Sequence[Optional[float]]) -> np.ndarray:
-        n_classes = len(self.class_names)
-        log_post = np.asarray([math.log(p) for p in self.priors], dtype=np.float64)
-        for j, value in enumerate(values):
-            if value is None:
+    def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        log_post = np.tile([math.log(p) for p in self.priors], (X.shape[0], 1))
+        for j in range(X.shape[1]):
+            present = ~np.isnan(X[:, j])
+            if not present.any():
                 continue
-            for c in range(n_classes):
-                mean = self.means[c][j]
-                if mean is None:
-                    log_post[c] += _LOG_MIN_DENSITY
-                    continue
-                std = self.stddevs[c][j]
-                z = (float(value) - mean) / std
-                log_post[c] += -_LOG_SQRT_TWO_PI - math.log(std) - 0.5 * z * z
-        log_post -= log_post.max()
+            mean = self.means[:, j]
+            log_norm = np.array([-_LOG_SQRT_TWO_PI - math.log(s) for s in self.stddevs[:, j]])
+            z = (X[present, j][:, None] - mean) / self.stddevs[:, j]
+            log_post[present] += np.where(np.isnan(mean), _LOG_MIN_DENSITY, log_norm - 0.5 * z * z)
+        log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
-        return post / post.sum()
+        return post / post.sum(axis=1, keepdims=True)
 
 
 def train_naive_bayes(dataset, hyperparams: Optional[Hyperparams] = None) -> NaiveBayesModel:
@@ -57,35 +54,27 @@ def train_naive_bayes(dataset, hyperparams: Optional[Hyperparams] = None) -> Nai
     X, y, class_names = dataset_arrays(dataset)
     n, k = X.shape
     std_floor = math.sqrt(hp.nb_variance_floor)
-    priors = []
-    means = []
-    stddevs = []
-    present_rates = []
-    for c in range(len(class_names)):
+    n_classes = len(class_names)
+    priors = np.empty(n_classes)
+    means = np.full((n_classes, k), np.nan)
+    stddevs = np.full((n_classes, k), np.nan)
+    present_rates = np.empty((n_classes, k))
+    for c in range(n_classes):
         rows = X[y == c]
-        priors.append(rows.shape[0] / n)
-        class_means: list[Optional[float]] = []
-        class_stds: list[Optional[float]] = []
-        class_rates: list[float] = []
+        priors[c] = rows.shape[0] / n
         for j in range(k):
             column = rows[:, j]
             present = column[~np.isnan(column)]
-            class_rates.append(present.shape[0] / rows.shape[0])
-            if present.shape[0] == 0:
-                class_means.append(None)
-                class_stds.append(None)
-                continue
-            class_means.append(float(present.mean()))
-            class_stds.append(max(float(present.std()), std_floor))
-        means.append(tuple(class_means))
-        stddevs.append(tuple(class_stds))
-        present_rates.append(tuple(class_rates))
+            present_rates[c, j] = present.shape[0] / rows.shape[0]
+            if present.shape[0] > 0:
+                means[c, j] = present.mean()
+                stddevs[c, j] = max(float(present.std()), std_floor)
     return NaiveBayesModel(
         schema=tuple(dataset.attributes),
         class_names=class_names,
         hyperparams=hp,
-        priors=tuple(priors),
-        means=tuple(means),
-        stddevs=tuple(stddevs),
-        present_rates=tuple(present_rates),
+        priors=priors,
+        means=means,
+        stddevs=stddevs,
+        present_rates=present_rates,
     )

@@ -2,7 +2,8 @@
 
 Each ensemble member trains on its own deterministically derived RNG, so
 sequential and (hypothetical) parallel member training produce the same
-model. Predictions are the arithmetic mean of member class distributions;
+model. Predictions are the arithmetic mean of member class distributions
+(member matrices added in member order, then divided by the member count);
 the predicted class is the argmax with ties broken toward the lower class
 index.
 
@@ -15,13 +16,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import DevfpError
 from .base import (
     Hyperparams,
+    ModelSpec,
     TrainedModel,
     VARIANT_BAGGING,
     VARIANT_C45,
@@ -37,35 +39,36 @@ from .bayes import train_naive_bayes
 from .trees import (
     C45Model,
     RandomTreeModel,
-    grow_c45_root,
-    grow_random_root,
+    grow_c45,
+    grow_random,
     train_c45,
     train_random_tree,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleModel(TrainedModel):
     members: tuple[TrainedModel, ...]
 
-    def distribution(self, values: Sequence[Optional[float]]) -> np.ndarray:
-        total = np.zeros(len(self.class_names), dtype=np.float64)
+    def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        total = np.zeros((X.shape[0], len(self.class_names)), dtype=np.float64)
         for member in self.members:
-            total += member.distribution(values)
-        return total / len(self.members)
+            total += member.distribution_batch(X)
+        total /= len(self.members)
+        return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomForestModel(EnsembleModel):
     variant: str = field(init=False, default=VARIANT_RANDOM_FOREST)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaggingModel(EnsembleModel):
     variant: str = field(init=False, default=VARIANT_BAGGING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteModel(EnsembleModel):
     variant: str = field(init=False, default=VARIANT_VOTE)
 
@@ -77,6 +80,29 @@ def _base_token(rng: Union[random.Random, int, None], hp: Hyperparams) -> object
     if rng is None:
         return hp.seed
     return rng
+
+
+def _bootstrap_ensemble(
+    ensemble: type, member: type, grow: Callable, tag: str, rounds: int, fraction: float,
+    dataset, hp: Hyperparams, rng: Union[random.Random, int, None], identity_bootstrap: bool,
+) -> EnsembleModel:
+    """`rounds` trees grown by `grow`, each on its own bootstrap sample of
+    size fraction * n drawn with the RNG derived from (token, tag, i)."""
+    X, y, class_names = dataset_arrays(dataset)
+    n = X.shape[0]
+    size = max(1, round(fraction * n))
+    token = _base_token(rng, hp)
+    common = {"schema": tuple(dataset.attributes), "class_names": class_names, "hyperparams": hp}
+    members = []
+    for i in range(rounds):
+        member_rng = derive_rng(token, tag, i)
+        if identity_bootstrap:
+            sample = np.arange(n, dtype=np.intp)
+        else:
+            sample = bootstrap_indices(member_rng, n, size)
+        arrays = grow(X[sample], y[sample], len(class_names), hp, member_rng)
+        members.append(member(**common, **arrays))
+    return ensemble(members=tuple(members), **common)
 
 
 def train_random_forest(
@@ -93,30 +119,9 @@ def train_random_forest(
     matches train_random_tree called with that same derived RNG.
     """
     hp = hyperparams or Hyperparams()
-    X, y, class_names = dataset_arrays(dataset)
-    n = X.shape[0]
-    token = _base_token(rng, hp)
-    members = []
-    for i in range(hp.forest_trees):
-        member_rng = derive_rng(token, "rf", i)
-        if identity_bootstrap:
-            sample = np.arange(n, dtype=np.intp)
-        else:
-            sample = bootstrap_indices(member_rng, n)
-        root = grow_random_root(X[sample], y[sample], len(class_names), hp, member_rng)
-        members.append(
-            RandomTreeModel(
-                schema=tuple(dataset.attributes),
-                class_names=class_names,
-                hyperparams=hp,
-                root=root,
-            )
-        )
-    return RandomForestModel(
-        schema=tuple(dataset.attributes),
-        class_names=class_names,
-        hyperparams=hp,
-        members=tuple(members),
+    return _bootstrap_ensemble(
+        RandomForestModel, RandomTreeModel, grow_random, "rf", hp.forest_trees, 1.0,
+        dataset, hp, rng, identity_bootstrap,
     )
 
 
@@ -130,31 +135,10 @@ def train_bagging(
     """Train bagging_rounds pruned C4.5 trees on bootstrap samples of size
     bag_fraction * n; prediction averages member distributions."""
     hp = hyperparams or Hyperparams()
-    X, y, class_names = dataset_arrays(dataset)
-    n = X.shape[0]
-    size = max(1, round(hp.bag_fraction * n))
-    token = _base_token(rng, hp)
-    members = []
-    for i in range(hp.bagging_rounds):
-        member_rng = derive_rng(token, "bagging", i)
-        if identity_bootstrap:
-            sample = np.arange(n, dtype=np.intp)
-        else:
-            sample = bootstrap_indices(member_rng, n, size)
-        root = grow_c45_root(X[sample], y[sample], len(class_names), hp)
-        members.append(
-            C45Model(
-                schema=tuple(dataset.attributes),
-                class_names=class_names,
-                hyperparams=hp,
-                root=root,
-            )
-        )
-    return BaggingModel(
-        schema=tuple(dataset.attributes),
-        class_names=class_names,
-        hyperparams=hp,
-        members=tuple(members),
+    grow = lambda X, y, n_classes, hp, rng: grow_c45(X, y, n_classes, hp)  # noqa: E731
+    return _bootstrap_ensemble(
+        BaggingModel, C45Model, grow, "bagging", hp.bagging_rounds, hp.bag_fraction,
+        dataset, hp, rng, identity_bootstrap,
     )
 
 
@@ -165,7 +149,8 @@ def train_vote(
 ) -> VoteModel:
     """Train each named member on the same dataset and average their votes.
 
-    Member errors propagate annotated with the member name. Nested vote
+    Member i of variant v trains with the RNG derived from (seed, "vote", i,
+    v). Member errors propagate annotated with the member name. Nested vote
     members are rejected.
     """
     if not member_specs:
@@ -174,7 +159,9 @@ def train_vote(
     members: list[TrainedModel] = []
     for i, spec in enumerate(member_specs):
         try:
-            members.append(_train_vote_member(spec, dataset, hp, i))
+            if spec not in _TRAINERS:
+                raise ValueError(f"unknown or unsupported member variant {spec!r}")
+            members.append(_TRAINERS[spec](dataset, hp, derive_rng(hp.seed, "vote", i, spec)))
         except DevfpError as exc:
             exc.args = (f"vote member {spec!r}: {exc}",)
             raise
@@ -189,15 +176,18 @@ def train_vote(
     )
 
 
-def _train_vote_member(spec: str, dataset, hp: Hyperparams, index: int) -> TrainedModel:
-    if spec == VARIANT_C45:
-        return train_c45(dataset, hp)
-    if spec == VARIANT_NAIVE_BAYES:
-        return train_naive_bayes(dataset, hp)
-    if spec == VARIANT_RANDOM_TREE:
-        return train_random_tree(dataset, hp, derive_rng(hp.seed, "vote", index, spec))
-    if spec == VARIANT_RANDOM_FOREST:
-        return train_random_forest(dataset, hp, derive_rng(hp.seed, "vote", index, spec))
-    if spec == VARIANT_BAGGING:
-        return train_bagging(dataset, hp, derive_rng(hp.seed, "vote", index, spec))
-    raise ValueError(f"unknown or unsupported member variant {spec!r}")
+# variant -> trainer(dataset, hyperparams, rng); j48 and nb draw no randomness
+_TRAINERS: dict[str, Callable[..., TrainedModel]] = {
+    VARIANT_C45: lambda dataset, hp, rng: train_c45(dataset, hp),
+    VARIANT_RANDOM_TREE: train_random_tree,
+    VARIANT_RANDOM_FOREST: train_random_forest,
+    VARIANT_NAIVE_BAYES: lambda dataset, hp, rng: train_naive_bayes(dataset, hp),
+    VARIANT_BAGGING: train_bagging,
+}
+
+
+def train_model(dataset, spec: ModelSpec, rng=None) -> TrainedModel:
+    """Train the classifier named by a ModelSpec on a dataset."""
+    if spec.variant == VARIANT_VOTE:
+        return train_vote(spec.vote_members, dataset, spec.hyperparams)
+    return _TRAINERS[spec.variant](dataset, spec.hyperparams, rng)

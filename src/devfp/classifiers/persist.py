@@ -15,10 +15,15 @@ Grammar (JSON, version 1): a model document is an object with
 Tree params ("j48"/"rt") store nodes as a flat array so arbitrarily deep
 trees never hit recursion limits: {"root": index, "nodes": [node...]} where
 a node is {"counts": [...]} for a leaf or {"attribute": i, "threshold": x,
-"absent_branch": "left"|"right", "left": index, "right": index}. Forest and
-bagging params hold {"members": [tree params...]}; vote params hold full
-member documents; nb params hold priors/means/stddevs/present_rates with
-null marking classes that never saw an attribute.
+"absent_branch": "left"|"right", "left": index, "right": index}. Nodes are
+numbered in post-order (right subtree, left subtree, node), so children
+carry smaller indices than their parent; the loader rejects documents that
+break this, which also rules out cycles. Node i of the document is node i
+of the TreeModel's arrays, so saving and loading copy arrays to and from
+JSON. Forest and bagging params hold {"members": [tree params...]}; vote
+params hold full member documents; nb params hold priors/means/stddevs/
+present_rates with null marking classes that never saw an attribute (NaN
+in the model's arrays).
 
 Floats serialize via repr and parse back bit-identically, so
 load_model(save_model(m)) reproduces m exactly.
@@ -27,62 +32,73 @@ load_model(save_model(m)) reproduces m exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Union
+
+import numpy as np
 
 from ..errors import ModelFormatError
 from .base import Hyperparams, TrainedModel
 from .bayes import NaiveBayesModel
 from .ensembles import BaggingModel, RandomForestModel, VoteModel
-from .trees import C45Model, Leaf, Node, RandomTreeModel, Split, TreeModel
+from .trees import C45Model, RandomTreeModel, TreeModel
 
 FORMAT_NAME = "devfp-model"
 FORMAT_VERSION = 1
 
 
-def _encode_tree(root: Node) -> dict:
-    nodes: list[dict] = []
-    index_of: dict[int, int] = {}
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, Leaf):
-            index_of[id(node)] = len(nodes)
-            nodes.append({"counts": list(node.counts)})
-            continue
-        if not children_done:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-            continue
-        index_of[id(node)] = len(nodes)
-        nodes.append(
-            {
-                "attribute": node.attribute,
-                "threshold": node.threshold,
-                "absent_branch": node.absent_branch,
-                "left": index_of[id(node.left)],
-                "right": index_of[id(node.right)],
-            }
+def _encode_tree(tree: TreeModel) -> dict:
+    counts = iter(tree.counts.tolist())
+    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.absent_left)
+    nodes = [
+        {"counts": next(counts)} if attribute < 0 else {
+            "attribute": attribute,
+            "threshold": threshold,
+            "absent_branch": "left" if absent_left else "right",
+            "left": left,
+            "right": right,
+        }
+        for attribute, threshold, left, right, absent_left in zip(*(c.tolist() for c in columns))
+    ]
+    return {"root": tree.root, "nodes": nodes}
+
+
+_LEAF_AS_SPLIT = {"attribute": -1, "threshold": 0.0, "absent_branch": "right", "left": -1, "right": -1}
+_ABSENT_LEFT = {"left": True, "right": False}
+
+
+def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
+    """TreeModel arrays for tree params, checked so that routing always ends."""
+    nodes = params["nodes"]
+    splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
+    fields = {
+        "feature": np.array([s["attribute"] for s in splits], dtype=np.intp),
+        "threshold": np.array([s["threshold"] for s in splits], dtype=np.float64),
+        "left": np.array([s["left"] for s in splits], dtype=np.intp),
+        "right": np.array([s["right"] for s in splits], dtype=np.intp),
+        "absent_left": np.array([_ABSENT_LEFT[s["absent_branch"]] for s in splits], dtype=bool),
+        "counts": np.array([raw["counts"] for raw in nodes if "counts" in raw], dtype=np.int32),
+        "root": int(params["root"]),
+    }
+    split = fields["feature"] >= 0
+    index = np.arange(len(nodes))[split]
+    children = np.concatenate([fields["left"][split], fields["right"][split]])
+    if not (
+        np.all((0 <= children) & (children < np.concatenate([index, index])))
+        and np.all(fields["feature"] < n_attributes)
+        and 0 <= fields["root"] < len(nodes)
+        and fields["counts"].shape == (len(nodes) - len(index), n_classes)
+        and np.all(fields["counts"] >= 0)
+    ):
+        raise ModelFormatError(
+            "malformed tree: children must precede their parent, indices must be in"
+            f" range, and every leaf needs {n_classes} non-negative class counts"
         )
-    return {"root": index_of[id(root)], "nodes": nodes}
+    return fields
 
 
-def _decode_tree(params: dict) -> Node:
-    nodes_raw = params["nodes"]
-    decoded: list[Node] = [None] * len(nodes_raw)  # type: ignore[list-item]
-    # children always carry smaller indices than their parent (post-order encode)
-    for i, raw in enumerate(nodes_raw):
-        if "counts" in raw:
-            decoded[i] = Leaf(counts=tuple(int(c) for c in raw["counts"]))
-        else:
-            decoded[i] = Split(
-                attribute=int(raw["attribute"]),
-                threshold=float(raw["threshold"]),
-                absent_branch=str(raw["absent_branch"]),
-                left=decoded[raw["left"]],
-                right=decoded[raw["right"]],
-            )
-    return decoded[params["root"]]
+def _nan_to_none(rows: np.ndarray) -> list:
+    return [[None if math.isnan(v) else v for v in row] for row in rows.tolist()]
 
 
 def _model_dict(model: TrainedModel) -> dict:
@@ -95,18 +111,18 @@ def _model_dict(model: TrainedModel) -> dict:
         "hyperparams": model.hyperparams.to_dict(),
     }
     if isinstance(model, TreeModel):
-        doc["params"] = _encode_tree(model.root)
+        doc["params"] = _encode_tree(model)
     elif isinstance(model, NaiveBayesModel):
         doc["params"] = {
-            "priors": list(model.priors),
-            "means": [list(row) for row in model.means],
-            "stddevs": [list(row) for row in model.stddevs],
-            "present_rates": [list(row) for row in model.present_rates],
+            "priors": model.priors.tolist(),
+            "means": _nan_to_none(model.means),
+            "stddevs": _nan_to_none(model.stddevs),
+            "present_rates": model.present_rates.tolist(),
         }
     elif isinstance(model, VoteModel):
         doc["params"] = {"members": [_model_dict(m) for m in model.members]}
     elif isinstance(model, (RandomForestModel, BaggingModel)):
-        doc["params"] = {"members": [_encode_tree(m.root) for m in model.members]}
+        doc["params"] = {"members": [_encode_tree(m) for m in model.members]}
     else:
         raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
     return doc
@@ -140,25 +156,28 @@ def _model_from_dict(doc: dict) -> TrainedModel:
         raise ModelFormatError(f"bad hyperparams: {exc}") from exc
     params = _require(doc, "params")
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
+    shape = (len(schema), len(class_names))
     if variant == "j48":
-        return C45Model(root=_decode_tree(params), **common)
+        return C45Model(**_decode_tree(params, *shape), **common)
     if variant == "rt":
-        return RandomTreeModel(root=_decode_tree(params), **common)
+        return RandomTreeModel(**_decode_tree(params, *shape), **common)
     if variant == "rf":
         members = tuple(
-            RandomTreeModel(root=_decode_tree(p), **common) for p in params["members"]
+            RandomTreeModel(**_decode_tree(p, *shape), **common) for p in params["members"]
         )
         return RandomForestModel(members=members, **common)
     if variant == "bagging":
-        members = tuple(C45Model(root=_decode_tree(p), **common) for p in params["members"])
+        members = tuple(C45Model(**_decode_tree(p, *shape), **common) for p in params["members"])
         return BaggingModel(members=members, **common)
     if variant == "nb":
-        none_or_float = lambda v: None if v is None else float(v)
+        nan_if_none = lambda rows: np.array(
+            [[math.nan if v is None else v for v in row] for row in rows], dtype=np.float64
+        )
         return NaiveBayesModel(
-            priors=tuple(float(p) for p in params["priors"]),
-            means=tuple(tuple(none_or_float(v) for v in row) for row in params["means"]),
-            stddevs=tuple(tuple(none_or_float(v) for v in row) for row in params["stddevs"]),
-            present_rates=tuple(tuple(float(v) for v in row) for row in params["present_rates"]),
+            priors=np.array(params["priors"], dtype=np.float64),
+            means=nan_if_none(params["means"]),
+            stddevs=nan_if_none(params["stddevs"]),
+            present_rates=np.array(params["present_rates"], dtype=np.float64),
             **common,
         )
     if variant == "vote":
@@ -175,4 +194,7 @@ def load_model(text: Union[str, bytes]) -> TrainedModel:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    return _model_from_dict(doc)
+    try:
+        return _model_from_dict(doc)
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model document: {exc!r}") from exc

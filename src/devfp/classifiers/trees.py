@@ -6,6 +6,10 @@ recursion limit. At every node the candidate (attribute, threshold) pair is
 the one maximizing gain ratio among attributes whose missing-scaled info
 gain is positive; rows with an Absent split value follow the branch that
 received the majority of training rows.
+
+A trained tree is a set of parallel node arrays in the style of
+scikit-learn's `Tree`, numbered in the post-order of model format v1, and
+predicts all rows of a batch at once, one tree level per step.
 """
 
 from __future__ import annotations
@@ -29,49 +33,11 @@ from .base import (
 )
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal node holding training class counts (Laplace-smoothed at predict)."""
-
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Split:
-    attribute: int  # index into the model schema
-    threshold: float
-    absent_branch: str  # "left" | "right": side that got the training majority
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Split]
-
-
-def route(node: Node, values: Sequence[Optional[float]]) -> Leaf:
-    """Walk a vector down to its leaf; Absent values take the absent branch."""
-    while isinstance(node, Split):
-        value = values[node.attribute]
-        if value is None:
-            node = node.left if node.absent_branch == "left" else node.right
-        elif value <= node.threshold:
-            node = node.left
-        else:
-            node = node.right
-    return node
-
-
-def leaf_distribution(leaf: Leaf) -> np.ndarray:
-    """Laplace-smoothed leaf distribution: (count_c + 1) / (total + n_classes)."""
-    counts = np.asarray(leaf.counts, dtype=np.float64)
-    return (counts + 1.0) / (counts.sum() + len(leaf.counts))
-
-
 # ---------------------------------------------------------------------------
 # Growth
 
 # Builder nodes are dicts while the tree is mutable (growth + pruning), then
-# frozen into Leaf/Split dataclasses.
+# flattened into the node arrays of a TreeModel.
 
 
 def _grow(
@@ -107,15 +73,15 @@ def _grow(
         present = ~np.isnan(column)
         go_left = present & (column <= best_threshold)
         go_right = present & (column > best_threshold)
-        absent_branch = "left" if go_left.sum() >= go_right.sum() else "right"
-        if absent_branch == "left":
+        absent_left = bool(go_left.sum() >= go_right.sum())
+        if absent_left:
             go_left |= ~present
         else:
             go_right |= ~present
         node["leaf"] = False
         node["attribute"] = int(best_attr)
         node["threshold"] = float(best_threshold)
-        node["absent_branch"] = absent_branch
+        node["absent_left"] = absent_left
         node["left"] = {}
         node["right"] = {}
         # left pushed last so it grows first: fixed traversal order keeps
@@ -152,17 +118,25 @@ def _pessimistic_errors(counts: np.ndarray, confidence: float) -> float:
     return e + _added_errors(n, e, confidence)
 
 
-def _prune(root: dict, confidence: float) -> None:
-    """Collapse subtrees whose pessimistic leaf error is no worse, bottom-up."""
+def _post_order(root: dict) -> list[dict]:
+    """Builder nodes in the post-order of model format v1: right subtree, left
+    subtree, node (children before parents); the reverse of a (node, left,
+    right) pre-order walk."""
     order: list[dict] = []
     stack = [root]
     while stack:
         node = stack.pop()
         order.append(node)
         if not node["leaf"]:
-            stack.append(node["left"])
             stack.append(node["right"])
-    for node in reversed(order):  # children always precede parents here
+            stack.append(node["left"])
+    order.reverse()
+    return order
+
+
+def _prune(root: dict, confidence: float) -> None:
+    """Collapse subtrees whose pessimistic leaf error is no worse, bottom-up."""
+    for node in _post_order(root):
         if node["leaf"]:
             node["est_errors"] = _pessimistic_errors(node["counts"], confidence)
             continue
@@ -176,67 +150,96 @@ def _prune(root: dict, confidence: float) -> None:
             node["est_errors"] = subtree_errors
 
 
-def _freeze(root: dict) -> Node:
-    """Convert builder dicts into immutable Leaf/Split nodes (no recursion)."""
-    frozen: dict[int, Node] = {}
-    stack: list[tuple[dict, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node["leaf"]:
-            frozen[id(node)] = Leaf(counts=tuple(int(c) for c in node["counts"]))
-            continue
-        if not children_done:
-            stack.append((node, True))
-            stack.append((node["left"], False))
-            stack.append((node["right"], False))
-            continue
-        frozen[id(node)] = Split(
-            attribute=node["attribute"],
-            threshold=node["threshold"],
-            absent_branch=node["absent_branch"],
-            left=frozen[id(node["left"])],
-            right=frozen[id(node["right"])],
-        )
-    return frozen[id(root)]
+def _flatten(root: dict) -> dict:
+    """TreeModel node arrays for a builder tree, numbered in post-order."""
+    order = _post_order(root)
+    index = {id(node): i for i, node in enumerate(order)}
+
+    def column(value: Callable[[dict], object], leaf_value: object, dtype) -> np.ndarray:
+        return np.array([leaf_value if n["leaf"] else value(n) for n in order], dtype=dtype)
+
+    return {
+        "feature": column(lambda n: n["attribute"], -1, np.intp),
+        "threshold": column(lambda n: n["threshold"], 0.0, np.float64),
+        "left": column(lambda n: index[id(n["left"])], -1, np.intp),
+        "right": column(lambda n: index[id(n["right"])], -1, np.intp),
+        "absent_left": column(lambda n: n["absent_left"], False, bool),
+        "counts": np.array([n["counts"] for n in order if n["leaf"]], dtype=np.int32),
+        "root": len(order) - 1,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Models
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeModel(TrainedModel):
-    root: Node
+    """A binary decision tree as parallel node arrays (children before parents).
+
+    Split node i (feature[i] >= 0) sends a row to left[i] when its value of
+    schema attribute feature[i] is <= threshold[i], to right[i] when it is
+    greater, and to left[i] when it is Absent exactly if absent_left[i].
+    Leaves have feature -1; their training class counts are the rows of
+    `counts` (int32, half the memory of int64), in node order. Only leaves
+    carry the Laplace-smoothed distribution (count_c + 1) / (total +
+    n_classes), computed once here.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    absent_left: np.ndarray
+    counts: np.ndarray
+    root: int
     variant: str = field(init=False, default=VARIANT_C45)
+    leaf: np.ndarray = field(init=False, repr=False)  # node -> row of counts/proba
+    proba: np.ndarray = field(init=False, repr=False)
 
-    def distribution(self, values: Sequence[Optional[float]]) -> np.ndarray:
-        return leaf_distribution(route(self.root, values))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "leaf", np.cumsum(self.feature < 0) - 1)
+        counts = self.counts.astype(np.float64)
+        proba = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + counts.shape[1])
+        object.__setattr__(self, "proba", proba)
+
+    def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        node = np.full(X.shape[0], self.root, dtype=np.intp)
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            value = X[rows, self.feature[at]]
+            go_left = np.where(np.isnan(value), self.absent_left[at], value <= self.threshold[at])
+            at = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = at
+            rows = rows[self.feature[at] >= 0]
+        return self.proba[self.leaf[node]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class C45Model(TreeModel):
     variant: str = field(init=False, default=VARIANT_C45)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomTreeModel(TreeModel):
     variant: str = field(init=False, default=VARIANT_RANDOM_TREE)
 
 
-def grow_c45_root(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> Node:
-    """C4.5 growth (+ optional pruning) on raw arrays; used directly by ensembles."""
+def grow_c45(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> dict:
+    """C4.5 growth (+ optional pruning) on raw arrays: TreeModel node arrays."""
     k = X.shape[1]
     all_attributes = tuple(range(k))
     root = _grow(X, y, n_classes, hp.c45_min_leaf, lambda: all_attributes)
     if hp.c45_prune:
         _prune(root, hp.c45_confidence)
-    return _freeze(root)
+    return _flatten(root)
 
 
-def grow_random_root(
+def grow_random(
     X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams, rng: random.Random
-) -> Node:
-    """Random-tree growth on raw arrays: sampled candidates, never pruned."""
+) -> dict:
+    """Random-tree growth on raw arrays (sampled candidates, never pruned): node arrays."""
     k = X.shape[1]
     m = hp.resolved_rt_feature_count(k)
     attributes = list(range(k))
@@ -246,17 +249,15 @@ def grow_random_root(
             return attributes
         return sorted(rng.sample(attributes, m))
 
-    return _freeze(_grow(X, y, n_classes, hp.c45_min_leaf, pick))
+    return _flatten(_grow(X, y, n_classes, hp.c45_min_leaf, pick))
 
 
 def train_c45(dataset, hyperparams: Optional[Hyperparams] = None) -> C45Model:
     """Grow a gain-ratio decision tree, pessimistically pruned by default."""
     hp = hyperparams or Hyperparams()
     X, y, class_names = dataset_arrays(dataset)
-    root = grow_c45_root(X, y, len(class_names), hp)
-    return C45Model(
-        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, root=root
-    )
+    arrays = grow_c45(X, y, len(class_names), hp)
+    return C45Model(schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, **arrays)
 
 
 def train_random_tree(
@@ -271,8 +272,7 @@ def train_random_tree(
     """
     hp = hyperparams or Hyperparams()
     X, y, class_names = dataset_arrays(dataset)
-    rand = resolve_rng(rng, hp.seed, "rt")
-    root = grow_random_root(X, y, len(class_names), hp, rand)
+    arrays = grow_random(X, y, len(class_names), hp, resolve_rng(rng, hp.seed, "rt"))
     return RandomTreeModel(
-        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, root=root
+        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, **arrays
     )

@@ -15,11 +15,15 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .classifiers import (
     ALL_VARIANTS,
     Hyperparams,
     ModelSpec,
+    argmax_lowest,
+    feature_matrix,
     load_model,
     save_model,
     train_model,
@@ -50,7 +54,7 @@ from .features import (
     read_registry,
     write_csv,
 )
-from .pcap import MAGIC_MICRO, MAGIC_MICRO_SWAPPED, MAGIC_NANO, MAGIC_NANO_SWAPPED, parse_capture
+from .pcap import is_capture, parse_capture
 from .selection import apply_criteria, default_meta, rank, rank_report_csv, read_attribute_meta
 
 
@@ -256,22 +260,12 @@ def _cmd_train_eval(args: argparse.Namespace) -> int:
     return _train_eval_on_dataset(dataset, args, Path(args.out))
 
 
-_PCAP_MAGICS_LE = {MAGIC_MICRO, MAGIC_MICRO_SWAPPED, MAGIC_NANO, MAGIC_NANO_SWAPPED}
-
-
-def _looks_like_pcap(path: Path) -> bool:
-    with path.open("rb") as fh:
-        head = fh.read(4)
-    if len(head) < 4:
-        return False
-    magic = int.from_bytes(head, "little")
-    return magic in _PCAP_MAGICS_LE
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model_file).read_text(encoding="utf-8"))
     path = Path(args.input)
-    if _looks_like_pcap(path):
+    with path.open("rb") as fh:
+        from_pcap = is_capture(fh.read(4))
+    if from_pcap:
         capture = parse_capture(path.read_bytes())
         stats = ExtractionStats()
         rows = extract_capture(capture, raw_ack=args.raw_ack, stats=stats)
@@ -279,20 +273,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             f"read {stats.frames_read} frames: {stats.non_ipv4_skipped} non-IPv4 skipped, "
             f"{stats.decode_errors} truncated/undecodable dropped"
         )
-        from_pcap = True
     else:
-        dataset = read_csv(path.read_text(encoding="utf-8"))
-        rows = list(dataset.rows)
-        from_pcap = False
+        rows = list(read_csv(path.read_text(encoding="utf-8")).rows)
 
+    dist = model.distribution_batch(feature_matrix(rows, model.schema))
+    best = argmax_lowest(dist)
+    confidence = dist[np.arange(len(rows)), best]
     lines = ["row,predicted_class,confidence"]
     mac_votes: dict[str, Counter] = {}
-    for i, row in enumerate(rows):
-        values = row.values(model.schema)
-        dist = model.distribution(values)
-        best = max(range(len(dist)), key=lambda c: (dist[c], -c))
-        predicted = model.class_names[best]
-        lines.append(f"{i},{predicted},{float(dist[best]):.12g}")
+    for i, (row, c, p) in enumerate(zip(rows, best.tolist(), confidence.tolist())):
+        predicted = model.class_names[c]
+        lines.append(f"{i},{predicted},{p:.12g}")
         if from_pcap and row.src_mac is not None:
             mac_votes.setdefault(row.src_mac, Counter())[predicted] += 1
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -126,9 +126,5 @@ class ClassTooSmall(DevfpError):
         self.name = name
 
 
-class UnknownClassLabel(DevfpError):
-    """A test row's label is not among the model's class names."""
-
-
 class ModelFormatError(DevfpError):
     """Persisted model file is malformed or has an unsupported version."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .classifiers import ModelSpec, TrainedModel, derive_rng, predict_values, train_model
+from .classifiers import ModelSpec, TrainedModel, argmax_lowest, derive_rng, feature_matrix, train_model
 from .errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from .features import Dataset
 
@@ -136,9 +136,10 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
     names = tuple(model.class_names) + tuple(extra)
     index = {name: i for i, name in enumerate(names)}
     counts = [[0] * len(names) for _ in names]
-    for row, actual in zip(test.rows, targets):
-        predicted = predict_values(model, row.values(model.schema))
-        counts[index[actual]][index[predicted]] += 1
+    # model classes come first in `names`, so a class index is its column
+    predicted = argmax_lowest(model.distribution_batch(feature_matrix(test.rows, model.schema)))
+    for actual, column in zip(targets, predicted.tolist()):
+        counts[index[actual]][column] += 1
     return ConfusionMatrix(class_names=names, counts=tuple(tuple(r) for r in counts))
 
 

@@ -558,13 +558,11 @@ def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
             if cell == "":
                 values.append(None)
                 continue
-            try:
-                number = int(cell)
-            except ValueError:
-                raise NonNumericCell(index, attribute, cell) from None
-            if number < 0:
+            # canonical only, ASCII 0|[1-9][0-9]*: int() would also take signs,
+            # spaces, underscores, leading zeros and non-ASCII digits
+            if not (cell.isascii() and cell.isdigit()) or (cell[0] == "0" and len(cell) > 1):
                 raise NonNumericCell(index, attribute, cell)
-            values.append(number)
+            values.append(int(cell))
         label_cell = cells[-1]
         row = FeatureVector(
             tcp_srcport=values[0],

@@ -214,6 +214,12 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
     )
 
 
+def is_capture(head: bytes) -> bool:
+    """Whether a file starting with `head` belongs to parse_capture: it opens
+    with a classic pcap magic, or with pcapng's, which it rejects by name."""
+    return len(head) >= 4 and struct.unpack_from("<I", head)[0] in (*_MAGICS, _PCAPNG_MAGIC)
+
+
 def _raise_unknown_magic(magic: int) -> None:
     if magic == _PCAPNG_MAGIC:
         raise UnknownMagic(

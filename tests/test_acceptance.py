@@ -24,7 +24,6 @@ from devfp.classifiers import (
     train_random_tree,
     train_vote,
 )
-from devfp.classifiers.trees import Leaf
 from devfp.cli import main as cli_main
 from devfp.evaluation import ConfusionMatrix, metrics
 from devfp.features import (
@@ -168,7 +167,7 @@ class TestCriterion3TreeOracle:
                     )
                     if perfect:
                         continue
-                    if isinstance(model.root, Leaf):
+                    if model.feature[model.root] < 0:
                         stalled += 1  # no positive-gain split existed at the root
                     else:
                         failures += 1

@@ -24,9 +24,9 @@ from devfp.classifiers import (
 )
 from devfp.classifiers.base import TrainedModel
 from devfp.classifiers.ensembles import BaggingModel, RandomForestModel, VoteModel
-from devfp.classifiers.trees import Leaf, Split, leaf_distribution, route
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
 from devfp.features import Dataset, FeatureVector
+from modeldocs import leaf, split, tree_model
 
 
 def make_dataset(columns: dict, labels, attributes=None) -> Dataset:
@@ -52,6 +52,26 @@ def vector(**kwargs) -> FeatureVector:
     return FeatureVector(**field_map)
 
 
+def is_leaf(model, node=None) -> bool:
+    return bool(model.feature[model.root if node is None else node] < 0)
+
+
+def leaf_counts(model, node) -> tuple:
+    return tuple(model.counts[model.leaf[node]].tolist())
+
+
+def tree_arrays(model) -> list:
+    return [
+        model.feature.tolist(),
+        model.threshold.tolist(),
+        model.left.tolist(),
+        model.right.tolist(),
+        model.absent_left.tolist(),
+        model.counts.tolist(),
+        model.root,
+    ]
+
+
 UNPRUNED = Hyperparams(c45_prune=False)
 UNPRUNED_MIN1 = Hyperparams(c45_prune=False, c45_min_leaf=1)
 
@@ -61,12 +81,13 @@ class TestC45:
         dataset = one_attr_dataset([1, 2, 9], ["A", "A", "B"])
         model = train_c45(dataset)
         root = model.root
-        assert isinstance(root, Split)
+        assert not is_leaf(model)
         # brute-force: of the candidate thresholds 1.5 and 5.5, only 5.5
         # separates the classes completely
-        assert root.threshold == 5.5
-        assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
-        assert root.left.counts == (2, 0) and root.right.counts == (0, 1)
+        assert model.threshold[root] == 5.5
+        left, right = model.left[root], model.right[root]
+        assert is_leaf(model, left) and is_leaf(model, right)
+        assert leaf_counts(model, left) == (2, 0) and leaf_counts(model, right) == (0, 1)
         for value, expected in ((1, "A"), (2, "A"), (9, "B")):
             assert predict(model, vector(**{"ip.len": value})) == expected
 
@@ -87,13 +108,13 @@ class TestC45:
             ["A", "B", "B", "A"],
         )
         model = train_c45(dataset, UNPRUNED_MIN1)
-        assert isinstance(model.root, Leaf)
-        assert model.root.counts == (2, 2)
+        assert is_leaf(model)
+        assert leaf_counts(model, model.root) == (2, 2)
 
     def test_constant_attributes_yield_leaf(self):
         dataset = one_attr_dataset([5, 5, 5, 5], ["A", "A", "B", "A"])
         model = train_c45(dataset)
-        assert isinstance(model.root, Leaf)
+        assert is_leaf(model)
         assert predict(model, vector(**{"ip.len": 5})) == "A"
 
     def test_unpruned_min1_perfect_on_consistent_single_attribute(self):
@@ -115,20 +136,20 @@ class TestC45:
         # 3 small-value rows, 1 large: absent rows follow the left majority
         dataset = one_attr_dataset([1, 2, 3, 50, None, None], ["A", "A", "A", "B", "A", "A"])
         model = train_c45(dataset, UNPRUNED_MIN1)
-        assert isinstance(model.root, Split)
-        assert model.root.absent_branch == "left"
+        assert not is_leaf(model)
+        assert model.absent_left[model.root]
         assert predict(model, vector()) == "A"
 
     def test_absent_branch_follows_majority_to_right(self):
         dataset = one_attr_dataset([1, 50, 60, 70, None, None], ["A", "B", "B", "B", "B", "B"])
         model = train_c45(dataset, UNPRUNED_MIN1)
-        assert isinstance(model.root, Split)
-        assert model.root.absent_branch == "right"
+        assert not is_leaf(model)
+        assert not model.absent_left[model.root]
 
     def test_min_leaf_stops_growth(self):
         dataset = one_attr_dataset([1, 2, 9, 10], ["A", "A", "B", "B"])
         model = train_c45(dataset, Hyperparams(c45_min_leaf=5, c45_prune=False))
-        assert isinstance(model.root, Leaf)
+        assert is_leaf(model)
 
     def test_pruning_collapses_noise_split(self):
         # one stray B inside a run of As: the pessimistic estimate prefers a leaf
@@ -137,8 +158,8 @@ class TestC45:
         labels[9] = "B"
         pruned = train_c45(one_attr_dataset(values, labels), Hyperparams(c45_prune=True))
         unpruned = train_c45(one_attr_dataset(values, labels), UNPRUNED)
-        assert isinstance(pruned.root, Leaf)
-        assert isinstance(unpruned.root, Split)
+        assert is_leaf(pruned)
+        assert not is_leaf(unpruned)
 
     def test_pruned_tree_never_larger(self):
         rng = random.Random(11)
@@ -148,9 +169,7 @@ class TestC45:
             if len(set(labels)) < 2:
                 continue
             dataset = one_attr_dataset(values, labels)
-            assert _node_count(train_c45(dataset).root) <= _node_count(
-                train_c45(dataset, UNPRUNED).root
-            )
+            assert len(train_c45(dataset).feature) <= len(train_c45(dataset, UNPRUNED).feature)
 
     def test_added_errors_matches_reference_formula(self):
         # independent reimplementation of the upper confidence bound
@@ -173,12 +192,6 @@ class TestC45:
             assert _added_errors(n, e, 0.25) == pytest.approx(reference(n, e, 0.25), abs=1e-12)
 
 
-def _node_count(node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + _node_count(node.left) + _node_count(node.right)
-
-
 class TestRandomTree:
     def two_attr_dataset(self):
         return make_dataset(
@@ -191,7 +204,7 @@ class TestRandomTree:
         hp = Hyperparams(rt_feature_count=2, c45_prune=False)
         rt = train_random_tree(dataset, hp, rng=derive_rng(1))
         c45 = train_c45(dataset, hp)
-        assert rt.root == c45.root
+        assert tree_arrays(rt) == tree_arrays(c45)
 
     def test_same_seed_identical_trees(self):
         dataset = self.two_attr_dataset()
@@ -206,8 +219,8 @@ class TestRandomTree:
         roots = set()
         for seed in range(12):
             model = train_random_tree(dataset, hp, rng=seed)
-            if isinstance(model.root, Split):
-                roots.add(model.root.attribute)
+            if not is_leaf(model):
+                roots.add(int(model.feature[model.root]))
         assert roots == {0, 1}
 
 
@@ -243,9 +256,9 @@ class TestNaiveBayes:
         doubled = Dataset.build(base.rows + base.rows, base.attributes)
         m1 = train_naive_bayes(base)
         m2 = train_naive_bayes(doubled)
-        assert m1.priors == m2.priors
-        assert m1.means == m2.means
-        assert m1.stddevs == m2.stddevs
+        assert np.array_equal(m1.priors, m2.priors)
+        assert np.array_equal(m1.means, m2.means, equal_nan=True)
+        assert np.array_equal(m1.stddevs, m2.stddevs, equal_nan=True)
         for value in (None, 1, 5, 9):
             assert predict_proba(m1, vector(**{"ip.len": value})) == predict_proba(
                 m2, vector(**{"ip.len": value})
@@ -284,8 +297,8 @@ class StubModel(TrainedModel):
 
     fixed: tuple = (1.0,)
 
-    def distribution(self, values):
-        return np.asarray(self.fixed, dtype=np.float64)
+    def distribution_batch(self, X):
+        return np.tile(np.asarray(self.fixed, dtype=np.float64), (X.shape[0], 1))
 
 
 def stub(dist, class_names=("A", "B")):
@@ -436,18 +449,23 @@ class TestPredictContract:
                 assert set(proba) == set(model.class_names)
 
     def test_leaf_distribution_laplace_smoothing(self):
-        leaf = Leaf(counts=(3, 1))
-        dist = leaf_distribution(leaf)
+        model = tree_model(("ip.len",), ("A", "B"), [leaf(3, 1)])
+        dist = model.distribution((None,))
         assert dist[0] == pytest.approx(4 / 6, abs=1e-12)
         assert dist[1] == pytest.approx(2 / 6, abs=1e-12)
 
     def test_routing_below_threshold_goes_left(self):
-        node = Split(attribute=0, threshold=5.5, absent_branch="right",
-                     left=Leaf((1, 0)), right=Leaf((0, 1)))
-        assert route(node, (2,)) is node.left
-        assert route(node, (5.5,)) is node.left  # boundary value stays left
-        assert route(node, (6,)) is node.right
-        assert route(node, (None,)) is node.right  # absent follows absent_branch
+        # node 0 is the right leaf, node 1 the left leaf, node 2 the split
+        model = tree_model(
+            ("ip.len",), ("A", "B"), [leaf(0, 1), leaf(1, 0), split(0, 5.5, "right", 1, 0)]
+        )
+        left, right = model.proba[model.leaf[1]], model.proba[model.leaf[0]]
+        X = np.array([[2.0], [5.5], [6.0], [np.nan]])
+        dist = model.distribution_batch(X)
+        assert np.array_equal(dist[0], left)
+        assert np.array_equal(dist[1], left)  # boundary value stays left
+        assert np.array_equal(dist[2], right)
+        assert np.array_equal(dist[3], right)  # absent follows absent_branch
 
     def test_schema_mismatch_raises(self):
         model = stub((0.5, 0.5))
@@ -487,6 +505,70 @@ class TestPredictContract:
             a = train_model(dataset, spec)
             b = train_model(dataset, spec)
             assert save_model(a) == save_model(b)
+
+
+class TestBatchPrediction:
+    """distribution_batch(X)[i] carries exactly the bits of distribution(row i)."""
+
+    def dataset(self):
+        rng = random.Random(21)
+        columns = {"ip.len": [], "ip.ttl": [], "udp.srcport": []}
+        labels = []
+        for i in range(60):
+            label = "ABC"[i % 3]
+            columns["ip.len"].append(rng.choice([None, rng.randrange(40) + 20 * (label == "B")]))
+            columns["ip.ttl"].append(rng.choice([None, 32, 64, 128]))
+            columns["udp.srcport"].append(None if label == "C" else rng.randrange(5))
+            labels.append(label)
+        return make_dataset(columns, labels)
+
+    def models(self):
+        dataset = self.dataset()
+        hp = Hyperparams(forest_trees=7, bagging_rounds=3)
+        return [
+            train_c45(dataset, hp),
+            train_random_tree(dataset, hp),
+            train_random_forest(dataset, hp),
+            train_naive_bayes(dataset, hp),
+            train_bagging(dataset, hp),
+            train_vote(["j48", "bagging"], dataset, hp),
+            train_vote(["nb", "rf", "j48"], dataset, hp),
+        ]
+
+    def query_rows(self, models):
+        """Random rows with Absent cells, plus one row per split threshold hit exactly."""
+        rng = random.Random(22)
+        rows = [
+            (rng.choice([None, rng.randrange(70)]), rng.choice([None, 32, 64, 100, 128]),
+             rng.choice([None, rng.randrange(6)]))
+            for _ in range(300)
+        ]
+        rows.append((None, None, None))
+        trees = [m for model in models for m in getattr(model, "members", (model,))]
+        for tree in trees:
+            for attribute, threshold in zip(getattr(tree, "feature", ()), getattr(tree, "threshold", ())):
+                if attribute >= 0:
+                    row = [None, 64, None]
+                    row[attribute] = float(threshold)
+                    rows.append(tuple(row))
+        return rows
+
+    def test_batch_rows_equal_per_row_distributions(self):
+        models = self.models()
+        rows = self.query_rows(models)
+        X = np.array([[np.nan if v is None else v for v in row] for row in rows])
+        thresholds_hit = sum(1 for row in rows if isinstance(row[0], float) or isinstance(row[2], float))
+        assert thresholds_hit > 0
+        for model in models:
+            batch = model.distribution_batch(X)
+            assert batch.shape == (len(rows), len(model.class_names))
+            assert batch.dtype == np.float64
+            for i, row in enumerate(rows):
+                assert np.array_equal(batch[i], model.distribution(row)), (model.variant, row)
+
+    def test_empty_batch(self):
+        for model in self.models():
+            assert model.distribution_batch(np.empty((0, 3))).shape == (0, len(model.class_names))
 
 
 class TestPersistence:
@@ -536,6 +618,27 @@ class TestPersistence:
     def test_wrong_format_name_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model('{"format": "something-else", "version": 1}')
+
+    def test_malformed_tree_rejected(self):
+        schema, classes = ("ip.len",), ("A", "B")
+        good = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
+        assert tree_model(schema, classes, good).root == 2
+        bad_documents = [
+            [leaf(0, 4), split(0, 5.5, "left", 1, 0), leaf(4, 0)],  # child after its parent
+            [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 2, 0)],  # split is its own child
+            [leaf(0, 4), leaf(4, 0), split(3, 5.5, "left", 1, 0)],  # attribute out of range
+            [leaf(0, 4), leaf(4), split(0, 5.5, "left", 1, 0)],  # leaf with too few counts
+            [leaf(0, 4), leaf(4, -1), split(0, 5.5, "left", 1, 0)],  # negative count
+            [leaf(0, 4), leaf(4, 2**40), split(0, 5.5, "left", 1, 0)],  # count beyond int32
+            [leaf(0, 4), leaf(4, 0), split(0, 5.5, "up", 1, 0)],  # bad absent branch
+            [leaf(0, 4), leaf(4, 0), {"attribute": 0, "threshold": 5.5}],  # split missing keys
+            [],  # no nodes
+        ]
+        for nodes in bad_documents:
+            with pytest.raises(ModelFormatError):
+                tree_model(schema, classes, nodes)
+        with pytest.raises(ModelFormatError):
+            tree_model(schema, classes, good, root=3)
 
     def test_deep_tree_round_trip(self):
         # staircase data grows a tree ~300 levels deep; growth, routing and

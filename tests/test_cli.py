@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 
 from corpus import REFERENCE_ROWS, TRAINING_REGISTRY
+from modeldocs import leaf, split, tree_model
 from pcapbuild import ethernet, ipv4, pcap_file, udp
 
-from devfp.classifiers import Hyperparams, save_model
-from devfp.classifiers.trees import Leaf, Split, TreeModel
+from devfp.classifiers import save_model
 from devfp.cli import main
 from devfp.features import CSV_HEADER
 
@@ -214,10 +214,8 @@ class TestTrainEval:
 
 class TestClassify:
     def write_threshold_model(self, path: Path) -> None:
-        root = Split(attribute=0, threshold=100.5, absent_branch="left",
-                     left=Leaf((9, 1)), right=Leaf((1, 9)))
-        model = TreeModel(
-            schema=("ip.len",), class_names=("Aria", "Other"), hyperparams=Hyperparams(), root=root
+        model = tree_model(
+            ("ip.len",), ("Aria", "Other"), [leaf(1, 9), leaf(9, 1), split(0, 100.5, "left", 1, 0)]
         )
         path.write_text(save_model(model))
 
@@ -278,6 +276,24 @@ class TestClassify:
         )
         assert code == 0
         assert out.read_text() == "row,predicted_class,confidence\n"
+
+    def test_pcapng_input_named_in_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        self.write_threshold_model(model_path)
+        pcapng = tmp_path / "capture.pcapng"
+        # section header block: type, length, byte-order magic, version 1.0
+        pcapng.write_bytes(
+            b"\x0a\x0d\x0d\x0a" + (28).to_bytes(4, "little") + b"\x4d\x3c\x2b\x1a"
+            + b"\x01\x00\x00\x00" + b"\xff" * 8 + (28).to_bytes(4, "little")
+        )
+        code, _, err = run_cli(
+            ["classify", "--model-file", str(model_path), "--input", str(pcapng),
+             "--out", str(tmp_path / "p.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert "pcapng" in err
+        assert "codec" not in err
 
     def test_bad_model_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

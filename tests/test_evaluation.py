@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devfp.classifiers import Hyperparams, ModelSpec, predict, train_c45
-from devfp.classifiers.trees import Leaf, Split, TreeModel
+from modeldocs import leaf, split, tree_model
+
+from devfp.classifiers import ModelSpec, predict, train_c45
 from devfp.errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from devfp.evaluation import (
     FEATURE_SETS,
@@ -110,12 +111,8 @@ class TestStratifiedSplit:
 
 def hand_tree_model():
     # ip.len <= 5.5 -> A, else B; Absent -> left
-    root = Split(
-        attribute=0, threshold=5.5, absent_branch="left",
-        left=Leaf((4, 0)), right=Leaf((0, 4)),
-    )
-    return TreeModel(
-        schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), root=root
+    return tree_model(
+        ("ip.len",), ("A", "B"), [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
     )
 
 
@@ -131,10 +128,7 @@ class TestEvaluate:
         assert matrix.counts == ((2, 0), (0, 1))
 
     def test_constant_model_single_column(self):
-        always_a = TreeModel(
-            schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(),
-            root=Leaf((5, 0)),
-        )
+        always_a = tree_model(("ip.len",), ("A", "B"), [leaf(5, 0)])
         test = one_attr_test_set([(1, "A"), (9, "B"), (10, "B")])
         matrix = evaluate(always_a, test)
         assert matrix.counts == ((1, 0), (2, 0))

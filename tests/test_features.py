@@ -342,6 +342,16 @@ class TestCsv:
         with pytest.raises(NonNumericCell):
             read_csv(text)
 
+    @pytest.mark.parametrize("cell", ["1_000", " 7", "+5", "007", "\u0663"])
+    def test_non_canonical_integer_rejected(self, cell):
+        # int() accepts each of these, but none would write back the same
+        text = CSV_HEADER + f"\n{cell},,,,,,60,64,6,A\n"
+        with pytest.raises(NonNumericCell):
+            read_csv(text)
+
+    def test_zero_accepted(self):
+        assert read_csv(CSV_HEADER + "\n0,,,,,,60,64,6,A\n").rows[0].tcp_srcport == 0
+
     def test_label_with_comma_rejected_on_write(self):
         row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="a,b")
         with pytest.raises(ValueError):
