@@ -15,8 +15,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .classifiers import (
     ALL_VARIANTS,
@@ -278,7 +276,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     dist = model.distribution_batch(feature_matrix(rows, model.schema))
     best = argmax_lowest(dist)
-    confidence = dist[np.arange(len(rows)), best]
+    confidence = dist.max(axis=1)
     lines = ["row,predicted_class,confidence"]
     mac_votes: dict[str, Counter] = {}
     for i, (row, c, p) in enumerate(zip(rows, best.tolist(), confidence.tolist())):

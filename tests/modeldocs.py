@@ -23,8 +23,9 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
     }
 
 
-def tree_document(schema, class_names, nodes, root=None) -> dict:
-    return {
+def tree_model(schema, class_names, nodes, root=None):
+    """A j48 model loaded from a hand-written document with these nodes."""
+    doc = {
         "format": "devfp-model",
         "version": 1,
         "variant": "j48",
@@ -33,8 +34,4 @@ def tree_document(schema, class_names, nodes, root=None) -> dict:
         "hyperparams": Hyperparams().to_dict(),
         "params": {"root": len(nodes) - 1 if root is None else root, "nodes": nodes},
     }
-
-
-def tree_model(schema, class_names, nodes, root=None):
-    """A j48 model loaded from a hand-written document with these nodes."""
-    return load_model(json.dumps(tree_document(schema, class_names, nodes, root)))
+    return load_model(json.dumps(doc))
