@@ -3,7 +3,9 @@
 The run-to-run determinism check (acceptance Criterion 7) compares two runs
 of the same build; these pins compare against the bytes earlier builds
 wrote, so a refactor that moves one bit of a model, a report or a
-prediction fails here. A deliberate output change regenerates the pins with
+prediction fails here. The `extract` pins cover `--dedup`, `--raw-ack` and
+the stderr summary counts on the training capture with edge-case frames
+appended. A deliberate output change regenerates the pins with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -12,13 +14,28 @@ and records the change in CHANGES.md.
 
 import hashlib
 import sys
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from corpus import TRAINING_REGISTRY, build_training_capture  # noqa: E402
+from corpus import GATEWAY_MAC, TRAINING_REGISTRY, build_training_capture  # noqa: E402
+from pcapbuild import (  # noqa: E402
+    ETHERTYPE_ARP,
+    ETHERTYPE_IPV6,
+    TCP_ACK,
+    TCP_SYN,
+    ethernet,
+    ipv4,
+    pcap_file,
+    tcp,
+    tcp_option_window_scale,
+    udp,
+    vlan_tag,
+)
 
 from devfp.classifiers import ALL_VARIANTS, load_model  # noqa: E402
 from devfp.cli import main  # noqa: E402
@@ -29,6 +46,8 @@ FRESH_SEED = 8
 # run name -> extra pipeline flags; vote-nb puts naive Bayes inside a vote
 RUNS = {variant: ["--model", variant] for variant in ALL_VARIANTS}
 RUNS["vote-nb"] = ["--model", "vote", "--vote-members", "nb,rt"]
+# extract run name -> extract flags
+EXTRACT_RUNS = {"extract-dedup": ["--dedup"], "extract-raw-ack": ["--raw-ack"]}
 
 GOLDEN = {
     "dataset.csv": "ac82a130cceb21e1f25bab58a5700cb61c253c8b94d4dd94652d3b6c80cc0dd0",
@@ -68,6 +87,65 @@ GOLDEN = {
     "vote-nb/predictions.csv": "3cfbcdab9302fb6db4a8838c96cbab548d3f9da1c004137e8f867d69eb61bebe",
     "vote-nb/distributions": "679afafc228497472322f9790d07b9fa38c8e0c3953a6944ee615c947f3d0844",
 }
+# `extract` on the training capture plus _edge_frames()
+GOLDEN_EXTRACT = {
+    "extract-dedup/dataset.csv": "2493fdd7da7a7267e71c4b8266cdec627bb84f8587c27ca1ee619efb838d397e",
+    "extract-dedup/summary": "334a0bb65c8264895a68ca524e6ffe1d44a2380232c8ae1dbac8cece7e7a4be0",
+    "extract-raw-ack/dataset.csv": "a1d1a63bb5f16d54c0900c3ecf593d53e67999ee841e09100c194ce402fed1e4",
+    "extract-raw-ack/summary": "2d20a08c72bf96143e367ad6cc3df62ea53d5e2b55778a4269f5ee95c86e7e79",
+}
+
+
+def _edge_frames() -> list[bytes]:
+    """Frames the training capture lacks, so every extraction counter moves:
+    non-IPv4, truncated headers, a VLAN tag, window scaling and an ACK whose
+    reverse SYN was never seen."""
+    dev_mac, dev_ip, server_ip = "aa:10:00:00:00:01", "192.168.7.11", "172.16.9.9"
+    return [
+        ethernet("ff:ff:ff:ff:ff:ff", dev_mac, ETHERTYPE_ARP, b"\x00" * 28),
+        ethernet(GATEWAY_MAC, dev_mac, ETHERTYPE_IPV6, b"\x00" * 40),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800, b"\x45\x00\x00"),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800, ipv4(dev_ip, server_ip, 6, tcp(1, 2))[:30]),
+        ethernet(GATEWAY_MAC, dev_mac, 0x8100,
+                 vlan_tag(5, 0x0800, ipv4(dev_ip, server_ip, 17, udp(5999, 53, b"q" * 20)))),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800, ipv4(dev_ip, server_ip, 1, b"\x08\x00\x00\x00")),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800,
+                 ipv4(dev_ip, server_ip, 6, tcp(30999, 443, seq=9, flags=TCP_SYN, window=1000,
+                                                 options=tcp_option_window_scale(3)))),
+        ethernet(dev_mac, GATEWAY_MAC, 0x0800,
+                 ipv4(server_ip, dev_ip, 6, tcp(443, 30999, seq=77, ack=10, flags=TCP_SYN | TCP_ACK,
+                                                 window=2000, options=tcp_option_window_scale(2)))),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800,
+                 ipv4(dev_ip, server_ip, 6, tcp(30999, 443, seq=10, ack=80, window=1000))),
+        ethernet(GATEWAY_MAC, dev_mac, 0x0800,
+                 ipv4(dev_ip, server_ip, 6, tcp(30998, 443, seq=5, ack=123456, window=1000))),
+    ]
+
+
+def extract_capture_bytes() -> bytes:
+    """The training capture (seed 7) with the edge frames appended as records."""
+    return build_training_capture(seed=TRAIN_SEED) + pcap_file(_edge_frames())[24:]
+
+
+def extract_hashes(work: Path) -> dict[str, str]:
+    """Run `extract` with each EXTRACT_RUNS flag set; hash the CSV and the
+    stderr summary line (frames read and every drop/fallback count)."""
+    pcap = work / "extract.pcap"
+    pcap.write_bytes(extract_capture_bytes())
+    registry = work / "devices.tsv"
+    registry.write_text(TRAINING_REGISTRY, encoding="utf-8")
+    hashes = {}
+    for run, flags in EXTRACT_RUNS.items():
+        out = work / f"{run}.csv"
+        err = StringIO()
+        with redirect_stderr(err):
+            assert main(["extract", "--input", str(pcap), "--registry", str(registry),
+                         "--out", str(out), *flags]) == 0
+        summary = [line for line in err.getvalue().splitlines() if line.startswith("read ")]
+        assert len(summary) == 1
+        hashes[f"{run}/dataset.csv"] = _sha(out.read_bytes())
+        hashes[f"{run}/summary"] = _sha(summary[0].encode())
+    return hashes
 
 
 def _sha(data: bytes) -> str:
@@ -122,12 +200,25 @@ def test_output_matches_golden(hashes, name):
     assert hashes[name] == GOLDEN[name], f"{name} changed"
 
 
+@pytest.fixture(scope="module")
+def extract_outputs(tmp_path_factory):
+    return extract_hashes(tmp_path_factory.mktemp("golden-extract"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXTRACT))
+def test_extract_matches_golden(extract_outputs, name):
+    assert extract_outputs[name] == GOLDEN_EXTRACT[name], f"{name} changed"
+
+
 if __name__ == "__main__":
     import tempfile
-    from contextlib import redirect_stderr, redirect_stdout
-    from io import StringIO
+    from contextlib import redirect_stdout
 
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         found = golden_hashes(Path(tmp))
-    for key in found:
-        print(f'    "{key}": "{found[key]}",')
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()):
+        found_extract = extract_hashes(Path(tmp))
+    for table in (found, found_extract):
+        for key in table:
+            print(f'    "{key}": "{table[key]}",')
+        print()
