@@ -52,7 +52,7 @@ from .features import (
     read_registry,
     write_csv,
 )
-from .pcap import is_capture, parse_capture
+from .pcap import CaptureFile, is_capture, parse_capture
 from .selection import apply_criteria, default_meta, rank, rank_report_csv, read_attribute_meta
 
 
@@ -156,21 +156,34 @@ def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
     )
 
 
+def _read_capture(path: str) -> CaptureFile:
+    capture = parse_capture(Path(path).read_bytes())
+    if capture.truncated_at is not None:
+        _log(
+            f"warning: {path}: truncated or corrupt at frame {capture.truncated_at}; "
+            "kept frames before it"
+        )
+    return capture
+
+
+def _frames_line(stats: ExtractionStats) -> str:
+    return (
+        f"read {stats.frames_read} frames: {stats.non_ipv4_skipped} non-IPv4 skipped, "
+        f"{stats.decode_errors} truncated/undecodable dropped"
+    )
+
+
 def _extract_to_dataset(args: argparse.Namespace) -> Dataset:
     registry = read_registry(Path(args.registry).read_text(encoding="utf-8"))
     stats = ExtractionStats()
     vectors = []
     for path in args.input:
-        capture = parse_capture(Path(path).read_bytes())
-        if capture.truncated_at is not None:
-            _log(f"warning: {path}: truncated at frame {capture.truncated_at}; kept frames before it")
+        capture = _read_capture(path)
         vectors.extend(extract_capture(capture, raw_ack=args.raw_ack, stats=stats))
     dataset, dropped = label_by_source_mac(vectors, registry)
     dataset, clean_stats = clean(dataset, dedup=args.dedup)
     _log(
-        f"read {stats.frames_read} frames: {stats.non_ipv4_skipped} non-IPv4 skipped, "
-        f"{stats.decode_errors} truncated/undecodable dropped, "
-        f"{dropped} unregistered-source dropped, "
+        f"{_frames_line(stats)}, {dropped} unregistered-source dropped, "
         f"{clean_stats.empty_removed} empty rows removed, "
         f"{clean_stats.duplicates_removed} duplicates removed, "
         f"{stats.raw_ack_fallbacks} raw-ack fallbacks"
@@ -264,13 +277,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     with path.open("rb") as fh:
         from_pcap = is_capture(fh.read(4))
     if from_pcap:
-        capture = parse_capture(path.read_bytes())
+        capture = _read_capture(args.input)
         stats = ExtractionStats()
         rows = extract_capture(capture, raw_ack=args.raw_ack, stats=stats)
-        _log(
-            f"read {stats.frames_read} frames: {stats.non_ipv4_skipped} non-IPv4 skipped, "
-            f"{stats.decode_errors} truncated/undecodable dropped"
-        )
+        _log(_frames_line(stats))
     else:
         rows = list(read_csv(path.read_text(encoding="utf-8")).rows)
 

@@ -25,14 +25,6 @@ class TruncatedHeader(CaptureError):
     """The 24-byte pcap global header is incomplete."""
 
 
-class CorruptFrame(CaptureError):
-    """A frame header is internally inconsistent (captured_len > original_len)."""
-
-    def __init__(self, frame_index: int, message: str):
-        super().__init__(f"frame {frame_index}: {message}")
-        self.frame_index = frame_index
-
-
 class UnsupportedLinkType(CaptureError):
     """Capture link type is not Ethernet (1)."""
 
@@ -70,7 +62,7 @@ class HeaderMismatch(DevfpError):
 
 
 class RaggedRow(DevfpError):
-    """CSV data row has the wrong number of fields."""
+    """CSV row has the wrong number of fields, a carriage return, or no final line feed."""
 
     def __init__(self, row_index: int, message: str):
         super().__init__(f"row {row_index}: {message}")

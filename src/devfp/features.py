@@ -19,7 +19,8 @@ the ConversationTable is single-writer while a capture streams through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .errors import (
@@ -54,13 +55,14 @@ TYPE_NON_IOT = "NonIoT"
 _ACK_MOD = 1 << 32
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureVector:
     """The 9-feature fingerprint of one packet, plus optional labels.
 
-    Feature fields hold non-negative ints, or None for Absent. ip_len,
-    ip_ttl and ip_proto are always present for an extracted vector; the
-    tcp_* fields are present exactly when ip_proto == 6 and the udp_*
+    Feature fields hold non-negative ints, or None for Absent, declared in
+    CANONICAL_ATTRIBUTES order, so the hot paths build vectors positionally.
+    ip_len, ip_ttl and ip_proto are always present for an extracted vector;
+    the tcp_* fields are present exactly when ip_proto == 6 and the udp_*
     fields exactly when ip_proto == 17. src_mac is transient metadata used
     for labeling and per-device summaries; it is never serialized.
     """
@@ -101,16 +103,19 @@ class FeatureVector:
         return self.label if class_attribute == CLASS_DEVICE_NAME else self.type_label
 
 
-Endpoint = tuple[str, int]  # (ip, port)
+# The nine canonical feature values of a vector as one tuple, in CSV order.
+_canonical_values = attrgetter(*FeatureVector._FIELD_BY_ATTRIBUTE.values())
+_ALL_ABSENT = (None,) * len(CANONICAL_ATTRIBUTES)
 
 
-def conversation_key(proto: str, a: Endpoint, b: Endpoint) -> tuple[str, Endpoint, Endpoint]:
-    """Direction-insensitive conversation key: endpoints in lexicographic order."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    return (proto, lo, hi)
+def _class_getter(class_attribute: str) -> attrgetter:
+    return attrgetter("label" if class_attribute == CLASS_DEVICE_NAME else "type_label")
 
 
-@dataclass
+Endpoint = tuple[int, int]  # (ip, port)
+
+
+@dataclass(slots=True)
 class _Conversation:
     stream_index: int
     first_src: Endpoint
@@ -137,19 +142,22 @@ class ConversationTable:
     def conversation_count(self, proto: str) -> int:
         return self._next_index[proto]
 
-    def _lookup(self, record: PacketRecord) -> _Conversation:
+    def _lookup(self, record: PacketRecord) -> tuple[_Conversation, bool]:
+        """The record's conversation, allocated on first sight, and whether
+        the record runs in its forward (first-seen) direction."""
         transport = record.transport
         proto = "tcp" if isinstance(transport, Tcp) else "udp"
         src: Endpoint = (record.src_ip, transport.src_port)
         dst: Endpoint = (record.dst_ip, transport.dst_port)
-        key = conversation_key(proto, src, dst)
+        key = (src, dst) if src <= dst else (dst, src)  # direction-insensitive
         table = self._conversations[proto]
         conv = table.get(key)
         if conv is None:
-            conv = _Conversation(stream_index=self._next_index[proto], first_src=src)
+            conv = _Conversation(self._next_index[proto], src)
             self._next_index[proto] += 1
             table[key] = conv
-        return conv
+            return conv, True
+        return conv, src == conv.first_src
 
 
 def assign_stream_index(table: ConversationTable, record: PacketRecord) -> int:
@@ -160,16 +168,16 @@ def assign_stream_index(table: ConversationTable, record: PacketRecord) -> int:
     """
     if not isinstance(record.transport, (Tcp, Udp)):
         raise ValueError("stream indices exist only for TCP/UDP records")
-    return table._lookup(record).stream_index
+    return table._lookup(record)[0].stream_index
 
 
-def _observe_tcp(table: ConversationTable, record: PacketRecord) -> _Conversation:
-    """Register SYN-borne state (ISN, window scale) for the packet's direction."""
-    conv = table._lookup(record)
-    tcp = record.transport
-    assert isinstance(tcp, Tcp)
+def _observe_tcp(
+    table: ConversationTable, record: PacketRecord, tcp: Tcp
+) -> tuple[_Conversation, bool]:
+    """Register SYN-borne state (ISN, window scale) for the packet's direction;
+    return the conversation and the direction as _lookup does."""
+    conv, forward = table._lookup(record)
     if tcp.is_syn:
-        forward = (record.src_ip, tcp.src_port) == conv.first_src
         if forward:
             if conv.fwd_isn is None:
                 conv.fwd_isn = tcp.seq_raw
@@ -180,7 +188,7 @@ def _observe_tcp(table: ConversationTable, record: PacketRecord) -> _Conversatio
                 conv.rev_isn = tcp.seq_raw
             if conv.rev_window_scale is None and tcp.window_scale_option is not None:
                 conv.rev_window_scale = tcp.window_scale_option
-    return conv
+    return conv, forward
 
 
 def relative_ack(record: PacketRecord, table: ConversationTable, *, raw_ack: bool = False) -> int:
@@ -197,8 +205,12 @@ def relative_ack(record: PacketRecord, table: ConversationTable, *, raw_ack: boo
         return tcp.ack_raw
     if not tcp.has_ack:
         return 0
-    conv = table._lookup(record)
-    forward = (record.src_ip, tcp.src_port) == conv.first_src
+    return _relative_ack(table, tcp, *table._lookup(record))
+
+
+def _relative_ack(table: ConversationTable, tcp: Tcp, conv: _Conversation, forward: bool) -> int:
+    if not tcp.has_ack:
+        return 0
     reverse_isn = conv.rev_isn if forward else conv.fwd_isn
     if reverse_isn is None:
         table.raw_ack_fallbacks += 1
@@ -206,12 +218,9 @@ def relative_ack(record: PacketRecord, table: ConversationTable, *, raw_ack: boo
     return (tcp.ack_raw - reverse_isn) % _ACK_MOD
 
 
-def _scaled_window(record: PacketRecord, conv: _Conversation) -> int:
-    tcp = record.transport
-    assert isinstance(tcp, Tcp)
+def _scaled_window(tcp: Tcp, conv: _Conversation, forward: bool) -> int:
     if tcp.is_syn:
         return tcp.window_raw  # scale never applies to the SYN's own window
-    forward = (record.src_ip, tcp.src_port) == conv.first_src
     scale = conv.fwd_window_scale if forward else conv.rev_window_scale
     if scale is None:
         return tcp.window_raw
@@ -227,23 +236,28 @@ def extract_features(
     conversation and registers SYN-borne ISN / window-scale state before
     computing the transport features. Label fields are left unset.
     """
-    vec = FeatureVector(
-        ip_len=record.ip_len,
-        ip_ttl=record.ip_ttl,
-        ip_proto=record.ip_proto,
-        src_mac=record.src_mac,
-    )
     transport = record.transport
     if isinstance(transport, Tcp):
-        conv = _observe_tcp(table, record)
-        vec.tcp_srcport = transport.src_port
-        vec.tcp_stream = conv.stream_index
-        vec.tcp_ack = relative_ack(record, table, raw_ack=raw_ack)
-        vec.tcp_window_size = _scaled_window(record, conv)
-    elif isinstance(transport, Udp):
-        vec.udp_srcport = transport.src_port
-        vec.udp_stream = assign_stream_index(table, record)
-    return vec
+        conv, forward = _observe_tcp(table, record, transport)
+        if raw_ack:
+            ack = transport.ack_raw
+        else:
+            ack = _relative_ack(table, transport, conv, forward)
+        window = _scaled_window(transport, conv, forward)
+        return FeatureVector(
+            transport.src_port, conv.stream_index, ack, window, None, None,
+            record.ip_len, record.ip_ttl, record.ip_proto, None, None, record.src_mac,
+        )
+    if isinstance(transport, Udp):
+        stream = table._lookup(record)[0].stream_index
+        return FeatureVector(
+            None, None, None, None, transport.src_port, stream,
+            record.ip_len, record.ip_ttl, record.ip_proto, None, None, record.src_mac,
+        )
+    return FeatureVector(
+        ip_len=record.ip_len, ip_ttl=record.ip_ttl, ip_proto=record.ip_proto,
+        src_mac=record.src_mac,
+    )
 
 
 @dataclass
@@ -254,7 +268,6 @@ class ExtractionStats:
     non_ipv4_skipped: int = 0
     decode_errors: int = 0
     raw_ack_fallbacks: int = 0
-    truncated_tail: bool = False
 
 
 def extract_capture(
@@ -267,28 +280,26 @@ def extract_capture(
 
     Every decodable IPv4 frame contributes to conversation state, whatever
     its source MAC; labeling filters afterwards. Frames that fail to decode
-    are counted and dropped. Pure function of the capture bytes: two runs
-    yield identical vectors in identical order.
+    are counted and dropped. The counts are added to `stats` when given.
+    Pure function of the capture bytes: two runs yield identical vectors in
+    identical order.
     """
+    if stats is None:
+        stats = ExtractionStats()
+    stats.frames_read += len(capture.frames)
     table = ConversationTable()
     vectors: list[FeatureVector] = []
     for frame in capture.frames:
-        if stats is not None:
-            stats.frames_read += 1
         try:
             record = decode_frame(frame, capture.link_type)
         except DecodeError:
-            if stats is not None:
-                stats.decode_errors += 1
+            stats.decode_errors += 1
             continue
         if record is None:
-            if stats is not None:
-                stats.non_ipv4_skipped += 1
+            stats.non_ipv4_skipped += 1
             continue
         vectors.append(extract_features(record, table, raw_ack=raw_ack))
-    if stats is not None:
-        stats.raw_ack_fallbacks += table.raw_ack_fallbacks
-        stats.truncated_tail = stats.truncated_tail or capture.truncated_at is not None
+    stats.raw_ack_fallbacks += table.raw_ack_fallbacks
     return vectors
 
 
@@ -405,18 +416,13 @@ class Dataset:
         class_attribute: str = CLASS_DEVICE_NAME,
     ) -> "Dataset":
         rows = tuple(rows)
-        labels = sorted(
-            {
-                row.class_value(class_attribute)
-                for row in rows
-                if row.class_value(class_attribute) is not None
-            }
-        )
+        labels = set(map(_class_getter(class_attribute), rows))
+        labels.discard(None)
         return Dataset(
             attributes=tuple(attributes),
             rows=rows,
             class_attribute=class_attribute,
-            class_names=tuple(labels),
+            class_names=tuple(sorted(labels)),
         )
 
     def __len__(self) -> int:
@@ -477,7 +483,11 @@ def label_by_source_mac(
         if entry is None:
             dropped += 1
             continue
-        kept.append(replace(vec, label=entry.device_name, type_label=entry.device_type))
+        kept.append(
+            FeatureVector(
+                *_canonical_values(vec), entry.device_name, entry.device_type, vec.src_mac
+            )
+        )
     return Dataset.build(kept), dropped
 
 
@@ -499,8 +509,8 @@ def clean(dataset: Dataset, dedup: bool = False) -> tuple[Dataset, CleanStats]:
     empty = 0
     dupes = 0
     for row in dataset.rows:
-        features = row.values(CANONICAL_ATTRIBUTES)
-        if all(v is None for v in features):
+        features = _canonical_values(row)
+        if features == _ALL_ABSENT:
             empty += 1
             continue
         if dedup:
@@ -528,29 +538,38 @@ def write_csv(dataset: Dataset) -> str:
     quoting; labels therefore must not contain commas or line breaks.
     """
     lines = [CSV_HEADER]
+    label_of = _class_getter(dataset.class_attribute)
+    checked: set[str] = set()
     for row in dataset.rows:
-        cells = ["" if v is None else str(v) for v in row.values(CANONICAL_ATTRIBUTES)]
-        label = row.class_value(dataset.class_attribute)
-        if label is not None and any(c in label for c in ",\r\n"):
-            raise ValueError(f"label not representable without quoting: {label!r}")
-        cells.append("" if label is None else label)
+        cells = ["" if v is None else str(v) for v in _canonical_values(row)]
+        label = label_of(row)
+        if label is None:
+            label = ""
+        elif label not in checked:
+            if any(c in label for c in ",\r\n"):
+                raise ValueError(f"label not representable without quoting: {label!r}")
+            checked.add(label)
+        cells.append(label)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
-    """Parse canonical CSV text back into a Dataset (lossless round-trip)."""
+    """Parse canonical CSV text back into a Dataset (lossless round-trip).
+
+    Accepts exactly what write_csv writes: the canonical header, LF line
+    endings (a carriage return anywhere is an error) and a final line feed,
+    so any text either raises a DevfpError or writes back byte for byte.
+    """
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise HeaderMismatch("empty input, expected canonical header")
-    if lines[0].rstrip("\r") != CSV_HEADER:
+    if lines[0] != CSV_HEADER:
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, found {lines[0]!r}")
+    if lines.pop() != "":
+        raise RaggedRow(len(lines), "line does not end with a line feed")
     rows: list[FeatureVector] = []
     n_cols = len(CANONICAL_ATTRIBUTES) + 1
     for index, line in enumerate(lines[1:], start=1):
-        cells = line.rstrip("\r").split(",")
+        cells = line.split(",")
         if len(cells) != n_cols:
             raise RaggedRow(index, f"expected {n_cols} fields, got {len(cells)}")
         values: list[Optional[int]] = []
@@ -563,23 +582,12 @@ def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
             if not (cell.isascii() and cell.isdigit()) or (cell[0] == "0" and len(cell) > 1):
                 raise NonNumericCell(index, attribute, cell)
             values.append(int(cell))
-        label_cell = cells[-1]
-        row = FeatureVector(
-            tcp_srcport=values[0],
-            tcp_stream=values[1],
-            tcp_ack=values[2],
-            tcp_window_size=values[3],
-            udp_srcport=values[4],
-            udp_stream=values[5],
-            ip_len=values[6],
-            ip_ttl=values[7],
-            ip_proto=values[8],
-        )
-        if label_cell != "":
-            if class_attribute == CLASS_DEVICE_NAME:
-                row.label = label_cell
-            else:
-                row.type_label = label_cell
-        rows.append(row)
+        if "\r" in cells[-1]:
+            raise RaggedRow(index, "carriage return in the class cell; lines end with LF only")
+        label = cells[-1] or None
+        if class_attribute == CLASS_DEVICE_NAME:
+            rows.append(FeatureVector(*values, label))
+        else:
+            rows.append(FeatureVector(*values, None, label))
     return Dataset.build(rows, CANONICAL_ATTRIBUTES, class_attribute)
 

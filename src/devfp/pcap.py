@@ -4,19 +4,23 @@ Only the classic libpcap file format is handled (24-byte global header,
 16-byte per-frame headers, four magic variants incl. the nanosecond ones).
 pcapng is rejected with an explicit error. Link type must be Ethernet (1).
 
-Parsed captures are immutable in practice (parsers return fresh objects and
-nothing here mutates them), so a CaptureFile can be shared across threads;
-parsing one file is sequential because frame order is meaningful downstream.
+Record types: a CaptureFile (frozen dataclass, one per file) holds RawFrames;
+decode_frame turns one into a PacketRecord carrying a Tcp, a Udp or no
+transport. RawFrame, PacketRecord, Tcp and Udp are NamedTuples: cheap to
+build for every frame, and equal when their fields are equal.
+
+Parsed captures are immutable (parsers return fresh objects and nothing here
+mutates them), so a CaptureFile can be shared across threads; parsing one
+file is sequential because frame order is meaningful downstream.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, NamedTuple, Optional, Union
 
 from .errors import (
-    CorruptFrame,
     TruncatedHeader,
     TruncatedIpHeader,
     TruncatedTransportHeader,
@@ -50,9 +54,15 @@ TCP_URG = 0x20
 _GLOBAL_HEADER_LEN = 24
 _FRAME_HEADER_LEN = 16
 
+# Fixed header fields, network byte order. IPv4: version/IHL, total length,
+# TTL, protocol, source and destination address (as ints). TCP: ports,
+# sequence and acknowledgment numbers, data offset byte, flags, window.
+_IPV4 = struct.Struct(">BxHxxxxBBxxII")
+_TCP = struct.Struct(">HHIIBBH")
+_UDP = struct.Struct(">HHH")
 
-@dataclass(frozen=True)
-class RawFrame:
+
+class RawFrame(NamedTuple):
     """One captured frame exactly as stored in the file."""
 
     ts_sec: int
@@ -68,8 +78,9 @@ class CaptureFile:
 
     byte_order is "native" when the magic reads correctly as little-endian
     and "swapped" for big-endian files. truncated_at holds the index of the
-    first frame that was cut off by end-of-file (frames before it are kept),
-    or None for a clean file. Frame order is exactly the stored order.
+    first frame that was cut off by end-of-file or whose header is corrupt
+    (captured_len > original_len); frames before it are kept. It is None
+    for a clean file. Frame order is exactly the stored order.
     """
 
     byte_order: str  # "native" | "swapped"
@@ -80,8 +91,7 @@ class CaptureFile:
     truncated_at: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Tcp:
+class Tcp(NamedTuple):
     src_port: int
     dst_port: int
     seq_raw: int
@@ -99,17 +109,17 @@ class Tcp:
         return bool(self.flags & TCP_ACK)
 
 
-@dataclass(frozen=True)
-class Udp:
+class Udp(NamedTuple):
     src_port: int
     dst_port: int
     length: int
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """Decoded link/network/transport header fields of one IPv4 frame.
 
+    MACs are lowercase colon-hex text. IPs are the 32-bit addresses as
+    ints: they only key conversations and are never written out.
     transport is a Tcp for ip_proto 6, a Udp for ip_proto 17 and None for
     every other IPv4 protocol (ICMP etc.).
     """
@@ -119,17 +129,9 @@ class PacketRecord:
     ip_len: int
     ip_ttl: int
     ip_proto: int
-    src_ip: str
-    dst_ip: str
+    src_ip: int
+    dst_ip: int
     transport: Union[Tcp, Udp, None]
-
-
-def _mac_str(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-def _ip_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
 
 
 _MAGICS = {
@@ -143,10 +145,11 @@ _MAGICS = {
 def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
     """Parse a classic pcap byte stream into a CaptureFile.
 
-    Accepts raw bytes or a binary file object. Frames cut short by
-    end-of-file are dropped, their index recorded in truncated_at; the
-    frames before them are still returned. Two runs over the same bytes
-    produce identical results.
+    Accepts raw bytes or a binary file object. Reading stops at the first
+    frame cut short by end-of-file or with a corrupt header (captured_len >
+    original_len); its index is recorded in truncated_at and the frames
+    before it are still returned. Two runs over the same bytes produce
+    identical results.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
     data = bytes(data)
@@ -177,32 +180,22 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
     frames: list[RawFrame] = []
     truncated_at: Optional[int] = None
     offset = _GLOBAL_HEADER_LEN
+    end = len(data)
     frame_header = struct.Struct(endian + "IIII")
-    index = 0
-    while offset < len(data):
-        if offset + _FRAME_HEADER_LEN > len(data):
-            truncated_at = index
+    while offset < end:
+        if offset + _FRAME_HEADER_LEN > end:
+            truncated_at = len(frames)
             break
         ts_sec, ts_frac, captured_len, original_len = frame_header.unpack_from(data, offset)
-        if captured_len > original_len:
-            raise CorruptFrame(
-                index, f"captured_len {captured_len} exceeds original_len {original_len}"
-            )
         offset += _FRAME_HEADER_LEN
-        if offset + captured_len > len(data):
-            truncated_at = index
+        # a corrupt header (captured_len > original_len) ends the file like truncation
+        if captured_len > original_len or offset + captured_len > end:
+            truncated_at = len(frames)
             break
         frames.append(
-            RawFrame(
-                ts_sec=ts_sec,
-                ts_frac=ts_frac,
-                captured_len=captured_len,
-                original_len=original_len,
-                payload=data[offset : offset + captured_len],
-            )
+            RawFrame(ts_sec, ts_frac, captured_len, original_len, data[offset : offset + captured_len])
         )
         offset += captured_len
-        index += 1
 
     return CaptureFile(
         byte_order=byte_order,
@@ -260,8 +253,6 @@ def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
     buf = frame.payload
     if len(buf) < 14:
         return None  # not even an Ethernet header; nothing identifies this as IPv4
-    dst_mac = _mac_str(buf[0:6])
-    src_mac = _mac_str(buf[6:12])
     ethertype = (buf[12] << 8) | buf[13]
     offset = 14
     if ethertype == ETHERTYPE_VLAN:
@@ -277,9 +268,8 @@ def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
         raise TruncatedIpHeader(
             f"IPv4 header needs 20 bytes, {len(buf) - offset} captured after Ethernet"
         )
-    ver_ihl = buf[offset]
-    version = ver_ihl >> 4
-    if version != 4:
+    ver_ihl, total_len, ttl, proto, src_ip, dst_ip = _IPV4.unpack_from(buf, offset)
+    if ver_ihl >> 4 != 4:
         return None  # ethertype says IPv4 but the payload does not; skip
     ihl = ver_ihl & 0x0F
     if ihl < 5:
@@ -290,13 +280,8 @@ def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
             f"IPv4 header with options needs {ip_header_len} bytes, "
             f"{len(buf) - offset} captured"
         )
-    total_len = (buf[offset + 2] << 8) | buf[offset + 3]
     if total_len < 20:
         raise TruncatedIpHeader(f"IPv4 total length {total_len} below header minimum 20")
-    ttl = buf[offset + 8]
-    proto = buf[offset + 9]
-    src_ip = _ip_str(buf[offset + 12 : offset + 16])
-    dst_ip = _ip_str(buf[offset + 16 : offset + 20])
 
     # Transport bytes end at the IP total length; Ethernet frames shorter
     # than 60 bytes are padded, and that padding must never be decoded.
@@ -310,14 +295,7 @@ def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
         transport = _decode_udp(buf, transport_start, transport_end)
 
     return PacketRecord(
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        ip_len=total_len,
-        ip_ttl=ttl,
-        ip_proto=proto,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        transport=transport,
+        buf[6:12].hex(":"), buf[0:6].hex(":"), total_len, ttl, proto, src_ip, dst_ip, transport
     )
 
 
@@ -326,12 +304,11 @@ def _decode_tcp(buf: bytes, start: int, end: int) -> Tcp:
         raise TruncatedTransportHeader(
             f"TCP header needs 20 bytes, {max(end - start, 0)} available"
         )
-    src_port, dst_port, seq_raw, ack_raw = struct.unpack_from(">HHII", buf, start)
-    data_offset = buf[start + 12] >> 4
-    flags = buf[start + 13]
-    window_raw = (buf[start + 14] << 8) | buf[start + 15]
+    src_port, dst_port, seq_raw, ack_raw, offset_byte, flags, window_raw = _TCP.unpack_from(
+        buf, start
+    )
     window_scale = None
-    options_end = min(start + data_offset * 4, end)
+    options_end = min(start + (offset_byte >> 4) * 4, end)
     pos = start + 20
     # Options parsed best effort: a snaplen may cut them off, which only
     # costs us the window-scale option, never the fixed header fields.
@@ -350,15 +327,7 @@ def _decode_tcp(buf: bytes, start: int, end: int) -> Tcp:
         if kind == 3 and length == 3:
             window_scale = buf[pos + 2]
         pos += length
-    return Tcp(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq_raw=seq_raw,
-        ack_raw=ack_raw,
-        flags=flags,
-        window_raw=window_raw,
-        window_scale_option=window_scale,
-    )
+    return Tcp(src_port, dst_port, seq_raw, ack_raw, flags, window_raw, window_scale)
 
 
 def _decode_udp(buf: bytes, start: int, end: int) -> Udp:
@@ -366,5 +335,4 @@ def _decode_udp(buf: bytes, start: int, end: int) -> Udp:
         raise TruncatedTransportHeader(
             f"UDP header needs 8 bytes, {max(end - start, 0)} available"
         )
-    src_port, dst_port, length = struct.unpack_from(">HHH", buf, start)
-    return Udp(src_port=src_port, dst_port=dst_port, length=length)
+    return Udp(*_UDP.unpack_from(buf, start))

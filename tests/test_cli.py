@@ -10,6 +10,7 @@ from pcapbuild import ethernet, ipv4, pcap_file, udp
 from devfp.classifiers import save_model
 from devfp.cli import main
 from devfp.features import CSV_HEADER
+from devfp.pcap import parse_capture
 
 
 def run_cli(args, capsys):
@@ -44,6 +45,20 @@ class TestExtract:
         assert code == 0
         assert out.read_text() == CSV_HEADER + "\n"
         assert "warning" in err
+
+    def test_corrupt_frame_header_keeps_earlier_frames(self, reference_paths, tmp_path, capsys):
+        pcap_path, registry_path = reference_paths
+        frames_before = len(parse_capture(pcap_path.read_bytes()).frames)
+        bad = pcap_file([b"\x00" * 60], orig_len_override={0: 20})[24:]  # captured > original
+        pcap_path.write_bytes(pcap_path.read_bytes() + bad)
+        out = tmp_path / "dataset.csv"
+        code, _, err = run_cli(
+            ["extract", "--input", str(pcap_path), "--registry", str(registry_path), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == REFERENCE_ROWS
+        assert f"truncated or corrupt at frame {frames_before}" in err
 
     def test_missing_file_fails(self, tmp_path, capsys):
         registry = tmp_path / "reg.tsv"

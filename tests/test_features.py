@@ -349,6 +349,21 @@ class TestCsv:
         with pytest.raises(NonNumericCell):
             read_csv(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CSV_HEADER + "\r\n",
+            CSV_HEADER + "\n,,,,,,60,64,6,A\r\n",
+            CSV_HEADER + "\n,,,,,,60,64,6,A\rB\n",
+            CSV_HEADER,
+            CSV_HEADER + "\n,,,,,,60,64,6,A",
+        ],
+    )
+    def test_carriage_return_or_missing_final_line_feed_rejected(self, text):
+        # none of these would write back the same bytes
+        with pytest.raises((HeaderMismatch, RaggedRow)):
+            read_csv(text)
+
     def test_zero_accepted(self):
         assert read_csv(CSV_HEADER + "\n0,,,,,,60,64,6,A\n").rows[0].tcp_srcport == 0
 

@@ -16,7 +16,6 @@ from pcapbuild import (
 )
 
 from devfp.errors import (
-    CorruptFrame,
     DecodeError,
     TruncatedHeader,
     TruncatedIpHeader,
@@ -88,11 +87,12 @@ class TestParseCapture:
         assert cap.truncated_at == 1
 
     def test_captured_longer_than_original_is_corrupt(self):
-        frame = simple_frame()
-        data = pcap_file([frame], orig_len_override={0: len(frame) - 10})
-        with pytest.raises(CorruptFrame) as excinfo:
-            parse_capture(data)
-        assert excinfo.value.frame_index == 0
+        # a corrupt header ends the file like truncation: the prefix is kept
+        frames = [simple_frame(), simple_frame(70), simple_frame()]
+        data = pcap_file(frames, orig_len_override={1: len(frames[1]) - 10})
+        cap = parse_capture(data)
+        assert [f.payload for f in cap.frames] == frames[:1]
+        assert cap.truncated_at == 1
 
     def test_non_ethernet_link_type_rejected(self):
         with pytest.raises(UnsupportedLinkType):
