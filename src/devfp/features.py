@@ -539,17 +539,12 @@ def write_csv(dataset: Dataset) -> str:
     """
     lines = [CSV_HEADER]
     label_of = _class_getter(dataset.class_attribute)
-    checked: set[str] = set()
     for row in dataset.rows:
         cells = ["" if v is None else str(v) for v in _canonical_values(row)]
         label = label_of(row)
-        if label is None:
-            label = ""
-        elif label not in checked:
-            if any(c in label for c in ",\r\n"):
-                raise ValueError(f"label not representable without quoting: {label!r}")
-            checked.add(label)
-        cells.append(label)
+        if label is not None and ("," in label or "\r" in label or "\n" in label):
+            raise ValueError(f"label not representable without quoting: {label!r}")
+        cells.append("" if label is None else label)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

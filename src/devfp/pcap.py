@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from sys import intern
 from typing import BinaryIO, NamedTuple, Optional, Union
 
 from .errors import (
@@ -294,8 +295,10 @@ def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
     elif proto == IPPROTO_UDP:
         transport = _decode_udp(buf, transport_start, transport_end)
 
+    # interned: a capture has few source MACs, and every vector keeps one
+    src_mac = intern(buf[6:12].hex(":"))
     return PacketRecord(
-        buf[6:12].hex(":"), buf[0:6].hex(":"), total_len, ttl, proto, src_ip, dst_ip, transport
+        src_mac, buf[0:6].hex(":"), total_len, ttl, proto, src_ip, dst_ip, transport
     )
 
 
