@@ -7,7 +7,6 @@ from .base import (
     TrainedModel,
     argmax_lowest,
     derive_rng,
-    feature_matrix,
     predict,
     predict_proba,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "TrainedModel",
     "argmax_lowest",
     "derive_rng",
-    "feature_matrix",
     "predict",
     "predict_proba",
     "NaiveBayesModel",

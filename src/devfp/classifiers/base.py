@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import EmptyDataset, SchemaMismatch, SingleClassDataset
+from ..errors import EmptyDataset, SingleClassDataset
 from ..features import Dataset, FeatureVector
 
 VARIANT_C45 = "j48"
@@ -117,40 +117,22 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
 
 
-def feature_matrix(rows: Sequence[FeatureVector], attributes: Sequence[str]) -> np.ndarray:
-    """Rows as a float64 n x k matrix over `attributes`; NaN marks Absent cells.
-
-    Every feature is a non-negative int below 2**53, so the floats are exact.
-    """
-    try:
-        cells = [
-            [math.nan if v is None else v for v in row.values(attributes)] for row in rows
-        ]
-    except KeyError as exc:
-        raise SchemaMismatch(f"vector has no attribute {exc.args[0]!r}") from None
-    return np.array(cells, dtype=np.float64).reshape(len(cells), len(attributes))
-
-
 def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Dataset rows as (X, y, class_names); NaN marks Absent feature cells.
+    """The schema's feature columns, class codes and class names as (X, y,
+    class_names); NaN marks Absent feature cells.
 
     Raises EmptyDataset for fewer than 2 rows and SingleClassDataset when
     fewer than 2 distinct labels are present.
     """
-    if len(dataset.rows) == 0:
+    if len(dataset) == 0:
         raise EmptyDataset("training needs a non-empty dataset")
-    if len(dataset.rows) < 2:
+    if len(dataset) < 2:
         raise EmptyDataset("training needs at least 2 rows")
-    targets = dataset.targets()
-    if any(t is None for t in targets):
+    if None in dataset.targets():
         raise ValueError("training requires every row to be labeled")
-    class_names = tuple(sorted(set(targets)))
-    if len(class_names) < 2:
+    if len(dataset.class_names) < 2:
         raise SingleClassDataset("training needs at least 2 classes")
-    index = {name: i for i, name in enumerate(class_names)}
-    X = feature_matrix(dataset.rows, dataset.attributes)
-    y = np.asarray([index[t] for t in targets], dtype=np.intp)
-    return X, y, class_names
+    return dataset.matrix(), dataset.class_codes(), dataset.class_names
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +162,12 @@ def argmax_lowest(dist: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: TrainedModel, vector: FeatureVector) -> dict[str, float]:
     """Probability per class name; entries are >= 0 and sum to 1."""
-    dist = model.distribution_batch(feature_matrix([vector], model.schema))[0]
+    row = Dataset(np.array([vector], dtype=np.float64))  # None becomes NaN
+    dist = model.distribution_batch(row.matrix(model.schema))[0]
     return {name: float(p) for name, p in zip(model.class_names, dist)}
 
 
 def predict(model: TrainedModel, vector: FeatureVector) -> str:
     """Most probable class; ties break toward the lower class index."""
-    dist = model.distribution_batch(feature_matrix([vector], model.schema))[0]
-    return model.class_names[argmax_lowest(dist)]
+    proba = predict_proba(model, vector)
+    return max(proba, key=proba.get)  # max keeps the first maximum

@@ -97,6 +97,29 @@ def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
     return fields
 
 
+def _decode_naive_bayes(params: dict, n_attributes: int, n_classes: int) -> dict:
+    """NaiveBayesModel arrays for nb params, checked so that prediction is defined."""
+    priors = np.array(params["priors"], dtype=np.float64)
+    present_rates = np.array(params["present_rates"], dtype=np.float64)
+    means, stddevs = (
+        np.array([[math.nan if v is None else v for v in row] for row in params[key]], dtype=np.float64)
+        for key in ("means", "stddevs")
+    )
+    grid = (n_classes, n_attributes)
+    if not (
+        priors.shape == (n_classes,)
+        and means.shape == stddevs.shape == present_rates.shape == grid
+        and np.all(priors > 0)
+        and np.array_equal(np.isnan(means), np.isnan(stddevs))
+        and np.all(stddevs[~np.isnan(stddevs)] > 0)
+    ):
+        raise ModelFormatError(
+            f"malformed naive Bayes: need {n_classes} positive priors, {grid} means, stddevs and"
+            " present rates, and a positive stddev exactly where the mean is not null"
+        )
+    return {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}
+
+
 def _nan_to_none(rows: np.ndarray) -> list:
     return [[None if math.isnan(v) else v for v in row] for row in rows.tolist()]
 
@@ -161,6 +184,8 @@ def _model_from_dict(doc: dict) -> TrainedModel:
         return C45Model(**_decode_tree(params, *shape), **common)
     if variant == "rt":
         return RandomTreeModel(**_decode_tree(params, *shape), **common)
+    if variant in ("rf", "bagging", "vote") and not params["members"]:
+        raise ModelFormatError(f"{variant} model has no members")
     if variant == "rf":
         members = tuple(
             RandomTreeModel(**_decode_tree(p, *shape), **common) for p in params["members"]
@@ -170,16 +195,7 @@ def _model_from_dict(doc: dict) -> TrainedModel:
         members = tuple(C45Model(**_decode_tree(p, *shape), **common) for p in params["members"])
         return BaggingModel(members=members, **common)
     if variant == "nb":
-        nan_if_none = lambda rows: np.array(
-            [[math.nan if v is None else v for v in row] for row in rows], dtype=np.float64
-        )
-        return NaiveBayesModel(
-            priors=np.array(params["priors"], dtype=np.float64),
-            means=nan_if_none(params["means"]),
-            stddevs=nan_if_none(params["stddevs"]),
-            present_rates=np.array(params["present_rates"], dtype=np.float64),
-            **common,
-        )
+        return NaiveBayesModel(**_decode_naive_bayes(params, *shape), **common)
     if variant == "vote":
         members = tuple(_model_from_dict(p) for p in params["members"])
         return VoteModel(members=members, **common)

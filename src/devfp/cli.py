@@ -21,7 +21,6 @@ from .classifiers import (
     Hyperparams,
     ModelSpec,
     argmax_lowest,
-    feature_matrix,
     load_model,
     save_model,
     train_model,
@@ -176,19 +175,20 @@ def _frames_line(stats: ExtractionStats) -> str:
 def _extract_to_dataset(args: argparse.Namespace) -> Dataset:
     registry = read_registry(Path(args.registry).read_text(encoding="utf-8"))
     stats = ExtractionStats()
-    vectors = []
-    for path in args.input:
-        capture = _read_capture(path)
-        vectors.extend(extract_capture(capture, raw_ack=args.raw_ack, stats=stats))
-    dataset, dropped = label_by_source_mac(vectors, registry)
-    dataset, clean_stats = clean(dataset, dedup=args.dedup)
+    # each capture labeled as it is extracted: unregistered rows never outlive their capture
+    labeled = [
+        label_by_source_mac(extract_capture(_read_capture(path), raw_ack=args.raw_ack, stats=stats), registry)
+        for path in args.input
+    ]
+    dropped = sum(part_dropped for _, part_dropped in labeled)
+    dataset, clean_stats = clean(Dataset.concat([part for part, _ in labeled]), dedup=args.dedup)
     _log(
         f"{_frames_line(stats)}, {dropped} unregistered-source dropped, "
         f"{clean_stats.empty_removed} empty rows removed, "
         f"{clean_stats.duplicates_removed} duplicates removed, "
         f"{stats.raw_ack_fallbacks} raw-ack fallbacks"
     )
-    if len(dataset.rows) == 0:
+    if len(dataset) == 0:
         _log("warning: no packets matched the registry; dataset is empty")
     return dataset
 
@@ -196,7 +196,7 @@ def _extract_to_dataset(args: argparse.Namespace) -> Dataset:
 def _cmd_extract(args: argparse.Namespace) -> int:
     dataset = _extract_to_dataset(args)
     Path(args.out).write_text(write_csv(dataset), encoding="utf-8")
-    _log(f"wrote {len(dataset.rows)} rows to {args.out}")
+    _log(f"wrote {len(dataset)} rows to {args.out}")
     return 0
 
 
@@ -223,9 +223,7 @@ def _load_train_dataset(args: argparse.Namespace) -> Dataset:
     else:
         dataset = read_csv(text, args.classes)
         if args.classes == CLASS_DEVICE_TYPE:
-            bad = sorted(
-                {t for t in dataset.targets() if t is not None and t not in (TYPE_IOT, TYPE_NON_IOT)}
-            )
+            bad = sorted(set(dataset.class_names) - {TYPE_IOT, TYPE_NON_IOT})
             if bad:
                 raise DevfpError(
                     f"class column holds {bad}, not {TYPE_IOT}/{TYPE_NON_IOT}; "
@@ -248,7 +246,7 @@ def _train_eval_on_dataset(
         train_fraction=args.split, seed=args.seed, stratified=not args.no_stratify
     )
     train, test = stratified_split(projected, split_spec)
-    _log(f"split {len(dataset.rows)} rows into {len(train.rows)} train / {len(test.rows)} test")
+    _log(f"split {len(dataset)} rows into {len(train)} train / {len(test)} test")
     spec = _model_spec_from_args(args)
     model = train_model(train, spec)
     matrix = evaluate(model, test)
@@ -277,26 +275,23 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     with path.open("rb") as fh:
         from_pcap = is_capture(fh.read(4))
     if from_pcap:
-        capture = _read_capture(args.input)
         stats = ExtractionStats()
-        rows = extract_capture(capture, raw_ack=args.raw_ack, stats=stats)
+        dataset = extract_capture(_read_capture(args.input), raw_ack=args.raw_ack, stats=stats)
         _log(_frames_line(stats))
     else:
-        rows = list(read_csv(path.read_text(encoding="utf-8")).rows)
+        dataset = read_csv(path.read_text(encoding="utf-8"))
 
-    dist = model.distribution_batch(feature_matrix(rows, model.schema))
-    best = argmax_lowest(dist)
-    confidence = dist.max(axis=1)
+    dist = model.distribution_batch(dataset.matrix(model.schema))
+    predicted = [model.class_names[c] for c in argmax_lowest(dist).tolist()]
+    confidence = dist.max(axis=1).tolist()
     lines = ["row,predicted_class,confidence"]
-    mac_votes: dict[str, Counter] = {}
-    for i, (row, c, p) in enumerate(zip(rows, best.tolist(), confidence.tolist())):
-        predicted = model.class_names[c]
-        lines.append(f"{i},{predicted},{p:.12g}")
-        if from_pcap and row.src_mac is not None:
-            mac_votes.setdefault(row.src_mac, Counter())[predicted] += 1
+    lines.extend(f"{i},{name},{p:.12g}" for i, (name, p) in enumerate(zip(predicted, confidence)))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _log(f"wrote {len(rows)} predictions to {args.out}")
+    _log(f"wrote {len(dataset)} predictions to {args.out}")
     if from_pcap:
+        mac_votes: dict[str, Counter] = {}
+        for mac, name in zip(dataset.src_mac.tolist(), predicted):
+            mac_votes.setdefault(mac, Counter())[name] += 1
         print("mac,predicted_class,confidence,packets")
         for mac in sorted(mac_votes):
             votes = mac_votes[mac]
@@ -311,7 +306,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _extract_to_dataset(args)
     (out_dir / "dataset.csv").write_text(write_csv(dataset), encoding="utf-8")
-    _log(f"wrote {len(dataset.rows)} rows to {out_dir / 'dataset.csv'}")
+    _log(f"wrote {len(dataset)} rows to {out_dir / 'dataset.csv'}")
     if args.classes == CLASS_DEVICE_TYPE:
         dataset = dataset.with_class_attribute(CLASS_DEVICE_TYPE)
     # dedup already applied during extraction

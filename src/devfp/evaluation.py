@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .classifiers import ModelSpec, TrainedModel, argmax_lowest, derive_rng, feature_matrix, train_model
+import numpy as np
+
+from .classifiers import ModelSpec, TrainedModel, argmax_lowest, derive_rng, train_model
 from .errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from .features import Dataset
 
@@ -69,36 +71,28 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     are preserved within one row per class. The same seed always yields the
     same partition.
     """
-    targets = dataset.targets()
-    if any(t is None for t in targets):
+    if None in dataset.targets():
         raise ValueError("splitting requires every row to be labeled")
-    if len(dataset.rows) < 2:
+    if len(dataset) < 2:
         raise EmptyDataset("splitting needs at least 2 rows")
     rng = derive_rng(spec.seed, "split")
-    train_rows = []
-    test_rows = []
     if spec.stratified:
-        by_class: dict[str, list[int]] = {}
-        for i, t in enumerate(targets):
-            by_class.setdefault(t, []).append(i)
-        for name in sorted(by_class):
-            indices = by_class[name]
-            if len(indices) < 2:
-                raise ClassTooSmall(name, len(indices))
-            rng.shuffle(indices)
-            cut = _train_count(spec.train_fraction, len(indices))
-            train_rows.extend(dataset.rows[i] for i in indices[:cut])
-            test_rows.extend(dataset.rows[i] for i in indices[cut:])
+        codes = dataset.class_codes()
+        groups = {
+            name: np.flatnonzero(codes == c).tolist() for c, name in enumerate(dataset.class_names)
+        }
     else:
-        indices = list(range(len(dataset.rows)))
+        groups = {None: list(range(len(dataset)))}
+    train_index: list[int] = []
+    test_index: list[int] = []
+    for name, indices in groups.items():
+        if spec.stratified and len(indices) < 2:
+            raise ClassTooSmall(name, len(indices))
         rng.shuffle(indices)
         cut = _train_count(spec.train_fraction, len(indices))
-        train_rows.extend(dataset.rows[i] for i in indices[:cut])
-        test_rows.extend(dataset.rows[i] for i in indices[cut:])
-    return (
-        Dataset.build(train_rows, dataset.attributes, dataset.class_attribute),
-        Dataset.build(test_rows, dataset.attributes, dataset.class_attribute),
-    )
+        train_index += indices[:cut]
+        test_index += indices[cut:]
+    return dataset.take(train_index), dataset.take(test_index)
 
 
 @dataclass(frozen=True)
@@ -127,18 +121,18 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
         raise SchemaMismatch(
             f"test schema {tuple(test.attributes)} != model schema {tuple(model.schema)}"
         )
-    if len(test.rows) == 0:
+    if len(test) == 0:
         raise EmptyDataset("evaluation needs a non-empty test set")
     targets = test.targets()
-    if any(t is None for t in targets):
+    if None in targets:
         raise ValueError("evaluation requires every test row to be labeled")
-    extra = sorted(set(targets) - set(model.class_names))
+    extra = sorted(set(test.class_names) - set(model.class_names))
     names = tuple(model.class_names) + tuple(extra)
     index = {name: i for i, name in enumerate(names)}
     counts = [[0] * len(names) for _ in names]
     # model classes come first in `names`, so a class index is its column
-    predicted = argmax_lowest(model.distribution_batch(feature_matrix(test.rows, model.schema)))
-    for actual, column in zip(targets, predicted.tolist()):
+    predicted = argmax_lowest(model.distribution_batch(test.matrix()))
+    for actual, column in zip(targets.tolist(), predicted.tolist()):
         counts[index[actual]][column] += 1
     return ConfusionMatrix(class_names=names, counts=tuple(tuple(r) for r in counts))
 

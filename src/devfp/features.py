@@ -11,17 +11,20 @@ capture. tcp.ack defaults to the relative acknowledgment (raw ack minus the
 reverse direction's initial sequence number); tcp.window_size is the scaled
 window when the sender's SYN announced a window-scale option.
 
-Absent feature values are represented as None and serialized as empty CSV
-cells. Datasets are immutable once built and safe to share across threads;
-the ConversationTable is single-writer while a capture streams through it.
+Absent feature values are None in a per-packet FeatureVector, NaN in a
+Dataset's feature matrix and empty cells in the CSV. Datasets are immutable
+once built and safe to share across threads; the ConversationTable is
+single-writer while a capture streams through it.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import (
     DecodeError,
@@ -30,6 +33,7 @@ from .errors import (
     NonNumericCell,
     RaggedRow,
     RegistryFormatError,
+    SchemaMismatch,
 )
 from .pcap import CaptureFile, PacketRecord, Tcp, Udp, decode_frame
 
@@ -55,16 +59,14 @@ TYPE_NON_IOT = "NonIoT"
 _ACK_MOD = 1 << 32
 
 
-@dataclass(slots=True)
-class FeatureVector:
-    """The 9-feature fingerprint of one packet, plus optional labels.
+class FeatureVector(NamedTuple):
+    """The 9-feature fingerprint of one packet, in CANONICAL_ATTRIBUTES order.
 
-    Feature fields hold non-negative ints, or None for Absent, declared in
-    CANONICAL_ATTRIBUTES order, so the hot paths build vectors positionally.
-    ip_len, ip_ttl and ip_proto are always present for an extracted vector;
-    the tcp_* fields are present exactly when ip_proto == 6 and the udp_*
-    fields exactly when ip_proto == 17. src_mac is transient metadata used
-    for labeling and per-device summaries; it is never serialized.
+    Fields hold non-negative ints, or None for Absent. ip_len, ip_ttl and
+    ip_proto are always present for an extracted packet; the tcp_* fields
+    are present exactly when ip_proto == 6 and the udp_* fields exactly when
+    ip_proto == 17. extract_features returns the same values as a plain
+    tuple; FeatureVector(*values) names them.
     """
 
     tcp_srcport: Optional[int] = None
@@ -76,40 +78,6 @@ class FeatureVector:
     ip_len: Optional[int] = None
     ip_ttl: Optional[int] = None
     ip_proto: Optional[int] = None
-    label: Optional[str] = None
-    type_label: Optional[str] = None
-    src_mac: Optional[str] = None
-
-    _FIELD_BY_ATTRIBUTE = {
-        "tcp.srcport": "tcp_srcport",
-        "tcp.stream": "tcp_stream",
-        "tcp.ack": "tcp_ack",
-        "tcp.window_size": "tcp_window_size",
-        "udp.srcport": "udp_srcport",
-        "udp.stream": "udp_stream",
-        "ip.len": "ip_len",
-        "ip.ttl": "ip_ttl",
-        "ip.proto": "ip_proto",
-    }
-
-    def value(self, attribute: str) -> Optional[int]:
-        """Feature value by canonical dotted name; None when Absent."""
-        return getattr(self, self._FIELD_BY_ATTRIBUTE[attribute])
-
-    def values(self, attributes: Sequence[str]) -> tuple[Optional[int], ...]:
-        return tuple(self.value(a) for a in attributes)
-
-    def class_value(self, class_attribute: str) -> Optional[str]:
-        return self.label if class_attribute == CLASS_DEVICE_NAME else self.type_label
-
-
-# The nine canonical feature values of a vector as one tuple, in CSV order.
-_canonical_values = attrgetter(*FeatureVector._FIELD_BY_ATTRIBUTE.values())
-_ALL_ABSENT = (None,) * len(CANONICAL_ATTRIBUTES)
-
-
-def _class_getter(class_attribute: str) -> attrgetter:
-    return attrgetter("label" if class_attribute == CLASS_DEVICE_NAME else "type_label")
 
 
 Endpoint = tuple[int, int]  # (ip, port)
@@ -229,12 +197,14 @@ def _scaled_window(tcp: Tcp, conv: _Conversation, forward: bool) -> int:
 
 def extract_features(
     record: PacketRecord, table: ConversationTable, *, raw_ack: bool = False
-) -> FeatureVector:
-    """Assemble the 9-feature vector for one decoded IPv4 packet.
+) -> tuple[Optional[int], ...]:
+    """The 9 feature values of one decoded IPv4 packet, in CANONICAL_ATTRIBUTES
+    order (the fields of a FeatureVector), None for Absent.
 
     Mutates the table: allocates a stream index on first sight of a
     conversation and registers SYN-borne ISN / window-scale state before
-    computing the transport features. Label fields are left unset.
+    computing the transport features. A plain tuple, not a FeatureVector:
+    numpy builds a matrix from a list of tuples twice as fast.
     """
     transport = record.transport
     if isinstance(transport, Tcp):
@@ -244,20 +214,17 @@ def extract_features(
         else:
             ack = _relative_ack(table, transport, conv, forward)
         window = _scaled_window(transport, conv, forward)
-        return FeatureVector(
+        return (
             transport.src_port, conv.stream_index, ack, window, None, None,
-            record.ip_len, record.ip_ttl, record.ip_proto, None, None, record.src_mac,
+            record.ip_len, record.ip_ttl, record.ip_proto,
         )
     if isinstance(transport, Udp):
         stream = table._lookup(record)[0].stream_index
-        return FeatureVector(
+        return (
             None, None, None, None, transport.src_port, stream,
-            record.ip_len, record.ip_ttl, record.ip_proto, None, None, record.src_mac,
+            record.ip_len, record.ip_ttl, record.ip_proto,
         )
-    return FeatureVector(
-        ip_len=record.ip_len, ip_ttl=record.ip_ttl, ip_proto=record.ip_proto,
-        src_mac=record.src_mac,
-    )
+    return (None,) * 6 + (record.ip_len, record.ip_ttl, record.ip_proto)
 
 
 @dataclass
@@ -275,20 +242,22 @@ def extract_capture(
     *,
     raw_ack: bool = False,
     stats: Optional[ExtractionStats] = None,
-) -> list[FeatureVector]:
+) -> Dataset:
     """Run decode + feature extraction over a whole capture, in stream order.
 
-    Every decodable IPv4 frame contributes to conversation state, whatever
-    its source MAC; labeling filters afterwards. Frames that fail to decode
-    are counted and dropped. The counts are added to `stats` when given.
-    Pure function of the capture bytes: two runs yield identical vectors in
-    identical order.
+    Returns an unlabeled Dataset with one row per decoded IPv4 frame and its
+    source MAC column. Every decodable IPv4 frame contributes to conversation
+    state, whatever its source MAC; labeling filters afterwards. Frames that
+    fail to decode are counted and dropped. The counts are added to `stats`
+    when given. Pure function of the capture bytes: two runs yield identical
+    rows in identical order.
     """
     if stats is None:
         stats = ExtractionStats()
     stats.frames_read += len(capture.frames)
     table = ConversationTable()
-    vectors: list[FeatureVector] = []
+    vectors: list[tuple] = []
+    macs: list[str] = []
     for frame in capture.frames:
         try:
             record = decode_frame(frame, capture.link_type)
@@ -299,8 +268,11 @@ def extract_capture(
             stats.non_ipv4_skipped += 1
             continue
         vectors.append(extract_features(record, table, raw_ack=raw_ack))
+        macs.append(record.src_mac)
     stats.raw_ack_fallbacks += table.raw_ack_fallbacks
-    return vectors
+    # None becomes NaN
+    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(CANONICAL_ATTRIBUTES))
+    return Dataset(rows, src_mac=np.array(macs, dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +288,9 @@ class DeviceEntry:
     device_type: str  # TYPE_IOT | TYPE_NON_IOT
 
 
+_UNREGISTERED = DeviceEntry(None, None)  # the labels of a MAC the registry lacks
+
+
 class DeviceRegistry:
     """MAC address -> (device name, device type) mapping."""
 
@@ -324,11 +299,6 @@ class DeviceRegistry:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def get(self, mac: Optional[str]) -> Optional[DeviceEntry]:
-        if mac is None:
-            return None
-        return self.entries.get(mac)
 
     def add(self, mac: str, device_name: str, device_type: str) -> None:
         mac = mac.lower()
@@ -394,42 +364,80 @@ def write_registry(registry: DeviceRegistry) -> str:
 # Datasets
 
 
-@dataclass
-class Dataset:
-    """An ordered attribute schema plus labeled feature vectors.
+_COLUMN_OF = {attribute: j for j, attribute in enumerate(CANONICAL_ATTRIBUTES)}
+_ROW_COLUMNS = ("rows", CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE, "src_mac")  # one entry per row
 
-    class_attribute selects the training target: device_name reads
-    row.label, device_type reads row.type_label. class_names is the sorted
-    set of target values present (rows may only carry those). Datasets are
-    treated as immutable; transformations return new objects.
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A feature table held by column, with per-row label columns.
+
+    rows is a float64 n x 9 matrix in CANONICAL_ATTRIBUTES order, NaN for
+    Absent; every feature is a non-negative int below 2**53, so the floats
+    are exact. device_name and device_type are object arrays of labels per
+    row (None where unknown; an omitted column is all None); src_mac holds
+    each row's source MAC for rows extracted from a capture, else None.
+    attributes is the schema that ranking and training see, canonical names
+    in any order; rows always keeps all nine columns. class_attribute names
+    the label column that is the training target, and class_names is the
+    sorted set of its values present. Datasets are treated as immutable;
+    transformations return new objects.
     """
 
-    attributes: tuple[str, ...]
-    rows: tuple[FeatureVector, ...]
+    rows: np.ndarray
+    device_name: Optional[np.ndarray] = None
+    device_type: Optional[np.ndarray] = None
+    src_mac: Optional[np.ndarray] = None
+    attributes: tuple[str, ...] = CANONICAL_ATTRIBUTES
     class_attribute: str = CLASS_DEVICE_NAME
-    class_names: tuple[str, ...] = ()
+    class_names: tuple[str, ...] = field(init=False)
 
-    @staticmethod
-    def build(
-        rows: Iterable[FeatureVector],
-        attributes: Sequence[str] = CANONICAL_ATTRIBUTES,
-        class_attribute: str = CLASS_DEVICE_NAME,
-    ) -> "Dataset":
-        rows = tuple(rows)
-        labels = set(map(_class_getter(class_attribute), rows))
+    def __post_init__(self) -> None:
+        unlabeled = np.full(len(self.rows), None, dtype=object)
+        for column in (CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE):
+            if getattr(self, column) is None:
+                object.__setattr__(self, column, unlabeled)
+        labels = set(self.targets().tolist())
         labels.discard(None)
-        return Dataset(
-            attributes=tuple(attributes),
-            rows=rows,
-            class_attribute=class_attribute,
-            class_names=tuple(sorted(labels)),
-        )
+        object.__setattr__(self, "class_names", tuple(sorted(labels)))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def targets(self) -> list[Optional[str]]:
-        return [row.class_value(self.class_attribute) for row in self.rows]
+    def targets(self) -> np.ndarray:
+        """The class_attribute column: one label per row, None where unlabeled."""
+        return getattr(self, self.class_attribute)
+
+    def class_codes(self) -> np.ndarray:
+        """Each row's index into class_names; every row must be labeled."""
+        code = {name: c for c, name in enumerate(self.class_names)}
+        return np.fromiter(map(code.__getitem__, self.targets()), np.intp, len(self))
+
+    def matrix(self, attributes: Optional[Sequence[str]] = None) -> np.ndarray:
+        """The feature columns of `attributes` (default: the schema), n x k."""
+        attributes = self.attributes if attributes is None else attributes
+        try:
+            columns = [_COLUMN_OF[a] for a in attributes]
+        except KeyError as exc:
+            raise SchemaMismatch(f"no feature attribute {exc.args[0]!r}") from None
+        return self.rows[:, columns]
+
+    def take(self, index: np.ndarray) -> "Dataset":
+        """The rows an index array or boolean mask selects, in its order."""
+        columns = {name: getattr(self, name) for name in _ROW_COLUMNS}
+        return replace(
+            self, **{name: None if c is None else c[index] for name, c in columns.items()}
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["Dataset"]) -> "Dataset":
+        """The rows of every part in order, with the first part's schema and
+        target; src_mac is kept only when every part has it."""
+        columns = {name: [getattr(part, name) for part in parts] for name in _ROW_COLUMNS}
+        return replace(parts[0], **{
+            name: None if any(c is None for c in cs) else np.concatenate(cs)
+            for name, cs in columns.items()
+        })
 
     def project(self, attributes: Sequence[str]) -> "Dataset":
         """Dataset restricted to a subset of attributes (rows shared)."""
@@ -446,49 +454,37 @@ class Dataset:
         """
         if class_attribute == self.class_attribute:
             return self
-        rows = self.rows
-        if class_attribute == CLASS_DEVICE_TYPE:
-            missing = [r for r in rows if r.type_label is None]
-            if missing:
-                if registry is None:
-                    raise ValueError(
-                        "rows lack device types; a registry is required to derive them"
-                    )
-                new_rows = []
-                for row in rows:
-                    if row.type_label is None and row.label is not None:
-                        dtype = registry.type_of_name(row.label)
-                        if dtype is None:
-                            raise ValueError(f"registry has no device named {row.label!r}")
-                        row = replace(row, type_label=dtype)
-                    new_rows.append(row)
-                rows = tuple(new_rows)
-        return Dataset.build(rows, self.attributes, class_attribute)
+        types = self.device_type
+        missing = np.equal(types, None)
+        if class_attribute == CLASS_DEVICE_TYPE and missing.any():
+            if registry is None:
+                raise ValueError("rows lack device types; a registry is required to derive them")
+            derive = missing & np.not_equal(self.device_name, None)
+            names = self.device_name[derive].tolist()
+            type_of = {}
+            for name in dict.fromkeys(names):  # each distinct name once, in row order
+                type_of[name] = registry.type_of_name(name)
+                if type_of[name] is None:
+                    raise ValueError(f"registry has no device named {name!r}")
+            types = types.copy()
+            types[derive] = [type_of[name] for name in names]
+        return replace(self, device_type=types, class_attribute=class_attribute)
 
 
-def label_by_source_mac(
-    vectors: Iterable[FeatureVector], registry: DeviceRegistry
-) -> tuple[Dataset, int]:
-    """Keep vectors whose source MAC is registered; attach name and type.
+def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dataset, int]:
+    """Keep rows whose source MAC is registered; fill their name and type.
 
     Returns the labeled dataset and the number of dropped (unregistered)
-    vectors.
+    rows. Each distinct MAC is looked up once.
     """
     if len(registry) == 0:
         raise EmptyRegistry("device registry has no entries")
-    kept: list[FeatureVector] = []
-    dropped = 0
-    for vec in vectors:
-        entry = registry.get(vec.src_mac)
-        if entry is None:
-            dropped += 1
-            continue
-        kept.append(
-            FeatureVector(
-                *_canonical_values(vec), entry.device_name, entry.device_type, vec.src_mac
-            )
-        )
-    return Dataset.build(kept), dropped
+    macs, mac_of_row = np.unique(dataset.src_mac, return_inverse=True)
+    entries = [registry.entries.get(mac, _UNREGISTERED) for mac in macs.tolist()]
+    names = np.array([entry.device_name for entry in entries], dtype=object)[mac_of_row]
+    types = np.array([entry.device_type for entry in entries], dtype=object)[mac_of_row]
+    kept = replace(dataset, device_name=names, device_type=types).take(np.not_equal(names, None))
+    return kept, len(dataset) - len(kept)
 
 
 @dataclass(frozen=True)
@@ -504,30 +500,29 @@ def clean(dataset: Dataset, dedup: bool = False) -> tuple[Dataset, CleanStats]:
     the first occurrence is kept. Deduplication defaults off because
     legitimate captures contain identical consecutive packets.
     """
-    kept: list[FeatureVector] = []
-    seen: set[tuple] = set()
-    empty = 0
+    keep = np.flatnonzero(~np.isnan(dataset.rows).all(axis=1))
+    empty = len(dataset) - len(keep)
     dupes = 0
-    for row in dataset.rows:
-        features = _canonical_values(row)
-        if features == _ALL_ABSENT:
-            empty += 1
-            continue
-        if dedup:
-            key = features + (row.label, row.type_label)
-            if key in seen:
-                dupes += 1
-                continue
-            seen.add(key)
-        kept.append(row)
-    return (
-        Dataset.build(kept, dataset.attributes, dataset.class_attribute),
-        CleanStats(empty_removed=empty, duplicates_removed=dupes),
-    )
+    if dedup:
+        # NaN never equals NaN, so Absent cells key as -1 (no feature is negative)
+        rows = np.where(np.isnan(dataset.rows[keep]), -1.0, dataset.rows[keep])
+        row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        names, types = dataset.device_name[keep].tolist(), dataset.device_type[keep].tolist()
+        keys = zip(row_bytes.tolist(), names, types)
+        first: dict[tuple, int] = {}
+        for i, key in zip(keep.tolist(), keys):
+            first.setdefault(key, i)
+        dupes = len(keep) - len(first)
+        keep = np.fromiter(first.values(), np.intp, len(first))
+    return dataset.take(keep), CleanStats(empty_removed=empty, duplicates_removed=dupes)
 
 
 # ---------------------------------------------------------------------------
 # CSV serialization (canonical 10-column format)
+
+_INTEGER = re.compile("0|[1-9][0-9]*")  # canonical only: int() also takes signs,
+# spaces, underscores, leading zeros and non-ASCII digits
+MAX_CELL = 2**53 - 1  # float64 holds every integer up to here exactly, not every one above
 
 
 def write_csv(dataset: Dataset) -> str:
@@ -537,52 +532,70 @@ def write_csv(dataset: Dataset) -> str:
     (empty for unlabeled rows). UTF-8 text with LF line endings and no
     quoting; labels therefore must not contain commas or line breaks.
     """
-    lines = [CSV_HEADER]
-    label_of = _class_getter(dataset.class_attribute)
-    for row in dataset.rows:
-        cells = ["" if v is None else str(v) for v in _canonical_values(row)]
-        label = label_of(row)
-        if label is not None and ("," in label or "\r" in label or "\n" in label):
+    labels = ["" if label is None else label for label in dataset.targets().tolist()]
+    for label in dict.fromkeys(labels):
+        if "," in label or "\r" in label or "\n" in label:
             raise ValueError(f"label not representable without quoting: {label!r}")
-        cells.append("" if label is None else label)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = []
+    for column in np.where(np.isnan(dataset.rows), -1, dataset.rows).astype(np.int64).T.tolist():
+        text = {value: str(value) for value in set(column)}  # each distinct value formatted once
+        text[-1] = ""  # Absent
+        columns.append(map(text.__getitem__, column))
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns, labels))]) + "\n"
 
 
 def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
     """Parse canonical CSV text back into a Dataset (lossless round-trip).
 
     Accepts exactly what write_csv writes: the canonical header, LF line
-    endings (a carriage return anywhere is an error) and a final line feed,
-    so any text either raises a DevfpError or writes back byte for byte.
+    endings (a carriage return anywhere is an error), a final line feed and
+    integer cells up to MAX_CELL, so any text either raises a DevfpError or
+    writes back byte for byte. The class column fills `class_attribute`.
     """
     lines = text.split("\n")
     if lines[0] != CSV_HEADER:
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, found {lines[0]!r}")
     if lines.pop() != "":
         raise RaggedRow(len(lines), "line does not end with a line feed")
-    rows: list[FeatureVector] = []
+    body = lines[1:]
+    n_features = len(CANONICAL_ATTRIBUTES)
+    if any(line.count(",") != n_features for line in body):
+        _raise_first_fault(body)
+    cells = ",".join(body).split(",") if body else []
+    features = np.empty((len(body), n_features))
+    for j in range(n_features):
+        column = cells[j :: n_features + 1]
+        value_of = {cell: _cell_value(cell) for cell in set(column)}  # each distinct cell checked once
+        if None in value_of.values():
+            _raise_first_fault(body)
+        features[:, j] = np.fromiter(map(value_of.__getitem__, column), np.float64, len(body))
+    labels = cells[n_features :: n_features + 1]
+    if "\r" in "".join(labels):
+        _raise_first_fault(body)
+    target = np.array(labels, dtype=object)
+    target[target == ""] = None
+    return Dataset(features, **{class_attribute: target}, class_attribute=class_attribute)
+
+
+def _cell_value(cell: str) -> Optional[float]:
+    """A feature cell as float64: NaN when empty (Absent), None when it is not
+    a canonical integer of at most MAX_CELL."""
+    if cell == "":
+        return math.nan
+    if _INTEGER.fullmatch(cell) and len(cell) <= 16 and int(cell) <= MAX_CELL:
+        return float(cell)
+    return None
+
+
+def _raise_first_fault(lines: list[str]) -> None:
+    """Raise read_csv's error for the first faulty line, at its first faulty cell."""
     n_cols = len(CANONICAL_ATTRIBUTES) + 1
-    for index, line in enumerate(lines[1:], start=1):
+    for index, line in enumerate(lines, start=1):
         cells = line.split(",")
         if len(cells) != n_cols:
             raise RaggedRow(index, f"expected {n_cols} fields, got {len(cells)}")
-        values: list[Optional[int]] = []
         for attribute, cell in zip(CANONICAL_ATTRIBUTES, cells):
-            if cell == "":
-                values.append(None)
-                continue
-            # canonical only, ASCII 0|[1-9][0-9]*: int() would also take signs,
-            # spaces, underscores, leading zeros and non-ASCII digits
-            if not (cell.isascii() and cell.isdigit()) or (cell[0] == "0" and len(cell) > 1):
+            if _cell_value(cell) is None:
                 raise NonNumericCell(index, attribute, cell)
-            values.append(int(cell))
         if "\r" in cells[-1]:
             raise RaggedRow(index, "carriage return in the class cell; lines end with LF only")
-        label = cells[-1] or None
-        if class_attribute == CLASS_DEVICE_NAME:
-            rows.append(FeatureVector(*values, label))
-        else:
-            rows.append(FeatureVector(*values, None, label))
-    return Dataset.build(rows, CANONICAL_ATTRIBUTES, class_attribute)
-

@@ -157,9 +157,7 @@ def gain_ratio_score(
         raise ValueError("column and labels must have equal length")
     if len(labels) < 2:
         raise EmptyDataset("gain ratio needs at least 2 rows")
-    values = np.asarray(
-        [np.nan if v is None else float(v) for v in column], dtype=np.float64
-    )
+    values = np.array(column, dtype=np.float64)  # None becomes NaN
     names = sorted(set(labels))
     index = {label: i for i, label in enumerate(names)}
     y = np.asarray([index[label] for label in labels], dtype=np.intp)
@@ -189,17 +187,14 @@ def rank(dataset: Dataset) -> RankedList:
 
     Sorting is stable, so equal scores keep schema order.
     """
-    if len(dataset.rows) < 2:
+    if len(dataset) < 2:
         raise EmptyDataset("ranking needs at least 2 rows")
-    targets = dataset.targets()
-    if any(t is None for t in targets):
+    if None in dataset.targets():
         raise ValueError("ranking requires every row to be labeled")
-    if len(set(targets)) < 2:
+    if len(dataset.class_names) < 2:
         raise SingleClassDataset("ranking needs at least 2 classes")
-    scores = []
-    for attribute in dataset.attributes:
-        column = [row.value(attribute) for row in dataset.rows]
-        scores.append(gain_ratio_score(attribute, column, targets))
+    X, targets = dataset.matrix(), dataset.targets()
+    scores = [gain_ratio_score(a, X[:, j], targets) for j, a in enumerate(dataset.attributes)]
     ordered = sorted(scores, key=lambda s: -s.gain_ratio)
     return RankedList(scores=tuple(ordered))
 

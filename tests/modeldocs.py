@@ -23,15 +23,21 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
     }
 
 
-def tree_model(schema, class_names, nodes, root=None):
-    """A j48 model loaded from a hand-written document with these nodes."""
+def document_model(variant, schema, class_names, params):
+    """A model loaded from a hand-written document with these params."""
     doc = {
         "format": "devfp-model",
         "version": 1,
-        "variant": "j48",
+        "variant": variant,
         "schema": list(schema),
         "class_names": list(class_names),
         "hyperparams": Hyperparams().to_dict(),
-        "params": {"root": len(nodes) - 1 if root is None else root, "nodes": nodes},
+        "params": params,
     }
     return load_model(json.dumps(doc))
+
+
+def tree_model(schema, class_names, nodes, root=None):
+    """A j48 model loaded from a hand-written document with these nodes."""
+    params = {"root": len(nodes) - 1 if root is None else root, "nodes": nodes}
+    return document_model("j48", schema, class_names, params)

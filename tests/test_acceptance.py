@@ -6,10 +6,12 @@ test_integration_datasets.py and skip unless the data is provided.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
+from tables import make_dataset, same_dataset, vectors_dataset
 from corpus import REFERENCE_REGISTRY, REFERENCE_ROWS
 from oracles import brute_gain_ratio
 from pcapbuild import TCP_ACK, ethernet, ipv4, pcap_file, tcp, udp
@@ -108,13 +110,11 @@ class TestCriterion2GainRatioOracle:
 
 
 def _dataset_1attr(values, labels) -> Dataset:
-    rows = [FeatureVector(ip_len=v, label=l) for v, l in zip(values, labels)]
-    return Dataset.build(rows, attributes=("ip.len",))
+    return make_dataset({"ip.len": values}, labels)
 
 
 def _dataset_2attr(points, labels) -> Dataset:
-    rows = [FeatureVector(ip_len=a, ip_ttl=b, label=l) for (a, b), l in zip(points, labels)]
-    return Dataset.build(rows, attributes=("ip.len", "ip.ttl"))
+    return make_dataset({"ip.len": [a for a, _ in points], "ip.ttl": [b for _, b in points]}, labels)
 
 
 UNPRUNED_MIN1 = Hyperparams(c45_prune=False, c45_min_leaf=1)
@@ -194,13 +194,15 @@ class TestCriterion4EnsembleDegeneracy:
 
     def _dataset(self):
         rng = random.Random(99)
-        rows = []
+        columns = {"ip.len": [], "ip.ttl": []}
+        labels = []
         for _ in range(60):
             x = rng.randrange(0, 40)
             ttl = rng.choice([32, 64, 128])
-            label = "A" if (x < 20) ^ (ttl == 128) else "B"
-            rows.append(FeatureVector(ip_len=x, ip_ttl=ttl, label=label))
-        return Dataset.build(rows, attributes=("ip.len", "ip.ttl"))
+            columns["ip.len"].append(x)
+            columns["ip.ttl"].append(ttl)
+            labels.append("A" if (x < 20) ^ (ttl == 128) else "B")
+        return make_dataset(columns, labels)
 
     def test_forest_of_one_equals_its_tree(self):
         dataset = self._dataset()
@@ -292,10 +294,10 @@ class TestCriterion5StreamIndexSemantics:
 
     def _stream_of(self, data: bytes) -> dict[str, int]:
         capture = parse_capture(data)
-        vectors = extract_capture(capture)
+        streams = extract_capture(capture).matrix(("tcp.stream", "udp.stream")).tolist()
         result: dict[str, int] = {}
-        for (name, _), vec in zip(self.SCHEDULE, vectors):
-            index = vec.tcp_stream if vec.tcp_stream is not None else vec.udp_stream
+        for (name, _), (tcp_stream, udp_stream) in zip(self.SCHEDULE, streams):
+            index = int(udp_stream if math.isnan(tcp_stream) else tcp_stream)
             result.setdefault(name, index)
             assert result[name] == index, f"index changed mid-capture for {name}"
         return result
@@ -383,10 +385,11 @@ class TestCriterion8CsvRoundTrip:
         labels_pool = ["Aria", "D-LinkCam", "HueBridge", "Laptop", None]
         failures = 0
         for _ in range(1000):
-            rows = []
+            vectors = []
+            labels = []
             for _ in range(rng.randrange(0, 12)):
                 proto = rng.choice([6, 17, 1])
-                rows.append(
+                vectors.append(
                     FeatureVector(
                         tcp_srcport=rng.randrange(65536) if proto == 6 else None,
                         tcp_stream=rng.randrange(1000) if proto == 6 else None,
@@ -397,11 +400,11 @@ class TestCriterion8CsvRoundTrip:
                         ip_len=rng.randrange(20, 65536),
                         ip_ttl=rng.randrange(256),
                         ip_proto=proto,
-                        label=rng.choice(labels_pool),
                     )
                 )
-            dataset = Dataset.build(rows)
-            if read_csv(write_csv(dataset)) != dataset:
+                labels.append(rng.choice(labels_pool))
+            dataset = vectors_dataset(vectors, labels)
+            if not same_dataset(read_csv(write_csv(dataset)), dataset):
                 failures += 1
         _report(
             8,

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,21 +27,8 @@ from devfp.classifiers.base import TrainedModel
 from devfp.classifiers.ensembles import BaggingModel, RandomForestModel, VoteModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
 from devfp.features import Dataset, FeatureVector
-from modeldocs import leaf, split, tree_model
-
-
-def make_dataset(columns: dict, labels, attributes=None) -> Dataset:
-    """Small-dataset builder: columns keyed by canonical attribute name."""
-    attributes = attributes or tuple(columns)
-    n = len(labels)
-    rows = []
-    for i in range(n):
-        kwargs = {}
-        for name, values in columns.items():
-            field = name.replace(".", "_")
-            kwargs[field] = values[i]
-        rows.append(FeatureVector(label=labels[i], **kwargs))
-    return Dataset.build(rows, attributes=attributes)
+from tables import make_dataset
+from modeldocs import document_model, leaf, split, tree_model
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -97,7 +85,7 @@ class TestC45:
 
     def test_empty_and_tiny_rejected(self):
         with pytest.raises(EmptyDataset):
-            train_c45(Dataset.build([], attributes=("ip.len",)))
+            train_c45(make_dataset({"ip.len": []}, []))
         with pytest.raises(EmptyDataset):
             train_c45(one_attr_dataset([1], ["A"]))
 
@@ -253,7 +241,7 @@ class TestNaiveBayes:
             {"ip.len": [1, 2, 8, 9, 3], "ip.ttl": [64, 64, 32, 32, None]},
             ["A", "A", "B", "B", "A"],
         )
-        doubled = Dataset.build(base.rows + base.rows, base.attributes)
+        doubled = Dataset.concat([base, base])
         m1 = train_naive_bayes(base)
         m2 = train_naive_bayes(doubled)
         assert np.array_equal(m1.priors, m2.priors)
@@ -639,6 +627,44 @@ class TestPersistence:
                 tree_model(schema, classes, nodes)
         with pytest.raises(ModelFormatError):
             tree_model(schema, classes, good, root=3)
+
+    def test_ensemble_without_members_rejected(self):
+        emptied = 0
+        for model in self.trained_models():
+            doc = json.loads(save_model(model))
+            if "members" in doc["params"]:
+                doc["params"]["members"] = []
+                with pytest.raises(ModelFormatError, match="no members"):
+                    load_model(json.dumps(doc))
+                emptied += 1
+        assert emptied == 3  # rf, bagging, vote
+
+    def test_malformed_naive_bayes_rejected(self):
+        schema, classes = ("ip.len", "ip.ttl"), ("A", "B")
+        good = {
+            "priors": [0.5, 0.5],
+            # class A never saw ip.ttl: null mean and stddev
+            "means": [[1.5, None], [8.5, 32.0]],
+            "stddevs": [[0.5, None], [0.5, 1.0]],
+            "present_rates": [[1.0, 0.0], [1.0, 1.0]],
+        }
+        model = document_model("nb", schema, classes, good)
+        assert predict(model, vector(**{"ip.len": 2, "ip.ttl": 32})) == "B"
+        bad_params = [
+            {"priors": [1.0]},  # one prior for two classes
+            {"means": [[1.5, None]]},  # one row of means
+            {"stddevs": [[0.5], [0.5]]},  # one stddev per class
+            {"present_rates": [1.0, 1.0]},  # flat present rates
+            {"priors": [0.0, 1.0]},  # zero prior
+            {"priors": [-0.5, 1.5]},  # negative prior
+            {"stddevs": [[0.0, None], [0.5, 1.0]]},  # zero stddev under a mean
+            {"stddevs": [[-0.5, None], [0.5, 1.0]]},  # negative stddev
+            {"stddevs": [[None, None], [0.5, 1.0]]},  # null stddev under a mean
+            {"stddevs": [[0.5, 1.0], [0.5, 1.0]]},  # stddev without a mean
+        ]
+        for change in bad_params:
+            with pytest.raises(ModelFormatError):
+                document_model("nb", schema, classes, {**good, **change})
 
     def test_deep_tree_round_trip(self):
         # staircase data grows a tree ~300 levels deep; growth, routing and

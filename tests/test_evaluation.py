@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tables import make_dataset, same_dataset
 from modeldocs import leaf, split, tree_model
 
 from devfp.classifiers import ModelSpec, predict, train_c45
@@ -25,18 +27,14 @@ from devfp.features import Dataset, FeatureVector, extract_capture, label_by_sou
 from devfp.pcap import parse_capture
 
 
-def labeled_rows(sizes: dict[str, int]):
-    rows = []
-    value = 0
-    for label, count in sizes.items():
-        for _ in range(count):
-            rows.append(FeatureVector(ip_len=20 + value % 50, ip_ttl=64, ip_proto=6, label=label))
-            value += 1
-    return rows
-
-
 def dataset_of(sizes: dict[str, int]) -> Dataset:
-    return Dataset.build(labeled_rows(sizes), attributes=("ip.len", "ip.ttl"))
+    labels = [label for label, count in sizes.items() for _ in range(count)]
+    columns = {
+        "ip.len": [20 + value % 50 for value in range(len(labels))],
+        "ip.ttl": [64] * len(labels),
+        "ip.proto": [6] * len(labels),
+    }
+    return make_dataset(columns, labels, attributes=("ip.len", "ip.ttl"))
 
 
 class TestStratifiedSplit:
@@ -49,8 +47,8 @@ class TestStratifiedSplit:
         train, test = stratified_split(
             dataset_of({"A": 100, "B": 50}), SplitSpec(train_fraction=0.8, seed=3)
         )
-        train_counts = {c: train.targets().count(c) for c in ("A", "B")}
-        test_counts = {c: test.targets().count(c) for c in ("A", "B")}
+        train_counts = {c: train.targets().tolist().count(c) for c in ("A", "B")}
+        test_counts = {c: test.targets().tolist().count(c) for c in ("A", "B")}
         assert train_counts == {"A": 80, "B": 40}
         assert test_counts == {"A": 20, "B": 10}
 
@@ -58,14 +56,14 @@ class TestStratifiedSplit:
         data = dataset_of({"A": 30, "B": 20})
         first = stratified_split(data, SplitSpec(seed=42))
         second = stratified_split(data, SplitSpec(seed=42))
-        assert first[0].rows == second[0].rows
-        assert first[1].rows == second[1].rows
+        assert same_dataset(first[0], second[0])
+        assert same_dataset(first[1], second[1])
 
     def test_different_seed_different_partition(self):
         data = dataset_of({"A": 30, "B": 20})
         first = stratified_split(data, SplitSpec(seed=1))
         second = stratified_split(data, SplitSpec(seed=2))
-        assert first[0].rows != second[0].rows
+        assert not same_dataset(first[0], second[0])
 
     def test_class_too_small_rejected(self):
         with pytest.raises(ClassTooSmall) as excinfo:
@@ -88,7 +86,7 @@ class TestStratifiedSplit:
 
     def test_tiny_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
-            stratified_split(Dataset.build([], attributes=("ip.len",)), SplitSpec())
+            stratified_split(make_dataset({"ip.len": []}, []), SplitSpec())
 
     @given(
         sizes=st.dictionaries(
@@ -102,11 +100,11 @@ class TestStratifiedSplit:
         data = dataset_of(sizes)
         train, test = stratified_split(data, SplitSpec(train_fraction=fraction, seed=seed))
         for label, size in sizes.items():
-            got = train.targets().count(label)
+            got = train.targets().tolist().count(label)
             ideal = fraction * size
             assert abs(got - ideal) <= 1.0
-            assert got >= 1 and test.targets().count(label) >= 1
-            assert got + test.targets().count(label) == size
+            assert got >= 1 and test.targets().tolist().count(label) >= 1
+            assert got + test.targets().tolist().count(label) == size
 
 
 def hand_tree_model():
@@ -117,8 +115,8 @@ def hand_tree_model():
 
 
 def one_attr_test_set(pairs):
-    rows = [FeatureVector(ip_len=v, ip_ttl=64, ip_proto=6, label=lab) for v, lab in pairs]
-    return Dataset.build(rows, attributes=("ip.len",))
+    columns = {"ip.len": [v for v, _ in pairs], "ip.ttl": [64] * len(pairs), "ip.proto": [6] * len(pairs)}
+    return make_dataset(columns, [lab for _, lab in pairs], attributes=("ip.len",))
 
 
 class TestEvaluate:
@@ -148,13 +146,13 @@ class TestEvaluate:
     def test_schema_mismatch(self):
         test = one_attr_test_set([(1, "A")]).project(("ip.len",))
         model = hand_tree_model()
-        bad = Dataset.build(test.rows, attributes=("ip.len", "ip.ttl"))
+        bad = replace(test, attributes=("ip.len", "ip.ttl"))
         with pytest.raises(SchemaMismatch):
             evaluate(model, bad)
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(EmptyDataset):
-            evaluate(hand_tree_model(), Dataset.build([], attributes=("ip.len",)))
+            evaluate(hand_tree_model(), make_dataset({"ip.len": []}, []))
 
     def test_unseen_test_label_gets_extra_row(self):
         test = one_attr_test_set([(1, "A"), (9, "C")])
@@ -299,12 +297,11 @@ class TestReportRendering:
 class TestEndToEndExample:
     def test_tree_evaluation_consistency(self):
         # evaluate must agree with predict row by row
-        rows = labeled_rows({"A": 12, "B": 10})
-        dataset = Dataset.build(rows, attributes=("ip.len", "ip.ttl"))
+        dataset = dataset_of({"A": 12, "B": 10})
         train, test = stratified_split(dataset, SplitSpec(seed=9))
         model = train_c45(train)
         matrix = evaluate(model, test)
         correct = sum(
-            1 for row in test.rows if predict(model, row) == row.label
+            1 for row, label in zip(test.rows, test.device_name) if predict(model, FeatureVector(*row)) == label
         )
         assert metrics(matrix).acc == pytest.approx(correct / len(test.rows))

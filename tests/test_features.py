@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tables import same_dataset, vectors_dataset
 from devfp.errors import EmptyRegistry, HeaderMismatch, NonNumericCell, RaggedRow, RegistryFormatError
 from devfp.features import (
     CANONICAL_ATTRIBUTES,
     CSV_HEADER,
+    MAX_CELL,
     ConversationTable,
-    Dataset,
     DeviceRegistry,
     FeatureVector,
     assign_stream_index,
@@ -197,23 +199,23 @@ class TestExtractFeatures:
         vec = extract_features(
             tcp_record(src_port=62997, flags=TCP_SYN, window=8688, ip_len=60), table
         )
-        assert vec.values(CANONICAL_ATTRIBUTES) == (62997, 0, 0, 8688, None, None, 60, 64, 6)
+        assert vec == (62997, 0, 0, 8688, None, None, 60, 64, 6)
 
     def test_udp_vector(self):
         table = ConversationTable()
         vec = extract_features(udp_record(src_port=47581, ip_len=65), table)
-        assert vec.values(CANONICAL_ATTRIBUTES) == (None, None, None, None, 47581, 0, 65, 64, 17)
+        assert vec == (None, None, None, None, 47581, 0, 65, 64, 17)
 
     def test_icmp_vector_has_only_ip_features(self):
         vec = extract_features(icmp_record(), ConversationTable())
-        assert vec.values(CANONICAL_ATTRIBUTES) == (None,) * 6 + (28, 64, 1)
+        assert vec == (None,) * 6 + (28, 64, 1)
 
     def test_window_scaling_applies_after_syn_with_option(self):
         table = ConversationTable()
         syn = tcp_record(flags=TCP_SYN, window=1000, ws=3)
-        assert extract_features(syn, table).tcp_window_size == 1000  # SYN itself unscaled
+        assert FeatureVector(*extract_features(syn, table)).tcp_window_size == 1000  # SYN itself unscaled
         data = tcp_record(flags=TCP_ACK, window=1000)
-        assert extract_features(data, table).tcp_window_size == 8000
+        assert FeatureVector(*extract_features(data, table)).tcp_window_size == 8000
 
     def test_window_scale_is_per_direction(self):
         table = ConversationTable()
@@ -223,17 +225,16 @@ class TestExtractFeatures:
             flags=TCP_ACK, window=500,
         )
         # the reply direction never announced a scale: raw window
-        assert extract_features(reply, table).tcp_window_size == 500
+        assert FeatureVector(*extract_features(reply, table)).tcp_window_size == 500
 
     def test_transport_presence_matches_protocol(self):
         table = ConversationTable()
         for rec in (tcp_record(), udp_record(), icmp_record()):
-            vec = extract_features(rec, table)
+            vec = FeatureVector(*extract_features(rec, table))
             tcp_present = all(
-                vec.value(a) is not None
-                for a in ("tcp.srcport", "tcp.stream", "tcp.ack", "tcp.window_size")
+                v is not None for v in (vec.tcp_srcport, vec.tcp_stream, vec.tcp_ack, vec.tcp_window_size)
             )
-            udp_present = all(vec.value(a) is not None for a in ("udp.srcport", "udp.stream"))
+            udp_present = all(v is not None for v in (vec.udp_srcport, vec.udp_stream))
             assert tcp_present == (rec.ip_proto == 6)
             assert udp_present == (rec.ip_proto == 17)
             assert vec.ip_len is not None and vec.ip_ttl is not None and vec.ip_proto is not None
@@ -248,54 +249,55 @@ class TestLabeling:
 
     def test_keeps_registered_drops_unknown(self):
         vectors = []
+        macs = []
         table = ConversationTable()
         for i in range(10):
             mac = "aa:00:00:00:00:01" if i < 6 else "02:00:00:00:00:99"
             vectors.append(extract_features(udp_record(src_port=100 + i, src_mac=mac), table))
-        dataset, dropped = label_by_source_mac(vectors, self.registry())
+            macs.append(mac)
+        extracted = vectors_dataset(vectors, src_mac=np.array(macs, dtype=object))
+        dataset, dropped = label_by_source_mac(extracted, self.registry())
         assert len(dataset.rows) == 6
         assert dropped == 4
-        assert all(r.label == "Alpha" and r.type_label == "IoT" for r in dataset.rows)
+        assert dataset.device_name.tolist() == ["Alpha"] * 6
+        assert dataset.device_type.tolist() == ["IoT"] * 6
 
     def test_empty_registry_rejected(self):
         with pytest.raises(EmptyRegistry):
-            label_by_source_mac([], DeviceRegistry())
+            label_by_source_mac(vectors_dataset([], src_mac=np.array([], dtype=object)), DeviceRegistry())
 
     def test_single_mac_yields_single_class_dataset(self):
         table = ConversationTable()
         vectors = [extract_features(udp_record(src_port=i), table) for i in (1, 2)]
-        dataset, _ = label_by_source_mac(vectors, self.registry())
+        extracted = vectors_dataset(vectors, src_mac=np.array(["aa:00:00:00:00:01"] * 2, dtype=object))
+        dataset, _ = label_by_source_mac(extracted, self.registry())
         assert dataset.class_names == ("Alpha",)
 
 
 class TestClean:
-    def make_dataset(self, rows):
-        return Dataset.build(rows)
-
     def test_all_absent_row_removed(self):
-        rows = [FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="A"), FeatureVector(label="A")]
-        cleaned, stats = clean(self.make_dataset(rows))
+        rows = [FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6), FeatureVector()]
+        cleaned, stats = clean(vectors_dataset(rows, ["A", "A"]))
         assert len(cleaned.rows) == 1
         assert stats.empty_removed == 1
 
     def test_duplicates_kept_when_dedup_off(self):
         row = FeatureVector(tcp_srcport=1, tcp_stream=0, tcp_ack=0, tcp_window_size=5,
-                            ip_len=60, ip_ttl=64, ip_proto=6, label="D-LinkCam")
-        cleaned, stats = clean(self.make_dataset([row, row]))
+                            ip_len=60, ip_ttl=64, ip_proto=6)
+        cleaned, stats = clean(vectors_dataset([row, row], ["D-LinkCam"] * 2))
         assert len(cleaned.rows) == 2
         assert stats.duplicates_removed == 0
 
     def test_duplicates_removed_when_dedup_on(self):
-        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="X")
-        other = FeatureVector(ip_len=61, ip_ttl=64, ip_proto=6, label="X")
-        cleaned, stats = clean(self.make_dataset([row, row, other]), dedup=True)
+        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
+        other = FeatureVector(ip_len=61, ip_ttl=64, ip_proto=6)
+        cleaned, stats = clean(vectors_dataset([row, row, other], ["X"] * 3), dedup=True)
         assert len(cleaned.rows) == 2
         assert stats.duplicates_removed == 1
 
     def test_same_features_different_label_not_duplicates(self):
-        a = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="A")
-        b = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="B")
-        cleaned, _ = clean(self.make_dataset([a, b]), dedup=True)
+        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
+        cleaned, _ = clean(vectors_dataset([row, row], ["A", "B"]), dedup=True)
         assert len(cleaned.rows) == 2
 
 
@@ -303,9 +305,9 @@ class TestCsv:
     def aria_dataset(self):
         row = FeatureVector(
             tcp_srcport=62997, tcp_stream=0, tcp_ack=0, tcp_window_size=8688,
-            ip_len=60, ip_ttl=64, ip_proto=6, label="Aria",
+            ip_len=60, ip_ttl=64, ip_proto=6,
         )
-        return Dataset.build([row])
+        return vectors_dataset([row], ["Aria"])
 
     def test_header_is_exact(self):
         assert CSV_HEADER == (
@@ -318,9 +320,9 @@ class TestCsv:
         assert text == CSV_HEADER + "\n" + "62997,0,0,8688,,,60,64,6,Aria\n"
 
     def test_empty_dataset_round_trip(self):
-        text = write_csv(Dataset.build([]))
+        text = write_csv(vectors_dataset([]))
         assert text == CSV_HEADER + "\n"
-        assert read_csv(text).rows == ()
+        assert read_csv(text).rows.shape == (0, len(CANONICAL_ATTRIBUTES))
 
     def test_header_mismatch(self):
         with pytest.raises(HeaderMismatch):
@@ -365,15 +367,27 @@ class TestCsv:
             read_csv(text)
 
     def test_zero_accepted(self):
-        assert read_csv(CSV_HEADER + "\n0,,,,,,60,64,6,A\n").rows[0].tcp_srcport == 0
+        assert read_csv(CSV_HEADER + "\n0,,,,,,60,64,6,A\n").rows[0, 0] == 0
+
+    def test_cells_bounded_at_2_53_minus_1(self):
+        # float64 holds every integer up to 2**53 exactly, but not every one above
+        assert MAX_CELL == 2**53 - 1
+        text = CSV_HEADER + f"\n{2**53 - 1},,,,,,60,64,6,A\n"
+        dataset = read_csv(text)
+        assert dataset.rows[0, 0] == 2**53 - 1
+        assert write_csv(dataset) == text
+        for cell in (str(2**53), str(2**53 + 1), "9" * 5000):
+            with pytest.raises(NonNumericCell):
+                read_csv(CSV_HEADER + f"\n{cell},,,,,,60,64,6,A\n")
 
     def test_label_with_comma_rejected_on_write(self):
-        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6, label="a,b")
+        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
         with pytest.raises(ValueError):
-            write_csv(Dataset.build([row]))
+            write_csv(vectors_dataset([row], ["a,b"]))
 
 
 def vector_strategy():
+    """(FeatureVector, label) pairs."""
     value = st.one_of(st.none(), st.integers(0, 70000))
     def build(tcp_on, udp_on, v1, v2, v3, v4, v5, v6, base, label):
         return FeatureVector(
@@ -386,8 +400,7 @@ def vector_strategy():
             ip_len=base[0],
             ip_ttl=base[1],
             ip_proto=base[2],
-            label=label,
-        )
+        ), label
     return st.builds(
         build,
         tcp_on=st.booleans(),
@@ -404,9 +417,9 @@ class TestCsvRoundTrip:
     @given(rows=st.lists(vector_strategy(), max_size=30))
     @settings(max_examples=100)
     def test_round_trip_identity(self, rows):
-        dataset = Dataset.build(rows)
+        dataset = vectors_dataset([v for v, _ in rows], [label for _, label in rows])
         again = read_csv(write_csv(dataset))
-        assert again == dataset
+        assert same_dataset(again, dataset)
 
 
 class TestRegistryFile:
@@ -444,7 +457,7 @@ class TestExtractionPipeline:
         capture = parse_capture(reference_pcap_bytes)
         first = extract_capture(capture)
         second = extract_capture(capture)
-        assert first == second
+        assert same_dataset(first, second)
         d1, _ = label_by_source_mac(first, read_registry(_reference_registry()))
         d2, _ = label_by_source_mac(second, read_registry(_reference_registry()))
         assert write_csv(d1) == write_csv(d2)
@@ -453,8 +466,8 @@ class TestExtractionPipeline:
         from corpus import REFERENCE_ROWS
 
         capture = parse_capture(reference_pcap_bytes)
-        vectors = extract_capture(capture)
-        dataset, _ = label_by_source_mac(vectors, read_registry(_reference_registry()))
+        extracted = extract_capture(capture)
+        dataset, _ = label_by_source_mac(extracted, read_registry(_reference_registry()))
         text = write_csv(dataset)
         assert text.splitlines()[1:] == REFERENCE_ROWS
 

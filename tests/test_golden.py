@@ -158,8 +158,7 @@ def _distributions_text(model_path: Path, csv_path: Path) -> bytes:
     dataset = read_csv(csv_path.read_text(encoding="utf-8"))
     index = [CANONICAL_ATTRIBUTES.index(a) for a in model.schema]
     lines = []
-    for row in dataset.rows:
-        cells = row.values(CANONICAL_ATTRIBUTES)
+    for cells in dataset.rows:
         dist = model.distribution(tuple(cells[j] for j in index))
         lines.append(",".join(repr(float(p)) for p in dist))
     return ("\n".join(lines) + "\n").encode()

@@ -17,6 +17,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from devfp.classifiers import ModelSpec
@@ -35,8 +36,8 @@ def _load(env_var: str) -> Dataset:
     return read_csv(Path(path).read_text(encoding="utf-8"))
 
 
-def _with_type(dataset: Dataset, device_type: str) -> list:
-    return [replace(row, type_label=device_type) for row in dataset.rows]
+def _with_type(dataset: Dataset, device_type: str) -> Dataset:
+    return replace(dataset, device_type=np.full(len(dataset), device_type, dtype=object))
 
 
 def _info(criterion: int, ok: bool, description: str) -> None:
@@ -82,8 +83,8 @@ class TestCriterion11DeviceType:
     def _combined_type_dataset(self) -> Dataset:
         sentinel = _load("DEVFP_IOT_SENTINEL_CSV")
         unsw = _load("DEVFP_UNSW_NONIOT_CSV")
-        rows = _with_type(sentinel, TYPE_IOT) + _with_type(unsw, TYPE_NON_IOT)
-        return Dataset.build(rows, sentinel.attributes, CLASS_DEVICE_TYPE)
+        both = Dataset.concat([_with_type(sentinel, TYPE_IOT), _with_type(unsw, TYPE_NON_IOT)])
+        return both.with_class_attribute(CLASS_DEVICE_TYPE)
 
     def test_rf_macro_precision_and_nb_ordering(self):
         dataset = self._combined_type_dataset()
@@ -97,8 +98,7 @@ class TestCriterion12ClassifierOrdering:
     def test_rf_best_nb_worst_on_individual_devices(self):
         sentinel = _load("DEVFP_IOT_SENTINEL_CSV")
         lab = _load("DEVFP_LAB_CSV")
-        rows = _with_type(sentinel, TYPE_IOT) + _with_type(lab, TYPE_NON_IOT)
-        dataset = Dataset.build(rows, sentinel.attributes)
+        dataset = Dataset.concat([_with_type(sentinel, TYPE_IOT), _with_type(lab, TYPE_NON_IOT)])
         scores = {}
         for variant in ("j48", "rf", "rt", "nb", "bagging", "vote"):
             report = ablation_run(dataset, "combined", ModelSpec(variant), SplitSpec(seed=SEED))

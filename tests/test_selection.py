@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tables import make_dataset
 from oracles import (
     brute_best_split,
     brute_entropy_counts,
@@ -14,7 +15,7 @@ from oracles import (
 )
 
 from devfp.errors import AllZeroCounts, MissingMeta, RegistryFormatError, SingleClassDataset
-from devfp.features import Dataset, FeatureVector, label_by_source_mac, read_registry
+from devfp.features import label_by_source_mac, read_registry
 from devfp.pcap import parse_capture
 from devfp.selection import (
     FLAG_TIME_DEPENDENT,
@@ -184,11 +185,8 @@ class TestGainRatio:
 
 
 def two_column_dataset(col_x, col_y, labels):
-    rows = [
-        FeatureVector(ip_len=x if x is not None else None, ip_ttl=y, ip_proto=6, label=lab)
-        for x, y, lab in zip(col_x, col_y, labels)
-    ]
-    return Dataset.build(rows, attributes=("ip.len", "ip.ttl"))
+    columns = {"ip.len": col_x, "ip.ttl": col_y, "ip.proto": [6] * len(labels)}
+    return make_dataset(columns, labels, attributes=("ip.len", "ip.ttl"))
 
 
 class TestRank:

@@ -1,0 +1,54 @@
+"""The benchmark's layer tracer (`benchmarks/layers.py`) still runs devfp's
+commands and reads its work counts at the call boundaries.
+
+The tracer wraps the functions `devfp.cli` calls and takes `len()` of what
+they take and return, so a change to a Dataset's shape or to those call
+signatures can break `benchmarks/run.py --trace 1` while every other test
+passes.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def traced(spans_path: Path, *argv) -> list[dict]:
+    """Span records of one devfp command run under the tracer."""
+    command = [sys.executable, str(REPO / "benchmarks" / "layers.py"), str(REPO / "src"),
+               str(spans_path), "t", "traced", *map(str, argv)]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(spans_path.read_text(encoding="utf-8"))
+
+
+def rows(spans: list[dict], name: str) -> list[int]:
+    return [span["attrs"]["rows"] for span in spans if span["name"] == name]
+
+
+def test_traced_commands_record_row_counts(tmp_path, training_paths):
+    pcap, registry = training_paths
+    dataset = tmp_path / "dataset.csv"
+    spans = traced(tmp_path / "extract.json", "extract", "--input", pcap, "--registry", registry,
+                   "--out", dataset)
+    n_rows = len(dataset.read_text(encoding="utf-8").splitlines()) - 1
+    (extracted,) = rows(spans, "features.extract_capture")
+    (labeled,) = rows(spans, "features.label_by_source_mac")
+    assert extracted > labeled > 0
+    assert rows(spans, "features.clean") == [n_rows]
+
+    out = tmp_path / "run"
+    spans = traced(tmp_path / "train.json", "train-eval", "--input", dataset, "--model", "j48",
+                   "--out", out)
+    assert rows(spans, "features.read_csv") == [n_rows]
+    (trained,) = rows(spans, "classifiers.train_model")
+    (evaluated,) = rows(spans, "evaluation.evaluate")
+    assert trained > 0 and evaluated > 0 and trained + evaluated == n_rows
+
+    predictions = tmp_path / "predictions.csv"
+    spans = traced(tmp_path / "classify.json", "classify", "--model-file", out / "model.json",
+                   "--input", pcap, "--out", predictions)
+    n_predictions = len(predictions.read_text(encoding="utf-8").splitlines()) - 1
+    assert rows(spans, "features.extract_capture") == [n_predictions] == [extracted]
