@@ -12,16 +12,14 @@ from .base import (
 )
 from .bayes import NaiveBayesModel, train_naive_bayes
 from .ensembles import (
-    BaggingModel,
-    RandomForestModel,
-    VoteModel,
+    EnsembleModel,
     train_bagging,
     train_model,
     train_random_forest,
     train_vote,
 )
 from .persist import load_model, save_model
-from .trees import C45Model, RandomTreeModel, TreeModel, train_c45, train_random_tree
+from .trees import TreeModel, train_c45, train_random_tree
 
 __all__ = [
     "ALL_VARIANTS",
@@ -34,16 +32,12 @@ __all__ = [
     "predict_proba",
     "NaiveBayesModel",
     "train_naive_bayes",
-    "BaggingModel",
-    "RandomForestModel",
-    "VoteModel",
+    "EnsembleModel",
     "train_bagging",
     "train_random_forest",
     "train_vote",
     "load_model",
     "save_model",
-    "C45Model",
-    "RandomTreeModel",
     "TreeModel",
     "train_c45",
     "train_random_tree",

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,15 +103,6 @@ def derive_rng(*parts: object) -> random.Random:
     return random.Random("|".join(str(p) for p in parts))
 
 
-def resolve_rng(rng: Union[random.Random, int, None], seed: int, *tags: object) -> random.Random:
-    """Accept an explicit RNG, an int seed, or None (derive from hyperparams)."""
-    if isinstance(rng, random.Random):
-        return rng
-    if rng is None:
-        return derive_rng(seed, *tags)
-    return derive_rng(rng, *tags)
-
-
 def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) -> np.ndarray:
     size = n if size is None else size
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
@@ -137,13 +128,13 @@ def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str,
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Base of all trained classifiers: schema + ordered class names."""
+    """Base of all trained classifiers: schema + ordered class names, and the
+    variant naming the algorithm that trained it."""
 
     schema: tuple[str, ...]
     class_names: tuple[str, ...]
     hyperparams: Hyperparams
-
-    variant: str = field(init=False, default="")
+    variant: str
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
         """Class distributions (n x C) for schema-aligned rows X (n x k, NaN = Absent)."""

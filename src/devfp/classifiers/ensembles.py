@@ -15,8 +15,8 @@ model exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,18 +36,13 @@ from .base import (
     derive_rng,
 )
 from .bayes import train_naive_bayes
-from .trees import (
-    C45Model,
-    RandomTreeModel,
-    grow_c45,
-    grow_random,
-    train_c45,
-    train_random_tree,
-)
+from .trees import TreeModel, grow_c45, grow_random, train_c45, train_random_tree
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel(TrainedModel):
+    """rf, bagging or vote: the mean of the members' class distributions."""
+
     members: tuple[TrainedModel, ...]
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
@@ -58,60 +53,43 @@ class EnsembleModel(TrainedModel):
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class RandomForestModel(EnsembleModel):
-    variant: str = field(init=False, default=VARIANT_RANDOM_FOREST)
-
-
-@dataclass(frozen=True, eq=False)
-class BaggingModel(EnsembleModel):
-    variant: str = field(init=False, default=VARIANT_BAGGING)
-
-
-@dataclass(frozen=True, eq=False)
-class VoteModel(EnsembleModel):
-    variant: str = field(init=False, default=VARIANT_VOTE)
-
-
-def _base_token(rng: Union[random.Random, int, None], hp: Hyperparams) -> object:
-    """Stable token that keys member sub-RNGs."""
-    if isinstance(rng, random.Random):
-        return rng.getrandbits(64)
-    if rng is None:
-        return hp.seed
-    return rng
+# The tree variant of the members of a bootstrap ensemble. Model files do not
+# store member variants, so the loader reads them from here too.
+TREE_MEMBER_VARIANTS = {VARIANT_RANDOM_FOREST: VARIANT_RANDOM_TREE, VARIANT_BAGGING: VARIANT_C45}
 
 
 def _bootstrap_ensemble(
-    ensemble: type, member: type, grow: Callable, tag: str, rounds: int, fraction: float,
-    dataset, hp: Hyperparams, rng: Union[random.Random, int, None], identity_bootstrap: bool,
+    variant: str, grow: Callable, rounds: int, fraction: float,
+    dataset, hp: Hyperparams, rng: Optional[random.Random], identity_bootstrap: bool,
 ) -> EnsembleModel:
     """`rounds` trees grown by `grow`, each on its own bootstrap sample of
-    size fraction * n drawn with the RNG derived from (token, tag, i)."""
+    size fraction * n drawn with the RNG derived from (token, variant, i).
+    The token is the hyperparameter seed when rng is None, else 64 bits drawn
+    from rng."""
     X, y, class_names = dataset_arrays(dataset)
     n = X.shape[0]
     size = max(1, round(fraction * n))
-    token = _base_token(rng, hp)
+    token = hp.seed if rng is None else rng.getrandbits(64)
     common = {"schema": tuple(dataset.attributes), "class_names": class_names, "hyperparams": hp}
     members = []
     for i in range(rounds):
-        member_rng = derive_rng(token, tag, i)
+        member_rng = derive_rng(token, variant, i)
         if identity_bootstrap:
             sample = np.arange(n, dtype=np.intp)
         else:
             sample = bootstrap_indices(member_rng, n, size)
         arrays = grow(X[sample], y[sample], len(class_names), hp, member_rng)
-        members.append(member(**common, **arrays))
-    return ensemble(members=tuple(members), **common)
+        members.append(TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **common, **arrays))
+    return EnsembleModel(variant=variant, members=tuple(members), **common)
 
 
 def train_random_forest(
     dataset,
     hyperparams: Optional[Hyperparams] = None,
-    rng: Union[random.Random, int, None] = None,
+    rng: Optional[random.Random] = None,
     *,
     identity_bootstrap: bool = False,
-) -> RandomForestModel:
+) -> EnsembleModel:
     """Train forest_trees random trees, each on its own bootstrap sample.
 
     Member i derives its RNG from (seed, "rf", i); with identity_bootstrap
@@ -120,25 +98,25 @@ def train_random_forest(
     """
     hp = hyperparams or Hyperparams()
     return _bootstrap_ensemble(
-        RandomForestModel, RandomTreeModel, grow_random, "rf", hp.forest_trees, 1.0,
-        dataset, hp, rng, identity_bootstrap,
+        VARIANT_RANDOM_FOREST, grow_random, hp.forest_trees, 1.0, dataset, hp, rng,
+        identity_bootstrap,
     )
 
 
 def train_bagging(
     dataset,
     hyperparams: Optional[Hyperparams] = None,
-    rng: Union[random.Random, int, None] = None,
+    rng: Optional[random.Random] = None,
     *,
     identity_bootstrap: bool = False,
-) -> BaggingModel:
+) -> EnsembleModel:
     """Train bagging_rounds pruned C4.5 trees on bootstrap samples of size
     bag_fraction * n; prediction averages member distributions."""
     hp = hyperparams or Hyperparams()
     grow = lambda X, y, n_classes, hp, rng: grow_c45(X, y, n_classes, hp)  # noqa: E731
     return _bootstrap_ensemble(
-        BaggingModel, C45Model, grow, "bagging", hp.bagging_rounds, hp.bag_fraction,
-        dataset, hp, rng, identity_bootstrap,
+        VARIANT_BAGGING, grow, hp.bagging_rounds, hp.bag_fraction, dataset, hp, rng,
+        identity_bootstrap,
     )
 
 
@@ -146,7 +124,7 @@ def train_vote(
     member_specs: Sequence[str],
     dataset,
     hyperparams: Optional[Hyperparams] = None,
-) -> VoteModel:
+) -> EnsembleModel:
     """Train each named member on the same dataset and average their votes.
 
     Member i of variant v trains with the RNG derived from (seed, "vote", i,
@@ -168,10 +146,11 @@ def train_vote(
         except ValueError as exc:
             raise ValueError(f"vote member {spec!r}: {exc}") from exc
     first = members[0]
-    return VoteModel(
+    return EnsembleModel(
         schema=first.schema,
         class_names=first.class_names,
         hyperparams=hp,
+        variant=VARIANT_VOTE,
         members=tuple(members),
     )
 
@@ -186,8 +165,8 @@ _TRAINERS: dict[str, Callable[..., TrainedModel]] = {
 }
 
 
-def train_model(dataset, spec: ModelSpec, rng=None) -> TrainedModel:
+def train_model(dataset, spec: ModelSpec) -> TrainedModel:
     """Train the classifier named by a ModelSpec on a dataset."""
     if spec.variant == VARIANT_VOTE:
         return train_vote(spec.vote_members, dataset, spec.hyperparams)
-    return _TRAINERS[spec.variant](dataset, spec.hyperparams, rng)
+    return _TRAINERS[spec.variant](dataset, spec.hyperparams, None)

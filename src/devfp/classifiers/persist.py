@@ -20,8 +20,10 @@ numbered in post-order (right subtree, left subtree, node), so children
 carry smaller indices than their parent; the loader rejects documents that
 break this, which also rules out cycles. Node i of the document is node i
 of the TreeModel's arrays, so saving and loading copy arrays to and from
-JSON. Forest and bagging params hold {"members": [tree params...]}; vote
-params hold full member documents; nb params hold priors/means/stddevs/
+JSON. Forest and bagging params hold {"members": [tree params...]}, the
+members being rt and j48 trees respectively; vote params hold full member
+documents, none a vote and each with the vote's schema and class names; nb
+params hold priors/means/stddevs/
 present_rates with null marking classes that never saw an attribute (NaN
 in the model's arrays).
 
@@ -38,10 +40,10 @@ from typing import Union
 import numpy as np
 
 from ..errors import ModelFormatError
-from .base import Hyperparams, TrainedModel
+from .base import VARIANT_C45, VARIANT_NAIVE_BAYES, VARIANT_RANDOM_TREE, VARIANT_VOTE, Hyperparams, TrainedModel
 from .bayes import NaiveBayesModel
-from .ensembles import BaggingModel, RandomForestModel, VoteModel
-from .trees import C45Model, RandomTreeModel, TreeModel
+from .ensembles import TREE_MEMBER_VARIANTS, EnsembleModel
+from .trees import TreeModel
 
 FORMAT_NAME = "devfp-model"
 FORMAT_VERSION = 1
@@ -142,10 +144,9 @@ def _model_dict(model: TrainedModel) -> dict:
             "stddevs": _nan_to_none(model.stddevs),
             "present_rates": model.present_rates.tolist(),
         }
-    elif isinstance(model, VoteModel):
-        doc["params"] = {"members": [_model_dict(m) for m in model.members]}
-    elif isinstance(model, (RandomForestModel, BaggingModel)):
-        doc["params"] = {"members": [_encode_tree(m) for m in model.members]}
+    elif isinstance(model, EnsembleModel):
+        encode = _model_dict if model.variant == VARIANT_VOTE else _encode_tree
+        doc["params"] = {"members": [encode(m) for m in model.members]}
     else:
         raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
     return doc
@@ -180,34 +181,34 @@ def _model_from_dict(doc: dict) -> TrainedModel:
     params = _require(doc, "params")
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
     shape = (len(schema), len(class_names))
-    if variant == "j48":
-        return C45Model(**_decode_tree(params, *shape), **common)
-    if variant == "rt":
-        return RandomTreeModel(**_decode_tree(params, *shape), **common)
-    if variant in ("rf", "bagging", "vote") and not params["members"]:
-        raise ModelFormatError(f"{variant} model has no members")
-    if variant == "rf":
-        members = tuple(
-            RandomTreeModel(**_decode_tree(p, *shape), **common) for p in params["members"]
-        )
-        return RandomForestModel(members=members, **common)
-    if variant == "bagging":
-        members = tuple(C45Model(**_decode_tree(p, *shape), **common) for p in params["members"])
-        return BaggingModel(members=members, **common)
-    if variant == "nb":
+    if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
+        return TreeModel(variant=variant, **_decode_tree(params, *shape), **common)
+    if variant == VARIANT_NAIVE_BAYES:
         return NaiveBayesModel(**_decode_naive_bayes(params, *shape), **common)
-    if variant == "vote":
+    if variant in TREE_MEMBER_VARIANTS:
+        members = tuple(
+            TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **_decode_tree(p, *shape), **common)
+            for p in params["members"]
+        )
+    elif variant == VARIANT_VOTE:
+        if any(_require(p, "variant") == VARIANT_VOTE for p in params["members"]):
+            raise ModelFormatError("a vote member cannot itself be a vote")
         members = tuple(_model_from_dict(p) for p in params["members"])
-        return VoteModel(members=members, **common)
-    raise ModelFormatError(f"unknown variant {variant!r}")
+        if any(m.schema != schema or m.class_names != class_names for m in members):
+            raise ModelFormatError("every vote member needs the vote's schema and class names")
+    else:
+        raise ModelFormatError(f"unknown variant {variant!r}")
+    if not members:
+        raise ModelFormatError(f"{variant} model has no members")
+    return EnsembleModel(variant=variant, members=members, **common)
 
 
 def load_model(text: Union[str, bytes]) -> TrainedModel:
     """Parse canonical JSON text back into a trained model."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:  # ValueError includes JSONDecodeError
+        raise ModelFormatError(f"model file is not readable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     try:

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .base import (
     VARIANT_C45,
     VARIANT_RANDOM_TREE,
     dataset_arrays,
-    resolve_rng,
+    derive_rng,
 )
 
 
@@ -193,7 +193,6 @@ class TreeModel(TrainedModel):
     absent_left: np.ndarray
     counts: np.ndarray
     root: int
-    variant: str = field(init=False, default=VARIANT_C45)
     leaf: np.ndarray = field(init=False, repr=False)  # node -> row of counts/proba
     proba: np.ndarray = field(init=False, repr=False)
 
@@ -214,16 +213,6 @@ class TreeModel(TrainedModel):
             node[rows] = at
             rows = rows[self.feature[at] >= 0]
         return self.proba[self.leaf[node]]
-
-
-@dataclass(frozen=True, eq=False)
-class C45Model(TreeModel):
-    variant: str = field(init=False, default=VARIANT_C45)
-
-
-@dataclass(frozen=True, eq=False)
-class RandomTreeModel(TreeModel):
-    variant: str = field(init=False, default=VARIANT_RANDOM_TREE)
 
 
 def grow_c45(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> dict:
@@ -252,17 +241,20 @@ def grow_random(
     return _flatten(_grow(X, y, n_classes, hp.c45_min_leaf, pick))
 
 
-def train_c45(dataset, hyperparams: Optional[Hyperparams] = None) -> C45Model:
+def train_c45(dataset, hyperparams: Optional[Hyperparams] = None) -> TreeModel:
     """Grow a gain-ratio decision tree, pessimistically pruned by default."""
     hp = hyperparams or Hyperparams()
     X, y, class_names = dataset_arrays(dataset)
     arrays = grow_c45(X, y, len(class_names), hp)
-    return C45Model(schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, **arrays)
+    return TreeModel(
+        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
+        variant=VARIANT_C45, **arrays,
+    )
 
 
 def train_random_tree(
-    dataset, hyperparams: Optional[Hyperparams] = None, rng: Union[random.Random, int, None] = None
-) -> RandomTreeModel:
+    dataset, hyperparams: Optional[Hyperparams] = None, rng: Optional[random.Random] = None
+) -> TreeModel:
     """Grow one unpruned tree over per-node random candidate attributes.
 
     The rng (or the hyperparameter seed when rng is None) fully determines
@@ -272,7 +264,10 @@ def train_random_tree(
     """
     hp = hyperparams or Hyperparams()
     X, y, class_names = dataset_arrays(dataset)
-    arrays = grow_random(X, y, len(class_names), hp, resolve_rng(rng, hp.seed, "rt"))
-    return RandomTreeModel(
-        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp, **arrays
+    if rng is None:
+        rng = derive_rng(hp.seed, "rt")
+    arrays = grow_random(X, y, len(class_names), hp, rng)
+    return TreeModel(
+        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
+        variant=VARIANT_RANDOM_TREE, **arrays,
     )

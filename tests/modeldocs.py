@@ -23,9 +23,9 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
     }
 
 
-def document_model(variant, schema, class_names, params):
-    """A model loaded from a hand-written document with these params."""
-    doc = {
+def document(variant, schema, class_names, params) -> dict:
+    """A hand-written model document with these params."""
+    return {
         "format": "devfp-model",
         "version": 1,
         "variant": variant,
@@ -34,7 +34,11 @@ def document_model(variant, schema, class_names, params):
         "hyperparams": Hyperparams().to_dict(),
         "params": params,
     }
-    return load_model(json.dumps(doc))
+
+
+def document_model(variant, schema, class_names, params):
+    """A model loaded from a hand-written document with these params."""
+    return load_model(json.dumps(document(variant, schema, class_names, params)))
 
 
 def tree_model(schema, class_names, nodes, root=None):

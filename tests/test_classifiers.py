@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from devfp.classifiers import (
+    EnsembleModel,
     Hyperparams,
     ModelSpec,
     derive_rng,
@@ -24,11 +25,10 @@ from devfp.classifiers import (
     train_vote,
 )
 from devfp.classifiers.base import TrainedModel
-from devfp.classifiers.ensembles import BaggingModel, RandomForestModel, VoteModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
 from devfp.features import Dataset, FeatureVector
 from tables import make_dataset
-from modeldocs import document_model, leaf, split, tree_model
+from modeldocs import document, document_model, leaf, split, tree_model
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -197,8 +197,8 @@ class TestRandomTree:
     def test_same_seed_identical_trees(self):
         dataset = self.two_attr_dataset()
         hp = Hyperparams(rt_feature_count=1)
-        a = train_random_tree(dataset, hp, rng=7)
-        b = train_random_tree(dataset, hp, rng=7)
+        a = train_random_tree(dataset, hp, rng=derive_rng(7, "rt"))
+        b = train_random_tree(dataset, hp, rng=derive_rng(7, "rt"))
         assert save_model(a) == save_model(b)
 
     def test_different_seeds_can_pick_different_roots(self):
@@ -206,7 +206,7 @@ class TestRandomTree:
         hp = Hyperparams(rt_feature_count=1, c45_min_leaf=1)
         roots = set()
         for seed in range(12):
-            model = train_random_tree(dataset, hp, rng=seed)
+            model = train_random_tree(dataset, hp, rng=derive_rng(seed, "rt"))
             if not is_leaf(model):
                 roots.add(int(model.feature[model.root]))
         assert roots == {0, 1}
@@ -291,7 +291,8 @@ class StubModel(TrainedModel):
 
 def stub(dist, class_names=("A", "B")):
     return StubModel(
-        schema=("ip.len",), class_names=class_names, hyperparams=Hyperparams(), fixed=tuple(dist)
+        schema=("ip.len",), class_names=class_names, hyperparams=Hyperparams(), variant="stub",
+        fixed=tuple(dist),
     )
 
 
@@ -329,8 +330,9 @@ class TestEnsembles:
             stub((0.9, 0.1)),
             stub((0.1, 0.9)),
         )
-        forest = RandomForestModel(
-            schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), members=members
+        forest = EnsembleModel(
+            schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="rf",
+            members=members,
         )
         assert predict(forest, vector(**{"ip.len": 1})) == "A"
 
@@ -345,10 +347,11 @@ class TestEnsembles:
             assert predict(bagged, v) == predict(base, v)
 
     def test_bagging_averages_member_distributions(self):
-        bagged = BaggingModel(
+        bagged = EnsembleModel(
             schema=("ip.len",),
             class_names=("A", "B"),
             hyperparams=Hyperparams(),
+            variant="bagging",
             members=(stub((0.6, 0.4)), stub((0.2, 0.8))),
         )
         proba = predict_proba(bagged, vector(**{"ip.len": 1}))
@@ -375,10 +378,11 @@ class TestEnsembles:
             assert predict(voted, v) == predict(base, v)
 
     def test_vote_tie_breaks_to_lower_class_index(self):
-        voted = VoteModel(
+        voted = EnsembleModel(
             schema=("ip.len",),
             class_names=("A", "B"),
             hyperparams=Hyperparams(),
+            variant="vote",
             members=(stub((1.0, 0.0)), stub((0.0, 1.0))),
         )
         proba = predict_proba(voted, vector(**{"ip.len": 1}))
@@ -458,7 +462,8 @@ class TestPredictContract:
     def test_schema_mismatch_raises(self):
         model = stub((0.5, 0.5))
         bad = StubModel(
-            schema=("nonsense",), class_names=("A", "B"), hyperparams=Hyperparams(), fixed=(1, 0)
+            schema=("nonsense",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="stub",
+            fixed=(1, 0),
         )
         assert predict(model, vector(**{"ip.len": 4})) in ("A", "B")
         with pytest.raises(SchemaMismatch):
@@ -473,7 +478,7 @@ class TestPredictContract:
         scaled = make_dataset(
             {"ip.len": [v * 10 + 7 for v in values], "ip.ttl": ttls}, labels
         )
-        for train in (train_c45, lambda d: train_random_tree(d, Hyperparams(), rng=3)):
+        for train in (train_c45, lambda d: train_random_tree(d, Hyperparams(), rng=derive_rng(3, "rt"))):
             m_base = train(base)
             m_scaled = train(scaled)
             for _ in range(60):
@@ -581,7 +586,12 @@ class TestPersistence:
             text = save_model(model)
             again = load_model(text)
             assert save_model(again) == text
+            assert type(again) is type(model)
             assert again.variant == model.variant
+            members = [m.variant for m in getattr(again, "members", ())]
+            assert members == [m.variant for m in getattr(model, "members", ())]
+            expected = {"rf": ["rt"] * 3, "bagging": ["j48"] * 2, "vote": ["j48", "nb"]}
+            assert members == expected.get(model.variant, [])
             assert again.schema == model.schema
             assert again.class_names == model.class_names
             for _ in range(40):
@@ -600,8 +610,11 @@ class TestPersistence:
             load_model(bad)
 
     def test_non_json_rejected(self):
-        with pytest.raises(ModelFormatError):
-            load_model("not json at all")
+        # nesting beyond the parser's depth, an integer beyond its digit limit, bytes
+        # that decode in no Unicode encoding
+        for text in ("not json at all", "[" * 100000, "1" * 5000, b"\xff\xfe{"):
+            with pytest.raises(ModelFormatError):
+                load_model(text)
 
     def test_wrong_format_name_rejected(self):
         with pytest.raises(ModelFormatError):
@@ -627,6 +640,24 @@ class TestPersistence:
                 tree_model(schema, classes, nodes)
         with pytest.raises(ModelFormatError):
             tree_model(schema, classes, good, root=3)
+
+    def test_malformed_vote_rejected(self):
+        def j48(schema, classes, attribute=0):
+            counts = [0] * len(classes)
+            nodes = [leaf(*counts), leaf(4, *counts[1:]), split(attribute, 5.5, "left", 1, 0)]
+            return document("j48", schema, classes, {"root": 2, "nodes": nodes})
+
+        schema, classes = ("ip.len",), ("A", "B")
+        good = document_model("vote", schema, classes, {"members": [j48(schema, classes)]})
+        assert [m.variant for m in good.members] == ["j48"]
+        bad_members = [
+            j48(schema, ("A", "B", "C")),  # member has more classes than the vote
+            j48(("ip.len", "ip.ttl"), classes, attribute=1),  # member reads a column the vote lacks
+            document("vote", schema, classes, {"members": [j48(schema, classes)]}),  # nested vote
+        ]
+        for member in bad_members:
+            with pytest.raises(ModelFormatError):
+                document_model("vote", schema, classes, {"members": [member]})
 
     def test_ensemble_without_members_rejected(self):
         emptied = 0

@@ -312,16 +312,17 @@ class TestClassify:
 
     def test_bad_model_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
         csv = tmp_path / "empty.csv"
         csv.write_text(CSV_HEADER + "\n")
-        code, _, err = run_cli(
-            ["classify", "--model-file", str(bad), "--input", str(csv),
-             "--out", str(tmp_path / "p.csv")],
-            capsys,
-        )
-        assert code == 2
-        assert "error" in err
+        for text in ("{}", "[" * 100000):  # the second overflows the JSON parser's nesting depth
+            bad.write_text(text)
+            code, _, err = run_cli(
+                ["classify", "--model-file", str(bad), "--input", str(csv),
+                 "--out", str(tmp_path / "p.csv")],
+                capsys,
+            )
+            assert code == 2
+            assert err.startswith("error: ")
 
 
 class TestPipeline:

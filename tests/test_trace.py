@@ -39,16 +39,20 @@ def test_traced_commands_record_row_counts(tmp_path, training_paths):
     assert extracted > labeled > 0
     assert rows(spans, "features.clean") == [n_rows]
 
-    out = tmp_path / "run"
-    spans = traced(tmp_path / "train.json", "train-eval", "--input", dataset, "--model", "j48",
-                   "--out", out)
-    assert rows(spans, "features.read_csv") == [n_rows]
-    (trained,) = rows(spans, "classifiers.train_model")
-    (evaluated,) = rows(spans, "evaluation.evaluate")
-    assert trained > 0 and evaluated > 0 and trained + evaluated == n_rows
+    # a tree model and an ensemble model
+    for variant, *model_args in (("j48",), ("rf", "--trees", 3)):
+        out = tmp_path / variant
+        spans = traced(tmp_path / f"train-{variant}.json", "train-eval", "--input", dataset,
+                       "--model", variant, *model_args, "--out", out)
+        assert rows(spans, "features.read_csv") == [n_rows]
+        (train_span,) = [span for span in spans if span["name"] == "classifiers.train_model"]
+        assert train_span["attrs"]["variant"] == variant
+        trained = train_span["attrs"]["rows"]
+        (evaluated,) = rows(spans, "evaluation.evaluate")
+        assert trained > 0 and evaluated > 0 and trained + evaluated == n_rows
 
-    predictions = tmp_path / "predictions.csv"
-    spans = traced(tmp_path / "classify.json", "classify", "--model-file", out / "model.json",
-                   "--input", pcap, "--out", predictions)
-    n_predictions = len(predictions.read_text(encoding="utf-8").splitlines()) - 1
-    assert rows(spans, "features.extract_capture") == [n_predictions] == [extracted]
+        predictions = tmp_path / f"predictions-{variant}.csv"
+        spans = traced(tmp_path / f"classify-{variant}.json", "classify", "--model-file",
+                       out / "model.json", "--input", pcap, "--out", predictions)
+        n_predictions = len(predictions.read_text(encoding="utf-8").splitlines()) - 1
+        assert rows(spans, "features.extract_capture") == [n_predictions] == [extracted]
