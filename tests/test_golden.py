@@ -3,7 +3,8 @@
 The run-to-run determinism check (acceptance Criterion 7) compares two runs
 of the same build; these pins compare against the bytes earlier builds
 wrote, so a refactor that moves one bit of a model, a report or a
-prediction fails here. The `extract` pins cover `--dedup`, `--raw-ack` and
+prediction fails here. `rank.csv` pins the gain-ratio rank report of the
+training dataset. The `extract` pins cover `--dedup`, `--raw-ack` and
 the stderr summary counts on the training capture with edge-case frames
 appended. A deliberate output change regenerates the pins with
 
@@ -86,6 +87,7 @@ GOLDEN = {
     "vote-nb/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
     "vote-nb/predictions.csv": "3cfbcdab9302fb6db4a8838c96cbab548d3f9da1c004137e8f867d69eb61bebe",
     "vote-nb/distributions": "679afafc228497472322f9790d07b9fa38c8e0c3953a6944ee615c947f3d0844",
+    "rank.csv": "3fa737463e99fbabcb5bc7138af68116d9aed8602310f3688fbfcdba6a39bf61",
 }
 # `extract` on the training capture plus _edge_frames()
 GOLDEN_EXTRACT = {
@@ -186,6 +188,9 @@ def golden_hashes(work: Path) -> dict[str, str]:
         for name in ("model.json", "report_classes.csv", "summary.csv", "predictions.csv"):
             hashes[f"{run}/{name}"] = _sha((out / name).read_bytes())
         hashes[f"{run}/distributions"] = _sha(_distributions_text(out / "model.json", fresh_csv))
+    rank_csv = work / "rank.csv"
+    assert main(["rank", "--input", str(work / "j48" / "dataset.csv"), "--out", str(rank_csv)]) == 0
+    hashes["rank.csv"] = _sha(rank_csv.read_bytes())
     return hashes
 
 
