@@ -104,8 +104,24 @@ def derive_rng(*parts: object) -> random.Random:
 
 
 def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) -> np.ndarray:
+    """`size` row indices drawn from range(n) with replacement: the indices of
+    `[rng.randrange(n) for _ in range(size)]`, leaving rng in the same state.
+
+    randrange(n) takes one 32-bit word w per try (n < 2**32 here), keeps
+    w >> (32 - n.bit_length()) and retries while that is >= n. Words are
+    drawn in bulk, as getrandbits(32 * count) is count words in draw order
+    from the least significant end, and only the shortfall is drawn again.
+    """
     size = n if size is None else size
-    return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
+    shift = 32 - n.bit_length()
+    drawn = [np.zeros(0, dtype=np.uint32)]
+    missing = size
+    while missing:
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"), dtype="<u4")
+        tries = words >> shift
+        drawn.append(tries[tries < n])
+        missing -= len(drawn[-1])
+    return np.concatenate(drawn).astype(np.intp)
 
 
 def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:

@@ -36,7 +36,7 @@ from .base import (
     derive_rng,
 )
 from .bayes import train_naive_bayes
-from .trees import TreeModel, grow_c45, grow_random, train_c45, train_random_tree
+from .trees import TreeModel, grow_trees, train_c45, train_random_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,28 +59,25 @@ TREE_MEMBER_VARIANTS = {VARIANT_RANDOM_FOREST: VARIANT_RANDOM_TREE, VARIANT_BAGG
 
 
 def _bootstrap_ensemble(
-    variant: str, grow: Callable, rounds: int, fraction: float,
+    variant: str, rounds: int, fraction: float,
     dataset, hp: Hyperparams, rng: Optional[random.Random], identity_bootstrap: bool,
 ) -> EnsembleModel:
-    """`rounds` trees grown by `grow`, each on its own bootstrap sample of
-    size fraction * n drawn with the RNG derived from (token, variant, i).
-    The token is the hyperparameter seed when rng is None, else 64 bits drawn
-    from rng."""
+    """`rounds` trees of the variant's member kind, each on its own bootstrap
+    sample of size fraction * n drawn with the RNG derived from (token,
+    variant, i), which then draws the candidates of a random tree. The token
+    is the hyperparameter seed when rng is None, else 64 bits drawn from rng.
+    Every sample is drawn first; then all trees grow together."""
     X, y, class_names = dataset_arrays(dataset)
     n = X.shape[0]
     size = max(1, round(fraction * n))
     token = hp.seed if rng is None else rng.getrandbits(64)
+    rngs = [derive_rng(token, variant, i) for i in range(rounds)]
+    samples = (np.arange(n, dtype=np.intp) if identity_bootstrap else bootstrap_indices(r, n, size) for r in rngs)
+    member_variant = TREE_MEMBER_VARIANTS[variant]
+    trees = grow_trees(X, y, len(class_names), samples, hp, rngs if member_variant == VARIANT_RANDOM_TREE else None)
     common = {"schema": tuple(dataset.attributes), "class_names": class_names, "hyperparams": hp}
-    members = []
-    for i in range(rounds):
-        member_rng = derive_rng(token, variant, i)
-        if identity_bootstrap:
-            sample = np.arange(n, dtype=np.intp)
-        else:
-            sample = bootstrap_indices(member_rng, n, size)
-        arrays = grow(X[sample], y[sample], len(class_names), hp, member_rng)
-        members.append(TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **common, **arrays))
-    return EnsembleModel(variant=variant, members=tuple(members), **common)
+    members = tuple(TreeModel(variant=member_variant, **common, **arrays) for arrays in trees)
+    return EnsembleModel(variant=variant, members=members, **common)
 
 
 def train_random_forest(
@@ -98,8 +95,7 @@ def train_random_forest(
     """
     hp = hyperparams or Hyperparams()
     return _bootstrap_ensemble(
-        VARIANT_RANDOM_FOREST, grow_random, hp.forest_trees, 1.0, dataset, hp, rng,
-        identity_bootstrap,
+        VARIANT_RANDOM_FOREST, hp.forest_trees, 1.0, dataset, hp, rng, identity_bootstrap,
     )
 
 
@@ -113,10 +109,8 @@ def train_bagging(
     """Train bagging_rounds pruned C4.5 trees on bootstrap samples of size
     bag_fraction * n; prediction averages member distributions."""
     hp = hyperparams or Hyperparams()
-    grow = lambda X, y, n_classes, hp, rng: grow_c45(X, y, n_classes, hp)  # noqa: E731
     return _bootstrap_ensemble(
-        VARIANT_BAGGING, grow, hp.bagging_rounds, hp.bag_fraction, dataset, hp, rng,
-        identity_bootstrap,
+        VARIANT_BAGGING, hp.bagging_rounds, hp.bag_fraction, dataset, hp, rng, identity_bootstrap,
     )
 
 

@@ -1,14 +1,25 @@
 """Decision trees: gain-ratio growth, pessimistic pruning, random trees.
 
-Growth is recursive in spirit but implemented with explicit stacks so that
-pathological data (long alternating value runs) cannot hit the interpreter
-recursion limit. At every node the candidate (attribute, threshold) pair is
-the one maximizing gain ratio among attributes whose missing-scaled info
-gain is positive; rows with an Absent split value follow the branch that
-received the majority of training rows.
+One grower grows a list of trees at once, each from a sample of row indices
+into a shared feature matrix (all rows, or a bootstrap sample). Each step
+takes a frontier of pending nodes from every tree and scores all its
+(node, candidate attribute) pairs with one batched split search,
+`selection.split_segments`. C4.5 trees put every pending node into the
+frontier; a random tree puts in one node per step, in depth-first order
+(left before right), so it draws the candidate sets of each node from its
+RNG in the same order as plain recursive growth. A step scores at most
+_STEP_ROWS rows (node rows times candidates); nodes beyond that wait, so
+memory does not grow with the number of trees.
 
-A trained tree is a set of parallel node arrays in the style of
-scikit-learn's `Tree`, numbered in the post-order of model format v1, and
+At every node the split is the (attribute, threshold) pair maximizing gain
+ratio among candidate attributes whose missing-scaled info gain is positive,
+the first candidate winning ties; rows with an Absent split value follow the
+branch that received the majority of training rows.
+
+Nodes are appended to flat arrays as they are created, parents before
+children. Pessimistic pruning and the post-order numbering of model format
+v1 then run one tree level at a time across all trees. A trained tree is a
+set of parallel node arrays in the style of scikit-learn's `Tree`, and
 predicts all rows of a batch at once, one tree level per step.
 """
 
@@ -18,11 +29,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..selection import score_column
+from ..selection import gain_ratios, split_segments
 from .base import (
     Hyperparams,
     TrainedModel,
@@ -31,64 +42,6 @@ from .base import (
     dataset_arrays,
     derive_rng,
 )
-
-
-# ---------------------------------------------------------------------------
-# Growth
-
-# Builder nodes are dicts while the tree is mutable (growth + pruning), then
-# flattened into the node arrays of a TreeModel.
-
-
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    min_leaf: int,
-    pick_candidates: Callable[[], Sequence[int]],
-) -> dict:
-    root: dict = {}
-    stack: list[tuple[dict, np.ndarray]] = [(root, np.arange(len(y), dtype=np.intp))]
-    while stack:
-        node, idx = stack.pop()
-        sub_y = y[idx]
-        counts = np.bincount(sub_y, minlength=n_classes)
-        node["counts"] = counts
-        node["leaf"] = True
-        if len(idx) < min_leaf or np.count_nonzero(counts) <= 1:
-            continue
-        best_ratio = 0.0
-        best_attr = -1
-        best_threshold = 0.0
-        for attribute in pick_candidates():
-            column = X[idx, attribute]
-            ratio, scaled_gain, threshold = score_column(column, sub_y, n_classes)
-            if scaled_gain > 0.0 and ratio > best_ratio:
-                best_ratio = ratio
-                best_attr = attribute
-                best_threshold = threshold
-        if best_attr < 0:
-            continue  # no positive-gain split
-        column = X[idx, best_attr]
-        present = ~np.isnan(column)
-        go_left = present & (column <= best_threshold)
-        go_right = present & (column > best_threshold)
-        absent_left = bool(go_left.sum() >= go_right.sum())
-        if absent_left:
-            go_left |= ~present
-        else:
-            go_right |= ~present
-        node["leaf"] = False
-        node["attribute"] = int(best_attr)
-        node["threshold"] = float(best_threshold)
-        node["absent_left"] = absent_left
-        node["left"] = {}
-        node["right"] = {}
-        # left pushed last so it grows first: fixed traversal order keeps
-        # per-node RNG draws (random trees) reproducible
-        stack.append((node["right"], idx[go_right]))
-        stack.append((node["left"], idx[go_left]))
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -112,61 +65,14 @@ def _added_errors(n: float, e: float, confidence: float) -> float:
     return r * n - e
 
 
-def _pessimistic_errors(counts: np.ndarray, confidence: float) -> float:
-    n = float(counts.sum())
-    e = n - float(counts.max())
-    return e + _added_errors(n, e, confidence)
-
-
-def _post_order(root: dict) -> list[dict]:
-    """Builder nodes in the post-order of model format v1: right subtree, left
-    subtree, node (children before parents); the reverse of a (node, left,
-    right) pre-order walk."""
-    order: list[dict] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not node["leaf"]:
-            stack.append(node["right"])
-            stack.append(node["left"])
-    order.reverse()
-    return order
-
-
-def _prune(root: dict, confidence: float) -> None:
-    """Collapse subtrees whose pessimistic leaf error is no worse, bottom-up."""
-    for node in _post_order(root):
-        if node["leaf"]:
-            node["est_errors"] = _pessimistic_errors(node["counts"], confidence)
-            continue
-        subtree_errors = node["left"]["est_errors"] + node["right"]["est_errors"]
-        leaf_errors = _pessimistic_errors(node["counts"], confidence)
-        if leaf_errors <= subtree_errors:
-            node["leaf"] = True
-            del node["left"], node["right"]
-            node["est_errors"] = leaf_errors
-        else:
-            node["est_errors"] = subtree_errors
-
-
-def _flatten(root: dict) -> dict:
-    """TreeModel node arrays for a builder tree, numbered in post-order."""
-    order = _post_order(root)
-    index = {id(node): i for i, node in enumerate(order)}
-
-    def column(value: Callable[[dict], object], leaf_value: object, dtype) -> np.ndarray:
-        return np.array([leaf_value if n["leaf"] else value(n) for n in order], dtype=dtype)
-
-    return {
-        "feature": column(lambda n: n["attribute"], -1, np.intp),
-        "threshold": column(lambda n: n["threshold"], 0.0, np.float64),
-        "left": column(lambda n: index[id(n["left"])], -1, np.intp),
-        "right": column(lambda n: index[id(n["right"])], -1, np.intp),
-        "absent_left": column(lambda n: n["absent_left"], False, bool),
-        "counts": np.array([n["counts"] for n in order if n["leaf"]], dtype=np.int32),
-        "root": len(order) - 1,
-    }
+def _pessimistic_errors(counts: np.ndarray, confidence: float) -> np.ndarray:
+    """Pessimistic error estimate of each row of a class-count matrix, one
+    scalar evaluation per distinct (rows, errors) pair."""
+    n = counts.sum(axis=1)
+    e = n - counts.max(axis=1)
+    pairs, inverse = np.unique(np.stack((n, e), axis=1), axis=0, return_inverse=True)
+    estimates = [float(e) + _added_errors(float(n), float(e), confidence) for n, e in pairs.tolist()]
+    return np.array(estimates)[inverse.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +121,212 @@ class TreeModel(TrainedModel):
         return self.proba[self.leaf[node]]
 
 
-def grow_c45(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> dict:
-    """C4.5 growth (+ optional pruning) on raw arrays: TreeModel node arrays."""
-    k = X.shape[1]
-    all_attributes = tuple(range(k))
-    root = _grow(X, y, n_classes, hp.c45_min_leaf, lambda: all_attributes)
-    if hp.c45_prune:
-        _prune(root, hp.c45_confidence)
-    return _flatten(root)
+# Rows scored per growth step, summed over the frontier's (node, candidate
+# attribute) pairs. It bounds the step's working memory; a larger node is
+# scored on its own.
+_STEP_ROWS = 1 << 15
 
 
-def grow_random(
-    X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams, rng: random.Random
-) -> dict:
-    """Random-tree growth on raw arrays (sampled candidates, never pruned): node arrays."""
+def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values): codes[i, j] indexes values, ascending with X[i, j]
+    within attribute j, and is -1 for an Absent cell."""
+    codes = np.full(X.shape, -1, dtype=np.int64)
+    distinct = []
+    offset = 0
+    for j in range(X.shape[1]):
+        present = ~np.isnan(X[:, j])
+        values, inverse = np.unique(X[present, j], return_inverse=True)
+        codes[present, j] = inverse + offset
+        distinct.append(values)
+        offset += len(values)
+    return codes, np.concatenate(distinct)
+
+
+def grow_trees(
+    X: np.ndarray, y: np.ndarray, n_classes: int, samples: Iterable[np.ndarray], hp: Hyperparams,
+    rngs: Optional[Sequence[random.Random]] = None,
+) -> list[dict]:
+    """TreeModel node arrays of one tree per sample (row indices into X, y),
+    all taken from `samples` before growth starts.
+
+    With rngs None the trees are C4.5 trees over every attribute, pruned
+    when hp.c45_prune; otherwise tree t is an unpruned random tree whose
+    searched nodes each draw a sorted candidate set from rngs[t].
+    """
+    codes, values = _value_codes(X)
     k = X.shape[1]
-    m = hp.resolved_rt_feature_count(k)
     attributes = list(range(k))
+    m = k if rngs is None else hp.resolved_rt_feature_count(k)
+    offsets = np.arange(m)
 
-    def pick() -> Sequence[int]:
-        if m >= k:
-            return attributes
-        return sorted(rng.sample(attributes, m))
+    def splittable(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        return (sizes >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
 
-    return _flatten(_grow(X, y, n_classes, hp.c45_min_leaf, pick))
+    # The node table, one block per step: tree, depth and class counts of
+    # each new node, and (node, attribute, threshold, absent_left) of each
+    # split whose children are the next block's nodes 2i and 2i + 1.
+    # Pending nodes hold the only reference to their rows, so each sample is
+    # freed once its root has split.
+    pending: list[list[tuple[int, np.ndarray, int]]] = [[(t, rows, 0)] for t, rows in enumerate(samples)]
+    n_trees = len(pending)
+    tree_blocks = [np.arange(n_trees)]
+    depth_blocks = [np.zeros(n_trees, dtype=np.intp)]
+    counts_blocks = [np.array([np.bincount(y[s[0][1]], minlength=n_classes) for s in pending], dtype=np.int32)]
+    split_blocks = []
+    n_nodes = n_trees
+    sizes = np.array([len(s[0][1]) for s in pending])
+    for t in np.flatnonzero(~splittable(sizes, counts_blocks[0])).tolist():
+        pending[t].clear()
+
+    first = 0  # the tree admitted first; it rotates so that no tree starves
+    while any(pending):
+        nodes, rows, depths, trees, candidates = [], [], [], [], []
+        budget = _STEP_ROWS
+        for t in [*range(first, n_trees), *range(first)]:
+            stack = pending[t]
+            while stack and (not nodes or len(stack[-1][1]) * m <= budget):
+                node, node_rows, depth = stack.pop()
+                budget -= len(node_rows) * m
+                nodes.append(node)
+                rows.append(node_rows)
+                depths.append(depth)
+                trees.append(t)
+                if rngs is not None:
+                    candidates.append(attributes if m >= k else sorted(rngs[t].sample(attributes, m)))
+                    break
+        first = (trees[-1] + 1) % n_trees
+
+        # score every (node, candidate) pair: segment f * m + j
+        n_frontier = len(nodes)
+        sizes = np.array([len(r) for r in rows])
+        row = np.concatenate(rows)
+        owner = np.repeat(np.arange(n_frontier), sizes)
+        if rngs is None:
+            cell = codes[row]
+        else:
+            cell = codes[row[:, None], np.array(candidates)[owner]]
+        present = cell >= 0
+        segment = owner[:, None] * m + offsets
+        label = np.broadcast_to(y[row][:, None], cell.shape)
+        splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes)
+        ratio = gain_ratios(splits, np.repeat(sizes, m))[0].reshape(n_frontier, m)
+        choice = ratio.argmax(axis=1)
+        chosen = np.flatnonzero(ratio[np.arange(n_frontier), choice] > 0.0)
+        if not len(chosen):
+            continue
+        attribute = choice[chosen] if rngs is None else np.array(candidates)[chosen, choice[chosen]]
+        threshold = splits.threshold.reshape(n_frontier, m)[chosen, choice[chosen]]
+
+        # route the rows of every split node; Absent rows join the larger side
+        slot = np.full(n_frontier, -1)
+        slot[chosen] = np.arange(len(chosen))
+        routed = slot[owner] >= 0
+        row, split = row[routed], slot[owner[routed]]
+        value = X[row, attribute[split]]
+        go_left = value <= threshold[split]
+        n_left = np.bincount(split[go_left], minlength=len(chosen))
+        n_right = np.bincount(split[value > threshold[split]], minlength=len(chosen))
+        absent_left = n_left >= n_right
+        go_left |= np.isnan(value) & absent_left[split]
+        child = 2 * split + ~go_left
+        child_sizes = np.bincount(child, minlength=2 * len(chosen))
+        child_counts = np.bincount(child * n_classes + y[row], minlength=2 * len(chosen) * n_classes)
+        child_counts = child_counts.reshape(-1, n_classes).astype(np.int32)
+        child_rows = np.split(row[np.argsort(child, kind="stable")], np.cumsum(child_sizes)[:-1])
+
+        frontier_nodes = np.array(nodes)
+        child_trees = np.repeat(np.array(trees)[chosen], 2)
+        split_blocks.append((frontier_nodes[chosen], attribute, threshold, absent_left, n_nodes))
+        tree_blocks.append(child_trees)
+        depth_blocks.append(np.repeat(np.array(depths)[chosen] + 1, 2))
+        counts_blocks.append(child_counts)
+        grows = splittable(child_sizes, child_counts).tolist()
+        child_depth = depth_blocks[-1].tolist()
+        for i, t in enumerate(child_trees[::2].tolist()):
+            for c in (2 * i + 1, 2 * i):  # right pushed first: left grows first
+                if grows[c]:
+                    pending[t].append((n_nodes + c, child_rows[c].copy(), child_depth[c]))
+        n_nodes += 2 * len(chosen)
+    counts = np.concatenate(counts_blocks)
+    del counts_blocks
+    confidence = hp.c45_confidence if rngs is None and hp.c45_prune else None
+    return _finish(np.concatenate(tree_blocks), np.concatenate(depth_blocks), counts, split_blocks, n_trees, confidence)
+
+
+def _finish(
+    tree: np.ndarray, depth: np.ndarray, counts: np.ndarray, split_blocks: list, n_trees: int,
+    confidence: Optional[float],
+) -> list[dict]:
+    """Node arrays of each tree of the node table (whose first n_trees nodes
+    are the roots): pruned bottom-up when a confidence is given, then
+    numbered in the post-order of model format v1."""
+    n = len(tree)
+    feature = np.full(n, -1, dtype=np.intp)
+    threshold = np.zeros(n)
+    absent_left = np.zeros(n, dtype=bool)
+    left = np.full(n, -1, dtype=np.intp)
+    for nodes, attribute, cut, absent, first_child in split_blocks:
+        feature[nodes] = attribute
+        threshold[nodes] = cut
+        absent_left[nodes] = absent
+        left[nodes] = first_child + 2 * np.arange(len(nodes))
+    right = left + 1
+    levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+
+    if confidence is not None:
+        # a subtree whose pessimistic error is no lower than its root's as a leaf collapses
+        errors = _pessimistic_errors(counts, confidence)
+        for level in reversed(levels):
+            level = level[feature[level] >= 0]
+            subtree = errors[left[level]] + errors[right[level]]
+            collapse = errors[level] <= subtree
+            errors[level[~collapse]] = subtree[~collapse]
+            feature[level[collapse]] = -1
+
+    # v1 numbers a tree's nodes in reverse (node, left, right) pre-order
+    size = np.ones(n, dtype=np.intp)
+    for level in reversed(levels):
+        level = level[feature[level] >= 0]
+        size[level] += size[left[level]] + size[right[level]]
+    pre = np.zeros(n, dtype=np.intp)
+    kept = np.zeros(n, dtype=bool)
+    kept[:n_trees] = True
+    for level in levels:
+        level = level[kept[level] & (feature[level] >= 0)]
+        kept[left[level]] = kept[right[level]] = True
+        pre[left[level]] = pre[level] + 1
+        pre[right[level]] = pre[level] + 1 + size[left[level]]
+    number = size[tree] - 1 - pre
+    node = np.flatnonzero(kept)
+    node = node[np.lexsort((number[node], tree[node]))]
+
+    is_split = feature[node] >= 0
+    arrays = {
+        "feature": feature[node],
+        "threshold": np.where(is_split, threshold[node], 0.0),
+        "left": np.where(is_split, number[left[node]], -1),
+        "right": np.where(is_split, number[right[node]], -1),
+        "absent_left": absent_left[node] & is_split,
+    }
+    leaves = node[~is_split]
+    leaf_counts = counts[leaves]
+    node_end = np.cumsum(size[:n_trees])
+    leaf_end = np.cumsum(np.bincount(tree[leaves], minlength=n_trees))
+    node_start = node_end - size[:n_trees]
+    leaf_start = np.append(0, leaf_end[:-1])
+    trees = []
+    for t in range(n_trees):  # copies: a tree does not pin the arrays of all trees
+        tree_arrays = {name: column[node_start[t]:node_end[t]].copy() for name, column in arrays.items()}
+        tree_arrays["counts"] = leaf_counts[leaf_start[t]:leaf_end[t]].copy()
+        trees.append({**tree_arrays, "root": int(size[t]) - 1})
+    return trees
 
 
 def train_c45(dataset, hyperparams: Optional[Hyperparams] = None) -> TreeModel:
     """Grow a gain-ratio decision tree, pessimistically pruned by default."""
     hp = hyperparams or Hyperparams()
     X, y, class_names = dataset_arrays(dataset)
-    arrays = grow_c45(X, y, len(class_names), hp)
+    arrays = grow_trees(X, y, len(class_names), [np.arange(len(y))], hp)[0]
     return TreeModel(
         schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
         variant=VARIANT_C45, **arrays,
@@ -266,7 +347,7 @@ def train_random_tree(
     X, y, class_names = dataset_arrays(dataset)
     if rng is None:
         rng = derive_rng(hp.seed, "rt")
-    arrays = grow_random(X, y, len(class_names), hp, rng)
+    arrays = grow_trees(X, y, len(class_names), [np.arange(len(y))], hp, [rng])[0]
     return TreeModel(
         schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
         variant=VARIANT_RANDOM_TREE, **arrays,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -75,44 +75,127 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -(p * logp).sum(axis=1)
 
 
-def _best_split_arrays(values: np.ndarray, labels: np.ndarray, n_classes: int) -> SplitResult:
-    """Best binary split of float values against integer class labels.
+def _scalar_entropies(counts: np.ndarray) -> np.ndarray:
+    """`entropy()` of every row of a count matrix, bit for bit: its
+    left-to-right sum, with `math.log2` (not `np.log2`, which differs in the
+    last bit on some ratios) on each distinct ratio."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    positive = p > 0
+    distinct, inverse = np.unique(p[positive], return_inverse=True)
+    logp = np.zeros_like(p)
+    logp[positive] = np.array([math.log2(v) for v in distinct.tolist()])[inverse]
+    terms = p * logp
+    result = np.zeros(len(p))
+    for column in terms.T:
+        result -= column
+    return result
 
-    Degenerate inputs (all values equal, or a single class present) yield
-    info_gain 0 and no threshold.
+
+class SegmentSplits(NamedTuple):
+    """The best binary split of every segment, as arrays indexed by segment."""
+
+    threshold: np.ndarray  # NaN where the segment has no split
+    info_gain: np.ndarray
+    split_info: np.ndarray
+    n_present: np.ndarray  # entries in the segment
+
+
+def split_segments(
+    segment: np.ndarray, code: np.ndarray, label: np.ndarray,
+    values: np.ndarray, n_segments: int, n_classes: int,
+) -> SegmentSplits:
+    """Best binary split of each segment's entries, all segments at once.
+
+    Entry i has value values[code[i]] (codes ascend with value) and class
+    label[i]. One sort by the composite key (segment, code, label) groups
+    the entries; runs of equal (segment, value) merge into class-count rows
+    whose segmented cumsum gives the exact class counts left of every cut.
+    Each segment takes its first maximum-gain cut, which is the smallest
+    threshold. A segment with fewer than two classes or one distinct value
+    has no split (info_gain 0, split_info 0).
     """
-    n = values.shape[0]
-    if n < 2:
-        return SplitResult(None, 0.0, 0.0)
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
-    if v[0] == v[-1]:
-        return SplitResult(None, 0.0, 0.0)
+    threshold = np.full(n_segments, math.nan)
+    info_gain = np.zeros(n_segments)
+    split_info = np.zeros(n_segments)
+    present = np.bincount(segment, minlength=n_segments)
+    if not len(segment):
+        return SegmentSplits(threshold, info_gain, split_info, present)
+    n_values = len(values)
+    key = (segment.astype(np.int64) * n_values + code) * n_classes + label
+    key.sort()
+    label = key % n_classes
+    key //= n_classes
+    starts = _run_starts(key)
+    run = np.cumsum(starts) - 1
+    run_key = key[starts]
+    run_segment = run_key // n_values
+    n_runs = len(run_key)
+    cum = np.bincount(run * n_classes + label, minlength=n_runs * n_classes).reshape(n_runs, n_classes)
+    np.cumsum(cum, axis=0, out=cum)
 
-    one_hot = np.zeros((n, n_classes), dtype=np.float64)
-    one_hot[np.arange(n), y] = 1.0
-    class_totals = one_hot.sum(axis=0)
-    if np.count_nonzero(class_totals) < 2:
-        return SplitResult(None, 0.0, 0.0)
+    # the nonempty segments: their first and last runs and the counts before them
+    first = np.flatnonzero(_run_starts(run_segment))
+    last = np.append(first[1:], n_runs) - 1
+    base = np.zeros((len(first), n_classes), dtype=cum.dtype)
+    base[1:] = cum[first[1:] - 1]
+    totals = cum[last] - base
 
-    cut_candidates = np.nonzero(v[:-1] != v[1:])[0]  # split after position i
-    left_counts = np.cumsum(one_hot, axis=0)[cut_candidates]
-    left_totals = (cut_candidates + 1).astype(np.float64)
-    right_counts = class_totals[None, :] - left_counts
-    right_totals = n - left_totals
-
-    parent_entropy = entropy(class_totals)
+    # a cut follows every run but the last of a segment with two or more classes
+    cut = np.ones(n_runs, dtype=bool)
+    cut[last] = False
+    cut &= np.repeat(np.count_nonzero(totals, axis=1) >= 2, last - first + 1)
+    cut = np.flatnonzero(cut)
+    if not len(cut):
+        return SegmentSplits(threshold, info_gain, split_info, present)
+    owner = np.searchsorted(first, cut, side="right") - 1  # row of `totals`
+    # (cuts, n_classes) matrices dominate a step's memory: hold at most two
+    left_counts = cum[cut].astype(np.float64)
+    del cum
+    left_counts -= base[owner]
+    left_totals = left_counts.sum(axis=1)
     left_entropy = _entropy_from_counts(left_counts, left_totals)
+    right_counts = totals[owner] - left_counts
+    del left_counts
+    n = totals.sum(axis=1)[owner].astype(np.float64)
+    right_totals = n - left_totals
     right_entropy = _entropy_from_counts(right_counts, right_totals)
+    del right_counts
+    parent_entropy = _scalar_entropies(totals.astype(np.float64))[owner]
     gains = parent_entropy - (left_totals * left_entropy + right_totals * right_entropy) / n
 
-    best = int(np.argmax(gains))  # first maximum = smallest threshold
-    cut = cut_candidates[best]
-    threshold = (v[cut] + v[cut + 1]) / 2.0
-    info_gain = max(float(gains[best]), 0.0)
-    split_info = entropy([left_totals[best], right_totals[best]])
-    return SplitResult(float(threshold), info_gain, split_info)
+    # the first maximum of each segment, which is its smallest threshold
+    head = np.flatnonzero(_run_starts(owner))
+    top = np.repeat(np.maximum.reduceat(gains, head), np.diff(np.append(head, len(gains))))
+    hits = np.flatnonzero(gains == top)
+    best = hits[_run_starts(owner[hits])]
+    at = run_segment[cut[best]]
+    run_value = values[run_key - run_segment * n_values]
+    threshold[at] = (run_value[cut[best]] + run_value[cut[best] + 1]) / 2.0
+    info_gain[at] = np.maximum(gains[best], 0.0)
+    split_info[at] = _scalar_entropies(np.stack((left_totals[best], right_totals[best]), axis=1))
+    return SegmentSplits(threshold, info_gain, split_info, present)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return starts
+
+
+def gain_ratios(splits: SegmentSplits, n_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gain_ratio, scaled_info_gain) per segment of `n_rows` rows, Absent
+    cells included: the info gain scaled by the present fraction, and both
+    zeroed unless the scaled gain and the split information are positive."""
+    scaled = splits.info_gain * (splits.n_present / n_rows)
+    ok = (splits.split_info > 0.0) & (scaled > 0.0)
+    ratio = np.divide(scaled, splits.split_info, out=np.zeros_like(scaled), where=ok)
+    return ratio, np.where(ok, scaled, 0.0)
+
+
+def _single_segment(values: np.ndarray, labels: np.ndarray, n_classes: int) -> SegmentSplits:
+    distinct, code = np.unique(values, return_inverse=True)
+    return split_segments(np.zeros(len(values), dtype=np.int64), code, labels, distinct, 1, n_classes)
 
 
 def best_binary_split(
@@ -123,7 +206,11 @@ def best_binary_split(
     names = sorted(set(labels))
     index = {name: i for i, name in enumerate(names)}
     y = np.asarray([index[label] for label in labels], dtype=np.intp)
-    return _best_split_arrays(v, y, len(names))
+    splits = _single_segment(v, y, len(names))
+    threshold = float(splits.threshold[0])
+    return SplitResult(
+        None if math.isnan(threshold) else threshold, float(splits.info_gain[0]), float(splits.split_info[0])
+    )
 
 
 def score_column(column: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[float, float, Optional[float]]:
@@ -136,13 +223,10 @@ def score_column(column: np.ndarray, labels: np.ndarray, n_classes: int) -> tupl
     shared by attribute ranking and decision-tree growth.
     """
     present = ~np.isnan(column)
-    n_present = int(present.sum())
-    if n_present < 2:
-        return 0.0, 0.0, None
-    split = _best_split_arrays(column[present], labels[present], n_classes)
-    scaled_gain = split.info_gain * (n_present / column.shape[0])
-    if split.split_info > 0.0 and scaled_gain > 0.0:
-        return scaled_gain / split.split_info, scaled_gain, split.threshold
+    splits = _single_segment(column[present], labels[present], n_classes)
+    ratio, scaled_gain = gain_ratios(splits, np.array([column.shape[0]]))
+    if scaled_gain[0] > 0.0:
+        return float(ratio[0]), float(scaled_gain[0]), float(splits.threshold[0])
     return 0.0, 0.0, None
 
 

@@ -1,0 +1,138 @@
+"""Frontier growth against the per-node reference grower in `oracles.py`.
+
+Every model must match the reference node arrays bit for bit: j48 pruned and
+unpruned, rt, and every member of rf and bagging, on small datasets with
+Absent cells, repeated values and gain ties. Each property also runs with
+the per-step row cap patched small, so that nodes and whole trees wait
+across steps. The bulk bootstrap must draw exactly what one randrange call
+per row draws and leave the RNG in the same state.
+"""
+
+import math
+import random
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from devfp.classifiers import (
+    Hyperparams,
+    derive_rng,
+    train_bagging,
+    train_c45,
+    train_random_forest,
+    train_random_tree,
+)
+from devfp.classifiers import trees
+from devfp.classifiers.base import bootstrap_indices
+from devfp.features import CANONICAL_ATTRIBUTES
+from devfp.selection import best_binary_split, score_column
+from oracles import (
+    reference_best_split,
+    reference_bootstrap,
+    reference_score_column,
+    reference_tree,
+)
+from tables import make_dataset
+
+# the default cap, and one so small that every step scores a single node
+STEP_ROWS = [trees._STEP_ROWS, 1]
+VALUES = [math.nan, 0.0, 1.0, 2.0, 3.0, 5.5, 7.0]
+
+
+@st.composite
+def datasets(draw):
+    """A dataset of 2..40 rows over 1..4 attributes and 2..4 classes."""
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("ABCD"[:n_classes]), min_size=n, max_size=n).filter(
+        lambda names: len(set(names)) >= 2))
+    columns = {
+        attribute: draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
+        for attribute in CANONICAL_ATTRIBUTES[:k]
+    }
+    return make_dataset(columns, names)
+
+
+def arrays(dataset):
+    return dataset.matrix(), dataset.class_codes(), len(dataset.class_names)
+
+
+def assert_same_tree(model, reference: dict) -> None:
+    for name in ("feature", "threshold", "left", "right", "absent_left", "counts"):
+        got, want = getattr(model, name), reference[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert model.root == reference["root"]
+
+
+@pytest.mark.parametrize("step_rows", STEP_ROWS)
+@given(dataset=datasets(), prune=st.booleans(), min_leaf=st.integers(1, 3))
+@settings(max_examples=60)
+def test_c45_matches_reference(step_rows, dataset, prune, min_leaf):
+    hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf)
+    with patch.object(trees, "_STEP_ROWS", step_rows):
+        model = train_c45(dataset, hp)
+    assert_same_tree(model, reference_tree(*arrays(dataset), hp))
+
+
+@pytest.mark.parametrize("step_rows", STEP_ROWS)
+@given(dataset=datasets(), candidates=st.integers(1, 4), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
+@settings(max_examples=60)
+def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf, seed):
+    hp = Hyperparams(rt_feature_count=candidates, c45_min_leaf=min_leaf)
+    with patch.object(trees, "_STEP_ROWS", step_rows):
+        model = train_random_tree(dataset, hp, derive_rng("growth", seed))
+    assert_same_tree(model, reference_tree(*arrays(dataset), hp, derive_rng("growth", seed)))
+
+
+@pytest.mark.parametrize("step_rows", STEP_ROWS)
+@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
+@settings(max_examples=40)
+def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed):
+    hp = Hyperparams(seed=seed, forest_trees=3, bagging_rounds=3, bag_fraction=fraction, c45_min_leaf=min_leaf)
+    X, y, n_classes = arrays(dataset)
+    n = len(y)
+    with patch.object(trees, "_STEP_ROWS", step_rows):
+        forest = train_random_forest(dataset, hp)
+        bagging = train_bagging(dataset, hp)
+    for i, member in enumerate(forest.members):
+        rng = derive_rng(seed, "rf", i)
+        sample = reference_bootstrap(rng, n, n)
+        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp, rng))
+    for i, member in enumerate(bagging.members):
+        sample = reference_bootstrap(derive_rng(seed, "bagging", i), n, max(1, round(fraction * n)))
+        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp))
+
+
+@given(
+    values=st.lists(st.sampled_from(VALUES), min_size=1, max_size=40),
+    data=st.data(),
+    n_classes=st.integers(2, 4),
+)
+@settings(max_examples=200)
+def test_split_scores_match_reference_bits(values, data, n_classes):
+    column = np.array(values)
+    labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=len(values), max_size=len(values))))
+    assert score_column(column, labels, n_classes) == reference_score_column(column, labels, n_classes)
+    present = ~np.isnan(column)
+    if present.any():
+        names = [chr(65 + c) for c in labels[present]]
+        got = best_binary_split(column[present].tolist(), names)
+        codes = np.unique(labels[present], return_inverse=True)[1]
+        want = reference_best_split(column[present], codes, len(set(names)))
+        assert (got.threshold, got.info_gain, got.split_info) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1836, 4096, 4097, 46114])
+@pytest.mark.parametrize("share", [1.0, 0.5, 0.01])
+def test_bulk_bootstrap_replays_randrange(n, share):
+    size = max(1, round(share * n))
+    for key in range(3):
+        bulk, per_row = random.Random(f"bootstrap|{key}"), random.Random(f"bootstrap|{key}")
+        drawn = bootstrap_indices(bulk, n, size)
+        assert drawn.dtype == np.intp
+        assert drawn.tolist() == reference_bootstrap(per_row, n, size).tolist()
+        assert bulk.getstate() == per_row.getstate()
