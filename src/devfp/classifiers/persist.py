@@ -28,7 +28,10 @@ present_rates with null marking classes that never saw an attribute (NaN
 in the model's arrays).
 
 Floats serialize via repr and parse back bit-identically, so
-load_model(save_model(m)) reproduces m exactly.
+load_model(save_model(m)) reproduces m exactly. The loader takes values in
+the JSON types save_model writes and coerces none: schema and class_names
+are lists of distinct strings, a tree's root and its nodes' attribute,
+left and right are integers (not booleans) and thresholds are floats.
 """
 
 from __future__ import annotations
@@ -69,18 +72,30 @@ _LEAF_AS_SPLIT = {"attribute": -1, "threshold": 0.0, "absent_branch": "right", "
 _ABSENT_LEFT = {"left": True, "right": False}
 
 
+def _typed(values: list, kind: type, what: str) -> list:
+    """values, each exactly of type `kind`: no bool where an int belongs,
+    no int or string where a float belongs."""
+    if not set(map(type, values)) <= {kind}:
+        raise ModelFormatError(f"{what} must be of type {kind.__name__}")
+    return values
+
+
 def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
     """TreeModel arrays for tree params, checked so that routing always ends."""
     nodes = params["nodes"]
     splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
+
+    def column(key: str, kind: type) -> list:
+        return _typed([s[key] for s in splits], kind, f"tree node {key!r}")
+
     fields = {
-        "feature": np.array([s["attribute"] for s in splits], dtype=np.intp),
-        "threshold": np.array([s["threshold"] for s in splits], dtype=np.float64),
-        "left": np.array([s["left"] for s in splits], dtype=np.intp),
-        "right": np.array([s["right"] for s in splits], dtype=np.intp),
+        "feature": np.array(column("attribute", int), dtype=np.intp),
+        "threshold": np.array(column("threshold", float), dtype=np.float64),
+        "left": np.array(column("left", int), dtype=np.intp),
+        "right": np.array(column("right", int), dtype=np.intp),
         "absent_left": np.array([_ABSENT_LEFT[s["absent_branch"]] for s in splits], dtype=bool),
         "counts": np.array([raw["counts"] for raw in nodes if "counts" in raw], dtype=np.int32),
-        "root": int(params["root"]),
+        "root": _typed([params["root"]], int, "tree root")[0],
     }
     split = fields["feature"] >= 0
     index = np.arange(len(nodes))[split]
@@ -163,6 +178,13 @@ def _require(doc: dict, key: str) -> object:
     return doc[key]
 
 
+def _names(doc: dict, key: str) -> tuple[str, ...]:
+    names = _require(doc, key)
+    if not (isinstance(names, list) and set(map(type, names)) <= {str} and len(set(names)) == len(names)):
+        raise ModelFormatError(f"{key} must be a list of distinct strings")
+    return tuple(names)
+
+
 def _model_from_dict(doc: dict) -> TrainedModel:
     if _require(doc, "format") != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
@@ -171,8 +193,7 @@ def _model_from_dict(doc: dict) -> TrainedModel:
             f"unsupported model version {doc['version']!r}; this build reads version {FORMAT_VERSION}"
         )
     variant = _require(doc, "variant")
-    schema = tuple(str(a) for a in _require(doc, "schema"))
-    class_names = tuple(str(c) for c in _require(doc, "class_names"))
+    schema, class_names = _names(doc, "schema"), _names(doc, "class_names")
     hp_raw = dict(_require(doc, "hyperparams"))
     try:
         hp = Hyperparams(**hp_raw)

@@ -641,6 +641,29 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             tree_model(schema, classes, good, root=3)
 
+    GOOD_NODES = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
+
+    @pytest.mark.parametrize(
+        "schema, classes, params",
+        [
+            (("ip.len",), ("A", "B"), {"root": True, "nodes": GOOD_NODES}),
+            (("ip.len",), ("A", "B"), {"root": 2.7, "nodes": GOOD_NODES}),
+            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(0, "5.5", "left", 1, 0)]}),
+            (("ip.len",), ("A", "A"), {"root": 2, "nodes": GOOD_NODES}),
+            (("ip.len", "ip.len"), ("A", "B"), {"root": 2, "nodes": GOOD_NODES}),
+            (("ip.len",), ("A", 7), {"root": 2, "nodes": GOOD_NODES}),
+            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(False, 5.5, "left", 1, 0)]}),
+            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(0, 5.5, "left", 1.0, 0)]}),
+        ],
+        ids=["root-bool", "root-float", "threshold-string", "duplicate-class", "duplicate-attribute",
+             "class-not-string", "attribute-bool", "child-float"],
+    )
+    def test_coercible_values_rejected(self, schema, classes, params):
+        # each of these loaded before, most of them re-saving to other bytes
+        assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).root == 2
+        with pytest.raises(ModelFormatError):
+            load_model(json.dumps(document("j48", schema, classes, params)))
+
     def test_malformed_vote_rejected(self):
         def j48(schema, classes, attribute=0):
             counts = [0] * len(classes)
