@@ -155,102 +155,118 @@ def grow_trees(
     """
     codes, values = _value_codes(X)
     k = X.shape[1]
-    attributes = list(range(k))
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
-    offsets = np.arange(m)
+    attributes = list(range(k))
 
     def splittable(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return (sizes >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
 
-    # The node table, one block per step: tree, depth and class counts of
-    # each new node, and (node, attribute, threshold, absent_left) of each
-    # split whose children are the next block's nodes 2i and 2i + 1.
-    # Pending nodes hold the only reference to their rows, so each sample is
-    # freed once its root has split.
+    # A pending node is (id, rows, depth). Pending nodes hold the only
+    # reference to their rows, so each sample is freed once its root splits.
     pending: list[list[tuple[int, np.ndarray, int]]] = [[(t, rows, 0)] for t, rows in enumerate(samples)]
     n_trees = len(pending)
+    # The node table, a block per step: the tree, depth and class counts of
+    # each new node, and (ids, attributes, thresholds, absent_left, first
+    # child id) of the nodes that split, whose children are ids first + 2i
+    # (left) and first + 2i + 1 (right). The roots are ids 0..n_trees-1.
     tree_blocks = [np.arange(n_trees)]
     depth_blocks = [np.zeros(n_trees, dtype=np.intp)]
     counts_blocks = [np.array([np.bincount(y[s[0][1]], minlength=n_classes) for s in pending], dtype=np.int32)]
     split_blocks = []
     n_nodes = n_trees
-    sizes = np.array([len(s[0][1]) for s in pending])
-    for t in np.flatnonzero(~splittable(sizes, counts_blocks[0])).tolist():
+    for t in np.flatnonzero(~splittable(np.array([len(s[0][1]) for s in pending]), counts_blocks[0])):
         pending[t].clear()
 
     first = 0  # the tree admitted first; it rotates so that no tree starves
     while any(pending):
-        nodes, rows, depths, trees, candidates = [], [], [], [], []
+        ids, rows, depths, tree_of, candidates = [], [], [], [], []
         budget = _STEP_ROWS
         for t in [*range(first, n_trees), *range(first)]:
             stack = pending[t]
-            while stack and (not nodes or len(stack[-1][1]) * m <= budget):
+            while stack and (not ids or len(stack[-1][1]) * m <= budget):
                 node, node_rows, depth = stack.pop()
                 budget -= len(node_rows) * m
-                nodes.append(node)
+                ids.append(node)
                 rows.append(node_rows)
                 depths.append(depth)
-                trees.append(t)
+                tree_of.append(t)
                 if rngs is not None:
                     candidates.append(attributes if m >= k else sorted(rngs[t].sample(attributes, m)))
                     break
-        first = (trees[-1] + 1) % n_trees
+        first = (tree_of[-1] + 1) % n_trees
 
-        # score every (node, candidate) pair: segment f * m + j
-        n_frontier = len(nodes)
+        cand = np.array(candidates) if rngs is not None else np.broadcast_to(np.arange(k), (len(ids), k))
         sizes = np.array([len(r) for r in rows])
         row = np.concatenate(rows)
-        owner = np.repeat(np.arange(n_frontier), sizes)
-        if rngs is None:
-            cell = codes[row]
-        else:
-            cell = codes[row[:, None], np.array(candidates)[owner]]
-        present = cell >= 0
-        segment = owner[:, None] * m + offsets
-        label = np.broadcast_to(y[row][:, None], cell.shape)
-        splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes)
-        ratio = gain_ratios(splits, np.repeat(sizes, m))[0].reshape(n_frontier, m)
-        choice = ratio.argmax(axis=1)
-        chosen = np.flatnonzero(ratio[np.arange(n_frontier), choice] > 0.0)
+        owner = np.repeat(np.arange(len(ids)), sizes)
+        chosen, attribute, threshold = _best_splits(codes, values, y, n_classes, row, owner, cand, sizes)
         if not len(chosen):
             continue
-        attribute = choice[chosen] if rngs is None else np.array(candidates)[chosen, choice[chosen]]
-        threshold = splits.threshold.reshape(n_frontier, m)[chosen, choice[chosen]]
+        absent_left, child_rows, child_counts = _route(X, y, n_classes, row, owner, chosen, attribute, threshold)
 
-        # route the rows of every split node; Absent rows join the larger side
-        slot = np.full(n_frontier, -1)
-        slot[chosen] = np.arange(len(chosen))
-        routed = slot[owner] >= 0
-        row, split = row[routed], slot[owner[routed]]
-        value = X[row, attribute[split]]
-        go_left = value <= threshold[split]
-        n_left = np.bincount(split[go_left], minlength=len(chosen))
-        n_right = np.bincount(split[value > threshold[split]], minlength=len(chosen))
-        absent_left = n_left >= n_right
-        go_left |= np.isnan(value) & absent_left[split]
-        child = 2 * split + ~go_left
-        child_sizes = np.bincount(child, minlength=2 * len(chosen))
-        child_counts = np.bincount(child * n_classes + y[row], minlength=2 * len(chosen) * n_classes)
-        child_counts = child_counts.reshape(-1, n_classes).astype(np.int32)
-        child_rows = np.split(row[np.argsort(child, kind="stable")], np.cumsum(child_sizes)[:-1])
-
-        frontier_nodes = np.array(nodes)
-        child_trees = np.repeat(np.array(trees)[chosen], 2)
-        split_blocks.append((frontier_nodes[chosen], attribute, threshold, absent_left, n_nodes))
+        first_child = n_nodes
+        n_nodes += 2 * len(chosen)
+        child_trees = np.repeat(np.array(tree_of)[chosen], 2)
+        child_depths = np.repeat(np.array(depths)[chosen] + 1, 2)
+        split_blocks.append((np.array(ids)[chosen], attribute, threshold, absent_left, first_child))
         tree_blocks.append(child_trees)
-        depth_blocks.append(np.repeat(np.array(depths)[chosen] + 1, 2))
+        depth_blocks.append(child_depths)
         counts_blocks.append(child_counts)
-        grows = splittable(child_sizes, child_counts).tolist()
-        child_depth = depth_blocks[-1].tolist()
+        grows = splittable(np.array([len(r) for r in child_rows]), child_counts).tolist()
+        child_depths = child_depths.tolist()
         for i, t in enumerate(child_trees[::2].tolist()):
             for c in (2 * i + 1, 2 * i):  # right pushed first: left grows first
                 if grows[c]:
-                    pending[t].append((n_nodes + c, child_rows[c].copy(), child_depth[c]))
-        n_nodes += 2 * len(chosen)
+                    pending[t].append((first_child + c, child_rows[c].copy(), child_depths[c]))
+
     counts = np.concatenate(counts_blocks)
-    del counts_blocks
+    del counts_blocks  # free the blocks before _finish allocates
     confidence = hp.c45_confidence if rngs is None and hp.c45_prune else None
     return _finish(np.concatenate(tree_blocks), np.concatenate(depth_blocks), counts, split_blocks, n_trees, confidence)
+
+
+def _best_splits(
+    codes: np.ndarray, values: np.ndarray, y: np.ndarray, n_classes: int,
+    row: np.ndarray, owner: np.ndarray, cand: np.ndarray, sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(chosen, attribute, threshold): the frontier nodes that split, each
+    with its best candidate and threshold. Frontier node f holds the rows
+    row[owner == f] and candidates cand[f]; (f, j) is segment f * m + j."""
+    n_frontier, m = cand.shape
+    cell = codes[row[:, None], cand[owner]]
+    present = cell >= 0
+    segment = owner[:, None] * m + np.arange(m)
+    label = np.broadcast_to(y[row][:, None], cell.shape)
+    splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes)
+    ratio = gain_ratios(splits, np.repeat(sizes, m))[0].reshape(n_frontier, m)
+    choice = ratio.argmax(axis=1)  # the first maximum: the lowest candidate wins ties
+    chosen = np.flatnonzero(ratio[np.arange(n_frontier), choice] > 0.0)
+    choice = choice[chosen]
+    return chosen, cand[chosen, choice], splits.threshold.reshape(n_frontier, m)[chosen, choice]
+
+
+def _route(
+    X: np.ndarray, y: np.ndarray, n_classes: int, row: np.ndarray, owner: np.ndarray,
+    chosen: np.ndarray, attribute: np.ndarray, threshold: np.ndarray,
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """(absent_left, child rows, child class counts) of the chosen frontier
+    nodes, children ordered left, right per node. Absent rows join the side
+    with more present rows, the left one on a tie."""
+    slot = np.full(owner[-1] + 1, -1)
+    slot[chosen] = np.arange(len(chosen))
+    routed = slot[owner] >= 0
+    row, split = row[routed], slot[owner[routed]]
+    value = X[row, attribute[split]]
+    go_left = value <= threshold[split]
+    n_left = np.bincount(split[go_left], minlength=len(chosen))
+    n_right = np.bincount(split[value > threshold[split]], minlength=len(chosen))
+    absent_left = n_left >= n_right
+    go_left |= np.isnan(value) & absent_left[split]
+    child = 2 * split + ~go_left
+    n_children = 2 * len(chosen)
+    child_rows = np.split(row[np.argsort(child, kind="stable")], np.cumsum(np.bincount(child, minlength=n_children))[:-1])
+    child_counts = np.bincount(child * n_classes + y[row], minlength=n_children * n_classes)
+    return absent_left, child_rows, child_counts.reshape(n_children, n_classes).astype(np.int32)
 
 
 def _finish(
@@ -300,25 +316,24 @@ def _finish(
     node = np.flatnonzero(kept)
     node = node[np.lexsort((number[node], tree[node]))]
 
-    is_split = feature[node] >= 0
-    arrays = {
-        "feature": feature[node],
-        "threshold": np.where(is_split, threshold[node], 0.0),
-        "left": np.where(is_split, number[left[node]], -1),
-        "right": np.where(is_split, number[right[node]], -1),
-        "absent_left": absent_left[node] & is_split,
-    }
-    leaves = node[~is_split]
-    leaf_counts = counts[leaves]
-    node_end = np.cumsum(size[:n_trees])
-    leaf_end = np.cumsum(np.bincount(tree[leaves], minlength=n_trees))
-    node_start = node_end - size[:n_trees]
-    leaf_start = np.append(0, leaf_end[:-1])
+    leaf = feature < 0
+    threshold[leaf] = 0.0
+    absent_left[leaf] = False
+    left = np.where(leaf, -1, number[left])
+    right = np.where(leaf, -1, number[right])
+    end = np.cumsum(size[:n_trees])
     trees = []
-    for t in range(n_trees):  # copies: a tree does not pin the arrays of all trees
-        tree_arrays = {name: column[node_start[t]:node_end[t]].copy() for name, column in arrays.items()}
-        tree_arrays["counts"] = leaf_counts[leaf_start[t]:leaf_end[t]].copy()
-        trees.append({**tree_arrays, "root": int(size[t]) - 1})
+    for t in range(n_trees):
+        nodes = node[end[t] - size[t]:end[t]]
+        trees.append({
+            "feature": feature[nodes],
+            "threshold": threshold[nodes],
+            "left": left[nodes],
+            "right": right[nodes],
+            "absent_left": absent_left[nodes],
+            "counts": counts[nodes[leaf[nodes]]],
+            "root": int(size[t]) - 1,
+        })
     return trees
 
 

@@ -77,13 +77,12 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 def _scalar_entropies(counts: np.ndarray) -> np.ndarray:
     """`entropy()` of every row of a count matrix, bit for bit: its
-    left-to-right sum, with `math.log2` (not `np.log2`, which differs in the
-    last bit on some ratios) on each distinct ratio."""
+    left-to-right sum, with `math.log2` on each ratio (`np.log2` differs in
+    the last bit on some ratios)."""
     p = counts / counts.sum(axis=1, keepdims=True)
     positive = p > 0
-    distinct, inverse = np.unique(p[positive], return_inverse=True)
     logp = np.zeros_like(p)
-    logp[positive] = np.array([math.log2(v) for v in distinct.tolist()])[inverse]
+    logp[positive] = [math.log2(v) for v in p[positive].tolist()]
     terms = p * logp
     result = np.zeros(len(p))
     for column in terms.T:
@@ -164,10 +163,8 @@ def split_segments(
     gains = parent_entropy - (left_totals * left_entropy + right_totals * right_entropy) / n
 
     # the first maximum of each segment, which is its smallest threshold
-    head = np.flatnonzero(_run_starts(owner))
-    top = np.repeat(np.maximum.reduceat(gains, head), np.diff(np.append(head, len(gains))))
-    hits = np.flatnonzero(gains == top)
-    best = hits[_run_starts(owner[hits])]
+    order = np.lexsort((-gains, owner))  # stable: equal gains keep cut order
+    best = order[_run_starts(owner[order])]
     at = run_segment[cut[best]]
     run_value = values[run_key - run_segment * n_values]
     threshold[at] = (run_value[cut[best]] + run_value[cut[best] + 1]) / 2.0
