@@ -107,10 +107,11 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
     """`size` row indices drawn from range(n) with replacement: the indices of
     `[rng.randrange(n) for _ in range(size)]`, leaving rng in the same state.
 
-    randrange(n) takes one 32-bit word w per try (n < 2**32 here), keeps
-    w >> (32 - n.bit_length()) and retries while that is >= n. Words are
-    drawn in bulk, as getrandbits(32 * count) is count words in draw order
-    from the least significant end, and only the shortfall is drawn again.
+    This relies on n < 2**32: randrange(n) then takes one 32-bit word w per
+    try, keeps w >> (32 - n.bit_length()) and tries again while that is >= n.
+    getrandbits(32 * count) is count such words, in draw order from the
+    least significant end, so the words are drawn in bulk and only the
+    shortfall is drawn again.
     """
     size = n if size is None else size
     shift = 32 - n.bit_length()

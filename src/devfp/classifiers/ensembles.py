@@ -1,11 +1,13 @@
 """Ensemble classifiers: random forest, bagging, and probability voting.
 
-Each ensemble member trains on its own deterministically derived RNG, so
-sequential and (hypothetical) parallel member training produce the same
-model. Predictions are the arithmetic mean of member class distributions
-(member matrices added in member order, then divided by the member count);
-the predicted class is the argmax with ties broken toward the lower class
-index.
+Each ensemble member trains on its own deterministically derived RNG. An rf
+or bagging member draws its bootstrap sample from it, and an rf member then
+the candidate attributes of its nodes. All samples are drawn first; then
+every member tree grows in one frontier (`trees.grow_trees`), each exactly
+as it would grow alone. Vote members train one after another. Predictions
+are the arithmetic mean of member class distributions (member matrices
+added in member order, then divided by the member count); the predicted
+class is the argmax with ties broken toward the lower class index.
 
 identity_bootstrap is a diagnostic mode replacing bootstrap sampling with
 the identity permutation, which makes an ensemble of one reproduce its base

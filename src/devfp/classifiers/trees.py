@@ -8,8 +8,8 @@ takes a frontier of pending nodes from every tree and scores all its
 frontier; a random tree puts in one node per step, in depth-first order
 (left before right), so it draws the candidate sets of each node from its
 RNG in the same order as plain recursive growth. A step scores at most
-_STEP_ROWS rows (node rows times candidates); nodes beyond that wait, so
-memory does not grow with the number of trees.
+_STEP_ROWS rows (node rows times candidates); nodes beyond that wait, so a
+step's working memory does not grow with the number of trees.
 
 At every node the split is the (attribute, threshold) pair maximizing gain
 ratio among candidate attributes whose missing-scaled info gain is positive,

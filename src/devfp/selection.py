@@ -7,8 +7,13 @@ split information is the entropy of the two partition sizes. Absent cells
 are left out of the split search; the resulting gain is scaled by the
 fraction of present cells before dividing by the split information.
 
-Scoring different attributes is independent work over immutable inputs and
-can safely run concurrently.
+One batched scorer, `split_segments`, serves ranking and tree growth. It
+takes the cells of many segments at once (a segment is one attribute's
+values within one tree node, or a whole column when ranking) and finds the
+best split of every segment with one sort and a segmented cumulative sum of
+class counts. It is exact: class counts at cuts are integers, cut entropies
+come from `_entropy_from_counts` on (cuts, classes) rows, and parent entropy
+and split information replay the scalar `entropy()` bit for bit.
 """
 
 from __future__ import annotations
