@@ -163,7 +163,10 @@ def grow_trees(
 
     # A pending node is (id, rows, depth). Pending nodes hold the only
     # reference to their rows, so each sample is freed once its root splits.
-    pending: list[list[tuple[int, np.ndarray, int]]] = [[(t, rows, 0)] for t, rows in enumerate(samples)]
+    # Every tree's rows are pending at once: int32 halves them.
+    pending: list[list[tuple[int, np.ndarray, int]]] = [
+        [(t, rows.astype(np.int32), 0)] for t, rows in enumerate(samples)
+    ]
     n_trees = len(pending)
     # The node table, a block per step: the tree, depth and class counts of
     # each new node, and (ids, attributes, thresholds, absent_left, first
