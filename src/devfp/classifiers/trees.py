@@ -205,7 +205,9 @@ def grow_trees(
         chosen, attribute, threshold = _best_splits(codes, values, y, n_classes, row, owner, cand, sizes)
         if not len(chosen):
             continue
-        absent_left, child_rows, child_counts = _route(X, y, n_classes, row, owner, chosen, attribute, threshold)
+        absent_left, child_rows, child_start, child_counts = _route(
+            X, y, n_classes, row, owner, chosen, attribute, threshold
+        )
 
         first_child = n_nodes
         n_nodes += 2 * len(chosen)
@@ -215,12 +217,13 @@ def grow_trees(
         tree_blocks.append(child_trees)
         depth_blocks.append(child_depths)
         counts_blocks.append(child_counts)
-        grows = splittable(np.array([len(r) for r in child_rows]), child_counts).tolist()
-        child_depths = child_depths.tolist()
+        grows = splittable(np.diff(child_start), child_counts).tolist()
+        child_start, child_depths = child_start.tolist(), child_depths.tolist()
         for i, t in enumerate(child_trees[::2].tolist()):
             for c in (2 * i + 1, 2 * i):  # right pushed first: left grows first
                 if grows[c]:
-                    pending[t].append((first_child + c, child_rows[c].copy(), child_depths[c]))
+                    node_rows = child_rows[child_start[c]:child_start[c + 1]].copy()
+                    pending[t].append((first_child + c, node_rows, child_depths[c]))
 
     counts = np.concatenate(counts_blocks)
     del counts_blocks  # free the blocks before _finish allocates
@@ -236,7 +239,8 @@ def _best_splits(
     with its best candidate and threshold. Frontier node f holds the rows
     row[owner == f] and candidates cand[f]; (f, j) is segment f * m + j."""
     n_frontier, m = cand.shape
-    cell = codes[row[:, None], cand[owner]]
+    k = codes.shape[1]
+    cell = codes.ravel()[(row * k)[:, None] + np.repeat(cand, sizes, axis=0)]  # codes[row, cand[owner]], faster
     present = cell >= 0
     segment = owner[:, None] * m + np.arange(m)
     label = np.broadcast_to(y[row][:, None], cell.shape)
@@ -251,15 +255,16 @@ def _best_splits(
 def _route(
     X: np.ndarray, y: np.ndarray, n_classes: int, row: np.ndarray, owner: np.ndarray,
     chosen: np.ndarray, attribute: np.ndarray, threshold: np.ndarray,
-) -> tuple[np.ndarray, list, np.ndarray]:
-    """(absent_left, child rows, child class counts) of the chosen frontier
-    nodes, children ordered left, right per node. Absent rows join the side
-    with more present rows, the left one on a tie."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(absent_left, rows, start, class counts) of the children of the
+    chosen frontier nodes, ordered left, right per node: child c holds
+    rows[start[c]:start[c + 1]]. Absent rows join the side with more
+    present rows, the left one on a tie."""
     slot = np.full(owner[-1] + 1, -1)
     slot[chosen] = np.arange(len(chosen))
     routed = slot[owner] >= 0
     row, split = row[routed], slot[owner[routed]]
-    value = X[row, attribute[split]]
+    value = X.ravel()[row * X.shape[1] + attribute[split]]  # X[row, attribute[split]], faster
     go_left = value <= threshold[split]
     n_left = np.bincount(split[go_left], minlength=len(chosen))
     n_right = np.bincount(split[value > threshold[split]], minlength=len(chosen))
@@ -267,9 +272,9 @@ def _route(
     go_left |= np.isnan(value) & absent_left[split]
     child = 2 * split + ~go_left
     n_children = 2 * len(chosen)
-    child_rows = np.split(row[np.argsort(child, kind="stable")], np.cumsum(np.bincount(child, minlength=n_children))[:-1])
-    child_counts = np.bincount(child * n_classes + y[row], minlength=n_children * n_classes)
-    return absent_left, child_rows, child_counts.reshape(n_children, n_classes).astype(np.int32)
+    start = np.append(0, np.cumsum(np.bincount(child, minlength=n_children)))
+    counts = np.bincount(child * n_classes + y[row], minlength=n_children * n_classes)
+    return absent_left, row[np.argsort(child, kind="stable")], start, counts.reshape(-1, n_classes).astype(np.int32)
 
 
 def _finish(

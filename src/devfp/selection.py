@@ -168,8 +168,10 @@ def split_segments(
     gains = parent_entropy - (left_totals * left_entropy + right_totals * right_entropy) / n
 
     # the first maximum of each segment, which is its smallest threshold
-    order = np.lexsort((-gains, owner))  # stable: equal gains keep cut order
-    best = order[_run_starts(owner[order])]
+    head = np.flatnonzero(_run_starts(owner))
+    top = np.repeat(np.maximum.reduceat(gains, head), np.diff(np.append(head, len(gains))))
+    hits = np.flatnonzero(gains == top)
+    best = hits[_run_starts(owner[hits])]
     at = run_segment[cut[best]]
     run_value = values[run_key - run_segment * n_values]
     threshold[at] = (run_value[cut[best]] + run_value[cut[best] + 1]) / 2.0
