@@ -200,7 +200,7 @@ def grow_trees(
 
         cand = np.array(candidates) if rngs is not None else np.broadcast_to(np.arange(k), (len(ids), k))
         sizes = np.array([len(r) for r in rows])
-        row = np.concatenate(rows)
+        row = np.concatenate(rows, dtype=np.intp)
         owner = np.repeat(np.arange(len(ids)), sizes)
         chosen, attribute, threshold = _best_splits(codes, values, y, n_classes, row, owner, cand, sizes)
         if not len(chosen):
@@ -222,7 +222,7 @@ def grow_trees(
         for i, t in enumerate(child_trees[::2].tolist()):
             for c in (2 * i + 1, 2 * i):  # right pushed first: left grows first
                 if grows[c]:
-                    node_rows = child_rows[child_start[c]:child_start[c + 1]].copy()
+                    node_rows = child_rows[child_start[c]:child_start[c + 1]].astype(np.int32)
                     pending[t].append((first_child + c, node_rows, child_depths[c]))
 
     counts = np.concatenate(counts_blocks)
