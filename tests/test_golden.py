@@ -6,7 +6,9 @@ wrote, so a refactor that moves one bit of a model, a report or a
 prediction fails here. `rank.csv` pins the gain-ratio rank report of the
 training dataset. The `extract` pins cover `--dedup`, `--raw-ack` and
 the stderr summary counts on the training capture with edge-case frames
-appended. A deliberate output change regenerates the pins with
+appended; the `classify-edge` pins cover `classify` with the j48 model on
+that same capture: its predictions, its stderr frame accounting and its
+per-MAC summary. A deliberate output change regenerates the pins with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +17,7 @@ and records the change in CHANGES.md.
 
 import hashlib
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -88,6 +90,10 @@ GOLDEN = {
     "vote-nb/predictions.csv": "3cfbcdab9302fb6db4a8838c96cbab548d3f9da1c004137e8f867d69eb61bebe",
     "vote-nb/distributions": "679afafc228497472322f9790d07b9fa38c8e0c3953a6944ee615c947f3d0844",
     "rank.csv": "3fa737463e99fbabcb5bc7138af68116d9aed8602310f3688fbfcdba6a39bf61",
+    # `classify` with the j48 model on the capture `extract` pins below
+    "classify-edge/predictions.csv": "5218895089db6b07667447baa57692731ee8d1ad03f583417c0e2fd9cf8f5433",
+    "classify-edge/frames": "7a2a49235d6947230736f17239c102a64194a908616fadaed7643a8464f64dbd",
+    "classify-edge/macs": "e7baa0bd72fb12c695bc95bb403e5d8e33a9b92524f56814a5498afa47b81929",
 }
 # `extract` on the training capture plus _edge_frames()
 GOLDEN_EXTRACT = {
@@ -150,6 +156,26 @@ def extract_hashes(work: Path) -> dict[str, str]:
     return hashes
 
 
+def classify_edge_hashes(work: Path, model: Path) -> dict[str, str]:
+    """Run `classify` with `model` on the training capture plus the edge
+    frames; hash the predictions, the stderr frame accounting line and the
+    per-MAC summary on standard output."""
+    pcap = work / "classify-edge.pcap"
+    pcap.write_bytes(extract_capture_bytes())
+    out = work / "classify-edge.csv"
+    err, macs = StringIO(), StringIO()
+    with redirect_stderr(err), redirect_stdout(macs):
+        assert main(["classify", "--model-file", str(model), "--input", str(pcap),
+                     "--out", str(out)]) == 0
+    frames = [line for line in err.getvalue().splitlines() if line.startswith("read ")]
+    assert len(frames) == 1
+    return {
+        "classify-edge/predictions.csv": _sha(out.read_bytes()),
+        "classify-edge/frames": _sha(frames[0].encode()),
+        "classify-edge/macs": _sha(macs.getvalue().encode()),
+    }
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -188,6 +214,7 @@ def golden_hashes(work: Path) -> dict[str, str]:
         for name in ("model.json", "report_classes.csv", "summary.csv", "predictions.csv"):
             hashes[f"{run}/{name}"] = _sha((out / name).read_bytes())
         hashes[f"{run}/distributions"] = _sha(_distributions_text(out / "model.json", fresh_csv))
+    hashes.update(classify_edge_hashes(work, work / "j48" / "model.json"))
     rank_csv = work / "rank.csv"
     assert main(["rank", "--input", str(work / "j48" / "dataset.csv"), "--out", str(rank_csv)]) == 0
     hashes["rank.csv"] = _sha(rank_csv.read_bytes())
@@ -216,7 +243,6 @@ def test_extract_matches_golden(extract_outputs, name):
 
 if __name__ == "__main__":
     import tempfile
-    from contextlib import redirect_stdout
 
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         found = golden_hashes(Path(tmp))
