@@ -9,7 +9,7 @@ individual-device identification.
 __version__ = "0.1.0"
 
 from .features import CANONICAL_ATTRIBUTES, CSV_HEADER, Dataset, FeatureVector
-from .pcap import CaptureFile, PacketRecord, parse_capture
+from .pcap import CaptureFile, parse_capture
 
 __all__ = [
     "__version__",
@@ -18,6 +18,5 @@ __all__ = [
     "Dataset",
     "FeatureVector",
     "CaptureFile",
-    "PacketRecord",
     "parse_capture",
 ]

@@ -29,18 +29,6 @@ class UnsupportedLinkType(CaptureError):
     """Capture link type is not Ethernet (1)."""
 
 
-class DecodeError(DevfpError):
-    """A single frame could not be decoded; the frame is dropped, not fatal."""
-
-
-class TruncatedIpHeader(DecodeError):
-    """Captured bytes end inside the IPv4 header, or the header is malformed."""
-
-
-class TruncatedTransportHeader(DecodeError):
-    """Captured bytes end inside the TCP/UDP header."""
-
-
 # ---------------------------------------------------------------------------
 # Datasets / registry / CSV
 

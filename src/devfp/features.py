@@ -11,10 +11,15 @@ capture. tcp.ack defaults to the relative acknowledgment (raw ack minus the
 reverse direction's initial sequence number); tcp.window_size is the scaled
 window when the sender's SYN announced a window-scale option.
 
+extract_capture computes every row of a capture at once from the header
+columns of pcap.decode_headers: np.unique numbers the conversations, and
+each (conversation, direction) keeps the positions of its first SYN and of
+its first SYN with a window-scale option, which a packet uses only when
+they come before it.
+
 Absent feature values are None in a per-packet FeatureVector, NaN in a
 Dataset's feature matrix and empty cells in the CSV. Datasets are immutable
-once built and safe to share across threads; the ConversationTable is
-single-writer while a capture streams through it.
+once built and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .errors import (
-    DecodeError,
     EmptyRegistry,
     HeaderMismatch,
     NonNumericCell,
@@ -35,7 +39,7 @@ from .errors import (
     RegistryFormatError,
     SchemaMismatch,
 )
-from .pcap import CaptureFile, PacketRecord, Tcp, Udp, decode_frame
+from .pcap import IPPROTO_TCP, IPPROTO_UDP, TCP_ACK, TCP_SYN, CaptureFile, Headers, decode_headers
 
 CANONICAL_ATTRIBUTES = (
     "tcp.srcport",
@@ -56,8 +60,6 @@ CLASS_DEVICE_TYPE = "device_type"
 TYPE_IOT = "IoT"
 TYPE_NON_IOT = "NonIoT"
 
-_ACK_MOD = 1 << 32
-
 
 class FeatureVector(NamedTuple):
     """The 9-feature fingerprint of one packet, in CANONICAL_ATTRIBUTES order.
@@ -65,8 +67,7 @@ class FeatureVector(NamedTuple):
     Fields hold non-negative ints, or None for Absent. ip_len, ip_ttl and
     ip_proto are always present for an extracted packet; the tcp_* fields
     are present exactly when ip_proto == 6 and the udp_* fields exactly when
-    ip_proto == 17. extract_features returns the same values as a plain
-    tuple; FeatureVector(*values) names them.
+    ip_proto == 17. FeatureVector(*values) names the values of one row.
     """
 
     tcp_srcport: Optional[int] = None
@@ -78,153 +79,6 @@ class FeatureVector(NamedTuple):
     ip_len: Optional[int] = None
     ip_ttl: Optional[int] = None
     ip_proto: Optional[int] = None
-
-
-Endpoint = tuple[int, int]  # (ip, port)
-
-
-@dataclass(slots=True)
-class _Conversation:
-    stream_index: int
-    first_src: Endpoint
-    fwd_isn: Optional[int] = None
-    rev_isn: Optional[int] = None
-    fwd_window_scale: Optional[int] = None
-    rev_window_scale: Optional[int] = None
-
-
-class ConversationTable:
-    """Bidirectional flow registry with independent TCP and UDP counters.
-
-    Stream indices per protocol are exactly 0..n-1, in order of first
-    appearance. For TCP conversations the table also remembers each
-    direction's initial sequence number and window-scale option, both taken
-    from that direction's SYN. Single writer per capture.
-    """
-
-    def __init__(self) -> None:
-        self._conversations: dict[str, dict[tuple, _Conversation]] = {"tcp": {}, "udp": {}}
-        self._next_index = {"tcp": 0, "udp": 0}
-        self.raw_ack_fallbacks = 0
-
-    def conversation_count(self, proto: str) -> int:
-        return self._next_index[proto]
-
-    def _lookup(self, record: PacketRecord) -> tuple[_Conversation, bool]:
-        """The record's conversation, allocated on first sight, and whether
-        the record runs in its forward (first-seen) direction."""
-        transport = record.transport
-        proto = "tcp" if isinstance(transport, Tcp) else "udp"
-        src: Endpoint = (record.src_ip, transport.src_port)
-        dst: Endpoint = (record.dst_ip, transport.dst_port)
-        key = (src, dst) if src <= dst else (dst, src)  # direction-insensitive
-        table = self._conversations[proto]
-        conv = table.get(key)
-        if conv is None:
-            conv = _Conversation(self._next_index[proto], src)
-            self._next_index[proto] += 1
-            table[key] = conv
-            return conv, True
-        return conv, src == conv.first_src
-
-
-def assign_stream_index(table: ConversationTable, record: PacketRecord) -> int:
-    """Stream index for the record's conversation, allocating on first sight.
-
-    The key is direction-insensitive, so request and reply packets of one
-    conversation share an index. Requires a TCP or UDP record.
-    """
-    if not isinstance(record.transport, (Tcp, Udp)):
-        raise ValueError("stream indices exist only for TCP/UDP records")
-    return table._lookup(record)[0].stream_index
-
-
-def _observe_tcp(
-    table: ConversationTable, record: PacketRecord, tcp: Tcp
-) -> tuple[_Conversation, bool]:
-    """Register SYN-borne state (ISN, window scale) for the packet's direction;
-    return the conversation and the direction as _lookup does."""
-    conv, forward = table._lookup(record)
-    if tcp.is_syn:
-        if forward:
-            if conv.fwd_isn is None:
-                conv.fwd_isn = tcp.seq_raw
-            if conv.fwd_window_scale is None and tcp.window_scale_option is not None:
-                conv.fwd_window_scale = tcp.window_scale_option
-        else:
-            if conv.rev_isn is None:
-                conv.rev_isn = tcp.seq_raw
-            if conv.rev_window_scale is None and tcp.window_scale_option is not None:
-                conv.rev_window_scale = tcp.window_scale_option
-    return conv, forward
-
-
-def relative_ack(record: PacketRecord, table: ConversationTable, *, raw_ack: bool = False) -> int:
-    """TCP acknowledgment relative to the reverse direction's ISN.
-
-    Returns 0 when the ACK flag is clear. When no SYN from the reverse
-    direction was observed, falls back to the raw acknowledgment number and
-    counts the event on the table. raw_ack=True always returns the raw value.
-    """
-    tcp = record.transport
-    if not isinstance(tcp, Tcp):
-        raise ValueError("relative_ack requires a TCP record")
-    if raw_ack:
-        return tcp.ack_raw
-    if not tcp.has_ack:
-        return 0
-    return _relative_ack(table, tcp, *table._lookup(record))
-
-
-def _relative_ack(table: ConversationTable, tcp: Tcp, conv: _Conversation, forward: bool) -> int:
-    if not tcp.has_ack:
-        return 0
-    reverse_isn = conv.rev_isn if forward else conv.fwd_isn
-    if reverse_isn is None:
-        table.raw_ack_fallbacks += 1
-        return tcp.ack_raw
-    return (tcp.ack_raw - reverse_isn) % _ACK_MOD
-
-
-def _scaled_window(tcp: Tcp, conv: _Conversation, forward: bool) -> int:
-    if tcp.is_syn:
-        return tcp.window_raw  # scale never applies to the SYN's own window
-    scale = conv.fwd_window_scale if forward else conv.rev_window_scale
-    if scale is None:
-        return tcp.window_raw
-    return tcp.window_raw << scale
-
-
-def extract_features(
-    record: PacketRecord, table: ConversationTable, *, raw_ack: bool = False
-) -> tuple[Optional[int], ...]:
-    """The 9 feature values of one decoded IPv4 packet, in CANONICAL_ATTRIBUTES
-    order (the fields of a FeatureVector), None for Absent.
-
-    Mutates the table: allocates a stream index on first sight of a
-    conversation and registers SYN-borne ISN / window-scale state before
-    computing the transport features. A plain tuple, not a FeatureVector:
-    numpy builds a matrix from a list of tuples twice as fast.
-    """
-    transport = record.transport
-    if isinstance(transport, Tcp):
-        conv, forward = _observe_tcp(table, record, transport)
-        if raw_ack:
-            ack = transport.ack_raw
-        else:
-            ack = _relative_ack(table, transport, conv, forward)
-        window = _scaled_window(transport, conv, forward)
-        return (
-            transport.src_port, conv.stream_index, ack, window, None, None,
-            record.ip_len, record.ip_ttl, record.ip_proto,
-        )
-    if isinstance(transport, Udp):
-        stream = table._lookup(record)[0].stream_index
-        return (
-            None, None, None, None, transport.src_port, stream,
-            record.ip_len, record.ip_ttl, record.ip_proto,
-        )
-    return (None,) * 6 + (record.ip_len, record.ip_ttl, record.ip_proto)
 
 
 @dataclass
@@ -243,36 +97,83 @@ def extract_capture(
     raw_ack: bool = False,
     stats: Optional[ExtractionStats] = None,
 ) -> Dataset:
-    """Run decode + feature extraction over a whole capture, in stream order.
+    """Decode a whole capture and extract the nine features of every IPv4 frame.
 
-    Returns an unlabeled Dataset with one row per decoded IPv4 frame and its
-    source MAC column. Every decodable IPv4 frame contributes to conversation
-    state, whatever its source MAC; labeling filters afterwards. Frames that
-    fail to decode are counted and dropped. The counts are added to `stats`
-    when given. Pure function of the capture bytes: two runs yield identical
-    rows in identical order.
+    Returns an unlabeled Dataset with one row per decoded IPv4 frame, in
+    capture order, and its source MAC column. Every decodable IPv4 frame
+    contributes to conversation state, whatever its source MAC; labeling
+    filters afterwards. Frames that fail to decode are counted and dropped.
+    The counts are added to `stats` when given. Pure function of the capture
+    bytes: two runs yield identical rows in identical order.
     """
     if stats is None:
         stats = ExtractionStats()
+    headers = decode_headers(capture)
     stats.frames_read += len(capture.frames)
-    table = ConversationTable()
-    vectors: list[tuple] = []
-    macs: list[str] = []
-    for frame in capture.frames:
-        try:
-            record = decode_frame(frame, capture.link_type)
-        except DecodeError:
-            stats.decode_errors += 1
-            continue
-        if record is None:
-            stats.non_ipv4_skipped += 1
-            continue
-        vectors.append(extract_features(record, table, raw_ack=raw_ack))
-        macs.append(record.src_mac)
-    stats.raw_ack_fallbacks += table.raw_ack_fallbacks
-    # None becomes NaN
-    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(CANONICAL_ATTRIBUTES))
-    return Dataset(rows, src_mac=np.array(macs, dtype=object))
+    stats.non_ipv4_skipped += headers.non_ipv4
+    stats.decode_errors += headers.decode_errors
+    rows = np.full((len(headers.ip_proto), len(CANONICAL_ATTRIBUTES)), np.nan)
+    rows[:, 6], rows[:, 7], rows[:, 8] = headers.ip_len, headers.ip_ttl, headers.ip_proto
+
+    udp = np.flatnonzero(headers.ip_proto == IPPROTO_UDP)
+    rows[udp, 4] = headers.src_port[udp]
+    rows[udp, 5] = _conversations(headers, udp)[0]
+
+    tcp = np.flatnonzero(headers.ip_proto == IPPROTO_TCP)
+    stream, reverse = _conversations(headers, tcp)
+    seq, ack, flags = headers.tcp_seq[tcp], headers.tcp_ack[tcp], headers.tcp_flags[tcp]
+    window, window_scale = headers.tcp_window[tcp], headers.window_scale[tcp]
+    # SYN-borne state lives per (conversation, direction); a packet sees only
+    # what packets before it registered
+    state = stream * 2 + reverse
+    position = np.arange(len(tcp))
+    syn = flags & TCP_SYN != 0
+    if not raw_ack:
+        isn_at = _first(state, syn)[state ^ 1]  # the reverse direction's first SYN
+        known = isn_at < position
+        ack[known] -= seq[isn_at[known]]  # uint32: modulo 2**32
+        has_ack = flags & TCP_ACK != 0
+        ack[~has_ack] = 0
+        stats.raw_ack_fallbacks += int(np.count_nonzero(has_ack & ~known))
+    scale_at = _first(state, window_scale >= 0)[state]
+    scaled = ~syn & (scale_at < position)  # a SYN's own window is never scaled
+    window = window.astype(np.float64)
+    window[scaled] = np.ldexp(window[scaled], window_scale[scale_at[scaled]])  # exact: 16-bit w times 2**s
+    rows[tcp, 0] = headers.src_port[tcp]
+    rows[tcp, 1] = stream
+    rows[tcp, 2] = ack
+    rows[tcp, 3] = window
+
+    macs, mac_of_row = np.unique(headers.src_mac, return_inverse=True)
+    text = np.array([mac.to_bytes(6, "big").hex(":") for mac in macs.tolist()], dtype=object)
+    return Dataset(rows, src_mac=text[mac_of_row])
+
+
+def _conversations(headers: Headers, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stream ordinal and direction of the rows at `index`, all TCP or all UDP.
+
+    A conversation is a direction-insensitive pair of (ip, port) endpoints;
+    ordinals count conversations in order of first appearance. The direction
+    is True where a row runs from the higher endpoint to the lower.
+    """
+    src = headers.src_ip[index].astype(np.int64) << 16 | headers.src_port[index]
+    dst = headers.dst_ip[index].astype(np.int64) << 16 | headers.dst_port[index]
+    low, high = np.minimum(src, dst), np.maximum(src, dst)
+    endpoints, code = np.unique(np.concatenate([low, high]), return_inverse=True)
+    pair = code[: len(index)] * len(endpoints) + code[len(index) :]
+    _, first, conversation = np.unique(pair, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ordinal = np.empty_like(order)
+    ordinal[order] = np.arange(len(order))
+    return ordinal[conversation], src > dst
+
+
+def _first(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per state value, the first position where `mask` holds, len(state) if
+    none. State values lie below 2 * len(state): each conversation has a row."""
+    first = np.full(2 * len(state), len(state))
+    np.minimum.at(first, state[mask], np.flatnonzero(mask))
+    return first
 
 
 # ---------------------------------------------------------------------------

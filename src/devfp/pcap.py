@@ -1,13 +1,14 @@
-"""Classic pcap parsing and Ethernet II / IPv4 / TCP / UDP header decoding.
+"""Classic pcap parsing and columnar Ethernet II / IPv4 / TCP / UDP header decoding.
 
 Only the classic libpcap file format is handled (24-byte global header,
 16-byte per-frame headers, four magic variants incl. the nanosecond ones).
 pcapng is rejected with an explicit error. Link type must be Ethernet (1).
 
-Record types: a CaptureFile (frozen dataclass, one per file) holds RawFrames;
-decode_frame turns one into a PacketRecord carrying a Tcp, a Udp or no
-transport. RawFrame, PacketRecord, Tcp and Udp are NamedTuples: cheap to
-build for every frame, and equal when their fields are equal.
+parse_capture reads a file into a CaptureFile (frozen dataclass) of RawFrame
+NamedTuples. decode_headers then decodes a whole capture at once: it joins
+the frame payloads into one byte array, reads every header field at
+per-frame offsets with numpy gathers and returns the fields of the decodable
+IPv4 frames as Headers columns, with counts of the frames it skipped.
 
 Parsed captures are immutable (parsers return fresh objects and nothing here
 mutates them), so a CaptureFile can be shared across threads; parsing one
@@ -18,16 +19,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from sys import intern
 from typing import BinaryIO, NamedTuple, Optional, Union
 
-from .errors import (
-    TruncatedHeader,
-    TruncatedIpHeader,
-    TruncatedTransportHeader,
-    UnknownMagic,
-    UnsupportedLinkType,
-)
+import numpy as np
+
+from .errors import TruncatedHeader, UnknownMagic, UnsupportedLinkType
 
 # Classic pcap magics, as read with little-endian byte order.
 MAGIC_MICRO = 0xA1B2C3D4
@@ -55,12 +51,10 @@ TCP_URG = 0x20
 _GLOBAL_HEADER_LEN = 24
 _FRAME_HEADER_LEN = 16
 
-# Fixed header fields, network byte order. IPv4: version/IHL, total length,
-# TTL, protocol, source and destination address (as ints). TCP: ports,
-# sequence and acknowledgment numbers, data offset byte, flags, window.
-_IPV4 = struct.Struct(">BxHxxxxBBxxII")
-_TCP = struct.Struct(">HHIIBBH")
-_UDP = struct.Struct(">HHH")
+# The deepest header byte decode_headers reads lies within this many bytes of
+# a frame's start: an 18-byte tagged Ethernet header, a 60-byte IPv4 header
+# and the 20 fixed bytes of a TCP header.
+_HEADER_SPAN = 18 + 60 + 20
 
 
 class RawFrame(NamedTuple):
@@ -92,47 +86,33 @@ class CaptureFile:
     truncated_at: Optional[int] = None
 
 
-class Tcp(NamedTuple):
-    src_port: int
-    dst_port: int
-    seq_raw: int
-    ack_raw: int
-    flags: int
-    window_raw: int
-    window_scale_option: Optional[int] = None
+class Headers(NamedTuple):
+    """Header fields of a capture's decodable IPv4 frames, one entry per
+    frame in capture order, plus counts of the frames left out.
 
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & TCP_SYN)
-
-    @property
-    def has_ack(self) -> bool:
-        return bool(self.flags & TCP_ACK)
-
-
-class Udp(NamedTuple):
-    src_port: int
-    dst_port: int
-    length: int
-
-
-class PacketRecord(NamedTuple):
-    """Decoded link/network/transport header fields of one IPv4 frame.
-
-    MACs are lowercase colon-hex text. IPs are the 32-bit addresses as
-    ints: they only key conversations and are never written out.
-    transport is a Tcp for ip_proto 6, a Udp for ip_proto 17 and None for
-    every other IPv4 protocol (ICMP etc.).
+    src_mac is the 48-bit source MAC as an integer; the IPs are the 32-bit
+    addresses. The port columns hold TCP and UDP source and destination
+    ports, and the tcp_* columns TCP's sequence and acknowledgment numbers,
+    flags and raw window; both are meaningful only on rows of their
+    protocol. window_scale is the shift of a SYN segment's window-scale
+    option, -1 where a row is no SYN or carries none.
     """
 
-    src_mac: str
-    dst_mac: str
-    ip_len: int
-    ip_ttl: int
-    ip_proto: int
-    src_ip: int
-    dst_ip: int
-    transport: Union[Tcp, Udp, None]
+    src_mac: np.ndarray  # uint64
+    ip_len: np.ndarray  # uint16
+    ip_ttl: np.ndarray  # uint8
+    ip_proto: np.ndarray  # uint8
+    src_ip: np.ndarray  # uint32
+    dst_ip: np.ndarray  # uint32
+    src_port: np.ndarray  # uint16
+    dst_port: np.ndarray  # uint16
+    tcp_seq: np.ndarray  # uint32
+    tcp_ack: np.ndarray  # uint32
+    tcp_flags: np.ndarray  # uint8
+    tcp_window: np.ndarray  # uint16
+    window_scale: np.ndarray  # int16
+    non_ipv4: int  # not IPv4: ARP, IPv6, no full Ethernet header, two VLAN tags, ...
+    decode_errors: int  # IPv4 with a header cut short or malformed
 
 
 _MAGICS = {
@@ -240,102 +220,108 @@ def write_capture(capture: CaptureFile) -> bytes:
     return bytes(out)
 
 
-def decode_frame(frame: RawFrame, link_type: int) -> Optional[PacketRecord]:
-    """Decode one Ethernet frame into a PacketRecord.
+def decode_headers(capture: CaptureFile) -> Headers:
+    """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at once.
 
-    Returns None (skip) for anything that is not IPv4: ARP, IPv6, unknown
-    ethertypes, frames still VLAN-tagged after one 802.1Q unwrap. Raises
-    TruncatedIpHeader / TruncatedTransportHeader when the captured bytes cut
-    a header short; callers drop such frames with a counted warning. Never
-    reads beyond the captured payload.
+    A frame is non-IPv4 when it has no full Ethernet header, when its
+    ethertype, after unwrapping one 802.1Q tag, is not IPv4, or when its IP
+    version is not 4. It is a decode error when its bytes end inside the
+    fixed IPv4 header or its options, when its IHL is below 5 or its total
+    length below 20, or when a TCP or UDP header does not fit in the bytes
+    before the IP total length ends (Ethernet padding past that is never
+    decoded). The checks apply in that order; every other frame is a row.
+    TCP options are read best effort, so a snaplen that cuts them costs only
+    the window-scale option. Reads nothing beyond a frame's captured bytes.
     """
-    if link_type != LINKTYPE_ETHERNET:
-        raise UnsupportedLinkType(f"cannot decode link type {link_type}")
-    buf = frame.payload
-    if len(buf) < 14:
-        return None  # not even an Ethernet header; nothing identifies this as IPv4
-    ethertype = (buf[12] << 8) | buf[13]
-    offset = 14
-    if ethertype == ETHERTYPE_VLAN:
-        # unwrap a single 802.1Q tag: 2 bytes TCI + 2 bytes inner ethertype
-        if len(buf) < 18:
-            return None
-        ethertype = (buf[16] << 8) | buf[17]
-        offset = 18
-    if ethertype != ETHERTYPE_IPV4:
-        return None
+    if capture.link_type != LINKTYPE_ETHERNET:
+        raise UnsupportedLinkType(f"cannot decode link type {capture.link_type}")
+    payloads = [frame.payload for frame in capture.frames]
+    length = np.fromiter(map(len, payloads), np.int64, len(payloads))
+    start = np.cumsum(length) - length
+    # zero padding keeps every gather below inside the array; a value read
+    # past a frame's own bytes is masked out before it is used
+    buf = np.frombuffer(b"".join([*payloads, bytes(_HEADER_SPAN)]), np.uint8)
 
-    if len(buf) < offset + 20:
-        raise TruncatedIpHeader(
-            f"IPv4 header needs 20 bytes, {len(buf) - offset} captured after Ethernet"
-        )
-    ver_ihl, total_len, ttl, proto, src_ip, dst_ip = _IPV4.unpack_from(buf, offset)
-    if ver_ihl >> 4 != 4:
-        return None  # ethertype says IPv4 but the payload does not; skip
-    ihl = ver_ihl & 0x0F
-    if ihl < 5:
-        raise TruncatedIpHeader(f"IPv4 IHL {ihl} below minimum 5")
-    ip_header_len = ihl * 4
-    if len(buf) < offset + ip_header_len:
-        raise TruncatedIpHeader(
-            f"IPv4 header with options needs {ip_header_len} bytes, "
-            f"{len(buf) - offset} captured"
-        )
-    if total_len < 20:
-        raise TruncatedIpHeader(f"IPv4 total length {total_len} below header minimum 20")
+    def field(at: np.ndarray, width: int) -> np.ndarray:
+        """The big-endian unsigned integers of `width` bytes at positions `at`."""
+        value = buf[at].astype({1: np.uint8, 2: np.uint16, 4: np.uint32, 6: np.uint64}[width])
+        for k in range(1, width):
+            value = value << 8 | buf[at + k]
+        return value
 
-    # Transport bytes end at the IP total length; Ethernet frames shorter
-    # than 60 bytes are padded, and that padding must never be decoded.
-    transport_start = offset + ip_header_len
-    transport_end = min(len(buf), offset + total_len)
+    ethertype = field(start + 12, 2)
+    tagged = ethertype == ETHERTYPE_VLAN
+    ip_offset = np.where(tagged, 18, 14)
+    ethertype[tagged] = field(start[tagged] + 16, 2)
+    ip_at = start + ip_offset
+    ipv4 = (length >= ip_offset) & (ethertype == ETHERTYPE_IPV4)
+    error = ipv4 & (length < ip_offset + 20)
+    ver_ihl = field(ip_at, 1)
+    ipv4 &= ~error & (ver_ihl >> 4 == 4)
+    ip_header_len = (ver_ihl & 0x0F).astype(np.int64) * 4
+    total_len = field(ip_at + 2, 2)
+    proto = field(ip_at + 9, 1)
+    transport = ip_offset + ip_header_len
+    # transport bytes end at the IP total length or the captured bytes
+    available = np.minimum(length, ip_offset + total_len) - transport
+    malformed = (ip_header_len < 20) | (length < transport) | (total_len < 20)
+    malformed |= (proto == IPPROTO_TCP) & (available < 20)
+    malformed |= (proto == IPPROTO_UDP) & (available < 8)
+    error |= ipv4 & malformed
+    rows = np.flatnonzero(ipv4 & ~error)
+    decode_errors = int(np.count_nonzero(error))
 
-    transport: Union[Tcp, Udp, None] = None
-    if proto == IPPROTO_TCP:
-        transport = _decode_tcp(buf, transport_start, transport_end)
-    elif proto == IPPROTO_UDP:
-        transport = _decode_udp(buf, transport_start, transport_end)
-
-    # interned: a capture has few source MACs, and every vector keeps one
-    src_mac = intern(buf[6:12].hex(":"))
-    return PacketRecord(
-        src_mac, buf[0:6].hex(":"), total_len, ttl, proto, src_ip, dst_ip, transport
+    ip_at = ip_at[rows]
+    tcp_at = start[rows] + transport[rows]
+    proto, tcp_flags = proto[rows], field(tcp_at + 13, 1)
+    window_scale = np.full(len(rows), -1, np.int16)
+    headers = Headers(
+        src_mac=field(start[rows] + 6, 6),
+        ip_len=total_len[rows],
+        ip_ttl=field(ip_at + 8, 1),
+        ip_proto=proto,
+        src_ip=field(ip_at + 12, 4),
+        dst_ip=field(ip_at + 16, 4),
+        src_port=field(tcp_at, 2),
+        dst_port=field(tcp_at + 2, 2),
+        tcp_seq=field(tcp_at + 4, 4),
+        tcp_ack=field(tcp_at + 8, 4),
+        tcp_flags=tcp_flags,
+        tcp_window=field(tcp_at + 14, 2),
+        window_scale=window_scale,
+        non_ipv4=len(payloads) - len(rows) - decode_errors,
+        decode_errors=decode_errors,
     )
+    options_len = np.minimum((field(tcp_at + 12, 1) >> 4).astype(np.int64) * 4, available[rows])
+    del buf  # the option walk reads the frames' own payloads
 
-
-def _decode_tcp(buf: bytes, start: int, end: int) -> Tcp:
-    if end - start < 20:
-        raise TruncatedTransportHeader(
-            f"TCP header needs 20 bytes, {max(end - start, 0)} available"
+    # only a SYN's window-scale option takes effect, so only SYNs are walked
+    walk = (proto == IPPROTO_TCP) & (tcp_flags & TCP_SYN != 0) & (options_len > 20)
+    for i in np.flatnonzero(walk).tolist():
+        options_at = int(transport[rows[i]])
+        window_scale[i] = _window_scale(
+            payloads[rows[i]], options_at + 20, options_at + int(options_len[i])
         )
-    src_port, dst_port, seq_raw, ack_raw, offset_byte, flags, window_raw = _TCP.unpack_from(
-        buf, start
-    )
-    window_scale = None
-    options_end = min(start + (offset_byte >> 4) * 4, end)
-    pos = start + 20
-    # Options parsed best effort: a snaplen may cut them off, which only
-    # costs us the window-scale option, never the fixed header fields.
-    while pos < options_end:
+    return headers
+
+
+def _window_scale(buf: bytes, pos: int, end: int) -> int:
+    """The shift of the last well-formed window-scale option among the TCP
+    options in buf[pos:end] before they end or break, -1 if there is none."""
+    scale = -1
+    while pos < end:
         kind = buf[pos]
         if kind == 0:  # end of options
             break
         if kind == 1:  # NOP
             pos += 1
             continue
-        if pos + 1 >= options_end:
+        if pos + 1 >= end:
             break
         length = buf[pos + 1]
-        if length < 2 or pos + length > options_end:
+        if length < 2 or pos + length > end:
             break
         if kind == 3 and length == 3:
-            window_scale = buf[pos + 2]
+            scale = buf[pos + 2]
         pos += length
-    return Tcp(src_port, dst_port, seq_raw, ack_raw, flags, window_raw, window_scale)
-
-
-def _decode_udp(buf: bytes, start: int, end: int) -> Udp:
-    if end - start < 8:
-        raise TruncatedTransportHeader(
-            f"UDP header needs 8 bytes, {max(end - start, 0)} available"
-        )
-    return Udp(*_UDP.unpack_from(buf, start))
+    return scale

@@ -5,14 +5,20 @@ thresholds, textbook formulas, no numpy. The reference tree grower below
 them is devfp's earlier per-node grower, kept verbatim in arithmetic: one
 split search per node and attribute, builder dicts, then post-order
 flattening. The frontier grower must reproduce its node arrays bit for bit.
-Neither shares code with the package internals.
+The reference extraction at the end is devfp's earlier per-frame decoder
+and conversation table, one PacketRecord per frame; the columnar
+extract_capture must reproduce its rows, source MACs and counters bit for
+bit. None of them shares code with the package internals.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
+from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -260,3 +266,200 @@ def reference_tree(X, y, n_classes, hp, rng=None) -> dict:
 def reference_bootstrap(rng, n: int, size: int) -> np.ndarray:
     """One randrange(n) call per drawn row."""
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction: decode one frame at a time, then track conversations
+# in a dict keyed by the direction-insensitive endpoint pair.
+
+_IPV4 = struct.Struct(">BxHxxxxBBxxII")
+_TCP = struct.Struct(">HHIIBBH")
+_UDP = struct.Struct(">HHH")
+_SYN, _ACK = 0x02, 0x10
+
+
+class Undecodable(Exception):
+    """The captured bytes cut a header short, or the IPv4 header is malformed."""
+
+
+class Tcp(NamedTuple):
+    src_port: int
+    dst_port: int
+    seq_raw: int
+    ack_raw: int
+    flags: int
+    window_raw: int
+    window_scale_option: Optional[int] = None
+
+
+class Udp(NamedTuple):
+    src_port: int
+    dst_port: int
+    length: int
+
+
+class PacketRecord(NamedTuple):
+    src_mac: str
+    dst_mac: str
+    ip_len: int
+    ip_ttl: int
+    ip_proto: int
+    src_ip: int
+    dst_ip: int
+    transport: Union[Tcp, Udp, None]
+
+
+def reference_decode(buf: bytes) -> Optional[PacketRecord]:
+    """One Ethernet frame as a PacketRecord; None for anything not IPv4;
+    Undecodable when a header is cut short or malformed."""
+    if len(buf) < 14:
+        return None
+    ethertype = (buf[12] << 8) | buf[13]
+    offset = 14
+    if ethertype == 0x8100:
+        if len(buf) < 18:
+            return None
+        ethertype = (buf[16] << 8) | buf[17]
+        offset = 18
+    if ethertype != 0x0800:
+        return None
+    if len(buf) < offset + 20:
+        raise Undecodable("IPv4 header cut short")
+    ver_ihl, total_len, ttl, proto, src_ip, dst_ip = _IPV4.unpack_from(buf, offset)
+    if ver_ihl >> 4 != 4:
+        return None
+    ihl = ver_ihl & 0x0F
+    if ihl < 5 or len(buf) < offset + ihl * 4 or total_len < 20:
+        raise Undecodable("malformed IPv4 header")
+    transport_start = offset + ihl * 4
+    transport_end = min(len(buf), offset + total_len)
+    transport: Union[Tcp, Udp, None] = None
+    if proto == 6:
+        transport = _reference_tcp(buf, transport_start, transport_end)
+    elif proto == 17:
+        if transport_end - transport_start < 8:
+            raise Undecodable("UDP header cut short")
+        transport = Udp(*_UDP.unpack_from(buf, transport_start))
+    return PacketRecord(
+        buf[6:12].hex(":"), buf[0:6].hex(":"), total_len, ttl, proto, src_ip, dst_ip, transport
+    )
+
+
+def _reference_tcp(buf: bytes, start: int, end: int) -> Tcp:
+    if end - start < 20:
+        raise Undecodable("TCP header cut short")
+    src_port, dst_port, seq_raw, ack_raw, offset_byte, flags, window_raw = _TCP.unpack_from(
+        buf, start
+    )
+    window_scale = None
+    options_end = min(start + (offset_byte >> 4) * 4, end)
+    pos = start + 20
+    while pos < options_end:
+        kind = buf[pos]
+        if kind == 0:
+            break
+        if kind == 1:
+            pos += 1
+            continue
+        if pos + 1 >= options_end:
+            break
+        length = buf[pos + 1]
+        if length < 2 or pos + length > options_end:
+            break
+        if kind == 3 and length == 3:
+            window_scale = buf[pos + 2]
+        pos += length
+    return Tcp(src_port, dst_port, seq_raw, ack_raw, flags, window_raw, window_scale)
+
+
+@dataclass
+class _Conversation:
+    stream_index: int
+    first_src: tuple
+    fwd_isn: Optional[int] = None
+    rev_isn: Optional[int] = None
+    fwd_window_scale: Optional[int] = None
+    rev_window_scale: Optional[int] = None
+
+
+class ReferenceTable:
+    """Conversations per transport protocol, numbered by first appearance."""
+
+    def __init__(self) -> None:
+        self.conversations: dict[str, dict[tuple, _Conversation]] = {"tcp": {}, "udp": {}}
+        self.raw_ack_fallbacks = 0
+
+    def lookup(self, record: PacketRecord) -> tuple[_Conversation, bool]:
+        """The record's conversation, allocated on first sight, and whether
+        the record runs in its forward (first-seen) direction."""
+        transport = record.transport
+        table = self.conversations["tcp" if isinstance(transport, Tcp) else "udp"]
+        src = (record.src_ip, transport.src_port)
+        dst = (record.dst_ip, transport.dst_port)
+        key = (src, dst) if src <= dst else (dst, src)
+        conv = table.get(key)
+        if conv is None:
+            conv = table[key] = _Conversation(len(table), src)
+            return conv, True
+        return conv, src == conv.first_src
+
+
+def reference_features(record: PacketRecord, table: ReferenceTable, raw_ack: bool) -> tuple:
+    """The nine feature values of one record, None for Absent; registers the
+    record's SYN-borne ISN and window scale before computing them."""
+    tcp = record.transport
+    ip = (record.ip_len, record.ip_ttl, record.ip_proto)
+    if isinstance(tcp, Udp):
+        return (None,) * 4 + (tcp.src_port, table.lookup(record)[0].stream_index) + ip
+    if not isinstance(tcp, Tcp):
+        return (None,) * 6 + ip
+    conv, forward = table.lookup(record)
+    syn = bool(tcp.flags & _SYN)
+    if syn:
+        if forward:
+            if conv.fwd_isn is None:
+                conv.fwd_isn = tcp.seq_raw
+            if conv.fwd_window_scale is None and tcp.window_scale_option is not None:
+                conv.fwd_window_scale = tcp.window_scale_option
+        else:
+            if conv.rev_isn is None:
+                conv.rev_isn = tcp.seq_raw
+            if conv.rev_window_scale is None and tcp.window_scale_option is not None:
+                conv.rev_window_scale = tcp.window_scale_option
+    if raw_ack:
+        ack = tcp.ack_raw
+    elif not tcp.flags & _ACK:
+        ack = 0
+    else:
+        reverse_isn = conv.rev_isn if forward else conv.fwd_isn
+        if reverse_isn is None:
+            table.raw_ack_fallbacks += 1
+            ack = tcp.ack_raw
+        else:
+            ack = (tcp.ack_raw - reverse_isn) % (1 << 32)
+    scale = conv.fwd_window_scale if forward else conv.rev_window_scale
+    window = tcp.window_raw if syn or scale is None else tcp.window_raw << scale
+    return (tcp.src_port, conv.stream_index, ack, window, None, None) + ip
+
+
+def reference_extract(capture, raw_ack: bool = False):
+    """(rows, src_mac, counters) of a CaptureFile, one frame at a time: rows
+    is the float64 n x 9 NaN matrix, src_mac a list of MAC texts and
+    counters the four ExtractionStats fields."""
+    table = ReferenceTable()
+    vectors, macs = [], []
+    counters = dict(frames_read=len(capture.frames), non_ipv4_skipped=0, decode_errors=0)
+    for frame in capture.frames:
+        try:
+            record = reference_decode(frame.payload)
+        except Undecodable:
+            counters["decode_errors"] += 1
+            continue
+        if record is None:
+            counters["non_ipv4_skipped"] += 1
+            continue
+        vectors.append(reference_features(record, table, raw_ack))
+        macs.append(record.src_mac)
+    counters["raw_ack_fallbacks"] = table.raw_ack_fallbacks
+    rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), 9)
+    return rows, macs, counters

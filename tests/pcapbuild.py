@@ -3,12 +3,16 @@
 Frames are assembled field by field from the published wire layouts,
 independently of the production decoder, so tests can cross-check decoding
 against known bytes. Checksums are written as zero: the decoder never
-inspects them.
+inspects them. extract_frames runs devfp's extraction on built frames.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+
+from devfp.features import ExtractionStats, extract_capture
+from devfp.pcap import parse_capture
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -135,3 +139,15 @@ def pcap_file(
         out += struct.pack(endian + "IIII", i, i * 1000, len(frame), orig)
         out += frame
     return bytes(out)
+
+
+def extract_frames(frames: list[bytes], *, raw_ack: bool = False):
+    """extract_capture on a capture of `frames`: the Dataset and the
+    ExtractionStats."""
+    stats = ExtractionStats()
+    return extract_capture(parse_capture(pcap_file(frames)), raw_ack=raw_ack, stats=stats), stats
+
+
+def vectors(dataset) -> list[tuple]:
+    """Each row's nine feature values as ints, None for Absent."""
+    return [tuple(None if math.isnan(v) else int(v) for v in row) for row in dataset.rows.tolist()]

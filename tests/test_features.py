@@ -3,30 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcapbuild import (
+    ETHERTYPE_IPV4,
+    TCP_ACK,
+    TCP_SYN,
+    ethernet,
+    extract_frames,
+    ipv4,
+    tcp,
+    tcp_option_window_scale,
+    udp,
+    vectors,
+)
 from tables import same_dataset, vectors_dataset
 from devfp.errors import EmptyRegistry, HeaderMismatch, NonNumericCell, RaggedRow, RegistryFormatError
 from devfp.features import (
     CANONICAL_ATTRIBUTES,
     CSV_HEADER,
     MAX_CELL,
-    ConversationTable,
     DeviceRegistry,
     FeatureVector,
-    assign_stream_index,
     clean,
     extract_capture,
-    extract_features,
     label_by_source_mac,
     read_csv,
     read_registry,
-    relative_ack,
     write_csv,
     write_registry,
 )
-from devfp.pcap import TCP_ACK, TCP_SYN, PacketRecord, Tcp, Udp, parse_capture
+from devfp.pcap import parse_capture
+
+DST_MAC = "02:00:00:00:00:fe"
 
 
-def tcp_record(
+def tcp_frame(
     src_ip="10.0.0.1",
     dst_ip="10.0.0.2",
     src_port=1000,
@@ -39,21 +49,17 @@ def tcp_record(
     ws=None,
     src_mac="aa:00:00:00:00:01",
     ttl=64,
-    ip_len=40,
+    ip_len=None,
 ):
-    return PacketRecord(
-        src_mac=src_mac,
-        dst_mac="02:00:00:00:00:fe",
-        ip_len=ip_len,
-        ip_ttl=ttl,
-        ip_proto=6,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        transport=Tcp(src_port, dst_port, seq, ack, flags, window, ws),
-    )
+    """A TCP segment, padded with payload to ip_len when given."""
+    options = b"" if ws is None else tcp_option_window_scale(ws)
+    segment = tcp(src_port, dst_port, seq=seq, ack=ack, flags=flags, window=window, options=options)
+    if ip_len is not None:
+        segment += bytes(ip_len - 20 - len(segment))
+    return ethernet(DST_MAC, src_mac, ETHERTYPE_IPV4, ipv4(src_ip, dst_ip, 6, segment, ttl=ttl))
 
 
-def udp_record(
+def udp_frame(
     src_ip="10.0.0.1",
     dst_ip="10.0.0.2",
     src_port=5000,
@@ -63,68 +69,52 @@ def udp_record(
     ttl=64,
     ip_len=65,
 ):
-    return PacketRecord(
-        src_mac=src_mac,
-        dst_mac="02:00:00:00:00:fe",
-        ip_len=ip_len,
-        ip_ttl=ttl,
-        ip_proto=17,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        transport=Udp(src_port, dst_port, ip_len - 28),
-    )
+    datagram = udp(src_port, dst_port, bytes(ip_len - 28))
+    return ethernet(DST_MAC, src_mac, ETHERTYPE_IPV4, ipv4(src_ip, dst_ip, 17, datagram, ttl=ttl))
 
 
-def icmp_record(src_mac="aa:00:00:00:00:01"):
-    return PacketRecord(
-        src_mac=src_mac,
-        dst_mac="02:00:00:00:00:fe",
-        ip_len=28,
-        ip_ttl=64,
-        ip_proto=1,
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        transport=None,
-    )
+def icmp_frame(src_mac="aa:00:00:00:00:01"):
+    echo = b"\x08\x00\x00\x00" + bytes(4)
+    return ethernet(DST_MAC, src_mac, ETHERTYPE_IPV4, ipv4("10.0.0.1", "10.0.0.2", 1, echo))
+
+
+def extract(frames, *, raw_ack=False):
+    """The feature vectors of `frames`, and the extraction counters."""
+    dataset, stats = extract_frames(frames, raw_ack=raw_ack)
+    return [FeatureVector(*vector) for vector in vectors(dataset)], stats
+
+
+def streams(frames):
+    """Each row's stream index: tcp.stream or udp.stream, None for neither."""
+    return [
+        v.tcp_stream if v.tcp_stream is not None else v.udp_stream for v in extract(frames)[0]
+    ]
 
 
 class TestStreamIndex:
     def test_first_conversation_gets_zero(self):
-        table = ConversationTable()
-        assert assign_stream_index(table, tcp_record()) == 0
+        assert streams([tcp_frame()]) == [0]
 
     def test_reply_direction_shares_index(self):
-        table = ConversationTable()
-        assign_stream_index(table, tcp_record())
-        reply = tcp_record(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000)
-        assert assign_stream_index(table, reply) == 0
+        reply = tcp_frame(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000)
+        assert streams([tcp_frame(), reply]) == [0, 0]
 
     def test_first_appearance_order_with_independent_counters(self):
         # conversations A(tcp), B(tcp), C(udp), A(tcp) -> 0, 1, 0, 0
-        table = ConversationTable()
-        a = tcp_record(src_port=1111)
-        b = tcp_record(src_port=2222)
-        c = udp_record(src_port=3333)
-        indices = [
-            assign_stream_index(table, a),
-            assign_stream_index(table, b),
-            assign_stream_index(table, c),
-            assign_stream_index(table, a),
-        ]
-        assert indices == [0, 1, 0, 0]
+        a = tcp_frame(src_port=1111)
+        b = tcp_frame(src_port=2222)
+        c = udp_frame(src_port=3333)
+        assert streams([a, b, c, a]) == [0, 1, 0, 0]
 
     def test_non_transport_record_rejected(self):
-        with pytest.raises(ValueError):
-            assign_stream_index(ConversationTable(), icmp_record())
+        # an ICMP row has no stream index and allocates none
+        assert streams([icmp_frame(), tcp_frame(), udp_frame()]) == [None, 0, 0]
 
     def test_index_density(self):
-        table = ConversationTable()
-        seen = set()
-        for port in (10, 20, 30, 10, 40, 20):
-            seen.add(assign_stream_index(table, tcp_record(src_port=port)))
-        assert seen == {0, 1, 2, 3}
-        assert table.conversation_count("tcp") == 4
-        assert table.conversation_count("udp") == 0
+        found, _ = extract([tcp_frame(src_port=port) for port in (10, 20, 30, 10, 40, 20)])
+        assert {v.tcp_stream for v in found} == {0, 1, 2, 3}
+        assert max(v.tcp_stream for v in found) + 1 == 4  # four TCP conversations
+        assert all(v.udp_stream is None for v in found)  # and no UDP one
 
     @given(flips=st.lists(st.booleans(), min_size=6, max_size=6))
     @settings(max_examples=32)
@@ -139,104 +129,80 @@ class TestStreamIndex:
             ("10.0.0.1", 1000, "10.9.9.9", 80),
         ]
         def run(flip_mask):
-            table = ConversationTable()
-            out = []
+            frames = []
             for (sip, sport, dip, dport), flip in zip(base, flip_mask):
                 if flip:
                     sip, sport, dip, dport = dip, dport, sip, sport
-                rec = tcp_record(src_ip=sip, dst_ip=dip, src_port=sport, dst_port=dport)
-                out.append(assign_stream_index(table, rec))
-            return out
+                frames.append(tcp_frame(src_ip=sip, dst_ip=dip, src_port=sport, dst_port=dport))
+            return streams(frames)
         assert run(flips) == run([False] * 6)
+
+
+PEER = dict(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000)
 
 
 class TestRelativeAck:
     def test_syn_without_ack_flag_is_zero(self):
-        table = ConversationTable()
-        syn = tcp_record(flags=TCP_SYN, seq=1000, ack=999999)
-        assert relative_ack(syn, table) == 0
+        found, _ = extract([tcp_frame(flags=TCP_SYN, seq=1000, ack=999999)])
+        assert found[0].tcp_ack == 0
 
     def test_ack_measured_against_reverse_isn(self):
-        table = ConversationTable()
-        peer_syn = tcp_record(
-            src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000,
-            flags=TCP_SYN, seq=50_000,
-        )
-        extract_features(peer_syn, table)  # registers the peer ISN
-        reply = tcp_record(flags=TCP_ACK, ack=50_000 + 4352)
-        assert relative_ack(reply, table) == 4352
+        peer_syn = tcp_frame(**PEER, flags=TCP_SYN, seq=50_000)  # registers the peer ISN
+        reply = tcp_frame(flags=TCP_ACK, ack=50_000 + 4352)
+        assert extract([peer_syn, reply])[0][1].tcp_ack == 4352
 
     def test_ack_wraps_modulo_2_32(self):
-        table = ConversationTable()
-        peer_syn = tcp_record(
-            src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000,
-            flags=TCP_SYN, seq=2**32 - 5,
-        )
-        extract_features(peer_syn, table)
-        reply = tcp_record(flags=TCP_ACK, ack=10)
-        assert relative_ack(reply, table) == 15
+        peer_syn = tcp_frame(**PEER, flags=TCP_SYN, seq=2**32 - 5)
+        reply = tcp_frame(flags=TCP_ACK, ack=10)
+        assert extract([peer_syn, reply])[0][1].tcp_ack == 15
 
     def test_unknown_isn_falls_back_to_raw_and_counts(self):
-        table = ConversationTable()
-        packet = tcp_record(flags=TCP_ACK, ack=1000)
-        assert relative_ack(packet, table) == 1000
-        assert table.raw_ack_fallbacks == 1
+        found, stats = extract([tcp_frame(flags=TCP_ACK, ack=1000)])
+        assert found[0].tcp_ack == 1000
+        assert stats.raw_ack_fallbacks == 1
 
     def test_raw_ack_mode_always_raw(self):
-        table = ConversationTable()
-        peer_syn = tcp_record(
-            src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000,
-            flags=TCP_SYN, seq=50_000,
-        )
-        extract_features(peer_syn, table)
-        reply = tcp_record(flags=TCP_ACK, ack=54_352)
-        assert relative_ack(reply, table, raw_ack=True) == 54_352
+        peer_syn = tcp_frame(**PEER, flags=TCP_SYN, seq=50_000)
+        reply = tcp_frame(flags=TCP_ACK, ack=54_352)
+        assert extract([peer_syn, reply], raw_ack=True)[0][1].tcp_ack == 54_352
 
 
 class TestExtractFeatures:
     def test_tcp_syn_vector(self):
-        table = ConversationTable()
-        vec = extract_features(
-            tcp_record(src_port=62997, flags=TCP_SYN, window=8688, ip_len=60), table
-        )
-        assert vec == (62997, 0, 0, 8688, None, None, 60, 64, 6)
+        found, _ = extract([tcp_frame(src_port=62997, flags=TCP_SYN, window=8688, ip_len=60)])
+        assert found[0] == (62997, 0, 0, 8688, None, None, 60, 64, 6)
 
     def test_udp_vector(self):
-        table = ConversationTable()
-        vec = extract_features(udp_record(src_port=47581, ip_len=65), table)
-        assert vec == (None, None, None, None, 47581, 0, 65, 64, 17)
+        found, _ = extract([udp_frame(src_port=47581, ip_len=65)])
+        assert found[0] == (None, None, None, None, 47581, 0, 65, 64, 17)
 
     def test_icmp_vector_has_only_ip_features(self):
-        vec = extract_features(icmp_record(), ConversationTable())
-        assert vec == (None,) * 6 + (28, 64, 1)
+        found, _ = extract([icmp_frame()])
+        assert found[0] == (None,) * 6 + (28, 64, 1)
 
     def test_window_scaling_applies_after_syn_with_option(self):
-        table = ConversationTable()
-        syn = tcp_record(flags=TCP_SYN, window=1000, ws=3)
-        assert FeatureVector(*extract_features(syn, table)).tcp_window_size == 1000  # SYN itself unscaled
-        data = tcp_record(flags=TCP_ACK, window=1000)
-        assert FeatureVector(*extract_features(data, table)).tcp_window_size == 8000
+        syn = tcp_frame(flags=TCP_SYN, window=1000, ws=3)
+        data = tcp_frame(flags=TCP_ACK, window=1000)
+        found, _ = extract([syn, data])
+        assert found[0].tcp_window_size == 1000  # SYN itself unscaled
+        assert found[1].tcp_window_size == 8000
 
     def test_window_scale_is_per_direction(self):
-        table = ConversationTable()
-        extract_features(tcp_record(flags=TCP_SYN, window=1000, ws=3), table)
-        reply = tcp_record(
-            src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=80, dst_port=1000,
-            flags=TCP_ACK, window=500,
-        )
+        syn = tcp_frame(flags=TCP_SYN, window=1000, ws=3)
+        reply = tcp_frame(**PEER, flags=TCP_ACK, window=500)
         # the reply direction never announced a scale: raw window
-        assert FeatureVector(*extract_features(reply, table)).tcp_window_size == 500
+        assert extract([syn, reply])[0][1].tcp_window_size == 500
 
     def test_transport_presence_matches_protocol(self):
-        table = ConversationTable()
-        for rec in (tcp_record(), udp_record(), icmp_record()):
-            vec = FeatureVector(*extract_features(rec, table))
+        found, _ = extract([tcp_frame(), udp_frame(), icmp_frame()])
+        for vec, ip_proto in zip(found, (6, 17, 1)):
             tcp_present = all(
                 v is not None for v in (vec.tcp_srcport, vec.tcp_stream, vec.tcp_ack, vec.tcp_window_size)
             )
             udp_present = all(v is not None for v in (vec.udp_srcport, vec.udp_stream))
-            assert tcp_present == (rec.ip_proto == 6)
-            assert udp_present == (rec.ip_proto == 17)
+            assert vec.ip_proto == ip_proto
+            assert tcp_present == (ip_proto == 6)
+            assert udp_present == (ip_proto == 17)
             assert vec.ip_len is not None and vec.ip_ttl is not None and vec.ip_proto is not None
 
 
@@ -248,14 +214,11 @@ class TestLabeling:
         return reg
 
     def test_keeps_registered_drops_unknown(self):
-        vectors = []
-        macs = []
-        table = ConversationTable()
+        frames = []
         for i in range(10):
             mac = "aa:00:00:00:00:01" if i < 6 else "02:00:00:00:00:99"
-            vectors.append(extract_features(udp_record(src_port=100 + i, src_mac=mac), table))
-            macs.append(mac)
-        extracted = vectors_dataset(vectors, src_mac=np.array(macs, dtype=object))
+            frames.append(udp_frame(src_port=100 + i, src_mac=mac))
+        extracted, _ = extract_frames(frames)
         dataset, dropped = label_by_source_mac(extracted, self.registry())
         assert len(dataset.rows) == 6
         assert dropped == 4
@@ -267,9 +230,7 @@ class TestLabeling:
             label_by_source_mac(vectors_dataset([], src_mac=np.array([], dtype=object)), DeviceRegistry())
 
     def test_single_mac_yields_single_class_dataset(self):
-        table = ConversationTable()
-        vectors = [extract_features(udp_record(src_port=i), table) for i in (1, 2)]
-        extracted = vectors_dataset(vectors, src_mac=np.array(["aa:00:00:00:00:01"] * 2, dtype=object))
+        extracted, _ = extract_frames([udp_frame(src_port=i) for i in (1, 2)])
         dataset, _ = label_by_source_mac(extracted, self.registry())
         assert dataset.class_names == ("Alpha",)
 

@@ -5,25 +5,22 @@ from hypothesis import strategies as st
 from pcapbuild import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV6,
+    TCP_ACK,
     TCP_SYN,
     ethernet,
+    extract_frames,
     ipv4,
     pcap_file,
     tcp,
     tcp_option_window_scale,
     udp,
+    vectors,
     vlan_tag,
 )
 
-from devfp.errors import (
-    DecodeError,
-    TruncatedHeader,
-    TruncatedIpHeader,
-    TruncatedTransportHeader,
-    UnknownMagic,
-    UnsupportedLinkType,
-)
-from devfp.pcap import CaptureFile, RawFrame, Tcp, Udp, decode_frame, parse_capture, write_capture
+from devfp.errors import TruncatedHeader, UnknownMagic, UnsupportedLinkType
+from devfp.features import FeatureVector, extract_capture
+from devfp.pcap import CaptureFile, RawFrame, parse_capture, write_capture
 
 
 def simple_frame(n: int = 60) -> bytes:
@@ -148,19 +145,32 @@ class TestRoundTrip:
         assert again.ts_resolution == ts_resolution
 
 
-def decode_bytes(frame_bytes: bytes):
-    frame = RawFrame(0, 0, len(frame_bytes), len(frame_bytes), frame_bytes)
-    return decode_frame(frame, 1)
+def decode_bytes(*frames: bytes):
+    """The feature vectors and source MACs extracted from `frames`, and the
+    extraction counters; every frame must be accounted for exactly once."""
+    dataset, stats = extract_frames(list(frames))
+    assert len(dataset) + stats.non_ipv4_skipped + stats.decode_errors == len(frames)
+    return [FeatureVector(*v) for v in vectors(dataset)], dataset.src_mac.tolist(), stats
+
+
+def skipped(frame: bytes) -> bool:
+    """Whether the frame is skipped as non-IPv4, with no row."""
+    rows, _, stats = decode_bytes(frame)
+    return rows == [] and stats.non_ipv4_skipped == 1
+
+
+def dropped(frame: bytes) -> bool:
+    """Whether the frame is dropped as a decode error, with no row."""
+    rows, _, stats = decode_bytes(frame)
+    return rows == [] and stats.decode_errors == 1
 
 
 class TestDecodeFrame:
     def test_arp_is_skipped(self):
-        rec = decode_bytes(ethernet("ff:ff:ff:ff:ff:ff", "02:00:00:00:00:01", ETHERTYPE_ARP, b"\x00" * 28))
-        assert rec is None
+        assert skipped(ethernet("ff:ff:ff:ff:ff:ff", "02:00:00:00:00:01", ETHERTYPE_ARP, b"\x00" * 28))
 
     def test_ipv6_is_skipped(self):
-        rec = decode_bytes(ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", ETHERTYPE_IPV6, b"\x00" * 40))
-        assert rec is None
+        assert skipped(ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", ETHERTYPE_IPV6, b"\x00" * 40))
 
     def test_reference_tcp_fields(self):
         # 20 bytes of TCP options bring ip.len to 60 with no payload
@@ -171,118 +181,121 @@ class TestDecodeFrame:
             0x0800,
             ipv4("192.168.1.10", "10.0.0.1", 6, tcp(62997, 80, seq=7, flags=TCP_SYN, window=8688, options=opts), ttl=64),
         )
-        rec = decode_bytes(frame)
+        # the peer's reply acknowledges relative to this SYN's sequence number
+        reply = ethernet(
+            "aa:bb:cc:dd:ee:ff", "02:00:00:00:00:02", 0x0800,
+            ipv4("10.0.0.1", "192.168.1.10", 6, tcp(80, 62997, ack=8, flags=TCP_ACK)),
+        )
+        (rec, answer), macs, stats = decode_bytes(frame, reply)
         assert rec.ip_ttl == 64
         assert rec.ip_len == 60
         assert rec.ip_proto == 6
-        assert rec.src_mac == "aa:bb:cc:dd:ee:ff"
-        assert isinstance(rec.transport, Tcp)
-        assert rec.transport.src_port == 62997
-        assert rec.transport.window_raw == 8688
-        assert rec.transport.is_syn and not rec.transport.has_ack
+        assert macs[0] == "aa:bb:cc:dd:ee:ff"
+        assert rec.tcp_srcport == 62997
+        assert rec.tcp_window_size == 8688
+        assert answer.tcp_ack == 1  # the frame is a SYN: its ISN was registered
+        assert rec.tcp_ack == 0 and stats.raw_ack_fallbacks == 0  # no ACK flag: 0, no fallback
 
     def test_icmp_has_no_transport(self):
         frame = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 1, b"\x08\x00\x00\x00"),
         )
-        rec = decode_bytes(frame)
+        (rec,), _, _ = decode_bytes(frame)
         assert rec.ip_proto == 1
-        assert rec.transport is None
+        assert rec[:6] == (None,) * 6
 
     def test_udp_fields(self):
         frame = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 17, udp(47581, 1900, b"x" * 37), ttl=64),
         )
-        rec = decode_bytes(frame)
-        assert rec.ip_len == 65
-        assert isinstance(rec.transport, Udp)
-        assert rec.transport.src_port == 47581
-        assert rec.transport.length == 45
+        (rec,), _, _ = decode_bytes(frame)
+        assert rec.ip_len == 65  # 20 + a 45-byte datagram
+        assert rec.udp_srcport == 47581 and rec.udp_stream == 0
+        assert rec[:4] == (None,) * 4
 
     def test_vlan_unwrapped_once(self):
         inner = ipv4("10.0.0.1", "10.0.0.2", 17, udp(1, 2))
         frame = ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x8100, vlan_tag(5, 0x0800, inner))
-        rec = decode_bytes(frame)
-        assert rec is not None and rec.ip_proto == 17
+        (rec,), _, _ = decode_bytes(frame)
+        assert rec.ip_proto == 17
 
     def test_double_vlan_is_skipped(self):
         inner = vlan_tag(6, 0x0800, ipv4("10.0.0.1", "10.0.0.2", 17, udp(1, 2)))
         frame = ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x8100, vlan_tag(5, 0x8100, inner))
-        assert decode_bytes(frame) is None
+        assert skipped(frame)
 
     def test_window_scale_option_decoded(self):
-        frame = ethernet(
+        syn = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 6, tcp(1, 2, flags=TCP_SYN, options=tcp_option_window_scale(7))),
         )
-        rec = decode_bytes(frame)
-        assert rec.transport.window_scale_option == 7
+        data = ethernet(
+            "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
+            ipv4("10.0.0.1", "10.0.0.2", 6, tcp(1, 2, window=100)),
+        )
+        (_, rec), _, _ = decode_bytes(syn, data)
+        assert rec.tcp_window_size == 100 << 7
 
     def test_truncated_ip_header_raises(self):
         frame = ethernet("02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800, b"\x45\x00\x00")
-        with pytest.raises(TruncatedIpHeader):
-            decode_bytes(frame)
+        assert dropped(frame)
 
     def test_truncated_tcp_header_raises(self):
         frame = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 6, tcp(1, 2))[:30],
         )
-        with pytest.raises(TruncatedTransportHeader):
-            decode_bytes(frame)
+        assert dropped(frame)
 
     def test_truncated_udp_header_raises(self):
         frame = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 17, udp(1, 2))[:25],
         )
-        with pytest.raises(TruncatedTransportHeader):
-            decode_bytes(frame)
+        assert dropped(frame)
 
     def test_ethernet_padding_not_decoded_as_options(self):
-        # 40-byte IPv4 total inside a 60-byte padded frame; padding bytes
-        # would parse as garbage TCP options if the ip.len bound were ignored
-        base = ethernet(
+        # a SYN whose data offset claims 8 option bytes that lie past the
+        # 40-byte IPv4 total length, in padding resembling a window-scale
+        # option; the later segment would be scaled if the padding were decoded
+        segment = tcp(9, 10, flags=TCP_SYN, window=77, options=b"\x03\x03\x09\x01" * 2)
+        padded = ethernet(
+            "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
+            ipv4("10.0.0.1", "10.0.0.2", 6, segment, total_len=40),
+        )
+        later = ethernet(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800,
             ipv4("10.0.0.1", "10.0.0.2", 6, tcp(9, 10, window=77)),
         )
-        padded = base + b"\x03\x03\x09\x01" * 2  # bytes resembling a window-scale option
-        rec = decode_bytes(padded)
-        assert rec.transport.window_scale_option is None
-        assert rec.transport.window_raw == 77
+        (rec, again), _, _ = decode_bytes(padded, later)
+        assert rec.tcp_window_size == 77
+        assert again.tcp_window_size == 77
 
     def test_short_frames_are_skipped(self):
-        assert decode_bytes(b"") is None
-        assert decode_bytes(b"\x00" * 13) is None
+        assert skipped(b"")
+        assert skipped(b"\x00" * 13)
 
     def test_wrong_link_type_rejected(self):
         frame = RawFrame(0, 0, 4, 4, b"abcd")
+        capture = CaptureFile("native", "micro", 105, 65535, (frame,))
         with pytest.raises(UnsupportedLinkType):
-            decode_frame(frame, 105)
+            extract_capture(capture)
 
     @given(data=st.binary(max_size=200))
     @settings(max_examples=300)
     def test_fuzz_decode_total_behavior(self, data):
-        # decode either skips, returns a consistent record, or raises a DecodeError
-        try:
-            rec = decode_bytes(data)
-        except DecodeError:
-            return
-        if rec is None:
-            return
-        assert (rec.ip_proto == 6) == isinstance(rec.transport, Tcp)
-        assert (rec.ip_proto == 17) == isinstance(rec.transport, Udp)
-        assert 0 <= rec.ip_ttl <= 255
-        assert rec.ip_len >= 20
+        # decode either skips, drops, or returns a consistent row
+        found, _, _ = decode_bytes(data)
+        for rec in found:
+            assert (rec.ip_proto == 6) == (rec.tcp_srcport is not None)
+            assert (rec.ip_proto == 17) == (rec.udp_srcport is not None)
+            assert 0 <= rec.ip_ttl <= 255
+            assert rec.ip_len >= 20
 
     @given(data=st.binary(min_size=40, max_size=120), cut=st.integers(0, 119))
     @settings(max_examples=200)
     def test_fuzz_truncation_never_escapes(self, data, cut):
         # decoding any prefix of any frame stays within defined behavior
-        prefix = data[: min(cut, len(data))]
-        try:
-            decode_bytes(prefix)
-        except DecodeError:
-            pass
+        decode_bytes(data[: min(cut, len(data))])
