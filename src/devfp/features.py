@@ -144,8 +144,9 @@ def extract_capture(
     rows[tcp, 2] = ack
     rows[tcp, 3] = window
 
-    macs, mac_of_row = np.unique(headers.src_mac, return_inverse=True)
-    text = np.array([mac.to_bytes(6, "big").hex(":") for mac in macs.tolist()], dtype=object)
+    mac_of_row, first = _distinct(headers.src_mac)
+    macs = headers.src_mac[first].tolist()
+    text = np.array([mac.to_bytes(6, "big").hex(":") for mac in macs], dtype=object)
     return Dataset(rows, src_mac=text[mac_of_row])
 
 
@@ -159,21 +160,33 @@ def _conversations(headers: Headers, index: np.ndarray) -> tuple[np.ndarray, np.
     src = headers.src_ip[index].astype(np.int64) << 16 | headers.src_port[index]
     dst = headers.dst_ip[index].astype(np.int64) << 16 | headers.dst_port[index]
     low, high = np.minimum(src, dst), np.maximum(src, dst)
-    endpoints, code = np.unique(np.concatenate([low, high]), return_inverse=True)
-    pair = code[: len(index)] * len(endpoints) + code[len(index) :]
-    _, first, conversation = np.unique(pair, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ordinal = np.empty_like(order)
-    ordinal[order] = np.arange(len(order))
+    endpoint, seen = _distinct(np.concatenate([low, high]))
+    conversation, first = _distinct(endpoint[: len(index)] * len(seen) + endpoint[len(index) :])
+    ordinal = np.empty_like(first)
+    ordinal[np.argsort(first, kind="stable")] = np.arange(len(first))
     return ordinal[conversation], src > dst
 
 
 def _first(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per state value, the first position where `mask` holds, len(state) if
     none. State values lie below 2 * len(state): each conversation has a row."""
+    positions = np.flatnonzero(mask)
+    positions = positions[_distinct(state[positions])[1]]
     first = np.full(2 * len(state), len(state))
-    np.minimum.at(first, state[mask], np.flatnonzero(mask))
+    first[state[positions]] = positions
     return first
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's index among the distinct keys in ascending order, and the
+    position where each distinct key first appears.
+
+    Asking np.unique for first positions also makes it sort stably, so all
+    callers share one int64 sort kernel: each further kernel that numpy
+    pages in adds its code to the resident set.
+    """
+    _, first, code = np.unique(keys, return_index=True, return_inverse=True)
+    return code, first
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,13 @@ class Headers(NamedTuple):
     frame in capture order, plus counts of the frames left out.
 
     src_mac is the 48-bit source MAC as an integer; the IPs are the 32-bit
-    addresses. The port columns hold TCP and UDP source and destination
-    ports, and the tcp_* columns TCP's sequence and acknowledgment numbers,
-    flags and raw window; both are meaningful only on rows of their
-    protocol. window_scale is the shift of a SYN segment's window-scale
-    option, -1 where a row is no SYN or carries none.
+    addresses. The port columns mean something only on TCP and UDP rows, and
+    the tcp_* columns (sequence and acknowledgment numbers, flags, raw
+    window) only on TCP rows. window_scale is the shift of a SYN segment's
+    window-scale option, -1 where a row is no SYN or carries none.
     """
 
-    src_mac: np.ndarray  # uint64
+    src_mac: np.ndarray  # int64
     ip_len: np.ndarray  # uint16
     ip_ttl: np.ndarray  # uint8
     ip_proto: np.ndarray  # uint8
@@ -231,7 +230,8 @@ def decode_headers(capture: CaptureFile) -> Headers:
     before the IP total length ends (Ethernet padding past that is never
     decoded). The checks apply in that order; every other frame is a row.
     TCP options are read best effort, so a snaplen that cuts them costs only
-    the window-scale option. Reads nothing beyond a frame's captured bytes.
+    the window-scale option. No byte past a frame's captured length reaches
+    its row.
     """
     if capture.link_type != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"cannot decode link type {capture.link_type}")
@@ -244,7 +244,7 @@ def decode_headers(capture: CaptureFile) -> Headers:
 
     def field(at: np.ndarray, width: int) -> np.ndarray:
         """The big-endian unsigned integers of `width` bytes at positions `at`."""
-        value = buf[at].astype({1: np.uint8, 2: np.uint16, 4: np.uint32, 6: np.uint64}[width])
+        value = buf[at].astype({1: np.uint8, 2: np.uint16, 4: np.uint32, 6: np.int64}[width])
         for k in range(1, width):
             value = value << 8 | buf[at + k]
         return value
