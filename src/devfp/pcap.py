@@ -95,21 +95,25 @@ class Headers(NamedTuple):
     the tcp_* columns (sequence and acknowledgment numbers, flags, raw
     window) only on TCP rows. window_scale is the shift of a SYN segment's
     window-scale option, -1 where a row is no SYN or carries none.
+
+    src_mac is int64 and window_scale int16; every other column is uint32,
+    whatever its width on the wire. One dtype for all fields keeps down the
+    number of numpy kernels, whose code is paged in on first use.
     """
 
-    src_mac: np.ndarray  # int64
-    ip_len: np.ndarray  # uint16
-    ip_ttl: np.ndarray  # uint8
-    ip_proto: np.ndarray  # uint8
-    src_ip: np.ndarray  # uint32
-    dst_ip: np.ndarray  # uint32
-    src_port: np.ndarray  # uint16
-    dst_port: np.ndarray  # uint16
-    tcp_seq: np.ndarray  # uint32
-    tcp_ack: np.ndarray  # uint32
-    tcp_flags: np.ndarray  # uint8
-    tcp_window: np.ndarray  # uint16
-    window_scale: np.ndarray  # int16
+    src_mac: np.ndarray
+    ip_len: np.ndarray
+    ip_ttl: np.ndarray
+    ip_proto: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    tcp_seq: np.ndarray
+    tcp_ack: np.ndarray
+    tcp_flags: np.ndarray
+    tcp_window: np.ndarray
+    window_scale: np.ndarray
     non_ipv4: int  # not IPv4: ARP, IPv6, no full Ethernet header, two VLAN tags, ...
     decode_errors: int  # IPv4 with a header cut short or malformed
 
@@ -244,7 +248,7 @@ def decode_headers(capture: CaptureFile) -> Headers:
 
     def field(at: np.ndarray, width: int) -> np.ndarray:
         """The big-endian unsigned integers of `width` bytes at positions `at`."""
-        value = buf[at].astype({1: np.uint8, 2: np.uint16, 4: np.uint32, 6: np.int64}[width])
+        value = buf[at].astype(np.int64 if width > 4 else np.uint32)
         for k in range(1, width):
             value = value << 8 | buf[at + k]
         return value
@@ -270,13 +274,15 @@ def decode_headers(capture: CaptureFile) -> Headers:
     error |= ipv4 & malformed
     rows = np.flatnonzero(ipv4 & ~error)
     decode_errors = int(np.count_nonzero(error))
+    # free the per-frame columns before the per-row gathers
+    del length, ethertype, tagged, ip_offset, ipv4, error, ver_ihl, ip_header_len, malformed
 
-    ip_at = ip_at[rows]
-    tcp_at = start[rows] + transport[rows]
+    start, ip_at, transport = start[rows], ip_at[rows], transport[rows]
+    tcp_at = start + transport
     proto, tcp_flags = proto[rows], field(tcp_at + 13, 1)
     window_scale = np.full(len(rows), -1, np.int16)
     headers = Headers(
-        src_mac=field(start[rows] + 6, 6),
+        src_mac=field(start + 6, 6),
         ip_len=total_len[rows],
         ip_ttl=field(ip_at + 8, 1),
         ip_proto=proto,
@@ -298,7 +304,7 @@ def decode_headers(capture: CaptureFile) -> Headers:
     # only a SYN's window-scale option takes effect, so only SYNs are walked
     walk = (proto == IPPROTO_TCP) & (tcp_flags & TCP_SYN != 0) & (options_len > 20)
     for i in np.flatnonzero(walk).tolist():
-        options_at = int(transport[rows[i]])
+        options_at = int(transport[i])
         window_scale[i] = _window_scale(
             payloads[rows[i]], options_at + 20, options_at + int(options_len[i])
         )

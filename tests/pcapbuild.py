@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 
-from devfp.features import ExtractionStats, extract_capture
+from devfp.features import ExtractionStats, FeatureVector, extract_capture
 from devfp.pcap import parse_capture
 
 ETHERTYPE_IPV4 = 0x0800
@@ -148,6 +148,8 @@ def extract_frames(frames: list[bytes], *, raw_ack: bool = False):
     return extract_capture(parse_capture(pcap_file(frames)), raw_ack=raw_ack, stats=stats), stats
 
 
-def vectors(dataset) -> list[tuple]:
+def vectors(dataset) -> list[FeatureVector]:
     """Each row's nine feature values as ints, None for Absent."""
-    return [tuple(None if math.isnan(v) else int(v) for v in row) for row in dataset.rows.tolist()]
+    return [
+        FeatureVector(*(None if math.isnan(v) else int(v) for v in row)) for row in dataset.rows.tolist()
+    ]

@@ -81,7 +81,7 @@ def icmp_frame(src_mac="aa:00:00:00:00:01"):
 def extract(frames, *, raw_ack=False):
     """The feature vectors of `frames`, and the extraction counters."""
     dataset, stats = extract_frames(frames, raw_ack=raw_ack)
-    return [FeatureVector(*vector) for vector in vectors(dataset)], stats
+    return vectors(dataset), stats
 
 
 def streams(frames):

@@ -19,7 +19,7 @@ from pcapbuild import (
 )
 
 from devfp.errors import TruncatedHeader, UnknownMagic, UnsupportedLinkType
-from devfp.features import FeatureVector, extract_capture
+from devfp.features import extract_capture
 from devfp.pcap import CaptureFile, RawFrame, parse_capture, write_capture
 
 
@@ -150,7 +150,7 @@ def decode_bytes(*frames: bytes):
     extraction counters; every frame must be accounted for exactly once."""
     dataset, stats = extract_frames(list(frames))
     assert len(dataset) + stats.non_ipv4_skipped + stats.decode_errors == len(frames)
-    return [FeatureVector(*v) for v in vectors(dataset)], dataset.src_mac.tolist(), stats
+    return vectors(dataset), dataset.src_mac.tolist(), stats
 
 
 def skipped(frame: bytes) -> bool:
