@@ -137,8 +137,9 @@ def extract_capture(
         stats.raw_ack_fallbacks += int(np.count_nonzero(has_ack & ~known))
     scale_at = _first(state, window_scale >= 0)[state]
     scaled = ~syn & (scale_at < position)  # a SYN's own window is never scaled
+    # a 16-bit window times 2**shift is exact in float64 for any 8-bit shift
     window = window.astype(np.float64)
-    window[scaled] = np.ldexp(window[scaled], window_scale[scale_at[scaled]])  # exact: 16-bit w times 2**s
+    window[scaled] = np.ldexp(window[scaled], window_scale[scale_at[scaled]])
     rows[tcp, 0] = headers.src_port[tcp]
     rows[tcp, 1] = stream
     rows[tcp, 2] = ack

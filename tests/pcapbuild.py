@@ -150,6 +150,5 @@ def extract_frames(frames: list[bytes], *, raw_ack: bool = False):
 
 def vectors(dataset) -> list[FeatureVector]:
     """Each row's nine feature values as ints, None for Absent."""
-    return [
-        FeatureVector(*(None if math.isnan(v) else int(v) for v in row)) for row in dataset.rows.tolist()
-    ]
+    rows = dataset.rows.tolist()
+    return [FeatureVector(*(None if math.isnan(v) else int(v) for v in row)) for row in rows]

@@ -48,7 +48,7 @@ WORDS = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 5, 2**32 - 1]), st.integ
 TCP_OPTIONS = st.one_of(
     st.sampled_from([b"", tcp_options_mss_ts_nops(), tcp_option_window_scale(3)]),
     st.integers(0, 255).map(tcp_option_window_scale),
-    st.integers(0, 255).map(lambda shift: tcp_options_mss_ts_nops() + tcp_option_window_scale(shift)),
+    st.integers(0, 255).map(lambda s: tcp_options_mss_ts_nops() + tcp_option_window_scale(s)),
     st.tuples(st.integers(0, 15), st.integers(0, 15)).map(  # two scale options: the last counts
         lambda shifts: b"".join(map(tcp_option_window_scale, shifts))
     ),
