@@ -274,7 +274,7 @@ def decode_headers(capture: CaptureFile) -> Headers:
     error |= ipv4 & malformed
     rows = np.flatnonzero(ipv4 & ~error)
     decode_errors = int(np.count_nonzero(error))
-    # free the per-frame columns before the per-row gathers
+    # drop the per-frame columns before the per-row gathers: it lowers the peak
     del length, ethertype, tagged, ip_offset, ipv4, error, ver_ihl, ip_header_len, malformed
 
     start, ip_at, transport = start[rows], ip_at[rows], transport[rows]
