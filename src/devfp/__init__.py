@@ -8,7 +8,7 @@ individual-device identification.
 
 __version__ = "0.1.0"
 
-from .features import CANONICAL_ATTRIBUTES, CSV_HEADER, Dataset, FeatureVector
+from .features import CANONICAL_ATTRIBUTES, CSV_HEADER, Dataset
 from .pcap import CaptureFile, parse_capture
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "CANONICAL_ATTRIBUTES",
     "CSV_HEADER",
     "Dataset",
-    "FeatureVector",
     "CaptureFile",
     "parse_capture",
 ]

@@ -1,4 +1,4 @@
-"""Six supervised classifiers behind one train/predict/probability contract."""
+"""Six supervised classifiers behind one training and batch-prediction contract."""
 
 from .base import (
     ALL_VARIANTS,
@@ -7,8 +7,6 @@ from .base import (
     TrainedModel,
     argmax_lowest,
     derive_rng,
-    predict,
-    predict_proba,
 )
 from .bayes import NaiveBayesModel, train_naive_bayes
 from .ensembles import (
@@ -28,8 +26,6 @@ __all__ = [
     "TrainedModel",
     "argmax_lowest",
     "derive_rng",
-    "predict",
-    "predict_proba",
     "NaiveBayesModel",
     "train_naive_bayes",
     "EnsembleModel",

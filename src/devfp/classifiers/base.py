@@ -1,15 +1,16 @@
-"""Shared classifier machinery: hyperparameters, the model contract, prediction.
+"""Shared classifier machinery: hyperparameters and the model contract.
 
 All six classifier variants sit behind one contract: a trained model holds
 the attribute schema and the ordered class names fixed at training time, and
-produces a probability distribution over those classes for any vector that
-matches the schema. Prediction has one path, `distribution_batch(X)`: X is
-a float64 n x k matrix of rows aligned to the schema (k attributes), with
-NaN marking Absent cells, and the result is an n x C float64 matrix of
-class distributions (C classes, each row sums to 1). Row i holds the same
-bits whatever the other rows are; the per-row `distribution(values)` is a
-one-row call to it. Trained models are immutable and safe for concurrent
-prediction.
+produces a probability distribution over those classes for any row of
+feature values that matches the schema. Prediction has one path,
+`distribution_batch(X)`: X is a float64 n x k matrix of rows aligned to the
+schema (k attributes), with NaN marking Absent cells, and the result is an
+n x C float64 matrix of class distributions (C classes, each row sums to
+1). Row i holds the same bits whatever the other rows are. The per-row
+`distribution(values)`, a one-row call to it, is kept only for the
+benchmark's layer tracer, which replaces it on every model it traces.
+Trained models are immutable and safe for concurrent prediction.
 
 Determinism: all randomness is drawn from `random.Random` instances seeded
 with strings derived from (seed, role, member index), so identical inputs
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import EmptyDataset, SingleClassDataset
-from ..features import Dataset, FeatureVector
+from ..features import Dataset
 
 VARIANT_C45 = "j48"
 VARIANT_RANDOM_TREE = "rt"
@@ -166,16 +167,3 @@ class TrainedModel:
 def argmax_lowest(dist: np.ndarray) -> np.ndarray:
     """Most probable class index along the last axis; ties go to the lowest index."""
     return np.argmax(dist, axis=-1)
-
-
-def predict_proba(model: TrainedModel, vector: FeatureVector) -> dict[str, float]:
-    """Probability per class name; entries are >= 0 and sum to 1."""
-    row = Dataset(np.array([vector], dtype=np.float64))  # None becomes NaN
-    dist = model.distribution_batch(row.matrix(model.schema))[0]
-    return {name: float(p) for name, p in zip(model.class_names, dist)}
-
-
-def predict(model: TrainedModel, vector: FeatureVector) -> str:
-    """Most probable class; ties break toward the lower class index."""
-    proba = predict_proba(model, vector)
-    return max(proba, key=proba.get)  # max keeps the first maximum

@@ -29,13 +29,16 @@ in the model's arrays).
 
 Floats serialize via repr and parse back bit-identically, so
 load_model(save_model(m)) reproduces m exactly. The loader takes values in
-the JSON types save_model writes and coerces none: schema and class_names
-are lists of distinct strings, a tree's root and its nodes' attribute,
-left and right are integers (not booleans) and thresholds are floats.
+the JSON types save_model writes and coerces none: version is an integer,
+schema and class_names are lists of distinct strings, a tree's root, its
+nodes' attribute, left and right and its leaves' counts are integers (not
+booleans), thresholds are floats, and so is every nb number that is not
+null.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Union
@@ -84,6 +87,9 @@ def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
     """TreeModel arrays for tree params, checked so that routing always ends."""
     nodes = params["nodes"]
     splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
+    leaf_counts = [raw["counts"] for raw in nodes if "counts" in raw]
+    if not set(map(type, itertools.chain.from_iterable(leaf_counts))) <= {int}:
+        raise ModelFormatError("leaf counts must be of type int")
 
     def column(key: str, kind: type) -> list:
         return _typed([s[key] for s in splits], kind, f"tree node {key!r}")
@@ -94,7 +100,7 @@ def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
         "left": np.array(column("left", int), dtype=np.intp),
         "right": np.array(column("right", int), dtype=np.intp),
         "absent_left": np.array([_ABSENT_LEFT[s["absent_branch"]] for s in splits], dtype=bool),
-        "counts": np.array([raw["counts"] for raw in nodes if "counts" in raw], dtype=np.int32),
+        "counts": np.array(leaf_counts, dtype=np.int32),
         "root": _typed([params["root"]], int, "tree root")[0],
     }
     split = fields["feature"] >= 0
@@ -116,6 +122,9 @@ def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
 
 def _decode_naive_bayes(params: dict, n_attributes: int, n_classes: int) -> dict:
     """NaiveBayesModel arrays for nb params, checked so that prediction is defined."""
+    numbers = [params["priors"], *params["means"], *params["stddevs"]]
+    _typed([v for row in numbers for v in row if v is not None], float, "nb numbers")
+    _typed([v for row in params["present_rates"] for v in row], float, "nb present rates")
     priors = np.array(params["priors"], dtype=np.float64)
     present_rates = np.array(params["present_rates"], dtype=np.float64)
     means, stddevs = (
@@ -188,7 +197,8 @@ def _names(doc: dict, key: str) -> tuple[str, ...]:
 def _model_from_dict(doc: dict) -> TrainedModel:
     if _require(doc, "format") != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
-    if _require(doc, "version") != FORMAT_VERSION:
+    version = _require(doc, "version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model version {doc['version']!r}; this build reads version {FORMAT_VERSION}"
         )

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..selection import gain_ratios, split_segments
+from ..selection import gain_ratios, split_segments, value_codes
 from .base import (
     Hyperparams,
     TrainedModel,
@@ -127,21 +127,6 @@ class TreeModel(TrainedModel):
 _STEP_ROWS = 1 << 15
 
 
-def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, values): codes[i, j] indexes values, ascending with X[i, j]
-    within attribute j, and is -1 for an Absent cell."""
-    codes = np.full(X.shape, -1, dtype=np.int64)
-    distinct = []
-    offset = 0
-    for j in range(X.shape[1]):
-        present = ~np.isnan(X[:, j])
-        values, inverse = np.unique(X[present, j], return_inverse=True)
-        codes[present, j] = inverse + offset
-        distinct.append(values)
-        offset += len(values)
-    return codes, np.concatenate(distinct)
-
-
 def grow_trees(
     X: np.ndarray, y: np.ndarray, n_classes: int, samples: Iterable[np.ndarray], hp: Hyperparams,
     rngs: Optional[Sequence[random.Random]] = None,
@@ -153,7 +138,7 @@ def grow_trees(
     when hp.c45_prune; otherwise tree t is an unpruned random tree whose
     searched nodes each draw a sorted candidate set from rngs[t].
     """
-    codes, values = _value_codes(X)
+    codes, values = value_codes(X)
     k = X.shape[1]
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
     attributes = list(range(k))

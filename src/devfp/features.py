@@ -9,17 +9,20 @@ stream indices are 0-based ordinals per transport protocol, assigned to each
 bidirectional (ip, port) endpoint pair in order of first appearance in the
 capture. tcp.ack defaults to the relative acknowledgment (raw ack minus the
 reverse direction's initial sequence number); tcp.window_size is the scaled
-window when the sender's SYN announced a window-scale option.
+window when the sender's SYN announced a window-scale option, with the shift
+capped at 14 as RFC 7323 section 2.3 requires.
+
+A packet's nine values are one row of a Dataset's float64 feature matrix,
+NaN for Absent (an empty CSV cell): ip.len, ip.ttl and ip.proto are always
+present, the tcp.* values exactly when ip.proto is 6 and the udp.* values
+exactly when it is 17. Datasets are immutable once built and safe to share
+across threads.
 
 extract_capture computes every row of a capture at once from the header
 columns of pcap.decode_headers: np.unique numbers the conversations, and
 each (conversation, direction) keeps the positions of its first SYN and of
 its first SYN with a window-scale option, which a packet uses only when
 they come before it.
-
-Absent feature values are None in a per-packet FeatureVector, NaN in a
-Dataset's feature matrix and empty cells in the CSV. Datasets are immutable
-once built and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -59,26 +62,6 @@ CLASS_DEVICE_TYPE = "device_type"
 
 TYPE_IOT = "IoT"
 TYPE_NON_IOT = "NonIoT"
-
-
-class FeatureVector(NamedTuple):
-    """The 9-feature fingerprint of one packet, in CANONICAL_ATTRIBUTES order.
-
-    Fields hold non-negative ints, or None for Absent. ip_len, ip_ttl and
-    ip_proto are always present for an extracted packet; the tcp_* fields
-    are present exactly when ip_proto == 6 and the udp_* fields exactly when
-    ip_proto == 17. FeatureVector(*values) names the values of one row.
-    """
-
-    tcp_srcport: Optional[int] = None
-    tcp_stream: Optional[int] = None
-    tcp_ack: Optional[int] = None
-    tcp_window_size: Optional[int] = None
-    udp_srcport: Optional[int] = None
-    udp_stream: Optional[int] = None
-    ip_len: Optional[int] = None
-    ip_ttl: Optional[int] = None
-    ip_proto: Optional[int] = None
 
 
 @dataclass
@@ -137,9 +120,9 @@ def extract_capture(
         stats.raw_ack_fallbacks += int(np.count_nonzero(has_ack & ~known))
     scale_at = _first(state, window_scale >= 0)[state]
     scaled = ~syn & (scale_at < position)  # a SYN's own window is never scaled
-    # a 16-bit window times 2**shift is exact in float64 for any 8-bit shift
+    # RFC 7323 section 2.3: a shift above 14 counts as 14, so windows stay below 2**30
     window = window.astype(np.float64)
-    window[scaled] = np.ldexp(window[scaled], window_scale[scale_at[scaled]])
+    window[scaled] = np.ldexp(window[scaled], np.minimum(window_scale[scale_at[scaled]], 14))
     rows[tcp, 0] = headers.src_port[tcp]
     rows[tcp, 1] = stream
     rows[tcp, 2] = ack

@@ -48,13 +48,6 @@ class AttributeScore:
     present_fraction: float
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    threshold: Optional[float]
-    info_gain: float
-    split_info: float
-
-
 def entropy(class_counts: Sequence[float]) -> float:
     """Shannon entropy in bits of a class-count vector; 0*log0 counts as 0."""
     total = 0.0
@@ -93,6 +86,21 @@ def _scalar_entropies(counts: np.ndarray) -> np.ndarray:
     for column in terms.T:
         result -= column
     return result
+
+
+def value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values): codes[i, j] indexes values, ascending with X[i, j]
+    within attribute j, and is -1 for an Absent cell."""
+    codes = np.full(X.shape, -1, dtype=np.int64)
+    distinct = [np.empty(0)]  # concatenate needs an array when X has no columns
+    offset = 0
+    for j in range(X.shape[1]):
+        present = ~np.isnan(X[:, j])
+        values, inverse = np.unique(X[present, j], return_inverse=True)
+        codes[present, j] = inverse + offset
+        distinct.append(values)
+        offset += len(values)
+    return codes, np.concatenate(distinct)
 
 
 class SegmentSplits(NamedTuple):
@@ -197,69 +205,6 @@ def gain_ratios(splits: SegmentSplits, n_rows: np.ndarray) -> tuple[np.ndarray, 
     return ratio, np.where(ok, scaled, 0.0)
 
 
-def _single_segment(values: np.ndarray, labels: np.ndarray, n_classes: int) -> SegmentSplits:
-    distinct, code = np.unique(values, return_inverse=True)
-    return split_segments(np.zeros(len(values), dtype=np.int64), code, labels, distinct, 1, n_classes)
-
-
-def best_binary_split(
-    values: Sequence[float], labels: Sequence[object]
-) -> SplitResult:
-    """Public wrapper over the array split search for labeled value lists."""
-    v = np.asarray(values, dtype=np.float64)
-    names = sorted(set(labels))
-    index = {name: i for i, name in enumerate(names)}
-    y = np.asarray([index[label] for label in labels], dtype=np.intp)
-    splits = _single_segment(v, y, len(names))
-    threshold = float(splits.threshold[0])
-    return SplitResult(
-        None if math.isnan(threshold) else threshold, float(splits.info_gain[0]), float(splits.split_info[0])
-    )
-
-
-def score_column(column: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[float, float, Optional[float]]:
-    """Missing-aware gain ratio of one float column (NaN marks Absent cells).
-
-    The split is searched over present cells only, the gain scaled by the
-    present fraction, and the ratio zeroed whenever the split information is
-    zero or the scaled gain is not positive. Returns
-    (gain_ratio, scaled_info_gain, threshold). This is the semantic core
-    shared by attribute ranking and decision-tree growth.
-    """
-    present = ~np.isnan(column)
-    splits = _single_segment(column[present], labels[present], n_classes)
-    ratio, scaled_gain = gain_ratios(splits, np.array([column.shape[0]]))
-    if scaled_gain[0] > 0.0:
-        return float(ratio[0]), float(scaled_gain[0]), float(splits.threshold[0])
-    return 0.0, 0.0, None
-
-
-def gain_ratio_score(
-    name: str, column: Sequence[Optional[float]], labels: Sequence[object]
-) -> AttributeScore:
-    """Gain-ratio score of one attribute column that may contain Absent cells.
-
-    An all-Absent column scores 0 with present_fraction 0.
-    """
-    if len(column) != len(labels):
-        raise ValueError("column and labels must have equal length")
-    if len(labels) < 2:
-        raise EmptyDataset("gain ratio needs at least 2 rows")
-    values = np.array(column, dtype=np.float64)  # None becomes NaN
-    names = sorted(set(labels))
-    index = {label: i for i, label in enumerate(names)}
-    y = np.asarray([index[label] for label in labels], dtype=np.intp)
-    present_fraction = float((~np.isnan(values)).sum()) / len(column)
-    ratio, scaled_gain, threshold = score_column(values, y, len(names))
-    return AttributeScore(
-        name=name,
-        gain_ratio=ratio,
-        info_gain=scaled_gain,
-        split_threshold=threshold,
-        present_fraction=present_fraction,
-    )
-
-
 @dataclass(frozen=True)
 class RankedList:
     """Attribute scores in descending gain-ratio order (schema order on ties)."""
@@ -273,7 +218,10 @@ class RankedList:
 def rank(dataset: Dataset) -> RankedList:
     """Score every schema attribute and sort by gain ratio, descending.
 
-    Sorting is stable, so equal scores keep schema order.
+    Segment j of one split_segments call holds attribute j's present cells,
+    so ranking is the split search of tree growth at a one-node frontier.
+    An all-Absent attribute scores 0 with present_fraction 0. Sorting is
+    stable, so equal scores keep schema order.
     """
     if len(dataset) < 2:
         raise EmptyDataset("ranking needs at least 2 rows")
@@ -281,10 +229,19 @@ def rank(dataset: Dataset) -> RankedList:
         raise ValueError("ranking requires every row to be labeled")
     if len(dataset.class_names) < 2:
         raise SingleClassDataset("ranking needs at least 2 classes")
-    X, targets = dataset.matrix(), dataset.targets()
-    scores = [gain_ratio_score(a, X[:, j], targets) for j, a in enumerate(dataset.attributes)]
-    ordered = sorted(scores, key=lambda s: -s.gain_ratio)
-    return RankedList(scores=tuple(ordered))
+    codes, values = value_codes(dataset.matrix())
+    n, k = codes.shape
+    row, attribute = np.nonzero(codes >= 0)
+    labels = dataset.class_codes()[row]
+    splits = split_segments(attribute, codes[row, attribute], labels, values, k, len(dataset.class_names))
+    ratio, gain = gain_ratios(splits, np.full(k, n))
+    scores = [
+        AttributeScore(name, r, g, t if g > 0.0 else None, present / n)
+        for name, r, g, t, present in zip(
+            dataset.attributes, ratio.tolist(), gain.tolist(), splits.threshold.tolist(), splits.n_present.tolist()
+        )
+    ]
+    return RankedList(scores=tuple(sorted(scores, key=lambda s: -s.gain_ratio)))
 
 
 def apply_criteria(ranked: RankedList, meta: Iterable[AttributeMeta]) -> tuple[str, ...]:

@@ -438,7 +438,8 @@ def reference_features(record: PacketRecord, table: ReferenceTable, raw_ack: boo
         else:
             ack = (tcp.ack_raw - reverse_isn) % (1 << 32)
     scale = conv.fwd_window_scale if forward else conv.rev_window_scale
-    window = tcp.window_raw if syn or scale is None else tcp.window_raw << scale
+    # RFC 7323 section 2.3: a shift above 14 is taken as 14
+    window = tcp.window_raw if syn or scale is None else tcp.window_raw << min(scale, 14)
     return (tcp.src_port, conv.stream_index, ack, window, None, None) + ip
 
 

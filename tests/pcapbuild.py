@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple, Optional
 
-from devfp.features import ExtractionStats, FeatureVector, extract_capture
+from devfp.features import ExtractionStats, extract_capture
 from devfp.pcap import parse_capture
 
 ETHERTYPE_IPV4 = 0x0800
@@ -148,7 +149,22 @@ def extract_frames(frames: list[bytes], *, raw_ack: bool = False):
     return extract_capture(parse_capture(pcap_file(frames)), raw_ack=raw_ack, stats=stats), stats
 
 
-def vectors(dataset) -> list[FeatureVector]:
+class FeatureRow(NamedTuple):
+    """One row's nine feature values in CANONICAL_ATTRIBUTES order, by field
+    name: non-negative ints, or None for Absent."""
+
+    tcp_srcport: Optional[int] = None
+    tcp_stream: Optional[int] = None
+    tcp_ack: Optional[int] = None
+    tcp_window_size: Optional[int] = None
+    udp_srcport: Optional[int] = None
+    udp_stream: Optional[int] = None
+    ip_len: Optional[int] = None
+    ip_ttl: Optional[int] = None
+    ip_proto: Optional[int] = None
+
+
+def vectors(dataset) -> list[FeatureRow]:
     """Each row's nine feature values as ints, None for Absent."""
     rows = dataset.rows.tolist()
-    return [FeatureVector(*(None if math.isnan(v) else int(v) for v in row)) for row in rows]
+    return [FeatureRow(*(None if math.isnan(v) else int(v) for v in row)) for row in rows]

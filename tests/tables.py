@@ -1,8 +1,15 @@
-"""Small Datasets built by column, and a field-by-field Dataset comparison."""
+"""Small Datasets built by column, a field-by-field Dataset comparison, row
+predictions through distribution_batch, and lone columns scored through
+split_segments."""
+
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from devfp.classifiers import argmax_lowest
 from devfp.features import CANONICAL_ATTRIBUTES, Dataset
+from devfp.selection import gain_ratios, split_segments
 
 
 def labels(values) -> np.ndarray:
@@ -10,7 +17,7 @@ def labels(values) -> np.ndarray:
 
 
 def vectors_dataset(vectors, names=None, **fields) -> Dataset:
-    """A Dataset with one row per FeatureVector (None = Absent) and optional
+    """A Dataset of nine-value canonical rows (None = Absent) with optional
     device names; `fields` pass on to Dataset (device_type, src_mac, ...)."""
     rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(CANONICAL_ATTRIBUTES))
     return Dataset(rows, device_name=None if names is None else labels(names), **fields)
@@ -39,3 +46,49 @@ def same_dataset(a: Dataset, b: Dataset) -> bool:
             for column in ("device_name", "device_type", "src_mac")
         )
     )
+
+
+def schema_rows(rows, schema) -> np.ndarray:
+    """Nine-value canonical rows (None = Absent) as the float64 matrix of the
+    `schema` columns; SchemaMismatch names an attribute that is not canonical."""
+    return vectors_dataset(rows).matrix(schema)
+
+
+def predictions(model, rows) -> list:
+    """The most probable class name of each canonical row (ties to the lower
+    class index), from one distribution_batch call."""
+    dist = model.distribution_batch(schema_rows(rows, model.schema))
+    return [model.class_names[c] for c in argmax_lowest(dist).tolist()]
+
+
+class ColumnScore(NamedTuple):
+    """The gain-ratio score of one lone column, with its best split."""
+
+    gain_ratio: float
+    info_gain: float  # scaled by present_fraction
+    threshold: Optional[float]  # of the best split of the present cells; None if there is none
+    split_info: float
+    present_fraction: float
+
+
+def column_scores(columns, label_lists) -> list[ColumnScore]:
+    """The score of each column (None = Absent) against its own list of
+    labels, every column one segment of a single split_segments call. Labels
+    are coded by their sorted order over all the lists."""
+    names = sorted({label for column_labels in label_lists for label in column_labels})
+    code = {name: c for c, name in enumerate(names)}
+    sizes = np.array([len(column) for column in columns])
+    cells = np.array([v for column in columns for v in column], dtype=np.float64)  # None becomes NaN
+    y = np.array([code[label] for column_labels in label_lists for label in column_labels], dtype=np.intp)
+    segment = np.repeat(np.arange(len(columns)), sizes)
+    present = ~np.isnan(cells)
+    values, cell_codes = np.unique(cells[present], return_inverse=True)
+    splits = split_segments(segment[present], cell_codes, y[present], values, len(columns), len(names))
+    ratio, gain = gain_ratios(splits, sizes)
+    return [
+        ColumnScore(r, g, None if math.isnan(t) else t, si, present_fraction)
+        for r, g, t, si, present_fraction in zip(
+            ratio.tolist(), gain.tolist(), splits.threshold.tolist(), splits.split_info.tolist(),
+            (splits.n_present / sizes).tolist(),
+        )
+    ]

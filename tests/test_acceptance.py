@@ -11,15 +11,14 @@ import random
 
 import pytest
 
-from tables import make_dataset, same_dataset, vectors_dataset
+from tables import column_scores, make_dataset, predictions, same_dataset, vectors_dataset
 from corpus import REFERENCE_REGISTRY, REFERENCE_ROWS
 from oracles import brute_gain_ratio
-from pcapbuild import TCP_ACK, ethernet, ipv4, pcap_file, tcp, udp
+from pcapbuild import TCP_ACK, FeatureRow, ethernet, ipv4, pcap_file, tcp, udp
 
 from devfp.classifiers import (
     Hyperparams,
     derive_rng,
-    predict,
     train_bagging,
     train_c45,
     train_random_forest,
@@ -31,7 +30,6 @@ from devfp.evaluation import ConfusionMatrix, metrics
 from devfp.features import (
     CSV_HEADER,
     Dataset,
-    FeatureVector,
     extract_capture,
     label_by_source_mac,
     read_csv,
@@ -39,7 +37,6 @@ from devfp.features import (
     write_csv,
 )
 from devfp.pcap import parse_capture
-from devfp.selection import gain_ratio_score
 
 
 def _report(criterion: int, description: str, ok: bool, detail: str = "") -> None:
@@ -90,17 +87,19 @@ class TestCriterion1MetricIdentities:
 
 class TestCriterion2GainRatioOracle:
     def test_exhaustive_small_datasets_match_brute_force(self):
+        datasets = [
+            (values, labels)
+            for n in range(2, 7)
+            for values in itertools.product([0, 1, 2], repeat=n)
+            for labels in itertools.product("AB", repeat=n)
+        ]
+        count = len(datasets)
+        scores = column_scores([values for values, _ in datasets], [labels for _, labels in datasets])
         worst = 0.0
-        count = 0
-        for n in range(2, 7):
-            for values in itertools.product([0, 1, 2], repeat=n):
-                for labels in itertools.product("AB", repeat=n):
-                    count += 1
-                    got = gain_ratio_score("x", list(values), list(labels)).gain_ratio
-                    want = brute_gain_ratio(list(values), list(labels))
-                    diff = abs(got - want)
-                    if diff > worst:
-                        worst = diff
+        for (values, labels), score in zip(datasets, scores):
+            diff = abs(score.gain_ratio - brute_gain_ratio(list(values), list(labels)))
+            if diff > worst:
+                worst = diff
         _report(
             2,
             "gain ratio matches brute force to 1e-12 on all <=6-row datasets over {0,1,2}",
@@ -134,10 +133,8 @@ class TestCriterion3TreeOracle:
                         continue
                     checked += 1
                     model = train_c45(_dataset_1attr(values, labels), UNPRUNED_MIN1)
-                    for v, lab in zip(values, labels):
-                        if predict(model, FeatureVector(ip_len=v)) != lab:
-                            failures += 1
-                            break
+                    if predictions(model, [FeatureRow(ip_len=v) for v in values]) != labels:
+                        failures += 1
         _report(
             3,
             "unpruned min_leaf=1 C4.5 is 100% on every consistent single-attribute dataset <= 8 rows",
@@ -161,10 +158,7 @@ class TestCriterion3TreeOracle:
                         continue
                     checked += 1
                     model = train_c45(_dataset_2attr(points, labels), UNPRUNED_MIN1)
-                    perfect = all(
-                        predict(model, FeatureVector(ip_len=a, ip_ttl=b)) == lab
-                        for (a, b), lab in zip(points, labels)
-                    )
+                    perfect = predictions(model, [FeatureRow(ip_len=a, ip_ttl=b) for a, b in points]) == labels
                     if perfect:
                         continue
                     if model.feature[model.root] < 0:
@@ -185,7 +179,7 @@ class TestCriterion4EnsembleDegeneracy:
         out = []
         for _ in range(count):
             out.append(
-                FeatureVector(
+                FeatureRow(
                     ip_len=rng.choice([None, rng.randrange(0, 40)]),
                     ip_ttl=rng.choice([None, 32, 64, 128, rng.randrange(0, 255)]),
                 )
@@ -210,11 +204,8 @@ class TestCriterion4EnsembleDegeneracy:
         forest = train_random_forest(dataset, hp, identity_bootstrap=True)
         standalone = train_random_tree(dataset, hp, rng=derive_rng(hp.seed, "rf", 0))
         vectors = self._random_vectors()
-        mismatches = sum(
-            1
-            for v in vectors
-            if not (predict(forest, v) == predict(forest.members[0], v) == predict(standalone, v))
-        )
+        rows = zip(*(predictions(model, vectors) for model in (forest, forest.members[0], standalone)))
+        mismatches = sum(1 for a, b, c in rows if not a == b == c)
         _report(
             4,
             "forest-of-one == its tree on 1000 random vectors",
@@ -227,11 +218,8 @@ class TestCriterion4EnsembleDegeneracy:
         voted = train_vote(["j48"], dataset)
         base = train_c45(dataset)
         vectors = self._random_vectors(seed=4005)
-        mismatches = sum(
-            1
-            for v in vectors
-            if not (predict(voted, v) == predict(voted.members[0], v) == predict(base, v))
-        )
+        rows = zip(*(predictions(model, vectors) for model in (voted, voted.members[0], base)))
+        mismatches = sum(1 for a, b, c in rows if not a == b == c)
         _report(
             4,
             "vote-of-one == its member on 1000 random vectors",
@@ -245,7 +233,7 @@ class TestCriterion4EnsembleDegeneracy:
         bagged = train_bagging(dataset, hp, identity_bootstrap=True)
         base = train_c45(dataset, hp)
         vectors = self._random_vectors(seed=4006)
-        mismatches = sum(1 for v in vectors if predict(bagged, v) != predict(base, v))
+        mismatches = sum(1 for a, b in zip(predictions(bagged, vectors), predictions(base, vectors)) if a != b)
         _report(
             4,
             "bagging-of-one with identity bootstrap == its base on 1000 random vectors",
@@ -390,7 +378,7 @@ class TestCriterion8CsvRoundTrip:
             for _ in range(rng.randrange(0, 12)):
                 proto = rng.choice([6, 17, 1])
                 vectors.append(
-                    FeatureVector(
+                    FeatureRow(
                         tcp_srcport=rng.randrange(65536) if proto == 6 else None,
                         tcp_stream=rng.randrange(1000) if proto == 6 else None,
                         tcp_ack=rng.randrange(2**32) if proto == 6 else None,

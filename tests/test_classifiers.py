@@ -13,8 +13,6 @@ from devfp.classifiers import (
     ModelSpec,
     derive_rng,
     load_model,
-    predict,
-    predict_proba,
     save_model,
     train_bagging,
     train_c45,
@@ -26,8 +24,9 @@ from devfp.classifiers import (
 )
 from devfp.classifiers.base import TrainedModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
-from devfp.features import Dataset, FeatureVector
-from tables import make_dataset
+from devfp.features import Dataset
+from pcapbuild import FeatureRow
+from tables import make_dataset, predictions, schema_rows
 from modeldocs import document, document_model, leaf, split, tree_model
 
 
@@ -35,9 +34,19 @@ def one_attr_dataset(values, labels) -> Dataset:
     return make_dataset({"ip.len": values}, labels)
 
 
-def vector(**kwargs) -> FeatureVector:
+def vector(**kwargs) -> FeatureRow:
     field_map = {k.replace(".", "_"): v for k, v in kwargs.items()}
-    return FeatureVector(**field_map)
+    return FeatureRow(**field_map)
+
+
+def predicted(model, row: FeatureRow) -> str:
+    return predictions(model, [row])[0]
+
+
+def class_proba(model, row: FeatureRow) -> dict[str, float]:
+    """Class name -> probability of one row, from distribution_batch."""
+    dist = model.distribution_batch(schema_rows([row], model.schema))[0]
+    return dict(zip(model.class_names, dist.tolist()))
 
 
 def is_leaf(model, node=None) -> bool:
@@ -77,7 +86,7 @@ class TestC45:
         assert is_leaf(model, left) and is_leaf(model, right)
         assert leaf_counts(model, left) == (2, 0) and leaf_counts(model, right) == (0, 1)
         for value, expected in ((1, "A"), (2, "A"), (9, "B")):
-            assert predict(model, vector(**{"ip.len": value})) == expected
+            assert predicted(model, vector(**{"ip.len": value})) == expected
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
@@ -103,7 +112,7 @@ class TestC45:
         dataset = one_attr_dataset([5, 5, 5, 5], ["A", "A", "B", "A"])
         model = train_c45(dataset)
         assert is_leaf(model)
-        assert predict(model, vector(**{"ip.len": 5})) == "A"
+        assert predicted(model, vector(**{"ip.len": 5})) == "A"
 
     def test_unpruned_min1_perfect_on_consistent_single_attribute(self):
         rng = random.Random(3)
@@ -118,7 +127,7 @@ class TestC45:
             labels = [label_of[v] for v in values]
             model = train_c45(one_attr_dataset(values, labels), UNPRUNED_MIN1)
             for v, lab in zip(values, labels):
-                assert predict(model, vector(**{"ip.len": v})) == lab
+                assert predicted(model, vector(**{"ip.len": v})) == lab
 
     def test_absent_values_route_to_majority_branch(self):
         # 3 small-value rows, 1 large: absent rows follow the left majority
@@ -126,7 +135,7 @@ class TestC45:
         model = train_c45(dataset, UNPRUNED_MIN1)
         assert not is_leaf(model)
         assert model.absent_left[model.root]
-        assert predict(model, vector()) == "A"
+        assert predicted(model, vector()) == "A"
 
     def test_absent_branch_follows_majority_to_right(self):
         dataset = one_attr_dataset([1, 50, 60, 70, None, None], ["A", "B", "B", "B", "B", "B"])
@@ -216,23 +225,23 @@ class TestNaiveBayes:
     def test_closed_form_separated_clusters(self):
         dataset = one_attr_dataset([0, 0, 10, 10], ["A", "A", "B", "B"])
         model = train_naive_bayes(dataset)
-        proba = predict_proba(model, vector(**{"ip.len": 0}))
+        proba = class_proba(model, vector(**{"ip.len": 0}))
         # with the floored stddev the B density at 0 is exp(-0.5*(10/1e-4.5)^2)
         # times smaller: numerically zero next to A's
         assert proba["A"] > 1 - 1e-12
-        assert predict(model, vector(**{"ip.len": 0})) == "A"
+        assert predicted(model, vector(**{"ip.len": 0})) == "A"
 
     def test_all_absent_query_returns_priors(self):
         dataset = one_attr_dataset([0, 1, 10, 11], ["A", "A", "A", "B"])
         model = train_naive_bayes(dataset)
-        proba = predict_proba(model, vector())
+        proba = class_proba(model, vector())
         assert proba["A"] == pytest.approx(0.75, abs=1e-12)
         assert proba["B"] == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetric_query_is_even(self):
         dataset = one_attr_dataset([1, 2, 8, 9], ["A", "A", "B", "B"])
         model = train_naive_bayes(dataset)
-        proba = predict_proba(model, vector(**{"ip.len": 5}))
+        proba = class_proba(model, vector(**{"ip.len": 5}))
         assert proba["A"] == pytest.approx(0.5, abs=1e-9)
         assert proba["B"] == pytest.approx(0.5, abs=1e-9)
 
@@ -248,7 +257,7 @@ class TestNaiveBayes:
         assert np.array_equal(m1.means, m2.means, equal_nan=True)
         assert np.array_equal(m1.stddevs, m2.stddevs, equal_nan=True)
         for value in (None, 1, 5, 9):
-            assert predict_proba(m1, vector(**{"ip.len": value})) == predict_proba(
+            assert class_proba(m1, vector(**{"ip.len": value})) == class_proba(
                 m2, vector(**{"ip.len": value})
             )
 
@@ -260,7 +269,7 @@ class TestNaiveBayes:
             ["A", "A", "B", "B"],
         )
         model = train_naive_bayes(dataset)
-        proba = predict_proba(model, vector(**{"ip.ttl": 64}))
+        proba = class_proba(model, vector(**{"ip.ttl": 64}))
         assert proba["A"] > 1 - 1e-12
 
     def test_variance_floor_applied(self):
@@ -309,8 +318,8 @@ class TestEnsembles:
         rng = random.Random(0)
         for _ in range(200):
             v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
-            assert predict(model, v) == predict(member, v)
-            assert predict_proba(model, v) == predict_proba(member, v)
+            assert predicted(model, v) == predicted(member, v)
+            assert class_proba(model, v) == class_proba(member, v)
 
     def test_forest_of_one_identity_bootstrap_equals_random_tree(self):
         hp = Hyperparams(forest_trees=1)
@@ -322,7 +331,7 @@ class TestEnsembles:
         hp = Hyperparams(forest_trees=5, rt_feature_count=2)
         forest = train_random_forest(self.dataset(), hp, identity_bootstrap=True)
         v = vector(**{"ip.len": 3, "ip.ttl": 64})
-        assert predict_proba(forest, v) == predict_proba(forest.members[0], v)
+        assert class_proba(forest, v) == class_proba(forest.members[0], v)
 
     def test_majority_of_three_trees(self):
         members = (
@@ -334,7 +343,7 @@ class TestEnsembles:
             schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="rf",
             members=members,
         )
-        assert predict(forest, vector(**{"ip.len": 1})) == "A"
+        assert predicted(forest, vector(**{"ip.len": 1})) == "A"
 
     def test_bagging_identity_single_round_equals_c45(self):
         hp = Hyperparams(bagging_rounds=1, bag_fraction=1.0)
@@ -344,7 +353,7 @@ class TestEnsembles:
         rng = random.Random(1)
         for _ in range(100):
             v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
-            assert predict(bagged, v) == predict(base, v)
+            assert predicted(bagged, v) == predicted(base, v)
 
     def test_bagging_averages_member_distributions(self):
         bagged = EnsembleModel(
@@ -354,9 +363,9 @@ class TestEnsembles:
             variant="bagging",
             members=(stub((0.6, 0.4)), stub((0.2, 0.8))),
         )
-        proba = predict_proba(bagged, vector(**{"ip.len": 1}))
+        proba = class_proba(bagged, vector(**{"ip.len": 1}))
         assert proba == {"A": pytest.approx(0.4), "B": pytest.approx(0.6)}
-        assert predict(bagged, vector(**{"ip.len": 1})) == "B"
+        assert predicted(bagged, vector(**{"ip.len": 1})) == "B"
 
     def test_same_seed_identical_bagging(self):
         a = train_bagging(self.dataset(), Hyperparams(bagging_rounds=3))
@@ -374,8 +383,8 @@ class TestEnsembles:
         rng = random.Random(2)
         for _ in range(100):
             v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
-            assert predict_proba(voted, v) == predict_proba(voted.members[0], v)
-            assert predict(voted, v) == predict(base, v)
+            assert class_proba(voted, v) == class_proba(voted.members[0], v)
+            assert predicted(voted, v) == predicted(base, v)
 
     def test_vote_tie_breaks_to_lower_class_index(self):
         voted = EnsembleModel(
@@ -385,14 +394,14 @@ class TestEnsembles:
             variant="vote",
             members=(stub((1.0, 0.0)), stub((0.0, 1.0))),
         )
-        proba = predict_proba(voted, vector(**{"ip.len": 1}))
+        proba = class_proba(voted, vector(**{"ip.len": 1}))
         assert proba == {"A": pytest.approx(0.5), "B": pytest.approx(0.5)}
-        assert predict(voted, vector(**{"ip.len": 1})) == "A"
+        assert predicted(voted, vector(**{"ip.len": 1})) == "A"
 
     def test_vote_j48_plus_bagging_end_to_end(self):
         voted = train_vote(["j48", "bagging"], self.dataset())
         assert [m.variant for m in voted.members] == ["j48", "bagging"]
-        proba = predict_proba(voted, vector(**{"ip.len": 2, "ip.ttl": 64}))
+        proba = class_proba(voted, vector(**{"ip.len": 2, "ip.ttl": 64}))
         assert sum(proba.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_vote_member_errors_annotated(self):
@@ -435,7 +444,7 @@ class TestPredictContract:
                         "ip.ttl": rng.choice([None, 32, 64, 128]),
                     }
                 )
-                proba = predict_proba(model, v)
+                proba = class_proba(model, v)
                 assert all(p >= 0 for p in proba.values())
                 assert sum(proba.values()) == pytest.approx(1.0, abs=1e-9)
                 assert set(proba) == set(model.class_names)
@@ -465,9 +474,9 @@ class TestPredictContract:
             schema=("nonsense",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="stub",
             fixed=(1, 0),
         )
-        assert predict(model, vector(**{"ip.len": 4})) in ("A", "B")
+        assert predicted(model, vector(**{"ip.len": 4})) in ("A", "B")
         with pytest.raises(SchemaMismatch):
-            predict(bad, vector(**{"ip.len": 4}))
+            predicted(bad, vector(**{"ip.len": 4}))
 
     def test_monotone_rescaling_leaves_tree_predictions_unchanged(self):
         rng = random.Random(13)
@@ -484,7 +493,7 @@ class TestPredictContract:
             for _ in range(60):
                 q = rng.randrange(0, 30)
                 ttl = rng.choice([None, 32, 64, 128])
-                assert predict(m_base, vector(**{"ip.len": q, "ip.ttl": ttl})) == predict(
+                assert predicted(m_base, vector(**{"ip.len": q, "ip.ttl": ttl})) == predicted(
                     m_scaled, vector(**{"ip.len": q * 10 + 7, "ip.ttl": ttl})
                 )
 
@@ -601,7 +610,7 @@ class TestPersistence:
                         "ip.ttl": rng.choice([None, 32, 64]),
                     }
                 )
-                assert predict_proba(model, v) == predict_proba(again, v)
+                assert class_proba(model, v) == class_proba(again, v)
 
     def test_version_mismatch_rejected(self):
         text = save_model(self.trained_models()[0])
@@ -664,6 +673,36 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(document("j48", schema, classes, params)))
 
+    NB_PARAMS = {
+        "priors": [0.5, 0.5],
+        "means": [[1.5, None], [8.5, 32.0]],
+        "stddevs": [[0.5, None], [0.5, 1.0]],
+        "present_rates": [[1.0, 0.0], [1.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize(
+        "variant, params, version",
+        [
+            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf(4.7, True), GOOD_NODES[2]]}, 1),
+            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf("4", 1), GOOD_NODES[2]]}, 1),
+            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf(True, 3), GOOD_NODES[2]]}, 1),
+            ("j48", {"root": 2, "nodes": GOOD_NODES}, True),
+            ("j48", {"root": 2, "nodes": GOOD_NODES}, 1.0),
+            ("nb", {**NB_PARAMS, "priors": [True, 0.5]}, 1),
+            ("nb", {**NB_PARAMS, "means": [[1.5, None], ["8.5", 32.0]]}, 1),
+            ("nb", {**NB_PARAMS, "present_rates": [[1, 0.0], [1.0, 1.0]]}, 1),
+        ],
+        ids=["count-float", "count-string", "count-bool", "version-bool", "version-float",
+             "prior-bool", "mean-string", "present-rate-int"],
+    )
+    def test_coercible_counts_versions_and_nb_numbers_rejected(self, variant, params, version):
+        # each of these loaded before and re-saved to other bytes
+        schema, classes = ("ip.len", "ip.ttl"), ("A", "B")
+        for good in ({"root": 2, "nodes": self.GOOD_NODES}, self.NB_PARAMS):
+            document_model("nb" if "priors" in good else "j48", schema, classes, good)
+        with pytest.raises(ModelFormatError):
+            load_model(json.dumps({**document(variant, schema, classes, params), "version": version}))
+
     def test_malformed_vote_rejected(self):
         def j48(schema, classes, attribute=0):
             counts = [0] * len(classes)
@@ -703,7 +742,7 @@ class TestPersistence:
             "present_rates": [[1.0, 0.0], [1.0, 1.0]],
         }
         model = document_model("nb", schema, classes, good)
-        assert predict(model, vector(**{"ip.len": 2, "ip.ttl": 32})) == "B"
+        assert predicted(model, vector(**{"ip.len": 2, "ip.ttl": 32})) == "B"
         bad_params = [
             {"priors": [1.0]},  # one prior for two classes
             {"means": [[1.5, None]]},  # one row of means
@@ -728,7 +767,7 @@ class TestPersistence:
         labels = ["A" if i % 2 == 0 else "B" for i in range(n)]
         model = train_c45(one_attr_dataset(values, labels), UNPRUNED_MIN1)
         for i in (0, 1, n // 2, n - 1):
-            assert predict(model, vector(**{"ip.len": i})) == labels[i]
+            assert predicted(model, vector(**{"ip.len": i})) == labels[i]
         again = load_model(save_model(model))
         assert save_model(again) == save_model(model)
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tables import make_dataset, same_dataset
+from tables import make_dataset, predictions, same_dataset
 from modeldocs import leaf, split, tree_model
 
-from devfp.classifiers import ModelSpec, predict, train_c45
+from devfp.classifiers import ModelSpec, train_c45
 from devfp.errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from devfp.evaluation import (
     FEATURE_SETS,
@@ -23,7 +23,7 @@ from devfp.evaluation import (
     report_text,
     stratified_split,
 )
-from devfp.features import Dataset, FeatureVector, extract_capture, label_by_source_mac, read_registry
+from devfp.features import Dataset, extract_capture, label_by_source_mac, read_registry
 from devfp.pcap import parse_capture
 
 
@@ -296,12 +296,12 @@ class TestReportRendering:
 
 class TestEndToEndExample:
     def test_tree_evaluation_consistency(self):
-        # evaluate must agree with predict row by row
+        # evaluate must agree with the row predictions
         dataset = dataset_of({"A": 12, "B": 10})
         train, test = stratified_split(dataset, SplitSpec(seed=9))
         model = train_c45(train)
         matrix = evaluate(model, test)
         correct = sum(
-            1 for row, label in zip(test.rows, test.device_name) if predict(model, FeatureVector(*row)) == label
+            1 for predicted, label in zip(predictions(model, test.rows), test.device_name) if predicted == label
         )
         assert metrics(matrix).acc == pytest.approx(correct / len(test.rows))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pcapbuild import (
     ETHERTYPE_IPV4,
+    FeatureRow,
     TCP_ACK,
     TCP_SYN,
     ethernet,
@@ -22,7 +23,6 @@ from devfp.features import (
     CSV_HEADER,
     MAX_CELL,
     DeviceRegistry,
-    FeatureVector,
     clean,
     extract_capture,
     label_by_source_mac,
@@ -187,6 +187,17 @@ class TestExtractFeatures:
         assert found[0].tcp_window_size == 1000  # SYN itself unscaled
         assert found[1].tcp_window_size == 8000
 
+    @pytest.mark.parametrize("shift", [15, 40, 70])
+    def test_window_scale_shift_above_14_counts_as_14(self, shift):
+        # RFC 7323 section 2.3; uncapped, 40 wrote a cell read_csv rejects and 70 overflowed int64
+        syn = tcp_frame(flags=TCP_SYN, window=1000, ws=shift)
+        data = tcp_frame(flags=TCP_ACK, window=65535)
+        dataset, _ = extract_frames([syn, data])
+        assert vectors(dataset)[1].tcp_window_size == 65535 << 14
+        text = write_csv(dataset)
+        assert np.array_equal(read_csv(text).rows, dataset.rows, equal_nan=True)
+        assert write_csv(read_csv(text)) == text
+
     def test_window_scale_is_per_direction(self):
         syn = tcp_frame(flags=TCP_SYN, window=1000, ws=3)
         reply = tcp_frame(**PEER, flags=TCP_ACK, window=500)
@@ -237,34 +248,34 @@ class TestLabeling:
 
 class TestClean:
     def test_all_absent_row_removed(self):
-        rows = [FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6), FeatureVector()]
+        rows = [FeatureRow(ip_len=60, ip_ttl=64, ip_proto=6), FeatureRow()]
         cleaned, stats = clean(vectors_dataset(rows, ["A", "A"]))
         assert len(cleaned.rows) == 1
         assert stats.empty_removed == 1
 
     def test_duplicates_kept_when_dedup_off(self):
-        row = FeatureVector(tcp_srcport=1, tcp_stream=0, tcp_ack=0, tcp_window_size=5,
+        row = FeatureRow(tcp_srcport=1, tcp_stream=0, tcp_ack=0, tcp_window_size=5,
                             ip_len=60, ip_ttl=64, ip_proto=6)
         cleaned, stats = clean(vectors_dataset([row, row], ["D-LinkCam"] * 2))
         assert len(cleaned.rows) == 2
         assert stats.duplicates_removed == 0
 
     def test_duplicates_removed_when_dedup_on(self):
-        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
-        other = FeatureVector(ip_len=61, ip_ttl=64, ip_proto=6)
+        row = FeatureRow(ip_len=60, ip_ttl=64, ip_proto=6)
+        other = FeatureRow(ip_len=61, ip_ttl=64, ip_proto=6)
         cleaned, stats = clean(vectors_dataset([row, row, other], ["X"] * 3), dedup=True)
         assert len(cleaned.rows) == 2
         assert stats.duplicates_removed == 1
 
     def test_same_features_different_label_not_duplicates(self):
-        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
+        row = FeatureRow(ip_len=60, ip_ttl=64, ip_proto=6)
         cleaned, _ = clean(vectors_dataset([row, row], ["A", "B"]), dedup=True)
         assert len(cleaned.rows) == 2
 
 
 class TestCsv:
     def aria_dataset(self):
-        row = FeatureVector(
+        row = FeatureRow(
             tcp_srcport=62997, tcp_stream=0, tcp_ack=0, tcp_window_size=8688,
             ip_len=60, ip_ttl=64, ip_proto=6,
         )
@@ -342,16 +353,16 @@ class TestCsv:
                 read_csv(CSV_HEADER + f"\n{cell},,,,,,60,64,6,A\n")
 
     def test_label_with_comma_rejected_on_write(self):
-        row = FeatureVector(ip_len=60, ip_ttl=64, ip_proto=6)
+        row = FeatureRow(ip_len=60, ip_ttl=64, ip_proto=6)
         with pytest.raises(ValueError):
             write_csv(vectors_dataset([row], ["a,b"]))
 
 
 def vector_strategy():
-    """(FeatureVector, label) pairs."""
+    """(FeatureRow, label) pairs."""
     value = st.one_of(st.none(), st.integers(0, 70000))
     def build(tcp_on, udp_on, v1, v2, v3, v4, v5, v6, base, label):
-        return FeatureVector(
+        return FeatureRow(
             tcp_srcport=v1 if tcp_on else None,
             tcp_stream=v2 if tcp_on else None,
             tcp_ack=v3 if tcp_on else None,

@@ -28,7 +28,7 @@ from devfp.classifiers import (
 from devfp.classifiers import trees
 from devfp.classifiers.base import bootstrap_indices
 from devfp.features import CANONICAL_ATTRIBUTES
-from devfp.selection import best_binary_split, score_column
+from devfp.selection import gain_ratios, rank, split_segments
 from oracles import (
     reference_best_split,
     reference_bootstrap,
@@ -116,14 +116,26 @@ def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf
 def test_split_scores_match_reference_bits(values, data, n_classes):
     column = np.array(values)
     labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=len(values), max_size=len(values))))
-    assert score_column(column, labels, n_classes) == reference_score_column(column, labels, n_classes)
     present = ~np.isnan(column)
+    distinct, code = np.unique(column[present], return_inverse=True)
+    segment = np.zeros(len(code), dtype=np.intp)
+    splits = split_segments(segment, code, labels[present], distinct, 1, n_classes)
+    ratio, gain = gain_ratios(splits, np.array([len(column)]))
+    threshold = float(splits.threshold[0]) if gain[0] > 0.0 else None
+    assert (float(ratio[0]), float(gain[0]), threshold) == reference_score_column(column, labels, n_classes)
     if present.any():
-        names = [chr(65 + c) for c in labels[present]]
-        got = best_binary_split(column[present].tolist(), names)
-        codes = np.unique(labels[present], return_inverse=True)[1]
-        want = reference_best_split(column[present], codes, len(set(names)))
-        assert (got.threshold, got.info_gain, got.split_info) == want
+        # the present classes coded 0.., as ranking codes a dataset's classes
+        classes, codes = np.unique(labels[present], return_inverse=True)
+        got = split_segments(segment, code, codes, distinct, 1, len(classes))
+        threshold = None if math.isnan(got.threshold[0]) else float(got.threshold[0])
+        want = reference_best_split(column[present], codes, len(classes))
+        assert (threshold, float(got.info_gain[0]), float(got.split_info[0])) == want
+    names = [chr(65 + c) for c in labels]
+    if len(set(names)) >= 2:
+        dataset = make_dataset({"ip.len": values}, names)
+        (score,) = rank(dataset).scores
+        want = reference_score_column(column, dataset.class_codes(), len(dataset.class_names))
+        assert (score.gain_ratio, score.info_gain, score.split_threshold) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1836, 4096, 4097, 46114])

@@ -2,29 +2,30 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tables import make_dataset
+from tables import column_scores, make_dataset
 from oracles import (
     brute_best_split,
     brute_entropy_counts,
     brute_gain_ratio,
     brute_split_candidates,
+    reference_score_column,
 )
 
 from devfp.errors import AllZeroCounts, MissingMeta, RegistryFormatError, SingleClassDataset
-from devfp.features import label_by_source_mac, read_registry
+from devfp.features import CANONICAL_ATTRIBUTES, label_by_source_mac, read_registry
 from devfp.pcap import parse_capture
 from devfp.selection import (
     FLAG_TIME_DEPENDENT,
     AttributeMeta,
+    AttributeScore,
     apply_criteria,
-    best_binary_split,
     default_meta,
     entropy,
-    gain_ratio_score,
     rank,
     rank_report_csv,
     read_attribute_meta,
@@ -64,7 +65,7 @@ class TestBestBinarySplit:
     def test_two_cluster_example(self):
         values = [1.0, 2.0, 10.0, 11.0]
         labels = ["A", "A", "B", "B"]
-        result = best_binary_split(values, labels)
+        result = column_scores([values], [labels])[0]
         # exhaustive check over the three candidate midpoints
         oracle = brute_best_split(values, labels)
         assert oracle[0] == 6.0 and oracle[1] == pytest.approx(1.0)
@@ -73,18 +74,18 @@ class TestBestBinarySplit:
         assert result.split_info == pytest.approx(1.0, abs=1e-12)
 
     def test_all_values_equal_degenerate(self):
-        result = best_binary_split([5, 5, 5], ["A", "B", "A"])
+        result = column_scores([[5, 5, 5]], [["A", "B", "A"]])[0]
         assert result.threshold is None
         assert result.info_gain == 0.0
 
     def test_single_class_degenerate(self):
-        result = best_binary_split([1, 2, 3], ["A", "A", "A"])
+        result = column_scores([[1, 2, 3]], [["A", "A", "A"]])[0]
         assert result.threshold is None
         assert result.info_gain == 0.0
 
     def test_tie_breaks_to_smaller_threshold(self):
         # both cuts of A B A give the same gain; the smaller midpoint wins
-        result = best_binary_split([0, 1, 2], ["A", "B", "A"])
+        result = column_scores([[0, 1, 2]], [["A", "B", "A"]])[0]
         assert result.threshold == 0.5
 
     @given(
@@ -100,7 +101,7 @@ class TestBestBinarySplit:
         # the oracle's max-gain candidates with a consistent split_info.
         values = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
         labels = data.draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=n, max_size=n))
-        result = best_binary_split([float(v) for v in values], labels)
+        result = column_scores([[float(v) for v in values]], [labels])[0]
         candidates = brute_split_candidates(values, labels)
         best_gain = max((gain for _, gain, _ in candidates), default=0.0)
         assert result.info_gain == pytest.approx(max(best_gain, 0.0), abs=1e-12)
@@ -118,17 +119,17 @@ class TestBestBinarySplit:
 
 class TestGainRatio:
     def test_perfect_binary_attribute_scores_one(self):
-        score = gain_ratio_score("x", [0, 0, 1, 1], ["A", "A", "B", "B"])
+        score = column_scores([[0, 0, 1, 1]], [["A", "A", "B", "B"]])[0]
         assert score.gain_ratio == pytest.approx(1.0, abs=1e-12)
         assert score.present_fraction == 1.0
 
     def test_constant_attribute_scores_zero(self):
-        score = gain_ratio_score("x", [7, 7, 7, 7], ["A", "A", "B", "B"])
+        score = column_scores([[7, 7, 7, 7]], [["A", "A", "B", "B"]])[0]
         assert score.gain_ratio == 0.0
-        assert score.split_threshold is None
+        assert score.threshold is None
 
     def test_all_absent_scores_zero_with_zero_presence(self):
-        score = gain_ratio_score("x", [None] * 4, ["A", "A", "B", "B"])
+        score = column_scores([[None] * 4], [["A", "A", "B", "B"]])[0]
         assert score.gain_ratio == 0.0
         assert score.present_fraction == 0.0
 
@@ -136,7 +137,7 @@ class TestGainRatio:
         # 8 rows, present half {1,2 -> A, 9,10 -> B}: raw gain 1 scaled by 0.5
         column = [1, 2, 9, 10, None, None, None, None]
         labels = ["A", "A", "B", "B", "A", "B", "A", "B"]
-        score = gain_ratio_score("x", column, labels)
+        score = column_scores([column], [labels])[0]
         assert score.present_fraction == 0.5
         assert score.info_gain == pytest.approx(0.5, abs=1e-12)
         assert score.gain_ratio == pytest.approx(brute_gain_ratio(column, labels), abs=1e-12)
@@ -144,11 +145,12 @@ class TestGainRatio:
 
     def test_matches_oracle_with_missing_cells(self):
         rng = random.Random(42)
+        columns, label_lists = [], []
         for _ in range(300):
             n = rng.randrange(2, 10)
-            column = [rng.choice([None, 0, 1, 2, 3]) for _ in range(n)]
-            labels = [rng.choice("AB") for _ in range(n)]
-            score = gain_ratio_score("x", column, labels)
+            columns.append([rng.choice([None, 0, 1, 2, 3]) for _ in range(n)])
+            label_lists.append([rng.choice("AB") for _ in range(n)])
+        for column, labels, score in zip(columns, label_lists, column_scores(columns, label_lists)):
             assert score.gain_ratio == pytest.approx(
                 brute_gain_ratio(column, labels), abs=1e-12
             ), (column, labels)
@@ -162,9 +164,9 @@ class TestGainRatio:
         labels = data.draw(
             st.lists(st.sampled_from(["A", "B"]), min_size=len(values), max_size=len(values))
         )
-        base = gain_ratio_score("x", values, labels)
-        affine = gain_ratio_score("x", [2 * v + 3 for v in values], labels)
-        cubic = gain_ratio_score("x", [v**3 for v in values], labels)
+        base, affine, cubic = column_scores(
+            [values, [2 * v + 3 for v in values], [v**3 for v in values]], [labels] * 3
+        )
         assert base.gain_ratio == affine.gain_ratio == cubic.gain_ratio
         assert base.info_gain == affine.info_gain == cubic.info_gain
 
@@ -177,7 +179,7 @@ class TestGainRatio:
         labels = data.draw(
             st.lists(st.sampled_from(["A", "B", "C"]), min_size=len(values), max_size=len(values))
         )
-        score = gain_ratio_score("x", values, labels)
+        score = column_scores([values], [labels])[0]
         assert score.gain_ratio >= 0.0
         assert 0.0 <= score.info_gain <= brute_entropy_counts(
             [labels.count(c) for c in set(labels)]
@@ -202,6 +204,14 @@ class TestRank:
         assert ranked.names() == ("ip.len", "ip.ttl")
         assert ranked.scores[0].gain_ratio == ranked.scores[1].gain_ratio
 
+    def test_zero_gain_attribute_has_no_threshold(self):
+        # the one cut of ip.len leaves half A, half B on both sides: gain 0
+        dataset = two_column_dataset([0, 0, 1, 1], [1, 2, 9, 10], ["A", "B", "A", "B"])
+        scores = {score.name: score for score in rank(dataset).scores}
+        assert scores["ip.len"].info_gain == 0.0
+        assert scores["ip.len"].split_threshold is None
+        assert scores["ip.ttl"].split_threshold is not None
+
     def test_single_class_rejected(self):
         dataset = two_column_dataset([1, 2], [3, 4], ["A", "A"])
         with pytest.raises(SingleClassDataset):
@@ -216,12 +226,14 @@ class TestRank:
         rng = random.Random(9)
         values = [1, 2, 3, 4] * 4 + [20, 21, 22, 23] * 4
         labels = ["A"] * 16 + ["B"] * 16
-        structured = gain_ratio_score("x", values, labels).info_gain
-        shuffled_gains = []
+        shuffles = []
         for _ in range(200):
             shuffled = labels[:]
             rng.shuffle(shuffled)
-            shuffled_gains.append(gain_ratio_score("x", values, shuffled).info_gain)
+            shuffles.append(shuffled)
+        structured, *shuffled_scores = column_scores([values] * 201, [labels, *shuffles])
+        structured = structured.info_gain
+        shuffled_gains = [score.info_gain for score in shuffled_scores]
         assert structured == pytest.approx(1.0, abs=1e-12)
         assert sum(shuffled_gains) / len(shuffled_gains) < 0.25 * structured
 
@@ -240,6 +252,41 @@ class TestRank:
             assert score.gain_ratio > 0.0, score
         ratios = [s.gain_ratio for s in ranked.scores]
         assert ratios == sorted(ratios, reverse=True)
+
+
+@st.composite
+def ranked_datasets(draw):
+    """2..40 rows, 2..4 classes, every canonical column drawn from a pool of
+    one to three columns (so that equal scores occur) with NaN cells, and a
+    schema of 1..9 attributes in any order."""
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 40))
+    names = draw(st.lists(st.sampled_from("ABCD"[:n_classes]), min_size=n, max_size=n).filter(
+        lambda names: len(set(names)) >= 2))
+    cells = st.sampled_from([None, 0, 1, 2, 3, 5, 7])
+    pool = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=3))
+    columns = {a: pool[draw(st.integers(0, len(pool) - 1))] for a in CANONICAL_ATTRIBUTES}
+    schema = draw(st.lists(st.sampled_from(CANONICAL_ATTRIBUTES), min_size=1, max_size=9, unique=True))
+    return make_dataset(columns, names, attributes=schema)
+
+
+def score_bits(score: AttributeScore) -> tuple:
+    floats = (score.gain_ratio, score.info_gain, score.split_threshold, score.present_fraction)
+    return (score.name, *(None if v is None else v.hex() for v in floats))
+
+
+@given(dataset=ranked_datasets())
+@settings(max_examples=200)
+def test_rank_matches_reference_score_column_bits(dataset):
+    X, y, n_classes = dataset.matrix(), dataset.class_codes(), len(dataset.class_names)
+    want = []
+    for j, name in enumerate(dataset.attributes):
+        ratio, gain, threshold = reference_score_column(X[:, j], y, n_classes)
+        present = int(np.count_nonzero(~np.isnan(X[:, j])))
+        want.append(AttributeScore(name, ratio, gain, threshold, present / len(dataset)))
+    # a stable sort: equal gain ratios keep schema order
+    want.sort(key=lambda score: -score.gain_ratio)
+    assert [score_bits(s) for s in rank(dataset).scores] == [score_bits(s) for s in want]
 
 
 class TestApplyCriteria:
@@ -315,9 +362,11 @@ class TestRankReport:
 class TestExhaustiveSmallOracle:
     def test_exhaustive_three_rows(self):
         # tiny slice of the acceptance sweep for quick feedback
-        for values in itertools.product([0, 1, 2], repeat=3):
-            for labels in itertools.product("AB", repeat=3):
-                score = gain_ratio_score("x", list(values), list(labels))
-                assert score.gain_ratio == pytest.approx(
-                    brute_gain_ratio(list(values), list(labels)), abs=1e-12
-                )
+        datasets = list(
+            itertools.product(itertools.product([0, 1, 2], repeat=3), itertools.product("AB", repeat=3))
+        )
+        scores = column_scores([values for values, _ in datasets], [labels for _, labels in datasets])
+        for (values, labels), score in zip(datasets, scores):
+            assert score.gain_ratio == pytest.approx(
+                brute_gain_ratio(list(values), list(labels)), abs=1e-12
+            )
