@@ -5,7 +5,6 @@ from .base import (
     Hyperparams,
     ModelSpec,
     TrainedModel,
-    argmax_lowest,
     derive_rng,
 )
 from .bayes import NaiveBayesModel, train_naive_bayes
@@ -24,7 +23,6 @@ __all__ = [
     "Hyperparams",
     "ModelSpec",
     "TrainedModel",
-    "argmax_lowest",
     "derive_rng",
     "NaiveBayesModel",
     "train_naive_bayes",

@@ -133,8 +133,6 @@ def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str,
     Raises EmptyDataset for fewer than 2 rows and SingleClassDataset when
     fewer than 2 distinct labels are present.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("training needs a non-empty dataset")
     if len(dataset) < 2:
         raise EmptyDataset("training needs at least 2 rows")
     if None in dataset.targets():
@@ -162,8 +160,3 @@ class TrainedModel:
         """Class distribution for schema-aligned feature values (None = Absent)."""
         row = [math.nan if v is None else v for v in values]
         return self.distribution_batch(np.array([row], dtype=np.float64))[0]
-
-
-def argmax_lowest(dist: np.ndarray) -> np.ndarray:
-    """Most probable class index along the last axis; ties go to the lowest index."""
-    return np.argmax(dist, axis=-1)

@@ -33,7 +33,8 @@ the JSON types save_model writes and coerces none: version is an integer,
 schema and class_names are lists of distinct strings, a tree's root, its
 nodes' attribute, left and right and its leaves' counts are integers (not
 booleans), thresholds are floats, and so is every nb number that is not
-null.
+null. Nor does it fill in or skip keys: hyperparams has exactly the keys
+above, a leaf exactly "counts" and a split exactly its five keys.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import fields
 from typing import Union
 
 import numpy as np
@@ -72,6 +74,8 @@ def _encode_tree(tree: TreeModel) -> dict:
 
 
 _LEAF_AS_SPLIT = {"attribute": -1, "threshold": 0.0, "absent_branch": "right", "left": -1, "right": -1}
+_NODE_KEYS = {frozenset({"counts"}), frozenset(_LEAF_AS_SPLIT)}  # a leaf's and a split's
+_HYPERPARAM_KEYS = {f.name for f in fields(Hyperparams)}
 _ABSENT_LEFT = {"left": True, "right": False}
 
 
@@ -86,6 +90,8 @@ def _typed(values: list, kind: type, what: str) -> list:
 def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
     """TreeModel arrays for tree params, checked so that routing always ends."""
     nodes = params["nodes"]
+    if not {frozenset(raw) for raw in nodes} <= _NODE_KEYS:
+        raise ModelFormatError('a tree node must be a leaf {"counts"} or a split with exactly five keys')
     splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
     leaf_counts = [raw["counts"] for raw in nodes if "counts" in raw]
     if not set(map(type, itertools.chain.from_iterable(leaf_counts))) <= {int}:
@@ -204,7 +210,9 @@ def _model_from_dict(doc: dict) -> TrainedModel:
         )
     variant = _require(doc, "variant")
     schema, class_names = _names(doc, "schema"), _names(doc, "class_names")
-    hp_raw = dict(_require(doc, "hyperparams"))
+    hp_raw = _require(doc, "hyperparams")
+    if not (isinstance(hp_raw, dict) and hp_raw.keys() == _HYPERPARAM_KEYS):
+        raise ModelFormatError(f"hyperparams must have exactly the keys {sorted(_HYPERPARAM_KEYS)}")
     try:
         hp = Hyperparams(**hp_raw)
     except (TypeError, ValueError) as exc:

@@ -20,7 +20,6 @@ from .classifiers import (
     ALL_VARIANTS,
     Hyperparams,
     ModelSpec,
-    argmax_lowest,
     load_model,
     save_model,
     train_model,
@@ -282,7 +281,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         dataset = read_csv(path.read_text(encoding="utf-8"))
 
     dist = model.distribution_batch(dataset.matrix(model.schema))
-    predicted = [model.class_names[c] for c in argmax_lowest(dist).tolist()]
+    predicted = [model.class_names[c] for c in dist.argmax(axis=1).tolist()]
     confidence = dist.max(axis=1).tolist()
     lines = ["row,predicted_class,confidence"]
     lines.extend(f"{i},{name},{p:.12g}" for i, (name, p) in enumerate(zip(predicted, confidence)))

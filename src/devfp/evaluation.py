@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifiers import ModelSpec, TrainedModel, argmax_lowest, derive_rng, train_model
+from .classifiers import ModelSpec, TrainedModel, derive_rng, train_model
 from .errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from .features import Dataset
 
@@ -131,7 +131,7 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
     index = {name: i for i, name in enumerate(names)}
     counts = [[0] * len(names) for _ in names]
     # model classes come first in `names`, so a class index is its column
-    predicted = argmax_lowest(model.distribution_batch(test.matrix()))
+    predicted = np.argmax(model.distribution_batch(test.matrix()), axis=1)
     for actual, column in zip(targets.tolist(), predicted.tolist()):
         counts[index[actual]][column] += 1
     return ConfusionMatrix(class_names=names, counts=tuple(tuple(r) for r in counts))

@@ -377,8 +377,9 @@ def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dat
     """
     if len(registry) == 0:
         raise EmptyRegistry("device registry has no entries")
-    macs, mac_of_row = np.unique(dataset.src_mac, return_inverse=True)
-    entries = [registry.entries.get(mac, _UNREGISTERED) for mac in macs.tolist()]
+    code: dict[str, int] = {}  # each distinct MAC numbered in order of first appearance
+    mac_of_row = np.array([code.setdefault(mac, len(code)) for mac in dataset.src_mac.tolist()], np.intp)
+    entries = [registry.entries.get(mac, _UNREGISTERED) for mac in code]
     names = np.array([entry.device_name for entry in entries], dtype=object)[mac_of_row]
     types = np.array([entry.device_type for entry in entries], dtype=object)[mac_of_row]
     kept = replace(dataset, device_name=names, device_type=types).take(np.not_equal(names, None))

@@ -4,11 +4,13 @@ Only the classic libpcap file format is handled (24-byte global header,
 16-byte per-frame headers, four magic variants incl. the nanosecond ones).
 pcapng is rejected with an explicit error. Link type must be Ethernet (1).
 
-parse_capture reads a file into a CaptureFile (frozen dataclass) of RawFrame
-NamedTuples. decode_headers then decodes a whole capture at once: it joins
-the frame payloads into one byte array, reads every header field at
-per-frame offsets with numpy gathers and returns the fields of the decodable
-IPv4 frames as Headers columns, with counts of the frames it skipped.
+parse_capture reads a file into a CaptureFile (frozen dataclass): the file's
+bytes plus one row of frame columns per frame, the offset of the frame's
+bytes in the file and its captured length; there is no per-frame object.
+decode_headers then decodes a whole capture at once: it reads every header
+field straight from the file bytes at per-frame offsets with numpy gathers
+and returns the fields of the decodable IPv4 frames as Headers columns, with
+counts of the frames it skipped.
 
 Parsed captures are immutable (parsers return fresh objects and nothing here
 mutates them), so a CaptureFile can be shared across threads; parsing one
@@ -17,6 +19,7 @@ file is sequential because frame order is meaningful downstream.
 
 from __future__ import annotations
 
+import array
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple, Optional, Union
@@ -51,38 +54,27 @@ TCP_URG = 0x20
 _GLOBAL_HEADER_LEN = 24
 _FRAME_HEADER_LEN = 16
 
-# The deepest header byte decode_headers reads lies within this many bytes of
-# a frame's start: an 18-byte tagged Ethernet header, a 60-byte IPv4 header
-# and the 20 fixed bytes of a TCP header.
-_HEADER_SPAN = 18 + 60 + 20
-
-
-class RawFrame(NamedTuple):
-    """One captured frame exactly as stored in the file."""
-
-    ts_sec: int
-    ts_frac: int  # microseconds or nanoseconds, per CaptureFile.ts_resolution
-    captured_len: int
-    original_len: int
-    payload: bytes
-
 
 @dataclass(frozen=True)
 class CaptureFile:
     """A fully parsed classic pcap file.
 
-    byte_order is "native" when the magic reads correctly as little-endian
-    and "swapped" for big-endian files. truncated_at holds the index of the
-    first frame that was cut off by end-of-file or whose header is corrupt
-    (captured_len > original_len); frames before it are kept. It is None
-    for a clean file. Frame order is exactly the stored order.
+    data is the whole file. frames is an int64 array of shape (n, 2): row i
+    holds the offset of frame i's captured bytes in data and their length,
+    so frame i is data[offset : offset + length]. byte_order is "native"
+    when the magic reads correctly as little-endian and "swapped" for
+    big-endian files. truncated_at holds the index of the first frame that
+    was cut off by end-of-file or whose header is corrupt (captured length
+    above original length); frames before it are kept. It is None for a
+    clean file. Frame order is exactly the stored order.
     """
 
     byte_order: str  # "native" | "swapped"
     ts_resolution: str  # "micro" | "nano"
     link_type: int
     snaplen: int
-    frames: tuple[RawFrame, ...]
+    data: bytes
+    frames: np.ndarray
     truncated_at: Optional[int] = None
 
 
@@ -161,24 +153,25 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
             f"link type {link_type} not supported; only Ethernet (1) captures are handled"
         )
 
-    frames: list[RawFrame] = []
+    # offset and captured length of each frame in turn; an int64 array keeps no
+    # int object per value, which would fragment the heap for later allocations
+    columns = array.array("q")
     truncated_at: Optional[int] = None
     offset = _GLOBAL_HEADER_LEN
     end = len(data)
-    frame_header = struct.Struct(endian + "IIII")
+    lengths = struct.Struct(endian + "8xII")  # captured and original length; timestamps skipped
     while offset < end:
         if offset + _FRAME_HEADER_LEN > end:
-            truncated_at = len(frames)
+            truncated_at = len(columns) // 2
             break
-        ts_sec, ts_frac, captured_len, original_len = frame_header.unpack_from(data, offset)
+        captured_len, original_len = lengths.unpack_from(data, offset)
         offset += _FRAME_HEADER_LEN
         # a corrupt header (captured_len > original_len) ends the file like truncation
         if captured_len > original_len or offset + captured_len > end:
-            truncated_at = len(frames)
+            truncated_at = len(columns) // 2
             break
-        frames.append(
-            RawFrame(ts_sec, ts_frac, captured_len, original_len, data[offset : offset + captured_len])
-        )
+        columns.append(offset)
+        columns.append(captured_len)
         offset += captured_len
 
     return CaptureFile(
@@ -186,7 +179,8 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
         ts_resolution=ts_resolution,
         link_type=link_type,
         snaplen=snaplen,
-        frames=tuple(frames),
+        data=data,
+        frames=np.frombuffer(columns, np.int64).reshape(-1, 2),
         truncated_at=truncated_at,
     )
 
@@ -205,24 +199,6 @@ def _raise_unknown_magic(magic: int) -> None:
     raise UnknownMagic(f"not a classic pcap file (magic 0x{magic:08x})")
 
 
-def write_capture(capture: CaptureFile) -> bytes:
-    """Serialize frames back to classic pcap bytes in the capture's byte order.
-
-    parse_capture(write_capture(c)) reproduces c's frame sequence exactly.
-    """
-    endian = "<" if capture.byte_order == "native" else ">"
-    magic = MAGIC_MICRO if capture.ts_resolution == "micro" else MAGIC_NANO
-    out = bytearray()
-    out += struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, capture.snaplen, capture.link_type)
-    frame_header = struct.Struct(endian + "IIII")
-    for frame in capture.frames:
-        out += frame_header.pack(
-            frame.ts_sec, frame.ts_frac, frame.captured_len, frame.original_len
-        )
-        out += frame.payload
-    return bytes(out)
-
-
 def decode_headers(capture: CaptureFile) -> Headers:
     """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at once.
 
@@ -239,18 +215,18 @@ def decode_headers(capture: CaptureFile) -> Headers:
     """
     if capture.link_type != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"cannot decode link type {capture.link_type}")
-    payloads = [frame.payload for frame in capture.frames]
-    length = np.fromiter(map(len, payloads), np.int64, len(payloads))
-    start = np.cumsum(length) - length
-    # zero padding keeps every gather below inside the array; a value read
-    # past a frame's own bytes is masked out before it is used
-    buf = np.frombuffer(b"".join([*payloads, bytes(_HEADER_SPAN)]), np.uint8)
+    start, length = capture.frames.T
+    buf = np.frombuffer(capture.data, np.uint8)
 
     def field(at: np.ndarray, width: int) -> np.ndarray:
-        """The big-endian unsigned integers of `width` bytes at positions `at`."""
-        value = buf[at].astype(np.int64 if width > 4 else np.uint32)
+        """The big-endian unsigned integers of `width` bytes at positions `at`.
+
+        A position past the end of data reads its last byte. That value, like
+        any other read past a frame's own bytes, is masked out before use.
+        """
+        value = buf.take(at, mode="clip").astype(np.int64 if width > 4 else np.uint32)
         for k in range(1, width):
-            value = value << 8 | buf[at + k]
+            value = value << 8 | buf.take(at + k, mode="clip")
         return value
 
     ethertype = field(start + 12, 2)
@@ -277,8 +253,8 @@ def decode_headers(capture: CaptureFile) -> Headers:
     # drop the per-frame columns before the per-row gathers: it lowers the peak
     del length, ethertype, tagged, ip_offset, ipv4, error, ver_ihl, ip_header_len, malformed
 
-    start, ip_at, transport = start[rows], ip_at[rows], transport[rows]
-    tcp_at = start + transport
+    start, ip_at = start[rows], ip_at[rows]
+    tcp_at = start + transport[rows]
     proto, tcp_flags = proto[rows], field(tcp_at + 13, 1)
     window_scale = np.full(len(rows), -1, np.int16)
     headers = Headers(
@@ -295,18 +271,17 @@ def decode_headers(capture: CaptureFile) -> Headers:
         tcp_flags=tcp_flags,
         tcp_window=field(tcp_at + 14, 2),
         window_scale=window_scale,
-        non_ipv4=len(payloads) - len(rows) - decode_errors,
+        non_ipv4=len(capture.frames) - len(rows) - decode_errors,
         decode_errors=decode_errors,
     )
     options_len = np.minimum((field(tcp_at + 12, 1) >> 4).astype(np.int64) * 4, available[rows])
-    del buf  # the option walk reads the frames' own payloads
 
     # only a SYN's window-scale option takes effect, so only SYNs are walked
     walk = (proto == IPPROTO_TCP) & (tcp_flags & TCP_SYN != 0) & (options_len > 20)
     for i in np.flatnonzero(walk).tolist():
-        options_at = int(transport[i])
+        options_at = int(tcp_at[i])
         window_scale[i] = _window_scale(
-            payloads[rows[i]], options_at + 20, options_at + int(options_len[i])
+            capture.data, options_at + 20, options_at + int(options_len[i])
         )
     return headers
 

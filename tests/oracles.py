@@ -450,9 +450,9 @@ def reference_extract(capture, raw_ack: bool = False):
     table = ReferenceTable()
     vectors, macs = [], []
     counters = dict(frames_read=len(capture.frames), non_ipv4_skipped=0, decode_errors=0)
-    for frame in capture.frames:
+    for offset, length in capture.frames.tolist():
         try:
-            record = reference_decode(frame.payload)
+            record = reference_decode(capture.data[offset : offset + length])
         except Undecodable:
             counters["decode_errors"] += 1
             continue

@@ -7,7 +7,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from devfp.classifiers import argmax_lowest
 from devfp.features import CANONICAL_ATTRIBUTES, Dataset
 from devfp.selection import gain_ratios, split_segments
 
@@ -58,7 +57,7 @@ def predictions(model, rows) -> list:
     """The most probable class name of each canonical row (ties to the lower
     class index), from one distribution_batch call."""
     dist = model.distribution_batch(schema_rows(rows, model.schema))
-    return [model.class_names[c] for c in argmax_lowest(dist).tolist()]
+    return [model.class_names[c] for c in np.argmax(dist, axis=1).tolist()]
 
 
 class ColumnScore(NamedTuple):

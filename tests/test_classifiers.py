@@ -673,6 +673,19 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(document("j48", schema, classes, params)))
 
+    def test_missing_and_unknown_keys_rejected(self):
+        # each loaded before, and save_model wrote seed back or dropped extra
+        schema, classes = ("ip.len",), ("A", "B")
+        params = {"root": 2, "nodes": self.GOOD_NODES}
+        good = document("j48", schema, classes, params)
+        load_model(json.dumps(good))
+        no_seed = {**good, "hyperparams": {k: v for k, v in good["hyperparams"].items() if k != "seed"}}
+        extra_on_leaf = {**params, "nodes": [{**leaf(0, 4), "extra": 1}, *self.GOOD_NODES[1:]]}
+        extra_on_split = {**params, "nodes": [*self.GOOD_NODES[:2], {**self.GOOD_NODES[2], "extra": 1}]}
+        for doc in (no_seed, *(document("j48", schema, classes, p) for p in (extra_on_leaf, extra_on_split))):
+            with pytest.raises(ModelFormatError):
+                load_model(json.dumps(doc))
+
     NB_PARAMS = {
         "priors": [0.5, 0.5],
         "means": [[1.5, None], [8.5, 32.0]],

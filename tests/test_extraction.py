@@ -6,8 +6,8 @@ VLAN, ARP, IPv6 and ICMP frames, IHL below 5, headers cut short, Ethernet
 padding, IPv4 and TCP options with and without window scale, from few
 enough endpoints that conversations repeat, run in both directions and
 carry several SYNs. The generated bytes are then mutated, and the last frame
-is cut at every length up to 100 bytes, so that gathers near the end of the
-joined frame buffer run.
+is cut at every length up to 100 bytes, so that gathers run near the end of
+the file's bytes.
 """
 
 import dataclasses

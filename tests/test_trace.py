@@ -35,6 +35,11 @@ def test_traced_commands_record_row_counts(tmp_path, training_paths):
                    "--out", dataset)
     n_rows = len(dataset.read_text(encoding="utf-8").splitlines()) - 1
     (extracted,) = rows(spans, "features.extract_capture")
+    # the tracer's frame count is len(frames) of the parsed capture
+    (parsed,) = [span["attrs"]["frames"] for span in spans if span["name"] == "pcap.parse_capture"]
+    (frames_read,) = [span["attrs"]["frames_read"] for span in spans
+                      if span["name"] == "features.extract_capture"]
+    assert parsed == frames_read > 0
     (labeled,) = rows(spans, "features.label_by_source_mac")
     assert extracted > labeled > 0
     assert rows(spans, "features.clean") == [n_rows]
