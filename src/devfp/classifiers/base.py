@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import EmptyDataset, SingleClassDataset
-from ..features import Dataset
+from ..features import Dataset, require_classes
 
 VARIANT_C45 = "j48"
 VARIANT_RANDOM_TREE = "rt"
@@ -133,12 +132,7 @@ def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str,
     Raises EmptyDataset for fewer than 2 rows and SingleClassDataset when
     fewer than 2 distinct labels are present.
     """
-    if len(dataset) < 2:
-        raise EmptyDataset("training needs at least 2 rows")
-    if None in dataset.targets():
-        raise ValueError("training requires every row to be labeled")
-    if len(dataset.class_names) < 2:
-        raise SingleClassDataset("training needs at least 2 classes")
+    require_classes(dataset, "training")
     return dataset.matrix(), dataset.class_codes(), dataset.class_names
 
 

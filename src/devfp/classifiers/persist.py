@@ -33,8 +33,10 @@ the JSON types save_model writes and coerces none: version is an integer,
 schema and class_names are lists of distinct strings, a tree's root, its
 nodes' attribute, left and right and its leaves' counts are integers (not
 booleans), thresholds are floats, and so is every nb number that is not
-null. Nor does it fill in or skip keys: hyperparams has exactly the keys
-above, a leaf exactly "counts" and a split exactly its five keys.
+null. Nor does it fill in or skip keys: the document, its hyperparams and
+its params have exactly the keys above, a leaf exactly "counts" and a split
+exactly its five keys. NaN, Infinity and -Infinity, which JSON lacks and
+save_model never writes, are rejected.
 """
 
 from __future__ import annotations
@@ -75,8 +77,19 @@ def _encode_tree(tree: TreeModel) -> dict:
 
 _LEAF_AS_SPLIT = {"attribute": -1, "threshold": 0.0, "absent_branch": "right", "left": -1, "right": -1}
 _NODE_KEYS = {frozenset({"counts"}), frozenset(_LEAF_AS_SPLIT)}  # a leaf's and a split's
-_HYPERPARAM_KEYS = {f.name for f in fields(Hyperparams)}
+_DOC_KEYS = frozenset({"format", "version", "variant", "schema", "class_names", "hyperparams", "params"})
+_HYPERPARAM_KEYS = frozenset(f.name for f in fields(Hyperparams))
+_TREE_KEYS = frozenset({"root", "nodes"})
+_NB_KEYS = frozenset({"priors", "means", "stddevs", "present_rates"})
+_ENSEMBLE_KEYS = frozenset({"members"})
 _ABSENT_LEFT = {"left": True, "right": False}
+
+
+def _keyed(obj: object, keys: frozenset, what: str) -> dict:
+    """obj, which must be an object with exactly `keys`."""
+    if not (isinstance(obj, dict) and obj.keys() == keys):
+        raise ModelFormatError(f"{what} must have exactly the keys {sorted(keys)}")
+    return obj
 
 
 def _typed(values: list, kind: type, what: str) -> list:
@@ -89,7 +102,7 @@ def _typed(values: list, kind: type, what: str) -> list:
 
 def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
     """TreeModel arrays for tree params, checked so that routing always ends."""
-    nodes = params["nodes"]
+    nodes = _keyed(params, _TREE_KEYS, "tree params")["nodes"]
     if not {frozenset(raw) for raw in nodes} <= _NODE_KEYS:
         raise ModelFormatError('a tree node must be a leaf {"counts"} or a split with exactly five keys')
     splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
@@ -128,6 +141,7 @@ def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
 
 def _decode_naive_bayes(params: dict, n_attributes: int, n_classes: int) -> dict:
     """NaiveBayesModel arrays for nb params, checked so that prediction is defined."""
+    _keyed(params, _NB_KEYS, "nb params")
     numbers = [params["priors"], *params["means"], *params["stddevs"]]
     _typed([v for row in numbers for v in row if v is not None], float, "nb numbers")
     _typed([v for row in params["present_rates"] for v in row], float, "nb present rates")
@@ -187,69 +201,63 @@ def save_model(model: TrainedModel) -> str:
     return json.dumps(_model_dict(model), separators=(",", ":")) + "\n"
 
 
-def _require(doc: dict, key: str) -> object:
-    if key not in doc:
-        raise ModelFormatError(f"model document missing {key!r}")
-    return doc[key]
-
-
 def _names(doc: dict, key: str) -> tuple[str, ...]:
-    names = _require(doc, key)
+    names = doc[key]
     if not (isinstance(names, list) and set(map(type, names)) <= {str} and len(set(names)) == len(names)):
         raise ModelFormatError(f"{key} must be a list of distinct strings")
     return tuple(names)
 
 
 def _model_from_dict(doc: dict) -> TrainedModel:
-    if _require(doc, "format") != FORMAT_NAME:
+    if _keyed(doc, _DOC_KEYS, "a model document")["format"] != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
-    version = _require(doc, "version")
+    version = doc["version"]
     if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {doc['version']!r}; this build reads version {FORMAT_VERSION}"
+            f"unsupported model version {version!r}; this build reads version {FORMAT_VERSION}"
         )
-    variant = _require(doc, "variant")
+    variant = doc["variant"]
     schema, class_names = _names(doc, "schema"), _names(doc, "class_names")
-    hp_raw = _require(doc, "hyperparams")
-    if not (isinstance(hp_raw, dict) and hp_raw.keys() == _HYPERPARAM_KEYS):
-        raise ModelFormatError(f"hyperparams must have exactly the keys {sorted(_HYPERPARAM_KEYS)}")
     try:
-        hp = Hyperparams(**hp_raw)
+        hp = Hyperparams(**_keyed(doc["hyperparams"], _HYPERPARAM_KEYS, "hyperparams"))
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad hyperparams: {exc}") from exc
-    params = _require(doc, "params")
+    params = doc["params"]
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
     shape = (len(schema), len(class_names))
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
         return TreeModel(variant=variant, **_decode_tree(params, *shape), **common)
     if variant == VARIANT_NAIVE_BAYES:
         return NaiveBayesModel(**_decode_naive_bayes(params, *shape), **common)
+    if variant not in TREE_MEMBER_VARIANTS and variant != VARIANT_VOTE:
+        raise ModelFormatError(f"unknown variant {variant!r}")
+    member_params = _keyed(params, _ENSEMBLE_KEYS, f"{variant} params")["members"]
     if variant in TREE_MEMBER_VARIANTS:
         members = tuple(
             TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **_decode_tree(p, *shape), **common)
-            for p in params["members"]
+            for p in member_params
         )
-    elif variant == VARIANT_VOTE:
-        if any(_require(p, "variant") == VARIANT_VOTE for p in params["members"]):
+    else:
+        if any(p["variant"] == VARIANT_VOTE for p in member_params):
             raise ModelFormatError("a vote member cannot itself be a vote")
-        members = tuple(_model_from_dict(p) for p in params["members"])
+        members = tuple(_model_from_dict(p) for p in member_params)
         if any(m.schema != schema or m.class_names != class_names for m in members):
             raise ModelFormatError("every vote member needs the vote's schema and class names")
-    else:
-        raise ModelFormatError(f"unknown variant {variant!r}")
     if not members:
         raise ModelFormatError(f"{variant} model has no members")
     return EnsembleModel(variant=variant, members=members, **common)
 
 
+def _reject_constant(name: str) -> float:
+    raise ModelFormatError(f"{name} is not a JSON number and save_model never writes it")
+
+
 def load_model(text: Union[str, bytes]) -> TrainedModel:
     """Parse canonical JSON text back into a trained model."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except (RecursionError, ValueError) as exc:  # ValueError includes JSONDecodeError
         raise ModelFormatError(f"model file is not readable JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
     try:
         return _model_from_dict(doc)
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:

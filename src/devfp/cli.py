@@ -37,11 +37,10 @@ from .evaluation import (
     stratified_split,
 )
 from .features import (
-    CLASS_DEVICE_NAME,
-    CLASS_DEVICE_TYPE,
     TYPE_IOT,
     TYPE_NON_IOT,
     Dataset,
+    DeviceRegistry,
     ExtractionStats,
     clean,
     extract_capture,
@@ -52,6 +51,9 @@ from .features import (
 )
 from .pcap import CaptureFile, is_capture, parse_capture
 from .selection import apply_criteria, default_meta, rank, rank_report_csv, read_attribute_meta
+
+
+_CLASSES = ("device_name", "device_type")  # the training target: device names, or their types
 
 
 def _log(message: str) -> None:
@@ -77,17 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--input", required=True, help="dataset CSV")
     p_rank.add_argument("--out", required=True, help="output rank report CSV")
     p_rank.add_argument("--meta", help="attribute-meta registry (name\\tflag[,flag...])")
-    p_rank.add_argument(
-        "--classes", choices=[CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE], default=CLASS_DEVICE_NAME
-    )
 
     p_train = sub.add_parser("train-eval", help="split, train, evaluate, persist model + report")
     p_train.add_argument("--input", required=True, help="dataset CSV")
     p_train.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
     p_train.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
-    p_train.add_argument(
-        "--classes", choices=[CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE], default=CLASS_DEVICE_NAME
-    )
+    p_train.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
     p_train.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
     p_train.add_argument("--seed", type=int, default=1)
     p_train.add_argument("--dedup", action="store_true", help="drop exact duplicate rows before splitting")
@@ -107,9 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--registry", required=True)
     p_pipe.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
     p_pipe.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
-    p_pipe.add_argument(
-        "--classes", choices=[CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE], default=CLASS_DEVICE_NAME
-    )
+    p_pipe.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
     p_pipe.add_argument("--split", type=float, default=0.8)
     p_pipe.add_argument("--seed", type=int, default=1)
     p_pipe.add_argument("--dedup", action="store_true")
@@ -171,8 +166,11 @@ def _frames_line(stats: ExtractionStats) -> str:
     )
 
 
-def _extract_to_dataset(args: argparse.Namespace) -> Dataset:
-    registry = read_registry(Path(args.registry).read_text(encoding="utf-8"))
+def _read_registry(path: str) -> DeviceRegistry:
+    return read_registry(Path(path).read_text(encoding="utf-8"))
+
+
+def _extract_to_dataset(args: argparse.Namespace, registry: DeviceRegistry) -> Dataset:
     stats = ExtractionStats()
     # each capture labeled as it is extracted: unregistered rows never outlive their capture
     labeled = [
@@ -193,14 +191,14 @@ def _extract_to_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    dataset = _extract_to_dataset(args)
+    dataset = _extract_to_dataset(args, _read_registry(args.registry))
     Path(args.out).write_text(write_csv(dataset), encoding="utf-8")
     _log(f"wrote {len(dataset)} rows to {args.out}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    dataset = read_csv(Path(args.input).read_text(encoding="utf-8"), args.classes)
+    dataset = read_csv(Path(args.input).read_text(encoding="utf-8"))
     ranked = rank(dataset)
     if args.meta:
         meta = read_attribute_meta(Path(args.meta).read_text(encoding="utf-8"))
@@ -214,20 +212,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _load_train_dataset(args: argparse.Namespace) -> Dataset:
-    text = Path(args.input).read_text(encoding="utf-8")
-    if args.classes == CLASS_DEVICE_TYPE and args.registry:
-        dataset = read_csv(text, CLASS_DEVICE_NAME)
-        registry = read_registry(Path(args.registry).read_text(encoding="utf-8"))
-        dataset = dataset.with_class_attribute(CLASS_DEVICE_TYPE, registry)
-    else:
-        dataset = read_csv(text, args.classes)
-        if args.classes == CLASS_DEVICE_TYPE:
-            bad = sorted(set(dataset.class_names) - {TYPE_IOT, TYPE_NON_IOT})
-            if bad:
-                raise DevfpError(
-                    f"class column holds {bad}, not {TYPE_IOT}/{TYPE_NON_IOT}; "
-                    "pass --registry to map device names to types"
-                )
+    dataset = read_csv(Path(args.input).read_text(encoding="utf-8"))
+    if args.classes == "device_type":
+        if args.registry:
+            return dataset.device_types(_read_registry(args.registry))
+        bad = sorted(set(dataset.class_names) - {TYPE_IOT, TYPE_NON_IOT})
+        if bad:
+            raise DevfpError(
+                f"class column holds {bad}, not {TYPE_IOT}/{TYPE_NON_IOT}; "
+                "pass --registry to map device names to types"
+            )
     return dataset
 
 
@@ -303,11 +297,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _extract_to_dataset(args)
+    registry = _read_registry(args.registry)
+    dataset = _extract_to_dataset(args, registry)
     (out_dir / "dataset.csv").write_text(write_csv(dataset), encoding="utf-8")
     _log(f"wrote {len(dataset)} rows to {out_dir / 'dataset.csv'}")
-    if args.classes == CLASS_DEVICE_TYPE:
-        dataset = dataset.with_class_attribute(CLASS_DEVICE_TYPE)
+    if args.classes == "device_type":
+        dataset = dataset.device_types(registry)
     # dedup already applied during extraction
     return _train_eval_on_dataset(dataset, args, out_dir, apply_dedup=False)
 

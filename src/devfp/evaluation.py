@@ -71,7 +71,7 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     are preserved within one row per class. The same seed always yields the
     same partition.
     """
-    if None in dataset.targets():
+    if None in dataset.labels:
         raise ValueError("splitting requires every row to be labeled")
     if len(dataset) < 2:
         raise EmptyDataset("splitting needs at least 2 rows")
@@ -123,8 +123,7 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
         )
     if len(test) == 0:
         raise EmptyDataset("evaluation needs a non-empty test set")
-    targets = test.targets()
-    if None in targets:
+    if None in test.labels:
         raise ValueError("evaluation requires every test row to be labeled")
     extra = sorted(set(test.class_names) - set(model.class_names))
     names = tuple(model.class_names) + tuple(extra)
@@ -132,7 +131,7 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
     counts = [[0] * len(names) for _ in names]
     # model classes come first in `names`, so a class index is its column
     predicted = np.argmax(model.distribution_batch(test.matrix()), axis=1)
-    for actual, column in zip(targets.tolist(), predicted.tolist()):
+    for actual, column in zip(test.labels.tolist(), predicted.tolist()):
         counts[index[actual]][column] += 1
     return ConfusionMatrix(class_names=names, counts=tuple(tuple(r) for r in counts))
 

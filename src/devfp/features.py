@@ -30,17 +30,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    EmptyDataset,
     EmptyRegistry,
     HeaderMismatch,
     NonNumericCell,
     RaggedRow,
     RegistryFormatError,
     SchemaMismatch,
+    SingleClassDataset,
 )
 from .pcap import IPPROTO_TCP, IPPROTO_UDP, TCP_ACK, TCP_SYN, CaptureFile, Headers, decode_headers
 
@@ -56,9 +58,6 @@ CANONICAL_ATTRIBUTES = (
     "ip.proto",
 )
 CSV_HEADER = ",".join(CANONICAL_ATTRIBUTES) + ",class"
-
-CLASS_DEVICE_NAME = "device_name"
-CLASS_DEVICE_TYPE = "device_type"
 
 TYPE_IOT = "IoT"
 TYPE_NON_IOT = "NonIoT"
@@ -190,10 +189,11 @@ _UNREGISTERED = DeviceEntry(None, None)  # the labels of a MAC the registry lack
 
 
 class DeviceRegistry:
-    """MAC address -> (device name, device type) mapping."""
+    """MAC address -> (device name, device type) mapping; a name has one type."""
 
-    def __init__(self, entries: Optional[dict[str, DeviceEntry]] = None) -> None:
-        self.entries: dict[str, DeviceEntry] = dict(entries or {})
+    def __init__(self) -> None:
+        self.entries: dict[str, DeviceEntry] = {}
+        self.types: dict[str, str] = {}  # device name -> device type
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -208,42 +208,37 @@ class DeviceRegistry:
             raise ValueError(f"device type must be {TYPE_IOT} or {TYPE_NON_IOT}: {device_type!r}")
         if mac in self.entries:
             raise ValueError(f"duplicate MAC address {mac}")
+        if self.types.get(device_name, device_type) != device_type:
+            raise ValueError(f"device name {device_name!r} already has type {self.types[device_name]}")
         self.entries[mac] = DeviceEntry(device_name, device_type)
-
-    def type_of_name(self, name: str) -> Optional[str]:
-        """Device type for a device name; None if the name is unknown."""
-        found = None
-        for entry in self.entries.values():
-            if entry.device_name == name:
-                if found is not None and found != entry.device_type:
-                    raise ValueError(f"device name {name!r} maps to conflicting types")
-                found = entry.device_type
-        return found
+        self.types[device_name] = device_type
 
 
-def read_registry(source: Union[str, TextIO, Iterable[str]]) -> DeviceRegistry:
+def registry_fields(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped tab-separated fields) of each line of a registry
+    file, skipping blank lines and lines starting with #."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, [part.strip() for part in line.split("\t")]
+
+
+def read_registry(text: str) -> DeviceRegistry:
     """Parse a device registry: one `mac<TAB>name<TAB>{iot|non-iot}` per line.
 
-    Blank lines and lines starting with # are ignored.
+    Blank lines and lines starting with # are ignored. A device name may
+    appear on several lines (one per MAC), always with the same type.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     registry = DeviceRegistry()
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
+    for number, parts in registry_fields(text):
         if len(parts) != 3:
             raise RegistryFormatError(number, f"expected 3 tab-separated fields, got {len(parts)}")
-        mac, name, type_token = (p.strip() for p in parts)
+        mac, name, type_token = parts
         device_type = _TYPE_BY_TOKEN.get(type_token.lower())
         if device_type is None:
             raise RegistryFormatError(number, f"device type must be iot or non-iot: {type_token!r}")
         try:
-            registry.add(mac.lower(), name, device_type)
+            registry.add(mac, name, device_type)
         except ValueError as exc:
             raise RegistryFormatError(number, str(exc)) from exc
     return registry
@@ -263,53 +258,44 @@ def write_registry(registry: DeviceRegistry) -> str:
 
 
 _COLUMN_OF = {attribute: j for j, attribute in enumerate(CANONICAL_ATTRIBUTES)}
-_ROW_COLUMNS = ("rows", CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE, "src_mac")  # one entry per row
+_ROW_COLUMNS = ("rows", "labels", "src_mac")  # one entry per row
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A feature table held by column, with per-row label columns.
+    """A feature table held by column, with one class label per row.
 
     rows is a float64 n x 9 matrix in CANONICAL_ATTRIBUTES order, NaN for
     Absent; every feature is a non-negative int below 2**53, so the floats
-    are exact. device_name and device_type are object arrays of labels per
-    row (None where unknown; an omitted column is all None); src_mac holds
+    are exact. labels is an object array of each row's class, a device name
+    or a device type (None where unknown; omitted, all None); src_mac holds
     each row's source MAC for rows extracted from a capture, else None.
     attributes is the schema that ranking and training see, canonical names
-    in any order; rows always keeps all nine columns. class_attribute names
-    the label column that is the training target, and class_names is the
-    sorted set of its values present. Datasets are treated as immutable;
+    in any order; rows always keeps all nine columns. class_names is the
+    sorted set of labels present. Datasets are treated as immutable;
     transformations return new objects.
     """
 
     rows: np.ndarray
-    device_name: Optional[np.ndarray] = None
-    device_type: Optional[np.ndarray] = None
+    labels: Optional[np.ndarray] = None
     src_mac: Optional[np.ndarray] = None
     attributes: tuple[str, ...] = CANONICAL_ATTRIBUTES
-    class_attribute: str = CLASS_DEVICE_NAME
     class_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        unlabeled = np.full(len(self.rows), None, dtype=object)
-        for column in (CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE):
-            if getattr(self, column) is None:
-                object.__setattr__(self, column, unlabeled)
-        labels = set(self.targets().tolist())
-        labels.discard(None)
-        object.__setattr__(self, "class_names", tuple(sorted(labels)))
+        if self.labels is None:
+            object.__setattr__(self, "labels", np.full(len(self.rows), None, dtype=object))
+        names = set(self.labels.tolist())
+        names.discard(None)
+        object.__setattr__(self, "class_names", tuple(sorted(names)))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def targets(self) -> np.ndarray:
-        """The class_attribute column: one label per row, None where unlabeled."""
-        return getattr(self, self.class_attribute)
-
     def class_codes(self) -> np.ndarray:
         """Each row's index into class_names; every row must be labeled."""
         code = {name: c for c, name in enumerate(self.class_names)}
-        return np.fromiter(map(code.__getitem__, self.targets()), np.intp, len(self))
+        return np.fromiter(map(code.__getitem__, self.labels), np.intp, len(self))
 
     def matrix(self, attributes: Optional[Sequence[str]] = None) -> np.ndarray:
         """The feature columns of `attributes` (default: the schema), n x k."""
@@ -329,8 +315,8 @@ class Dataset:
 
     @staticmethod
     def concat(parts: Sequence["Dataset"]) -> "Dataset":
-        """The rows of every part in order, with the first part's schema and
-        target; src_mac is kept only when every part has it."""
+        """The rows of every part in order, with the first part's schema;
+        src_mac is kept only when every part has it."""
         columns = {name: [getattr(part, name) for part in parts] for name in _ROW_COLUMNS}
         return replace(parts[0], **{
             name: None if any(c is None for c in cs) else np.concatenate(cs)
@@ -344,33 +330,32 @@ class Dataset:
             raise ValueError(f"attributes not in schema: {unknown}")
         return replace(self, attributes=tuple(attributes))
 
-    def with_class_attribute(self, class_attribute: str, registry: Optional[DeviceRegistry] = None) -> "Dataset":
-        """Switch the training target, deriving type labels if needed.
+    def device_types(self, registry: DeviceRegistry) -> "Dataset":
+        """The same rows labeled with each device name's type in `registry`;
+        unlabeled rows stay unlabeled. ValueError names the first device
+        the registry lacks."""
+        type_of = {None: None, **registry.types}
+        try:
+            types = [type_of[name] for name in self.labels.tolist()]
+        except KeyError as exc:
+            raise ValueError(f"registry has no device named {exc.args[0]!r}") from None
+        return replace(self, labels=np.array(types, dtype=object))
 
-        Switching to device_type on rows that only carry device names
-        requires a registry to map names to types.
-        """
-        if class_attribute == self.class_attribute:
-            return self
-        types = self.device_type
-        missing = np.equal(types, None)
-        if class_attribute == CLASS_DEVICE_TYPE and missing.any():
-            if registry is None:
-                raise ValueError("rows lack device types; a registry is required to derive them")
-            derive = missing & np.not_equal(self.device_name, None)
-            names = self.device_name[derive].tolist()
-            type_of = {}
-            for name in dict.fromkeys(names):  # each distinct name once, in row order
-                type_of[name] = registry.type_of_name(name)
-                if type_of[name] is None:
-                    raise ValueError(f"registry has no device named {name!r}")
-            types = types.copy()
-            types[derive] = [type_of[name] for name in names]
-        return replace(self, device_type=types, class_attribute=class_attribute)
+
+def require_classes(dataset: Dataset, task: str) -> None:
+    """Raise unless `dataset` has at least 2 rows, every row labeled and at
+    least 2 classes, as ranking and training need; `task` names the work in
+    the message."""
+    if len(dataset) < 2:
+        raise EmptyDataset(f"{task} needs at least 2 rows")
+    if None in dataset.labels:
+        raise ValueError(f"{task} requires every row to be labeled")
+    if len(dataset.class_names) < 2:
+        raise SingleClassDataset(f"{task} needs at least 2 classes")
 
 
 def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dataset, int]:
-    """Keep rows whose source MAC is registered; fill their name and type.
+    """Keep rows whose source MAC is registered, labeled with its device name.
 
     Returns the labeled dataset and the number of dropped (unregistered)
     rows. Each distinct MAC is looked up once.
@@ -379,10 +364,9 @@ def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dat
         raise EmptyRegistry("device registry has no entries")
     code: dict[str, int] = {}  # each distinct MAC numbered in order of first appearance
     mac_of_row = np.array([code.setdefault(mac, len(code)) for mac in dataset.src_mac.tolist()], np.intp)
-    entries = [registry.entries.get(mac, _UNREGISTERED) for mac in code]
-    names = np.array([entry.device_name for entry in entries], dtype=object)[mac_of_row]
-    types = np.array([entry.device_type for entry in entries], dtype=object)[mac_of_row]
-    kept = replace(dataset, device_name=names, device_type=types).take(np.not_equal(names, None))
+    names = np.array([registry.entries.get(mac, _UNREGISTERED).device_name for mac in code], dtype=object)
+    names = names[mac_of_row]
+    kept = replace(dataset, labels=names).take(np.not_equal(names, None))
     return kept, len(dataset) - len(kept)
 
 
@@ -395,7 +379,7 @@ class CleanStats:
 def clean(dataset: Dataset, dedup: bool = False) -> tuple[Dataset, CleanStats]:
     """Drop all-Absent rows; optionally drop exact duplicate rows.
 
-    A duplicate shares all 9 features and both labels with an earlier row;
+    A duplicate shares all 9 features and its label with an earlier row;
     the first occurrence is kept. Deduplication defaults off because
     legitimate captures contain identical consecutive packets.
     """
@@ -406,8 +390,7 @@ def clean(dataset: Dataset, dedup: bool = False) -> tuple[Dataset, CleanStats]:
         # NaN never equals NaN, so Absent cells key as -1 (no feature is negative)
         rows = np.where(np.isnan(dataset.rows[keep]), -1.0, dataset.rows[keep])
         row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-        names, types = dataset.device_name[keep].tolist(), dataset.device_type[keep].tolist()
-        keys = zip(row_bytes.tolist(), names, types)
+        keys = zip(row_bytes.tolist(), dataset.labels[keep].tolist())
         first: dict[tuple, int] = {}
         for i, key in zip(keep.tolist(), keys):
             first.setdefault(key, i)
@@ -427,11 +410,11 @@ MAX_CELL = 2**53 - 1  # float64 holds every integer up to here exactly, not ever
 def write_csv(dataset: Dataset) -> str:
     """Serialize to the canonical CSV: 9 feature columns plus class.
 
-    Absent cells are empty; the class column holds the active target value
-    (empty for unlabeled rows). UTF-8 text with LF line endings and no
+    Absent cells are empty; the class column holds each row's label (empty
+    for unlabeled rows). UTF-8 text with LF line endings and no
     quoting; labels therefore must not contain commas or line breaks.
     """
-    labels = ["" if label is None else label for label in dataset.targets().tolist()]
+    labels = ["" if label is None else label for label in dataset.labels.tolist()]
     for label in dict.fromkeys(labels):
         if "," in label or "\r" in label or "\n" in label:
             raise ValueError(f"label not representable without quoting: {label!r}")
@@ -443,13 +426,13 @@ def write_csv(dataset: Dataset) -> str:
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns, labels))]) + "\n"
 
 
-def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
+def read_csv(text: str) -> Dataset:
     """Parse canonical CSV text back into a Dataset (lossless round-trip).
 
     Accepts exactly what write_csv writes: the canonical header, LF line
     endings (a carriage return anywhere is an error), a final line feed and
     integer cells up to MAX_CELL, so any text either raises a DevfpError or
-    writes back byte for byte. The class column fills `class_attribute`.
+    writes back byte for byte. The class column becomes the labels.
     """
     lines = text.split("\n")
     if lines[0] != CSV_HEADER:
@@ -471,9 +454,9 @@ def read_csv(text: str, class_attribute: str = CLASS_DEVICE_NAME) -> Dataset:
     labels = cells[n_features :: n_features + 1]
     if "\r" in "".join(labels):
         _raise_first_fault(body)
-    target = np.array(labels, dtype=object)
-    target[target == ""] = None
-    return Dataset(features, **{class_attribute: target}, class_attribute=class_attribute)
+    labels = np.array(labels, dtype=object)
+    labels[labels == ""] = None
+    return Dataset(features, labels)
 
 
 def _cell_value(cell: str) -> Optional[float]:

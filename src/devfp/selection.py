@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZeroCounts, EmptyDataset, MissingMeta, RegistryFormatError, SingleClassDataset
-from .features import Dataset
+from .errors import AllZeroCounts, MissingMeta, RegistryFormatError
+from .features import Dataset, registry_fields, require_classes
 
 FLAG_MULTI_VALUED = "multi_valued_identifier"
 FLAG_TIME_DEPENDENT = "time_dependent"
@@ -223,12 +223,7 @@ def rank(dataset: Dataset) -> RankedList:
     An all-Absent attribute scores 0 with present_fraction 0. Sorting is
     stable, so equal scores keep schema order.
     """
-    if len(dataset) < 2:
-        raise EmptyDataset("ranking needs at least 2 rows")
-    if None in dataset.targets():
-        raise ValueError("ranking requires every row to be labeled")
-    if len(dataset.class_names) < 2:
-        raise SingleClassDataset("ranking needs at least 2 classes")
+    require_classes(dataset, "ranking")
     codes, values = value_codes(dataset.matrix())
     n, k = codes.shape
     row, attribute = np.nonzero(codes >= 0)
@@ -271,33 +266,25 @@ def default_meta(names: Iterable[str]) -> list[AttributeMeta]:
     return [AttributeMeta(name) for name in names]
 
 
-def read_attribute_meta(source: Union[str, TextIO, Iterable[str]]) -> list[AttributeMeta]:
+def read_attribute_meta(text: str) -> list[AttributeMeta]:
     """Parse an attribute-meta registry: `name<TAB>flag[,flag...]` per line.
 
     A line holding only a name declares an unflagged attribute. Blank lines
     and # comments are ignored.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     metas: list[AttributeMeta] = []
     seen: set[str] = set()
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
+    for number, parts in registry_fields(text):
         if len(parts) > 2:
             raise RegistryFormatError(number, f"expected `name` or `name<TAB>flags`, got {len(parts)} fields")
-        name = parts[0].strip()
+        name = parts[0]
         if not name:
             raise RegistryFormatError(number, "attribute name must be non-empty")
         if name in seen:
             raise RegistryFormatError(number, f"duplicate attribute {name!r}")
         seen.add(name)
         flags: set[str] = set()
-        if len(parts) == 2 and parts[1].strip():
+        if len(parts) == 2 and parts[1]:
             for token in parts[1].split(","):
                 flag = token.strip()
                 if flag not in _KNOWN_FLAGS:

@@ -17,9 +17,9 @@ def labels(values) -> np.ndarray:
 
 def vectors_dataset(vectors, names=None, **fields) -> Dataset:
     """A Dataset of nine-value canonical rows (None = Absent) with optional
-    device names; `fields` pass on to Dataset (device_type, src_mac, ...)."""
+    labels; `fields` pass on to Dataset (src_mac, attributes)."""
     rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(CANONICAL_ATTRIBUTES))
-    return Dataset(rows, device_name=None if names is None else labels(names), **fields)
+    return Dataset(rows, None if names is None else labels(names), **fields)
 
 
 def make_dataset(columns: dict, names, attributes=None, **fields) -> Dataset:
@@ -30,20 +30,17 @@ def make_dataset(columns: dict, names, attributes=None, **fields) -> Dataset:
     for name, values in columns.items():
         rows[:, CANONICAL_ATTRIBUTES.index(name)] = np.array(values, dtype=np.float64)
     return Dataset(
-        rows, device_name=labels(names), attributes=tuple(attributes or columns), **fields
+        rows, labels(names), attributes=tuple(attributes or columns), **fields
     )
 
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
-    """Equal schema, target, feature cells (NaN equal to NaN) and label columns."""
+    """Equal schema, feature cells (NaN equal to NaN), labels and source MACs."""
     return (
         a.attributes == b.attributes
-        and a.class_attribute == b.class_attribute
         and np.array_equal(a.rows, b.rows, equal_nan=True)
-        and all(
-            np.array_equal(getattr(a, column), getattr(b, column))
-            for column in ("device_name", "device_type", "src_mac")
-        )
+        and np.array_equal(a.labels, b.labels)
+        and np.array_equal(a.src_mac, b.src_mac)
     )
 
 

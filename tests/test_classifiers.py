@@ -716,6 +716,22 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(json.dumps({**document(variant, schema, classes, params), "version": version}))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_constants_rejected(self, constant):
+        # NaN nb means and stddevs loaded and re-saved as null, a NaN threshold loaded too
+        value = float(constant)
+        nb = {**self.NB_PARAMS, "means": [[1.5, value], [8.5, 32.0]], "stddevs": [[0.5, value], [0.5, 1.0]]}
+        nodes = self.GOOD_NODES[:2] + [split(0, value, "left", 1, 0)]
+        documents = [
+            document("nb", ("ip.len", "ip.ttl"), ("A", "B"), nb),
+            document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": nodes}),
+        ]
+        for doc in documents:
+            text = json.dumps(doc)
+            assert constant in text
+            with pytest.raises(ModelFormatError, match=constant):
+                load_model(text)
+
     def test_malformed_vote_rejected(self):
         def j48(schema, classes, attribute=0):
             counts = [0] * len(classes)

@@ -190,6 +190,20 @@ class TestTrainEval:
         classes_csv = (out_dir / "report_classes.csv").read_text()
         assert "IoT" in classes_csv and "NonIoT" in classes_csv
 
+    def test_device_type_name_missing_from_registry_fails(self, training_csv, tmp_path, capsys):
+        csv, registry_path = training_csv
+        lines = registry_path.read_text().splitlines()
+        short = tmp_path / "short.tsv"
+        short.write_text("\n".join(lines[:-1]) + "\n")
+        missing = lines[-1].split("\t")[1]
+        code, _, err = run_cli(
+            ["train-eval", "--input", str(csv), "--model", "j48", "--classes", "device_type",
+             "--registry", str(short), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert f"error: registry has no device named {missing!r}" in err.splitlines()
+
     def test_device_type_without_registry_fails_helpfully(self, training_csv, tmp_path, capsys):
         csv, _ = training_csv
         code, _, err = run_cli(
@@ -358,6 +372,26 @@ class TestPipeline:
         )
         assert code == 0
         assert "IoT" in (out_dir / "report_classes.csv").read_text()
+
+    def test_device_type_pipeline_matches_train_eval_on_its_dataset(self, training_paths, tmp_path, capsys):
+        pcap_path, registry_path = training_paths
+        piped, trained = tmp_path / "piped", tmp_path / "trained"
+        flags = ["--model", "j48", "--classes", "device_type", "--seed", "5"]
+        code, _, _ = run_cli(
+            ["pipeline", "--input", str(pcap_path), "--registry", str(registry_path), *flags,
+             "--out", str(piped)],
+            capsys,
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            ["train-eval", "--input", str(piped / "dataset.csv"), "--registry", str(registry_path),
+             *flags, "--out", str(trained)],
+            capsys,
+        )
+        assert code == 0
+        for name in ("model.json", "summary.csv"):
+            assert (piped / name).read_bytes() == (trained / name).read_bytes()
+        assert json.loads((piped / "model.json").read_text())["class_names"] == ["IoT", "NonIoT"]
 
 
 class TestParser:

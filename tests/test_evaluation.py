@@ -47,8 +47,8 @@ class TestStratifiedSplit:
         train, test = stratified_split(
             dataset_of({"A": 100, "B": 50}), SplitSpec(train_fraction=0.8, seed=3)
         )
-        train_counts = {c: train.targets().tolist().count(c) for c in ("A", "B")}
-        test_counts = {c: test.targets().tolist().count(c) for c in ("A", "B")}
+        train_counts = {c: train.labels.tolist().count(c) for c in ("A", "B")}
+        test_counts = {c: test.labels.tolist().count(c) for c in ("A", "B")}
         assert train_counts == {"A": 80, "B": 40}
         assert test_counts == {"A": 20, "B": 10}
 
@@ -100,11 +100,11 @@ class TestStratifiedSplit:
         data = dataset_of(sizes)
         train, test = stratified_split(data, SplitSpec(train_fraction=fraction, seed=seed))
         for label, size in sizes.items():
-            got = train.targets().tolist().count(label)
+            got = train.labels.tolist().count(label)
             ideal = fraction * size
             assert abs(got - ideal) <= 1.0
-            assert got >= 1 and test.targets().tolist().count(label) >= 1
-            assert got + test.targets().tolist().count(label) == size
+            assert got >= 1 and test.labels.tolist().count(label) >= 1
+            assert got + test.labels.tolist().count(label) == size
 
 
 def hand_tree_model():
@@ -302,6 +302,6 @@ class TestEndToEndExample:
         model = train_c45(train)
         matrix = evaluate(model, test)
         correct = sum(
-            1 for predicted, label in zip(predictions(model, test.rows), test.device_name) if predicted == label
+            1 for predicted, label in zip(predictions(model, test.rows), test.labels) if predicted == label
         )
         assert metrics(matrix).acc == pytest.approx(correct / len(test.rows))

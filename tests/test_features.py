@@ -233,8 +233,8 @@ class TestLabeling:
         dataset, dropped = label_by_source_mac(extracted, self.registry())
         assert len(dataset.rows) == 6
         assert dropped == 4
-        assert dataset.device_name.tolist() == ["Alpha"] * 6
-        assert dataset.device_type.tolist() == ["IoT"] * 6
+        assert dataset.labels.tolist() == ["Alpha"] * 6
+        assert dataset.device_types(self.registry()).labels.tolist() == ["IoT"] * 6
 
     def test_empty_registry_rejected(self):
         with pytest.raises(EmptyRegistry):
@@ -418,6 +418,15 @@ class TestRegistryFile:
         text = "aa:bb:cc:dd:ee:ff\tAria\tiot\naa:bb:cc:dd:ee:ff\tOther\tiot\n"
         with pytest.raises(RegistryFormatError):
             read_registry(text)
+
+    def test_name_with_two_types_rejected(self):
+        text = "aa:bb:cc:dd:ee:ff\tAria\tiot\n# second MAC\naa:bb:cc:dd:ee:01\tAria\tnon-iot\n"
+        with pytest.raises(RegistryFormatError, match="line 3: device name 'Aria' already has type IoT"):
+            read_registry(text)
+
+    def test_name_on_two_macs_with_one_type_accepted(self):
+        reg = read_registry("aa:bb:cc:dd:ee:ff\tAria\tiot\naa:bb:cc:dd:ee:01\tAria\tiot\n")
+        assert len(reg) == 2 and reg.types == {"Aria": "IoT"}
 
     def test_uppercase_mac_normalized(self):
         reg = read_registry("AA:BB:CC:DD:EE:FF\tAria\tiot\n")

@@ -1,23 +1,28 @@
 """Robustness properties: no byte string and no CSV text yields anything but
-a result or a DevfpError.
+a result or a DevfpError, and no model document loads unless it re-saves to
+the same text.
 
 Captures are byte mutations (overwrites plus a cut) of a small training
 capture, so most examples get past the global header and reach frame
 headers, Ethernet, IPv4 and TCP/UDP decoding. CSV texts are arbitrary
 strings and near-canonical ones built from the canonical header and cells
-that are valid, non-canonical or broken.
+that are valid, non-canonical or broken. Model documents are saved j48, nb,
+rf and vote models with one value retyped, one schema or class name
+duplicated, or one key dropped or added.
 """
 
-import pytest
+import json
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import TRAINING_REGISTRY, build_training_capture
+from tables import make_dataset
 
-from devfp.errors import DevfpError
+from devfp.classifiers import Hyperparams, ModelSpec, load_model, save_model, train_model
+from devfp.errors import DevfpError, ModelFormatError
 from devfp.features import (
-    CLASS_DEVICE_NAME,
-    CLASS_DEVICE_TYPE,
     CSV_HEADER,
     ExtractionStats,
     extract_capture,
@@ -68,12 +73,84 @@ near_canonical = st.tuples(
 ).map(lambda body_end: CSV_HEADER + "\n" + body_end[0] + body_end[1])
 
 
-@pytest.mark.parametrize("class_attribute", [CLASS_DEVICE_NAME, CLASS_DEVICE_TYPE])
 @given(text=st.one_of(st.text(), near_canonical))
-@settings(max_examples=300, deadline=None)
-def test_csv_text_raises_devfp_error_or_round_trips(class_attribute, text):
+@settings(max_examples=600, deadline=None)
+def test_csv_text_raises_devfp_error_or_round_trips(text):
     try:
-        dataset = read_csv(text, class_attribute)
+        dataset = read_csv(text)
     except DevfpError:
         return
     assert write_csv(dataset) == text
+
+
+# class A never sees ip.ttl, so the nb document holds null means and stddevs
+MODEL_DATASET = make_dataset(
+    {"ip.len": [1, 2, 9, 10, 5, 6], "ip.ttl": [None, None, 32, 33, None, 32]},
+    ["A", "A", "B", "B", "A", "B"],
+)
+MODEL_TEXTS = [
+    save_model(train_model(MODEL_DATASET, ModelSpec(variant, Hyperparams(forest_trees=2), ("j48", "nb"))))
+    for variant in ("j48", "nb", "rf", "vote")
+]
+# every JSON type and a number of each kind; json.dumps writes the constants JSON lacks as NaN,
+# Infinity and -Infinity
+REPLACEMENTS = [None, True, False, 0, 7, -1, 2.5, "x", "IoT", [], [0], {}, {"counts": [1]}]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _paths(value, path=()):
+    """The path (keys and list indices) of every value nested in `value`."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_model_texts(draw):
+    doc = json.loads(draw(st.sampled_from(MODEL_TEXTS)))
+    paths = list(_paths(doc))
+    kind = draw(st.sampled_from(["retype", "non-finite", "duplicate", "drop", "add"]))
+    if kind == "retype":
+        *parent, key = draw(st.sampled_from(paths[1:]))
+        _at(doc, parent)[key] = draw(st.sampled_from(REPLACEMENTS))
+    elif kind == "non-finite":  # where a number or a null belongs
+        numbers = [p for p in paths if type(_at(doc, p)) in (int, float, type(None))]
+        *parent, key = draw(st.sampled_from(numbers))
+        _at(doc, parent)[key] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "duplicate":
+        names = _at(doc, draw(st.sampled_from([p for p in paths if p[-1:] in (("schema",), ("class_names",))])))
+        source, target = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, len(names)))
+        if target < len(names) and draw(st.booleans()):
+            names[target] = names[source]  # overwrite an entry
+        else:
+            names.insert(target, names[source])
+    else:
+        obj = _at(doc, draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), dict)])))
+        if kind == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        else:
+            key = draw(st.sampled_from(["extra", "seed", "counts", "members", "left"]))
+            obj[key] = draw(st.sampled_from(REPLACEMENTS))
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@given(text=mutated_model_texts())
+@settings(max_examples=1500, deadline=None)
+def test_mutated_model_raises_or_resaves_identically(text):
+    try:
+        model = load_model(text)
+    except ModelFormatError:
+        return
+    assert save_model(model) == text

@@ -22,7 +22,7 @@ import pytest
 
 from devfp.classifiers import ModelSpec
 from devfp.evaluation import SplitSpec, ablation_run
-from devfp.features import CLASS_DEVICE_TYPE, TYPE_IOT, TYPE_NON_IOT, Dataset, read_csv
+from devfp.features import TYPE_IOT, TYPE_NON_IOT, Dataset, read_csv
 
 SEED = 1
 
@@ -37,7 +37,7 @@ def _load(env_var: str) -> Dataset:
 
 
 def _with_type(dataset: Dataset, device_type: str) -> Dataset:
-    return replace(dataset, device_type=np.full(len(dataset), device_type, dtype=object))
+    return replace(dataset, labels=np.full(len(dataset), device_type, dtype=object))
 
 
 def _info(criterion: int, ok: bool, description: str) -> None:
@@ -83,8 +83,7 @@ class TestCriterion11DeviceType:
     def _combined_type_dataset(self) -> Dataset:
         sentinel = _load("DEVFP_IOT_SENTINEL_CSV")
         unsw = _load("DEVFP_UNSW_NONIOT_CSV")
-        both = Dataset.concat([_with_type(sentinel, TYPE_IOT), _with_type(unsw, TYPE_NON_IOT)])
-        return both.with_class_attribute(CLASS_DEVICE_TYPE)
+        return Dataset.concat([_with_type(sentinel, TYPE_IOT), _with_type(unsw, TYPE_NON_IOT)])
 
     def test_rf_macro_precision_and_nb_ordering(self):
         dataset = self._combined_type_dataset()
@@ -98,7 +97,7 @@ class TestCriterion12ClassifierOrdering:
     def test_rf_best_nb_worst_on_individual_devices(self):
         sentinel = _load("DEVFP_IOT_SENTINEL_CSV")
         lab = _load("DEVFP_LAB_CSV")
-        dataset = Dataset.concat([_with_type(sentinel, TYPE_IOT), _with_type(lab, TYPE_NON_IOT)])
+        dataset = Dataset.concat([sentinel, lab])
         scores = {}
         for variant in ("j48", "rf", "rt", "nb", "bagging", "vote"):
             report = ablation_run(dataset, "combined", ModelSpec(variant), SplitSpec(seed=SEED))

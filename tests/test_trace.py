@@ -61,3 +61,31 @@ def test_traced_commands_record_row_counts(tmp_path, training_paths):
                        out / "model.json", "--input", pcap, "--out", predictions)
         n_predictions = len(predictions.read_text(encoding="utf-8").splitlines()) - 1
         assert rows(spans, "features.extract_capture") == [n_predictions] == [extracted]
+
+
+def names(spans: list[dict]) -> list[str]:
+    return [span["name"] for span in spans]
+
+
+def test_traced_rank_and_device_type_pipeline(tmp_path, training_paths):
+    pcap, registry = training_paths
+    dataset = tmp_path / "dataset.csv"
+    traced(tmp_path / "extract.json", "extract", "--input", pcap, "--registry", registry, "--out", dataset)
+    n_rows = len(dataset.read_text(encoding="utf-8").splitlines()) - 1
+
+    spans = traced(tmp_path / "rank.json", "rank", "--input", dataset, "--out", tmp_path / "rank.csv")
+    assert rows(spans, "features.read_csv") == [n_rows]
+    for name in ("selection.rank", "selection.default_meta", "selection.apply_criteria",
+                 "selection.rank_report_csv"):
+        assert names(spans).count(name) == 1, name
+
+    out = tmp_path / "pipeline"
+    spans = traced(tmp_path / "pipeline.json", "pipeline", "--input", pcap, "--registry", registry,
+                   "--model", "j48", "--classes", "device_type", "--out", out)
+    # the registry is read once, for labeling and for the device types
+    assert names(spans).count("features.read_registry") == 1
+    assert rows(spans, "features.clean") == [n_rows]
+    (train_span,) = [span for span in spans if span["name"] == "classifiers.train_model"]
+    (evaluated,) = rows(spans, "evaluation.evaluate")
+    assert train_span["attrs"]["rows"] + evaluated == n_rows
+    assert json.loads((out / "model.json").read_text(encoding="utf-8"))["class_names"] == ["IoT", "NonIoT"]
