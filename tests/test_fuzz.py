@@ -6,7 +6,8 @@ Captures are byte mutations (overwrites plus a cut) of a small training
 capture, so most examples get past the global header and reach frame
 headers, Ethernet, IPv4 and TCP/UDP decoding. CSV texts are arbitrary
 strings and near-canonical ones built from the canonical header and cells
-that are valid, non-canonical or broken. Model documents are saved j48, nb,
+that are valid, non-canonical or broken, with device names or device types
+in the class column. Model documents are saved j48, nb,
 rf and vote models with one value retyped, one schema or class name
 duplicated, or one key dropped or added.
 """
@@ -14,6 +15,7 @@ duplicated, or one key dropped or added.
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,8 @@ from devfp.classifiers import Hyperparams, ModelSpec, load_model, save_model, tr
 from devfp.errors import DevfpError, ModelFormatError
 from devfp.features import (
     CSV_HEADER,
+    TYPE_IOT,
+    TYPE_NON_IOT,
     ExtractionStats,
     extract_capture,
     label_by_source_mac,
@@ -67,15 +71,27 @@ broken_cell = st.one_of(
 )
 # seven valid cells in eight, so about a third of the rows parse
 feature_cells = st.lists(st.one_of(*[valid_cell] * 7, broken_cell), min_size=8, max_size=10)
-rows = st.tuples(feature_cells, st.text(max_size=6)).map(lambda fl: ",".join(fl[0] + [fl[1]]))
-near_canonical = st.tuples(
-    st.lists(rows, max_size=5).map("\n".join), st.sampled_from(["", "\n", "\r\n", "\n\n"])
-).map(lambda body_end: CSV_HEADER + "\n" + body_end[0] + body_end[1])
+# the class column holds device names (any text) or device types (mostly the two type names)
+CLASS_CELLS = {
+    "device_name": st.text(max_size=6),
+    "device_type": st.one_of(st.sampled_from(["", TYPE_IOT, TYPE_NON_IOT]), st.text(max_size=6)),
+}
 
 
-@given(text=st.one_of(st.text(), near_canonical))
-@settings(max_examples=600, deadline=None)
-def test_csv_text_raises_devfp_error_or_round_trips(text):
+def near_canonical(class_cell):
+    """CSV texts of the canonical header and up to five rows of feature cells
+    then `class_cell`, ending in nothing, LF, CRLF or two LFs."""
+    rows = st.tuples(feature_cells, class_cell).map(lambda fl: ",".join(fl[0] + [fl[1]]))
+    return st.tuples(
+        st.lists(rows, max_size=5).map("\n".join), st.sampled_from(["", "\n", "\r\n", "\n\n"])
+    ).map(lambda body_end: CSV_HEADER + "\n" + body_end[0] + body_end[1])
+
+
+@pytest.mark.parametrize("labelling", sorted(CLASS_CELLS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_csv_text_raises_devfp_error_or_round_trips(labelling, data):
+    text = data.draw(st.one_of(st.text(), near_canonical(CLASS_CELLS[labelling])), label="text")
     try:
         dataset = read_csv(text)
     except DevfpError:
