@@ -1,4 +1,7 @@
-"""Six supervised classifiers behind one training and batch-prediction contract."""
+"""Six supervised classifiers behind one training and batch-prediction contract.
+
+`train_model(dataset, ModelSpec)` is the one way to train a classifier.
+"""
 
 from .base import (
     ALL_VARIANTS,
@@ -7,16 +10,10 @@ from .base import (
     TrainedModel,
     derive_rng,
 )
-from .bayes import NaiveBayesModel, train_naive_bayes
-from .ensembles import (
-    EnsembleModel,
-    train_bagging,
-    train_model,
-    train_random_forest,
-    train_vote,
-)
+from .bayes import NaiveBayesModel
+from .ensembles import EnsembleModel, train_model
 from .persist import load_model, save_model
-from .trees import TreeModel, train_c45, train_random_tree
+from .trees import TreeModel
 
 __all__ = [
     "ALL_VARIANTS",
@@ -25,16 +22,9 @@ __all__ = [
     "TrainedModel",
     "derive_rng",
     "NaiveBayesModel",
-    "train_naive_bayes",
     "EnsembleModel",
-    "train_bagging",
-    "train_random_forest",
-    "train_vote",
     "load_model",
     "save_model",
     "TreeModel",
-    "train_c45",
-    "train_random_tree",
     "train_model",
 ]
-

@@ -1,21 +1,23 @@
 """Shared classifier machinery: hyperparameters and the model contract.
 
-All six classifier variants sit behind one contract: a trained model holds
-the attribute schema and the ordered class names fixed at training time, and
-produces a probability distribution over those classes for any row of
-feature values that matches the schema. Prediction has one path,
-`distribution_batch(X)`: X is a float64 n x k matrix of rows aligned to the
-schema (k attributes), with NaN marking Absent cells, and the result is an
-n x C float64 matrix of class distributions (C classes, each row sums to
-1). Row i holds the same bits whatever the other rows are. The per-row
+All six classifier variants sit behind one contract. `train_model(dataset,
+ModelSpec)` (in `ensembles`) is the one way to train any of them: a trained
+model holds the attribute schema and the ordered class names fixed at
+training time, and produces a probability distribution over those classes
+for any row of feature values that matches the schema. Prediction has one
+path, `distribution_batch(X)`: X is a float64 n x k matrix of rows aligned
+to the schema (k attributes), with NaN marking Absent cells, and the result
+is an n x C float64 matrix of class distributions (C classes, each row sums
+to 1). Row i holds the same bits whatever the other rows are. The per-row
 `distribution(values)`, a one-row call to it, is kept only for the
 benchmark's layer tracer, which replaces it on every model it traces.
 Trained models are immutable and safe for concurrent prediction.
 
 Determinism: all randomness is drawn from `random.Random` instances seeded
-with strings derived from (seed, role, member index), so identical inputs
-give identical models on any platform, and ensemble members could be trained
-in parallel without changing the result.
+with strings derived from (seed, role, member index) by `derive_rng`, so
+identical inputs give identical models on any platform, and ensemble
+members could be trained in parallel without changing the result. The keys
+are listed in `ensembles`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..features import Dataset, require_classes
 
 VARIANT_C45 = "j48"
 VARIANT_RANDOM_TREE = "rt"
@@ -46,12 +47,29 @@ ALL_VARIANTS = (
 )
 
 
+# The types each Hyperparams field takes exactly: no bool where an int
+# belongs and no int where a float belongs, as a command line builds them.
+_HYPERPARAM_TYPES = {
+    "seed": (int,),
+    "forest_trees": (int,),
+    "rt_feature_count": (type(None), int),
+    "bagging_rounds": (int,),
+    "bag_fraction": (float,),
+    "c45_min_leaf": (int,),
+    "c45_confidence": (float,),
+    "c45_prune": (bool,),
+    "nb_variance_floor": (float,),
+}
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training knobs with the benchmark-tool defaults; all configurable.
 
     rt_feature_count defaults to floor(log2(k)) + 1 where k is the number of
-    schema attributes at training time.
+    schema attributes at training time. A field of another type than its
+    entry in _HYPERPARAM_TYPES raises TypeError, an out-of-range value
+    ValueError.
     """
 
     seed: int = 1
@@ -65,6 +83,10 @@ class Hyperparams:
     nb_variance_floor: float = 1e-9
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kinds = _HYPERPARAM_TYPES[f.name]
+            if type(getattr(self, f.name)) not in kinds:
+                raise TypeError(f"{f.name} must be of type {' or '.join(k.__name__ for k in kinds)}")
         if self.forest_trees < 1 or self.bagging_rounds < 1 or self.c45_min_leaf < 1:
             raise ValueError("counts must be >= 1")
         if self.rt_feature_count is not None and self.rt_feature_count < 1:
@@ -123,17 +145,6 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
         drawn.append(tries[tries < n])
         missing -= len(drawn[-1])
     return np.concatenate(drawn).astype(np.intp)
-
-
-def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The schema's feature columns, class codes and class names as (X, y,
-    class_names); NaN marks Absent feature cells.
-
-    Raises EmptyDataset for fewer than 2 rows and SingleClassDataset when
-    fewer than 2 distinct labels are present.
-    """
-    require_classes(dataset, "training")
-    return dataset.matrix(), dataset.class_codes(), dataset.class_names
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .base import Hyperparams, TrainedModel, VARIANT_NAIVE_BAYES, dataset_arrays
+from .base import Hyperparams, TrainedModel, VARIANT_NAIVE_BAYES
 
 _LOG_MIN_DENSITY = math.log(1e-300)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -48,13 +47,11 @@ class NaiveBayesModel(TrainedModel):
         return post / post.sum(axis=1, keepdims=True)
 
 
-def train_naive_bayes(dataset, hyperparams: Optional[Hyperparams] = None) -> NaiveBayesModel:
-    """Fit per-class Gaussians (present values only) and frequency priors."""
-    hp = hyperparams or Hyperparams()
-    X, y, class_names = dataset_arrays(dataset)
+def fit_naive_bayes(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> dict:
+    """NaiveBayesModel arrays of per-class Gaussians (present values of X
+    only) and frequency priors, for class codes y."""
     n, k = X.shape
     std_floor = math.sqrt(hp.nb_variance_floor)
-    n_classes = len(class_names)
     priors = np.empty(n_classes)
     means = np.full((n_classes, k), np.nan)
     stddevs = np.full((n_classes, k), np.nan)
@@ -69,12 +66,4 @@ def train_naive_bayes(dataset, hyperparams: Optional[Hyperparams] = None) -> Nai
             if present.shape[0] > 0:
                 means[c, j] = present.mean()
                 stddevs[c, j] = max(float(present.std()), std_floor)
-    return NaiveBayesModel(
-        schema=tuple(dataset.attributes),
-        class_names=class_names,
-        hyperparams=hp,
-        priors=priors,
-        means=means,
-        stddevs=stddevs,
-        present_rates=present_rates,
-    )
+    return {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}

@@ -34,14 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..selection import gain_ratios, split_segments, value_codes
-from .base import (
-    Hyperparams,
-    TrainedModel,
-    VARIANT_C45,
-    VARIANT_RANDOM_TREE,
-    dataset_arrays,
-    derive_rng,
-)
+from .base import Hyperparams, TrainedModel
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +322,3 @@ def _finish(
         })
     return trees
 
-
-def train_c45(dataset, hyperparams: Optional[Hyperparams] = None) -> TreeModel:
-    """Grow a gain-ratio decision tree, pessimistically pruned by default."""
-    hp = hyperparams or Hyperparams()
-    X, y, class_names = dataset_arrays(dataset)
-    arrays = grow_trees(X, y, len(class_names), [np.arange(len(y))], hp)[0]
-    return TreeModel(
-        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
-        variant=VARIANT_C45, **arrays,
-    )
-
-
-def train_random_tree(
-    dataset, hyperparams: Optional[Hyperparams] = None, rng: Optional[random.Random] = None
-) -> TreeModel:
-    """Grow one unpruned tree over per-node random candidate attributes.
-
-    The rng (or the hyperparameter seed when rng is None) fully determines
-    the tree for a given dataset. When the candidate count covers every
-    attribute the sampling degenerates and the tree equals an unpruned C4.5
-    tree.
-    """
-    hp = hyperparams or Hyperparams()
-    X, y, class_names = dataset_arrays(dataset)
-    if rng is None:
-        rng = derive_rng(hp.seed, "rt")
-    arrays = grow_trees(X, y, len(class_names), [np.arange(len(y))], hp, [rng])[0]
-    return TreeModel(
-        schema=tuple(dataset.attributes), class_names=class_names, hyperparams=hp,
-        variant=VARIANT_RANDOM_TREE, **arrays,
-    )

@@ -82,13 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train-eval", help="split, train, evaluate, persist model + report")
     p_train.add_argument("--input", required=True, help="dataset CSV")
-    p_train.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
-    p_train.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
-    p_train.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
-    p_train.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
-    p_train.add_argument("--seed", type=int, default=1)
-    p_train.add_argument("--dedup", action="store_true", help="drop exact duplicate rows before splitting")
-    p_train.add_argument("--no-stratify", action="store_true", help="plain random split instead of stratified")
+    _add_training_flags(p_train)
     p_train.add_argument("--registry", help="device registry, needed to map names to types")
     p_train.add_argument("--out", required=True, help="output directory")
     _add_hyperparam_flags(p_train)
@@ -102,18 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pipe = sub.add_parser("pipeline", help="extract -> train -> evaluate in one run")
     p_pipe.add_argument("--input", nargs="+", required=True, help="classic pcap file(s)")
     p_pipe.add_argument("--registry", required=True)
-    p_pipe.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
-    p_pipe.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
-    p_pipe.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
-    p_pipe.add_argument("--split", type=float, default=0.8)
-    p_pipe.add_argument("--seed", type=int, default=1)
-    p_pipe.add_argument("--dedup", action="store_true")
+    _add_training_flags(p_pipe)
     p_pipe.add_argument("--raw-ack", action="store_true")
-    p_pipe.add_argument("--no-stratify", action="store_true")
     p_pipe.add_argument("--out", required=True, help="output directory")
     _add_hyperparam_flags(p_pipe)
 
     return parser
+
+
+def _add_training_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that train-eval and pipeline share for the split and the model."""
+    parser.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
+    parser.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
+    parser.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
+    parser.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--dedup", action="store_true", help="drop exact duplicate rows before splitting")
+    parser.add_argument("--no-stratify", action="store_true", help="plain random split instead of stratified")
 
 
 def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
@@ -225,15 +224,7 @@ def _load_train_dataset(args: argparse.Namespace) -> Dataset:
     return dataset
 
 
-def _train_eval_on_dataset(
-    dataset: Dataset, args: argparse.Namespace, out_dir: Path, apply_dedup: bool = True
-) -> int:
-    if apply_dedup and args.dedup:
-        dataset, clean_stats = clean(dataset, dedup=True)
-        _log(
-            f"cleaning removed {clean_stats.empty_removed} empty rows and "
-            f"{clean_stats.duplicates_removed} duplicates"
-        )
+def _train_eval_on_dataset(dataset: Dataset, args: argparse.Namespace, out_dir: Path) -> int:
     projected = dataset.project(FEATURE_SETS[args.features])
     split_spec = SplitSpec(
         train_fraction=args.split, seed=args.seed, stratified=not args.no_stratify
@@ -259,6 +250,12 @@ def _train_eval_on_dataset(
 
 def _cmd_train_eval(args: argparse.Namespace) -> int:
     dataset = _load_train_dataset(args)
+    if args.dedup:
+        dataset, clean_stats = clean(dataset, dedup=True)
+        _log(
+            f"cleaning removed {clean_stats.empty_removed} empty rows and "
+            f"{clean_stats.duplicates_removed} duplicates"
+        )
     return _train_eval_on_dataset(dataset, args, Path(args.out))
 
 
@@ -303,8 +300,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _log(f"wrote {len(dataset)} rows to {out_dir / 'dataset.csv'}")
     if args.classes == "device_type":
         dataset = dataset.device_types(registry)
-    # dedup already applied during extraction
-    return _train_eval_on_dataset(dataset, args, out_dir, apply_dedup=False)
+    return _train_eval_on_dataset(dataset, args, out_dir)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

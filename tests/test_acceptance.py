@@ -13,18 +13,10 @@ import pytest
 
 from tables import column_scores, make_dataset, predictions, same_dataset, vectors_dataset
 from corpus import REFERENCE_REGISTRY, REFERENCE_ROWS
-from oracles import brute_gain_ratio
+from oracles import brute_gain_ratio, reference_bootstrap, reference_tree
 from pcapbuild import TCP_ACK, FeatureRow, ethernet, ipv4, pcap_file, tcp, udp
 
-from devfp.classifiers import (
-    Hyperparams,
-    derive_rng,
-    train_bagging,
-    train_c45,
-    train_random_forest,
-    train_random_tree,
-    train_vote,
-)
+from devfp.classifiers import Hyperparams, ModelSpec, TreeModel, derive_rng, train_model
 from devfp.cli import main as cli_main
 from devfp.evaluation import ConfusionMatrix, metrics
 from devfp.features import (
@@ -132,7 +124,7 @@ class TestCriterion3TreeOracle:
                     if len(set(labels)) < 2:
                         continue
                     checked += 1
-                    model = train_c45(_dataset_1attr(values, labels), UNPRUNED_MIN1)
+                    model = train_model(_dataset_1attr(values, labels), ModelSpec("j48", UNPRUNED_MIN1))
                     if predictions(model, [FeatureRow(ip_len=v) for v in values]) != labels:
                         failures += 1
         _report(
@@ -157,7 +149,7 @@ class TestCriterion3TreeOracle:
                     if len(set(labels)) < 2:
                         continue
                     checked += 1
-                    model = train_c45(_dataset_2attr(points, labels), UNPRUNED_MIN1)
+                    model = train_model(_dataset_2attr(points, labels), ModelSpec("j48", UNPRUNED_MIN1))
                     perfect = predictions(model, [FeatureRow(ip_len=a, ip_ttl=b) for a, b in points]) == labels
                     if perfect:
                         continue
@@ -201,8 +193,15 @@ class TestCriterion4EnsembleDegeneracy:
     def test_forest_of_one_equals_its_tree(self):
         dataset = self._dataset()
         hp = Hyperparams(forest_trees=1)
-        forest = train_random_forest(dataset, hp, identity_bootstrap=True)
-        standalone = train_random_tree(dataset, hp, rng=derive_rng(hp.seed, "rf", 0))
+        forest = train_model(dataset, ModelSpec("rf", hp))
+        # the tree the per-node reference grows on the member's bootstrap sample with the member's RNG
+        X, y = dataset.matrix(), dataset.class_codes()
+        rng = derive_rng(hp.seed, "rf", 0)
+        sample = reference_bootstrap(rng, len(y), len(y))
+        arrays = reference_tree(X[sample], y[sample], len(dataset.class_names), hp, rng)
+        standalone = TreeModel(
+            schema=forest.schema, class_names=forest.class_names, hyperparams=hp, variant="rt", **arrays
+        )
         vectors = self._random_vectors()
         rows = zip(*(predictions(model, vectors) for model in (forest, forest.members[0], standalone)))
         mismatches = sum(1 for a, b, c in rows if not a == b == c)
@@ -215,28 +214,14 @@ class TestCriterion4EnsembleDegeneracy:
 
     def test_vote_of_one_equals_its_member(self):
         dataset = self._dataset()
-        voted = train_vote(["j48"], dataset)
-        base = train_c45(dataset)
+        voted = train_model(dataset, ModelSpec("vote", vote_members=("j48",)))
+        base = train_model(dataset, ModelSpec("j48"))
         vectors = self._random_vectors(seed=4005)
         rows = zip(*(predictions(model, vectors) for model in (voted, voted.members[0], base)))
         mismatches = sum(1 for a, b, c in rows if not a == b == c)
         _report(
             4,
             "vote-of-one == its member on 1000 random vectors",
-            mismatches == 0,
-            f"{mismatches} mismatches",
-        )
-
-    def test_bagging_of_one_identity_bootstrap_equals_base(self):
-        dataset = self._dataset()
-        hp = Hyperparams(bagging_rounds=1, bag_fraction=1.0)
-        bagged = train_bagging(dataset, hp, identity_bootstrap=True)
-        base = train_c45(dataset, hp)
-        vectors = self._random_vectors(seed=4006)
-        mismatches = sum(1 for a, b in zip(predictions(bagged, vectors), predictions(base, vectors)) if a != b)
-        _report(
-            4,
-            "bagging-of-one with identity bootstrap == its base on 1000 random vectors",
             mismatches == 0,
             f"{mismatches} mismatches",
         )

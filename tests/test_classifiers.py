@@ -1,26 +1,22 @@
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from devfp import classifiers
 from devfp.classifiers import (
     EnsembleModel,
     Hyperparams,
     ModelSpec,
-    derive_rng,
     load_model,
     save_model,
-    train_bagging,
-    train_c45,
     train_model,
-    train_naive_bayes,
-    train_random_forest,
-    train_random_tree,
-    train_vote,
 )
 from devfp.classifiers.base import TrainedModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
@@ -76,7 +72,7 @@ UNPRUNED_MIN1 = Hyperparams(c45_prune=False, c45_min_leaf=1)
 class TestC45:
     def test_linearly_separable_single_split(self):
         dataset = one_attr_dataset([1, 2, 9], ["A", "A", "B"])
-        model = train_c45(dataset)
+        model = train_model(dataset, ModelSpec("j48"))
         root = model.root
         assert not is_leaf(model)
         # brute-force: of the candidate thresholds 1.5 and 5.5, only 5.5
@@ -90,13 +86,13 @@ class TestC45:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
-            train_c45(one_attr_dataset([1, 2], ["A", "A"]))
+            train_model(one_attr_dataset([1, 2], ["A", "A"]), ModelSpec("j48"))
 
     def test_empty_and_tiny_rejected(self):
         with pytest.raises(EmptyDataset):
-            train_c45(make_dataset({"ip.len": []}, []))
+            train_model(make_dataset({"ip.len": []}, []), ModelSpec("j48"))
         with pytest.raises(EmptyDataset):
-            train_c45(one_attr_dataset([1], ["A"]))
+            train_model(one_attr_dataset([1], ["A"]), ModelSpec("j48"))
 
     def test_no_positive_gain_yields_majority_leaf(self):
         # XOR over two attributes: no single split has positive gain
@@ -104,13 +100,13 @@ class TestC45:
             {"ip.len": [0, 0, 1, 1], "ip.ttl": [0, 1, 0, 1]},
             ["A", "B", "B", "A"],
         )
-        model = train_c45(dataset, UNPRUNED_MIN1)
+        model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert is_leaf(model)
         assert leaf_counts(model, model.root) == (2, 2)
 
     def test_constant_attributes_yield_leaf(self):
         dataset = one_attr_dataset([5, 5, 5, 5], ["A", "A", "B", "A"])
-        model = train_c45(dataset)
+        model = train_model(dataset, ModelSpec("j48"))
         assert is_leaf(model)
         assert predicted(model, vector(**{"ip.len": 5})) == "A"
 
@@ -125,27 +121,27 @@ class TestC45:
             values = [rng.randrange(n_values) for _ in range(rng.randrange(2, 12))]
             values.extend(label_of.keys())  # every value present
             labels = [label_of[v] for v in values]
-            model = train_c45(one_attr_dataset(values, labels), UNPRUNED_MIN1)
+            model = train_model(one_attr_dataset(values, labels), ModelSpec("j48", UNPRUNED_MIN1))
             for v, lab in zip(values, labels):
                 assert predicted(model, vector(**{"ip.len": v})) == lab
 
     def test_absent_values_route_to_majority_branch(self):
         # 3 small-value rows, 1 large: absent rows follow the left majority
         dataset = one_attr_dataset([1, 2, 3, 50, None, None], ["A", "A", "A", "B", "A", "A"])
-        model = train_c45(dataset, UNPRUNED_MIN1)
+        model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
         assert model.absent_left[model.root]
         assert predicted(model, vector()) == "A"
 
     def test_absent_branch_follows_majority_to_right(self):
         dataset = one_attr_dataset([1, 50, 60, 70, None, None], ["A", "B", "B", "B", "B", "B"])
-        model = train_c45(dataset, UNPRUNED_MIN1)
+        model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
         assert not model.absent_left[model.root]
 
     def test_min_leaf_stops_growth(self):
         dataset = one_attr_dataset([1, 2, 9, 10], ["A", "A", "B", "B"])
-        model = train_c45(dataset, Hyperparams(c45_min_leaf=5, c45_prune=False))
+        model = train_model(dataset, ModelSpec("j48", Hyperparams(c45_min_leaf=5, c45_prune=False)))
         assert is_leaf(model)
 
     def test_pruning_collapses_noise_split(self):
@@ -153,8 +149,8 @@ class TestC45:
         values = list(range(20))
         labels = ["A"] * 20
         labels[9] = "B"
-        pruned = train_c45(one_attr_dataset(values, labels), Hyperparams(c45_prune=True))
-        unpruned = train_c45(one_attr_dataset(values, labels), UNPRUNED)
+        pruned = train_model(one_attr_dataset(values, labels), ModelSpec("j48", Hyperparams(c45_prune=True)))
+        unpruned = train_model(one_attr_dataset(values, labels), ModelSpec("j48", UNPRUNED))
         assert is_leaf(pruned)
         assert not is_leaf(unpruned)
 
@@ -166,7 +162,8 @@ class TestC45:
             if len(set(labels)) < 2:
                 continue
             dataset = one_attr_dataset(values, labels)
-            assert len(train_c45(dataset).feature) <= len(train_c45(dataset, UNPRUNED).feature)
+            pruned = train_model(dataset, ModelSpec("j48"))
+            assert len(pruned.feature) <= len(train_model(dataset, ModelSpec("j48", UNPRUNED)).feature)
 
     def test_added_errors_matches_reference_formula(self):
         # independent reimplementation of the upper confidence bound
@@ -199,23 +196,22 @@ class TestRandomTree:
     def test_full_candidate_set_equals_unpruned_c45(self):
         dataset = self.two_attr_dataset()
         hp = Hyperparams(rt_feature_count=2, c45_prune=False)
-        rt = train_random_tree(dataset, hp, rng=derive_rng(1))
-        c45 = train_c45(dataset, hp)
+        rt = train_model(dataset, ModelSpec("rt", hp))
+        c45 = train_model(dataset, ModelSpec("j48", hp))
         assert tree_arrays(rt) == tree_arrays(c45)
 
     def test_same_seed_identical_trees(self):
         dataset = self.two_attr_dataset()
-        hp = Hyperparams(rt_feature_count=1)
-        a = train_random_tree(dataset, hp, rng=derive_rng(7, "rt"))
-        b = train_random_tree(dataset, hp, rng=derive_rng(7, "rt"))
+        spec = ModelSpec("rt", Hyperparams(rt_feature_count=1, seed=7))
+        a = train_model(dataset, spec)
+        b = train_model(dataset, spec)
         assert save_model(a) == save_model(b)
 
     def test_different_seeds_can_pick_different_roots(self):
         dataset = self.two_attr_dataset()  # both attributes split perfectly
-        hp = Hyperparams(rt_feature_count=1, c45_min_leaf=1)
         roots = set()
         for seed in range(12):
-            model = train_random_tree(dataset, hp, rng=derive_rng(seed, "rt"))
+            model = train_model(dataset, ModelSpec("rt", Hyperparams(rt_feature_count=1, c45_min_leaf=1, seed=seed)))
             if not is_leaf(model):
                 roots.add(int(model.feature[model.root]))
         assert roots == {0, 1}
@@ -224,7 +220,7 @@ class TestRandomTree:
 class TestNaiveBayes:
     def test_closed_form_separated_clusters(self):
         dataset = one_attr_dataset([0, 0, 10, 10], ["A", "A", "B", "B"])
-        model = train_naive_bayes(dataset)
+        model = train_model(dataset, ModelSpec("nb"))
         proba = class_proba(model, vector(**{"ip.len": 0}))
         # with the floored stddev the B density at 0 is exp(-0.5*(10/1e-4.5)^2)
         # times smaller: numerically zero next to A's
@@ -233,14 +229,14 @@ class TestNaiveBayes:
 
     def test_all_absent_query_returns_priors(self):
         dataset = one_attr_dataset([0, 1, 10, 11], ["A", "A", "A", "B"])
-        model = train_naive_bayes(dataset)
+        model = train_model(dataset, ModelSpec("nb"))
         proba = class_proba(model, vector())
         assert proba["A"] == pytest.approx(0.75, abs=1e-12)
         assert proba["B"] == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetric_query_is_even(self):
         dataset = one_attr_dataset([1, 2, 8, 9], ["A", "A", "B", "B"])
-        model = train_naive_bayes(dataset)
+        model = train_model(dataset, ModelSpec("nb"))
         proba = class_proba(model, vector(**{"ip.len": 5}))
         assert proba["A"] == pytest.approx(0.5, abs=1e-9)
         assert proba["B"] == pytest.approx(0.5, abs=1e-9)
@@ -251,8 +247,8 @@ class TestNaiveBayes:
             ["A", "A", "B", "B", "A"],
         )
         doubled = Dataset.concat([base, base])
-        m1 = train_naive_bayes(base)
-        m2 = train_naive_bayes(doubled)
+        m1 = train_model(base, ModelSpec("nb"))
+        m2 = train_model(doubled, ModelSpec("nb"))
         assert np.array_equal(m1.priors, m2.priors)
         assert np.array_equal(m1.means, m2.means, equal_nan=True)
         assert np.array_equal(m1.stddevs, m2.stddevs, equal_nan=True)
@@ -268,13 +264,13 @@ class TestNaiveBayes:
             {"ip.len": [1, 2, 8, 9], "ip.ttl": [64, 64, None, None]},
             ["A", "A", "B", "B"],
         )
-        model = train_naive_bayes(dataset)
+        model = train_model(dataset, ModelSpec("nb"))
         proba = class_proba(model, vector(**{"ip.ttl": 64}))
         assert proba["A"] > 1 - 1e-12
 
     def test_variance_floor_applied(self):
         dataset = one_attr_dataset([5, 5, 9, 9], ["A", "A", "B", "B"])
-        model = train_naive_bayes(dataset, Hyperparams(nb_variance_floor=1e-4))
+        model = train_model(dataset, ModelSpec("nb", Hyperparams(nb_variance_floor=1e-4)))
         assert model.stddevs[0][0] == pytest.approx(1e-2)
 
     def test_present_rates_recorded(self):
@@ -282,7 +278,7 @@ class TestNaiveBayes:
             {"ip.len": [1, None, 8, 9], "ip.ttl": [64, 64, None, None]},
             ["A", "A", "B", "B"],
         )
-        model = train_naive_bayes(dataset)
+        model = train_model(dataset, ModelSpec("nb"))
         a, b = model.class_names.index("A"), model.class_names.index("B")
         assert model.present_rates[a][0] == 0.5  # ip.len present for half of A
         assert model.present_rates[b][1] == 0.0
@@ -313,7 +309,7 @@ class TestEnsembles:
         )
 
     def test_forest_of_one_equals_its_member(self):
-        model = train_random_forest(self.dataset(), Hyperparams(forest_trees=1))
+        model = train_model(self.dataset(), ModelSpec("rf", Hyperparams(forest_trees=1)))
         member = model.members[0]
         rng = random.Random(0)
         for _ in range(200):
@@ -321,17 +317,14 @@ class TestEnsembles:
             assert predicted(model, v) == predicted(member, v)
             assert class_proba(model, v) == class_proba(member, v)
 
-    def test_forest_of_one_identity_bootstrap_equals_random_tree(self):
-        hp = Hyperparams(forest_trees=1)
-        forest = train_random_forest(self.dataset(), hp, identity_bootstrap=True)
-        tree = train_random_tree(self.dataset(), hp, rng=derive_rng(hp.seed, "rf", 0))
-        assert save_model(forest.members[0]) == save_model(tree)
-
     def test_identical_members_average_to_member_distribution(self):
-        hp = Hyperparams(forest_trees=5, rt_feature_count=2)
-        forest = train_random_forest(self.dataset(), hp, identity_bootstrap=True)
+        tree = train_model(self.dataset(), ModelSpec("rt", Hyperparams(rt_feature_count=2)))
+        forest = EnsembleModel(
+            schema=tree.schema, class_names=tree.class_names, hyperparams=tree.hyperparams, variant="rf",
+            members=(tree,) * 5,
+        )
         v = vector(**{"ip.len": 3, "ip.ttl": 64})
-        assert class_proba(forest, v) == class_proba(forest.members[0], v)
+        assert class_proba(forest, v) == class_proba(tree, v)
 
     def test_majority_of_three_trees(self):
         members = (
@@ -344,16 +337,6 @@ class TestEnsembles:
             members=members,
         )
         assert predicted(forest, vector(**{"ip.len": 1})) == "A"
-
-    def test_bagging_identity_single_round_equals_c45(self):
-        hp = Hyperparams(bagging_rounds=1, bag_fraction=1.0)
-        bagged = train_bagging(self.dataset(), hp, identity_bootstrap=True)
-        base = train_c45(self.dataset(), hp)
-        assert save_model(bagged.members[0]) == save_model(base)
-        rng = random.Random(1)
-        for _ in range(100):
-            v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
-            assert predicted(bagged, v) == predicted(base, v)
 
     def test_bagging_averages_member_distributions(self):
         bagged = EnsembleModel(
@@ -368,18 +351,18 @@ class TestEnsembles:
         assert predicted(bagged, vector(**{"ip.len": 1})) == "B"
 
     def test_same_seed_identical_bagging(self):
-        a = train_bagging(self.dataset(), Hyperparams(bagging_rounds=3))
-        b = train_bagging(self.dataset(), Hyperparams(bagging_rounds=3))
+        a = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
+        b = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
         assert save_model(a) == save_model(b)
 
     def test_bag_fraction_controls_sample_size(self):
         hp = Hyperparams(bagging_rounds=2, bag_fraction=0.5)
-        model = train_bagging(self.dataset(), hp)  # must simply train cleanly
+        model = train_model(self.dataset(), ModelSpec("bagging", hp))  # must simply train cleanly
         assert len(model.members) == 2
 
     def test_vote_of_one_equals_member(self):
-        voted = train_vote(["j48"], self.dataset())
-        base = train_c45(self.dataset())
+        voted = train_model(self.dataset(), ModelSpec("vote", vote_members=("j48",)))
+        base = train_model(self.dataset(), ModelSpec("j48"))
         rng = random.Random(2)
         for _ in range(100):
             v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
@@ -399,7 +382,7 @@ class TestEnsembles:
         assert predicted(voted, vector(**{"ip.len": 1})) == "A"
 
     def test_vote_j48_plus_bagging_end_to_end(self):
-        voted = train_vote(["j48", "bagging"], self.dataset())
+        voted = train_model(self.dataset(), ModelSpec("vote", vote_members=("j48", "bagging")))
         assert [m.variant for m in voted.members] == ["j48", "bagging"]
         proba = class_proba(voted, vector(**{"ip.len": 2, "ip.ttl": 64}))
         assert sum(proba.values()) == pytest.approx(1.0, abs=1e-9)
@@ -407,15 +390,15 @@ class TestEnsembles:
     def test_vote_member_errors_annotated(self):
         single = one_attr_dataset([1, 2], ["A", "A"])
         with pytest.raises(SingleClassDataset, match="vote member"):
-            train_vote(["j48"], single)
+            train_model(single, ModelSpec("vote", vote_members=("j48",)))
 
     def test_vote_requires_members(self):
         with pytest.raises(ValueError):
-            train_vote([], self.dataset())
+            train_model(self.dataset(), ModelSpec("vote", vote_members=()))
 
     def test_nested_vote_rejected(self):
         with pytest.raises(ValueError, match="vote member"):
-            train_vote(["vote"], self.dataset())
+            train_model(self.dataset(), ModelSpec("vote", vote_members=("vote",)))
 
 
 class TestPredictContract:
@@ -426,12 +409,12 @@ class TestPredictContract:
         )
         hp = Hyperparams(forest_trees=5, bagging_rounds=3)
         return [
-            train_c45(dataset, hp),
-            train_random_tree(dataset, hp),
-            train_random_forest(dataset, hp),
-            train_naive_bayes(dataset, hp),
-            train_bagging(dataset, hp),
-            train_vote(["j48", "bagging"], dataset, hp),
+            train_model(dataset, ModelSpec("j48", hp)),
+            train_model(dataset, ModelSpec("rt", hp)),
+            train_model(dataset, ModelSpec("rf", hp)),
+            train_model(dataset, ModelSpec("nb", hp)),
+            train_model(dataset, ModelSpec("bagging", hp)),
+            train_model(dataset, ModelSpec("vote", hp, ("j48", "bagging"))),
         ]
 
     def test_distributions_sum_to_one(self):
@@ -487,9 +470,9 @@ class TestPredictContract:
         scaled = make_dataset(
             {"ip.len": [v * 10 + 7 for v in values], "ip.ttl": ttls}, labels
         )
-        for train in (train_c45, lambda d: train_random_tree(d, Hyperparams(), rng=derive_rng(3, "rt"))):
-            m_base = train(base)
-            m_scaled = train(scaled)
+        for spec in (ModelSpec("j48"), ModelSpec("rt", Hyperparams(seed=3))):
+            m_base = train_model(base, spec)
+            m_scaled = train_model(scaled, spec)
             for _ in range(60):
                 q = rng.randrange(0, 30)
                 ttl = rng.choice([None, 32, 64, 128])
@@ -528,13 +511,13 @@ class TestBatchPrediction:
         dataset = self.dataset()
         hp = Hyperparams(forest_trees=7, bagging_rounds=3)
         return [
-            train_c45(dataset, hp),
-            train_random_tree(dataset, hp),
-            train_random_forest(dataset, hp),
-            train_naive_bayes(dataset, hp),
-            train_bagging(dataset, hp),
-            train_vote(["j48", "bagging"], dataset, hp),
-            train_vote(["nb", "rf", "j48"], dataset, hp),
+            train_model(dataset, ModelSpec("j48", hp)),
+            train_model(dataset, ModelSpec("rt", hp)),
+            train_model(dataset, ModelSpec("rf", hp)),
+            train_model(dataset, ModelSpec("nb", hp)),
+            train_model(dataset, ModelSpec("bagging", hp)),
+            train_model(dataset, ModelSpec("vote", hp, ("j48", "bagging"))),
+            train_model(dataset, ModelSpec("vote", hp, ("nb", "rf", "j48"))),
         ]
 
     def query_rows(self, models):
@@ -581,12 +564,12 @@ class TestPersistence:
         )
         hp = Hyperparams(forest_trees=3, bagging_rounds=2)
         return [
-            train_c45(dataset, hp),
-            train_random_tree(dataset, hp),
-            train_random_forest(dataset, hp),
-            train_naive_bayes(dataset, hp),
-            train_bagging(dataset, hp),
-            train_vote(["j48", "nb"], dataset, hp),
+            train_model(dataset, ModelSpec("j48", hp)),
+            train_model(dataset, ModelSpec("rt", hp)),
+            train_model(dataset, ModelSpec("rf", hp)),
+            train_model(dataset, ModelSpec("nb", hp)),
+            train_model(dataset, ModelSpec("bagging", hp)),
+            train_model(dataset, ModelSpec("vote", hp, ("j48", "nb"))),
         ]
 
     def test_round_trip_every_variant(self):
@@ -672,6 +655,33 @@ class TestPersistence:
         assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).root == 2
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(document("j48", schema, classes, params)))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed", "x"),
+            ("seed", True),
+            ("forest_trees", 2.5),
+            ("rt_feature_count", True),
+            ("bagging_rounds", "10"),
+            ("bag_fraction", True),
+            ("bag_fraction", 1),
+            ("c45_min_leaf", 2.0),
+            ("c45_confidence", "0.25"),
+            ("c45_prune", []),
+            ("nb_variance_floor", 1),
+        ],
+        ids=["seed-string", "seed-bool", "forest-trees-float", "rt-feature-count-bool", "bagging-rounds-string",
+             "bag-fraction-bool", "bag-fraction-int", "min-leaf-float", "confidence-string", "prune-list",
+             "variance-floor-int"],
+    )
+    def test_hyperparams_of_another_type_rejected(self, name, value):
+        # each of these loaded before into hyperparams that no command line builds
+        good = document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": self.GOOD_NODES})
+        load_model(json.dumps(good))
+        doc = {**good, "hyperparams": {**good["hyperparams"], name: value}}
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(json.dumps(doc))
 
     def test_missing_and_unknown_keys_rejected(self):
         # each loaded before, and save_model wrote seed back or dropped extra
@@ -794,7 +804,7 @@ class TestPersistence:
         n = 300
         values = list(range(n))
         labels = ["A" if i % 2 == 0 else "B" for i in range(n)]
-        model = train_c45(one_attr_dataset(values, labels), UNPRUNED_MIN1)
+        model = train_model(one_attr_dataset(values, labels), ModelSpec("j48", UNPRUNED_MIN1))
         for i in (0, 1, n // 2, n - 1):
             assert predicted(model, vector(**{"ip.len": i})) == labels[i]
         again = load_model(save_model(model))
@@ -803,6 +813,8 @@ class TestPersistence:
 
 class TestHyperparams:
     def test_validation(self):
+        with pytest.raises(TypeError):
+            Hyperparams(bag_fraction=1)
         with pytest.raises(ValueError):
             Hyperparams(forest_trees=0)
         with pytest.raises(ValueError):
@@ -824,3 +836,13 @@ class TestHyperparams:
     def test_model_spec_validates_variant(self):
         with pytest.raises(ValueError):
             ModelSpec(variant="svm")
+
+
+def test_public_surface_is_what_readme_documents():
+    # a per-variant trainer exported again would have to be documented first
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = " ".join(readme.split()).split("`devfp.classifiers` exports exactly these names:")[1].split(".")[0]
+    documented = re.findall(r"`(\w+)`", sentence)
+    assert len(documented) == len(set(documented)) == len(classifiers.__all__)
+    assert set(documented) == set(classifiers.__all__)
+    assert "train_model" in documented

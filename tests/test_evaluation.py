@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tables import make_dataset, predictions, same_dataset
 from modeldocs import leaf, split, tree_model
 
-from devfp.classifiers import ModelSpec, train_c45
+from devfp.classifiers import ModelSpec, train_model
 from devfp.errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from devfp.evaluation import (
     FEATURE_SETS,
@@ -299,7 +299,7 @@ class TestEndToEndExample:
         # evaluate must agree with the row predictions
         dataset = dataset_of({"A": 12, "B": 10})
         train, test = stratified_split(dataset, SplitSpec(seed=9))
-        model = train_c45(train)
+        model = train_model(train, ModelSpec("j48"))
         matrix = evaluate(model, test)
         correct = sum(
             1 for predicted, label in zip(predictions(model, test.rows), test.labels) if predicted == label

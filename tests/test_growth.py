@@ -1,7 +1,8 @@
 """Frontier growth against the per-node reference grower in `oracles.py`.
 
 Every model must match the reference node arrays bit for bit: j48 pruned and
-unpruned, rt, and every member of rf and bagging, on small datasets with
+unpruned, rt, and every member of rf and bagging, alone and as members of a
+vote, each grown under its documented RNG key, on small datasets with
 Absent cells, repeated values and gain ties. Each property also runs with
 the per-step row cap patched small, so that nodes and whole trees wait
 across steps. The bulk bootstrap must draw exactly what one randrange call
@@ -17,14 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devfp.classifiers import (
-    Hyperparams,
-    derive_rng,
-    train_bagging,
-    train_c45,
-    train_random_forest,
-    train_random_tree,
-)
+from devfp.classifiers import Hyperparams, ModelSpec, derive_rng, train_model
 from devfp.classifiers import trees
 from devfp.classifiers.base import bootstrap_indices
 from devfp.features import CANONICAL_ATTRIBUTES
@@ -74,7 +68,7 @@ def assert_same_tree(model, reference: dict) -> None:
 def test_c45_matches_reference(step_rows, dataset, prune, min_leaf):
     hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf)
     with patch.object(trees, "_STEP_ROWS", step_rows):
-        model = train_c45(dataset, hp)
+        model = train_model(dataset, ModelSpec("j48", hp))
     assert_same_tree(model, reference_tree(*arrays(dataset), hp))
 
 
@@ -82,10 +76,10 @@ def test_c45_matches_reference(step_rows, dataset, prune, min_leaf):
 @given(dataset=datasets(), candidates=st.integers(1, 4), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
 @settings(max_examples=60)
 def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf, seed):
-    hp = Hyperparams(rt_feature_count=candidates, c45_min_leaf=min_leaf)
+    hp = Hyperparams(seed=seed, rt_feature_count=candidates, c45_min_leaf=min_leaf)
     with patch.object(trees, "_STEP_ROWS", step_rows):
-        model = train_random_tree(dataset, hp, derive_rng("growth", seed))
-    assert_same_tree(model, reference_tree(*arrays(dataset), hp, derive_rng("growth", seed)))
+        model = train_model(dataset, ModelSpec("rt", hp))
+    assert_same_tree(model, reference_tree(*arrays(dataset), hp, derive_rng(seed, "rt")))
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
@@ -96,14 +90,39 @@ def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf
     X, y, n_classes = arrays(dataset)
     n = len(y)
     with patch.object(trees, "_STEP_ROWS", step_rows):
-        forest = train_random_forest(dataset, hp)
-        bagging = train_bagging(dataset, hp)
+        forest = train_model(dataset, ModelSpec("rf", hp))
+        bagging = train_model(dataset, ModelSpec("bagging", hp))
     for i, member in enumerate(forest.members):
         rng = derive_rng(seed, "rf", i)
         sample = reference_bootstrap(rng, n, n)
         assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp, rng))
     for i, member in enumerate(bagging.members):
         sample = reference_bootstrap(derive_rng(seed, "bagging", i), n, max(1, round(fraction * n)))
+        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp))
+
+
+@pytest.mark.parametrize("step_rows", STEP_ROWS)
+@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99))
+@settings(max_examples=30)
+def test_vote_members_match_reference(step_rows, dataset, fraction, seed):
+    # vote member i of variant v draws from (seed, "vote", i, v): an rt member
+    # directly, an rf or bagging member through a 64-bit token taking the seed's place
+    hp = Hyperparams(seed=seed, forest_trees=2, bagging_rounds=2, bag_fraction=fraction)
+    X, y, n_classes = arrays(dataset)
+    n = len(y)
+    with patch.object(trees, "_STEP_ROWS", step_rows):
+        vote = train_model(dataset, ModelSpec("vote", hp, ("rt", "rf", "bagging")))
+    rt, rf, bagging = vote.members
+    assert (len(rf.members), len(bagging.members)) == (2, 2)
+    assert_same_tree(rt, reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt")))
+    token = derive_rng(seed, "vote", 1, "rf").getrandbits(64)
+    for i, member in enumerate(rf.members):
+        rng = derive_rng(token, "rf", i)
+        sample = reference_bootstrap(rng, n, n)
+        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp, rng))
+    token = derive_rng(seed, "vote", 2, "bagging").getrandbits(64)
+    for i, member in enumerate(bagging.members):
+        sample = reference_bootstrap(derive_rng(token, "bagging", i), n, max(1, round(fraction * n)))
         assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp))
 
 
