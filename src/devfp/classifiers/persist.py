@@ -1,6 +1,7 @@
 """Versioned model persistence with exact round-trips.
 
-Grammar (JSON, version 1): a model document is an object with
+Grammar (JSON, version 1): a model document is an object with, in this
+order,
 
     format       "devfp-model"
     version      1
@@ -19,33 +20,37 @@ a node is {"counts": [...]} for a leaf or {"attribute": i, "threshold": x,
 numbered in post-order (right subtree, left subtree, node), so children
 carry smaller indices than their parent; the loader rejects documents that
 break this, which also rules out cycles. Node i of the document is node i
-of the TreeModel's arrays, so saving and loading copy arrays to and from
-JSON. Forest and bagging params hold {"members": [tree params...]}, the
-members being rt and j48 trees respectively; vote params hold full member
-documents, none a vote and each with the vote's schema and class names; nb
-params hold priors/means/stddevs/
-present_rates with null marking classes that never saw an attribute (NaN
-in the model's arrays).
+of the TreeModel's arrays. Forest and bagging params hold {"members": [tree
+params...]}, the members being rt and j48 trees respectively; vote params
+hold full member documents, none a vote and each with the vote's schema and
+class names; nb params hold priors/means/stddevs/present_rates with null
+marking classes that never saw an attribute (NaN in the model's arrays).
 
-Floats serialize via repr and parse back bit-identically, so
-load_model(save_model(m)) reproduces m exactly. The loader takes values in
-the JSON types save_model writes and coerces none: version is an integer,
-schema and class_names are lists of distinct strings, a tree's root, its
-nodes' attribute, left and right and its leaves' counts are integers (not
-booleans), thresholds are floats, and so is every nb number that is not
-null. Nor does it fill in or skip keys: the document, its hyperparams and
-its params have exactly the keys above, a leaf exactly "counts" and a split
-exactly its five keys. NaN, Infinity and -Infinity, which JSON lacks and
-save_model never writes, are rejected.
+The text is canonical: UTF-8 (ASCII, in fact: strings escape every other
+character as json.dumps does), no whitespace, the keys in the order above,
+ints written by str and floats by repr (so they parse back bit-identically),
+and one final LF. save_model writes each tree's nodes straight from the
+TreeModel arrays and json.dumps only the rest. load_model accepts exactly
+the texts save_model writes: every text it accepts re-saves to the same
+bytes. It reads the header values and the nb params with json and compares
+each with its own re-dump, and a tree's nodes with one regex that admits
+only the two node forms above, filling the arrays column by column. So it
+rejects, among others, whitespace anywhere, a missing final LF, reordered,
+duplicated, missing or unknown keys, a number spelled another way (2.5e-1
+for 0.25, 1.00 for 1.0, 3.0 or true for an int count, 1 for a float), a
+byte-order mark, bytes that are not UTF-8, NaN and Infinity, an index,
+attribute or leaf count that is not a plain int, a threshold or nb number
+that is not a float, and schema or class names that are not distinct
+strings.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
-from dataclasses import fields
-from typing import Union
+import re
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -58,93 +63,187 @@ from .trees import TreeModel
 FORMAT_NAME = "devfp-model"
 FORMAT_VERSION = 1
 
+_HEADER_KEYS = ("format", "version", "variant", "schema", "class_names", "hyperparams")
 
-def _encode_tree(tree: TreeModel) -> dict:
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# Writing
+
+
+def _tree_text(tree: TreeModel) -> str:
     counts = iter(tree.counts.tolist())
-    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.absent_left)
-    nodes = [
-        {"counts": next(counts)} if attribute < 0 else {
-            "attribute": attribute,
-            "threshold": threshold,
-            "absent_branch": "left" if absent_left else "right",
-            "left": left,
-            "right": right,
-        }
-        for attribute, threshold, left, right, absent_left in zip(*(c.tolist() for c in columns))
-    ]
-    return {"root": tree.root, "nodes": nodes}
+    columns = (tree.feature, tree.threshold, tree.absent_left, tree.left, tree.right)
+    nodes = ",".join(
+        '{"counts":[%s]}' % ",".join(map(str, next(counts))) if attribute < 0 else
+        f'{{"attribute":{attribute},"threshold":{threshold!r},'
+        f'"absent_branch":"{"left" if absent_left else "right"}","left":{left},"right":{right}}}'
+        for attribute, threshold, absent_left, left, right in zip(*(c.tolist() for c in columns))
+    )
+    return f'{{"root":{tree.root},"nodes":[{nodes}]}}'
 
 
-_LEAF_AS_SPLIT = {"attribute": -1, "threshold": 0.0, "absent_branch": "right", "left": -1, "right": -1}
-_NODE_KEYS = {frozenset({"counts"}), frozenset(_LEAF_AS_SPLIT)}  # a leaf's and a split's
-_DOC_KEYS = frozenset({"format", "version", "variant", "schema", "class_names", "hyperparams", "params"})
-_HYPERPARAM_KEYS = frozenset(f.name for f in fields(Hyperparams))
-_TREE_KEYS = frozenset({"root", "nodes"})
-_NB_KEYS = frozenset({"priors", "means", "stddevs", "present_rates"})
-_ENSEMBLE_KEYS = frozenset({"members"})
-_ABSENT_LEFT = {"left": True, "right": False}
+def _nan_to_none(rows: np.ndarray) -> list:
+    return [[None if math.isnan(v) else v for v in row] for row in rows.tolist()]
 
 
-def _keyed(obj: object, keys: frozenset, what: str) -> dict:
-    """obj, which must be an object with exactly `keys`."""
-    if not (isinstance(obj, dict) and obj.keys() == keys):
-        raise ModelFormatError(f"{what} must have exactly the keys {sorted(keys)}")
-    return obj
+def _nb_text(arrays: dict) -> str:
+    """The nb params text of the arrays (keyed as NaiveBayesModel's fields)."""
+    return _dumps({
+        "priors": arrays["priors"].tolist(),
+        "means": _nan_to_none(arrays["means"]),
+        "stddevs": _nan_to_none(arrays["stddevs"]),
+        "present_rates": arrays["present_rates"].tolist(),
+    })
 
 
-def _typed(values: list, kind: type, what: str) -> list:
-    """values, each exactly of type `kind`: no bool where an int belongs,
-    no int or string where a float belongs."""
-    if not set(map(type, values)) <= {kind}:
-        raise ModelFormatError(f"{what} must be of type {kind.__name__}")
-    return values
-
-
-def _decode_tree(params: dict, n_attributes: int, n_classes: int) -> dict:
-    """TreeModel arrays for tree params, checked so that routing always ends."""
-    nodes = _keyed(params, _TREE_KEYS, "tree params")["nodes"]
-    if not {frozenset(raw) for raw in nodes} <= _NODE_KEYS:
-        raise ModelFormatError('a tree node must be a leaf {"counts"} or a split with exactly five keys')
-    splits = [_LEAF_AS_SPLIT if "counts" in raw else raw for raw in nodes]
-    leaf_counts = [raw["counts"] for raw in nodes if "counts" in raw]
-    if not set(map(type, itertools.chain.from_iterable(leaf_counts))) <= {int}:
-        raise ModelFormatError("leaf counts must be of type int")
-
-    def column(key: str, kind: type) -> list:
-        return _typed([s[key] for s in splits], kind, f"tree node {key!r}")
-
-    fields = {
-        "feature": np.array(column("attribute", int), dtype=np.intp),
-        "threshold": np.array(column("threshold", float), dtype=np.float64),
-        "left": np.array(column("left", int), dtype=np.intp),
-        "right": np.array(column("right", int), dtype=np.intp),
-        "absent_left": np.array([_ABSENT_LEFT[s["absent_branch"]] for s in splits], dtype=bool),
-        "counts": np.array(leaf_counts, dtype=np.int32),
-        "root": _typed([params["root"]], int, "tree root")[0],
+def _document_parts(model: TrainedModel) -> Iterator[str]:
+    """The text of model's document, in pieces no larger than one tree."""
+    header = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "variant": model.variant,
+        "schema": list(model.schema),
+        "class_names": list(model.class_names),
+        "hyperparams": model.hyperparams.to_dict(),
     }
-    split = fields["feature"] >= 0
-    index = np.arange(len(nodes))[split]
-    children = np.concatenate([fields["left"][split], fields["right"][split]])
+    yield _dumps(header)[:-1] + ',"params":'
+    if isinstance(model, TreeModel):
+        yield _tree_text(model)
+    elif isinstance(model, NaiveBayesModel):
+        yield _nb_text(vars(model))
+    elif isinstance(model, EnsembleModel):
+        yield '{"members":['
+        for i, member in enumerate(model.members):
+            if i:
+                yield ","
+            if model.variant == VARIANT_VOTE:
+                yield from _document_parts(member)
+            else:
+                yield _tree_text(member)
+        yield "]}"
+    else:
+        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
+    yield "}"
+
+
+def save_model(model: TrainedModel) -> str:
+    """Serialize a trained model to its canonical JSON text."""
+    return "".join([*_document_parts(model), "\n"])
+
+
+# ---------------------------------------------------------------------------
+# Reading
+
+
+_INT = "0|[1-9][0-9]*"
+_COUNT = "0|[1-9][0-9]{0,9}"  # at most ten digits: parsed as int64, a count cannot overflow
+_TREE_HEAD = re.compile(rf'\{{"root":({_INT}),"nodes":\[')
+# Field extractors, run on a tree's nodes once _node_pattern has checked
+# them: per node "" for a leaf and l or r (the absent branch) for a split;
+# per split its attribute, left and right, and its threshold; per leaf its counts.
+_NODE_KIND = re.compile(r'\{"(?:c|attribute":[^}]*"absent_branch":"(l|r))')
+_SPLIT_INTS = re.compile(r'"(?:attribute|left|right)":([0-9]+)')
+_THRESHOLD = re.compile(r'"threshold":([^,]+)')
+_COUNTS = re.compile(r'"counts":\[([0-9,]+)\]')
+
+
+@functools.lru_cache(maxsize=8)
+def _node_pattern(n_classes: int) -> re.Pattern:
+    """One canonical node, a leaf of n_classes counts or a split (its
+    threshold is checked against repr afterwards), then the comma before the
+    next node or the end of the text. Matching nodes one at a time keeps the
+    regex engine's backtracking state to one node, whatever the tree's size."""
+    leaf = rf'\{{"counts":\[(?:{_COUNT})(?:,(?:{_COUNT})){{{n_classes - 1}}}\]\}}'
+    split = (
+        rf'\{{"attribute":(?:{_INT}),"threshold":[-+.0-9A-Za-z]+,'
+        rf'"absent_branch":"(?:left|right)","left":(?:{_INT}),"right":(?:{_INT})\}}'
+    )
+    return re.compile(rf"(?:{leaf}|{split})(?:,(?=\{{)|\Z)")
+
+
+def _reject_constant(name: str) -> float:
+    raise ModelFormatError(f"{name} is not a JSON number and save_model never writes it")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _expect(text: str, pos: int, literal: str) -> int:
+    """The end of `literal`, which must stand at pos."""
+    if not text.startswith(literal, pos):
+        raise ModelFormatError(
+            f"expected {literal!r} at offset {pos} of the model text, found {text[pos:pos + 24]!r}"
+        )
+    return pos + len(literal)
+
+
+def _read_json(text: str, pos: int, what: str) -> tuple[object, int]:
+    """The JSON value at pos, which must be written as json.dumps writes it, and its end."""
+    try:
+        value, end = _DECODER.raw_decode(text, pos)
+    except (RecursionError, ValueError) as exc:  # ValueError includes JSONDecodeError
+        raise ModelFormatError(f"{what} is not readable JSON: {exc}") from exc
+    if _dumps(value) != text[pos:end]:
+        raise ModelFormatError(f"{what} is not written as save_model writes it")
+    return value, end
+
+
+def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
+    """TreeModel arrays for the tree params at pos, checked so that routing
+    always ends, and their end."""
+    head = _TREE_HEAD.match(text, pos)
+    start = head.end() if head else pos
+    end = text.find("}]", start) + 1  # the end of the last node, in a canonical tree
+    nodes = text[start:end]
+    # the nodes are canonical exactly when removing each node and its comma leaves nothing
+    rest, n = _node_pattern(n_classes).subn("", nodes) if n_classes else (nodes, 0)
+    if head is None or rest or not n:
+        raise ModelFormatError(
+            f"malformed tree at offset {pos}: need an int root and nodes that are each a leaf of"
+            f" {n_classes} counts or a split with exactly five keys, written as save_model writes them"
+        )
+    kind = np.array(_NODE_KIND.findall(nodes), dtype=str)
+    split = kind != ""
+    threshold = _THRESHOLD.findall(nodes)
+    values = list(map(float, threshold))
+    if list(map(repr, values)) != threshold:
+        written = next(w for w, v in zip(threshold, values) if repr(v) != w)
+        raise ModelFormatError(f"tree threshold {written} is not a float as save_model writes it")
+    counts = np.fromstring(",".join(_COUNTS.findall(nodes)), sep=",", dtype=np.int64)
+    if np.any(counts > np.iinfo(np.int32).max):
+        raise ModelFormatError("a leaf count does not fit in int32")
+    split_ints = np.array(list(map(int, _SPLIT_INTS.findall(nodes))), dtype=np.intp).reshape(-1, 3)
+    root = int(head.group(1))
     if not (
-        np.all((0 <= children) & (children < np.concatenate([index, index])))
-        and np.all(fields["feature"] < n_attributes)
-        and 0 <= fields["root"] < len(nodes)
-        and fields["counts"].shape == (len(nodes) - len(index), n_classes)
-        and np.all(fields["counts"] >= 0)
+        np.all(split_ints[:, 1:] < np.flatnonzero(split)[:, None])
+        and np.all(split_ints[:, 0] < n_attributes)
+        and root < n
     ):
         raise ModelFormatError(
-            "malformed tree: children must precede their parent, indices must be in"
-            f" range, and every leaf needs {n_classes} non-negative class counts"
+            "malformed tree: children must precede their parent and indices must be in range"
         )
-    return fields
+    fields = {
+        "feature": np.full(n, -1, dtype=np.intp),
+        "threshold": np.zeros(n),
+        "left": np.full(n, -1, dtype=np.intp),
+        "right": np.full(n, -1, dtype=np.intp),
+        "absent_left": kind == "l",
+        "counts": counts.astype(np.int32).reshape(-1, n_classes),
+        "root": root,
+    }
+    fields["threshold"][split] = values
+    fields["feature"][split], fields["left"][split], fields["right"][split] = split_ints.T
+    return fields, _expect(text, end, "]}")
 
 
-def _decode_naive_bayes(params: dict, n_attributes: int, n_classes: int) -> dict:
-    """NaiveBayesModel arrays for nb params, checked so that prediction is defined."""
-    _keyed(params, _NB_KEYS, "nb params")
-    numbers = [params["priors"], *params["means"], *params["stddevs"]]
-    _typed([v for row in numbers for v in row if v is not None], float, "nb numbers")
-    _typed([v for row in params["present_rates"] for v in row], float, "nb present rates")
+def _read_naive_bayes(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
+    """NaiveBayesModel arrays for the nb params at pos, checked so that
+    prediction is defined, and their end."""
+    params, end = _read_json(text, pos, "nb params")
     priors = np.array(params["priors"], dtype=np.float64)
     present_rates = np.array(params["present_rates"], dtype=np.float64)
     means, stddevs = (
@@ -163,102 +262,87 @@ def _decode_naive_bayes(params: dict, n_attributes: int, n_classes: int) -> dict
             f"malformed naive Bayes: need {n_classes} positive priors, {grid} means, stddevs and"
             " present rates, and a positive stddev exactly where the mean is not null"
         )
-    return {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}
-
-
-def _nan_to_none(rows: np.ndarray) -> list:
-    return [[None if math.isnan(v) else v for v in row] for row in rows.tolist()]
-
-
-def _model_dict(model: TrainedModel) -> dict:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "variant": model.variant,
-        "schema": list(model.schema),
-        "class_names": list(model.class_names),
-        "hyperparams": model.hyperparams.to_dict(),
-    }
-    if isinstance(model, TreeModel):
-        doc["params"] = _encode_tree(model)
-    elif isinstance(model, NaiveBayesModel):
-        doc["params"] = {
-            "priors": model.priors.tolist(),
-            "means": _nan_to_none(model.means),
-            "stddevs": _nan_to_none(model.stddevs),
-            "present_rates": model.present_rates.tolist(),
-        }
-    elif isinstance(model, EnsembleModel):
-        encode = _model_dict if model.variant == VARIANT_VOTE else _encode_tree
-        doc["params"] = {"members": [encode(m) for m in model.members]}
-    else:
-        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
-    return doc
-
-
-def save_model(model: TrainedModel) -> str:
-    """Serialize a trained model to its canonical JSON text."""
-    return json.dumps(_model_dict(model), separators=(",", ":")) + "\n"
-
-
-def _names(doc: dict, key: str) -> tuple[str, ...]:
-    names = doc[key]
-    if not (isinstance(names, list) and set(map(type, names)) <= {str} and len(set(names)) == len(names)):
-        raise ModelFormatError(f"{key} must be a list of distinct strings")
-    return tuple(names)
-
-
-def _model_from_dict(doc: dict) -> TrainedModel:
-    if _keyed(doc, _DOC_KEYS, "a model document")["format"] != FORMAT_NAME:
-        raise ModelFormatError(f"not a {FORMAT_NAME} document")
-    version = doc["version"]
-    if type(version) is not int or version != FORMAT_VERSION:
+    arrays = {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}
+    if _nb_text(arrays) != text[pos:end]:
         raise ModelFormatError(
-            f"unsupported model version {version!r}; this build reads version {FORMAT_VERSION}"
+            "nb params need exactly their keys, in order, holding floats (or null) written as save_model writes them"
         )
-    variant = doc["variant"]
-    schema, class_names = _names(doc, "schema"), _names(doc, "class_names")
+    return arrays, end
+
+
+def _names(value: object, key: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and set(map(type, value)) <= {str} and len(set(value)) == len(value)):
+        raise ModelFormatError(f"{key} must be a list of distinct strings")
+    return tuple(value)
+
+
+def _read_document(text: str, pos: int, in_vote: bool = False) -> tuple[TrainedModel, int]:
+    """The model whose document starts at pos, and the document's end."""
+    header = {}
+    for key in _HEADER_KEYS:
+        pos = _expect(text, pos, ("," if header else "{") + _dumps(key) + ":")
+        value, pos = _read_json(text, pos, key)
+        if key == "format" and value != FORMAT_NAME:
+            raise ModelFormatError(f"not a {FORMAT_NAME} document")
+        if key == "version" and (type(value) is not int or value != FORMAT_VERSION):
+            raise ModelFormatError(
+                f"unsupported model version {value!r}; this build reads version {FORMAT_VERSION}"
+            )
+        header[key] = value
+    variant = header["variant"]
+    schema, class_names = _names(header["schema"], "schema"), _names(header["class_names"], "class_names")
     try:
-        hp = Hyperparams(**_keyed(doc["hyperparams"], _HYPERPARAM_KEYS, "hyperparams"))
+        hp = Hyperparams(**header["hyperparams"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad hyperparams: {exc}") from exc
-    params = doc["params"]
+    if tuple(header["hyperparams"]) != tuple(hp.to_dict()):
+        raise ModelFormatError("hyperparams must have exactly their keys, in order")
+    if in_vote and variant == VARIANT_VOTE:
+        raise ModelFormatError("a vote member cannot itself be a vote")
+    pos = _expect(text, pos, ',"params":')
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
     shape = (len(schema), len(class_names))
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
-        return TreeModel(variant=variant, **_decode_tree(params, *shape), **common)
-    if variant == VARIANT_NAIVE_BAYES:
-        return NaiveBayesModel(**_decode_naive_bayes(params, *shape), **common)
-    if variant not in TREE_MEMBER_VARIANTS and variant != VARIANT_VOTE:
-        raise ModelFormatError(f"unknown variant {variant!r}")
-    member_params = _keyed(params, _ENSEMBLE_KEYS, f"{variant} params")["members"]
-    if variant in TREE_MEMBER_VARIANTS:
-        members = tuple(
-            TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **_decode_tree(p, *shape), **common)
-            for p in member_params
-        )
+        arrays, pos = _read_tree(text, pos, *shape)
+        model: TrainedModel = TreeModel(variant=variant, **arrays, **common)
+    elif variant == VARIANT_NAIVE_BAYES:
+        arrays, pos = _read_naive_bayes(text, pos, *shape)
+        model = NaiveBayesModel(**arrays, **common)
+    elif variant in TREE_MEMBER_VARIANTS or variant == VARIANT_VOTE:
+        pos = _expect(text, pos, '{"members":[')
+        if text.startswith("]", pos):
+            raise ModelFormatError(f"{variant} model has no members")
+        members = []
+        while True:
+            if variant == VARIANT_VOTE:
+                member, pos = _read_document(text, pos, in_vote=True)
+                if member.schema != schema or member.class_names != class_names:
+                    raise ModelFormatError("every vote member needs the vote's schema and class names")
+            else:
+                arrays, pos = _read_tree(text, pos, *shape)
+                member = TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **arrays, **common)
+            members.append(member)
+            if not text.startswith(",", pos):
+                break
+            pos += 1
+        pos = _expect(text, pos, "]}")
+        model = EnsembleModel(variant=variant, members=tuple(members), **common)
     else:
-        if any(p["variant"] == VARIANT_VOTE for p in member_params):
-            raise ModelFormatError("a vote member cannot itself be a vote")
-        members = tuple(_model_from_dict(p) for p in member_params)
-        if any(m.schema != schema or m.class_names != class_names for m in members):
-            raise ModelFormatError("every vote member needs the vote's schema and class names")
-    if not members:
-        raise ModelFormatError(f"{variant} model has no members")
-    return EnsembleModel(variant=variant, members=members, **common)
-
-
-def _reject_constant(name: str) -> float:
-    raise ModelFormatError(f"{name} is not a JSON number and save_model never writes it")
+        raise ModelFormatError(f"unknown variant {variant!r}")
+    return model, _expect(text, pos, "}")
 
 
 def load_model(text: Union[str, bytes]) -> TrainedModel:
-    """Parse canonical JSON text back into a trained model."""
+    """Parse canonical JSON text (or its UTF-8 bytes) back into a trained model."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model file is not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except (RecursionError, ValueError) as exc:  # ValueError includes JSONDecodeError
-        raise ModelFormatError(f"model file is not readable JSON: {exc}") from exc
-    try:
-        return _model_from_dict(doc)
+        model, end = _read_document(text, 0)
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
+    if text[end:] != "\n":
+        raise ModelFormatError("the model text must end with its document and one LF")
+    return model

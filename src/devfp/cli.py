@@ -260,7 +260,7 @@ def _cmd_train_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    model = load_model(Path(args.model_file).read_text(encoding="utf-8"))
+    model = load_model(Path(args.model_file).read_bytes())
     path = Path(args.input)
     with path.open("rb") as fh:
         from_pcap = is_capture(fh.read(4))

@@ -1,7 +1,9 @@
 """Hand-written model documents (format v1) for tests that need a known tree.
 
 Nodes are listed in the format's post-order: children before their parent,
-the root last (unless `root` says otherwise).
+the root last (unless `root` says otherwise). `canonical` writes a document
+as save_model does (no whitespace, one final LF), the only text load_model
+reads, so that a test of a document's content is not rejected for its form.
 """
 
 import json
@@ -36,9 +38,14 @@ def document(variant, schema, class_names, params) -> dict:
     }
 
 
+def canonical(doc) -> str:
+    """The text of a model document as save_model writes one."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 def document_model(variant, schema, class_names, params):
     """A model loaded from a hand-written document with these params."""
-    return load_model(json.dumps(document(variant, schema, class_names, params)))
+    return load_model(canonical(document(variant, schema, class_names, params)))
 
 
 def tree_model(schema, class_names, nodes, root=None):

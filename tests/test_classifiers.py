@@ -1,7 +1,9 @@
+import codecs
 import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -23,7 +25,7 @@ from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleC
 from devfp.features import Dataset
 from pcapbuild import FeatureRow
 from tables import make_dataset, predictions, schema_rows
-from modeldocs import document, document_model, leaf, split, tree_model
+from modeldocs import canonical, document, document_model, leaf, split, tree_model
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -603,14 +605,49 @@ class TestPersistence:
 
     def test_non_json_rejected(self):
         # nesting beyond the parser's depth, an integer beyond its digit limit, bytes
-        # that decode in no Unicode encoding
-        for text in ("not json at all", "[" * 100000, "1" * 5000, b"\xff\xfe{"):
-            with pytest.raises(ModelFormatError):
+        # that are not UTF-8
+        head = '{"format":"devfp-model","version":'
+        cases = [
+            ("not json at all", "format"),
+            (head + '1,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
+            (head + "1" * 5000, "version is not readable JSON"),
+            (b"\xff\xfe{", "not UTF-8"),
+        ]
+        for text, match in cases:
+            with pytest.raises(ModelFormatError, match=match):
                 load_model(text)
 
+    def test_bytes_load_only_as_utf8_without_bom(self):
+        text = save_model(self.trained_models()[0])
+        assert save_model(load_model(text.encode("utf-8"))) == text
+        for data in (codecs.BOM_UTF8 + text.encode("utf-8"), text.encode("utf-16"), text.encode("utf-16-le")):
+            with pytest.raises(ModelFormatError):
+                load_model(data)
+
+    def test_save_and_load_peak_below_four_times_the_text(self):
+        # 20 trees of a noisy four-class dataset: a few hundred kB of text, so
+        # that the ratio is set by the nodes and not by fixed costs
+        rng = random.Random(5)
+        n = 400
+        dataset = make_dataset(
+            {"ip.len": [rng.randrange(1000) for _ in range(n)], "ip.ttl": [rng.randrange(256) for _ in range(n)]},
+            [f"c{rng.randrange(4)}" for _ in range(n)],
+        )
+        model = train_model(dataset, ModelSpec("rf", Hyperparams(forest_trees=20)))
+        text = save_model(model)
+        assert len(text) > 200_000
+        for work in (lambda: save_model(model), lambda: load_model(text)):
+            tracemalloc.start()
+            try:
+                work()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * len(text)
+
     def test_wrong_format_name_rejected(self):
-        with pytest.raises(ModelFormatError):
-            load_model('{"format": "something-else", "version": 1}')
+        with pytest.raises(ModelFormatError, match="not a devfp-model document"):
+            load_model('{"format":"something-else","version":1}\n')
 
     def test_malformed_tree_rejected(self):
         schema, classes = ("ip.len",), ("A", "B")
@@ -654,7 +691,7 @@ class TestPersistence:
         # each of these loaded before, most of them re-saving to other bytes
         assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).root == 2
         with pytest.raises(ModelFormatError):
-            load_model(json.dumps(document("j48", schema, classes, params)))
+            load_model(canonical(document("j48", schema, classes, params)))
 
     @pytest.mark.parametrize(
         "name, value",
@@ -678,23 +715,23 @@ class TestPersistence:
     def test_hyperparams_of_another_type_rejected(self, name, value):
         # each of these loaded before into hyperparams that no command line builds
         good = document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": self.GOOD_NODES})
-        load_model(json.dumps(good))
+        load_model(canonical(good))
         doc = {**good, "hyperparams": {**good["hyperparams"], name: value}}
         with pytest.raises(ModelFormatError, match=name):
-            load_model(json.dumps(doc))
+            load_model(canonical(doc))
 
     def test_missing_and_unknown_keys_rejected(self):
         # each loaded before, and save_model wrote seed back or dropped extra
         schema, classes = ("ip.len",), ("A", "B")
         params = {"root": 2, "nodes": self.GOOD_NODES}
         good = document("j48", schema, classes, params)
-        load_model(json.dumps(good))
+        load_model(canonical(good))
         no_seed = {**good, "hyperparams": {k: v for k, v in good["hyperparams"].items() if k != "seed"}}
         extra_on_leaf = {**params, "nodes": [{**leaf(0, 4), "extra": 1}, *self.GOOD_NODES[1:]]}
         extra_on_split = {**params, "nodes": [*self.GOOD_NODES[:2], {**self.GOOD_NODES[2], "extra": 1}]}
         for doc in (no_seed, *(document("j48", schema, classes, p) for p in (extra_on_leaf, extra_on_split))):
             with pytest.raises(ModelFormatError):
-                load_model(json.dumps(doc))
+                load_model(canonical(doc))
 
     NB_PARAMS = {
         "priors": [0.5, 0.5],
@@ -724,7 +761,7 @@ class TestPersistence:
         for good in ({"root": 2, "nodes": self.GOOD_NODES}, self.NB_PARAMS):
             document_model("nb" if "priors" in good else "j48", schema, classes, good)
         with pytest.raises(ModelFormatError):
-            load_model(json.dumps({**document(variant, schema, classes, params), "version": version}))
+            load_model(canonical({**document(variant, schema, classes, params), "version": version}))
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_constants_rejected(self, constant):
@@ -737,7 +774,7 @@ class TestPersistence:
             document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": nodes}),
         ]
         for doc in documents:
-            text = json.dumps(doc)
+            text = canonical(doc)
             assert constant in text
             with pytest.raises(ModelFormatError, match=constant):
                 load_model(text)
@@ -767,7 +804,7 @@ class TestPersistence:
             if "members" in doc["params"]:
                 doc["params"]["members"] = []
                 with pytest.raises(ModelFormatError, match="no members"):
-                    load_model(json.dumps(doc))
+                    load_model(canonical(doc))
                 emptied += 1
         assert emptied == 3  # rf, bagging, vote
 

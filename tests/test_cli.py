@@ -1,3 +1,4 @@
+import codecs
 import json
 from pathlib import Path
 
@@ -328,8 +329,13 @@ class TestClassify:
         bad = tmp_path / "bad.json"
         csv = tmp_path / "empty.csv"
         csv.write_text(CSV_HEADER + "\n")
-        for text in ("{}", "[" * 100000):  # the second overflows the JSON parser's nesting depth
-            bad.write_text(text)
+        model = save_model(tree_model(("ip.len",), ("A", "B"), [leaf(1, 9), leaf(9, 1), split(0, 100.5, "left", 1, 0)]))
+        deep = '{"format":"devfp-model","version":1,"variant":"j48","schema":' + "[" * 100000
+        # the JSON parser's nesting depth overflows in the second; the model file is
+        # read as bytes, so a CRLF line end, a byte-order mark or UTF-16 reach the loader
+        for data in (b"{}", deep.encode(), model.replace("\n", "\r\n").encode(),
+                     codecs.BOM_UTF8 + model.encode(), model.encode("utf-16"), b"\xff\xfe{"):
+            bad.write_bytes(data)
             code, _, err = run_cli(
                 ["classify", "--model-file", str(bad), "--input", str(csv),
                  "--out", str(tmp_path / "p.csv")],

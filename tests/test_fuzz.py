@@ -7,9 +7,12 @@ capture, so most examples get past the global header and reach frame
 headers, Ethernet, IPv4 and TCP/UDP decoding. CSV texts are arbitrary
 strings and near-canonical ones built from the canonical header and cells
 that are valid, non-canonical or broken, with device names or device types
-in the class column. Model documents are saved j48, nb,
-rf and vote models with one value retyped, one schema or class name
-duplicated, or one key dropped or added.
+in the class column. Model documents are saved j48, nb, rf and vote models
+with one value retyped, one schema or class name duplicated, or one key
+dropped or added, or with their text respelled: whitespace inserted, the
+final LF dropped or leading whitespace added, an object's keys reordered or
+one key duplicated, a number written another way, or the text passed as
+bytes in UTF-8 (with or without a byte-order mark), UTF-16 or UTF-32.
 """
 
 import json
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import TRAINING_REGISTRY, build_training_capture
+from modeldocs import canonical
 from tables import make_dataset
 
 from devfp.classifiers import Hyperparams, ModelSpec, load_model, save_model, train_model
@@ -133,11 +137,36 @@ def _at(doc, path):
     return doc
 
 
+_SLOT = "\x00slot\x00"
+
+
+def _written_with(doc, path, value_text):
+    """canonical(doc) with the value at `path` written as `value_text`."""
+    if not path:
+        return value_text + "\n"
+    *parent, key = path
+    _at(doc, parent)[key] = _SLOT
+    return canonical(doc).replace(json.dumps(_SLOT), value_text)
+
+
+def _respellings(number):
+    """Other spellings of a number: an int as a float or with an exponent, a
+    float with a trailing zero or in exponent notation (0.25 as 2.5e-1)."""
+    if type(number) is int:
+        return [f"{number}.0", f"{number}e0", f"0{number}"]
+    return [repr(number) + "0", f"{number:e}", f"{number * 10!r}e-1", repr(number).upper()]
+
+
+VALUE_MUTATIONS = ["retype", "non-finite", "duplicate", "drop", "add"]
+TEXT_MUTATIONS = ["whitespace", "ends", "reorder", "duplicate-key", "respell", "encode"]
+
+
 @st.composite
 def mutated_model_texts(draw):
     doc = json.loads(draw(st.sampled_from(MODEL_TEXTS)))
     paths = list(_paths(doc))
-    kind = draw(st.sampled_from(["retype", "non-finite", "duplicate", "drop", "add"]))
+    objects = [p for p in paths if isinstance(_at(doc, p), dict)]
+    kind = draw(st.sampled_from(VALUE_MUTATIONS + TEXT_MUTATIONS))
     if kind == "retype":
         *parent, key = draw(st.sampled_from(paths[1:]))
         _at(doc, parent)[key] = draw(st.sampled_from(REPLACEMENTS))
@@ -152,21 +181,48 @@ def mutated_model_texts(draw):
             names[target] = names[source]  # overwrite an entry
         else:
             names.insert(target, names[source])
-    else:
-        obj = _at(doc, draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), dict)])))
+    elif kind in ("drop", "add"):
+        obj = _at(doc, draw(st.sampled_from(objects)))
         if kind == "drop":
             del obj[draw(st.sampled_from(sorted(obj)))]
         else:
             key = draw(st.sampled_from(["extra", "seed", "counts", "members", "left"]))
             obj[key] = draw(st.sampled_from(REPLACEMENTS))
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    elif kind == "whitespace":  # before or after a structural character
+        text = canonical(doc)
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c in "{}[],:"])) + draw(st.integers(0, 1))
+        return text[:at] + draw(st.sampled_from([" ", "\t", "\n", "\r\n"])) + text[at:]
+    elif kind == "ends":
+        text = canonical(doc)
+        return draw(st.sampled_from([text[:-1], text[:-1] + "\r\n", text + "\n", " " + text, "\n" + text]))
+    elif kind == "reorder":
+        path = draw(st.sampled_from([p for p in objects if len(_at(doc, p)) > 1]))
+        obj = _at(doc, path)
+        order = draw(st.permutations(list(obj)))
+        return _written_with(doc, path, json.dumps({k: obj[k] for k in order}, separators=(",", ":")))
+    elif kind == "duplicate-key":  # json.loads keeps the last of two equal keys
+        path = draw(st.sampled_from(objects))
+        obj = _at(doc, path)
+        key = draw(st.sampled_from(sorted(obj)))
+        extra = json.dumps(key) + ":" + json.dumps(draw(st.sampled_from([obj[key], *REPLACEMENTS])))
+        body = json.dumps(obj, separators=(",", ":"))[1:-1]
+        pair = [extra, body] if draw(st.booleans()) else [body, extra]
+        return _written_with(doc, path, "{" + ",".join(pair) + "}")
+    elif kind == "respell":
+        path = draw(st.sampled_from([p for p in paths if type(_at(doc, p)) in (int, float)]))
+        return _written_with(doc, path, draw(st.sampled_from(_respellings(_at(doc, path)))))
+    else:  # encode
+        encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32"]))
+        return canonical(doc).encode(encoding)
+    return canonical(doc)
 
 
 @given(text=mutated_model_texts())
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=3000, deadline=None)
 def test_mutated_model_raises_or_resaves_identically(text):
     try:
         model = load_model(text)
     except ModelFormatError:
         return
-    assert save_model(model) == text
+    saved = save_model(model)
+    assert (saved.encode("utf-8") if isinstance(text, bytes) else saved) == text
