@@ -38,15 +38,14 @@ only the two node forms above, filling the arrays column by column. So it
 rejects, among others, whitespace anywhere, a missing final LF, reordered,
 duplicated, missing or unknown keys, a number spelled another way (2.5e-1
 for 0.25, 1.00 for 1.0, 3.0 or true for an int count, 1 for a float), a
-byte-order mark, bytes that are not UTF-8, NaN and Infinity, an index,
-attribute or leaf count that is not a plain int, a threshold or nb number
-that is not a float, and schema or class names that are not distinct
-strings.
+byte-order mark, bytes that are not UTF-8, NaN and Infinity (and Python's
+nan, inf and -inf), an index, attribute or leaf count that is not a plain
+int, a threshold or nb number that is not a float, and schema or class
+names that are not distinct strings.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -151,7 +150,6 @@ _THRESHOLD = re.compile(r'"threshold":([^,]+)')
 _COUNTS = re.compile(r'"counts":\[([0-9,]+)\]')
 
 
-@functools.lru_cache(maxsize=8)
 def _node_pattern(n_classes: int) -> re.Pattern:
     """One canonical node, a leaf of n_classes counts or a split (its
     threshold is checked against repr afterwards), then the comma before the
@@ -185,7 +183,10 @@ def _read_json(text: str, pos: int, what: str) -> tuple[object, int]:
     """The JSON value at pos, which must be written as json.dumps writes it, and its end."""
     try:
         value, end = _DECODER.raw_decode(text, pos)
-    except (RecursionError, ValueError) as exc:  # ValueError includes JSONDecodeError
+    except json.JSONDecodeError as exc:
+        found = text[exc.pos:exc.pos + 24]
+        raise ModelFormatError(f"{what} is not readable JSON: {exc.msg}, found {found!r}") from exc
+    except (RecursionError, ValueError) as exc:
         raise ModelFormatError(f"{what} is not readable JSON: {exc}") from exc
     if _dumps(value) != text[pos:end]:
         raise ModelFormatError(f"{what} is not written as save_model writes it")
@@ -210,8 +211,9 @@ def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[
     split = kind != ""
     threshold = _THRESHOLD.findall(nodes)
     values = list(map(float, threshold))
-    if list(map(repr, values)) != threshold:
-        written = next(w for w, v in zip(threshold, values) if repr(v) != w)
+    # nan, inf and -inf are their own repr, so finiteness needs its own check
+    if list(map(repr, values)) != threshold or not np.isfinite(values).all():
+        written = next(w for w, v in zip(threshold, values) if repr(v) != w or not math.isfinite(v))
         raise ModelFormatError(f"tree threshold {written} is not a float as save_model writes it")
     counts = np.fromstring(",".join(_COUNTS.findall(nodes)), sep=",", dtype=np.int64)
     if np.any(counts > np.iinfo(np.int32).max):

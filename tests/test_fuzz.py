@@ -1,6 +1,6 @@
 """Robustness properties: no byte string and no CSV text yields anything but
 a result or a DevfpError, and no model document loads unless it re-saves to
-the same text.
+the same text, which is JSON.
 
 Captures are byte mutations (overwrites plus a cut) of a small training
 capture, so most examples get past the global header and reach frame
@@ -8,15 +8,15 @@ headers, Ethernet, IPv4 and TCP/UDP decoding. CSV texts are arbitrary
 strings and near-canonical ones built from the canonical header and cells
 that are valid, non-canonical or broken, with device names or device types
 in the class column. Model documents are saved j48, nb, rf and vote models
-with one value retyped, one schema or class name duplicated, or one key
-dropped or added, or with their text respelled: whitespace inserted, the
-final LF dropped or leading whitespace added, an object's keys reordered or
-one key duplicated, a number written another way, or the text passed as
-bytes in UTF-8 (with or without a byte-order mark), UTF-16 or UTF-32.
+with one value retyped or written as a non-finite float (NaN, Infinity,
+nan, inf), one schema or class name duplicated, or one key dropped or
+added, or with their text respelled: whitespace inserted, the final LF
+dropped or leading whitespace added, an object's keys reordered or one key
+duplicated, a number written another way, or the text passed as bytes in
+UTF-8 (with or without a byte-order mark), UTF-16 or UTF-32.
 """
 
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -112,10 +112,10 @@ MODEL_TEXTS = [
     save_model(train_model(MODEL_DATASET, ModelSpec(variant, Hyperparams(forest_trees=2), ("j48", "nb"))))
     for variant in ("j48", "nb", "rf", "vote")
 ]
-# every JSON type and a number of each kind; json.dumps writes the constants JSON lacks as NaN,
-# Infinity and -Infinity
+# every JSON type and a number of each kind
 REPLACEMENTS = [None, True, False, 0, 7, -1, 2.5, "x", "IoT", [], [0], {}, {"counts": [1]}]
-NON_FINITE = [math.nan, math.inf, -math.inf]
+# the non-finite floats JSON lacks, as json.dumps spells them and as repr does
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf"]
 
 
 def _paths(value, path=()):
@@ -172,8 +172,7 @@ def mutated_model_texts(draw):
         _at(doc, parent)[key] = draw(st.sampled_from(REPLACEMENTS))
     elif kind == "non-finite":  # where a number or a null belongs
         numbers = [p for p in paths if type(_at(doc, p)) in (int, float, type(None))]
-        *parent, key = draw(st.sampled_from(numbers))
-        _at(doc, parent)[key] = draw(st.sampled_from(NON_FINITE))
+        return _written_with(doc, draw(st.sampled_from(numbers)), draw(st.sampled_from(NON_FINITE)))
     elif kind == "duplicate":
         names = _at(doc, draw(st.sampled_from([p for p in paths if p[-1:] in (("schema",), ("class_names",))])))
         source, target = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, len(names)))
@@ -226,3 +225,8 @@ def test_mutated_model_raises_or_resaves_identically(text):
         return
     saved = save_model(model)
     assert (saved.encode("utf-8") if isinstance(text, bytes) else saved) == text
+    assert canonical(json.loads(saved, parse_constant=_reject_constant)) == saved  # and is JSON
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
