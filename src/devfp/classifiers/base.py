@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -47,29 +47,13 @@ ALL_VARIANTS = (
 )
 
 
-# The types each Hyperparams field takes exactly: no bool where an int
-# belongs and no int where a float belongs, as a command line builds them.
-_HYPERPARAM_TYPES = {
-    "seed": (int,),
-    "forest_trees": (int,),
-    "rt_feature_count": (type(None), int),
-    "bagging_rounds": (int,),
-    "bag_fraction": (float,),
-    "c45_min_leaf": (int,),
-    "c45_confidence": (float,),
-    "c45_prune": (bool,),
-    "nb_variance_floor": (float,),
-}
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Training knobs with the benchmark-tool defaults; all configurable.
 
     rt_feature_count defaults to floor(log2(k)) + 1 where k is the number of
     schema attributes at training time. A field of another type than its
-    entry in _HYPERPARAM_TYPES raises TypeError, an out-of-range value
-    ValueError.
+    annotation raises TypeError, an out-of-range value ValueError.
     """
 
     seed: int = 1
@@ -105,6 +89,12 @@ class Hyperparams:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# The types each Hyperparams field takes exactly, read from its annotation: no
+# bool where an int belongs and no int where a float belongs, as a command
+# line builds them.
+_HYPERPARAM_TYPES = {name: get_args(t) or (t,) for name, t in get_type_hints(Hyperparams).items()}
 
 
 @dataclass(frozen=True)

@@ -109,21 +109,25 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
     parser.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
     parser.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
-    parser.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--split", type=float, default=SplitSpec.train_fraction, help="train fraction (default %(default)s)"
+    )
+    parser.add_argument("--seed", type=int, default=Hyperparams.seed)
     parser.add_argument("--dedup", action="store_true", help="drop exact duplicate rows before splitting")
     parser.add_argument("--no-stratify", action="store_true", help="plain random split instead of stratified")
 
 
 def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trees", type=int, default=100, help="random-forest size")
-    parser.add_argument("--bagging-rounds", type=int, default=10)
-    parser.add_argument("--min-leaf", type=int, default=2)
-    parser.add_argument("--confidence", type=float, default=0.25, help="C4.5 pruning confidence")
+    parser.add_argument("--trees", type=int, default=Hyperparams.forest_trees, help="random-forest size")
+    parser.add_argument("--bagging-rounds", type=int, default=Hyperparams.bagging_rounds)
+    parser.add_argument("--min-leaf", type=int, default=Hyperparams.c45_min_leaf)
+    parser.add_argument(
+        "--confidence", type=float, default=Hyperparams.c45_confidence, help="C4.5 pruning confidence"
+    )
     parser.add_argument("--no-prune", action="store_true", help="disable C4.5 pruning")
     parser.add_argument(
         "--vote-members",
-        default="j48,bagging",
+        default=",".join(ModelSpec.vote_members),
         help="comma-separated member list for --model vote",
     )
 

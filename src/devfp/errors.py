@@ -70,10 +70,6 @@ class NonNumericCell(DevfpError):
 # Selection / training / evaluation
 
 
-class AllZeroCounts(DevfpError):
-    """Entropy requested for a class-count vector that is all zero."""
-
-
 class EmptyDataset(DevfpError):
     """Operation requires at least one (usually two) rows."""
 

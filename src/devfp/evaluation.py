@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifiers import ModelSpec, TrainedModel, derive_rng, train_model
+from .classifiers import TrainedModel, derive_rng
 from .errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
 from .features import Dataset
 
@@ -205,26 +205,6 @@ def metrics(matrix: ConfusionMatrix, metadata: Optional[RunMetadata] = None) -> 
         weighted_pre=weighted_pre_sum / total,
         confusion=matrix,
         metadata=metadata or RunMetadata(),
-    )
-
-
-def ablation_run(
-    dataset: Dataset,
-    feature_set: str,
-    model_spec: ModelSpec,
-    split_spec: Optional[SplitSpec] = None,
-) -> EvalReport:
-    """Project the schema to a feature set, then split, train and evaluate."""
-    if feature_set not in FEATURE_SETS:
-        raise ValueError(f"feature_set must be one of {sorted(FEATURE_SETS)}")
-    split_spec = split_spec or SplitSpec(seed=model_spec.hyperparams.seed)
-    projected = dataset.project(FEATURE_SETS[feature_set])
-    train, test = stratified_split(projected, split_spec)
-    model = train_model(train, model_spec)
-    matrix = evaluate(model, test)
-    return metrics(
-        matrix,
-        RunMetadata(seed=split_spec.seed, model=model_spec.variant, feature_set=feature_set),
     )
 
 

@@ -23,6 +23,11 @@ columns of pcap.decode_headers: np.unique numbers the conversations, and
 each (conversation, direction) keeps the positions of its first SYN and of
 its first SYN with a window-scale option, which a packet uses only when
 they come before it.
+
+A DeviceRegistry maps each MAC to a device name and each name to its one
+type. label_by_source_mac labels rows with names, and Dataset.device_types
+relabels them with types; a name holds no comma, so every label fits the
+unquoted CSV class column.
 """
 
 from __future__ import annotations
@@ -179,20 +184,12 @@ _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 _TYPE_BY_TOKEN = {"iot": TYPE_IOT, "non-iot": TYPE_NON_IOT}
 
 
-@dataclass(frozen=True)
-class DeviceEntry:
-    device_name: str
-    device_type: str  # TYPE_IOT | TYPE_NON_IOT
-
-
-_UNREGISTERED = DeviceEntry(None, None)  # the labels of a MAC the registry lacks
-
-
 class DeviceRegistry:
-    """MAC address -> (device name, device type) mapping; a name has one type."""
+    """MAC address -> device name, and device name -> device type; a name has
+    one type."""
 
     def __init__(self) -> None:
-        self.entries: dict[str, DeviceEntry] = {}
+        self.entries: dict[str, str] = {}  # MAC -> device name
         self.types: dict[str, str] = {}  # device name -> device type
 
     def __len__(self) -> int:
@@ -204,13 +201,15 @@ class DeviceRegistry:
             raise ValueError(f"not a colon-hex MAC address: {mac!r}")
         if not device_name:
             raise ValueError("device name must be non-empty")
+        if "," in device_name:  # the dataset CSV does not quote its class column
+            raise ValueError(f"device name must not contain a comma: {device_name!r}")
         if device_type not in (TYPE_IOT, TYPE_NON_IOT):
             raise ValueError(f"device type must be {TYPE_IOT} or {TYPE_NON_IOT}: {device_type!r}")
         if mac in self.entries:
             raise ValueError(f"duplicate MAC address {mac}")
         if self.types.get(device_name, device_type) != device_type:
             raise ValueError(f"device name {device_name!r} already has type {self.types[device_name]}")
-        self.entries[mac] = DeviceEntry(device_name, device_type)
+        self.entries[mac] = device_name
         self.types[device_name] = device_type
 
 
@@ -227,7 +226,8 @@ def read_registry(text: str) -> DeviceRegistry:
     """Parse a device registry: one `mac<TAB>name<TAB>{iot|non-iot}` per line.
 
     Blank lines and lines starting with # are ignored. A device name may
-    appear on several lines (one per MAC), always with the same type.
+    appear on several lines (one per MAC), always with the same type, and
+    holds no comma.
     """
     registry = DeviceRegistry()
     for number, parts in registry_fields(text):
@@ -242,15 +242,6 @@ def read_registry(text: str) -> DeviceRegistry:
         except ValueError as exc:
             raise RegistryFormatError(number, str(exc)) from exc
     return registry
-
-
-def write_registry(registry: DeviceRegistry) -> str:
-    token = {TYPE_IOT: "iot", TYPE_NON_IOT: "non-iot"}
-    lines = [
-        f"{mac}\t{entry.device_name}\t{token[entry.device_type]}"
-        for mac, entry in registry.entries.items()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,7 @@ def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dat
         raise EmptyRegistry("device registry has no entries")
     code: dict[str, int] = {}  # each distinct MAC numbered in order of first appearance
     mac_of_row = np.array([code.setdefault(mac, len(code)) for mac in dataset.src_mac.tolist()], np.intp)
-    names = np.array([registry.entries.get(mac, _UNREGISTERED).device_name for mac in code], dtype=object)
+    names = np.array([registry.entries.get(mac) for mac in code], dtype=object)
     names = names[mac_of_row]
     kept = replace(dataset, labels=names).take(np.not_equal(names, None))
     return kept, len(dataset) - len(kept)

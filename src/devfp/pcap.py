@@ -4,9 +4,11 @@ Only the classic libpcap file format is handled (24-byte global header,
 16-byte per-frame headers, four magic variants incl. the nanosecond ones).
 pcapng is rejected with an explicit error. Link type must be Ethernet (1).
 
-parse_capture reads a file into a CaptureFile (frozen dataclass): the file's
-bytes plus one row of frame columns per frame, the offset of the frame's
-bytes in the file and its captured length; there is no per-frame object.
+parse_capture reads the bytes of a file into a CaptureFile (frozen
+dataclass): the bytes, the link type, and one row of frame columns per
+frame, the offset of the frame's bytes in the file and its captured length;
+there is no per-frame object. The magic sets only the byte order of the
+headers: timestamps, their resolution and the snapshot length are not read.
 decode_headers then decodes a whole capture at once: it reads every header
 field straight from the file bytes at per-frame offsets with numpy gathers
 and returns the fields of the decodable IPv4 frames as Headers columns, with
@@ -22,7 +24,7 @@ from __future__ import annotations
 import array
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,13 +45,9 @@ ETHERTYPE_VLAN = 0x8100
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
-# TCP flag bits (low byte of the offset/flags word).
-TCP_FIN = 0x01
+# TCP flag bits (low byte of the offset/flags word) that extraction reads.
 TCP_SYN = 0x02
-TCP_RST = 0x04
-TCP_PSH = 0x08
 TCP_ACK = 0x10
-TCP_URG = 0x20
 
 _GLOBAL_HEADER_LEN = 24
 _FRAME_HEADER_LEN = 16
@@ -61,18 +59,14 @@ class CaptureFile:
 
     data is the whole file. frames is an int64 array of shape (n, 2): row i
     holds the offset of frame i's captured bytes in data and their length,
-    so frame i is data[offset : offset + length]. byte_order is "native"
-    when the magic reads correctly as little-endian and "swapped" for
-    big-endian files. truncated_at holds the index of the first frame that
-    was cut off by end-of-file or whose header is corrupt (captured length
-    above original length); frames before it are kept. It is None for a
-    clean file. Frame order is exactly the stored order.
+    so frame i is data[offset : offset + length]. truncated_at holds the
+    index of the first frame that was cut off by end-of-file or whose header
+    is corrupt (captured length above original length); frames before it
+    are kept. It is None for a clean file. Frame order is exactly the stored
+    order.
     """
 
-    byte_order: str  # "native" | "swapped"
-    ts_resolution: str  # "micro" | "nano"
     link_type: int
-    snaplen: int
     data: bytes
     frames: np.ndarray
     truncated_at: Optional[int] = None
@@ -110,26 +104,18 @@ class Headers(NamedTuple):
     decode_errors: int  # IPv4 with a header cut short or malformed
 
 
-_MAGICS = {
-    MAGIC_MICRO: ("native", "micro"),
-    MAGIC_MICRO_SWAPPED: ("swapped", "micro"),
-    MAGIC_NANO: ("native", "nano"),
-    MAGIC_NANO_SWAPPED: ("swapped", "nano"),
-}
+# each magic, as read little-endian, -> the struct byte order of the file's headers
+_MAGICS = {MAGIC_MICRO: "<", MAGIC_MICRO_SWAPPED: ">", MAGIC_NANO: "<", MAGIC_NANO_SWAPPED: ">"}
 
 
-def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
-    """Parse a classic pcap byte stream into a CaptureFile.
+def parse_capture(data: bytes) -> CaptureFile:
+    """Parse the bytes of a classic pcap file into a CaptureFile.
 
-    Accepts raw bytes or a binary file object. Reading stops at the first
-    frame cut short by end-of-file or with a corrupt header (captured_len >
-    original_len); its index is recorded in truncated_at and the frames
-    before it are still returned. Two runs over the same bytes produce
-    identical results.
+    Reading stops at the first frame cut short by end-of-file or with a
+    corrupt header (captured_len > original_len); its index is recorded in
+    truncated_at and the frames before it are still returned. Two runs over
+    the same bytes produce identical results.
     """
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    data = bytes(data)
-
     if len(data) < _GLOBAL_HEADER_LEN:
         if len(data) >= 4:
             magic = struct.unpack_from("<I", data, 0)[0]
@@ -142,12 +128,9 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
     magic = struct.unpack_from("<I", data, 0)[0]
     if magic not in _MAGICS:
         _raise_unknown_magic(magic)
-    byte_order, ts_resolution = _MAGICS[magic]
-    endian = "<" if byte_order == "native" else ">"
+    endian = _MAGICS[magic]
 
-    _ver_major, _ver_minor, _thiszone, _sigfigs, snaplen, link_type = struct.unpack_from(
-        endian + "HHiIII", data, 4
-    )
+    (link_type,) = struct.unpack_from(endian + "I", data, 20)  # the global header's last field
     if link_type != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(
             f"link type {link_type} not supported; only Ethernet (1) captures are handled"
@@ -175,10 +158,7 @@ def parse_capture(source: Union[bytes, bytearray, BinaryIO]) -> CaptureFile:
         offset += captured_len
 
     return CaptureFile(
-        byte_order=byte_order,
-        ts_resolution=ts_resolution,
         link_type=link_type,
-        snaplen=snaplen,
         data=data,
         frames=np.frombuffer(columns, np.int64).reshape(-1, 2),
         truncated_at=truncated_at,
@@ -209,9 +189,9 @@ def decode_headers(capture: CaptureFile) -> Headers:
     length below 20, or when a TCP or UDP header does not fit in the bytes
     before the IP total length ends (Ethernet padding past that is never
     decoded). The checks apply in that order; every other frame is a row.
-    TCP options are read best effort, so a snaplen that cuts them costs only
-    the window-scale option. No byte past a frame's captured length reaches
-    its row.
+    TCP options are read best effort, so a snapshot length that cuts them
+    costs only the window-scale option. No byte past a frame's captured
+    length reaches its row.
     """
     if capture.link_type != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"cannot decode link type {capture.link_type}")

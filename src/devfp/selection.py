@@ -13,18 +13,19 @@ values within one tree node, or a whole column when ranking) and finds the
 best split of every segment with one sort and a segmented cumulative sum of
 class counts. It is exact: class counts at cuts are integers, cut entropies
 come from `_entropy_from_counts` on (cuts, classes) rows, and parent entropy
-and split information replay the scalar `entropy()` bit for bit.
+and split information come from `_scalar_entropies`, which sums each row's
+terms left to right with `math.log2`, as a scalar loop over the counts would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AllZeroCounts, MissingMeta, RegistryFormatError
+from .errors import MissingMeta, RegistryFormatError
 from .features import Dataset, registry_fields, require_classes
 
 FLAG_MULTI_VALUED = "multi_valued_identifier"
@@ -48,23 +49,6 @@ class AttributeScore:
     present_fraction: float
 
 
-def entropy(class_counts: Sequence[float]) -> float:
-    """Shannon entropy in bits of a class-count vector; 0*log0 counts as 0."""
-    total = 0.0
-    for count in class_counts:
-        if count < 0:
-            raise ValueError("class counts must be non-negative")
-        total += count
-    if total == 0:
-        raise AllZeroCounts("entropy needs at least one nonzero count")
-    result = 0.0
-    for count in class_counts:
-        if count > 0:
-            p = count / total
-            result -= p * math.log2(p)
-    return result
-
-
 def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Row-wise entropy for a (m, n_classes) count matrix with row sums `totals`."""
     p = counts / totals[:, None]
@@ -74,9 +58,9 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _scalar_entropies(counts: np.ndarray) -> np.ndarray:
-    """`entropy()` of every row of a count matrix, bit for bit: its
-    left-to-right sum, with `math.log2` on each ratio (`np.log2` differs in
-    the last bit on some ratios)."""
+    """Shannon entropy in bits of every row of a count matrix, 0*log0 counting
+    as 0: each row's terms summed left to right, with `math.log2` on each
+    ratio (`np.log2` differs in the last bit on some ratios)."""
     p = counts / counts.sum(axis=1, keepdims=True)
     positive = p > 0
     logp = np.zeros_like(p)

