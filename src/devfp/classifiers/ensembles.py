@@ -15,8 +15,9 @@ All samples are drawn first; then every member tree grows in one frontier
 (`trees.grow_trees`), each exactly as it would grow alone. Vote members
 train one after another. Predictions are the arithmetic mean of member
 class distributions (member matrices added in member order, then divided by
-the member count); the predicted class is the argmax with ties broken
-toward the lower class index.
+the member count; rf and bagging route all their trees in one stacked
+pass); the predicted class is the argmax with ties broken toward the lower
+class index.
 """
 
 from __future__ import annotations
@@ -44,16 +45,26 @@ from .base import (
     derive_rng,
 )
 from .bayes import NaiveBayesModel, fit_naive_bayes
-from .trees import TreeModel, grow_trees
+from .trees import StackedTrees, TreeModel, grow_trees
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel(TrainedModel):
-    """rf, bagging or vote: the mean of the members' class distributions."""
+    """rf, bagging or vote: the mean of the members' class distributions.
+
+    When every member is a tree (always so for rf and bagging), each
+    prediction stacks the trees and routes them all at once
+    (`trees.StackedTrees`). Otherwise (a vote with an nb or ensemble member)
+    the members' matrices are added one member at a time, each member
+    predicting by its own path. Both add in member order, then divide by the
+    member count.
+    """
 
     members: tuple[TrainedModel, ...]
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        if all(isinstance(member, TreeModel) for member in self.members):
+            return StackedTrees(self.members, len(self.schema)).mean_distribution(X)
         total = np.zeros((X.shape[0], len(self.class_names)), dtype=np.float64)
         for member in self.members:
             total += member.distribution_batch(X)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -73,16 +73,29 @@ def _dumps(value: object) -> str:
 # Writing
 
 
-def _tree_text(tree: TreeModel) -> str:
-    counts = iter(tree.counts.tolist())
-    columns = (tree.feature, tree.threshold, tree.absent_left, tree.left, tree.right)
-    nodes = ",".join(
-        '{"counts":[%s]}' % ",".join(map(str, next(counts))) if attribute < 0 else
-        f'{{"attribute":{attribute},"threshold":{threshold!r},'
-        f'"absent_branch":"{"left" if absent_left else "right"}","left":{left},"right":{right}}}'
-        for attribute, threshold, absent_left, left, right in zip(*(c.tolist() for c in columns))
-    )
-    return f'{{"root":{tree.root},"nodes":[{nodes}]}}'
+# Nodes per piece of a tree's text: the Python objects of one piece are live
+# at a time, so saving a tree holds about two copies of its text, whatever
+# its size.
+_PIECE_NODES = 4096
+
+
+def _tree_parts(tree: TreeModel) -> Iterator[str]:
+    """The text of a tree's params, in pieces of at most _PIECE_NODES nodes."""
+    yield f'{{"root":{tree.root},"nodes":['
+    first_leaf = 0
+    for start in range(0, len(tree.feature), _PIECE_NODES):
+        piece = slice(start, start + _PIECE_NODES)
+        n_leaves = int(np.count_nonzero(tree.feature[piece] < 0))
+        counts = iter(tree.counts[first_leaf:first_leaf + n_leaves].tolist())
+        first_leaf += n_leaves
+        columns = (tree.feature, tree.threshold, tree.absent_left, tree.left, tree.right)
+        yield ("," if start else "") + ",".join(
+            '{"counts":[%s]}' % ",".join(map(str, next(counts))) if attribute < 0 else
+            f'{{"attribute":{attribute},"threshold":{threshold!r},'
+            f'"absent_branch":"{"left" if absent_left else "right"}","left":{left},"right":{right}}}'
+            for attribute, threshold, absent_left, left, right in zip(*(c[piece].tolist() for c in columns))
+        )
+    yield "]}"
 
 
 def _nan_to_none(rows: np.ndarray) -> list:
@@ -100,7 +113,7 @@ def _nb_text(arrays: dict) -> str:
 
 
 def _document_parts(model: TrainedModel) -> Iterator[str]:
-    """The text of model's document, in pieces no larger than one tree."""
+    """The text of model's document, in pieces of at most one header or _PIECE_NODES nodes."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -111,7 +124,7 @@ def _document_parts(model: TrainedModel) -> Iterator[str]:
     }
     yield _dumps(header)[:-1] + ',"params":'
     if isinstance(model, TreeModel):
-        yield _tree_text(model)
+        yield from _tree_parts(model)
     elif isinstance(model, NaiveBayesModel):
         yield _nb_text(vars(model))
     elif isinstance(model, EnsembleModel):
@@ -122,7 +135,7 @@ def _document_parts(model: TrainedModel) -> Iterator[str]:
             if model.variant == VARIANT_VOTE:
                 yield from _document_parts(member)
             else:
-                yield _tree_text(member)
+                yield from _tree_parts(member)
         yield "]}"
     else:
         raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
@@ -142,9 +155,12 @@ _INT = "0|[1-9][0-9]*"
 _COUNT = "0|[1-9][0-9]{0,9}"  # at most ten digits: parsed as int64, a count cannot overflow
 _TREE_HEAD = re.compile(rf'\{{"root":({_INT}),"nodes":\[')
 # Field extractors, run on a tree's nodes once _node_pattern has checked
-# them: per node "" for a leaf and l or r (the absent branch) for a split;
-# per split its attribute, left and right, and its threshold; per leaf its counts.
-_NODE_KIND = re.compile(r'\{"(?:c|attribute":[^}]*"absent_branch":"(l|r))')
+# them: per node c for a leaf and a for a split; per split its absent branch
+# (l or r), its attribute, left and right, and its threshold; per leaf its
+# counts. One pass per field: one pass over all of a split's fields held
+# 1.5x the memory on a tree of 200k nodes.
+_NODE_KIND = re.compile(r'\{"([ca])')
+_ABSENT_BRANCH = re.compile(r'"absent_branch":"([lr])')
 _SPLIT_INTS = re.compile(r'"(?:attribute|left|right)":([0-9]+)')
 _THRESHOLD = re.compile(r'"threshold":([^,]+)')
 _COUNTS = re.compile(r'"counts":\[([0-9,]+)\]')
@@ -193,6 +209,11 @@ def _read_json(text: str, pos: int, what: str) -> tuple[object, int]:
     return value, end
 
 
+def _letters(found: Sequence[str]) -> np.ndarray:
+    """One-letter fields as ASCII codes."""
+    return np.frombuffer("".join(found).encode("ascii"), dtype=np.uint8)
+
+
 def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
     """TreeModel arrays for the tree params at pos, checked so that routing
     always ends, and their end."""
@@ -207,8 +228,7 @@ def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[
             f"malformed tree at offset {pos}: need an int root and nodes that are each a leaf of"
             f" {n_classes} counts or a split with exactly five keys, written as save_model writes them"
         )
-    kind = np.array(_NODE_KIND.findall(nodes), dtype=str)
-    split = kind != ""
+    split = _letters(_NODE_KIND.findall(nodes)) == ord("a")
     threshold = _THRESHOLD.findall(nodes)
     values = list(map(float, threshold))
     # nan, inf and -inf are their own repr, so finiteness needs its own check
@@ -218,7 +238,8 @@ def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[
     counts = np.fromstring(",".join(_COUNTS.findall(nodes)), sep=",", dtype=np.int64)
     if np.any(counts > np.iinfo(np.int32).max):
         raise ModelFormatError("a leaf count does not fit in int32")
-    split_ints = np.array(list(map(int, _SPLIT_INTS.findall(nodes))), dtype=np.intp).reshape(-1, 3)
+    # an int beyond int64 reads as its maximum, which the range checks below reject
+    split_ints = np.fromstring(",".join(_SPLIT_INTS.findall(nodes)), sep=",", dtype=np.intp).reshape(-1, 3)
     root = int(head.group(1))
     if not (
         np.all(split_ints[:, 1:] < np.flatnonzero(split)[:, None])
@@ -233,11 +254,12 @@ def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[
         "threshold": np.zeros(n),
         "left": np.full(n, -1, dtype=np.intp),
         "right": np.full(n, -1, dtype=np.intp),
-        "absent_left": kind == "l",
+        "absent_left": np.zeros(n, dtype=bool),
         "counts": counts.astype(np.int32).reshape(-1, n_classes),
         "root": root,
     }
     fields["threshold"][split] = values
+    fields["absent_left"][split] = _letters(_ABSENT_BRANCH.findall(nodes)) == ord("l")
     fields["feature"][split], fields["left"][split], fields["right"][split] = split_ints.T
     return fields, _expect(text, end, "]}")
 

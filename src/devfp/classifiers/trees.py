@@ -19,8 +19,17 @@ branch that received the majority of training rows.
 Nodes are appended to flat arrays as they are created, parents before
 children. Pessimistic pruning and the post-order numbering of model format
 v1 then run one tree level at a time across all trees. A trained tree is a
-set of parallel node arrays in the style of scikit-learn's `Tree`, and
-predicts all rows of a batch at once, one tree level per step.
+set of parallel node arrays in the style of scikit-learn's `Tree`.
+
+Prediction routes every tree of a forest at once (`StackedTrees`; a lone
+tree is a forest of one). The trees' split nodes are stacked into one set
+of node columns, and every (tree, row) pair of a block of rows moves one
+level per step through flat gathers and a child[2 * node + (x > threshold)]
+table. Absent needs no test per step: it reads as -inf at a node that sends
+it left and as +inf at one that sends it right, which is exact because
+every threshold is finite (growth takes midpoints of finite values, and
+the loader rejects non-finite ones). The leaf distributions are then added
+in tree order and divided by the tree count, the bits of a per-tree loop.
 """
 
 from __future__ import annotations
@@ -79,10 +88,12 @@ class TreeModel(TrainedModel):
     Split node i (feature[i] >= 0) sends a row to left[i] when its value of
     schema attribute feature[i] is <= threshold[i], to right[i] when it is
     greater, and to left[i] when it is Absent exactly if absent_left[i].
-    Leaves have feature -1; their training class counts are the rows of
-    `counts` (int32, half the memory of int64), in node order. Only leaves
-    carry the Laplace-smoothed distribution (count_c + 1) / (total +
-    n_classes), computed once here.
+    Every threshold is finite: prediction relies on it. Leaves have feature
+    -1; their training class counts are the rows of `counts` (int32, half
+    the memory of int64), in node order. Only leaves carry the
+    Laplace-smoothed distribution (count_c + 1) / (total + n_classes),
+    computed once here. Prediction routes the tree as a forest of one
+    (`StackedTrees`).
     """
 
     feature: np.ndarray
@@ -102,16 +113,104 @@ class TreeModel(TrainedModel):
         object.__setattr__(self, "proba", proba)
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
-        node = np.full(X.shape[0], self.root, dtype=np.intp)
-        rows = np.flatnonzero(self.feature[node] >= 0)
-        while rows.size:
-            at = node[rows]
-            value = X[rows, self.feature[at]]
-            go_left = np.where(np.isnan(value), self.absent_left[at], value <= self.threshold[at])
-            at = np.where(go_left, self.left[at], self.right[at])
-            node[rows] = at
-            rows = rows[self.feature[at] >= 0]
-        return self.proba[self.leaf[node]]
+        return StackedTrees((self,), len(self.schema)).mean_distribution(X)
+
+
+# (tree, row) pairs routed per block of rows. It bounds prediction's working
+# memory; a lone tree routes this many rows per block.
+_BLOCK_PAIRS = 12_000
+
+
+class StackedTrees:
+    """The node columns of a sequence of trees, stacked to route them all at once.
+
+    Stacked node numbers run over every tree's split nodes first, tree by
+    tree in node order, then over every tree's leaves, tree by tree in the
+    order of their `proba` rows: leaf j of tree t is number leaf_start[t] + j,
+    and a number routes on exactly when it is below n_splits. Split number s
+    reads column[s] of a block's value matrix, which holds the k schema
+    columns with Absent as -inf and then as +inf, so column[s] is the
+    feature plus k when the node sends Absent right. It goes to
+    child[2 * s + 1] when the value is greater than threshold[s], else to
+    child[2 * s]. A leaf's threshold is NaN and both its children are itself,
+    so a pair that reached a leaf stays there until its block drops it.
+
+    The columns take 32 bytes per node. They are built for each prediction
+    call and dropped after it: held with a model, they raised the peak RSS
+    of `train-eval rf`, whose save_model ran on top of them.
+    """
+
+    def __init__(self, trees: Sequence[TreeModel], n_attributes: int) -> None:
+        self.probas = [tree.proba for tree in trees]
+        splits = [tree.feature >= 0 for tree in trees]
+        split_start = np.cumsum([0, *map(np.count_nonzero, splits)])
+        self.n_splits = n_splits = int(split_start[-1])
+        self.leaf_start = n_splits + np.cumsum([0, *(len(p) for p in self.probas)])
+        n_nodes = int(self.leaf_start[-1])
+        self.n_attributes = n_attributes
+        self.column = np.zeros(n_nodes, dtype=np.intp)
+        self.threshold = np.full(n_nodes, np.nan)
+        child = np.empty((n_nodes, 2), dtype=np.intp)
+        child[n_splits:] = np.arange(n_splits, n_nodes)[:, None]
+        roots = []
+        for t, (tree, split) in enumerate(zip(trees, splits)):
+            number = np.where(split, split_start[t] + np.cumsum(split) - 1, self.leaf_start[t] + tree.leaf)
+            at = slice(split_start[t], split_start[t + 1])
+            self.column[at] = tree.feature[split] + np.where(tree.absent_left[split], 0, n_attributes)
+            self.threshold[at] = tree.threshold[split]
+            child[at, 0] = number[tree.left[split]]
+            child[at, 1] = number[tree.right[split]]
+            roots.append(number[tree.root])
+        self.child = child.ravel()
+        self.roots = np.array(roots, dtype=np.intp)
+
+    def mean_distribution(self, X: np.ndarray) -> np.ndarray:
+        """The mean of the trees' class distributions for rows X (n x k,
+        NaN = Absent): their leaf `proba` rows added in tree order, then
+        divided by the tree count."""
+        n_trees = len(self.probas)
+        total = np.zeros((X.shape[0], self.probas[0].shape[1]))
+        block = max(1, _BLOCK_PAIRS // n_trees)
+        for start in range(0, X.shape[0], block):
+            out = total[start:start + block]
+            for proba, rows in zip(self.probas, self._leaf_rows(X[start:start + block])):
+                out += proba.take(rows, axis=0)
+        total /= n_trees
+        return total
+
+    def _leaf_rows(self, X: np.ndarray) -> np.ndarray:
+        """(trees x rows): the proba row of the leaf that each tree routes
+        each row of X to. The block moves its routing pairs one level per
+        step, and drops those at a leaf once at most 3/4 of them still route:
+        a dropped pair costs a compaction, a kept one a step."""
+        n, k = X.shape
+        if k != self.n_attributes:
+            raise ValueError(f"rows have {k} columns, the model's schema {self.n_attributes}")
+        absent = np.isnan(X)
+        values = np.concatenate((np.where(absent, -np.inf, X), np.where(absent, np.inf, X)), axis=1).ravel()
+        node = np.repeat(self.roots, n)  # pair p is (tree p // n, row p % n)
+        pair = np.flatnonzero(node < self.n_splits)
+        at = node[pair]
+        offset = pair % n * (2 * k)
+        while at.size:
+            cell = self.column.take(at)
+            cell += offset
+            value = values.take(cell)
+            del cell  # freed before the next gather, which bounds a block's memory
+            right = value > self.threshold.take(at)
+            at += at
+            at += right
+            at = self.child.take(at)
+            routing = at < self.n_splits
+            if 4 * np.count_nonzero(routing) <= 3 * at.size:
+                node[pair] = at
+                keep = np.flatnonzero(routing)
+                at = at[keep]
+                pair = pair[keep]
+                offset = offset[keep]
+        rows = node.reshape(len(self.probas), n)
+        rows -= self.leaf_start[:-1, None]
+        return rows
 
 
 # Rows scored per growth step, summed over the frontier's (node, candidate

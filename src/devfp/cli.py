@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -283,9 +283,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _log(f"wrote {len(dataset)} predictions to {args.out}")
     if from_pcap:
-        mac_votes: dict[str, Counter] = {}
+        mac_votes: defaultdict[str, Counter] = defaultdict(Counter)
         for mac, name in zip(dataset.src_mac.tolist(), predicted):
-            mac_votes.setdefault(mac, Counter())[name] += 1
+            mac_votes[mac][name] += 1
         print("mac,predicted_class,confidence,packets")
         for mac in sorted(mac_votes):
             votes = mac_votes[mac]

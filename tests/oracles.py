@@ -5,10 +5,12 @@ thresholds, textbook formulas, no numpy. The reference tree grower below
 them is devfp's earlier per-node grower, kept verbatim in arithmetic: one
 split search per node and attribute, builder dicts, then post-order
 flattening. The frontier grower must reproduce its node arrays bit for bit.
-The reference extraction at the end is devfp's earlier per-frame decoder
-and conversation table, one PacketRecord per frame; the columnar
-extract_capture must reproduce its rows, source MACs and counters bit for
-bit. None of them shares code with the package internals.
+The reference prediction after it is devfp's earlier per-tree prediction;
+the stacked routing of all trees at once must reproduce its distributions
+bit for bit. The reference extraction at the end is devfp's earlier
+per-frame decoder and conversation table, one PacketRecord per frame; the
+columnar extract_capture must reproduce its rows, source MACs and counters
+bit for bit. None of them shares code with the package internals.
 """
 
 from __future__ import annotations
@@ -266,6 +268,32 @@ def reference_tree(X, y, n_classes, hp, rng=None) -> dict:
 def reference_bootstrap(rng, n: int, size: int) -> np.ndarray:
     """One randrange(n) call per drawn row."""
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
+
+
+def reference_distribution(model, X: np.ndarray) -> np.ndarray:
+    """Class distributions of rows X by devfp's earlier per-tree prediction:
+    each tree routes all rows one level per step, testing Absent with isnan
+    at every step, and an ensemble adds its members' matrices in member
+    order, then divides by the member count. Naive Bayes predicts by its
+    own path."""
+    if hasattr(model, "members"):
+        total = np.zeros((X.shape[0], len(model.class_names)), dtype=np.float64)
+        for member in model.members:
+            total += reference_distribution(member, X)
+        total /= len(model.members)
+        return total
+    if not hasattr(model, "feature"):
+        return model.distribution_batch(X)
+    node = np.full(X.shape[0], model.root, dtype=np.intp)
+    rows = np.flatnonzero(model.feature[node] >= 0)
+    while rows.size:
+        at = node[rows]
+        value = X[rows, model.feature[at]]
+        go_left = np.where(np.isnan(value), model.absent_left[at], value <= model.threshold[at])
+        at = np.where(go_left, model.left[at], model.right[at])
+        node[rows] = at
+        rows = rows[model.feature[at] >= 0]
+    return model.proba[model.leaf[node]]
 
 
 # ---------------------------------------------------------------------------

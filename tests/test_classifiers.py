@@ -25,7 +25,7 @@ from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleC
 from devfp.features import Dataset
 from pcapbuild import FeatureRow
 from tables import make_dataset, predictions, schema_rows
-from modeldocs import canonical, document, document_model, leaf, split, tree_model
+from modeldocs import canonical, document, document_model, leaf, split, staircase, tree_model
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -636,14 +636,20 @@ class TestPersistence:
         model = train_model(dataset, ModelSpec("rf", Hyperparams(forest_trees=20)))
         text = save_model(model)
         assert len(text) > 200_000
-        for work in (lambda: save_model(model), lambda: load_model(text)):
+        # and saving one j48 staircase of 199,999 nodes (about 10 MB of text),
+        # which save_model writes a piece of nodes at a time
+        stair = staircase(99_999)
+        stair_text = save_model(stair)
+        assert len(stair_text) > 10_000_000
+        works = [(lambda: save_model(model), text), (lambda: load_model(text), text), (lambda: save_model(stair), stair_text)]
+        for work, written in works:
             tracemalloc.start()
             try:
                 work()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * len(text)
+            assert peak < 4 * len(written)
 
     def test_wrong_format_name_rejected(self):
         with pytest.raises(ModelFormatError, match="not a devfp-model document"):
