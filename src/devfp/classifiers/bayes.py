@@ -6,8 +6,9 @@ keep a finite density. Priors are raw class frequencies, which keeps the
 posterior invariant under duplicating the whole training set. Absent query
 attributes are skipped; a class that never exhibited a present query
 attribute is assigned a fixed tiny density, heavily penalizing it without
-producing NaNs. Prediction broadcasts over all rows of a batch, one
-attribute at a time.
+producing NaNs. A present cell that is +inf or -inf has no density and
+raises ValueError naming its column. Prediction broadcasts over all rows
+of a batch, one attribute at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ class NaiveBayesModel(TrainedModel):
     # [class, attribute]; NaN where the class had no present training values
     means: np.ndarray
     stddevs: np.ndarray
-    present_rates: np.ndarray
     variant: str = field(init=False, default=VARIANT_NAIVE_BAYES)
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
+        infinite = np.isinf(X).any(axis=0)
+        if infinite.any():
+            name = self.schema[int(np.argmax(infinite))]
+            raise ValueError(f"column {name!r} holds an infinite value; naive Bayes reads finite or Absent cells")
         log_post = np.tile([math.log(p) for p in self.priors], (X.shape[0], 1))
         for j in range(X.shape[1]):
             present = ~np.isnan(X[:, j])
@@ -55,15 +59,13 @@ def fit_naive_bayes(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparam
     priors = np.empty(n_classes)
     means = np.full((n_classes, k), np.nan)
     stddevs = np.full((n_classes, k), np.nan)
-    present_rates = np.empty((n_classes, k))
     for c in range(n_classes):
         rows = X[y == c]
         priors[c] = rows.shape[0] / n
         for j in range(k):
             column = rows[:, j]
             present = column[~np.isnan(column)]
-            present_rates[c, j] = present.shape[0] / rows.shape[0]
             if present.shape[0] > 0:
                 means[c, j] = present.mean()
                 stddevs[c, j] = max(float(present.std()), std_floor)
-    return {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}
+    return {"priors": priors, "means": means, "stddevs": stddevs}

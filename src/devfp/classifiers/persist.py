@@ -1,10 +1,10 @@
 """Versioned model persistence with exact round-trips.
 
-Grammar (JSON, version 1): a model document is an object with, in this
+Grammar (JSON, version 2): a model document is an object with, in this
 order,
 
     format       "devfp-model"
-    version      1
+    version      2
     variant      "j48" | "rt" | "rf" | "nb" | "bagging" | "vote"
     schema       [attribute names...]
     class_names  [class names...]
@@ -13,56 +13,82 @@ order,
                   nb_variance_floor}
     params       variant-specific, see below
 
-Tree params ("j48"/"rt") store nodes as a flat array so arbitrarily deep
-trees never hit recursion limits: {"root": index, "nodes": [node...]} where
-a node is {"counts": [...]} for a leaf or {"attribute": i, "threshold": x,
-"absent_branch": "left"|"right", "left": index, "right": index}. Nodes are
-numbered in post-order (right subtree, left subtree, node), so children
-carry smaller indices than their parent; the loader rejects documents that
-break this, which also rules out cycles. Node i of the document is node i
-of the TreeModel's arrays. Forest and bagging params hold {"members": [tree
-params...]}, the members being rt and j48 trees respectively; vote params
-hold full member documents, none a vote and each with the vote's schema and
-class names; nb params hold priors/means/stddevs/present_rates with null
-marking classes that never saw an attribute (NaN in the model's arrays).
+Tree params (j48, rt, rf, bagging) hold every tree of the model as one set
+of columns, a lone tree being a forest of one (rf members are rt trees,
+bagging members j48 trees):
 
-The text is canonical: UTF-8 (ASCII, in fact: strings escape every other
-character as json.dumps does), no whitespace, the keys in the order above,
-ints written by str and floats by repr (so they parse back bit-identically),
-and one final LF. save_model writes each tree's nodes straight from the
-TreeModel arrays and json.dumps only the rest. load_model accepts exactly
-the texts save_model writes: every text it accepts re-saves to the same
-bytes. It reads the header values and the nb params with json and compares
-each with its own re-dump, and a tree's nodes with one regex that admits
-only the two node forms above, filling the arrays column by column. So it
-rejects, among others, whitespace anywhere, a missing final LF, reordered,
-duplicated, missing or unknown keys, a number spelled another way (2.5e-1
-for 0.25, 1.00 for 1.0, 3.0 or true for an int count, 1 for a float), a
-byte-order mark, bytes that are not UTF-8, NaN and Infinity (and Python's
-nan, inf and -inf), an index, attribute or leaf count that is not a plain
-int, a threshold or nb number that is not a float, and schema or class
-names that are not distinct strings.
+    sizes        [nodes per tree...]
+    attribute    [per node: its schema attribute, -1 for a leaf...]
+    threshold    [per split: its threshold...]
+    absent       "one letter per split: l if Absent goes left, r if right"
+    leaf_nnz     [per leaf: how many of its class counts are not 0...]
+    count_class  [per such count: its class, ascending within the leaf...]
+    count        [per such count: its value...]
+
+Each tree's nodes are in post-order (right subtree, left subtree, node), so
+children are not stored. Let h be the stack height after each node of a
+tree: the running sum of +1 per leaf and -1 per split. Every split needs
+h >= 2 before it and every tree ends at h = 1; the left child of split i
+is node i - 1 and its right child the last earlier node of its tree with
+the same h as i. So every text that loads is a set of trees, each reaching
+each of its nodes exactly once from its root, the last node. Node i of a
+tree is node i of its TreeModel's arrays.
+
+nb params hold {priors, means, stddevs}, null marking classes that never
+saw an attribute (NaN in the model's arrays). Vote params hold {"members":
+[{"variant": v, "params": ...}...]}: each member takes the vote's schema,
+class names and hyperparams, and none is a vote.
+
+The text is canonical: ASCII (strings escape every other character as
+json.dumps does), no whitespace, the keys in the order above, ints written
+by str and floats by repr (so they parse back bit-identically), and one
+final LF. save_model writes the tree columns straight from the TreeModel
+arrays, a bounded piece at a time, and json.dumps only the rest. load_model
+accepts exactly the texts save_model writes: every text it accepts re-saves
+to the same bytes. It reads the header values and the nb params with json
+and compares each with its own re-dump. It reads all of a model's trees in
+one vectorised pass: an int column must hold only digits, commas and
+minus signs, parse with np.fromstring, lie in its range and be exactly as
+long as its values written by str; a threshold column must parse to finite
+floats whose reprs are its text. So it rejects, among others, whitespace
+anywhere, a missing final LF, reordered, duplicated, missing or unknown
+keys, a number spelled another way (2.5e-1 for 0.25, 1.00 for 1.0, 3.0 or
+true for an int count, 1 for a float), a byte-order mark, bytes that are
+not UTF-8, NaN and Infinity (and Python's nan, inf and -inf), a leaf whose
+counts are all 0 or list a class twice or out of order, and schema or class
+names that are not distinct strings. Version 1 texts (a node object per
+node, full documents as vote members) are not read: such a model must be
+trained again.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from ..errors import ModelFormatError
-from .base import VARIANT_C45, VARIANT_NAIVE_BAYES, VARIANT_RANDOM_TREE, VARIANT_VOTE, Hyperparams, TrainedModel
+from .base import (
+    VARIANT_BAGGING,
+    VARIANT_C45,
+    VARIANT_NAIVE_BAYES,
+    VARIANT_RANDOM_FOREST,
+    VARIANT_RANDOM_TREE,
+    VARIANT_VOTE,
+    Hyperparams,
+    TrainedModel,
+)
 from .bayes import NaiveBayesModel
 from .ensembles import TREE_MEMBER_VARIANTS, EnsembleModel
 from .trees import TreeModel
 
 FORMAT_NAME = "devfp-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER_KEYS = ("format", "version", "variant", "schema", "class_names", "hyperparams")
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _dumps(value: object) -> str:
@@ -73,28 +99,39 @@ def _dumps(value: object) -> str:
 # Writing
 
 
-# Nodes per piece of a tree's text: the Python objects of one piece are live
-# at a time, so saving a tree holds about two copies of its text, whatever
-# its size.
-_PIECE_NODES = 4096
+# Values per piece of a column's text: the Python objects of one piece are
+# live at a time, so saving holds about two copies of the text, whatever the
+# size of the forest.
+_PIECE = 4096
 
 
-def _tree_parts(tree: TreeModel) -> Iterator[str]:
-    """The text of a tree's params, in pieces of at most _PIECE_NODES nodes."""
-    yield f'{{"root":{tree.root},"nodes":['
-    first_leaf = 0
-    for start in range(0, len(tree.feature), _PIECE_NODES):
-        piece = slice(start, start + _PIECE_NODES)
-        n_leaves = int(np.count_nonzero(tree.feature[piece] < 0))
-        counts = iter(tree.counts[first_leaf:first_leaf + n_leaves].tolist())
-        first_leaf += n_leaves
-        columns = (tree.feature, tree.threshold, tree.absent_left, tree.left, tree.right)
-        yield ("," if start else "") + ",".join(
-            '{"counts":[%s]}' % ",".join(map(str, next(counts))) if attribute < 0 else
-            f'{{"attribute":{attribute},"threshold":{threshold!r},'
-            f'"absent_branch":"{"left" if absent_left else "right"}","left":{left},"right":{right}}}'
-            for attribute, threshold, absent_left, left, right in zip(*(c[piece].tolist() for c in columns))
-        )
+def _joined(pieces: Iterator[list]) -> Iterator[str]:
+    """The comma-separated text of the values of every piece, a piece at a time."""
+    comma = ""
+    for values in pieces:
+        if values:
+            yield comma + ",".join(map(str, values))  # str of a float is its repr
+            comma = ","
+
+
+def _forest_parts(trees: Sequence[TreeModel]) -> Iterator[str]:
+    """The text of the tree params of a forest, a piece of one column at a time."""
+    nodes = [(t, slice(s, s + _PIECE)) for t in trees for s in range(0, len(t.feature), _PIECE)]
+    leaves = [t.counts[s:s + _PIECE] for t in trees for s in range(0, len(t.counts), _PIECE)]
+    yield '{"sizes":[' + ",".join(str(len(t.feature)) for t in trees) + '],"attribute":['
+    yield from _joined(t.feature[p].tolist() for t, p in nodes)
+    yield '],"threshold":['
+    yield from _joined(t.threshold[p][t.feature[p] >= 0].tolist() for t, p in nodes)
+    yield '],"absent":"'
+    for t, p in nodes:
+        letters = np.where(t.absent_left[p][t.feature[p] >= 0], ord("l"), ord("r")).astype(np.uint8)
+        yield letters.tobytes().decode("ascii")
+    yield '","leaf_nnz":['
+    yield from _joined(np.count_nonzero(c, axis=1).tolist() for c in leaves)
+    yield '],"count_class":['
+    yield from _joined(np.nonzero(c)[1].tolist() for c in leaves)
+    yield '],"count":['
+    yield from _joined(c[c != 0].tolist() for c in leaves)
     yield "]}"
 
 
@@ -108,12 +145,30 @@ def _nb_text(arrays: dict) -> str:
         "priors": arrays["priors"].tolist(),
         "means": _nan_to_none(arrays["means"]),
         "stddevs": _nan_to_none(arrays["stddevs"]),
-        "present_rates": arrays["present_rates"].tolist(),
     })
 
 
-def _document_parts(model: TrainedModel) -> Iterator[str]:
-    """The text of model's document, in pieces of at most one header or _PIECE_NODES nodes."""
+def _params_parts(model: TrainedModel) -> Iterator[str]:
+    """The text of model's params, in pieces."""
+    if isinstance(model, TreeModel):
+        yield from _forest_parts((model,))
+    elif isinstance(model, NaiveBayesModel):
+        yield _nb_text(vars(model))
+    elif isinstance(model, EnsembleModel) and model.variant == VARIANT_VOTE:
+        yield '{"members":['
+        for i, member in enumerate(model.members):
+            yield ("," if i else "") + '{"variant":' + _dumps(member.variant) + ',"params":'
+            yield from _params_parts(member)
+            yield "}"
+        yield "]}"
+    elif isinstance(model, EnsembleModel):
+        yield from _forest_parts(model.members)
+    else:
+        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
+
+
+def save_model(model: TrainedModel) -> str:
+    """Serialize a trained model to its canonical JSON text."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -122,61 +177,11 @@ def _document_parts(model: TrainedModel) -> Iterator[str]:
         "class_names": list(model.class_names),
         "hyperparams": model.hyperparams.to_dict(),
     }
-    yield _dumps(header)[:-1] + ',"params":'
-    if isinstance(model, TreeModel):
-        yield from _tree_parts(model)
-    elif isinstance(model, NaiveBayesModel):
-        yield _nb_text(vars(model))
-    elif isinstance(model, EnsembleModel):
-        yield '{"members":['
-        for i, member in enumerate(model.members):
-            if i:
-                yield ","
-            if model.variant == VARIANT_VOTE:
-                yield from _document_parts(member)
-            else:
-                yield from _tree_parts(member)
-        yield "]}"
-    else:
-        raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
-    yield "}"
-
-
-def save_model(model: TrainedModel) -> str:
-    """Serialize a trained model to its canonical JSON text."""
-    return "".join([*_document_parts(model), "\n"])
+    return "".join([_dumps(header)[:-1] + ',"params":', *_params_parts(model), "}\n"])
 
 
 # ---------------------------------------------------------------------------
 # Reading
-
-
-_INT = "0|[1-9][0-9]*"
-_COUNT = "0|[1-9][0-9]{0,9}"  # at most ten digits: parsed as int64, a count cannot overflow
-_TREE_HEAD = re.compile(rf'\{{"root":({_INT}),"nodes":\[')
-# Field extractors, run on a tree's nodes once _node_pattern has checked
-# them: per node c for a leaf and a for a split; per split its absent branch
-# (l or r), its attribute, left and right, and its threshold; per leaf its
-# counts. One pass per field: one pass over all of a split's fields held
-# 1.5x the memory on a tree of 200k nodes.
-_NODE_KIND = re.compile(r'\{"([ca])')
-_ABSENT_BRANCH = re.compile(r'"absent_branch":"([lr])')
-_SPLIT_INTS = re.compile(r'"(?:attribute|left|right)":([0-9]+)')
-_THRESHOLD = re.compile(r'"threshold":([^,]+)')
-_COUNTS = re.compile(r'"counts":\[([0-9,]+)\]')
-
-
-def _node_pattern(n_classes: int) -> re.Pattern:
-    """One canonical node, a leaf of n_classes counts or a split (its
-    threshold is checked against repr afterwards), then the comma before the
-    next node or the end of the text. Matching nodes one at a time keeps the
-    regex engine's backtracking state to one node, whatever the tree's size."""
-    leaf = rf'\{{"counts":\[(?:{_COUNT})(?:,(?:{_COUNT})){{{n_classes - 1}}}\]\}}'
-    split = (
-        rf'\{{"attribute":(?:{_INT}),"threshold":[-+.0-9A-Za-z]+,'
-        rf'"absent_branch":"(?:left|right)","left":(?:{_INT}),"right":(?:{_INT})\}}'
-    )
-    return re.compile(rf"(?:{leaf}|{split})(?:,(?=\{{)|\Z)")
 
 
 def _reject_constant(name: str) -> float:
@@ -209,59 +214,146 @@ def _read_json(text: str, pos: int, what: str) -> tuple[object, int]:
     return value, end
 
 
-def _letters(found: Sequence[str]) -> np.ndarray:
-    """One-letter fields as ASCII codes."""
-    return np.frombuffer("".join(found).encode("ascii"), dtype=np.uint8)
+def _span(text: str, pos: int, literal: str, close: str) -> tuple[int, int]:
+    """The offsets of the text between `literal`, which must stand at pos,
+    and the next `close`."""
+    start = _expect(text, pos, literal)
+    end = text.find(close, start)
+    if end < 0:
+        raise ModelFormatError(f"expected {close!r} after offset {start} of the model text")
+    return start, end
 
 
-def _read_tree(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
-    """TreeModel arrays for the tree params at pos, checked so that routing
-    always ends, and their end."""
-    head = _TREE_HEAD.match(text, pos)
-    start = head.end() if head else pos
-    end = text.find("}]", start) + 1  # the end of the last node, in a canonical tree
-    nodes = text[start:end]
-    # the nodes are canonical exactly when removing each node and its comma leaves nothing
-    rest, n = _node_pattern(n_classes).subn("", nodes) if n_classes else (nodes, 0)
-    if head is None or rest or not n:
-        raise ModelFormatError(
-            f"malformed tree at offset {pos}: need an int root and nodes that are each a leaf of"
-            f" {n_classes} counts or a split with exactly five keys, written as save_model writes them"
-        )
-    split = _letters(_NODE_KIND.findall(nodes)) == ord("a")
-    threshold = _THRESHOLD.findall(nodes)
-    values = list(map(float, threshold))
-    # nan, inf and -inf are their own repr, so finiteness needs its own check
-    if list(map(repr, values)) != threshold or not np.isfinite(values).all():
-        written = next(w for w, v in zip(threshold, values) if repr(v) != w or not math.isfinite(v))
-        raise ModelFormatError(f"tree threshold {written} is not a float as save_model writes it")
-    counts = np.fromstring(",".join(_COUNTS.findall(nodes)), sep=",", dtype=np.int64)
-    if np.any(counts > np.iinfo(np.int32).max):
-        raise ModelFormatError("a leaf count does not fit in int32")
-    # an int beyond int64 reads as its maximum, which the range checks below reject
-    split_ints = np.fromstring(",".join(_SPLIT_INTS.findall(nodes)), sep=",", dtype=np.intp).reshape(-1, 3)
-    root = int(head.group(1))
-    if not (
-        np.all(split_ints[:, 1:] < np.flatnonzero(split)[:, None])
-        and np.all(split_ints[:, 0] < n_attributes)
-        and root < n
+_INT_BYTES = np.zeros(256, dtype=bool)
+_INT_BYTES[list(b"-0123456789,")] = True
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _ints(body: str, key: str, low: int, high: int, size: int = -1) -> np.ndarray:
+    """The ints of a list's text, each from low to high (and `size` of them
+    unless it is -1), which must be written as str writes them."""
+    values = None
+    if _INT_BYTES[np.frombuffer(body.encode("ascii"), dtype=np.uint8)].all():
+        try:
+            values = np.fromstring(body, sep=",", dtype=np.int64) if body else np.zeros(0, dtype=np.int64)
+        except ValueError:
+            pass
+    if values is not None and (size < 0 or len(values) == size) and (
+        not len(values) or low <= values.min() <= values.max() <= high
     ):
+        # digits, minus signs and commas: any other spelling of the same ints
+        # (leading zeros, -0, extra commas) is longer
+        digits = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right")
+        if max(int(digits.sum()) + int(np.count_nonzero(values < 0)) + 2 * len(values) - 1, 0) == len(body):
+            return values
+    count = "" if size < 0 else f"{size} "
+    raise ModelFormatError(f"{key} must list {count}ints from {low} to {high} as save_model writes them")
+
+
+def _is_float_repr(word: str) -> bool:
+    try:
+        value = float(word)
+    except ValueError:
+        return False
+    return repr(value) == word and math.isfinite(value)
+
+
+def _floats(text: str, start: int, end: int, key: str, size: int) -> np.ndarray:
+    """The `size` finite floats of the list text[start:end], which must be
+    written as repr writes them (compared a piece at a time)."""
+    body = text[start:end]
+    try:
+        values = np.fromstring(body, sep=",") if body else np.zeros(0)
+    except ValueError:
+        values = np.zeros(0)
+    at = start
+    for i in range(0, len(values), _PIECE):
+        written = ("," if i else "") + ",".join(map(repr, values[i:i + _PIECE].tolist()))
+        if not text.startswith(written, at):
+            break
+        at += len(written)
+    # nan, inf and -inf are their own repr, so finiteness needs its own check
+    if at != end or len(values) != size or not np.isfinite(values).all():
+        bad = next((w for w in body.split(",") if not _is_float_repr(w)), None)
+        found = f"holds {bad}, which is not a finite float as repr writes it" if bad else f"must list {size} floats"
+        raise ModelFormatError(f"tree {key} {found}")
+    return values
+
+
+def _read_forest(text: str, pos: int, variant: str, n_attributes: int, n_classes: int) -> tuple[list[dict], int]:
+    """TreeModel arrays of each tree of the tree params at pos, read in one
+    pass over all trees, and their end."""
+    start, pos = _span(text, pos, '{"sizes":[', "]")
+    sizes = _ints(text[start:pos], "sizes", 1, _INT32_MAX)
+    if not len(sizes):
+        raise ModelFormatError(f"{variant} model has no members")
+    if len(sizes) > 1 and variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
+        raise ModelFormatError(f"a {variant} model is one tree, not {len(sizes)}")
+    start, pos = _span(text, pos, '],"attribute":[', "]")
+    feature = _ints(text[start:pos], "attribute", -1, n_attributes - 1, int(sizes.sum()))
+    split = feature >= 0
+    n, n_splits = len(feature), int(np.count_nonzero(split))
+    end = np.cumsum(sizes)
+    first = end - sizes
+
+    # h, counted on from tree to tree: tree t starts at t and must end at t + 1
+    height = np.cumsum(np.where(split, -1, 1))
+    tops = np.arange(1, len(sizes) + 1)
+    if not (np.array_equal(height[end - 1], tops) and np.all(np.minimum.reduceat(height, first) >= tops)):
         raise ModelFormatError(
-            "malformed tree: children must precede their parent and indices must be in range"
+            "malformed tree: in post-order every split needs two subtrees before it, and a tree ends at its root"
         )
-    fields = {
-        "feature": np.full(n, -1, dtype=np.intp),
-        "threshold": np.zeros(n),
-        "left": np.full(n, -1, dtype=np.intp),
-        "right": np.full(n, -1, dtype=np.intp),
-        "absent_left": np.zeros(n, dtype=bool),
-        "counts": counts.astype(np.int32).reshape(-1, n_classes),
-        "root": root,
-    }
-    fields["threshold"][split] = values
-    fields["absent_left"][split] = _letters(_ABSENT_BRANCH.findall(nodes)) == ord("l")
-    fields["feature"][split], fields["left"][split], fields["right"][split] = split_ints.T
-    return fields, _expect(text, end, "]}")
+    # among the nodes of a split's height, in node order, the one before the split is its right child
+    order = np.argsort(height, kind="stable")
+    del height
+    child = split[order[1:]]
+    right = np.full(n, -1, dtype=np.intp)
+    right[order[1:][child]] = order[:-1][child]
+    del order, child
+    offset = np.repeat(first, sizes)
+    right = np.where(split, right - offset, -1)
+    left = np.where(split, np.arange(-1, n - 1) - offset, -1)
+    del offset
+
+    start, pos = _span(text, pos, '],"threshold":[', "]")
+    threshold = np.zeros(n)
+    threshold[split] = _floats(text, start, pos, "threshold", n_splits)
+    start, pos = _span(text, pos, '],"absent":"', '"')
+    letters = text[start:pos]
+    if len(letters) != n_splits or letters.strip("lr"):
+        raise ModelFormatError(f"absent must be a string of {n_splits} letters l or r")
+    absent_left = np.zeros(n, dtype=bool)
+    absent_left[split] = np.frombuffer(letters.encode("ascii"), dtype=np.uint8) == ord("l")
+
+    n_leaves = n - n_splits
+    start, pos = _span(text, pos, '","leaf_nnz":[', "]")
+    nnz = _ints(text[start:pos], "leaf_nnz", 1, n_classes, n_leaves)
+    n_counts = int(nnz.sum())
+    start, pos = _span(text, pos, '],"count_class":[', "]")
+    classes = _ints(text[start:pos], "count_class", 0, n_classes - 1, n_counts)
+    ascending = classes[1:] > classes[:-1]
+    ascending[np.cumsum(nnz)[:-1] - 1] = True  # where a leaf's counts begin
+    if not ascending.all():
+        raise ModelFormatError("count_class must list each leaf's classes in ascending order")
+    start, pos = _span(text, pos, '],"count":[', "]")
+    counts = np.zeros((n_leaves, n_classes), dtype=np.int32)
+    counts[np.repeat(np.arange(n_leaves), nnz), classes] = _ints(text[start:pos], "count", 1, _INT32_MAX, n_counts)
+
+    leaves = (sizes + 1) // 2  # a tree of s nodes has (s + 1) / 2 leaves
+    leaf_end = np.cumsum(leaves)
+    trees = [
+        {
+            "feature": feature[a:b],
+            "threshold": threshold[a:b],
+            "left": left[a:b],
+            "right": right[a:b],
+            "absent_left": absent_left[a:b],
+            "counts": counts[la:lb],
+            "root": b - a - 1,
+        }
+        for a, b, la, lb in zip(first.tolist(), end.tolist(), (leaf_end - leaves).tolist(), leaf_end.tolist())
+    ]
+    return trees, _expect(text, pos, "]}")
 
 
 def _read_naive_bayes(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
@@ -269,7 +361,6 @@ def _read_naive_bayes(text: str, pos: int, n_attributes: int, n_classes: int) ->
     prediction is defined, and their end."""
     params, end = _read_json(text, pos, "nb params")
     priors = np.array(params["priors"], dtype=np.float64)
-    present_rates = np.array(params["present_rates"], dtype=np.float64)
     means, stddevs = (
         np.array([[math.nan if v is None else v for v in row] for row in params[key]], dtype=np.float64)
         for key in ("means", "stddevs")
@@ -277,16 +368,16 @@ def _read_naive_bayes(text: str, pos: int, n_attributes: int, n_classes: int) ->
     grid = (n_classes, n_attributes)
     if not (
         priors.shape == (n_classes,)
-        and means.shape == stddevs.shape == present_rates.shape == grid
+        and means.shape == stddevs.shape == grid
         and np.all(priors > 0)
         and np.array_equal(np.isnan(means), np.isnan(stddevs))
         and np.all(stddevs[~np.isnan(stddevs)] > 0)
     ):
         raise ModelFormatError(
-            f"malformed naive Bayes: need {n_classes} positive priors, {grid} means, stddevs and"
-            " present rates, and a positive stddev exactly where the mean is not null"
+            f"malformed naive Bayes: need {n_classes} positive priors, {grid} means and stddevs,"
+            " and a positive stddev exactly where the mean is not null"
         )
-    arrays = {"priors": priors, "means": means, "stddevs": stddevs, "present_rates": present_rates}
+    arrays = {"priors": priors, "means": means, "stddevs": stddevs}
     if _nb_text(arrays) != text[pos:end]:
         raise ModelFormatError(
             "nb params need exactly their keys, in order, holding floats (or null) written as save_model writes them"
@@ -300,20 +391,56 @@ def _names(value: object, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _read_document(text: str, pos: int, in_vote: bool = False) -> tuple[TrainedModel, int]:
-    """The model whose document starts at pos, and the document's end."""
-    header = {}
+def _read_params(text: str, pos: int, variant: object, common: dict) -> tuple[TrainedModel, int]:
+    """The model of this variant whose params start at pos, and their end.
+    `common` holds the schema, class names and hyperparams."""
+    shape = (len(common["schema"]), len(common["class_names"]))
+    if variant in (VARIANT_C45, VARIANT_RANDOM_TREE, VARIANT_RANDOM_FOREST, VARIANT_BAGGING):
+        trees, pos = _read_forest(text, pos, variant, *shape)
+        if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
+            return TreeModel(variant=variant, **trees[0], **common), pos
+        members = tuple(TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **arrays, **common) for arrays in trees)
+        return EnsembleModel(variant=variant, members=members, **common), pos
+    if variant == VARIANT_NAIVE_BAYES:
+        arrays, pos = _read_naive_bayes(text, pos, *shape)
+        return NaiveBayesModel(**arrays, **common), pos
+    if variant != VARIANT_VOTE:
+        raise ModelFormatError(f"unknown variant {variant!r}")
+    pos = _expect(text, pos, '{"members":[')
+    if text.startswith("]", pos):
+        raise ModelFormatError("vote model has no members")
+    members = []
+    while True:
+        member_variant, pos = _read_json(text, _expect(text, pos, '{"variant":'), "member variant")
+        if member_variant == VARIANT_VOTE:
+            raise ModelFormatError("a vote member cannot itself be a vote")
+        member, pos = _read_params(text, _expect(text, pos, ',"params":'), member_variant, common)
+        members.append(member)
+        pos = _expect(text, pos, "}")
+        if not text.startswith(",", pos):
+            break
+        pos += 1
+    return EnsembleModel(variant=VARIANT_VOTE, members=tuple(members), **common), _expect(text, pos, "]}")
+
+
+def _read_document(text: str) -> TrainedModel:
+    """The model of a whole model text."""
+    header, pos = {}, 0
     for key in _HEADER_KEYS:
         pos = _expect(text, pos, ("," if header else "{") + _dumps(key) + ":")
         value, pos = _read_json(text, pos, key)
         if key == "format" and value != FORMAT_NAME:
             raise ModelFormatError(f"not a {FORMAT_NAME} document")
         if key == "version" and (type(value) is not int or value != FORMAT_VERSION):
+            if type(value) is int and value == 1:
+                raise ModelFormatError(
+                    f"this build no longer reads model version 1; retrain the model with this build,"
+                    f" which writes version {FORMAT_VERSION}"
+                )
             raise ModelFormatError(
                 f"unsupported model version {value!r}; this build reads version {FORMAT_VERSION}"
             )
         header[key] = value
-    variant = header["variant"]
     schema, class_names = _names(header["schema"], "schema"), _names(header["class_names"], "class_names")
     try:
         hp = Hyperparams(**header["hyperparams"])
@@ -321,39 +448,11 @@ def _read_document(text: str, pos: int, in_vote: bool = False) -> tuple[TrainedM
         raise ModelFormatError(f"bad hyperparams: {exc}") from exc
     if tuple(header["hyperparams"]) != tuple(hp.to_dict()):
         raise ModelFormatError("hyperparams must have exactly their keys, in order")
-    if in_vote and variant == VARIANT_VOTE:
-        raise ModelFormatError("a vote member cannot itself be a vote")
-    pos = _expect(text, pos, ',"params":')
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
-    shape = (len(schema), len(class_names))
-    if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
-        arrays, pos = _read_tree(text, pos, *shape)
-        model: TrainedModel = TreeModel(variant=variant, **arrays, **common)
-    elif variant == VARIANT_NAIVE_BAYES:
-        arrays, pos = _read_naive_bayes(text, pos, *shape)
-        model = NaiveBayesModel(**arrays, **common)
-    elif variant in TREE_MEMBER_VARIANTS or variant == VARIANT_VOTE:
-        pos = _expect(text, pos, '{"members":[')
-        if text.startswith("]", pos):
-            raise ModelFormatError(f"{variant} model has no members")
-        members = []
-        while True:
-            if variant == VARIANT_VOTE:
-                member, pos = _read_document(text, pos, in_vote=True)
-                if member.schema != schema or member.class_names != class_names:
-                    raise ModelFormatError("every vote member needs the vote's schema and class names")
-            else:
-                arrays, pos = _read_tree(text, pos, *shape)
-                member = TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **arrays, **common)
-            members.append(member)
-            if not text.startswith(",", pos):
-                break
-            pos += 1
-        pos = _expect(text, pos, "]}")
-        model = EnsembleModel(variant=variant, members=tuple(members), **common)
-    else:
-        raise ModelFormatError(f"unknown variant {variant!r}")
-    return model, _expect(text, pos, "}")
+    model, pos = _read_params(text, _expect(text, pos, ',"params":'), header["variant"], common)
+    if text[pos:] != "}\n":
+        raise ModelFormatError("the model text must end with its document and one LF")
+    return model
 
 
 def load_model(text: Union[str, bytes]) -> TrainedModel:
@@ -363,10 +462,9 @@ def load_model(text: Union[str, bytes]) -> TrainedModel:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"model file is not UTF-8: {exc}") from exc
+    if not text.isascii():
+        raise ModelFormatError("the model text must be ASCII, as save_model writes it")
     try:
-        model, end = _read_document(text, 0)
+        return _read_document(text)
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
-    if text[end:] != "\n":
-        raise ModelFormatError("the model text must end with its document and one LF")
-    return model

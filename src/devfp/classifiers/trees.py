@@ -17,9 +17,9 @@ the first candidate winning ties; rows with an Absent split value follow the
 branch that received the majority of training rows.
 
 Nodes are appended to flat arrays as they are created, parents before
-children. Pessimistic pruning and the post-order numbering of model format
-v1 then run one tree level at a time across all trees. A trained tree is a
-set of parallel node arrays in the style of scikit-learn's `Tree`.
+children. Pessimistic pruning and the post-order numbering of the model
+format then run one tree level at a time across all trees. A trained tree
+is a set of parallel node arrays in the style of scikit-learn's `Tree`.
 
 Prediction routes every tree of a forest at once (`StackedTrees`; a lone
 tree is a forest of one). The trees' split nodes are stacked into one set
@@ -360,7 +360,7 @@ def _finish(
 ) -> list[dict]:
     """Node arrays of each tree of the node table (whose first n_trees nodes
     are the roots): pruned bottom-up when a confidence is given, then
-    numbered in the post-order of model format v1."""
+    numbered in the post-order of the model format."""
     n = len(tree)
     feature = np.full(n, -1, dtype=np.intp)
     threshold = np.zeros(n)
@@ -384,7 +384,7 @@ def _finish(
             errors[level[~collapse]] = subtree[~collapse]
             feature[level[collapse]] = -1
 
-    # v1 numbers a tree's nodes in reverse (node, left, right) pre-order
+    # the model format numbers a tree's nodes in reverse (node, left, right) pre-order
     size = np.ones(n, dtype=np.intp)
     for level in reversed(levels):
         level = level[feature[level] >= 0]

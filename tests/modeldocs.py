@@ -1,10 +1,17 @@
-"""Hand-written model documents (format v1) for tests that need a known tree.
+"""Hand-written model documents (format v2) for tests that need a known tree.
 
-Nodes are listed in the format's post-order: children before their parent,
-the root last (unless `root` says otherwise). `canonical` writes a document
-as save_model does (no whitespace, one final LF), the only text load_model
-reads, so that a test of a document's content is not rejected for its form.
-`staircase` builds a very large tree from its arrays, without a document.
+A tree is written as a node list: `leaf(*counts)` and `split(attribute,
+threshold, absent_branch, left, right)` in the format's post-order, children
+before their parent and the root last. `tree_params` encodes node lists as
+the v2 tree columns (sizes, attribute, threshold, absent, and the sparse
+leaf counts leaf_nnz, count_class and count), one tree per list; the file
+stores no children, so it checks that each split's left and right are the
+children that post-order implies (left is the node before the split, right
+the root of the subtree before that). A vote member is `member(variant,
+params)`. `canonical` writes a document as save_model does (no whitespace,
+one final LF), the only text load_model reads, so that a test of a
+document's content is not rejected for its form. `staircase` builds a very
+large tree from its arrays, without a document.
 """
 
 import json
@@ -29,11 +36,39 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
     }
 
 
+def tree_params(*trees: list) -> dict:
+    """The v2 tree params of one or more node lists."""
+    params = {"sizes": [], "attribute": [], "threshold": [], "absent": "", "leaf_nnz": [], "count_class": [], "count": []}
+    for nodes in trees:
+        params["sizes"].append(len(nodes))
+        stack = []
+        for i, node in enumerate(nodes):
+            if "counts" in node:
+                params["attribute"].append(-1)
+                present = [(c, v) for c, v in enumerate(node["counts"]) if v != 0]
+                params["leaf_nnz"].append(len(present))
+                params["count_class"] += [c for c, _ in present]
+                params["count"] += [v for _, v in present]
+            else:
+                assert (node["left"], node["right"]) == (stack[-1], stack[-2]), f"node {i}: not post-order"
+                del stack[-2:]
+                params["attribute"].append(node["attribute"])
+                params["threshold"].append(node["threshold"])
+                params["absent"] += node["absent_branch"][:1]
+            stack.append(i)
+    return params
+
+
+def member(variant, params) -> dict:
+    """A vote member with these params."""
+    return {"variant": variant, "params": params}
+
+
 def document(variant, schema, class_names, params) -> dict:
     """A hand-written model document with these params."""
     return {
         "format": "devfp-model",
-        "version": 1,
+        "version": 2,
         "variant": variant,
         "schema": list(schema),
         "class_names": list(class_names),
@@ -52,10 +87,9 @@ def document_model(variant, schema, class_names, params):
     return load_model(canonical(document(variant, schema, class_names, params)))
 
 
-def tree_model(schema, class_names, nodes, root=None):
+def tree_model(schema, class_names, nodes):
     """A j48 model loaded from a hand-written document with these nodes."""
-    params = {"root": len(nodes) - 1 if root is None else root, "nodes": nodes}
-    return document_model("j48", schema, class_names, params)
+    return document_model("j48", schema, class_names, tree_params(nodes))
 
 
 def staircase(n_splits: int) -> TreeModel:

@@ -25,7 +25,7 @@ from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleC
 from devfp.features import Dataset
 from pcapbuild import FeatureRow
 from tables import make_dataset, predictions, schema_rows
-from modeldocs import canonical, document, document_model, leaf, split, staircase, tree_model
+from modeldocs import canonical, document, document_model, leaf, member, split, staircase, tree_model, tree_params
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -275,15 +275,12 @@ class TestNaiveBayes:
         model = train_model(dataset, ModelSpec("nb", Hyperparams(nb_variance_floor=1e-4)))
         assert model.stddevs[0][0] == pytest.approx(1e-2)
 
-    def test_present_rates_recorded(self):
-        dataset = make_dataset(
-            {"ip.len": [1, None, 8, 9], "ip.ttl": [64, 64, None, None]},
-            ["A", "A", "B", "B"],
-        )
+    def test_infinite_cell_raises_naming_its_column(self):
+        dataset = make_dataset({"ip.len": [1, 2, 8, 9], "ip.ttl": [64, 64, 32, None]}, ["A", "A", "B", "B"])
         model = train_model(dataset, ModelSpec("nb"))
-        a, b = model.class_names.index("A"), model.class_names.index("B")
-        assert model.present_rates[a][0] == 0.5  # ip.len present for half of A
-        assert model.present_rates[b][1] == 0.0
+        for value in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="'ip.ttl'"):
+                model.distribution_batch(np.array([[2.0, 64.0], [3.0, value]]))
 
 
 @dataclass(frozen=True)
@@ -599,9 +596,24 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self):
         text = save_model(self.trained_models()[0])
-        bad = text.replace('"version":1', '"version":99')
+        bad = text.replace('"version":2', '"version":99')
         with pytest.raises(ModelFormatError, match="version"):
             load_model(bad)
+
+    # a j48 model as the version 1 format wrote it: one object per node
+    V1_J48 = (
+        '{"format":"devfp-model","version":1,"variant":"j48","schema":["ip.len"],"class_names":["A","B"],'
+        '"hyperparams":{"seed":1,"forest_trees":100,"rt_feature_count":null,"bagging_rounds":10,'
+        '"bag_fraction":1.0,"c45_min_leaf":2,"c45_confidence":0.25,"c45_prune":true,"nb_variance_floor":1e-09},'
+        '"params":{"root":2,"nodes":[{"counts":[0,4]},{"counts":[4,0]},'
+        '{"attribute":0,"threshold":5.5,"absent_branch":"left","left":1,"right":0}]}}\n'
+    )
+
+    def test_version_1_rejected_with_retrain_advice(self):
+        with pytest.raises(ModelFormatError, match="version 1.*retrain the model with this build"):
+            load_model(self.V1_J48)
+        with pytest.raises(ModelFormatError, match="version 1"):
+            load_model(self.V1_J48.encode("utf-8"))
 
     def test_non_json_rejected(self):
         # nesting beyond the parser's depth, an integer beyond its digit limit, bytes
@@ -609,7 +621,7 @@ class TestPersistence:
         head = '{"format":"devfp-model","version":'
         cases = [
             ("not json at all", "format"),
-            (head + '1,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
+            (head + '2,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
             (head + "1" * 5000, "version is not readable JSON"),
             (b"\xff\xfe{", "not UTF-8"),
         ]
@@ -625,8 +637,8 @@ class TestPersistence:
                 load_model(data)
 
     def test_save_and_load_peak_below_four_times_the_text(self):
-        # 20 trees of a noisy four-class dataset: a few hundred kB of text, so
-        # that the ratio is set by the nodes and not by fixed costs
+        # 20 trees of a noisy four-class dataset: tens of kB of text, so that
+        # the ratio is set by the nodes and not by fixed costs
         rng = random.Random(5)
         n = 400
         dataset = make_dataset(
@@ -635,69 +647,96 @@ class TestPersistence:
         )
         model = train_model(dataset, ModelSpec("rf", Hyperparams(forest_trees=20)))
         text = save_model(model)
-        assert len(text) > 200_000
-        # and saving one j48 staircase of 199,999 nodes (about 10 MB of text),
-        # which save_model writes a piece of nodes at a time
+        assert len(text) > 30_000
+        # and saving one j48 staircase of 199,999 nodes (about 2 MB of text),
+        # which save_model writes a piece of a column at a time
         stair = staircase(99_999)
         stair_text = save_model(stair)
-        assert len(stair_text) > 10_000_000
-        works = [(lambda: save_model(model), text), (lambda: load_model(text), text), (lambda: save_model(stair), stair_text)]
-        for work, written in works:
+        assert len(stair_text) > 2_000_000
+        # a loaded model's own arrays are not the loader's working memory: the
+        # dense int32 counts and float64 proba of its leaves alone outweigh the text
+        def array_bytes(loaded):
+            return sum(a.nbytes for tree in loaded.members for a in vars(tree).values() if isinstance(a, np.ndarray))
+
+        no_arrays = lambda saved: 0  # noqa: E731
+        works = [(lambda: save_model(model), text, no_arrays), (lambda: load_model(text), text, array_bytes),
+                 (lambda: save_model(stair), stair_text, no_arrays)]
+        for work, written, held in works:
             tracemalloc.start()
             try:
-                work()
+                result = work()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * len(written)
+            assert peak - held(result) < 4 * len(written)
 
     def test_wrong_format_name_rejected(self):
         with pytest.raises(ModelFormatError, match="not a devfp-model document"):
             load_model('{"format":"something-else","version":1}\n')
 
+    GOOD_NODES = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
+    # {"sizes":[3],"attribute":[-1,-1,0],"threshold":[5.5],"absent":"l",
+    #  "leaf_nnz":[1,1],"count_class":[1,0],"count":[4,4]}
+    GOOD = tree_params(GOOD_NODES)
+
     def test_malformed_tree_rejected(self):
         schema, classes = ("ip.len",), ("A", "B")
-        good = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
-        assert tree_model(schema, classes, good).root == 2
-        bad_documents = [
-            [leaf(0, 4), split(0, 5.5, "left", 1, 0), leaf(4, 0)],  # child after its parent
-            [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 2, 0)],  # split is its own child
-            [leaf(0, 4), leaf(4, 0), split(3, 5.5, "left", 1, 0)],  # attribute out of range
-            [leaf(0, 4), leaf(4), split(0, 5.5, "left", 1, 0)],  # leaf with too few counts
-            [leaf(0, 4), leaf(4, -1), split(0, 5.5, "left", 1, 0)],  # negative count
-            [leaf(0, 4), leaf(4, 2**40), split(0, 5.5, "left", 1, 0)],  # count beyond int32
-            [leaf(0, 4), leaf(4, 0), split(0, 5.5, "up", 1, 0)],  # bad absent branch
-            [leaf(0, 4), leaf(4, 0), {"attribute": 0, "threshold": 5.5}],  # split missing keys
-            [],  # no nodes
+        assert tree_model(schema, classes, self.GOOD_NODES).root == 2
+        one_leaf_less = {"leaf_nnz": [1], "count_class": [1], "count": [4]}
+        bad_edits = [
+            {"attribute": [-1, 0, -1]},  # child after its parent: the split has one node before it
+            {"sizes": [2], "attribute": [-1, 0], **one_leaf_less},  # the split would be its own child
+            {"sizes": [4], "attribute": [-1, -1, 0, -1], "leaf_nnz": [1, 1, 1],
+             "count_class": [1, 0, 0], "count": [4, 4, 1]},  # root not last: two trees in one
+            {"sizes": [1, 2], "attribute": [-1, -1, 0]},  # sizes that cut a tree
+            {"sizes": [4]},  # sizes beyond the nodes
+            {"sizes": [0, 3]},  # an empty tree
+            {"sizes": [3, 3], "attribute": [-1, -1, 0] * 2, "threshold": [5.5] * 2, "absent": "ll",
+             "leaf_nnz": [1] * 4, "count_class": [1, 0] * 2, "count": [4] * 4},  # j48 of two trees
+            {"attribute": [-1, -1, 3]},  # attribute out of range
+            {"attribute": [-2, -1, 0]},  # a negative attribute that is not -1
+            {"threshold": []},  # too few thresholds
+            {"threshold": [5.5, 6.5]},  # too many thresholds
+            {"absent": "u"},  # bad absent branch
+            {"absent": "lr"},  # an absent letter too many
+            {"absent": ""},  # an absent letter too few
+            {"count_class": [1, 2]},  # class out of range
+            {"count": [4, -1]},  # negative count
+            {"count": [4, 0]},  # zero count listed
+            {"count": [4, 2**40]},  # count beyond int32
+            {"leaf_nnz": [1, 0], "count_class": [1], "count": [4]},  # a leaf with all-zero counts
+            {"leaf_nnz": [2, 1], "count_class": [1, 1, 0], "count": [4, 1, 4]},  # a class twice in a leaf
+            {"leaf_nnz": [2, 1], "count_class": [1, 0, 0], "count": [4, 1, 4]},  # classes out of order
+            {"leaf_nnz": [3, 1], "count_class": [0, 1, 1, 0], "count": [1, 4, 1, 4]},  # more counts than classes
+            {"count": [4]},  # a count missing
         ]
-        for nodes in bad_documents:
+        for edit in bad_edits:
             with pytest.raises(ModelFormatError):
-                tree_model(schema, classes, nodes)
+                document_model("j48", schema, classes, {**self.GOOD, **edit})
+        missing = {k: v for k, v in self.GOOD.items() if k != "absent"}
         with pytest.raises(ModelFormatError):
-            tree_model(schema, classes, good, root=3)
-
-    GOOD_NODES = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
+            document_model("j48", schema, classes, missing)
 
     @pytest.mark.parametrize(
-        "schema, classes, params",
+        "schema, classes, edit",
         [
-            (("ip.len",), ("A", "B"), {"root": True, "nodes": GOOD_NODES}),
-            (("ip.len",), ("A", "B"), {"root": 2.7, "nodes": GOOD_NODES}),
-            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(0, "5.5", "left", 1, 0)]}),
-            (("ip.len",), ("A", "A"), {"root": 2, "nodes": GOOD_NODES}),
-            (("ip.len", "ip.len"), ("A", "B"), {"root": 2, "nodes": GOOD_NODES}),
-            (("ip.len",), ("A", 7), {"root": 2, "nodes": GOOD_NODES}),
-            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(False, 5.5, "left", 1, 0)]}),
-            (("ip.len",), ("A", "B"), {"root": 2, "nodes": GOOD_NODES[:2] + [split(0, 5.5, "left", 1.0, 0)]}),
+            (("ip.len",), ("A", "B"), {"sizes": [True]}),
+            (("ip.len",), ("A", "B"), {"sizes": [3.0]}),
+            (("ip.len",), ("A", "B"), {"threshold": ["5.5"]}),
+            (("ip.len",), ("A", "A"), {}),
+            (("ip.len", "ip.len"), ("A", "B"), {}),
+            (("ip.len",), ("A", 7), {}),
+            (("ip.len",), ("A", "B"), {"attribute": [-1, -1, False]}),
+            (("ip.len",), ("A", "B"), {"count_class": [1.0, 0]}),
         ],
-        ids=["root-bool", "root-float", "threshold-string", "duplicate-class", "duplicate-attribute",
-             "class-not-string", "attribute-bool", "child-float"],
+        ids=["sizes-bool", "sizes-float", "threshold-string", "duplicate-class", "duplicate-attribute",
+             "class-not-string", "attribute-bool", "count-class-float"],
     )
-    def test_coercible_values_rejected(self, schema, classes, params):
+    def test_coercible_values_rejected(self, schema, classes, edit):
         # each of these loaded before, most of them re-saving to other bytes
         assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).root == 2
         with pytest.raises(ModelFormatError):
-            load_model(canonical(document("j48", schema, classes, params)))
+            load_model(canonical(document("j48", schema, classes, {**self.GOOD, **edit})))
 
     @pytest.mark.parametrize(
         "name, value",
@@ -720,7 +759,7 @@ class TestPersistence:
     )
     def test_hyperparams_of_another_type_rejected(self, name, value):
         # each of these loaded before into hyperparams that no command line builds
-        good = document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": self.GOOD_NODES})
+        good = document("j48", ("ip.len",), ("A", "B"), self.GOOD)
         load_model(canonical(good))
         doc = {**good, "hyperparams": {**good["hyperparams"], name: value}}
         with pytest.raises(ModelFormatError, match=name):
@@ -729,13 +768,17 @@ class TestPersistence:
     def test_missing_and_unknown_keys_rejected(self):
         # each loaded before, and save_model wrote seed back or dropped extra
         schema, classes = ("ip.len",), ("A", "B")
-        params = {"root": 2, "nodes": self.GOOD_NODES}
-        good = document("j48", schema, classes, params)
+        good = document("j48", schema, classes, self.GOOD)
         load_model(canonical(good))
         no_seed = {**good, "hyperparams": {k: v for k, v in good["hyperparams"].items() if k != "seed"}}
-        extra_on_leaf = {**params, "nodes": [{**leaf(0, 4), "extra": 1}, *self.GOOD_NODES[1:]]}
-        extra_on_split = {**params, "nodes": [*self.GOOD_NODES[:2], {**self.GOOD_NODES[2], "extra": 1}]}
-        for doc in (no_seed, *(document("j48", schema, classes, p) for p in (extra_on_leaf, extra_on_split))):
+        extra_first = {"extra": 1, **self.GOOD}
+        extra_last = {**self.GOOD, "extra": 1}
+        no_count = {k: v for k, v in self.GOOD.items() if k != "count"}
+        documents = [no_seed, *(document("j48", schema, classes, p) for p in (extra_first, extra_last, no_count))]
+        # version 1 nb params also held present_rates
+        documents.append(document("nb", ("ip.len", "ip.ttl"), classes,
+                                  {**self.NB_PARAMS, "present_rates": [[1.0, 0.0], [1.0, 1.0]]}))
+        for doc in documents:
             with pytest.raises(ModelFormatError):
                 load_model(canonical(doc))
 
@@ -743,28 +786,27 @@ class TestPersistence:
         "priors": [0.5, 0.5],
         "means": [[1.5, None], [8.5, 32.0]],
         "stddevs": [[0.5, None], [0.5, 1.0]],
-        "present_rates": [[1.0, 0.0], [1.0, 1.0]],
     }
 
     @pytest.mark.parametrize(
         "variant, params, version",
         [
-            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf(4.7, True), GOOD_NODES[2]]}, 1),
-            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf("4", 1), GOOD_NODES[2]]}, 1),
-            ("j48", {"root": 2, "nodes": [leaf(0, 4), leaf(True, 3), GOOD_NODES[2]]}, 1),
-            ("j48", {"root": 2, "nodes": GOOD_NODES}, True),
-            ("j48", {"root": 2, "nodes": GOOD_NODES}, 1.0),
-            ("nb", {**NB_PARAMS, "priors": [True, 0.5]}, 1),
-            ("nb", {**NB_PARAMS, "means": [[1.5, None], ["8.5", 32.0]]}, 1),
-            ("nb", {**NB_PARAMS, "present_rates": [[1, 0.0], [1.0, 1.0]]}, 1),
+            ("j48", {**GOOD, "count": [4, 4.7]}, 2),
+            ("j48", {**GOOD, "count": ["4", 4]}, 2),
+            ("j48", {**GOOD, "count": [True, 4]}, 2),
+            ("j48", GOOD, True),
+            ("j48", GOOD, 2.0),
+            ("nb", {**NB_PARAMS, "priors": [True, 0.5]}, 2),
+            ("nb", {**NB_PARAMS, "means": [[1.5, None], ["8.5", 32.0]]}, 2),
+            ("nb", {**NB_PARAMS, "stddevs": [[0.5, None], [1, 1.0]]}, 2),
         ],
         ids=["count-float", "count-string", "count-bool", "version-bool", "version-float",
-             "prior-bool", "mean-string", "present-rate-int"],
+             "prior-bool", "mean-string", "stddev-int"],
     )
     def test_coercible_counts_versions_and_nb_numbers_rejected(self, variant, params, version):
         # each of these loaded before and re-saved to other bytes
         schema, classes = ("ip.len", "ip.ttl"), ("A", "B")
-        for good in ({"root": 2, "nodes": self.GOOD_NODES}, self.NB_PARAMS):
+        for good in (self.GOOD, self.NB_PARAMS):
             document_model("nb" if "priors" in good else "j48", schema, classes, good)
         with pytest.raises(ModelFormatError):
             load_model(canonical({**document(variant, schema, classes, params), "version": version}))
@@ -778,7 +820,7 @@ class TestPersistence:
         nodes = self.GOOD_NODES[:2] + [split(0, slot, "left", 1, 0)]
         documents = [
             document("nb", ("ip.len", "ip.ttl"), ("A", "B"), nb),
-            document("j48", ("ip.len",), ("A", "B"), {"root": 2, "nodes": nodes}),
+            document("j48", ("ip.len",), ("A", "B"), tree_params(nodes)),
         ]
         for doc in documents:
             text = canonical(doc)
@@ -787,29 +829,32 @@ class TestPersistence:
                 load_model(text.replace(repr(slot), constant))
 
     def test_malformed_vote_rejected(self):
-        def j48(schema, classes, attribute=0):
+        def j48(classes=("A", "B"), attribute=0):
             counts = [0] * len(classes)
-            nodes = [leaf(*counts), leaf(4, *counts[1:]), split(attribute, 5.5, "left", 1, 0)]
-            return document("j48", schema, classes, {"root": 2, "nodes": nodes})
+            return tree_params([leaf(*counts[:-1], 3), leaf(4, *counts[1:]), split(attribute, 5.5, "left", 1, 0)])
 
         schema, classes = ("ip.len",), ("A", "B")
-        good = document_model("vote", schema, classes, {"members": [j48(schema, classes)]})
-        assert [m.variant for m in good.members] == ["j48"]
+        # an rf member's params are tree columns too, here of a forest of one
+        good = document_model("vote", schema, classes, {"members": [member("j48", j48()), member("rf", j48())]})
+        assert [m.variant for m in good.members] == ["j48", "rf"]
+        assert good.members[0].schema == schema and good.members[0].class_names == classes
         bad_members = [
-            j48(schema, ("A", "B", "C")),  # member has more classes than the vote
-            j48(("ip.len", "ip.ttl"), classes, attribute=1),  # member reads a column the vote lacks
-            document("vote", schema, classes, {"members": [j48(schema, classes)]}),  # nested vote
+            member("j48", j48(("A", "B", "C"))),  # member counts a class the vote lacks
+            member("j48", j48(attribute=1)),  # member reads a column the vote lacks
+            member("vote", {"members": [member("j48", j48())]}),  # nested vote
+            member("svm", j48()),  # unknown variant
+            document("j48", schema, classes, j48()),  # a version 1 member: a whole document
         ]
-        for member in bad_members:
+        for bad in bad_members:
             with pytest.raises(ModelFormatError):
-                document_model("vote", schema, classes, {"members": [member]})
+                document_model("vote", schema, classes, {"members": [bad]})
 
     def test_ensemble_without_members_rejected(self):
         emptied = 0
         for model in self.trained_models():
             doc = json.loads(save_model(model))
-            if "members" in doc["params"]:
-                doc["params"]["members"] = []
+            if model.variant in ("rf", "bagging", "vote"):
+                doc["params"] = {"members": []} if model.variant == "vote" else tree_params()
                 with pytest.raises(ModelFormatError, match="no members"):
                     load_model(canonical(doc))
                 emptied += 1
@@ -822,7 +867,6 @@ class TestPersistence:
             # class A never saw ip.ttl: null mean and stddev
             "means": [[1.5, None], [8.5, 32.0]],
             "stddevs": [[0.5, None], [0.5, 1.0]],
-            "present_rates": [[1.0, 0.0], [1.0, 1.0]],
         }
         model = document_model("nb", schema, classes, good)
         assert predicted(model, vector(**{"ip.len": 2, "ip.ttl": 32})) == "B"
@@ -830,7 +874,7 @@ class TestPersistence:
             {"priors": [1.0]},  # one prior for two classes
             {"means": [[1.5, None]]},  # one row of means
             {"stddevs": [[0.5], [0.5]]},  # one stddev per class
-            {"present_rates": [1.0, 1.0]},  # flat present rates
+            {"means": [[1.5, None], [8.5]]},  # a short row of means
             {"priors": [0.0, 1.0]},  # zero prior
             {"priors": [-0.5, 1.5]},  # negative prior
             {"stddevs": [[0.0, None], [0.5, 1.0]]},  # zero stddev under a mean

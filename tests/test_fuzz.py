@@ -10,10 +10,14 @@ that are valid, non-canonical or broken, with device names or device types
 in the class column. Model documents are saved j48, nb, rf and vote models
 with one value retyped or written as a non-finite float (NaN, Infinity,
 nan, inf), one schema or class name duplicated, or one key dropped or
-added, or with their text respelled: whitespace inserted, the final LF
-dropped or leading whitespace added, an object's keys reordered or one key
-duplicated, a number written another way, or the text passed as bytes in
-UTF-8 (with or without a byte-order mark), UTF-16 or UTF-32.
+added; with one edit to the structure of their tree columns: a node shifted
+between trees (or a tree grown or shrunk) through `sizes`, two `attribute`
+entries swapped, a count moved to another class, a `leaf_nnz` set to 0, or
+an `absent` letter dropped or added; or with their text respelled:
+whitespace inserted, the final LF dropped or leading whitespace added, an
+object's keys reordered or one key duplicated, a number written another
+way, or the text passed as bytes in UTF-8 (with or without a byte-order
+mark), UTF-16 or UTF-32.
 """
 
 import json
@@ -113,7 +117,7 @@ MODEL_TEXTS = [
     for variant in ("j48", "nb", "rf", "vote")
 ]
 # every JSON type and a number of each kind
-REPLACEMENTS = [None, True, False, 0, 7, -1, 2.5, "x", "IoT", [], [0], {}, {"counts": [1]}]
+REPLACEMENTS = [None, True, False, 0, 7, -1, 2.5, "x", "IoT", [], [0], {}, {"sizes": [1]}]
 # the non-finite floats JSON lacks, as json.dumps spells them and as repr does
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf"]
 
@@ -158,7 +162,35 @@ def _respellings(number):
 
 
 VALUE_MUTATIONS = ["retype", "non-finite", "duplicate", "drop", "add"]
+STRUCTURE_MUTATIONS = ["sizes", "swap-attributes", "move-count", "empty-leaf", "absent-letter"]
 TEXT_MUTATIONS = ["whitespace", "ends", "reorder", "duplicate-key", "respell", "encode"]
+
+
+def _edit_structure(draw, trees, kind, n_classes):
+    """One edit of the tree columns `trees` (tree params, edited in place)."""
+    if kind == "sizes":  # a node moves to the next tree, or a lone tree grows or shrinks
+        sizes, step = trees["sizes"], draw(st.sampled_from([-1, 1]))
+        i = draw(st.integers(0, len(sizes) - 1))
+        sizes[i] += step
+        if i + 1 < len(sizes):
+            sizes[i + 1] -= step
+    elif kind == "swap-attributes":
+        attribute = trees["attribute"]
+        i, j = draw(st.integers(0, len(attribute) - 1)), draw(st.integers(0, len(attribute) - 1))
+        attribute[i], attribute[j] = attribute[j], attribute[i]
+    elif kind == "move-count":
+        classes = trees["count_class"]
+        classes[draw(st.integers(0, len(classes) - 1))] = draw(st.integers(0, n_classes - 1))
+    elif kind == "empty-leaf":
+        trees["leaf_nnz"][draw(st.integers(0, len(trees["leaf_nnz"]) - 1))] = 0
+    else:  # absent-letter: one dropped or added
+        absent = trees["absent"]
+        if absent and draw(st.booleans()):
+            at = draw(st.integers(0, len(absent) - 1))
+            trees["absent"] = absent[:at] + absent[at + 1:]
+        else:
+            at = draw(st.integers(0, len(absent)))
+            trees["absent"] = absent[:at] + draw(st.sampled_from("lr")) + absent[at:]
 
 
 @st.composite
@@ -166,7 +198,8 @@ def mutated_model_texts(draw):
     doc = json.loads(draw(st.sampled_from(MODEL_TEXTS)))
     paths = list(_paths(doc))
     objects = [p for p in paths if isinstance(_at(doc, p), dict)]
-    kind = draw(st.sampled_from(VALUE_MUTATIONS + TEXT_MUTATIONS))
+    forests = [p for p in objects if "sizes" in _at(doc, p)]
+    kind = draw(st.sampled_from(VALUE_MUTATIONS + STRUCTURE_MUTATIONS * bool(forests) + TEXT_MUTATIONS))
     if kind == "retype":
         *parent, key = draw(st.sampled_from(paths[1:]))
         _at(doc, parent)[key] = draw(st.sampled_from(REPLACEMENTS))
@@ -185,8 +218,10 @@ def mutated_model_texts(draw):
         if kind == "drop":
             del obj[draw(st.sampled_from(sorted(obj)))]
         else:
-            key = draw(st.sampled_from(["extra", "seed", "counts", "members", "left"]))
+            key = draw(st.sampled_from(["extra", "seed", "sizes", "members", "count", "present_rates"]))
             obj[key] = draw(st.sampled_from(REPLACEMENTS))
+    elif kind in STRUCTURE_MUTATIONS:
+        _edit_structure(draw, _at(doc, draw(st.sampled_from(forests))), kind, len(doc["class_names"]))
     elif kind == "whitespace":  # before or after a structural character
         text = canonical(doc)
         at = draw(st.sampled_from([i for i, c in enumerate(text) if c in "{}[],:"])) + draw(st.integers(0, 1))
