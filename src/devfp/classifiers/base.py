@@ -4,7 +4,10 @@ All six classifier variants sit behind one contract. `train_model(dataset,
 ModelSpec)` (in `ensembles`) is the one way to train any of them: a trained
 model holds the attribute schema and the ordered class names fixed at
 training time, and produces a probability distribution over those classes
-for any row of feature values that matches the schema. Prediction has one
+for any row of feature values that matches the schema. It is one of three
+classes, its `variant` naming the algorithm: `trees.TreeModel` (j48, rt,
+rf and bagging, every tree in one set of columns), `bayes.NaiveBayesModel`
+(nb) or `ensembles.EnsembleModel` (vote). Prediction has one
 path, `distribution_batch(X)`: X is a float64 n x k matrix of rows aligned
 to the schema (k attributes), with NaN marking Absent cells, and the result
 is an n x C float64 matrix of class distributions (C classes, each row sums

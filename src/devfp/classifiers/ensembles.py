@@ -1,4 +1,4 @@
-"""The one training entry point, and the ensemble model.
+"""The one training entry point, and the vote model.
 
 `train_model(dataset, ModelSpec)` trains every variant: j48, rt, rf, nb,
 bagging and vote. Each trained model draws its randomness from RNGs keyed
@@ -12,12 +12,12 @@ by `derive_rng`:
 j48 and nb draw nothing. An rf or bagging member draws its bootstrap sample
 from its RNG, and an rf member then the candidate attributes of its nodes.
 All samples are drawn first; then every member tree grows in one frontier
-(`trees.grow_trees`), each exactly as it would grow alone. Vote members
-train one after another. Predictions are the arithmetic mean of member
-class distributions (member matrices added in member order, then divided by
-the member count; rf and bagging route all their trees in one stacked
-pass); the predicted class is the argmax with ties broken toward the lower
-class index.
+(`trees.grow_trees`), each exactly as it would grow alone, into one
+`TreeModel` that holds them all. Vote members train one after another.
+Predictions are the arithmetic mean of member class distributions (rf and
+bagging route all their trees in one pass, see `trees`; a vote adds its
+members' matrices); the predicted class is the argmax with ties broken
+toward the lower class index.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .base import (
     Hyperparams,
     ModelSpec,
     TrainedModel,
-    VARIANT_BAGGING,
     VARIANT_C45,
     VARIANT_NAIVE_BAYES,
     VARIANT_RANDOM_FOREST,
@@ -45,36 +44,24 @@ from .base import (
     derive_rng,
 )
 from .bayes import NaiveBayesModel, fit_naive_bayes
-from .trees import StackedTrees, TreeModel, grow_trees
+from .trees import TreeModel, grow_trees
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleModel(TrainedModel):
-    """rf, bagging or vote: the mean of the members' class distributions.
-
-    When every member is a tree (always so for rf and bagging), each
-    prediction stacks the trees and routes them all at once
-    (`trees.StackedTrees`). Otherwise (a vote with an nb or ensemble member)
-    the members' matrices are added one member at a time, each member
-    predicting by its own path. Both add in member order, then divide by the
-    member count.
-    """
+    """A vote: the mean of the members' class distributions, their matrices
+    added in member order, then divided by the member count. A lone tree's
+    matrix is its leaf rows divided by 1, so a vote of trees has the bits of
+    routing them as one forest."""
 
     members: tuple[TrainedModel, ...]
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
-        if all(isinstance(member, TreeModel) for member in self.members):
-            return StackedTrees(self.members, len(self.schema)).mean_distribution(X)
         total = np.zeros((X.shape[0], len(self.class_names)), dtype=np.float64)
         for member in self.members:
             total += member.distribution_batch(X)
         total /= len(self.members)
         return total
-
-
-# The tree variant of the members of a bootstrap ensemble. Model files do not
-# store member variants, so the loader reads them from here too.
-TREE_MEMBER_VARIANTS = {VARIANT_RANDOM_FOREST: VARIANT_RANDOM_TREE, VARIANT_BAGGING: VARIANT_C45}
 
 
 def _train(dataset: Dataset, variant: str, hp: Hyperparams, rng: Optional[random.Random]) -> TrainedModel:
@@ -91,23 +78,20 @@ def _train(dataset: Dataset, variant: str, hp: Hyperparams, rng: Optional[random
     if variant == VARIANT_NAIVE_BAYES:
         return NaiveBayesModel(**fit_naive_bayes(X, y, n_classes, hp), **common)
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
+        samples = [np.arange(len(y))]
         rngs = None if variant == VARIANT_C45 else [derive_rng(hp.seed, "rt") if rng is None else rng]
-        (arrays,) = grow_trees(X, y, n_classes, [np.arange(len(y))], hp, rngs)
-        return TreeModel(variant=variant, **arrays, **common)
-
-    # rf or bagging: every bootstrap sample is drawn, then all trees grow together
-    if variant == VARIANT_RANDOM_FOREST:
-        rounds, fraction = hp.forest_trees, 1.0
     else:
-        rounds, fraction = hp.bagging_rounds, hp.bag_fraction
-    token = hp.seed if rng is None else rng.getrandbits(64)
-    rngs = [derive_rng(token, variant, i) for i in range(rounds)]
-    n = len(y)
-    samples = (bootstrap_indices(r, n, max(1, round(fraction * n))) for r in rngs)
-    member_variant = TREE_MEMBER_VARIANTS[variant]
-    trees = grow_trees(X, y, n_classes, samples, hp, rngs if member_variant == VARIANT_RANDOM_TREE else None)
-    members = tuple(TreeModel(variant=member_variant, **common, **arrays) for arrays in trees)
-    return EnsembleModel(variant=variant, members=members, **common)
+        # rf or bagging: every bootstrap sample is drawn, then all trees grow together
+        if variant == VARIANT_RANDOM_FOREST:
+            rounds, fraction = hp.forest_trees, 1.0
+        else:
+            rounds, fraction = hp.bagging_rounds, hp.bag_fraction
+        token = hp.seed if rng is None else rng.getrandbits(64)
+        draws = [derive_rng(token, variant, i) for i in range(rounds)]
+        n = len(y)
+        samples = (bootstrap_indices(r, n, max(1, round(fraction * n))) for r in draws)
+        rngs = draws if variant == VARIANT_RANDOM_FOREST else None  # bagging grows j48 trees
+    return TreeModel(variant=variant, **grow_trees(X, y, n_classes, samples, hp, rngs), **common)
 
 
 def train_model(dataset: Dataset, spec: ModelSpec) -> TrainedModel:

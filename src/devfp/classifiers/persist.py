@@ -14,8 +14,8 @@ order,
     params       variant-specific, see below
 
 Tree params (j48, rt, rf, bagging) hold every tree of the model as one set
-of columns, a lone tree being a forest of one (rf members are rt trees,
-bagging members j48 trees):
+of columns, a lone tree being a forest of one (rf trees are rt trees,
+bagging trees j48 trees):
 
     sizes        [nodes per tree...]
     attribute    [per node: its schema attribute, -1 for a leaf...]
@@ -31,8 +31,10 @@ tree: the running sum of +1 per leaf and -1 per split. Every split needs
 h >= 2 before it and every tree ends at h = 1; the left child of split i
 is node i - 1 and its right child the last earlier node of its tree with
 the same h as i. So every text that loads is a set of trees, each reaching
-each of its nodes exactly once from its root, the last node. Node i of a
-tree is node i of its TreeModel's arrays.
+each of its nodes exactly once from its root, the last node. The columns
+are the TreeModel's own (`attribute` is its `feature`, `absent` its
+`absent_left`, the sparse counts its `counts`), and TreeModel derives the
+children by this rule, rejecting columns that break it.
 
 nb params hold {priors, means, stddevs}, null marking classes that never
 saw an attribute (NaN in the model's arrays). Vote params hold {"members":
@@ -42,7 +44,7 @@ class names and hyperparams, and none is a vote.
 The text is canonical: ASCII (strings escape every other character as
 json.dumps does), no whitespace, the keys in the order above, ints written
 by str and floats by repr (so they parse back bit-identically), and one
-final LF. save_model writes the tree columns straight from the TreeModel
+final LF. save_model writes the tree columns straight from the TreeModel's
 arrays, a bounded piece at a time, and json.dumps only the rest. load_model
 accepts exactly the texts save_model writes: every text it accepts re-saves
 to the same bytes. It reads the header values and the nb params with json
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -81,7 +83,7 @@ from .base import (
     TrainedModel,
 )
 from .bayes import NaiveBayesModel
-from .ensembles import TREE_MEMBER_VARIANTS, EnsembleModel
+from .ensembles import EnsembleModel
 from .trees import TreeModel
 
 FORMAT_NAME = "devfp-model"
@@ -99,10 +101,10 @@ def _dumps(value: object) -> str:
 # Writing
 
 
-# Values per piece of a column's text: the Python objects of one piece are
-# live at a time, so saving holds about two copies of the text, whatever the
-# size of the forest.
-_PIECE = 4096
+# Values per piece of a column's text: the Python objects of one piece (a
+# value and its str, about 100 bytes) are live at a time, so saving holds
+# about two copies of the text, whatever the size of the forest.
+_PIECE = 1024
 
 
 def _joined(pieces: Iterator[list]) -> Iterator[str]:
@@ -114,18 +116,19 @@ def _joined(pieces: Iterator[list]) -> Iterator[str]:
             comma = ","
 
 
-def _forest_parts(trees: Sequence[TreeModel]) -> Iterator[str]:
-    """The text of the tree params of a forest, a piece of one column at a time."""
-    nodes = [(t, slice(s, s + _PIECE)) for t in trees for s in range(0, len(t.feature), _PIECE)]
-    leaves = [t.counts[s:s + _PIECE] for t in trees for s in range(0, len(t.counts), _PIECE)]
-    yield '{"sizes":[' + ",".join(str(len(t.feature)) for t in trees) + '],"attribute":['
-    yield from _joined(t.feature[p].tolist() for t, p in nodes)
+def _pieces(column: np.ndarray) -> Iterator[np.ndarray]:
+    return (column[s:s + _PIECE] for s in range(0, len(column), _PIECE))
+
+
+def _forest_parts(model: TreeModel) -> Iterator[str]:
+    """The text of a tree model's params, a piece of one column at a time."""
+    yield '{"sizes":[' + ",".join(map(str, model.sizes.tolist())) + '],"attribute":['
+    yield from _joined(p.tolist() for p in _pieces(model.feature))
     yield '],"threshold":['
-    yield from _joined(t.threshold[p][t.feature[p] >= 0].tolist() for t, p in nodes)
+    yield from _joined(p.tolist() for p in _pieces(model.threshold))
     yield '],"absent":"'
-    for t, p in nodes:
-        letters = np.where(t.absent_left[p][t.feature[p] >= 0], ord("l"), ord("r")).astype(np.uint8)
-        yield letters.tobytes().decode("ascii")
+    yield np.where(model.absent_left, b"l", b"r").tobytes().decode("ascii")
+    leaves = list(_pieces(model.counts))
     yield '","leaf_nnz":['
     yield from _joined(np.count_nonzero(c, axis=1).tolist() for c in leaves)
     yield '],"count_class":['
@@ -151,18 +154,16 @@ def _nb_text(arrays: dict) -> str:
 def _params_parts(model: TrainedModel) -> Iterator[str]:
     """The text of model's params, in pieces."""
     if isinstance(model, TreeModel):
-        yield from _forest_parts((model,))
+        yield from _forest_parts(model)
     elif isinstance(model, NaiveBayesModel):
         yield _nb_text(vars(model))
-    elif isinstance(model, EnsembleModel) and model.variant == VARIANT_VOTE:
+    elif isinstance(model, EnsembleModel):
         yield '{"members":['
         for i, member in enumerate(model.members):
             yield ("," if i else "") + '{"variant":' + _dumps(member.variant) + ',"params":'
             yield from _params_parts(member)
             yield "}"
         yield "]}"
-    elif isinstance(model, EnsembleModel):
-        yield from _forest_parts(model.members)
     else:
         raise ModelFormatError(f"cannot persist model type {type(model).__name__}")
 
@@ -242,9 +243,11 @@ def _ints(body: str, key: str, low: int, high: int, size: int = -1) -> np.ndarra
         not len(values) or low <= values.min() <= values.max() <= high
     ):
         # digits, minus signs and commas: any other spelling of the same ints
-        # (leading zeros, -0, extra commas) is longer
+        # (leading zeros, -0, extra commas) is longer, and a bare minus sign,
+        # which np.fromstring reads as 0, is one minus sign too many
+        negative = int(np.count_nonzero(values < 0))
         digits = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right")
-        if max(int(digits.sum()) + int(np.count_nonzero(values < 0)) + 2 * len(values) - 1, 0) == len(body):
+        if body.count("-") == negative and max(int(digits.sum()) + negative + 2 * len(values) - 1, 0) == len(body):
             return values
     count = "" if size < 0 else f"{size} "
     raise ModelFormatError(f"{key} must list {count}ints from {low} to {high} as save_model writes them")
@@ -280,9 +283,9 @@ def _floats(text: str, start: int, end: int, key: str, size: int) -> np.ndarray:
     return values
 
 
-def _read_forest(text: str, pos: int, variant: str, n_attributes: int, n_classes: int) -> tuple[list[dict], int]:
-    """TreeModel arrays of each tree of the tree params at pos, read in one
-    pass over all trees, and their end."""
+def _read_forest(text: str, pos: int, variant: str, n_attributes: int, n_classes: int) -> tuple[dict, int]:
+    """The TreeModel columns of the tree params at pos, read in one pass
+    over all trees, and their end. TreeModel checks the structure."""
     start, pos = _span(text, pos, '{"sizes":[', "]")
     sizes = _ints(text[start:pos], "sizes", 1, _INT32_MAX)
     if not len(sizes):
@@ -291,41 +294,17 @@ def _read_forest(text: str, pos: int, variant: str, n_attributes: int, n_classes
         raise ModelFormatError(f"a {variant} model is one tree, not {len(sizes)}")
     start, pos = _span(text, pos, '],"attribute":[', "]")
     feature = _ints(text[start:pos], "attribute", -1, n_attributes - 1, int(sizes.sum()))
-    split = feature >= 0
-    n, n_splits = len(feature), int(np.count_nonzero(split))
-    end = np.cumsum(sizes)
-    first = end - sizes
-
-    # h, counted on from tree to tree: tree t starts at t and must end at t + 1
-    height = np.cumsum(np.where(split, -1, 1))
-    tops = np.arange(1, len(sizes) + 1)
-    if not (np.array_equal(height[end - 1], tops) and np.all(np.minimum.reduceat(height, first) >= tops)):
-        raise ModelFormatError(
-            "malformed tree: in post-order every split needs two subtrees before it, and a tree ends at its root"
-        )
-    # among the nodes of a split's height, in node order, the one before the split is its right child
-    order = np.argsort(height, kind="stable")
-    del height
-    child = split[order[1:]]
-    right = np.full(n, -1, dtype=np.intp)
-    right[order[1:][child]] = order[:-1][child]
-    del order, child
-    offset = np.repeat(first, sizes)
-    right = np.where(split, right - offset, -1)
-    left = np.where(split, np.arange(-1, n - 1) - offset, -1)
-    del offset
+    n_splits = int(np.count_nonzero(feature >= 0))
 
     start, pos = _span(text, pos, '],"threshold":[', "]")
-    threshold = np.zeros(n)
-    threshold[split] = _floats(text, start, pos, "threshold", n_splits)
+    threshold = _floats(text, start, pos, "threshold", n_splits)
     start, pos = _span(text, pos, '],"absent":"', '"')
     letters = text[start:pos]
     if len(letters) != n_splits or letters.strip("lr"):
         raise ModelFormatError(f"absent must be a string of {n_splits} letters l or r")
-    absent_left = np.zeros(n, dtype=bool)
-    absent_left[split] = np.frombuffer(letters.encode("ascii"), dtype=np.uint8) == ord("l")
+    absent_left = np.frombuffer(letters.encode("ascii"), dtype=np.uint8) == ord("l")
 
-    n_leaves = n - n_splits
+    n_leaves = len(feature) - n_splits
     start, pos = _span(text, pos, '","leaf_nnz":[', "]")
     nnz = _ints(text[start:pos], "leaf_nnz", 1, n_classes, n_leaves)
     n_counts = int(nnz.sum())
@@ -338,22 +317,8 @@ def _read_forest(text: str, pos: int, variant: str, n_attributes: int, n_classes
     start, pos = _span(text, pos, '],"count":[', "]")
     counts = np.zeros((n_leaves, n_classes), dtype=np.int32)
     counts[np.repeat(np.arange(n_leaves), nnz), classes] = _ints(text[start:pos], "count", 1, _INT32_MAX, n_counts)
-
-    leaves = (sizes + 1) // 2  # a tree of s nodes has (s + 1) / 2 leaves
-    leaf_end = np.cumsum(leaves)
-    trees = [
-        {
-            "feature": feature[a:b],
-            "threshold": threshold[a:b],
-            "left": left[a:b],
-            "right": right[a:b],
-            "absent_left": absent_left[a:b],
-            "counts": counts[la:lb],
-            "root": b - a - 1,
-        }
-        for a, b, la, lb in zip(first.tolist(), end.tolist(), (leaf_end - leaves).tolist(), leaf_end.tolist())
-    ]
-    return trees, _expect(text, pos, "]}")
+    columns = {"sizes": sizes, "feature": feature, "threshold": threshold, "absent_left": absent_left, "counts": counts}
+    return columns, _expect(text, pos, "]}")
 
 
 def _read_naive_bayes(text: str, pos: int, n_attributes: int, n_classes: int) -> tuple[dict, int]:
@@ -396,11 +361,11 @@ def _read_params(text: str, pos: int, variant: object, common: dict) -> tuple[Tr
     `common` holds the schema, class names and hyperparams."""
     shape = (len(common["schema"]), len(common["class_names"]))
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE, VARIANT_RANDOM_FOREST, VARIANT_BAGGING):
-        trees, pos = _read_forest(text, pos, variant, *shape)
-        if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
-            return TreeModel(variant=variant, **trees[0], **common), pos
-        members = tuple(TreeModel(variant=TREE_MEMBER_VARIANTS[variant], **arrays, **common) for arrays in trees)
-        return EnsembleModel(variant=variant, members=members, **common), pos
+        columns, pos = _read_forest(text, pos, variant, *shape)
+        try:
+            return TreeModel(variant=variant, **columns, **common), pos
+        except ValueError as exc:  # the trees' structure
+            raise ModelFormatError(str(exc)) from exc
     if variant == VARIANT_NAIVE_BAYES:
         arrays, pos = _read_naive_bayes(text, pos, *shape)
         return NaiveBayesModel(**arrays, **common), pos

@@ -18,18 +18,19 @@ branch that received the majority of training rows.
 
 Nodes are appended to flat arrays as they are created, parents before
 children. Pessimistic pruning and the post-order numbering of the model
-format then run one tree level at a time across all trees. A trained tree
-is a set of parallel node arrays in the style of scikit-learn's `Tree`.
+format then run one tree level at a time across all trees. A trained model
+(`TreeModel`, one class for j48, rt, rf and bagging) holds all its trees as
+one set of the model format's columns; a lone tree is a forest of one.
 
-Prediction routes every tree of a forest at once (`StackedTrees`; a lone
-tree is a forest of one). The trees' split nodes are stacked into one set
-of node columns, and every (tree, row) pair of a block of rows moves one
-level per step through flat gathers and a child[2 * node + (x > threshold)]
-table. Absent needs no test per step: it reads as -inf at a node that sends
-it left and as +inf at one that sends it right, which is exact because
-every threshold is finite (growth takes midpoints of finite values, and
-the loader rejects non-finite ones). The leaf distributions are then added
-in tree order and divided by the tree count, the bits of a per-tree loop.
+Prediction routes every tree of a model at once. Every (tree, row) pair of
+a block of rows moves one level per step through flat gathers and a
+child[2 * node + (x > threshold)] table, which the model builds once from
+its columns. Absent needs no test per step: it reads as -inf at a node that
+sends it left and as +inf at one that sends it right, which is exact
+because every threshold is finite (growth takes midpoints of finite values,
+and the loader rejects non-finite ones). The leaf distributions are then
+added in tree order and divided by the tree count, the bits of a per-tree
+loop.
 """
 
 from __future__ import annotations
@@ -83,134 +84,138 @@ def _pessimistic_errors(counts: np.ndarray, confidence: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TreeModel(TrainedModel):
-    """A binary decision tree as parallel node arrays (children before parents).
+    """A j48, rt, rf or bagging model: every tree as one set of the model
+    format's columns (a lone tree is a forest of one).
 
-    Split node i (feature[i] >= 0) sends a row to left[i] when its value of
-    schema attribute feature[i] is <= threshold[i], to right[i] when it is
-    greater, and to left[i] when it is Absent exactly if absent_left[i].
-    Every threshold is finite: prediction relies on it. Leaves have feature
-    -1; their training class counts are the rows of `counts` (int32, half
-    the memory of int64), in node order. Only leaves carry the
-    Laplace-smoothed distribution (count_c + 1) / (total + n_classes),
-    computed once here. Prediction routes the tree as a forest of one
-    (`StackedTrees`).
+    Tree t holds sizes[t] nodes, the trees one after another. `feature` has
+    one entry per node: each tree's nodes in post-order (right subtree, left
+    subtree, node), a split holding the schema attribute it tests and a leaf
+    -1. `threshold` and `absent_left` have one entry per split, in node
+    order: a row goes right when its value is greater than the threshold,
+    left when it is not, and left when it is Absent exactly if absent_left.
+    Every threshold is finite: prediction relies on it. `counts` has one row
+    of training class counts (int32, half the memory of int64) per leaf, in
+    node order.
+
+    The routing columns are built once, here. A node's number is its split
+    index when it is a split, else the number of splits plus its leaf index,
+    which is its row of `counts` and of `proba`, the Laplace-smoothed
+    distribution (count_c + 1) / (total + n_classes). Split s reads column[s]
+    of a block's value matrix, which holds the k schema columns with Absent
+    as -inf and then as +inf, so column[s] is the attribute plus k when the
+    split sends Absent right. It goes to child[2 * s + 1] when the value is
+    greater than threshold[s], else to child[2 * s]. Both children of a leaf
+    are itself, so a row that reached a leaf stays there. roots[t] is the
+    number of tree t's last node.
     """
 
+    sizes: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     absent_left: np.ndarray
     counts: np.ndarray
-    root: int
-    leaf: np.ndarray = field(init=False, repr=False)  # node -> row of counts/proba
+    column: np.ndarray = field(init=False, repr=False)
+    child: np.ndarray = field(init=False, repr=False)
     proba: np.ndarray = field(init=False, repr=False)
+    roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "leaf", np.cumsum(self.feature < 0) - 1)
-        counts = self.counts.astype(np.float64)
-        proba = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + counts.shape[1])
-        object.__setattr__(self, "proba", proba)
+        split = self.feature >= 0
+        n, n_splits = len(split), len(self.threshold)
+        right = _right_children(self.sizes, split)
+        number = np.empty(n, dtype=np.intp)
+        number[split] = np.arange(n_splits)
+        number[~split] = np.arange(n_splits, n)
+        child = np.empty((n, 2), dtype=np.intp)
+        child[:n_splits, 0] = number[np.flatnonzero(split) - 1]  # the node before a split is its left child
+        child[:n_splits, 1] = number[right]
+        child[n_splits:] = np.arange(n_splits, n)[:, None]
+        column = self.feature[split] + np.where(self.absent_left, 0, len(self.schema))
+        proba = self.counts + 1.0
+        proba /= proba.sum(axis=1, keepdims=True)  # integer-valued sums: exactly total + n_classes
+        for name, value in (("column", column), ("child", child.ravel()), ("proba", proba),
+                            ("roots", number[np.cumsum(self.sizes) - 1])):
+            object.__setattr__(self, name, value)
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
-        return StackedTrees((self,), len(self.schema)).mean_distribution(X)
-
-
-# (tree, row) pairs routed per block of rows. It bounds prediction's working
-# memory; a lone tree routes this many rows per block.
-_BLOCK_PAIRS = 12_000
-
-
-class StackedTrees:
-    """The node columns of a sequence of trees, stacked to route them all at once.
-
-    Stacked node numbers run over every tree's split nodes first, tree by
-    tree in node order, then over every tree's leaves, tree by tree in the
-    order of their `proba` rows: leaf j of tree t is number leaf_start[t] + j,
-    and a number routes on exactly when it is below n_splits. Split number s
-    reads column[s] of a block's value matrix, which holds the k schema
-    columns with Absent as -inf and then as +inf, so column[s] is the
-    feature plus k when the node sends Absent right. It goes to
-    child[2 * s + 1] when the value is greater than threshold[s], else to
-    child[2 * s]. A leaf's threshold is NaN and both its children are itself,
-    so a pair that reached a leaf stays there until its block drops it.
-
-    The columns take 32 bytes per node. They are built for each prediction
-    call and dropped after it: held with a model, they raised the peak RSS
-    of `train-eval rf`, whose save_model ran on top of them.
-    """
-
-    def __init__(self, trees: Sequence[TreeModel], n_attributes: int) -> None:
-        self.probas = [tree.proba for tree in trees]
-        splits = [tree.feature >= 0 for tree in trees]
-        split_start = np.cumsum([0, *map(np.count_nonzero, splits)])
-        self.n_splits = n_splits = int(split_start[-1])
-        self.leaf_start = n_splits + np.cumsum([0, *(len(p) for p in self.probas)])
-        n_nodes = int(self.leaf_start[-1])
-        self.n_attributes = n_attributes
-        self.column = np.zeros(n_nodes, dtype=np.intp)
-        self.threshold = np.full(n_nodes, np.nan)
-        child = np.empty((n_nodes, 2), dtype=np.intp)
-        child[n_splits:] = np.arange(n_splits, n_nodes)[:, None]
-        roots = []
-        for t, (tree, split) in enumerate(zip(trees, splits)):
-            number = np.where(split, split_start[t] + np.cumsum(split) - 1, self.leaf_start[t] + tree.leaf)
-            at = slice(split_start[t], split_start[t + 1])
-            self.column[at] = tree.feature[split] + np.where(tree.absent_left[split], 0, n_attributes)
-            self.threshold[at] = tree.threshold[split]
-            child[at, 0] = number[tree.left[split]]
-            child[at, 1] = number[tree.right[split]]
-            roots.append(number[tree.root])
-        self.child = child.ravel()
-        self.roots = np.array(roots, dtype=np.intp)
-
-    def mean_distribution(self, X: np.ndarray) -> np.ndarray:
-        """The mean of the trees' class distributions for rows X (n x k,
-        NaN = Absent): their leaf `proba` rows added in tree order, then
-        divided by the tree count."""
-        n_trees = len(self.probas)
-        total = np.zeros((X.shape[0], self.probas[0].shape[1]))
+        """The mean of the trees' class distributions: their leaf `proba`
+        rows added in tree order, then divided by the tree count."""
+        n_trees = len(self.sizes)
+        total = np.zeros((X.shape[0], self.proba.shape[1]))
         block = max(1, _BLOCK_PAIRS // n_trees)
         for start in range(0, X.shape[0], block):
             out = total[start:start + block]
-            for proba, rows in zip(self.probas, self._leaf_rows(X[start:start + block])):
-                out += proba.take(rows, axis=0)
+            for rows in self._leaf_rows(X[start:start + block]):
+                out += self.proba.take(rows, axis=0)
         total /= n_trees
         return total
 
     def _leaf_rows(self, X: np.ndarray) -> np.ndarray:
-        """(trees x rows): the proba row of the leaf that each tree routes
-        each row of X to. The block moves its routing pairs one level per
-        step, and drops those at a leaf once at most 3/4 of them still route:
-        a dropped pair costs a compaction, a kept one a step."""
+        """(trees x rows): the leaf index that each tree routes each row of X
+        to. Every (tree, row) pair of the block moves one level per step, and
+        the pairs at a leaf are dropped once at most 3/4 of them still route:
+        a dropped pair costs a compaction, a kept one a step. A pair at a
+        leaf reads the last split's column and threshold (take clips its
+        number), which cannot move it."""
         n, k = X.shape
-        if k != self.n_attributes:
-            raise ValueError(f"rows have {k} columns, the model's schema {self.n_attributes}")
+        if k != len(self.schema):
+            raise ValueError(f"rows have {k} columns, the model's schema {len(self.schema)}")
+        n_splits = len(self.threshold)
         absent = np.isnan(X)
         values = np.concatenate((np.where(absent, -np.inf, X), np.where(absent, np.inf, X)), axis=1).ravel()
         node = np.repeat(self.roots, n)  # pair p is (tree p // n, row p % n)
-        pair = np.flatnonzero(node < self.n_splits)
+        pair = np.flatnonzero(node < n_splits)
         at = node[pair]
         offset = pair % n * (2 * k)
         while at.size:
-            cell = self.column.take(at)
+            cell = self.column.take(at, mode="clip")
             cell += offset
             value = values.take(cell)
             del cell  # freed before the next gather, which bounds a block's memory
-            right = value > self.threshold.take(at)
+            right = value > self.threshold.take(at, mode="clip")
             at += at
             at += right
             at = self.child.take(at)
-            routing = at < self.n_splits
+            routing = at < n_splits
             if 4 * np.count_nonzero(routing) <= 3 * at.size:
                 node[pair] = at
                 keep = np.flatnonzero(routing)
                 at = at[keep]
                 pair = pair[keep]
                 offset = offset[keep]
-        rows = node.reshape(len(self.probas), n)
-        rows -= self.leaf_start[:-1, None]
+        rows = node.reshape(len(self.sizes), n)
+        rows -= n_splits
         return rows
+
+
+def _right_children(sizes: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """The right child of each split, in node order, of trees of these sizes
+    whose nodes are in post-order and are splits where `split` holds.
+
+    Let h be the stack height after each node, counted on from tree to tree:
+    the running sum of +1 per leaf and -1 per split. Tree t must end at
+    h = t + 1 and stay at h >= t + 1, so every split has two subtrees before
+    it in its tree. The right child of a split is then the last earlier node
+    with the same h. Raises ValueError when the nodes are not such trees.
+    """
+    height = np.cumsum(np.where(split, -1, 1))
+    end = np.cumsum(sizes)
+    tops = np.arange(1, len(sizes) + 1)
+    if not (np.array_equal(height[end - 1], tops) and np.all(np.minimum.reduceat(height, end - sizes) >= tops)):
+        raise ValueError(
+            "malformed tree: in post-order every split needs two subtrees before it, and a tree ends at its root"
+        )
+    # among the nodes of one height, in node order, the one before a split is its right child
+    order = np.argsort(height, kind="stable")
+    del height
+    right = np.empty(len(split), dtype=np.intp)
+    right[order[1:]] = order[:-1]
+    return right[split]
+
+
+# (tree, row) pairs routed per block of rows. It bounds prediction's working
+# memory; a lone tree routes this many rows per block.
+_BLOCK_PAIRS = 12_000
 
 
 # Rows scored per growth step, summed over the frontier's (node, candidate
@@ -222,9 +227,10 @@ _STEP_ROWS = 1 << 15
 def grow_trees(
     X: np.ndarray, y: np.ndarray, n_classes: int, samples: Iterable[np.ndarray], hp: Hyperparams,
     rngs: Optional[Sequence[random.Random]] = None,
-) -> list[dict]:
-    """TreeModel node arrays of one tree per sample (row indices into X, y),
-    all taken from `samples` before growth starts.
+) -> dict:
+    """The TreeModel columns (sizes, feature, threshold, absent_left and
+    counts) of one tree per sample (row indices into X, y), all taken from
+    `samples` before growth starts.
 
     With rngs None the trees are C4.5 trees over every attribute, pruned
     when hp.c45_prune; otherwise tree t is an unpruned random tree whose
@@ -357,10 +363,10 @@ def _route(
 def _finish(
     tree: np.ndarray, depth: np.ndarray, counts: np.ndarray, split_blocks: list, n_trees: int,
     confidence: Optional[float],
-) -> list[dict]:
-    """Node arrays of each tree of the node table (whose first n_trees nodes
-    are the roots): pruned bottom-up when a confidence is given, then
-    numbered in the post-order of the model format."""
+) -> dict:
+    """The TreeModel columns of the trees of the node table (whose first
+    n_trees nodes are the roots): pruned bottom-up when a confidence is
+    given, then put in the post-order of the model format."""
     n = len(tree)
     feature = np.full(n, -1, dtype=np.intp)
     threshold = np.zeros(n)
@@ -400,24 +406,16 @@ def _finish(
     number = size[tree] - 1 - pre
     node = np.flatnonzero(kept)
     node = node[np.lexsort((number[node], tree[node]))]
-
-    leaf = feature < 0
-    threshold[leaf] = 0.0
-    absent_left[leaf] = False
-    left = np.where(leaf, -1, number[left])
-    right = np.where(leaf, -1, number[right])
-    end = np.cumsum(size[:n_trees])
-    trees = []
-    for t in range(n_trees):
-        nodes = node[end[t] - size[t]:end[t]]
-        trees.append({
-            "feature": feature[nodes],
-            "threshold": threshold[nodes],
-            "left": left[nodes],
-            "right": right[nodes],
-            "absent_left": absent_left[nodes],
-            "counts": counts[nodes[leaf[nodes]]],
-            "root": int(size[t]) - 1,
-        })
-    return trees
+    sizes = size[:n_trees].copy()
+    # the node table goes before the columns are gathered: this lowers train-eval rf's peak RSS
+    del tree, depth, left, right, levels, size, pre, kept, number
+    feature = feature[node]
+    split = node[feature >= 0]
+    return {
+        "sizes": sizes,
+        "feature": feature,
+        "threshold": threshold[split],
+        "absent_left": absent_left[split],
+        "counts": counts[node[feature < 0]],
+    }
 

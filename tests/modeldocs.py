@@ -11,7 +11,7 @@ the root of the subtree before that). A vote member is `member(variant,
 params)`. `canonical` writes a document as save_model does (no whitespace,
 one final LF), the only text load_model reads, so that a test of a
 document's content is not rejected for its form. `staircase` builds a very
-large tree from its arrays, without a document.
+large tree from its columns, without a document.
 """
 
 import json
@@ -99,17 +99,9 @@ def staircase(n_splits: int) -> TreeModel:
     n = 2 * n_splits + 1
     feature = np.full(n, -1, dtype=np.intp)
     feature[2::2] = 0
-    threshold = np.zeros(n)
-    threshold[2::2] = np.arange(n_splits) + 0.5
-    left = np.full(n, -1, dtype=np.intp)
-    left[2::2] = np.arange(1, n, 2)
-    right = np.full(n, -1, dtype=np.intp)
-    right[2::2] = np.arange(0, n - 1, 2)
-    absent_left = np.zeros(n, dtype=bool)
-    absent_left[2::4] = True
     counts = np.stack((np.arange(n_splits + 1) % 7, np.ones(n_splits + 1)), axis=1).astype(np.int32)
     return TreeModel(
         schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="j48",
-        feature=feature, threshold=threshold, left=left, right=right, absent_left=absent_left,
-        counts=counts, root=n - 1,
+        sizes=np.array([n]), feature=feature, threshold=np.arange(n_splits) + 0.5,
+        absent_left=np.arange(n_splits) % 2 == 0, counts=counts,
     )

@@ -270,30 +270,87 @@ def reference_bootstrap(rng, n: int, size: int) -> np.ndarray:
     return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
 
 
+def reference_columns(trees: list) -> dict:
+    """The TreeModel columns of node arrays (as reference_tree returns them),
+    one tree after another: sizes, feature per node, threshold and
+    absent_left per split, and the leaves' counts."""
+    feature = np.concatenate([tree["feature"] for tree in trees])
+    split = feature >= 0
+    return {
+        "sizes": np.array([len(tree["feature"]) for tree in trees], dtype=np.intp),
+        "feature": feature,
+        "threshold": np.concatenate([tree["threshold"] for tree in trees])[split],
+        "absent_left": np.concatenate([tree["absent_left"] for tree in trees])[split],
+        "counts": np.concatenate([tree["counts"] for tree in trees]),
+    }
+
+
+def tree_nodes(model) -> list:
+    """Each tree of a tree model as node arrays in the layout reference_tree
+    returns: feature, threshold and absent_left per node (0.0 and False at a
+    leaf), left and right per node (-1 at a leaf), counts, and root, plus the
+    tree's proba rows and leaf (node -> row of counts and proba). The columns
+    are split by `sizes`, and the children found by a stack walk over each
+    tree's post-order (right subtree, left subtree, node)."""
+    trees = []
+    node = split_at = leaf_at = 0
+    for size in model.sizes.tolist():
+        feature = model.feature[node:node + size]
+        split = feature >= 0
+        n_splits = int(np.count_nonzero(split))
+        threshold = np.zeros(size)
+        threshold[split] = model.threshold[split_at:split_at + n_splits]
+        absent_left = np.zeros(size, dtype=bool)
+        absent_left[split] = model.absent_left[split_at:split_at + n_splits]
+        left = np.full(size, -1, dtype=np.intp)
+        right = np.full(size, -1, dtype=np.intp)
+        stack = []
+        for i, attribute in enumerate(feature.tolist()):
+            if attribute >= 0:
+                left[i] = stack.pop()
+                right[i] = stack.pop()
+            stack.append(i)
+        assert stack == [size - 1], "not one tree in post-order"
+        leaves = slice(leaf_at, leaf_at + size - n_splits)
+        trees.append({
+            "feature": feature, "threshold": threshold, "left": left, "right": right,
+            "absent_left": absent_left, "counts": model.counts[leaves], "root": size - 1,
+            "proba": model.proba[leaves], "leaf": np.cumsum(~split) - 1,
+        })
+        node, split_at, leaf_at = node + size, split_at + n_splits, leaves.stop
+    return trees
+
+
 def reference_distribution(model, X: np.ndarray) -> np.ndarray:
     """Class distributions of rows X by devfp's earlier per-tree prediction:
-    each tree routes all rows one level per step, testing Absent with isnan
-    at every step, and an ensemble adds its members' matrices in member
-    order, then divides by the member count. Naive Bayes predicts by its
-    own path."""
+    each tree of `tree_nodes` routes all rows one level per step, testing
+    Absent with isnan at every step, and the trees' matrices (a vote's
+    members' matrices) are added in order, then divided by their count.
+    Naive Bayes predicts by its own path."""
     if hasattr(model, "members"):
-        total = np.zeros((X.shape[0], len(model.class_names)), dtype=np.float64)
-        for member in model.members:
-            total += reference_distribution(member, X)
-        total /= len(model.members)
-        return total
-    if not hasattr(model, "feature"):
+        parts = [reference_distribution(member, X) for member in model.members]
+    elif hasattr(model, "feature"):
+        parts = [_reference_route(tree, X) for tree in tree_nodes(model)]
+    else:
         return model.distribution_batch(X)
-    node = np.full(X.shape[0], model.root, dtype=np.intp)
-    rows = np.flatnonzero(model.feature[node] >= 0)
+    total = np.zeros((X.shape[0], len(model.class_names)), dtype=np.float64)
+    for part in parts:
+        total += part
+    total /= len(parts)
+    return total
+
+
+def _reference_route(tree: dict, X: np.ndarray) -> np.ndarray:
+    node = np.full(X.shape[0], tree["root"], dtype=np.intp)
+    rows = np.flatnonzero(tree["feature"][node] >= 0)
     while rows.size:
         at = node[rows]
-        value = X[rows, model.feature[at]]
-        go_left = np.where(np.isnan(value), model.absent_left[at], value <= model.threshold[at])
-        at = np.where(go_left, model.left[at], model.right[at])
+        value = X[rows, tree["feature"][at]]
+        go_left = np.where(np.isnan(value), tree["absent_left"][at], value <= tree["threshold"][at])
+        at = np.where(go_left, tree["left"][at], tree["right"][at])
         node[rows] = at
-        rows = rows[model.feature[at] >= 0]
-    return model.proba[model.leaf[node]]
+        rows = rows[tree["feature"][at] >= 0]
+    return tree["proba"][tree["leaf"][node]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from tables import column_scores, make_dataset, predictions, same_dataset, vectors_dataset
 from corpus import REFERENCE_REGISTRY, REFERENCE_ROWS
-from oracles import brute_gain_ratio, reference_bootstrap, reference_tree
+from oracles import brute_gain_ratio, reference_bootstrap, reference_columns, reference_tree
 from pcapbuild import TCP_ACK, FeatureRow, ethernet, ipv4, pcap_file, tcp, udp
 
 from devfp.classifiers import Hyperparams, ModelSpec, TreeModel, derive_rng, train_model
@@ -153,7 +153,7 @@ class TestCriterion3TreeOracle:
                     perfect = predictions(model, [FeatureRow(ip_len=a, ip_ttl=b) for a, b in points]) == labels
                     if perfect:
                         continue
-                    if model.feature[model.root] < 0:
+                    if model.feature[-1] < 0:  # the root, the last node
                         stalled += 1  # no positive-gain split existed at the root
                     else:
                         failures += 1
@@ -200,11 +200,12 @@ class TestCriterion4EnsembleDegeneracy:
         sample = reference_bootstrap(rng, len(y), len(y))
         arrays = reference_tree(X[sample], y[sample], len(dataset.class_names), hp, rng)
         standalone = TreeModel(
-            schema=forest.schema, class_names=forest.class_names, hyperparams=hp, variant="rt", **arrays
+            schema=forest.schema, class_names=forest.class_names, hyperparams=hp, variant="rt",
+            **reference_columns([arrays]),
         )
         vectors = self._random_vectors()
-        rows = zip(*(predictions(model, vectors) for model in (forest, forest.members[0], standalone)))
-        mismatches = sum(1 for a, b, c in rows if not a == b == c)
+        rows = zip(*(predictions(model, vectors) for model in (forest, standalone)))
+        mismatches = sum(1 for a, b in rows if a != b)
         _report(
             4,
             "forest-of-one == its tree on 1000 random vectors",

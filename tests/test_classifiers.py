@@ -16,6 +16,7 @@ from devfp.classifiers import (
     EnsembleModel,
     Hyperparams,
     ModelSpec,
+    TreeModel,
     load_model,
     save_model,
     train_model,
@@ -26,6 +27,7 @@ from devfp.features import Dataset
 from pcapbuild import FeatureRow
 from tables import make_dataset, predictions, schema_rows
 from modeldocs import canonical, document, document_model, leaf, member, split, staircase, tree_model, tree_params
+from oracles import tree_nodes
 
 
 def one_attr_dataset(values, labels) -> Dataset:
@@ -47,24 +49,27 @@ def class_proba(model, row: FeatureRow) -> dict[str, float]:
     return dict(zip(model.class_names, dist.tolist()))
 
 
-def is_leaf(model, node=None) -> bool:
-    return bool(model.feature[model.root if node is None else node] < 0)
+def nodes(model) -> dict:
+    """The node arrays of a lone tree, children included (oracles.tree_nodes)."""
+    (tree,) = tree_nodes(model)
+    return tree
+
+
+def is_leaf(model, node=-1) -> bool:
+    """Whether a node of a lone tree is a leaf; node -1 is the root."""
+    return bool(model.feature[node] < 0)
 
 
 def leaf_counts(model, node) -> tuple:
-    return tuple(model.counts[model.leaf[node]].tolist())
+    return tuple(model.counts[nodes(model)["leaf"][node]].tolist())
+
+
+# the columns a TreeModel is built from
+COLUMNS = ("sizes", "feature", "threshold", "absent_left", "counts")
 
 
 def tree_arrays(model) -> list:
-    return [
-        model.feature.tolist(),
-        model.threshold.tolist(),
-        model.left.tolist(),
-        model.right.tolist(),
-        model.absent_left.tolist(),
-        model.counts.tolist(),
-        model.root,
-    ]
+    return [getattr(model, name).tolist() for name in COLUMNS]
 
 
 UNPRUNED = Hyperparams(c45_prune=False)
@@ -75,12 +80,13 @@ class TestC45:
     def test_linearly_separable_single_split(self):
         dataset = one_attr_dataset([1, 2, 9], ["A", "A", "B"])
         model = train_model(dataset, ModelSpec("j48"))
-        root = model.root
+        tree = nodes(model)
+        root = tree["root"]
         assert not is_leaf(model)
         # brute-force: of the candidate thresholds 1.5 and 5.5, only 5.5
         # separates the classes completely
-        assert model.threshold[root] == 5.5
-        left, right = model.left[root], model.right[root]
+        assert tree["threshold"][root] == 5.5
+        left, right = tree["left"][root], tree["right"][root]
         assert is_leaf(model, left) and is_leaf(model, right)
         assert leaf_counts(model, left) == (2, 0) and leaf_counts(model, right) == (0, 1)
         for value, expected in ((1, "A"), (2, "A"), (9, "B")):
@@ -104,7 +110,7 @@ class TestC45:
         )
         model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert is_leaf(model)
-        assert leaf_counts(model, model.root) == (2, 2)
+        assert leaf_counts(model, 0) == (2, 2)
 
     def test_constant_attributes_yield_leaf(self):
         dataset = one_attr_dataset([5, 5, 5, 5], ["A", "A", "B", "A"])
@@ -132,14 +138,14 @@ class TestC45:
         dataset = one_attr_dataset([1, 2, 3, 50, None, None], ["A", "A", "A", "B", "A", "A"])
         model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
-        assert model.absent_left[model.root]
+        assert model.absent_left[-1]  # the root is the last split
         assert predicted(model, vector()) == "A"
 
     def test_absent_branch_follows_majority_to_right(self):
         dataset = one_attr_dataset([1, 50, 60, 70, None, None], ["A", "B", "B", "B", "B", "B"])
         model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
-        assert not model.absent_left[model.root]
+        assert not model.absent_left[-1]
 
     def test_min_leaf_stops_growth(self):
         dataset = one_attr_dataset([1, 2, 9, 10], ["A", "A", "B", "B"])
@@ -215,7 +221,7 @@ class TestRandomTree:
         for seed in range(12):
             model = train_model(dataset, ModelSpec("rt", Hyperparams(rt_feature_count=1, c45_min_leaf=1, seed=seed)))
             if not is_leaf(model):
-                roots.add(int(model.feature[model.root]))
+                roots.add(int(model.feature[-1]))
         assert roots == {0, 1}
 
 
@@ -309,7 +315,9 @@ class TestEnsembles:
 
     def test_forest_of_one_equals_its_member(self):
         model = train_model(self.dataset(), ModelSpec("rf", Hyperparams(forest_trees=1)))
-        member = model.members[0]
+        columns = {name: getattr(model, name) for name in COLUMNS}
+        member = TreeModel(schema=model.schema, class_names=model.class_names, hyperparams=model.hyperparams,
+                           variant="rt", **columns)
         rng = random.Random(0)
         for _ in range(200):
             v = vector(**{"ip.len": rng.randrange(0, 12), "ip.ttl": rng.choice([None, 32, 64])})
@@ -318,9 +326,9 @@ class TestEnsembles:
 
     def test_identical_members_average_to_member_distribution(self):
         tree = train_model(self.dataset(), ModelSpec("rt", Hyperparams(rt_feature_count=2)))
-        forest = EnsembleModel(
-            schema=tree.schema, class_names=tree.class_names, hyperparams=tree.hyperparams, variant="rf",
-            members=(tree,) * 5,
+        columns = {name: np.concatenate([getattr(tree, name)] * 5) for name in COLUMNS}
+        forest = TreeModel(
+            schema=tree.schema, class_names=tree.class_names, hyperparams=tree.hyperparams, variant="rf", **columns
         )
         v = vector(**{"ip.len": 3, "ip.ttl": 64})
         assert class_proba(forest, v) == class_proba(tree, v)
@@ -332,7 +340,7 @@ class TestEnsembles:
             stub((0.1, 0.9)),
         )
         forest = EnsembleModel(
-            schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="rf",
+            schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="vote",
             members=members,
         )
         assert predicted(forest, vector(**{"ip.len": 1})) == "A"
@@ -342,7 +350,7 @@ class TestEnsembles:
             schema=("ip.len",),
             class_names=("A", "B"),
             hyperparams=Hyperparams(),
-            variant="bagging",
+            variant="vote",
             members=(stub((0.6, 0.4)), stub((0.2, 0.8))),
         )
         proba = class_proba(bagged, vector(**{"ip.len": 1}))
@@ -357,7 +365,7 @@ class TestEnsembles:
     def test_bag_fraction_controls_sample_size(self):
         hp = Hyperparams(bagging_rounds=2, bag_fraction=0.5)
         model = train_model(self.dataset(), ModelSpec("bagging", hp))  # must simply train cleanly
-        assert len(model.members) == 2
+        assert len(model.sizes) == 2
 
     def test_vote_of_one_equals_member(self):
         voted = train_model(self.dataset(), ModelSpec("vote", vote_members=("j48",)))
@@ -442,7 +450,7 @@ class TestPredictContract:
         model = tree_model(
             ("ip.len",), ("A", "B"), [leaf(0, 1), leaf(1, 0), split(0, 5.5, "right", 1, 0)]
         )
-        left, right = model.proba[model.leaf[1]], model.proba[model.leaf[0]]
+        left, right = model.proba[1], model.proba[0]
         X = np.array([[2.0], [5.5], [6.0], [np.nan]])
         dist = model.distribution_batch(X)
         assert np.array_equal(dist[0], left)
@@ -530,11 +538,11 @@ class TestBatchPrediction:
         rows.append((None, None, None))
         trees = [m for model in models for m in getattr(model, "members", (model,))]
         for tree in trees:
-            for attribute, threshold in zip(getattr(tree, "feature", ()), getattr(tree, "threshold", ())):
-                if attribute >= 0:
-                    row = [None, 64, None]
-                    row[attribute] = float(threshold)
-                    rows.append(tuple(row))
+            splits = getattr(tree, "feature", np.zeros(0))
+            for attribute, threshold in zip(splits[splits >= 0], getattr(tree, "threshold", ())):
+                row = [None, 64, None]
+                row[attribute] = float(threshold)
+                rows.append(tuple(row))
         return rows
 
     def test_batch_rows_equal_per_row_distributions(self):
@@ -581,8 +589,10 @@ class TestPersistence:
             assert again.variant == model.variant
             members = [m.variant for m in getattr(again, "members", ())]
             assert members == [m.variant for m in getattr(model, "members", ())]
-            expected = {"rf": ["rt"] * 3, "bagging": ["j48"] * 2, "vote": ["j48", "nb"]}
-            assert members == expected.get(model.variant, [])
+            assert members == (["j48", "nb"] if model.variant == "vote" else [])
+            trees = getattr(again, "sizes", np.zeros(0)).tolist()
+            assert trees == getattr(model, "sizes", np.zeros(0)).tolist()
+            assert len(trees) == {"j48": 1, "rt": 1, "rf": 3, "bagging": 2}.get(model.variant, 0)
             assert again.schema == model.schema
             assert again.class_names == model.class_names
             for _ in range(40):
@@ -656,7 +666,7 @@ class TestPersistence:
         # a loaded model's own arrays are not the loader's working memory: the
         # dense int32 counts and float64 proba of its leaves alone outweigh the text
         def array_bytes(loaded):
-            return sum(a.nbytes for tree in loaded.members for a in vars(tree).values() if isinstance(a, np.ndarray))
+            return sum(a.nbytes for a in vars(loaded).values() if isinstance(a, np.ndarray))
 
         no_arrays = lambda saved: 0  # noqa: E731
         works = [(lambda: save_model(model), text, no_arrays), (lambda: load_model(text), text, array_bytes),
@@ -681,7 +691,7 @@ class TestPersistence:
 
     def test_malformed_tree_rejected(self):
         schema, classes = ("ip.len",), ("A", "B")
-        assert tree_model(schema, classes, self.GOOD_NODES).root == 2
+        assert tree_model(schema, classes, self.GOOD_NODES).sizes.tolist() == [3]
         one_leaf_less = {"leaf_nnz": [1], "count_class": [1], "count": [4]}
         bad_edits = [
             {"attribute": [-1, 0, -1]},  # child after its parent: the split has one node before it
@@ -716,6 +726,12 @@ class TestPersistence:
         missing = {k: v for k, v in self.GOOD.items() if k != "absent"}
         with pytest.raises(ModelFormatError):
             document_model("j48", schema, classes, missing)
+        # a bare minus sign where a 0 belongs: np.fromstring reads it as 0
+        text = canonical(document("j48", schema, classes, self.GOOD))
+        for column in ('"attribute":[-1,-1,0]', '"count_class":[1,0]'):
+            assert column in text
+            with pytest.raises(ModelFormatError, match=column.split('"')[1]):
+                load_model(text.replace(column, column[:-2] + "-]"))
 
     @pytest.mark.parametrize(
         "schema, classes, edit",
@@ -734,7 +750,7 @@ class TestPersistence:
     )
     def test_coercible_values_rejected(self, schema, classes, edit):
         # each of these loaded before, most of them re-saving to other bytes
-        assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).root == 2
+        assert tree_model(("ip.len",), ("A", "B"), self.GOOD_NODES).sizes.tolist() == [3]
         with pytest.raises(ModelFormatError):
             load_model(canonical(document("j48", schema, classes, {**self.GOOD, **edit})))
 

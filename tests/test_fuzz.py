@@ -164,6 +164,7 @@ def _respellings(number):
 VALUE_MUTATIONS = ["retype", "non-finite", "duplicate", "drop", "add"]
 STRUCTURE_MUTATIONS = ["sizes", "swap-attributes", "move-count", "empty-leaf", "absent-letter"]
 TEXT_MUTATIONS = ["whitespace", "ends", "reorder", "duplicate-key", "respell", "encode"]
+INT_COLUMNS = {"sizes", "attribute", "leaf_nnz", "count_class", "count"}
 
 
 def _edit_structure(draw, trees, kind, n_classes):
@@ -199,7 +200,10 @@ def mutated_model_texts(draw):
     paths = list(_paths(doc))
     objects = [p for p in paths if isinstance(_at(doc, p), dict)]
     forests = [p for p in objects if "sizes" in _at(doc, p)]
-    kind = draw(st.sampled_from(VALUE_MUTATIONS + STRUCTURE_MUTATIONS * bool(forests) + TEXT_MUTATIONS))
+    zeros = [p for p in paths if len(p) > 1 and p[-2] in INT_COLUMNS and type(_at(doc, p)) is int and _at(doc, p) == 0]
+    kind = draw(st.sampled_from(
+        VALUE_MUTATIONS + STRUCTURE_MUTATIONS * bool(forests) + TEXT_MUTATIONS + ["bare-minus"] * bool(zeros)
+    ))
     if kind == "retype":
         *parent, key = draw(st.sampled_from(paths[1:]))
         _at(doc, parent)[key] = draw(st.sampled_from(REPLACEMENTS))
@@ -242,6 +246,8 @@ def mutated_model_texts(draw):
         body = json.dumps(obj, separators=(",", ":"))[1:-1]
         pair = [extra, body] if draw(st.booleans()) else [body, extra]
         return _written_with(doc, path, "{" + ",".join(pair) + "}")
+    elif kind == "bare-minus":  # np.fromstring reads a lone "-" as 0
+        return _written_with(doc, draw(st.sampled_from(zeros)), "-")
     elif kind == "respell":
         path = draw(st.sampled_from([p for p in paths if type(_at(doc, p)) in (int, float)]))
         return _written_with(doc, path, draw(st.sampled_from(_respellings(_at(doc, path)))))

@@ -1,7 +1,7 @@
 """Frontier growth against the per-node reference grower in `oracles.py`.
 
 Every model must match the reference node arrays bit for bit: j48 pruned and
-unpruned, rt, and every member of rf and bagging, alone and as members of a
+unpruned, rt, and every tree of rf and bagging, alone and as members of a
 vote, each grown under its documented RNG key, on small datasets with
 Absent cells, repeated values and gain ties. Each property also runs with
 the per-step row cap patched small, so that nodes and whole trees wait
@@ -26,6 +26,7 @@ from devfp.selection import gain_ratios, rank, split_segments
 from oracles import (
     reference_best_split,
     reference_bootstrap,
+    reference_columns,
     reference_score_column,
     reference_tree,
 )
@@ -55,11 +56,34 @@ def arrays(dataset):
     return dataset.matrix(), dataset.class_codes(), len(dataset.class_names)
 
 
-def assert_same_tree(model, reference: dict) -> None:
-    for name in ("feature", "threshold", "left", "right", "absent_left", "counts"):
-        got, want = getattr(model, name), reference[name]
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
-    assert model.root == reference["root"]
+def assert_same_trees(model, references: list) -> None:
+    """model's columns are the reference trees' post-order columns, one tree
+    after another, and it routes each split to the reference's children."""
+    want = reference_columns(references)
+    for name, column in want.items():
+        got = getattr(model, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (column.dtype, column.shape, column.tobytes()), name
+    # the model numbers its splits first, then its leaves, each in node order
+    split = want["feature"] >= 0
+    n_splits, n = int(np.count_nonzero(split)), len(split)
+    number = np.where(split, np.cumsum(split) - 1, n_splits + np.cumsum(~split) - 1)
+    first = np.cumsum(want["sizes"]) - want["sizes"]
+    children = np.concatenate([np.stack((r["left"], r["right"]), axis=1) + at for r, at in zip(references, first)])
+    child = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    child[:n_splits] = number[children[split]]
+    assert model.child.tolist() == child.ravel().tolist()
+    assert model.roots.tolist() == number[first + want["sizes"] - 1].tolist()
+
+
+def reference_forest(X, y, n_classes, hp, variant, token, rounds, size) -> list:
+    """The reference trees of an rf (rt trees) or bagging (j48 trees) model:
+    tree i grows on `size` rows drawn from (token, variant, i)."""
+    references = []
+    for i in range(rounds):
+        rng = derive_rng(token, variant, i)
+        sample = reference_bootstrap(rng, len(y), size)
+        references.append(reference_tree(X[sample], y[sample], n_classes, hp, rng if variant == "rf" else None))
+    return references
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
@@ -69,7 +93,7 @@ def test_c45_matches_reference(step_rows, dataset, prune, min_leaf):
     hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf)
     with patch.object(trees, "_STEP_ROWS", step_rows):
         model = train_model(dataset, ModelSpec("j48", hp))
-    assert_same_tree(model, reference_tree(*arrays(dataset), hp))
+    assert_same_trees(model, [reference_tree(*arrays(dataset), hp)])
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
@@ -79,7 +103,7 @@ def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf,
     hp = Hyperparams(seed=seed, rt_feature_count=candidates, c45_min_leaf=min_leaf)
     with patch.object(trees, "_STEP_ROWS", step_rows):
         model = train_model(dataset, ModelSpec("rt", hp))
-    assert_same_tree(model, reference_tree(*arrays(dataset), hp, derive_rng(seed, "rt")))
+    assert_same_trees(model, [reference_tree(*arrays(dataset), hp, derive_rng(seed, "rt"))])
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
@@ -92,13 +116,8 @@ def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf
     with patch.object(trees, "_STEP_ROWS", step_rows):
         forest = train_model(dataset, ModelSpec("rf", hp))
         bagging = train_model(dataset, ModelSpec("bagging", hp))
-    for i, member in enumerate(forest.members):
-        rng = derive_rng(seed, "rf", i)
-        sample = reference_bootstrap(rng, n, n)
-        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp, rng))
-    for i, member in enumerate(bagging.members):
-        sample = reference_bootstrap(derive_rng(seed, "bagging", i), n, max(1, round(fraction * n)))
-        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp))
+    assert_same_trees(forest, reference_forest(X, y, n_classes, hp, "rf", seed, 3, n))
+    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", seed, 3, max(1, round(fraction * n))))
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
@@ -113,17 +132,11 @@ def test_vote_members_match_reference(step_rows, dataset, fraction, seed):
     with patch.object(trees, "_STEP_ROWS", step_rows):
         vote = train_model(dataset, ModelSpec("vote", hp, ("rt", "rf", "bagging")))
     rt, rf, bagging = vote.members
-    assert (len(rf.members), len(bagging.members)) == (2, 2)
-    assert_same_tree(rt, reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt")))
+    assert_same_trees(rt, [reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt"))])
     token = derive_rng(seed, "vote", 1, "rf").getrandbits(64)
-    for i, member in enumerate(rf.members):
-        rng = derive_rng(token, "rf", i)
-        sample = reference_bootstrap(rng, n, n)
-        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp, rng))
+    assert_same_trees(rf, reference_forest(X, y, n_classes, hp, "rf", token, 2, n))
     token = derive_rng(seed, "vote", 2, "bagging").getrandbits(64)
-    for i, member in enumerate(bagging.members):
-        sample = reference_bootstrap(derive_rng(token, "bagging", i), n, max(1, round(fraction * n)))
-        assert_same_tree(member, reference_tree(X[sample], y[sample], n_classes, hp))
+    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", token, 2, max(1, round(fraction * n))))
 
 
 @given(

@@ -1,7 +1,8 @@
 """Stacked prediction against the per-tree reference (oracles.reference_distribution).
 
-Every tree of an rf or bagging model, and a lone tree, is routed in one
-stacked pass (`trees.StackedTrees`); a vote adds its members' matrices. The
+Every tree of a j48, rt, rf or bagging model (`trees.TreeModel`, a lone
+tree being a forest of one) is routed in one pass; a vote adds its members'
+matrices. The
 distributions must carry the reference's bits on rows with Absent cells
 (routed left and right), present -inf and +inf, values exactly at split
 thresholds, and batches of 0 and 1 rows and one row either side of the
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devfp.classifiers import EnsembleModel, Hyperparams, ModelSpec, train_model
+from devfp.classifiers import Hyperparams, ModelSpec, train_model
 from devfp.classifiers import trees
 from devfp.classifiers.trees import TreeModel
 from devfp.features import CANONICAL_ATTRIBUTES
@@ -57,12 +58,8 @@ def has_naive_bayes(model) -> bool:
 
 
 def block_rows(model) -> set:
-    """The rows per block of each stacked pass that predicting with model runs."""
-    if isinstance(model, TreeModel):
-        return {max(1, trees._BLOCK_PAIRS)}
-    if isinstance(model, EnsembleModel) and all(isinstance(member, TreeModel) for member in model.members):
-        return {max(1, trees._BLOCK_PAIRS // len(model.members))}
-    return set().union(*map(block_rows, getattr(model, "members", ())))
+    """The rows per block of each routing pass that predicting with model runs."""
+    return {max(1, trees._BLOCK_PAIRS // len(tree.sizes)) for tree in tree_members(model)}
 
 
 def assert_same_bits(model, X):
@@ -90,9 +87,8 @@ def test_stacked_prediction_matches_reference(block_pairs, dataset, seed, data):
     for model in models:
         cells = [[math.nan, math.inf, -math.inf, 0.0, 4.0] for _ in range(k)]
         for tree in tree_members(model):
-            for attribute, threshold in zip(tree.feature.tolist(), tree.threshold.tolist()):
-                if attribute >= 0:
-                    cells[attribute] += [threshold, math.nextafter(threshold, math.inf)]
+            for attribute, threshold in zip(tree.feature[tree.feature >= 0].tolist(), tree.threshold.tolist()):
+                cells[attribute] += [threshold, math.nextafter(threshold, math.inf)]
         pool = np.array(data.draw(st.lists(
             st.tuples(*(st.sampled_from(c) for c in cells)), min_size=1, max_size=12)))
         with patch.object(trees, "_BLOCK_PAIRS", block_pairs):
@@ -105,14 +101,14 @@ def test_absent_cells_routed_both_ways():
     # one split on ip.len at 5.5 per tree: Absent goes left in the first, right in the second
     schema, classes = ("ip.len",), ("A", "B")
     nodes = [leaf(0, 4), leaf(4, 0)]
-    params = tree_params([*nodes, split(0, 5.5, "left", 1, 0)], [*nodes, split(0, 5.5, "right", 1, 0)])
-    forest = document_model("rf", schema, classes, params)
+    lone = [[*nodes, split(0, 5.5, "left", 1, 0)], [*nodes, split(0, 5.5, "right", 1, 0)]]
+    forest = document_model("rf", schema, classes, tree_params(*lone))
     X = np.array([[math.nan], [-math.inf], [5.5], [math.nextafter(5.5, math.inf)], [math.inf]])
-    left, right = forest.members[0].proba[1], forest.members[0].proba[0]
+    left, right = forest.proba[1], forest.proba[0]
     expected = np.array([left + right, 2 * left, 2 * left, 2 * right, 2 * right]) / 2
     assert np.array_equal(forest.distribution_batch(X), expected)
     for block_pairs in BLOCK_PAIRS:
         with patch.object(trees, "_BLOCK_PAIRS", block_pairs):
             assert_same_bits(forest, X)
-            for tree in forest.members:
-                assert_same_bits(tree, X)
+            for tree in lone:
+                assert_same_bits(document_model("j48", schema, classes, tree_params(tree)), X)

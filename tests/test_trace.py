@@ -44,8 +44,8 @@ def test_traced_commands_record_row_counts(tmp_path, training_paths):
     assert extracted > labeled > 0
     assert rows(spans, "features.clean") == [n_rows]
 
-    # a tree model and an ensemble model
-    for variant, *model_args in (("j48",), ("rf", "--trees", 3)):
+    # a lone tree, a forest (one tree model each) and a vote of an nb model and a forest
+    for variant, *model_args in (("j48",), ("rf", "--trees", 3), ("vote", "--vote-members", "nb,rf", "--trees", 3)):
         out = tmp_path / variant
         spans = traced(tmp_path / f"train-{variant}.json", "train-eval", "--input", dataset,
                        "--model", variant, *model_args, "--out", out)
