@@ -90,9 +90,6 @@ class Hyperparams:
             return min(self.rt_feature_count, n_attributes)
         return min(int(math.floor(math.log2(n_attributes))) + 1, n_attributes)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # The types each Hyperparams field takes exactly, read from its annotation: no
 # bool where an int belongs and no int where a float belongs, as a command

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import Iterator, Union
 
 import numpy as np
@@ -176,7 +177,7 @@ def save_model(model: TrainedModel) -> str:
         "variant": model.variant,
         "schema": list(model.schema),
         "class_names": list(model.class_names),
-        "hyperparams": model.hyperparams.to_dict(),
+        "hyperparams": asdict(model.hyperparams),
     }
     return "".join([_dumps(header)[:-1] + ',"params":', *_params_parts(model), "}\n"])
 
@@ -411,7 +412,7 @@ def _read_document(text: str) -> TrainedModel:
         hp = Hyperparams(**header["hyperparams"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad hyperparams: {exc}") from exc
-    if tuple(header["hyperparams"]) != tuple(hp.to_dict()):
+    if tuple(header["hyperparams"]) != tuple(asdict(hp)):
         raise ModelFormatError("hyperparams must have exactly their keys, in order")
     common = {"schema": schema, "class_names": class_names, "hyperparams": hp}
     model, pos = _read_params(text, _expect(text, pos, ',"params":'), header["variant"], common)

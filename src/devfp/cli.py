@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_training_flags(p_train)
     p_train.add_argument("--registry", help="device registry, needed to map names to types")
     p_train.add_argument("--out", required=True, help="output directory")
-    _add_hyperparam_flags(p_train)
 
     p_classify = sub.add_parser("classify", help="predict classes for a pcap or CSV with a saved model")
     p_classify.add_argument("--model-file", required=True)
@@ -99,13 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_training_flags(p_pipe)
     p_pipe.add_argument("--raw-ack", action="store_true")
     p_pipe.add_argument("--out", required=True, help="output directory")
-    _add_hyperparam_flags(p_pipe)
 
     return parser
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags that train-eval and pipeline share for the split and the model."""
+    """The flags train-eval and pipeline share: the split, the model and its hyperparameters."""
     parser.add_argument("--model", choices=list(ALL_VARIANTS), required=True)
     parser.add_argument("--features", choices=sorted(FEATURE_SETS), default="combined")
     parser.add_argument("--classes", choices=_CLASSES, default=_CLASSES[0])
@@ -115,9 +113,6 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=Hyperparams.seed)
     parser.add_argument("--dedup", action="store_true", help="drop exact duplicate rows before splitting")
     parser.add_argument("--no-stratify", action="store_true", help="plain random split instead of stratified")
-
-
-def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trees", type=int, default=Hyperparams.forest_trees, help="random-forest size")
     parser.add_argument("--bagging-rounds", type=int, default=Hyperparams.bagging_rounds)
     parser.add_argument("--min-leaf", type=int, default=Hyperparams.c45_min_leaf)
@@ -132,8 +127,8 @@ def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _hyperparams_from_args(args: argparse.Namespace) -> Hyperparams:
-    return Hyperparams(
+def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
+    hyperparams = Hyperparams(
         seed=args.seed,
         forest_trees=args.trees,
         bagging_rounds=args.bagging_rounds,
@@ -141,15 +136,8 @@ def _hyperparams_from_args(args: argparse.Namespace) -> Hyperparams:
         c45_confidence=args.confidence,
         c45_prune=not args.no_prune,
     )
-
-
-def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
     members = tuple(m.strip() for m in args.vote_members.split(",") if m.strip())
-    return ModelSpec(
-        variant=args.model,
-        hyperparams=_hyperparams_from_args(args),
-        vote_members=members,
-    )
+    return ModelSpec(variant=args.model, hyperparams=hyperparams, vote_members=members)
 
 
 def _read_capture(path: str) -> CaptureFile:
@@ -209,7 +197,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         meta = default_meta(dataset.attributes)
     selected = apply_criteria(ranked, meta)
     Path(args.out).write_text(rank_report_csv(ranked), encoding="utf-8")
-    _log(f"ranked {len(ranked.scores)} attributes; {len(selected)} pass the exclusion criteria")
+    _log(f"ranked {len(ranked)} attributes; {len(selected)} pass the exclusion criteria")
     _log("selected: " + (", ".join(selected) if selected else "(none)"))
     return 0
 

@@ -7,6 +7,9 @@ likely). Overall accuracy is the confusion-matrix trace over the total.
 Macro averages are unweighted means over the classes whose value is
 defined; the support-weighted precision is also reported since published
 "average precision" figures do not always say which convention they use.
+A report is plain data: per-class metrics keyed by class name in the
+confusion matrix's order, the aggregates, the matrix itself and the run's
+seed, model and feature set.
 
 Everything here works on immutable inputs, so independent (model, split)
 pairs can be evaluated concurrently.
@@ -14,36 +17,20 @@ pairs can be evaluated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import TrainedModel, derive_rng
 from .errors import ClassTooSmall, EmptyDataset, EmptyMatrix, SchemaMismatch
-from .features import Dataset
+from .features import CANONICAL_ATTRIBUTES, Dataset
 
+# the paper's three feature sets: the canonical schema lists the transport
+# attributes first, then the network ones
 FEATURE_SETS = {
-    "network": ("ip.len", "ip.ttl", "ip.proto"),
-    "transport": (
-        "tcp.srcport",
-        "tcp.stream",
-        "tcp.ack",
-        "tcp.window_size",
-        "udp.srcport",
-        "udp.stream",
-    ),
-    "combined": (
-        "tcp.srcport",
-        "tcp.stream",
-        "tcp.ack",
-        "tcp.window_size",
-        "udp.srcport",
-        "udp.stream",
-        "ip.len",
-        "ip.ttl",
-        "ip.proto",
-    ),
+    "network": CANONICAL_ATTRIBUTES[6:],
+    "transport": CANONICAL_ATTRIBUTES[:6],
+    "combined": CANONICAL_ATTRIBUTES,
 }
 
 
@@ -147,24 +134,23 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class RunMetadata:
-    seed: Optional[int] = None
-    model: Optional[str] = None
-    feature_set: Optional[str] = None
+    seed: int
+    model: str
+    feature_set: str
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    class_names: tuple[str, ...]
-    per_class: dict[str, ClassMetrics]
+    per_class: dict[str, ClassMetrics]  # in the confusion matrix's class order
     acc: float
     macro_tpr: float
     macro_pre: float
     weighted_pre: float
     confusion: ConfusionMatrix
-    metadata: RunMetadata = field(default_factory=RunMetadata)
+    metadata: RunMetadata
 
 
-def metrics(matrix: ConfusionMatrix, metadata: Optional[RunMetadata] = None) -> EvalReport:
+def metrics(matrix: ConfusionMatrix, metadata: RunMetadata) -> EvalReport:
     """Per-class and aggregate TPR/PRE/ACC for a confusion matrix."""
     n = len(matrix.class_names)
     total = matrix.total
@@ -197,14 +183,13 @@ def metrics(matrix: ConfusionMatrix, metadata: Optional[RunMetadata] = None) -> 
             defined_pres.append(pre)
         weighted_pre_sum += row_sum * pre
     return EvalReport(
-        class_names=matrix.class_names,
         per_class=per_class,
         acc=matrix.trace / total,
         macro_tpr=sum(defined_tprs) / len(defined_tprs) if defined_tprs else 0.0,
         macro_pre=sum(defined_pres) / len(defined_pres) if defined_pres else 0.0,
         weighted_pre=weighted_pre_sum / total,
         confusion=matrix,
-        metadata=metadata or RunMetadata(),
+        metadata=metadata,
     )
 
 
@@ -215,8 +200,7 @@ def metrics(matrix: ConfusionMatrix, metadata: Optional[RunMetadata] = None) -> 
 def report_classes_csv(report: EvalReport) -> str:
     """Machine-readable per-class metrics: class,tpr,precision,support."""
     lines = ["class,tpr,precision,support"]
-    for name in report.class_names:
-        m = report.per_class[name]
+    for name, m in report.per_class.items():
         lines.append(f"{name},{m.tpr:.12g},{m.precision:.12g},{m.support}")
     return "\n".join(lines) + "\n"
 
@@ -226,35 +210,24 @@ def report_summary_line(report: EvalReport) -> str:
     md = report.metadata
     return (
         f"{report.acc:.12g},{report.macro_tpr:.12g},{report.macro_pre:.12g},"
-        f"{'' if md.seed is None else md.seed},{md.model or ''},{md.feature_set or ''}"
+        f"{md.seed},{md.model},{md.feature_set}"
     )
 
 
 def report_text(report: EvalReport) -> str:
     """Human-readable report table."""
     md = report.metadata
-    lines = []
-    header_bits = []
-    if md.model:
-        header_bits.append(f"model={md.model}")
-    if md.feature_set:
-        header_bits.append(f"features={md.feature_set}")
-    if md.seed is not None:
-        header_bits.append(f"seed={md.seed}")
-    lines.append("evaluation report" + (" (" + ", ".join(header_bits) + ")" if header_bits else ""))
-    lines.append(
+    name_width = max(len(name) for name in ("class", *report.per_class))
+    lines = [
+        f"evaluation report (model={md.model}, features={md.feature_set}, seed={md.seed})",
         f"accuracy {report.acc:.4f}   macro TPR {report.macro_tpr:.4f}   "
-        f"macro PRE {report.macro_pre:.4f}   weighted PRE {report.weighted_pre:.4f}"
-    )
-    name_width = max(len("class"), max((len(n) for n in report.class_names), default=5))
-    lines.append(f"{'class':<{name_width}}  {'tpr':>8}  {'precision':>9}  {'support':>7}")
-    for name in report.class_names:
-        m = report.per_class[name]
+        f"macro PRE {report.macro_pre:.4f}   weighted PRE {report.weighted_pre:.4f}",
+        f"{'class':<{name_width}}  {'tpr':>8}  {'precision':>9}  {'support':>7}",
+    ]
+    for name, m in report.per_class.items():
         tpr = f"{m.tpr:.4f}" + ("" if m.tpr_defined else "*")
         pre = f"{m.precision:.4f}" + ("" if m.precision_defined else "*")
         lines.append(f"{name:<{name_width}}  {tpr:>8}  {pre:>9}  {m.support:>7}")
-    if any(
-        not (m.tpr_defined and m.precision_defined) for m in report.per_class.values()
-    ):
+    if not all(m.tpr_defined and m.precision_defined for m in report.per_class.values()):
         lines.append("* undefined (0/0), reported as 0")
     return "\n".join(lines) + "\n"

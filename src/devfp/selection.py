@@ -15,13 +15,17 @@ class counts. It is exact: class counts at cuts are integers, cut entropies
 come from `_entropy_from_counts` on (cuts, classes) rows, and parent entropy
 and split information come from `_scalar_entropies`, which sums each row's
 terms left to right with `math.log2`, as a scalar loop over the counts would.
+
+Ranking returns a plain tuple of `AttributeScore`s sorted by gain ratio.
+Attribute metadata is a plain dict from attribute name to the frozenset of
+exclusion flags the registry gives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,12 +36,6 @@ FLAG_MULTI_VALUED = "multi_valued_identifier"
 FLAG_TIME_DEPENDENT = "time_dependent"
 FLAG_NEGATIVE_HEX_BINARY = "negative_hex_binary"
 _KNOWN_FLAGS = frozenset({FLAG_MULTI_VALUED, FLAG_TIME_DEPENDENT, FLAG_NEGATIVE_HEX_BINARY})
-
-
-@dataclass(frozen=True)
-class AttributeMeta:
-    name: str
-    flags: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -189,17 +187,7 @@ def gain_ratios(splits: SegmentSplits, n_rows: np.ndarray) -> tuple[np.ndarray, 
     return ratio, np.where(ok, scaled, 0.0)
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Attribute scores in descending gain-ratio order (schema order on ties)."""
-
-    scores: tuple[AttributeScore, ...]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.scores)
-
-
-def rank(dataset: Dataset) -> RankedList:
+def rank(dataset: Dataset) -> tuple[AttributeScore, ...]:
     """Score every schema attribute and sort by gain ratio, descending.
 
     Segment j of one split_segments call holds attribute j's present cells,
@@ -220,53 +208,46 @@ def rank(dataset: Dataset) -> RankedList:
             dataset.attributes, ratio.tolist(), gain.tolist(), splits.threshold.tolist(), splits.n_present.tolist()
         )
     ]
-    return RankedList(scores=tuple(sorted(scores, key=lambda s: -s.gain_ratio)))
+    return tuple(sorted(scores, key=lambda s: -s.gain_ratio))
 
 
-def apply_criteria(ranked: RankedList, meta: Iterable[AttributeMeta]) -> tuple[str, ...]:
+def apply_criteria(ranked: Iterable[AttributeScore], meta: Mapping[str, frozenset[str]]) -> tuple[str, ...]:
     """Drop attributes failing any exclusion criterion, keeping rank order.
 
     Criteria: gain ratio of zero (non-positive gains are already clamped to
     zero), or any of the registry flags (multi-valued identifier,
-    time-dependent, negative/hex/binary values). Every ranked attribute must
-    have a meta entry.
+    time-dependent, negative/hex/binary values). `meta` maps every ranked
+    attribute to its flags; a missing entry raises MissingMeta.
     """
-    meta_by_name = {m.name: m for m in meta}
     selected: list[str] = []
-    for score in ranked.scores:
-        m = meta_by_name.get(score.name)
-        if m is None:
+    for score in ranked:
+        if score.name not in meta:
             raise MissingMeta(score.name)
-        if score.gain_ratio <= 0.0:
-            continue
-        if m.flags & _KNOWN_FLAGS:
-            continue
-        selected.append(score.name)
+        if score.gain_ratio > 0.0 and not meta[score.name]:
+            selected.append(score.name)
     return tuple(selected)
 
 
-def default_meta(names: Iterable[str]) -> list[AttributeMeta]:
+def default_meta(names: Iterable[str]) -> dict[str, frozenset[str]]:
     """Unflagged metadata for attributes absent from any registry file."""
-    return [AttributeMeta(name) for name in names]
+    return dict.fromkeys(names, frozenset())
 
 
-def read_attribute_meta(text: str) -> list[AttributeMeta]:
+def read_attribute_meta(text: str) -> dict[str, frozenset[str]]:
     """Parse an attribute-meta registry: `name<TAB>flag[,flag...]` per line.
 
     A line holding only a name declares an unflagged attribute. Blank lines
     and # comments are ignored.
     """
-    metas: list[AttributeMeta] = []
-    seen: set[str] = set()
+    meta: dict[str, frozenset[str]] = {}
     for number, parts in registry_fields(text):
         if len(parts) > 2:
             raise RegistryFormatError(number, f"expected `name` or `name<TAB>flags`, got {len(parts)} fields")
         name = parts[0]
         if not name:
             raise RegistryFormatError(number, "attribute name must be non-empty")
-        if name in seen:
+        if name in meta:
             raise RegistryFormatError(number, f"duplicate attribute {name!r}")
-        seen.add(name)
         flags: set[str] = set()
         if len(parts) == 2 and parts[1]:
             for token in parts[1].split(","):
@@ -274,14 +255,14 @@ def read_attribute_meta(text: str) -> list[AttributeMeta]:
                 if flag not in _KNOWN_FLAGS:
                     raise RegistryFormatError(number, f"unknown flag {flag!r}")
                 flags.add(flag)
-        metas.append(AttributeMeta(name, frozenset(flags)))
-    return metas
+        meta[name] = frozenset(flags)
+    return meta
 
 
-def rank_report_csv(ranked: RankedList) -> str:
+def rank_report_csv(ranked: Iterable[AttributeScore]) -> str:
     """Machine-readable rank report: rank,attribute,gain_ratio,info_gain,present_fraction."""
     lines = ["rank,attribute,gain_ratio,info_gain,present_fraction"]
-    for position, score in enumerate(ranked.scores, start=1):
+    for position, score in enumerate(ranked, start=1):
         lines.append(
             f"{position},{score.name},{score.gain_ratio:.12g},"
             f"{score.info_gain:.12g},{score.present_fraction:.12g}"

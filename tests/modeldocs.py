@@ -15,6 +15,7 @@ large tree from its columns, without a document.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def document(variant, schema, class_names, params) -> dict:
         "variant": variant,
         "schema": list(schema),
         "class_names": list(class_names),
-        "hyperparams": Hyperparams().to_dict(),
+        "hyperparams": asdict(Hyperparams()),
         "params": params,
     }
 

@@ -18,7 +18,7 @@ from pcapbuild import TCP_ACK, FeatureRow, ethernet, ipv4, pcap_file, tcp, udp
 
 from devfp.classifiers import Hyperparams, ModelSpec, TreeModel, derive_rng, train_model
 from devfp.cli import main as cli_main
-from devfp.evaluation import ConfusionMatrix, metrics
+from devfp.evaluation import ConfusionMatrix, RunMetadata, metrics
 from devfp.features import (
     CSV_HEADER,
     Dataset,
@@ -52,7 +52,7 @@ class TestCriterion1MetricIdentities:
                 counts = ((1,) + (0,) * (n - 1),) + counts[1:]
                 total = 1
             matrix = ConfusionMatrix(tuple(f"c{i}" for i in range(n)), counts)
-            report = metrics(matrix)
+            report = metrics(matrix, RunMetadata(seed=1, model="j48", feature_set="combined"))
             trace = sum(counts[i][i] for i in range(n))
             if report.acc != trace / total:
                 failures += 1

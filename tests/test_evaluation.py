@@ -25,6 +25,8 @@ from devfp.evaluation import (
 from devfp.features import Dataset, extract_capture, label_by_source_mac, read_registry
 from devfp.pcap import parse_capture
 
+RUN = RunMetadata(seed=1, model="j48", feature_set="combined")
+
 
 def dataset_of(sizes: dict[str, int]) -> Dataset:
     labels = [label for label, count in sizes.items() for _ in range(count)]
@@ -164,12 +166,12 @@ class TestEvaluate:
 class TestMetrics:
     def test_tpr_direct_substitution(self):
         matrix = ConfusionMatrix(("pos", "neg"), ((5, 5), (0, 10)))
-        report = metrics(matrix)
+        report = metrics(matrix, RUN)
         assert report.per_class["pos"].tpr == 0.5
 
     def test_two_by_two_accuracy_and_precision(self):
         matrix = ConfusionMatrix(("x", "y"), ((8, 2), (1, 9)))
-        report = metrics(matrix)
+        report = metrics(matrix, RUN)
         assert report.acc == pytest.approx(17 / 20)
         assert report.per_class["x"].precision == pytest.approx(8 / 9)
         assert report.per_class["x"].tpr == pytest.approx(8 / 10)
@@ -178,7 +180,7 @@ class TestMetrics:
     def test_undefined_cells_flagged_not_dropped(self):
         # class y never appears and is never predicted: both metrics 0/0
         matrix = ConfusionMatrix(("x", "y"), ((4, 0), (0, 0)))
-        report = metrics(matrix)
+        report = metrics(matrix, RUN)
         assert report.per_class["y"].tpr == 0.0
         assert not report.per_class["y"].tpr_defined
         assert not report.per_class["y"].precision_defined
@@ -192,7 +194,7 @@ class TestMetrics:
             if sum(map(sum, counts)) == 0:
                 continue
             matrix = ConfusionMatrix(tuple("abcd"[:n]), counts)
-            report = metrics(matrix)
+            report = metrics(matrix, RUN)
             assert report.acc == matrix.trace / matrix.total
             for c, name in enumerate(matrix.class_names):
                 row_sum = sum(counts[c])
@@ -212,12 +214,12 @@ class TestMetrics:
     def test_relabeling_permutes_report_consistently(self):
         counts = ((5, 2, 1), (0, 7, 3), (2, 2, 6))
         matrix = ConfusionMatrix(("a", "b", "c"), counts)
-        report = metrics(matrix)
+        report = metrics(matrix, RUN)
         perm = [2, 0, 1]  # new order: c, a, b
         permuted_counts = tuple(
             tuple(counts[perm[i]][perm[j]] for j in range(3)) for i in range(3)
         )
-        permuted = metrics(ConfusionMatrix(("c", "a", "b"), permuted_counts))
+        permuted = metrics(ConfusionMatrix(("c", "a", "b"), permuted_counts), RUN)
         for name in ("a", "b", "c"):
             assert permuted.per_class[name] == report.per_class[name]
         assert permuted.acc == report.acc
@@ -225,7 +227,7 @@ class TestMetrics:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
-            metrics(ConfusionMatrix(("a", "b"), ((0, 0), (0, 0))))
+            metrics(ConfusionMatrix(("a", "b"), ((0, 0), (0, 0))), RUN)
 
 
 class TestAblation:
@@ -238,9 +240,12 @@ class TestAblation:
         return dataset
 
     def test_projection_sizes(self):
-        assert len(FEATURE_SETS["network"]) == 3
-        assert len(FEATURE_SETS["transport"]) == 6
-        assert len(FEATURE_SETS["combined"]) == 9
+        # the paper's network, transport and combined sets, in schema order
+        network = ("ip.len", "ip.ttl", "ip.proto")
+        transport = (
+            "tcp.srcport", "tcp.stream", "tcp.ack", "tcp.window_size", "udp.srcport", "udp.stream",
+        )
+        assert FEATURE_SETS == {"network": network, "transport": transport, "combined": transport + network}
 
     def test_network_projection_schema(self, training_paths):
         dataset = self.corpus_dataset(training_paths)
@@ -261,7 +266,7 @@ class TestAblation:
 class TestReportRendering:
     def sample_report(self):
         matrix = ConfusionMatrix(("a", "b"), ((8, 2), (1, 9)))
-        return metrics(matrix, RunMetadata(seed=1, model="j48", feature_set="combined"))
+        return metrics(matrix, RUN)
 
     def test_classes_csv(self):
         text = report_classes_csv(self.sample_report())
@@ -299,4 +304,4 @@ class TestEndToEndExample:
         correct = sum(
             1 for predicted, label in zip(predictions(model, test.rows), test.labels) if predicted == label
         )
-        assert metrics(matrix).acc == pytest.approx(correct / len(test.rows))
+        assert metrics(matrix, RUN).acc == pytest.approx(correct / len(test.rows))

@@ -165,7 +165,7 @@ def test_split_scores_match_reference_bits(values, data, n_classes):
     names = [chr(65 + c) for c in labels]
     if len(set(names)) >= 2:
         dataset = make_dataset({"ip.len": values}, names)
-        (score,) = rank(dataset).scores
+        (score,) = rank(dataset)
         want = reference_score_column(column, dataset.class_codes(), len(dataset.class_names))
         assert (score.gain_ratio, score.info_gain, score.split_threshold) == want
 

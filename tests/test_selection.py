@@ -22,7 +22,6 @@ from devfp.features import CANONICAL_ATTRIBUTES, label_by_source_mac, read_regis
 from devfp.pcap import parse_capture
 from devfp.selection import (
     FLAG_TIME_DEPENDENT,
-    AttributeMeta,
     AttributeScore,
     _scalar_entropies,
     apply_criteria,
@@ -195,19 +194,19 @@ class TestRank:
     def test_separating_attribute_ranks_first(self):
         dataset = two_column_dataset([1, 2, 9, 10], [5, 5, 5, 5], ["A", "A", "B", "B"])
         ranked = rank(dataset)
-        assert ranked.names() == ("ip.len", "ip.ttl")
-        assert ranked.scores[1].gain_ratio == 0.0
+        assert [s.name for s in ranked] == ["ip.len", "ip.ttl"]
+        assert ranked[1].gain_ratio == 0.0
 
     def test_duplicated_attribute_ties_break_by_schema_order(self):
         dataset = two_column_dataset([1, 2, 9, 10], [1, 2, 9, 10], ["A", "A", "B", "B"])
         ranked = rank(dataset)
-        assert ranked.names() == ("ip.len", "ip.ttl")
-        assert ranked.scores[0].gain_ratio == ranked.scores[1].gain_ratio
+        assert [s.name for s in ranked] == ["ip.len", "ip.ttl"]
+        assert ranked[0].gain_ratio == ranked[1].gain_ratio
 
     def test_zero_gain_attribute_has_no_threshold(self):
         # the one cut of ip.len leaves half A, half B on both sides: gain 0
         dataset = two_column_dataset([0, 0, 1, 1], [1, 2, 9, 10], ["A", "B", "A", "B"])
-        scores = {score.name: score for score in rank(dataset).scores}
+        scores = {score.name: score for score in rank(dataset)}
         assert scores["ip.len"].info_gain == 0.0
         assert scores["ip.len"].split_threshold is None
         assert scores["ip.ttl"].split_threshold is not None
@@ -220,7 +219,7 @@ class TestRank:
     def test_rank_is_permutation_of_schema(self):
         dataset = two_column_dataset([1, None, 9, 10], [4, 3, 2, 1], ["A", "B", "B", "A"])
         ranked = rank(dataset)
-        assert sorted(ranked.names()) == sorted(dataset.attributes)
+        assert sorted(s.name for s in ranked) == sorted(dataset.attributes)
 
     def test_label_shuffle_drives_gain_toward_zero(self):
         rng = random.Random(9)
@@ -247,10 +246,10 @@ class TestRank:
         vectors = extract_capture(capture)
         dataset, _ = label_by_source_mac(vectors, read_registry(TRAINING_REGISTRY))
         ranked = rank(dataset)
-        assert len(ranked.scores) == 9
-        for score in ranked.scores:
+        assert len(ranked) == 9
+        for score in ranked:
             assert score.gain_ratio > 0.0, score
-        ratios = [s.gain_ratio for s in ranked.scores]
+        ratios = [s.gain_ratio for s in ranked]
         assert ratios == sorted(ratios, reverse=True)
 
 
@@ -286,7 +285,7 @@ def test_rank_matches_reference_score_column_bits(dataset):
         want.append(AttributeScore(name, ratio, gain, threshold, present / len(dataset)))
     # a stable sort: equal gain ratios keep schema order
     want.sort(key=lambda score: -score.gain_ratio)
-    assert [score_bits(s) for s in rank(dataset).scores] == [score_bits(s) for s in want]
+    assert [score_bits(s) for s in rank(dataset)] == [score_bits(s) for s in want]
 
 
 class TestApplyCriteria:
@@ -301,44 +300,41 @@ class TestApplyCriteria:
 
     def test_flag_excludes_even_high_scores(self):
         ranked = self.make_ranked()
-        meta = [
-            AttributeMeta("ip.len", frozenset({FLAG_TIME_DEPENDENT})),
-            AttributeMeta("ip.ttl"),
-        ]
+        meta = {"ip.len": frozenset({FLAG_TIME_DEPENDENT}), "ip.ttl": frozenset()}
         assert apply_criteria(ranked, meta) == ()
 
     def test_unflagged_positive_attributes_retained_in_rank_order(self):
         dataset = two_column_dataset([1, 2, 9, 10], [10, 9, 2, 1], ["A", "A", "B", "B"])
         ranked = rank(dataset)
         selected = apply_criteria(ranked, default_meta(dataset.attributes))
-        assert selected == ranked.names()
+        assert selected == tuple(s.name for s in ranked)
 
     def test_missing_meta_reported(self):
         ranked = self.make_ranked()
         with pytest.raises(MissingMeta) as excinfo:
-            apply_criteria(ranked, [AttributeMeta("ip.len")])
+            apply_criteria(ranked, {"ip.len": frozenset()})
         assert excinfo.value.name == "ip.ttl"
 
     def test_selection_is_subsequence_of_rank(self):
         dataset = two_column_dataset([1, None, 9, 10], [4, 3, 2, 1], ["A", "B", "B", "A"])
         ranked = rank(dataset)
         selected = apply_criteria(ranked, default_meta(dataset.attributes))
-        names = list(ranked.names())
+        names = [s.name for s in ranked]
         positions = [names.index(s) for s in selected]
         assert positions == sorted(positions)
 
 
 class TestMetaRegistry:
     def test_parse_flags(self):
-        metas = read_attribute_meta(
+        meta = read_attribute_meta(
             "tcp.options.timestamp.tsval\ttime_dependent\n"
             "tcp.option_kind\tmulti_valued_identifier,negative_hex_binary\n"
             "ip.ttl\n"
         )
-        by_name = {m.name: m for m in metas}
-        assert by_name["tcp.options.timestamp.tsval"].flags == {FLAG_TIME_DEPENDENT}
-        assert len(by_name["tcp.option_kind"].flags) == 2
-        assert by_name["ip.ttl"].flags == frozenset()
+        assert list(meta) == ["tcp.options.timestamp.tsval", "tcp.option_kind", "ip.ttl"]
+        assert meta["tcp.options.timestamp.tsval"] == {FLAG_TIME_DEPENDENT}
+        assert len(meta["tcp.option_kind"]) == 2
+        assert meta["ip.ttl"] == frozenset()
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(RegistryFormatError):
