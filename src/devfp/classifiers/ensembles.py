@@ -10,10 +10,12 @@ by `derive_rng`:
   this RNG directly; an rf or bagging member draws its 64-bit token from it.
 
 j48 and nb draw nothing. An rf or bagging member draws its bootstrap sample
-from its RNG, and an rf member then the candidate attributes of its nodes.
-All samples are drawn first; then every member tree grows in one frontier
-(`trees.grow_trees`), each exactly as it would grow alone, into one
-`TreeModel` that holds them all. Vote members train one after another.
+from its RNG, and an rf member then the candidate attributes of each node it
+searches, in the tree's breadth-first order, as an rt model does. All
+samples are drawn first; then every member tree grows from one queue of
+pending nodes (`trees.grow_trees`), each exactly as it would grow alone,
+into one `TreeModel` that holds them all, every tree in breadth-first
+order. Vote members train one after another.
 Predictions are the arithmetic mean of member class distributions (rf and
 bagging route all their trees in one pass, see `trees`; a vote adds its
 members' matrices); the predicted class is the argmax with ties broken

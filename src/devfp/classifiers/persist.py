@@ -1,10 +1,10 @@
 """Versioned model persistence with exact round-trips.
 
-Grammar (JSON, version 2): a model document is an object with, in this
+Grammar (JSON, version 3): a model document is an object with, in this
 order,
 
     format       "devfp-model"
-    version      2
+    version      3
     variant      "j48" | "rt" | "rf" | "nb" | "bagging" | "vote"
     schema       [attribute names...]
     class_names  [class names...]
@@ -25,16 +25,15 @@ bagging trees j48 trees):
     count_class  [per such count: its class, ascending within the leaf...]
     count        [per such count: its value...]
 
-Each tree's nodes are in post-order (right subtree, left subtree, node), so
-children are not stored. Let h be the stack height after each node of a
-tree: the running sum of +1 per leaf and -1 per split. Every split needs
-h >= 2 before it and every tree ends at h = 1; the left child of split i
-is node i - 1 and its right child the last earlier node of its tree with
-the same h as i. So every text that loads is a set of trees, each reaching
-each of its nodes exactly once from its root, the last node. The columns
-are the TreeModel's own (`attribute` is its `feature`, `absent` its
-`absent_left`, the sparse counts its `counts`), and TreeModel derives the
-children by this rule, rejecting columns that break it.
+Each tree's nodes are in breadth-first order (the root, then each split's
+left and right children in the order of their parents), so children are not
+stored: a tree's r-th split has its children at the tree's nodes 2r + 1 and
+2r + 2. A tree of s splits must hold 2s + 1 nodes, and each split's
+children must come after it. So every text that loads is a set of trees,
+each reaching each of its nodes exactly once from its root, the first node.
+The columns are the TreeModel's own (`attribute` is its `feature`, `absent`
+its `absent_left`, the sparse counts its `counts`), and TreeModel derives
+the children by this rule, rejecting columns that break it.
 
 nb params hold {priors, means, stddevs}, null marking classes that never
 saw an attribute (NaN in the model's arrays). Vote params hold {"members":
@@ -59,8 +58,8 @@ true for an int count, 1 for a float), a byte-order mark, bytes that are
 not UTF-8, NaN and Infinity (and Python's nan, inf and -inf), a leaf whose
 counts are all 0 or list a class twice or out of order, and schema or class
 names that are not distinct strings. Version 1 texts (a node object per
-node, full documents as vote members) are not read: such a model must be
-trained again.
+node, full documents as vote members) and version 2 texts (each tree in
+post-order) are not read: such a model must be trained again.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from .ensembles import EnsembleModel
 from .trees import TreeModel
 
 FORMAT_NAME = "devfp-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER_KEYS = ("format", "version", "variant", "schema", "class_names", "hyperparams")
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -398,9 +397,9 @@ def _read_document(text: str) -> TrainedModel:
         if key == "format" and value != FORMAT_NAME:
             raise ModelFormatError(f"not a {FORMAT_NAME} document")
         if key == "version" and (type(value) is not int or value != FORMAT_VERSION):
-            if type(value) is int and value == 1:
+            if type(value) is int and value in (1, 2):
                 raise ModelFormatError(
-                    f"this build no longer reads model version 1; retrain the model with this build,"
+                    f"this build no longer reads model version {value}; retrain the model with this build,"
                     f" which writes version {FORMAT_VERSION}"
                 )
             raise ModelFormatError(

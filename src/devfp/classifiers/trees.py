@@ -1,15 +1,17 @@
 """Decision trees: gain-ratio growth, pessimistic pruning, random trees.
 
 One grower grows a list of trees at once, each from a sample of row indices
-into a shared feature matrix (all rows, or a bootstrap sample). Each step
-takes a frontier of pending nodes from every tree and scores all its
+into a shared feature matrix (all rows, or a bootstrap sample). Pending
+nodes of every tree wait in one first-in, first-out queue, the roots first.
+Each step takes a frontier from the head of the queue and scores all its
 (node, candidate attribute) pairs with one batched split search,
-`selection.split_segments`. C4.5 trees put every pending node into the
-frontier; a random tree puts in one node per step, in depth-first order
-(left before right), so it draws the candidate sets of each node from its
-RNG in the same order as plain recursive growth. A step scores at most
-_STEP_ROWS rows (node rows times candidates); nodes beyond that wait, so a
-step's working memory does not grow with the number of trees.
+`selection.split_segments`; the children of the nodes that split join the
+tail, left before right. So each tree's nodes are created, searched and
+numbered in its own breadth-first order, and a random tree draws the
+candidate set of each searched node from its RNG in that order, however
+the steps are cut. A step scores at most _STEP_ROWS rows (node rows times
+candidates); nodes beyond that wait, so a step's working memory does not
+grow with the number of trees.
 
 At every node the split is the (attribute, threshold) pair maximizing gain
 ratio among candidate attributes whose missing-scaled info gain is positive,
@@ -17,8 +19,9 @@ the first candidate winning ties; rows with an Absent split value follow the
 branch that received the majority of training rows.
 
 Nodes are appended to flat arrays as they are created, parents before
-children. Pessimistic pruning and the post-order numbering of the model
-format then run one tree level at a time across all trees. A trained model
+children. Pessimistic pruning then runs one growth step at a time across
+all trees, the last step first, and each tree keeps its surviving nodes in
+their order, the breadth-first order of the model format. A trained model
 (`TreeModel`, one class for j48, rt, rf and bagging) holds all its trees as
 one set of the model format's columns; a lone tree is a forest of one.
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Optional, Sequence
@@ -88,9 +92,10 @@ class TreeModel(TrainedModel):
     format's columns (a lone tree is a forest of one).
 
     Tree t holds sizes[t] nodes, the trees one after another. `feature` has
-    one entry per node: each tree's nodes in post-order (right subtree, left
-    subtree, node), a split holding the schema attribute it tests and a leaf
-    -1. `threshold` and `absent_left` have one entry per split, in node
+    one entry per node: each tree's nodes in breadth-first order, so that
+    its r-th split has its children at its nodes 2r + 1 (left) and 2r + 2
+    (right), a split holding the schema attribute it tests and a leaf -1.
+    `threshold` and `absent_left` have one entry per split, in node
     order: a row goes right when its value is greater than the threshold,
     left when it is not, and left when it is Absent exactly if absent_left.
     Every threshold is finite: prediction relies on it. `counts` has one row
@@ -106,7 +111,7 @@ class TreeModel(TrainedModel):
     split sends Absent right. It goes to child[2 * s + 1] when the value is
     greater than threshold[s], else to child[2 * s]. Both children of a leaf
     are itself, so a row that reached a leaf stays there. roots[t] is the
-    number of tree t's last node.
+    number of tree t's first node.
     """
 
     sizes: np.ndarray
@@ -122,19 +127,28 @@ class TreeModel(TrainedModel):
     def __post_init__(self) -> None:
         split = self.feature >= 0
         n, n_splits = len(split), len(self.threshold)
-        right = _right_children(self.sizes, split)
+        # tree t's r-th split has its children at the tree's nodes 2r + 1 and
+        # 2r + 2; each tree before it holds twice its splits plus one nodes, so
+        # split s (counted over all trees) has its left child at node 2s + t + 1
+        split_tree = np.repeat(np.arange(len(self.sizes)), self.sizes)[split]
+        left = 2 * np.arange(n_splits) + split_tree + 1
+        if not (np.array_equal(2 * np.bincount(split_tree, minlength=len(self.sizes)) + 1, self.sizes)
+                and np.all(left > np.flatnonzero(split))):
+            raise ValueError(
+                "malformed tree: in breadth-first order a tree of s splits has 2s + 1 nodes,"
+                " and its r-th split has its children at nodes 2r + 1 and 2r + 2, after it"
+            )
         number = np.empty(n, dtype=np.intp)
         number[split] = np.arange(n_splits)
         number[~split] = np.arange(n_splits, n)
         child = np.empty((n, 2), dtype=np.intp)
-        child[:n_splits, 0] = number[np.flatnonzero(split) - 1]  # the node before a split is its left child
-        child[:n_splits, 1] = number[right]
+        child[:n_splits] = number[left[:, None] + np.arange(2)]
         child[n_splits:] = np.arange(n_splits, n)[:, None]
         column = self.feature[split] + np.where(self.absent_left, 0, len(self.schema))
         proba = self.counts + 1.0
         proba /= proba.sum(axis=1, keepdims=True)  # integer-valued sums: exactly total + n_classes
         for name, value in (("column", column), ("child", child.ravel()), ("proba", proba),
-                            ("roots", number[np.cumsum(self.sizes) - 1])):
+                            ("roots", number[np.cumsum(self.sizes) - self.sizes])):
             object.__setattr__(self, name, value)
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
@@ -188,31 +202,6 @@ class TreeModel(TrainedModel):
         return rows
 
 
-def _right_children(sizes: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """The right child of each split, in node order, of trees of these sizes
-    whose nodes are in post-order and are splits where `split` holds.
-
-    Let h be the stack height after each node, counted on from tree to tree:
-    the running sum of +1 per leaf and -1 per split. Tree t must end at
-    h = t + 1 and stay at h >= t + 1, so every split has two subtrees before
-    it in its tree. The right child of a split is then the last earlier node
-    with the same h. Raises ValueError when the nodes are not such trees.
-    """
-    height = np.cumsum(np.where(split, -1, 1))
-    end = np.cumsum(sizes)
-    tops = np.arange(1, len(sizes) + 1)
-    if not (np.array_equal(height[end - 1], tops) and np.all(np.minimum.reduceat(height, end - sizes) >= tops)):
-        raise ValueError(
-            "malformed tree: in post-order every split needs two subtrees before it, and a tree ends at its root"
-        )
-    # among the nodes of one height, in node order, the one before a split is its right child
-    order = np.argsort(height, kind="stable")
-    del height
-    right = np.empty(len(split), dtype=np.intp)
-    right[order[1:]] = order[:-1]
-    return right[split]
-
-
 # (tree, row) pairs routed per block of rows. It bounds prediction's working
 # memory; a lone tree routes this many rows per block.
 _BLOCK_PAIRS = 12_000
@@ -234,7 +223,8 @@ def grow_trees(
 
     With rngs None the trees are C4.5 trees over every attribute, pruned
     when hp.c45_prune; otherwise tree t is an unpruned random tree whose
-    searched nodes each draw a sorted candidate set from rngs[t].
+    searched nodes each draw a sorted candidate set from rngs[t], in the
+    tree's breadth-first order.
     """
     codes, values = value_codes(X)
     k = X.shape[1]
@@ -244,42 +234,34 @@ def grow_trees(
     def splittable(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return (sizes >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
 
-    # A pending node is (id, rows, depth). Pending nodes hold the only
-    # reference to their rows, so each sample is freed once its root splits.
-    # Every tree's rows are pending at once: int32 halves them.
-    pending: list[list[tuple[int, np.ndarray, int]]] = [
-        [(t, rows.astype(np.int32), 0)] for t, rows in enumerate(samples)
-    ]
-    n_trees = len(pending)
-    # The node table, a block per step: the tree, depth and class counts of
-    # each new node, and (ids, attributes, thresholds, absent_left, first
-    # child id) of the nodes that split, whose children are ids first + 2i
-    # (left) and first + 2i + 1 (right). The roots are ids 0..n_trees-1.
+    # A pending node is (tree, id, rows), in one first-in, first-out queue.
+    # Pending nodes hold the only reference to their rows, so each sample is
+    # freed once its root splits. Every tree's rows are pending at once:
+    # int32 halves them.
+    roots = [rows.astype(np.int32) for rows in samples]
+    n_trees = len(roots)
+    # The node table, a block per step: the tree and class counts of each
+    # new node, and (ids, attributes, thresholds, absent_left, left child
+    # ids) of the nodes that split, whose right children follow their left
+    # ones. The roots are ids 0..n_trees-1.
     tree_blocks = [np.arange(n_trees)]
-    depth_blocks = [np.zeros(n_trees, dtype=np.intp)]
-    counts_blocks = [np.array([np.bincount(y[s[0][1]], minlength=n_classes) for s in pending], dtype=np.int32)]
+    counts_blocks = [np.array([np.bincount(y[rows], minlength=n_classes) for rows in roots], dtype=np.int32)]
+    grows = splittable(np.array([len(rows) for rows in roots]), counts_blocks[0])
+    queue = deque((t, t, rows) for t, rows in enumerate(roots) if grows[t])
+    del roots
     split_blocks = []
     n_nodes = n_trees
-    for t in np.flatnonzero(~splittable(np.array([len(s[0][1]) for s in pending]), counts_blocks[0])):
-        pending[t].clear()
-
-    first = 0  # the tree admitted first; it rotates so that no tree starves
-    while any(pending):
-        ids, rows, depths, tree_of, candidates = [], [], [], [], []
+    while queue:
+        tree_of, ids, rows, candidates = [], [], [], []
         budget = _STEP_ROWS
-        for t in [*range(first, n_trees), *range(first)]:
-            stack = pending[t]
-            while stack and (not ids or len(stack[-1][1]) * m <= budget):
-                node, node_rows, depth = stack.pop()
-                budget -= len(node_rows) * m
-                ids.append(node)
-                rows.append(node_rows)
-                depths.append(depth)
-                tree_of.append(t)
-                if rngs is not None:
-                    candidates.append(attributes if m >= k else sorted(rngs[t].sample(attributes, m)))
-                    break
-        first = (tree_of[-1] + 1) % n_trees
+        while queue and (not ids or len(queue[0][2]) * m <= budget):
+            t, node, node_rows = queue.popleft()
+            budget -= len(node_rows) * m
+            tree_of.append(t)
+            ids.append(node)
+            rows.append(node_rows)
+            if rngs is not None:
+                candidates.append(attributes if m >= k else sorted(rngs[t].sample(attributes, m)))
 
         cand = np.array(candidates) if rngs is not None else np.broadcast_to(np.arange(k), (len(ids), k))
         sizes = np.array([len(r) for r in rows])
@@ -292,26 +274,22 @@ def grow_trees(
             X, y, n_classes, row, owner, chosen, attribute, threshold
         )
 
-        first_child = n_nodes
-        n_nodes += 2 * len(chosen)
         child_trees = np.repeat(np.array(tree_of)[chosen], 2)
-        child_depths = np.repeat(np.array(depths)[chosen] + 1, 2)
-        split_blocks.append((np.array(ids)[chosen], attribute, threshold, absent_left, first_child))
+        left = n_nodes + 2 * np.arange(len(chosen))
+        split_blocks.append((np.array(ids)[chosen], attribute, threshold, absent_left, left))
         tree_blocks.append(child_trees)
-        depth_blocks.append(child_depths)
         counts_blocks.append(child_counts)
         grows = splittable(np.diff(child_start), child_counts).tolist()
-        child_start, child_depths = child_start.tolist(), child_depths.tolist()
-        for i, t in enumerate(child_trees[::2].tolist()):
-            for c in (2 * i + 1, 2 * i):  # right pushed first: left grows first
-                if grows[c]:
-                    node_rows = child_rows[child_start[c]:child_start[c + 1]].astype(np.int32)
-                    pending[t].append((first_child + c, node_rows, child_depths[c]))
+        child_start = child_start.tolist()
+        for c, t in enumerate(child_trees.tolist()):  # left, right of each chosen node
+            if grows[c]:
+                queue.append((t, n_nodes + c, child_rows[child_start[c]:child_start[c + 1]].astype(np.int32)))
+        n_nodes += len(child_trees)
 
     counts = np.concatenate(counts_blocks)
     del counts_blocks  # free the blocks before _finish allocates
     confidence = hp.c45_confidence if rngs is None and hp.c45_prune else None
-    return _finish(np.concatenate(tree_blocks), np.concatenate(depth_blocks), counts, split_blocks, n_trees, confidence)
+    return _finish(np.concatenate(tree_blocks), counts, split_blocks, n_trees, confidence)
 
 
 def _best_splits(
@@ -361,54 +339,41 @@ def _route(
 
 
 def _finish(
-    tree: np.ndarray, depth: np.ndarray, counts: np.ndarray, split_blocks: list, n_trees: int,
-    confidence: Optional[float],
+    tree: np.ndarray, counts: np.ndarray, split_blocks: list, n_trees: int, confidence: Optional[float],
 ) -> dict:
     """The TreeModel columns of the trees of the node table (whose first
     n_trees nodes are the roots): pruned bottom-up when a confidence is
-    given, then put in the post-order of the model format."""
+    given. A tree's node ids ascend in its breadth-first order, the order
+    of the model format, so its surviving nodes keep their order."""
     n = len(tree)
     feature = np.full(n, -1, dtype=np.intp)
     threshold = np.zeros(n)
     absent_left = np.zeros(n, dtype=bool)
-    left = np.full(n, -1, dtype=np.intp)
-    for nodes, attribute, cut, absent, first_child in split_blocks:
+    for nodes, attribute, cut, absent, _ in split_blocks:
         feature[nodes] = attribute
         threshold[nodes] = cut
         absent_left[nodes] = absent
-        left[nodes] = first_child + 2 * np.arange(len(nodes))
-    right = left + 1
-    levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
 
+    # a block's children split in later blocks, if at all: pruning walks the
+    # blocks last first, and a node survives when its parent is a surviving split
     if confidence is not None:
         # a subtree whose pessimistic error is no lower than its root's as a leaf collapses
         errors = _pessimistic_errors(counts, confidence)
-        for level in reversed(levels):
-            level = level[feature[level] >= 0]
-            subtree = errors[left[level]] + errors[right[level]]
-            collapse = errors[level] <= subtree
-            errors[level[~collapse]] = subtree[~collapse]
-            feature[level[collapse]] = -1
-
-    # the model format numbers a tree's nodes in reverse (node, left, right) pre-order
-    size = np.ones(n, dtype=np.intp)
-    for level in reversed(levels):
-        level = level[feature[level] >= 0]
-        size[level] += size[left[level]] + size[right[level]]
-    pre = np.zeros(n, dtype=np.intp)
+        for nodes, *_, left in reversed(split_blocks):
+            subtree = errors[left] + errors[left + 1]
+            collapse = errors[nodes] <= subtree
+            errors[nodes[~collapse]] = subtree[~collapse]
+            feature[nodes[collapse]] = -1
     kept = np.zeros(n, dtype=bool)
     kept[:n_trees] = True
-    for level in levels:
-        level = level[kept[level] & (feature[level] >= 0)]
-        kept[left[level]] = kept[right[level]] = True
-        pre[left[level]] = pre[level] + 1
-        pre[right[level]] = pre[level] + 1 + size[left[level]]
-    number = size[tree] - 1 - pre
+    for nodes, *_, left in split_blocks:
+        left = left[kept[nodes] & (feature[nodes] >= 0)]
+        kept[left] = kept[left + 1] = True
     node = np.flatnonzero(kept)
-    node = node[np.lexsort((number[node], tree[node]))]
-    sizes = size[:n_trees].copy()
+    node = node[np.argsort(tree[node], kind="stable")]
+    sizes = np.bincount(tree[node], minlength=n_trees)
     # the node table goes before the columns are gathered: this lowers train-eval rf's peak RSS
-    del tree, depth, left, right, levels, size, pre, kept, number
+    del tree, kept
     feature = feature[node]
     split = node[feature >= 0]
     return {
@@ -418,4 +383,3 @@ def _finish(
         "absent_left": absent_left[split],
         "counts": counts[node[feature < 0]],
     }
-

@@ -180,7 +180,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Device registry and labeling
 
-_MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
+_MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 _TYPE_BY_TOKEN = {"iot": TYPE_IOT, "non-iot": TYPE_NON_IOT}
 
 
@@ -197,7 +197,7 @@ class DeviceRegistry:
 
     def add(self, mac: str, device_name: str, device_type: str) -> None:
         mac = mac.lower()
-        if not _MAC_RE.match(mac):
+        if not _MAC_RE.fullmatch(mac):
             raise ValueError(f"not a colon-hex MAC address: {mac!r}")
         if not device_name:
             raise ValueError("device name must be non-empty")

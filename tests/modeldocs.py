@@ -1,17 +1,17 @@
-"""Hand-written model documents (format v2) for tests that need a known tree.
+"""Hand-written model documents (format v3) for tests that need a known tree.
 
 A tree is written as a node list: `leaf(*counts)` and `split(attribute,
-threshold, absent_branch, left, right)` in the format's post-order, children
-before their parent and the root last. `tree_params` encodes node lists as
-the v2 tree columns (sizes, attribute, threshold, absent, and the sparse
-leaf counts leaf_nnz, count_class and count), one tree per list; the file
-stores no children, so it checks that each split's left and right are the
-children that post-order implies (left is the node before the split, right
-the root of the subtree before that). A vote member is `member(variant,
-params)`. `canonical` writes a document as save_model does (no whitespace,
-one final LF), the only text load_model reads, so that a test of a
-document's content is not rejected for its form. `staircase` builds a very
-large tree from its columns, without a document.
+threshold, absent_branch, left, right)`, left and right being indices into
+the list, in post-order: children before their parent and the root last.
+`tree_params` encodes node lists as the v3 tree columns (sizes, attribute,
+threshold, absent, and the sparse leaf counts leaf_nnz, count_class and
+count), one tree per list, each tree's nodes in the breadth-first order the
+file stores (the root first, then each split's left and right children in
+the order of their parents), so the file stores no children. A vote member
+is `member(variant, params)`. `canonical` writes a document as save_model
+does (no whitespace, one final LF), the only text load_model reads, so that
+a test of a document's content is not rejected for its form. `staircase`
+builds a very large tree from its columns, without a document.
 """
 
 import json
@@ -38,12 +38,16 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
 
 
 def tree_params(*trees: list) -> dict:
-    """The v2 tree params of one or more node lists."""
+    """The v3 tree params of one or more node lists."""
     params = {"sizes": [], "attribute": [], "threshold": [], "absent": "", "leaf_nnz": [], "count_class": [], "count": []}
     for nodes in trees:
+        order = [len(nodes) - 1]
+        for i in order:  # the list grows as it is walked: a queue
+            if "counts" not in nodes[i]:
+                order += [nodes[i]["left"], nodes[i]["right"]]
+        assert sorted(order) == list(range(len(nodes))), "not one tree rooted at the last node"
         params["sizes"].append(len(nodes))
-        stack = []
-        for i, node in enumerate(nodes):
+        for node in (nodes[i] for i in order):
             if "counts" in node:
                 params["attribute"].append(-1)
                 present = [(c, v) for c, v in enumerate(node["counts"]) if v != 0]
@@ -51,12 +55,9 @@ def tree_params(*trees: list) -> dict:
                 params["count_class"] += [c for c, _ in present]
                 params["count"] += [v for _, v in present]
             else:
-                assert (node["left"], node["right"]) == (stack[-1], stack[-2]), f"node {i}: not post-order"
-                del stack[-2:]
                 params["attribute"].append(node["attribute"])
                 params["threshold"].append(node["threshold"])
                 params["absent"] += node["absent_branch"][:1]
-            stack.append(i)
     return params
 
 
@@ -69,7 +70,7 @@ def document(variant, schema, class_names, params) -> dict:
     """A hand-written model document with these params."""
     return {
         "format": "devfp-model",
-        "version": 2,
+        "version": 3,
         "variant": variant,
         "schema": list(schema),
         "class_names": list(class_names),
@@ -95,11 +96,11 @@ def tree_model(schema, class_names, nodes):
 
 def staircase(n_splits: int) -> TreeModel:
     """A j48 tree of n_splits splits on ip.len, each with a leaf on its left:
-    node 0 is a leaf, node 2j - 1 a leaf and node 2j the split (left 2j - 1,
-    right 2j - 2) for j = 1..n_splits, so the root is the last node."""
+    in breadth-first order node 2r is the r-th split, its left child 2r + 1
+    a leaf and its right child 2r + 2 the next split, the last node a leaf."""
     n = 2 * n_splits + 1
     feature = np.full(n, -1, dtype=np.intp)
-    feature[2::2] = 0
+    feature[:-1:2] = 0
     counts = np.stack((np.arange(n_splits + 1) % 7, np.ones(n_splits + 1)), axis=1).astype(np.int32)
     return TreeModel(
         schema=("ip.len",), class_names=("A", "B"), hyperparams=Hyperparams(), variant="j48",

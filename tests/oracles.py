@@ -3,8 +3,9 @@
 The brute-force functions are deliberately naive: plain enumeration over
 thresholds, textbook formulas, no numpy. The reference tree grower below
 them is devfp's earlier per-node grower, kept verbatim in arithmetic: one
-split search per node and attribute, builder dicts, then post-order
-flattening. The frontier grower must reproduce its node arrays bit for bit.
+split search per node and attribute, taken from a first-in, first-out queue,
+builder dicts, then breadth-first flattening. The frontier grower must
+reproduce its node arrays bit for bit.
 The reference prediction after it is devfp's earlier per-tree prediction;
 the stacked routing of all trees at once must reproduce its distributions
 bit for bit. The reference extraction at the end is devfp's earlier
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple, Optional, Union
@@ -150,9 +151,9 @@ def reference_score_column(column: np.ndarray, labels: np.ndarray, n_classes: in
 
 def _reference_grow(X, y, n_classes, min_leaf, pick_candidates) -> dict:
     root: dict = {}
-    stack = [(root, np.arange(len(y), dtype=np.intp))]
-    while stack:
-        node, idx = stack.pop()
+    queue = deque([(root, np.arange(len(y), dtype=np.intp))])
+    while queue:
+        node, idx = queue.popleft()
         sub_y = y[idx]
         counts = np.bincount(sub_y, minlength=n_classes)
         node["counts"] = counts
@@ -177,8 +178,8 @@ def _reference_grow(X, y, n_classes, min_leaf, pick_candidates) -> dict:
             go_right |= ~present
         node.update(leaf=False, attribute=int(best_attr), threshold=float(best_threshold),
                     absent_left=absent_left, left={}, right={})
-        stack.append((node["right"], idx[go_right]))
-        stack.append((node["left"], idx[go_left]))
+        queue.append((node["left"], idx[go_left]))
+        queue.append((node["right"], idx[go_right]))
     return root
 
 
@@ -204,20 +205,17 @@ def _pessimistic_errors(counts, confidence: float) -> float:
     return e + _added_errors(n, e, confidence)
 
 
-def _post_order(root: dict) -> list:
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
+def _breadth_first(root: dict) -> list:
+    """The nodes of a tree in breadth-first order, left child before right."""
+    order = [root]
+    for node in order:  # the list grows as it is walked: a queue
         if not node["leaf"]:
-            stack.append(node["right"])
-            stack.append(node["left"])
-    order.reverse()
+            order += [node["left"], node["right"]]
     return order
 
 
 def _reference_prune(root: dict, confidence: float) -> None:
-    for node in _post_order(root):
+    for node in reversed(_breadth_first(root)):  # children before their parent
         if node["leaf"]:
             node["est_errors"] = _pessimistic_errors(node["counts"], confidence)
             continue
@@ -232,7 +230,7 @@ def _reference_prune(root: dict, confidence: float) -> None:
 
 
 def _flatten(root: dict) -> dict:
-    order = _post_order(root)
+    order = _breadth_first(root)
     index = {id(node): i for i, node in enumerate(order)}
 
     def column(value, leaf_value, dtype):
@@ -245,7 +243,7 @@ def _flatten(root: dict) -> dict:
         "right": column(lambda n: index[id(n["right"])], -1, np.intp),
         "absent_left": column(lambda n: n["absent_left"], False, bool),
         "counts": np.array([n["counts"] for n in order if n["leaf"]], dtype=np.int32),
-        "root": len(order) - 1,
+        "root": 0,
     }
 
 
@@ -290,31 +288,28 @@ def tree_nodes(model) -> list:
     returns: feature, threshold and absent_left per node (0.0 and False at a
     leaf), left and right per node (-1 at a leaf), counts, and root, plus the
     tree's proba rows and leaf (node -> row of counts and proba). The columns
-    are split by `sizes`, and the children found by a stack walk over each
-    tree's post-order (right subtree, left subtree, node)."""
+    are split by `sizes`, and each tree's nodes are in breadth-first order,
+    so its r-th split has its children at nodes 2r + 1 and 2r + 2."""
     trees = []
     node = split_at = leaf_at = 0
     for size in model.sizes.tolist():
         feature = model.feature[node:node + size]
         split = feature >= 0
         n_splits = int(np.count_nonzero(split))
+        assert size == 2 * n_splits + 1, "not one tree"
         threshold = np.zeros(size)
         threshold[split] = model.threshold[split_at:split_at + n_splits]
         absent_left = np.zeros(size, dtype=bool)
         absent_left[split] = model.absent_left[split_at:split_at + n_splits]
         left = np.full(size, -1, dtype=np.intp)
         right = np.full(size, -1, dtype=np.intp)
-        stack = []
-        for i, attribute in enumerate(feature.tolist()):
-            if attribute >= 0:
-                left[i] = stack.pop()
-                right[i] = stack.pop()
-            stack.append(i)
-        assert stack == [size - 1], "not one tree in post-order"
+        left[split] = 2 * np.arange(n_splits) + 1
+        right[split] = 2 * np.arange(n_splits) + 2
+        assert np.all(left[split] > np.flatnonzero(split)), "a child before its parent"
         leaves = slice(leaf_at, leaf_at + size - n_splits)
         trees.append({
             "feature": feature, "threshold": threshold, "left": left, "right": right,
-            "absent_left": absent_left, "counts": model.counts[leaves], "root": size - 1,
+            "absent_left": absent_left, "counts": model.counts[leaves], "root": 0,
             "proba": model.proba[leaves], "leaf": np.cumsum(~split) - 1,
         })
         node, split_at, leaf_at = node + size, split_at + n_splits, leaves.stop

@@ -153,7 +153,7 @@ class TestCriterion3TreeOracle:
                     perfect = predictions(model, [FeatureRow(ip_len=a, ip_ttl=b) for a, b in points]) == labels
                     if perfect:
                         continue
-                    if model.feature[-1] < 0:  # the root, the last node
+                    if model.feature[0] < 0:  # the root, the first node
                         stalled += 1  # no positive-gain split existed at the root
                     else:
                         failures += 1

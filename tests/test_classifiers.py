@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from devfp.classifiers import (
     save_model,
     train_model,
 )
+from devfp.classifiers import trees
 from devfp.classifiers.base import TrainedModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
 from devfp.features import Dataset
@@ -55,8 +57,8 @@ def nodes(model) -> dict:
     return tree
 
 
-def is_leaf(model, node=-1) -> bool:
-    """Whether a node of a lone tree is a leaf; node -1 is the root."""
+def is_leaf(model, node=0) -> bool:
+    """Whether a node of a lone tree is a leaf; node 0 is the root."""
     return bool(model.feature[node] < 0)
 
 
@@ -138,14 +140,14 @@ class TestC45:
         dataset = one_attr_dataset([1, 2, 3, 50, None, None], ["A", "A", "A", "B", "A", "A"])
         model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
-        assert model.absent_left[-1]  # the root is the last split
+        assert model.absent_left[0]  # the root is the first split
         assert predicted(model, vector()) == "A"
 
     def test_absent_branch_follows_majority_to_right(self):
         dataset = one_attr_dataset([1, 50, 60, 70, None, None], ["A", "B", "B", "B", "B", "B"])
         model = train_model(dataset, ModelSpec("j48", UNPRUNED_MIN1))
         assert not is_leaf(model)
-        assert not model.absent_left[-1]
+        assert not model.absent_left[0]
 
     def test_min_leaf_stops_growth(self):
         dataset = one_attr_dataset([1, 2, 9, 10], ["A", "A", "B", "B"])
@@ -221,7 +223,7 @@ class TestRandomTree:
         for seed in range(12):
             model = train_model(dataset, ModelSpec("rt", Hyperparams(rt_feature_count=1, c45_min_leaf=1, seed=seed)))
             if not is_leaf(model):
-                roots.add(int(model.feature[-1]))
+                roots.add(int(model.feature[0]))
         assert roots == {0, 1}
 
 
@@ -357,6 +359,15 @@ class TestEnsembles:
         assert proba == {"A": pytest.approx(0.4), "B": pytest.approx(0.6)}
         assert predicted(bagged, vector(**{"ip.len": 1})) == "B"
 
+    def test_same_seed_identical_forest(self):
+        # the same bytes whether the growth steps take many nodes or one
+        spec = ModelSpec("rf", Hyperparams(forest_trees=5, rt_feature_count=1, c45_min_leaf=1, seed=7))
+        a = train_model(self.dataset(), spec)
+        with patch.object(trees, "_STEP_ROWS", 1):
+            b = train_model(self.dataset(), spec)
+        assert len(a.sizes) == 5 and a.sizes.sum() > 5
+        assert save_model(a) == save_model(b) == save_model(train_model(self.dataset(), spec))
+
     def test_same_seed_identical_bagging(self):
         a = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
         b = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
@@ -446,11 +457,11 @@ class TestPredictContract:
         assert dist[1] == pytest.approx(2 / 6, abs=1e-12)
 
     def test_routing_below_threshold_goes_left(self):
-        # node 0 is the right leaf, node 1 the left leaf, node 2 the split
+        # stored breadth-first: the split, then its left leaf (row 0 of proba) and its right leaf
         model = tree_model(
             ("ip.len",), ("A", "B"), [leaf(0, 1), leaf(1, 0), split(0, 5.5, "right", 1, 0)]
         )
-        left, right = model.proba[1], model.proba[0]
+        left, right = model.proba[0], model.proba[1]
         X = np.array([[2.0], [5.5], [6.0], [np.nan]])
         dist = model.distribution_batch(X)
         assert np.array_equal(dist[0], left)
@@ -606,7 +617,7 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self):
         text = save_model(self.trained_models()[0])
-        bad = text.replace('"version":2', '"version":99')
+        bad = text.replace('"version":3', '"version":99')
         with pytest.raises(ModelFormatError, match="version"):
             load_model(bad)
 
@@ -625,13 +636,29 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version 1"):
             load_model(self.V1_J48.encode("utf-8"))
 
+    # the same j48 model as the version 2 format wrote it: its tree in post-order
+    V2_J48 = V1_J48.replace('"version":1', '"version":2').split('"params":')[0] + (
+        '"params":{"sizes":[3],"attribute":[-1,-1,0],"threshold":[5.5],"absent":"l","leaf_nnz":[1,1],'
+        '"count_class":[1,0],"count":[4,4]}}\n'
+    )
+
+    def test_version_2_rejected_with_retrain_advice(self):
+        advice = "version 2; retrain the model with this build, which writes version 3"
+        with pytest.raises(ModelFormatError, match=advice):
+            load_model(self.V2_J48)
+        with pytest.raises(ModelFormatError, match=advice):
+            load_model(self.V2_J48.encode("utf-8"))
+        # its columns read as version 3 are no tree: the root would be a leaf
+        with pytest.raises(ModelFormatError, match="malformed tree"):
+            load_model(self.V2_J48.replace('"version":2', '"version":3'))
+
     def test_non_json_rejected(self):
         # nesting beyond the parser's depth, an integer beyond its digit limit, bytes
         # that are not UTF-8
         head = '{"format":"devfp-model","version":'
         cases = [
             ("not json at all", "format"),
-            (head + '2,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
+            (head + '3,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
             (head + "1" * 5000, "version is not readable JSON"),
             (b"\xff\xfe{", "not UTF-8"),
         ]
@@ -685,39 +712,56 @@ class TestPersistence:
             load_model('{"format":"something-else","version":1}\n')
 
     GOOD_NODES = [leaf(0, 4), leaf(4, 0), split(0, 5.5, "left", 1, 0)]
-    # {"sizes":[3],"attribute":[-1,-1,0],"threshold":[5.5],"absent":"l",
-    #  "leaf_nnz":[1,1],"count_class":[1,0],"count":[4,4]}
+    # {"sizes":[3],"attribute":[0,-1,-1],"threshold":[5.5],"absent":"l",
+    #  "leaf_nnz":[1,1],"count_class":[0,1],"count":[4,4]}
     GOOD = tree_params(GOOD_NODES)
 
     def test_malformed_tree_rejected(self):
         schema, classes = ("ip.len",), ("A", "B")
         assert tree_model(schema, classes, self.GOOD_NODES).sizes.tolist() == [3]
-        one_leaf_less = {"leaf_nnz": [1], "count_class": [1], "count": [4]}
+        one_leaf_less = {"leaf_nnz": [1], "count_class": [0], "count": [4]}
+        one_leaf_more = {"leaf_nnz": [1, 1, 1], "count_class": [0, 1, 0], "count": [4, 4, 1]}
+        two_splits = {"threshold": [5.5, 6.5], "absent": "ll", **one_leaf_more}
+        # these break only the breadth-first structure, so an rf, which may hold
+        # several trees, rejects them as malformed
+        structural = [
+            {"attribute": [-1, 0, -1]},  # the split at node 1 would be its own left child
+            {"attribute": [-1, -1, 0]},  # the split at node 2 would have its children at nodes 1 and 2
+            {"sizes": [5], "attribute": [0, -1, -1, -1, 0], **two_splits},  # the second split's at 3 and 4
+            {"sizes": [3, 3], "attribute": [0, -1, -1, -1, 0, -1], "threshold": [5.5] * 2, "absent": "ll",
+             "leaf_nnz": [1] * 4, "count_class": [0, 1] * 2, "count": [4] * 4},  # so in the second tree
+            {"sizes": [2], "attribute": [0, -1], **one_leaf_less},  # a split in a tree of 2 nodes
+            {"sizes": [4], "attribute": [0, -1, -1, -1], **one_leaf_more},  # a split and 3 leaves
+            {"sizes": [1, 2]},  # sizes that cut a tree
+            {"sizes": [2, 1]},
+        ]
+        # the same columns in breadth-first order load
+        document_model("rf", schema, classes, {**self.GOOD, "sizes": [5], "attribute": [0, -1, 0, -1, -1],
+                                               **two_splits})
+        for edit in structural:
+            with pytest.raises(ModelFormatError, match="malformed tree"):
+                document_model("rf", schema, classes, {**self.GOOD, **edit})
         bad_edits = [
-            {"attribute": [-1, 0, -1]},  # child after its parent: the split has one node before it
-            {"sizes": [2], "attribute": [-1, 0], **one_leaf_less},  # the split would be its own child
-            {"sizes": [4], "attribute": [-1, -1, 0, -1], "leaf_nnz": [1, 1, 1],
-             "count_class": [1, 0, 0], "count": [4, 4, 1]},  # root not last: two trees in one
-            {"sizes": [1, 2], "attribute": [-1, -1, 0]},  # sizes that cut a tree
+            *structural,
             {"sizes": [4]},  # sizes beyond the nodes
             {"sizes": [0, 3]},  # an empty tree
-            {"sizes": [3, 3], "attribute": [-1, -1, 0] * 2, "threshold": [5.5] * 2, "absent": "ll",
-             "leaf_nnz": [1] * 4, "count_class": [1, 0] * 2, "count": [4] * 4},  # j48 of two trees
-            {"attribute": [-1, -1, 3]},  # attribute out of range
-            {"attribute": [-2, -1, 0]},  # a negative attribute that is not -1
+            {"sizes": [3, 3], "attribute": [0, -1, -1] * 2, "threshold": [5.5] * 2, "absent": "ll",
+             "leaf_nnz": [1] * 4, "count_class": [0, 1] * 2, "count": [4] * 4},  # j48 of two trees
+            {"attribute": [3, -1, -1]},  # attribute out of range
+            {"attribute": [0, -2, -1]},  # a negative attribute that is not -1
             {"threshold": []},  # too few thresholds
             {"threshold": [5.5, 6.5]},  # too many thresholds
             {"absent": "u"},  # bad absent branch
             {"absent": "lr"},  # an absent letter too many
             {"absent": ""},  # an absent letter too few
-            {"count_class": [1, 2]},  # class out of range
+            {"count_class": [0, 2]},  # class out of range
             {"count": [4, -1]},  # negative count
             {"count": [4, 0]},  # zero count listed
             {"count": [4, 2**40]},  # count beyond int32
-            {"leaf_nnz": [1, 0], "count_class": [1], "count": [4]},  # a leaf with all-zero counts
-            {"leaf_nnz": [2, 1], "count_class": [1, 1, 0], "count": [4, 1, 4]},  # a class twice in a leaf
-            {"leaf_nnz": [2, 1], "count_class": [1, 0, 0], "count": [4, 1, 4]},  # classes out of order
-            {"leaf_nnz": [3, 1], "count_class": [0, 1, 1, 0], "count": [1, 4, 1, 4]},  # more counts than classes
+            {"leaf_nnz": [1, 0], "count_class": [0], "count": [4]},  # a leaf with all-zero counts
+            {"leaf_nnz": [2, 1], "count_class": [0, 0, 1], "count": [4, 1, 4]},  # a class twice in a leaf
+            {"leaf_nnz": [2, 1], "count_class": [1, 0, 1], "count": [1, 4, 4]},  # classes out of order
+            {"leaf_nnz": [3, 1], "count_class": [0, 1, 0, 1], "count": [4, 1, 1, 4]},  # more counts than classes
             {"count": [4]},  # a count missing
         ]
         for edit in bad_edits:
@@ -728,10 +772,10 @@ class TestPersistence:
             document_model("j48", schema, classes, missing)
         # a bare minus sign where a 0 belongs: np.fromstring reads it as 0
         text = canonical(document("j48", schema, classes, self.GOOD))
-        for column in ('"attribute":[-1,-1,0]', '"count_class":[1,0]'):
+        for column in ('"attribute":[0,-1,-1]', '"count_class":[0,1]'):
             assert column in text
             with pytest.raises(ModelFormatError, match=column.split('"')[1]):
-                load_model(text.replace(column, column[:-2] + "-]"))
+                load_model(text.replace(column, column.replace("[0", "[-")))
 
     @pytest.mark.parametrize(
         "schema, classes, edit",
@@ -807,14 +851,14 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "variant, params, version",
         [
-            ("j48", {**GOOD, "count": [4, 4.7]}, 2),
-            ("j48", {**GOOD, "count": ["4", 4]}, 2),
-            ("j48", {**GOOD, "count": [True, 4]}, 2),
+            ("j48", {**GOOD, "count": [4, 4.7]}, 3),
+            ("j48", {**GOOD, "count": ["4", 4]}, 3),
+            ("j48", {**GOOD, "count": [True, 4]}, 3),
             ("j48", GOOD, True),
-            ("j48", GOOD, 2.0),
-            ("nb", {**NB_PARAMS, "priors": [True, 0.5]}, 2),
-            ("nb", {**NB_PARAMS, "means": [[1.5, None], ["8.5", 32.0]]}, 2),
-            ("nb", {**NB_PARAMS, "stddevs": [[0.5, None], [1, 1.0]]}, 2),
+            ("j48", GOOD, 3.0),
+            ("nb", {**NB_PARAMS, "priors": [True, 0.5]}, 3),
+            ("nb", {**NB_PARAMS, "means": [[1.5, None], ["8.5", 32.0]]}, 3),
+            ("nb", {**NB_PARAMS, "stddevs": [[0.5, None], [1, 1.0]]}, 3),
         ],
         ids=["count-float", "count-string", "count-bool", "version-bool", "version-float",
              "prior-bool", "mean-string", "stddev-int"],

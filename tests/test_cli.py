@@ -330,7 +330,7 @@ class TestClassify:
         csv = tmp_path / "empty.csv"
         csv.write_text(CSV_HEADER + "\n")
         model = save_model(tree_model(("ip.len",), ("A", "B"), [leaf(1, 9), leaf(9, 1), split(0, 100.5, "left", 1, 0)]))
-        deep = '{"format":"devfp-model","version":2,"variant":"j48","schema":' + "[" * 100000
+        deep = '{"format":"devfp-model","version":3,"variant":"j48","schema":' + "[" * 100000
         # the JSON parser's nesting depth overflows in the second; the model file is
         # read as bytes, so a CRLF line end, a byte-order mark or UTF-16 reach the loader
         for data in (b"{}", deep.encode(), model.replace("\n", "\r\n").encode(),

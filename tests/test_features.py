@@ -408,6 +408,14 @@ class TestRegistryFile:
         with pytest.raises(RegistryFormatError):
             read_registry("nonsense\tAria\tiot\n")
 
+    def test_mac_with_a_trailing_line_feed_rejected(self):
+        # a key holding a line feed could never equal an extracted MAC
+        registry = DeviceRegistry()
+        for mac in ("00:11:22:33:44:55\n", "00:11:22:33:44:55\n\n", "\n00:11:22:33:44:55"):
+            with pytest.raises(ValueError, match="not a colon-hex MAC address"):
+                registry.add(mac, "a", "IoT")
+        assert len(registry) == 0
+
     def test_bad_type_rejected(self):
         with pytest.raises(RegistryFormatError):
             read_registry("aa:bb:cc:dd:ee:ff\tAria\tgadget\n")

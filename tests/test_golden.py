@@ -55,43 +55,43 @@ EXTRACT_RUNS = {"extract-dedup": ["--dedup"], "extract-raw-ack": ["--raw-ack"]}
 
 GOLDEN = {
     "dataset.csv": "ac82a130cceb21e1f25bab58a5700cb61c253c8b94d4dd94652d3b6c80cc0dd0",
-    "j48/model.json": "6e46f3187da8a9417d7a31043840be708a1a0a95bcb8a20f4e456b0abf198b4e",
+    "j48/model.json": "5442b84dc1f764eea0a3445c6a675c8034f07856f9a3bb924f8ff5e20612bbcd",
     "j48/report.txt": "b8650b7dd294421eea888928fe9f1123e5f014fedaf1aff86c580bc4c1fc571e",
     "j48/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "j48/summary.csv": "f34dbfd8235b80fa1e46279bdcb777e3c836f9355b4aacf6c572dfe824c2761c",
     "j48/predictions.csv": "4c9054df4a8eecbf098a456a0cfec563cfe702281f001c7c365d568a44fa88b2",
     "j48/distributions": "854874e7a7848defb2892248d70025339ef8bda8f92559bd5247dc76f3a451ea",
-    "rf/model.json": "5e5e44370f426e98c5a2c2621a7bfb8621d91dec6bb179bc7a8ce661ca352fb7",
+    "rf/model.json": "a59c7e7d489c42ca88dd45c3a1c2b360596b86de0c5c3033177c922329a7b957",
     "rf/report.txt": "446f2032a9f883c8af7ae70c75872139610c453ff4ca74ad59db68f7c2591f7f",
     "rf/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "rf/summary.csv": "5b75778ae74a0af99da68766ddd2f90784341a90af25260f80ef00f3ab9302a8",
-    "rf/predictions.csv": "c11d9544cc28276d95d89597a47e71b6da6dbfe5fcb9f12aecaaa51e28ec5281",
-    "rf/distributions": "11b6ddf58285c812432a9b956af8f1e466c50ecb7c7106a854d8ba1782ad13eb",
-    "rt/model.json": "f3a31125df957ffdcac8f8d429ea426ed8eee4b389d94178c06796a83e92a84a",
+    "rf/predictions.csv": "ed9169f1f46f30676158f79b1100d62985126158d26dc3c741f122f1104b5576",
+    "rf/distributions": "634e1edde8b1684c8d335481adefc4d7160972bdec017f1f9ebd6b613c835827",
+    "rt/model.json": "41d5b2848400b55ace41d2fc2f3c161bcbcc04a2b059615bfba3ce8b3f3ff423",
     "rt/report.txt": "fe55f47ee8379b0e9fb32075a9e31a4ce6e2690770efcd153babec65d45b6135",
     "rt/report_classes.csv": "5a3bd4cd394bfae3f4af5e1f945334bc8efd71fb12270dd457aee51e213a6926",
     "rt/summary.csv": "a537ca1de435ce11c651dbe6830d131e4e67f3bf111b53be84a8241a3b71131d",
     "rt/predictions.csv": "fe17ee019945026b575d5cf62f5f49a630fdec8e2da766ca5c98fa299bfc60e2",
     "rt/distributions": "09b63f6ff93b522bfb7f832335981647758db2903ae916d7ac5c02292f43d094",
-    "nb/model.json": "1dab475e9d01f2fc2766065a26ea01e62b365f9b5eb6de769e078353f0cc336e",
+    "nb/model.json": "27b780a7025fee4695eb4bde80b0aeccd03c27619718a945f0934e6b2878f033",
     "nb/report.txt": "7a48fbed96df8d0a4f6163a350b9576bbb0948ed21538a9f0ea694ba983d8f45",
     "nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "nb/summary.csv": "bf4230ac88a84de747a7903bea7794c6f4785bac3cd49f39d044d59a06453ef5",
     "nb/predictions.csv": "1e90e89fd2c7ba1b979eafa5921ecdf3596d5bd29466f72ed4aae55fa36424e1",
     "nb/distributions": "444843ab7c02898ba5c52a57fb00818826e5abbef53d52eaae714160e1f2c67e",
-    "bagging/model.json": "241bd68eba0b1ec74c6e7fb44d8c1cdd225f575bff5b12a7bc60091e08c5cda0",
+    "bagging/model.json": "595bf28a69757fba009be17f97f163c3756c73f12bb342e92b57018383e860c9",
     "bagging/report.txt": "66077c3b525433e6b04c54172bf82b6efec8768f975d11c2c7526435ee5978a8",
     "bagging/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "bagging/summary.csv": "6735a12f8cc69e36c428b0cc0d682325b4ab63902049de4383f3e7c509fb9da2",
     "bagging/predictions.csv": "68ad18b5323959c3e97f9c3f31ec3a15deda462fef9ddc3f34c2eaa0d9292fbf",
     "bagging/distributions": "f1285a563dac0d0e7db85809ad74f9a9835346ae26495214b97202dc1082bf0b",
-    "vote/model.json": "7613886ebcf874f6db6d8dd310c3fa05f56d25c15e302faf178595f786430767",
+    "vote/model.json": "f7e290c4f810995d2e9a98f8433f41d6f61765f55fc294c5820b17582dfa1637",
     "vote/report.txt": "37bf2910182c3799f634ecafae99bebb478fdb3a90cd337b7cdd4c7ef7db9a97",
     "vote/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "vote/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
     "vote/predictions.csv": "2de990aa4127bb301e6e630167ba2c82ac1a7f9ba1dc444d41fdce8433134347",
     "vote/distributions": "8a8439a013bd01535be8a31dedd1cfbb126ddaa4ffaba5b269fafe53f95d20b3",
-    "vote-nb/model.json": "324ff8efef7e2ac371ae5cad015febdcf0663c6b9476d1b93e5176a820914994",
+    "vote-nb/model.json": "828a45e5cf6ec280c77c491655cbd7a027f3881a98145f69af0679d16591045c",
     "vote-nb/report.txt": "37bf2910182c3799f634ecafae99bebb478fdb3a90cd337b7cdd4c7ef7db9a97",
     "vote-nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "vote-nb/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",

@@ -57,8 +57,8 @@ def arrays(dataset):
 
 
 def assert_same_trees(model, references: list) -> None:
-    """model's columns are the reference trees' post-order columns, one tree
-    after another, and it routes each split to the reference's children."""
+    """model's columns are the reference trees' breadth-first columns, one
+    tree after another, and it routes each split to the reference's children."""
     want = reference_columns(references)
     for name, column in want.items():
         got = getattr(model, name)
@@ -72,7 +72,7 @@ def assert_same_trees(model, references: list) -> None:
     child = np.repeat(np.arange(n)[:, None], 2, axis=1)
     child[:n_splits] = number[children[split]]
     assert model.child.tolist() == child.ravel().tolist()
-    assert model.roots.tolist() == number[first + want["sizes"] - 1].tolist()
+    assert model.roots.tolist() == number[first].tolist()
 
 
 def reference_forest(X, y, n_classes, hp, variant, token, rounds, size) -> list:

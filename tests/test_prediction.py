@@ -104,7 +104,7 @@ def test_absent_cells_routed_both_ways():
     lone = [[*nodes, split(0, 5.5, "left", 1, 0)], [*nodes, split(0, 5.5, "right", 1, 0)]]
     forest = document_model("rf", schema, classes, tree_params(*lone))
     X = np.array([[math.nan], [-math.inf], [5.5], [math.nextafter(5.5, math.inf)], [math.inf]])
-    left, right = forest.proba[1], forest.proba[0]
+    left, right = forest.proba[0], forest.proba[1]  # each tree's left leaf comes first
     expected = np.array([left + right, 2 * left, 2 * left, 2 * right, 2 * right]) / 2
     assert np.array_equal(forest.distribution_batch(X), expected)
     for block_pairs in BLOCK_PAIRS:
