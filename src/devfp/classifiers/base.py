@@ -139,13 +139,19 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Base of all trained classifiers: schema + ordered class names, and the
-    variant naming the algorithm that trained it."""
+    """Base of all trained classifiers: schema + ordered class names, each
+    distinct strings, and the variant naming the algorithm that trained it."""
 
     schema: tuple[str, ...]
     class_names: tuple[str, ...]
     hyperparams: Hyperparams
     variant: str
+
+    def __post_init__(self) -> None:
+        for key in ("schema", "class_names"):
+            names = getattr(self, key)
+            if not (all(type(name) is str for name in names) and len(set(names)) == len(names)):
+                raise ValueError(f"{key} must hold distinct strings")
 
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
         """Class distributions (n x C) for schema-aligned rows X (n x k, NaN = Absent)."""

@@ -32,6 +32,21 @@ class NaiveBayesModel(TrainedModel):
     stddevs: np.ndarray
     variant: str = field(init=False, default=VARIANT_NAIVE_BAYES)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        grid = (len(self.class_names), len(self.schema))
+        if not (
+            self.priors.shape == grid[:1]
+            and self.means.shape == self.stddevs.shape == grid
+            and np.all(self.priors > 0)
+            and np.array_equal(np.isnan(self.means), np.isnan(self.stddevs))
+            and np.all(self.stddevs[~np.isnan(self.stddevs)] > 0)
+        ):
+            raise ValueError(
+                f"malformed naive Bayes: need {grid[0]} positive priors, {grid} means and stddevs,"
+                " and a positive stddev exactly where the mean is not NaN (null in a model file)"
+            )
+
     def distribution_batch(self, X: np.ndarray) -> np.ndarray:
         infinite = np.isinf(X).any(axis=0)
         if infinite.any():

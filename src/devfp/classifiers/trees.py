@@ -31,7 +31,7 @@ child[2 * node + (x > threshold)] table, which the model builds once from
 its columns. Absent needs no test per step: it reads as -inf at a node that
 sends it left and as +inf at one that sends it right, which is exact
 because every threshold is finite (growth takes midpoints of finite values,
-and the loader rejects non-finite ones). The leaf distributions are then
+and TreeModel rejects non-finite ones). The leaf distributions are then
 added in tree order and divided by the tree count, the bits of a per-tree
 loop.
 """
@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..selection import gain_ratios, split_segments, value_codes
-from .base import Hyperparams, TrainedModel
+from .base import VARIANT_C45, VARIANT_RANDOM_TREE, Hyperparams, TrainedModel
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,8 @@ class TreeModel(TrainedModel):
     left when it is not, and left when it is Absent exactly if absent_left.
     Every threshold is finite: prediction relies on it. `counts` has one row
     of training class counts (int32, half the memory of int64) per leaf, in
-    node order.
+    node order, none negative and not all 0. A j48 or rt model is one tree.
+    Columns that break any of this raise ValueError.
 
     The routing columns are built once, here. A node's number is its split
     index when it is a split, else the number of splits plus its leaf index,
@@ -125,8 +126,26 @@ class TreeModel(TrainedModel):
     roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         split = self.feature >= 0
-        n, n_splits = len(split), len(self.threshold)
+        n, n_splits, k = len(split), int(np.count_nonzero(split)), len(self.schema)
+        if not len(self.sizes):
+            raise ValueError(f"{self.variant} model has no members")
+        if len(self.sizes) > 1 and self.variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
+            raise ValueError(f"a {self.variant} model is one tree, not {len(self.sizes)}")
+        # checked before np.repeat below, which sizes read from a file must not make huge
+        if not (np.all((1 <= self.sizes) & (self.sizes <= n)) and self.sizes.sum() == n):
+            raise ValueError(f"malformed tree: sizes must cut the {n} nodes into trees")
+        if not np.all((-1 <= self.feature) & (self.feature < k)):
+            raise ValueError(f"malformed tree: every attribute must lie in [-1, {k})")
+        if not len(self.threshold) == len(self.absent_left) == n_splits:
+            raise ValueError(f"malformed tree: threshold and absent_left need an entry per split, {n_splits}")
+        if not np.isfinite(self.threshold).all():
+            raise ValueError("malformed tree: every threshold must be finite")
+        if self.counts.shape != (n - n_splits, len(self.class_names)):
+            raise ValueError(f"malformed tree: counts must hold a row per leaf, {n - n_splits}, and a column per class")
+        if not ((self.counts >= 0).all() and self.counts.any(axis=1).all()):
+            raise ValueError("malformed tree: every leaf needs non-negative counts, not all 0")
         # tree t's r-th split has its children at the tree's nodes 2r + 1 and
         # 2r + 2; each tree before it holds twice its splits plus one nodes, so
         # split s (counted over all trees) has its left child at node 2s + t + 1
@@ -144,7 +163,7 @@ class TreeModel(TrainedModel):
         child = np.empty((n, 2), dtype=np.intp)
         child[:n_splits] = number[left[:, None] + np.arange(2)]
         child[n_splits:] = np.arange(n_splits, n)[:, None]
-        column = self.feature[split] + np.where(self.absent_left, 0, len(self.schema))
+        column = self.feature[split] + np.where(self.absent_left, 0, k)
         proba = self.counts + 1.0
         proba /= proba.sum(axis=1, keepdims=True)  # integer-valued sums: exactly total + n_classes
         for name, value in (("column", column), ("child", child.ravel()), ("proba", proba),

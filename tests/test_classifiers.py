@@ -4,7 +4,7 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 from unittest.mock import patch
@@ -777,6 +777,44 @@ class TestPersistence:
             with pytest.raises(ModelFormatError, match=column.split('"')[1]):
                 load_model(text.replace(column, column.replace("[0", "[-")))
 
+    # edits of models built in memory, each of which the model's own checks refuse
+    MODEL_EDITS = [
+        ("j48", {"threshold": np.array([np.nan])}),
+        ("j48", {"threshold": np.array([-np.inf])}),
+        ("j48", {"feature": np.array([1, -1, -1])}),  # an attribute beyond the schema
+        ("j48", {"feature": np.array([0, -2, -1])}),  # a negative attribute that is not -1
+        ("j48", {"absent_left": np.array([True, False])}),  # an absent_left entry too many
+        ("j48", {"counts": np.array([[0, 4]], dtype=np.int32)}),  # a leaf's row missing
+        ("j48", {"counts": np.array([[0, 4, 0], [4, 0, 0]], dtype=np.int32)}),  # a class column too many
+        ("j48", {"counts": np.array([[0, 4], [4, -1]], dtype=np.int32)}),  # a negative count
+        ("j48", {"counts": np.array([[0, 4], [0, 0]], dtype=np.int32)}),  # a leaf whose counts are all 0
+        ("j48", {"schema": ("ip.len", "ip.len")}),
+        ("j48", {"class_names": ("A", "A")}),
+        ("nb", {"priors": np.array([0.0, 1.0])}),
+        ("nb", {"priors": np.array([1.0])}),  # one prior for two classes
+        ("nb", {"means": np.array([[1.5, np.nan]])}),  # one row of means
+        ("nb", {"stddevs": np.array([[0.0, np.nan], [0.5, 1.0]])}),  # a zero stddev under a mean
+        ("nb", {"stddevs": np.array([[-0.5, np.nan], [0.5, 1.0]])}),
+        ("nb", {"schema": ("ip.len", "ip.len")}),
+        ("vote", {"class_names": ("B", "B")}),
+    ]
+
+    @pytest.mark.parametrize(
+        "variant, edit",
+        MODEL_EDITS,
+        ids=["nan-threshold", "infinite-threshold", "attribute-beyond-schema", "attribute-below-minus-one",
+             "absent-left-too-long", "counts-row-missing", "counts-column-extra", "negative-count",
+             "all-zero-leaf", "tree-repeated-attribute", "tree-repeated-class", "zero-prior", "priors-short",
+             "means-short", "zero-stddev", "negative-stddev", "nb-repeated-attribute", "vote-repeated-class"],
+    )
+    def test_model_built_in_memory_checks_its_values(self, variant, edit):
+        schema, classes = ("ip.len", "ip.ttl"), ("A", "B")
+        params = {"j48": self.GOOD, "nb": self.NB_PARAMS, "vote": {"members": [member("j48", self.GOOD)]}}
+        good = document_model(variant, schema[:1] if variant != "nb" else schema, classes, params[variant])
+        replace(good)  # the unedited fields build
+        with pytest.raises(ValueError):
+            replace(good, **edit)
+
     @pytest.mark.parametrize(
         "schema, classes, edit",
         [
@@ -874,18 +912,20 @@ class TestPersistence:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf"])
     def test_non_json_number_constants_rejected(self, constant):
         # NaN nb means and stddevs loaded and re-saved as null, a NaN threshold loaded too; Python's
-        # nan, inf and -inf are their own repr, so a check against repr alone lets them through
+        # nan, inf and -inf are their own repr, so a check against repr alone lets them through. JSON
+        # reads refuse the constant by name; np.fromstring reads a threshold as a non-finite float,
+        # which TreeModel refuses
         slot = 1234.5
         nb = {**self.NB_PARAMS, "means": [[1.5, slot], [8.5, 32.0]], "stddevs": [[0.5, slot], [0.5, 1.0]]}
         nodes = self.GOOD_NODES[:2] + [split(0, slot, "left", 1, 0)]
         documents = [
-            document("nb", ("ip.len", "ip.ttl"), ("A", "B"), nb),
-            document("j48", ("ip.len",), ("A", "B"), tree_params(nodes)),
+            (document("nb", ("ip.len", "ip.ttl"), ("A", "B"), nb), constant),
+            (document("j48", ("ip.len",), ("A", "B"), tree_params(nodes)), "every threshold must be finite"),
         ]
-        for doc in documents:
+        for doc, match in documents:
             text = canonical(doc)
             assert repr(slot) in text
-            with pytest.raises(ModelFormatError, match=constant):
+            with pytest.raises(ModelFormatError, match=match):
                 load_model(text.replace(repr(slot), constant))
 
     def test_malformed_vote_rejected(self):

@@ -16,8 +16,9 @@ entries swapped, a count moved to another class, a `leaf_nnz` set to 0, or
 an `absent` letter dropped or added; or with their text respelled:
 whitespace inserted, the final LF dropped or leading whitespace added, an
 object's keys reordered or one key duplicated, a number written another
-way, or the text passed as bytes in UTF-8 (with or without a byte-order
-mark), UTF-16 or UTF-32.
+way, the text passed as bytes in UTF-8 (with or without a byte-order
+mark), UTF-16 or UTF-32, or one character of a number, of JSON's structure
+or of its literals replaced, inserted or deleted at any offset.
 """
 
 import json
@@ -163,7 +164,9 @@ def _respellings(number):
 
 VALUE_MUTATIONS = ["retype", "non-finite", "duplicate", "drop", "add"]
 STRUCTURE_MUTATIONS = ["sizes", "swap-attributes", "move-count", "empty-leaf", "absent-letter"]
-TEXT_MUTATIONS = ["whitespace", "ends", "reorder", "duplicate-key", "respell", "encode"]
+TEXT_MUTATIONS = ["whitespace", "ends", "reorder", "duplicate-key", "respell", "encode", "splice"]
+# the characters of numbers, JSON's structure and its literals (true, false, null, NaN, Infinity)
+SPLICE_CHARS = '0123456789-+.,:[]{}"eElnrtuafsN \n'
 INT_COLUMNS = {"sizes", "attribute", "leaf_nnz", "count_class", "count"}
 
 
@@ -248,6 +251,10 @@ def mutated_model_texts(draw):
         return _written_with(doc, path, "{" + ",".join(pair) + "}")
     elif kind == "bare-minus":  # np.fromstring reads a lone "-" as 0
         return _written_with(doc, draw(st.sampled_from(zeros)), "-")
+    elif kind == "splice":  # one character replaced, inserted or deleted anywhere
+        text = canonical(doc)
+        at, removed = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
+        return text[:at] + draw(st.sampled_from(["", *SPLICE_CHARS])) + text[at + removed:]
     elif kind == "respell":
         path = draw(st.sampled_from([p for p in paths if type(_at(doc, p)) in (int, float)]))
         return _written_with(doc, path, draw(st.sampled_from(_respellings(_at(doc, path)))))
