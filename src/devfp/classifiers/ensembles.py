@@ -12,10 +12,11 @@ by `derive_rng`:
 j48 and nb draw nothing. An rf or bagging member draws its bootstrap sample
 from its RNG, and an rf member then the candidate attributes of each node it
 searches, in the tree's breadth-first order, as an rt model does. All
-samples are drawn first; then every member tree grows from one queue of
-pending nodes (`trees.grow_trees`), each exactly as it would grow alone,
-into one `TreeModel` that holds them all, every tree in breadth-first
-order. Vote members train one after another.
+samples are drawn first; then the member trees grow in one contiguous chunk
+per usable CPU, every chunk but the first in a forked worker
+(`trees.grow_trees`), each tree exactly as it would grow alone, into one
+`TreeModel` that holds them all, every tree in breadth-first order. Vote
+members train one after another.
 Predictions are the arithmetic mean of member class distributions (rf and
 bagging route all their trees in one pass, see `trees`; a vote adds its
 members' matrices); the predicted class is the argmax with ties broken

@@ -1,17 +1,21 @@
 """Decision trees: gain-ratio growth, pessimistic pruning, random trees.
 
 One grower grows a list of trees at once, each from a sample of row indices
-into a shared feature matrix (all rows, or a bootstrap sample). Pending
-nodes of every tree wait in one first-in, first-out queue, the roots first.
-Each step takes a frontier from the head of the queue and scores all its
-(node, candidate attribute) pairs with one batched split search,
-`selection.split_segments`; the children of the nodes that split join the
-tail, left before right. So each tree's nodes are created, searched and
-numbered in its own breadth-first order, and a random tree draws the
-candidate set of each searched node from its RNG in that order, however
-the steps are cut. A step scores at most _STEP_ROWS rows (node rows times
-candidates); nodes beyond that wait, so a step's working memory does not
-grow with the number of trees.
+into a shared feature matrix (all rows, or a bootstrap sample). It cuts the
+trees into one contiguous chunk per usable CPU and grows every chunk but the
+first in a forked worker, which shares the matrix and sends its columns
+back; the chunks' columns are then joined in tree order. A tree depends only
+on its own sample and RNG, so the columns do not depend on the number of
+chunks. Within a chunk, pending nodes of every tree wait in one first-in,
+first-out queue, the roots first. Each step takes a frontier from the head
+of the queue and scores all its (node, candidate attribute) pairs with one
+batched split search, `selection.split_segments`; the children of the nodes
+that split join the tail, left before right. So each tree's nodes are
+created, searched and numbered in its own breadth-first order, and a random
+tree draws the candidate set of each searched node from its RNG in that
+order, however the steps are cut. A step scores at most _STEP_ROWS rows
+(node rows times candidates); nodes beyond that wait, so a step's working
+memory does not grow with the number of trees.
 
 At every node the split is the (attribute, threshold) pair maximizing gain
 ratio among candidate attributes whose missing-scaled info gain is positive,
@@ -19,9 +23,9 @@ the first candidate winning ties; rows with an Absent split value follow the
 branch that received the majority of training rows.
 
 Nodes are appended to flat arrays as they are created, parents before
-children. Pessimistic pruning then runs one growth step at a time across
-all trees, the last step first, and each tree keeps its surviving nodes in
-their order, the breadth-first order of the model format. A trained model
+children. Pessimistic pruning then runs one growth step at a time across the
+chunk's trees, the last step first, and each tree keeps its surviving nodes
+in their order, the breadth-first order of the model format. A trained model
 (`TreeModel`, one class for j48, rt, rf and bagging) holds all its trees as
 one set of the model format's columns; a lone tree is a forest of one.
 
@@ -39,14 +43,18 @@ loop.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import signal
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..errors import DevfpError
 from ..selection import gain_ratios, split_segments, value_codes
 from .base import VARIANT_C45, VARIANT_RANDOM_TREE, Hyperparams, TrainedModel
 
@@ -244,8 +252,111 @@ def grow_trees(
     when hp.c45_prune; otherwise tree t is an unpruned random tree whose
     searched nodes each draw a sorted candidate set from rngs[t], in the
     tree's breadth-first order.
+
+    The trees are cut into W contiguous chunks, W the smaller of the usable
+    CPUs and the tree count. The caller grows the first chunk; each other
+    chunk grows in a worker forked once every sample is drawn, which sends
+    its columns back over a pipe, and the columns are joined in tree order.
+    The RNGs of a worker's trees advance in the worker, not in the caller.
+    A worker's exception is raised here with its type and message; a worker
+    that dies without a result raises DevfpError. No worker outlives the call.
     """
     codes, values = value_codes(X)
+    # every tree's rows are pending at once: int32 halves them
+    roots = [rows.astype(np.int32) for rows in samples]
+    n_workers = min(_usable_cpus(), len(roots))
+    cuts = [len(roots) * w // n_workers for w in range(n_workers + 1)]
+    chunks = [roots[a:b] for a, b in zip(cuts, cuts[1:])]
+    del roots
+
+    def grow(w: int) -> dict:
+        chunk_rngs = None if rngs is None else rngs[cuts[w]:cuts[w + 1]]
+        return _grow(X, y, codes, values, n_classes, chunks[w], hp, chunk_rngs)
+
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for w in range(1, n_workers):
+            workers.append(_fork(grow, w))
+        del chunks[1:]  # the workers' samples
+        parts = [grow(0)]
+        while workers:
+            parts.append(_receive(workers))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(grow: Callable[[int], dict], w: int) -> tuple[int, BinaryIO]:
+    """(pid, read end of its pipe) of a forked worker that pickles
+    (True, grow(w)) or (False, the exception it raised) to the pipe.
+
+    The worker leaves by os._exit, status 0 once the pipe holds its whole
+    result: it runs no atexit handler and flushes no inherited stdio buffer.
+    A forked worker shares X and the samples without pickling them or
+    importing devfp again. Python 3.12 and later warn (DeprecationWarning)
+    on a fork from a process with more than one thread, as numpy's OpenBLAS
+    makes it.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = (True, grow(w))
+            except BaseException as exc:  # sent to the caller, which raises it
+                result = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(workers: list[tuple[int, BinaryIO]]) -> dict:
+    """The columns of the first worker, which is reaped and removed from
+    `workers`; its exception, or a DevfpError when it sent no result."""
+    pid, pipe = workers[0]
+    with pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del workers[0]
+    if code < 0:
+        raise DevfpError(f"a tree-growing worker was killed by signal {-code} ({signal.strsignal(-code)})")
+    if code != 0:
+        raise DevfpError(f"a tree-growing worker exited with status {code} and sent no result")
+    grown, result = pickle.loads(data)  # bytes that _fork's worker wrote
+    if not grown:
+        raise result
+    return result
+
+
+def _grow(
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, values: np.ndarray, n_classes: int,
+    roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]],
+) -> dict:
+    """grow_trees' columns of one tree per int32 sample in `roots`, which
+    it empties (`codes`, `values` are value_codes(X)), in this process."""
     k = X.shape[1]
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
     attributes = list(range(k))
@@ -253,11 +364,6 @@ def grow_trees(
     def splittable(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return (sizes >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
 
-    # A pending node is (tree, id, rows), in one first-in, first-out queue.
-    # Pending nodes hold the only reference to their rows, so each sample is
-    # freed once its root splits. Every tree's rows are pending at once:
-    # int32 halves them.
-    roots = [rows.astype(np.int32) for rows in samples]
     n_trees = len(roots)
     # The node table, a block per step: the tree and class counts of each
     # new node, and (ids, attributes, thresholds, absent_left, left child
@@ -266,8 +372,11 @@ def grow_trees(
     tree_blocks = [np.arange(n_trees)]
     counts_blocks = [np.array([np.bincount(y[rows], minlength=n_classes) for rows in roots], dtype=np.int32)]
     grows = splittable(np.array([len(rows) for rows in roots]), counts_blocks[0])
+    # A pending node is (tree, id, rows), in one first-in, first-out queue.
+    # Pending nodes hold the only reference to their rows, so each sample is
+    # freed once its root splits.
     queue = deque((t, t, rows) for t, rows in enumerate(roots) if grows[t])
-    del roots
+    roots.clear()
     split_blocks = []
     n_nodes = n_trees
     while queue:

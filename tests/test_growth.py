@@ -5,8 +5,10 @@ unpruned, rt, and every tree of rf and bagging, alone and as members of a
 vote, each grown under its documented RNG key, on small datasets with
 Absent cells, repeated values and gain ties. Each property also runs with
 the per-step row cap patched small, so that nodes and whole trees wait
-across steps. The bulk bootstrap must draw exactly what one randrange call
-per row draws and leave the RNG in the same state.
+across steps. The forest properties also draw the usable CPU count, which
+cuts the trees into chunks grown by forked workers: 1 (no worker), 2, or
+more than the trees. The bulk bootstrap must draw exactly what one
+randrange call per row draws and leave the RNG in the same state.
 """
 
 import math
@@ -34,6 +36,8 @@ from tables import make_dataset
 
 # the default cap, and one so small that every step scores a single node
 STEP_ROWS = [trees._STEP_ROWS, 1]
+# usable CPUs: no worker, chunks of unequal size, and more than the trees
+WORKERS = [1, 2, 4]
 VALUES = [math.nan, 0.0, 1.0, 2.0, 3.0, 5.5, 7.0]
 
 
@@ -107,13 +111,14 @@ def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf,
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
+@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), min_leaf=st.integers(1, 3), seed=st.integers(0, 99),
+       workers=st.sampled_from(WORKERS))
 @settings(max_examples=40)
-def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed):
+def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed, workers):
     hp = Hyperparams(seed=seed, forest_trees=3, bagging_rounds=3, bag_fraction=fraction, c45_min_leaf=min_leaf)
     X, y, n_classes = arrays(dataset)
     n = len(y)
-    with patch.object(trees, "_STEP_ROWS", step_rows):
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
         forest = train_model(dataset, ModelSpec("rf", hp))
         bagging = train_model(dataset, ModelSpec("bagging", hp))
     assert_same_trees(forest, reference_forest(X, y, n_classes, hp, "rf", seed, 3, n))
@@ -121,15 +126,15 @@ def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99))
+@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99), workers=st.sampled_from(WORKERS))
 @settings(max_examples=30)
-def test_vote_members_match_reference(step_rows, dataset, fraction, seed):
+def test_vote_members_match_reference(step_rows, dataset, fraction, seed, workers):
     # vote member i of variant v draws from (seed, "vote", i, v): an rt member
     # directly, an rf or bagging member through a 64-bit token taking the seed's place
     hp = Hyperparams(seed=seed, forest_trees=2, bagging_rounds=2, bag_fraction=fraction)
     X, y, n_classes = arrays(dataset)
     n = len(y)
-    with patch.object(trees, "_STEP_ROWS", step_rows):
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
         vote = train_model(dataset, ModelSpec("vote", hp, ("rt", "rf", "bagging")))
     rt, rf, bagging = vote.members
     assert_same_trees(rt, [reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt"))])
