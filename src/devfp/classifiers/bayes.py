@@ -8,7 +8,8 @@ attributes are skipped; a class that never exhibited a present query
 attribute is assigned a fixed tiny density, heavily penalizing it without
 producing NaNs. A present cell that is +inf or -inf has no density and
 raises ValueError naming its column. Prediction broadcasts over all rows
-of a batch, one attribute at a time.
+of a batch, one attribute at a time, with `math`'s log and exp, whose bits
+do not depend on numpy's SIMD level.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ class NaiveBayesModel(TrainedModel):
         log_post = np.tile([math.log(p) for p in self.priors], (X.shape[0], 1))
         for j in range(X.shape[1]):
             present = ~np.isnan(X[:, j])
-            if not present.any():
-                continue
             mean = self.means[:, j]
             log_norm = np.array([-_LOG_SQRT_TWO_PI - math.log(s) for s in self.stddevs[:, j]])
             z = (X[present, j][:, None] - mean) / self.stddevs[:, j]
             log_post[present] += np.where(np.isnan(mean), _LOG_MIN_DENSITY, log_norm - 0.5 * z * z)
         log_post -= log_post.max(axis=1, keepdims=True)
-        post = np.exp(log_post)
+        post = np.fromiter(map(math.exp, log_post.ravel().tolist()), float, log_post.size).reshape(log_post.shape)
         return post / post.sum(axis=1, keepdims=True)
 
 

@@ -55,7 +55,7 @@ from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ..errors import DevfpError
-from ..selection import gain_ratios, split_segments, value_codes
+from ..selection import gain_ratios, split_segments, value_codes, xlog2x_table
 from .base import VARIANT_C45, VARIANT_RANDOM_TREE, Hyperparams, TrainedModel
 
 
@@ -257,11 +257,14 @@ def grow_trees(
     CPUs and the tree count. The caller grows the first chunk; each other
     chunk grows in a worker forked once every sample is drawn, which sends
     its columns back over a pipe, and the columns are joined in tree order.
-    The RNGs of a worker's trees advance in the worker, not in the caller.
-    A worker's exception is raised here with its type and message; a worker
-    that dies without a result raises DevfpError. No worker outlives the call.
+    The RNGs of a worker's trees advance in the worker, not in the caller. A
+    worker's exception is raised here with its type and message; a worker
+    that dies without a result raises DevfpError. No worker outlives the
+    call, nor its caller by more than a growth step.
     """
     codes, values = value_codes(X)
+    xlog2x = xlog2x_table(len(y))  # no node holds more rows than X
+    caller = os.getpid()
     # every tree's rows are pending at once: int32 halves them
     roots = [rows.astype(np.int32) for rows in samples]
     n_workers = min(_usable_cpus(), len(roots))
@@ -271,7 +274,7 @@ def grow_trees(
 
     def grow(w: int) -> dict:
         chunk_rngs = None if rngs is None else rngs[cuts[w]:cuts[w + 1]]
-        return _grow(X, y, codes, values, n_classes, chunks[w], hp, chunk_rngs)
+        return _grow(X, y, codes, values, xlog2x, n_classes, chunks[w], hp, chunk_rngs, caller if w else None)
 
     workers: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
@@ -352,11 +355,12 @@ def _receive(workers: list[tuple[int, BinaryIO]]) -> dict:
 
 
 def _grow(
-    X: np.ndarray, y: np.ndarray, codes: np.ndarray, values: np.ndarray, n_classes: int,
-    roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]],
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, values: np.ndarray, xlog2x: np.ndarray, n_classes: int,
+    roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]], caller: Optional[int],
 ) -> dict:
     """grow_trees' columns of one tree per int32 sample in `roots`, which
-    it empties (`codes`, `values` are value_codes(X)), in this process."""
+    it empties (`codes`, `values` are value_codes(X)), in this process; a
+    worker leaves by os._exit once `caller`, a pid, is not its parent."""
     k = X.shape[1]
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
     attributes = list(range(k))
@@ -380,6 +384,8 @@ def _grow(
     split_blocks = []
     n_nodes = n_trees
     while queue:
+        if caller is not None and os.getppid() != caller:
+            os._exit(1)
         tree_of, ids, rows, candidates = [], [], [], []
         budget = _STEP_ROWS
         while queue and (not ids or len(queue[0][2]) * m <= budget):
@@ -395,7 +401,7 @@ def _grow(
         sizes = np.array([len(r) for r in rows])
         row = np.concatenate(rows, dtype=np.intp)
         owner = np.repeat(np.arange(len(ids)), sizes)
-        chosen, attribute, threshold = _best_splits(codes, values, y, n_classes, row, owner, cand, sizes)
+        chosen, attribute, threshold = _best_splits(codes, values, xlog2x, y, n_classes, row, owner, cand, sizes)
         if not len(chosen):
             continue
         absent_left, child_rows, child_start, child_counts = _route(
@@ -421,7 +427,7 @@ def _grow(
 
 
 def _best_splits(
-    codes: np.ndarray, values: np.ndarray, y: np.ndarray, n_classes: int,
+    codes: np.ndarray, values: np.ndarray, xlog2x: np.ndarray, y: np.ndarray, n_classes: int,
     row: np.ndarray, owner: np.ndarray, cand: np.ndarray, sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(chosen, attribute, threshold): the frontier nodes that split, each
@@ -433,7 +439,7 @@ def _best_splits(
     present = cell >= 0
     segment = owner[:, None] * m + np.arange(m)
     label = np.broadcast_to(y[row][:, None], cell.shape)
-    splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes)
+    splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes, xlog2x)
     ratio = gain_ratios(splits, np.repeat(sizes, m))[0].reshape(n_frontier, m)
     choice = ratio.argmax(axis=1)  # the first maximum: the lowest candidate wins ties
     chosen = np.flatnonzero(ratio[np.arange(n_frontier), choice] > 0.0)

@@ -11,10 +11,13 @@ One batched scorer, `split_segments`, serves ranking and tree growth. It
 takes the cells of many segments at once (a segment is one attribute's
 values within one tree node, or a whole column when ranking) and finds the
 best split of every segment with one sort and a segmented cumulative sum of
-class counts. It is exact: class counts at cuts are integers, cut entropies
-come from `_entropy_from_counts` on (cuts, classes) rows, and parent entropy
-and split information come from `_scalar_entropies`, which sums each row's
-terms left to right with `math.log2`, as a scalar loop over the counts would.
+class counts. It is exact: class counts at cuts are integers, and one
+routine, `weighted_entropies`, gives every n·H (entropy times the row total
+n) as T[n] - T[c_0] - T[c_1] - ..., T[x] = x·log2(x) a table built once per
+ranking or forest with `math.log2`. A cut's gain is (n·H(parent) -
+n·H(left) - n·H(right)) / n and its split information n·H(n_left, n_right)
+/ n: lookups, subtractions and a division, so the scores do not depend on
+numpy's SIMD kernels, and this arithmetic decides near-ties between gains.
 
 Ranking returns a plain tuple of `AttributeScore`s sorted by gain ratio.
 Attribute metadata is a plain dict from attribute name to the frozenset of
@@ -47,26 +50,18 @@ class AttributeScore:
     present_fraction: float
 
 
-def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Row-wise entropy for a (m, n_classes) count matrix with row sums `totals`."""
-    p = counts / totals[:, None]
-    logp = np.zeros_like(p)
-    np.log2(p, out=logp, where=p > 0)
-    return -(p * logp).sum(axis=1)
+def xlog2x_table(n: int) -> np.ndarray:
+    """T[x] = x·log2(x) for the counts x = 0..n, T[0] = 0, from `math.log2`."""
+    return np.array([0.0] + [x * math.log2(x) for x in range(1, n + 1)])
 
 
-def _scalar_entropies(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of every row of a count matrix, 0*log0 counting
-    as 0: each row's terms summed left to right, with `math.log2` on each
-    ratio (`np.log2` differs in the last bit on some ratios)."""
-    p = counts / counts.sum(axis=1, keepdims=True)
-    positive = p > 0
-    logp = np.zeros_like(p)
-    logp[positive] = [math.log2(v) for v in p[positive].tolist()]
-    terms = p * logp
-    result = np.zeros(len(p))
-    for column in terms.T:
-        result -= column
+def weighted_entropies(counts: np.ndarray, xlog2x: np.ndarray) -> np.ndarray:
+    """n·H, the Shannon entropy in bits times the total n, of every row of an
+    integer class-count matrix: T[n] - T[c_0] - T[c_1] - ..., T the table
+    `xlog2x_table` builds over at least 0..n."""
+    result = xlog2x[counts.sum(axis=1)]
+    for column in counts.T:
+        result -= xlog2x[column]
     return result
 
 
@@ -96,7 +91,7 @@ class SegmentSplits(NamedTuple):
 
 def split_segments(
     segment: np.ndarray, code: np.ndarray, label: np.ndarray,
-    values: np.ndarray, n_segments: int, n_classes: int,
+    values: np.ndarray, n_segments: int, n_classes: int, xlog2x: np.ndarray,
 ) -> SegmentSplits:
     """Best binary split of each segment's entries, all segments at once.
 
@@ -106,7 +101,7 @@ def split_segments(
     whose segmented cumsum gives the exact class counts left of every cut.
     Each segment takes its first maximum-gain cut, which is the smallest
     threshold. A segment with fewer than two classes or one distinct value
-    has no split (info_gain 0, split_info 0).
+    has no split (info_gain 0, split_info 0). `xlog2x` spans every segment's size.
     """
     threshold = np.full(n_segments, math.nan)
     info_gain = np.zeros(n_segments)
@@ -143,19 +138,17 @@ def split_segments(
         return SegmentSplits(threshold, info_gain, split_info, present)
     owner = np.searchsorted(first, cut, side="right") - 1  # row of `totals`
     # (cuts, n_classes) matrices dominate a step's memory: hold at most two
-    left_counts = cum[cut].astype(np.float64)
+    left = cum[cut]
     del cum
-    left_counts -= base[owner]
-    left_totals = left_counts.sum(axis=1)
-    left_entropy = _entropy_from_counts(left_counts, left_totals)
-    right_counts = totals[owner] - left_counts
-    del left_counts
-    n = totals.sum(axis=1)[owner].astype(np.float64)
-    right_totals = n - left_totals
-    right_entropy = _entropy_from_counts(right_counts, right_totals)
-    del right_counts
-    parent_entropy = _scalar_entropies(totals.astype(np.float64))[owner]
-    gains = parent_entropy - (left_totals * left_entropy + right_totals * right_entropy) / n
+    left -= base[owner]
+    gains = weighted_entropies(totals, xlog2x)[owner]
+    gains -= weighted_entropies(left, xlog2x)
+    n_left = left.sum(axis=1)
+    right = totals[owner] - left
+    del left
+    gains -= weighted_entropies(right, xlog2x)
+    n = totals.sum(axis=1)[owner]
+    gains /= n
 
     # the first maximum of each segment, which is its smallest threshold
     head = np.flatnonzero(_run_starts(owner))
@@ -166,7 +159,7 @@ def split_segments(
     run_value = values[run_key - run_segment * n_values]
     threshold[at] = (run_value[cut[best]] + run_value[cut[best] + 1]) / 2.0
     info_gain[at] = np.maximum(gains[best], 0.0)
-    split_info[at] = _scalar_entropies(np.stack((left_totals[best], right_totals[best]), axis=1))
+    split_info[at] = weighted_entropies(np.stack((n_left[best], n[best] - n_left[best]), axis=1), xlog2x) / n[best]
     return SegmentSplits(threshold, info_gain, split_info, present)
 
 
@@ -199,8 +192,8 @@ def rank(dataset: Dataset) -> tuple[AttributeScore, ...]:
     codes, values = value_codes(dataset.matrix())
     n, k = codes.shape
     row, attribute = np.nonzero(codes >= 0)
-    labels = dataset.class_codes()[row]
-    splits = split_segments(attribute, codes[row, attribute], labels, values, k, len(dataset.class_names))
+    y = dataset.class_codes()[row]  # the class of each present cell
+    splits = split_segments(attribute, codes[row, attribute], y, values, k, len(dataset.class_names), xlog2x_table(n))
     ratio, gain = gain_ratios(splits, np.full(k, n))
     scores = [
         AttributeScore(name, r, g, t if g > 0.0 else None, present / n)

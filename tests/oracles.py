@@ -2,10 +2,11 @@
 
 The brute-force functions are deliberately naive: plain enumeration over
 thresholds, textbook formulas, no numpy. The reference tree grower below
-them is devfp's earlier per-node grower, kept verbatim in arithmetic: one
-split search per node and attribute, taken from a first-in, first-out queue,
-builder dicts, then breadth-first flattening. The frontier grower must
-reproduce its node arrays bit for bit.
+them is devfp's earlier per-node grower: one split search per node and
+attribute, a scalar scan over the cuts, taken from a first-in, first-out
+queue, builder dicts, then breadth-first flattening. Its entropies are n·H
+from x·log2(x) values, the arithmetic of split_segments' table. The frontier
+grower must reproduce its node arrays bit for bit.
 The reference prediction after it is devfp's earlier per-tree prediction;
 the stacked routing of all trees at once must reproduce its distributions
 bit for bit. The reference extraction at the end is devfp's earlier
@@ -85,23 +86,17 @@ def brute_gain_ratio(column, labels) -> float:
 # Reference per-node tree growth
 
 
-def reference_entropy(class_counts) -> float:
-    total = 0.0
+def _xlog2x(x: int) -> float:
+    return x * math.log2(x) if x else 0.0
+
+
+def reference_weighted_entropy(class_counts) -> float:
+    """n·H of one row of integer class counts with total n, one scalar at a
+    time: T(n) - T(c_0) - T(c_1) - ..., T(x) = x·log2(x)."""
+    result = _xlog2x(sum(class_counts))
     for count in class_counts:
-        total += count
-    result = 0.0
-    for count in class_counts:
-        if count > 0:
-            p = count / total
-            result -= p * math.log2(p)
+        result -= _xlog2x(count)
     return result
-
-
-def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    p = counts / totals[:, None]
-    logp = np.zeros_like(p)
-    np.log2(p, out=logp, where=p > 0)
-    return -(p * logp).sum(axis=1)
 
 
 def reference_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
@@ -114,26 +109,25 @@ def reference_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int)
     y = labels[order]
     if v[0] == v[-1]:
         return None, 0.0, 0.0
-    one_hot = np.zeros((n, n_classes), dtype=np.float64)
-    one_hot[np.arange(n), y] = 1.0
-    class_totals = one_hot.sum(axis=0)
-    if np.count_nonzero(class_totals) < 2:
+    class_totals = [0] * n_classes
+    for label in y.tolist():
+        class_totals[label] += 1
+    if sum(1 for c in class_totals if c) < 2:
         return None, 0.0, 0.0
-    cut_candidates = np.nonzero(v[:-1] != v[1:])[0]
-    left_counts = np.cumsum(one_hot, axis=0)[cut_candidates]
-    left_totals = (cut_candidates + 1).astype(np.float64)
-    right_counts = class_totals[None, :] - left_counts
-    right_totals = n - left_totals
-    parent_entropy = reference_entropy(class_totals)
-    left_entropy = _entropy_rows(left_counts, left_totals)
-    right_entropy = _entropy_rows(right_counts, right_totals)
-    gains = parent_entropy - (left_totals * left_entropy + right_totals * right_entropy) / n
-    best = int(np.argmax(gains))
-    cut = cut_candidates[best]
-    threshold = (v[cut] + v[cut + 1]) / 2.0
-    info_gain = max(float(gains[best]), 0.0)
-    split_info = reference_entropy([left_totals[best], right_totals[best]])
-    return float(threshold), info_gain, split_info
+    parent = reference_weighted_entropy(class_totals)
+    left = [0] * n_classes
+    best_gain, best_cut = -math.inf, -1
+    for i in range(n - 1):
+        left[y[i]] += 1
+        if v[i] == v[i + 1]:
+            continue
+        right = [t - c for t, c in zip(class_totals, left)]
+        gain = (parent - reference_weighted_entropy(left) - reference_weighted_entropy(right)) / n
+        if gain > best_gain:
+            best_gain, best_cut = gain, i
+    threshold = (v[best_cut] + v[best_cut + 1]) / 2.0
+    split_info = reference_weighted_entropy([best_cut + 1, n - best_cut - 1]) / n
+    return float(threshold), max(best_gain, 0.0), split_info
 
 
 def reference_score_column(column: np.ndarray, labels: np.ndarray, n_classes: int):

@@ -18,7 +18,7 @@ from devfp.evaluation import (
     stratified_split,
 )
 from devfp.features import CANONICAL_ATTRIBUTES, Dataset
-from devfp.selection import gain_ratios, split_segments
+from devfp.selection import gain_ratios, split_segments, xlog2x_table
 
 
 def labels(values) -> np.ndarray:
@@ -89,7 +89,9 @@ def column_scores(columns, label_lists) -> list[ColumnScore]:
     segment = np.repeat(np.arange(len(columns)), sizes)
     present = ~np.isnan(cells)
     values, cell_codes = np.unique(cells[present], return_inverse=True)
-    splits = split_segments(segment[present], cell_codes, y[present], values, len(columns), len(names))
+    splits = split_segments(
+        segment[present], cell_codes, y[present], values, len(columns), len(names), xlog2x_table(sizes.max())
+    )
     ratio, gain = gain_ratios(splits, sizes)
     return [
         ColumnScore(r, g, None if math.isnan(t) else t, si, present_fraction)

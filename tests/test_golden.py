@@ -61,12 +61,12 @@ GOLDEN = {
     "j48/summary.csv": "f34dbfd8235b80fa1e46279bdcb777e3c836f9355b4aacf6c572dfe824c2761c",
     "j48/predictions.csv": "4c9054df4a8eecbf098a456a0cfec563cfe702281f001c7c365d568a44fa88b2",
     "j48/distributions": "854874e7a7848defb2892248d70025339ef8bda8f92559bd5247dc76f3a451ea",
-    "rf/model.json": "a59c7e7d489c42ca88dd45c3a1c2b360596b86de0c5c3033177c922329a7b957",
+    "rf/model.json": "bb0d2beea57d285a6c3487da4fb4aa0e4569300bc0587296ac3ab5e3997fa2dc",
     "rf/report.txt": "446f2032a9f883c8af7ae70c75872139610c453ff4ca74ad59db68f7c2591f7f",
     "rf/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "rf/summary.csv": "5b75778ae74a0af99da68766ddd2f90784341a90af25260f80ef00f3ab9302a8",
-    "rf/predictions.csv": "ed9169f1f46f30676158f79b1100d62985126158d26dc3c741f122f1104b5576",
-    "rf/distributions": "634e1edde8b1684c8d335481adefc4d7160972bdec017f1f9ebd6b613c835827",
+    "rf/predictions.csv": "07c5b6b3c03d4dac6a204ca2bcbe53f00363ddd025162d2573663ed140db6add",
+    "rf/distributions": "d3523fdd0a8ea396bedaf2830e7056674e516d7cc4fba56e0bf2634dbeb62bc4",
     "rt/model.json": "41d5b2848400b55ace41d2fc2f3c161bcbcc04a2b059615bfba3ce8b3f3ff423",
     "rt/report.txt": "fe55f47ee8379b0e9fb32075a9e31a4ce6e2690770efcd153babec65d45b6135",
     "rt/report_classes.csv": "5a3bd4cd394bfae3f4af5e1f945334bc8efd71fb12270dd457aee51e213a6926",
@@ -97,7 +97,7 @@ GOLDEN = {
     "vote-nb/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
     "vote-nb/predictions.csv": "3cfbcdab9302fb6db4a8838c96cbab548d3f9da1c004137e8f867d69eb61bebe",
     "vote-nb/distributions": "679afafc228497472322f9790d07b9fa38c8e0c3953a6944ee615c947f3d0844",
-    "rank.csv": "3fa737463e99fbabcb5bc7138af68116d9aed8602310f3688fbfcdba6a39bf61",
+    "rank.csv": "36c2899196ca4d43f7b3884b23c2ea2773754406a6d19fab427de2d486076b12",
     # `classify` with the j48 model on the capture `extract` pins below
     "classify-edge/predictions.csv": "5218895089db6b07667447baa57692731ee8d1ad03f583417c0e2fd9cf8f5433",
     "classify-edge/frames": "7a2a49235d6947230736f17239c102a64194a908616fadaed7643a8464f64dbd",

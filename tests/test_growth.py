@@ -24,7 +24,7 @@ from devfp.classifiers import Hyperparams, ModelSpec, derive_rng, train_model
 from devfp.classifiers import trees
 from devfp.classifiers.base import bootstrap_indices
 from devfp.features import CANONICAL_ATTRIBUTES
-from devfp.selection import gain_ratios, rank, split_segments
+from devfp.selection import gain_ratios, rank, split_segments, xlog2x_table
 from oracles import (
     reference_best_split,
     reference_bootstrap,
@@ -156,14 +156,15 @@ def test_split_scores_match_reference_bits(values, data, n_classes):
     present = ~np.isnan(column)
     distinct, code = np.unique(column[present], return_inverse=True)
     segment = np.zeros(len(code), dtype=np.intp)
-    splits = split_segments(segment, code, labels[present], distinct, 1, n_classes)
+    xlog2x = xlog2x_table(len(values))
+    splits = split_segments(segment, code, labels[present], distinct, 1, n_classes, xlog2x)
     ratio, gain = gain_ratios(splits, np.array([len(column)]))
     threshold = float(splits.threshold[0]) if gain[0] > 0.0 else None
     assert (float(ratio[0]), float(gain[0]), threshold) == reference_score_column(column, labels, n_classes)
     if present.any():
         # the present classes coded 0.., as ranking codes a dataset's classes
         classes, codes = np.unique(labels[present], return_inverse=True)
-        got = split_segments(segment, code, codes, distinct, 1, len(classes))
+        got = split_segments(segment, code, codes, distinct, 1, len(classes), xlog2x)
         threshold = None if math.isnan(got.threshold[0]) else float(got.threshold[0])
         want = reference_best_split(column[present], codes, len(classes))
         assert (threshold, float(got.info_gain[0]), float(got.split_info[0])) == want

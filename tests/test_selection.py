@@ -13,8 +13,8 @@ from oracles import (
     brute_entropy_counts,
     brute_gain_ratio,
     brute_split_candidates,
-    reference_entropy,
     reference_score_column,
+    reference_weighted_entropy,
 )
 
 from devfp.errors import MissingMeta, RegistryFormatError, SingleClassDataset
@@ -23,18 +23,22 @@ from devfp.pcap import parse_capture
 from devfp.selection import (
     FLAG_TIME_DEPENDENT,
     AttributeScore,
-    _scalar_entropies,
     apply_criteria,
     default_meta,
     rank,
     rank_report_csv,
     read_attribute_meta,
+    weighted_entropies,
+    xlog2x_table,
 )
 
 
 def entropies(*rows) -> list[float]:
-    """`_scalar_entropies` of count rows of one length."""
-    return _scalar_entropies(np.array(rows, dtype=np.float64)).tolist()
+    """The entropy of count rows of one length: `weighted_entropies` over
+    a table of the largest total, divided by each row's total."""
+    counts = np.array(rows, dtype=np.int64)
+    totals = counts.sum(axis=1)
+    return (weighted_entropies(counts, xlog2x_table(totals.max())) / totals).tolist()
 
 
 class TestEntropy:
@@ -54,7 +58,7 @@ class TestEntropy:
     @settings(max_examples=100)
     def test_matches_oracle_and_bounds(self, counts):
         (value,) = entropies(counts)
-        assert value == reference_entropy(counts)  # the same bits, not only close
+        assert value == reference_weighted_entropy(counts) / sum(counts)  # the same bits, not only close
         assert value == pytest.approx(brute_entropy_counts(counts), abs=1e-12)
         nonzero = sum(1 for c in counts if c)
         assert -1e-12 <= value <= math.log2(max(nonzero, 1)) + 1e-12

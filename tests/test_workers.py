@@ -3,11 +3,13 @@
 `trees.grow_trees` cuts a forest's trees into one contiguous chunk per
 usable CPU and grows every chunk but the first in a forked worker. The
 saved model must not depend on the worker count, and a worker's failure
-must reach the caller, which leaves no process behind, whatever fails.
+must reach the caller, which leaves no process behind, whatever fails. A
+worker whose caller is killed leaves at its next growth step.
 """
 
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -136,3 +138,54 @@ def test_buffered_stdout_is_written_once():
                             env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "buffered before training\ntrained\n"
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_worker_leaves_when_its_caller_is_killed():
+    # every growth step sleeps, so the worker's chunk would take minutes;
+    # the child prints the worker's pid, then is killed by SIGKILL
+    script = (
+        "import time\n"
+        "from unittest.mock import patch\n"
+        "from devfp.classifiers import Hyperparams, ModelSpec, train_model, trees\n"
+        "from test_workers import dataset\n"
+        "fork, best_splits = trees._fork, trees._best_splits\n"
+        "def announced(*args):\n"
+        "    pid, pipe = fork(*args)\n"
+        "    print(pid, flush=True)\n"
+        "    return pid, pipe\n"
+        "def slow(*args):\n"
+        "    time.sleep(0.05)\n"
+        "    return best_splits(*args)\n"
+        "with patch.object(trees, '_usable_cpus', lambda: 2), patch.object(trees, '_fork', announced), \\\n"
+        "        patch.object(trees, '_best_splits', slow), patch.object(trees, '_STEP_ROWS', 1):\n"
+        "    train_model(dataset(), ModelSpec('rf', Hyperparams(forest_trees=60, seed=3)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(REPO / "src"), str(REPO / "tests"))))
+    child = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env)
+    worker = None
+    try:
+        assert select.select([child.stdout], [], [], 60)[0], "the child forked no worker within 60 s"
+        worker = int(child.stdout.readline())
+        assert running(worker)
+        child.kill()
+        child.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker), "the worker outlived its caller by 5 s"
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+        if worker is not None and running(worker):
+            os.kill(worker, signal.SIGKILL)
