@@ -115,7 +115,7 @@ def derive_rng(*parts: object) -> random.Random:
     return random.Random("|".join(str(p) for p in parts))
 
 
-def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) -> np.ndarray:
+def bootstrap_indices(rng: random.Random, n: int, size: int) -> np.ndarray:
     """`size` row indices drawn from range(n) with replacement: the indices of
     `[rng.randrange(n) for _ in range(size)]`, leaving rng in the same state.
 
@@ -125,7 +125,6 @@ def bootstrap_indices(rng: random.Random, n: int, size: Optional[int] = None) ->
     least significant end, so the words are drawn in bulk and only the
     shortfall is drawn again.
     """
-    size = n if size is None else size
     shift = 32 - n.bit_length()
     drawn = [np.zeros(0, dtype=np.uint32)]
     missing = size

@@ -115,11 +115,9 @@ def train_model(dataset: Dataset, spec: ModelSpec) -> TrainedModel:
             if variant not in ALL_VARIANTS or variant == VARIANT_VOTE:
                 raise ValueError(f"unknown or unsupported member variant {variant!r}")
             members.append(_train(dataset, variant, hp, derive_rng(hp.seed, "vote", i, variant)))
-        except DevfpError as exc:
+        except (DevfpError, ValueError) as exc:
             exc.args = (f"vote member {variant!r}: {exc}",)
             raise
-        except ValueError as exc:
-            raise ValueError(f"vote member {variant!r}: {exc}") from exc
     first = members[0]
     return EnsembleModel(
         schema=first.schema,

@@ -40,11 +40,11 @@ saw an attribute (NaN in the model's arrays). Vote params hold {"members":
 [{"variant": v, "params": ...}...]}: each member takes the vote's schema,
 class names and hyperparams, and none is a vote.
 
-The text is canonical: ASCII (strings escape every other character as
-json.dumps does), no whitespace, the keys in the order above, ints written
-by str and floats by repr (so they parse back bit-identically), and one
-final LF. save_model writes the tree columns straight from the TreeModel's
-arrays, a bounded piece at a time, and json.dumps only the rest.
+The text is canonical: json.dumps writes every value (ASCII only, strings
+escaping every other character; ints as str and floats as repr write them,
+so they parse back bit-identically), with no whitespace, the keys in the
+order above, and one final LF. save_model writes the tree columns from the
+TreeModel's arrays, a bounded piece at a time.
 
 load_model checks one rule: the text is what save_model writes. It reads
 the text loosely (the header and the nb params with json, each tree column
@@ -106,18 +106,18 @@ def _dumps(value: object) -> str:
 
 
 # Values per piece of a column's text: the Python objects of one piece (a
-# value and its str, about 100 bytes) are live at a time, so saving holds
+# value and its text, about 100 bytes) are live at a time, so saving holds
 # about two copies of the text, whatever the size of the forest.
 _PIECE = 1024
 
 
 def _joined(pieces: Iterator[list]) -> Iterator[str]:
-    """The comma-separated text of the values of every piece, a piece at a time."""
+    """The comma-separated text of the values of every piece (none is
+    empty), a piece at a time."""
     comma = ""
     for values in pieces:
-        if values:
-            yield comma + ",".join(map(str, values))  # str of a float is its repr
-            comma = ","
+        yield comma + _dumps(values)[1:-1]
+        comma = ","
 
 
 def _pieces(column: np.ndarray) -> Iterator[np.ndarray]:
@@ -126,7 +126,7 @@ def _pieces(column: np.ndarray) -> Iterator[np.ndarray]:
 
 def _forest_parts(model: TreeModel) -> Iterator[str]:
     """The text of a tree model's params, a piece of one column at a time."""
-    yield '{"sizes":[' + ",".join(map(str, model.sizes.tolist())) + '],"attribute":['
+    yield '{"sizes":' + _dumps(model.sizes.tolist()) + ',"attribute":['
     yield from _joined(p.tolist() for p in _pieces(model.feature))
     yield '],"threshold":['
     yield from _joined(p.tolist() for p in _pieces(model.threshold))

@@ -64,12 +64,10 @@ from .base import VARIANT_C45, VARIANT_RANDOM_TREE, Hyperparams, TrainedModel
 
 
 def _added_errors(n: float, e: float, confidence: float) -> float:
-    """Extra errors added to e for a pessimistic estimate at the given confidence."""
-    if e < 1.0:
-        base = n * (1.0 - confidence ** (1.0 / n))
-        if e == 0.0:
-            return base
-        return base + e * (_added_errors(n, 1.0, confidence) - base)
+    """Extra errors added to e for a pessimistic estimate at the given
+    confidence, for n rows of which e, an integer count, are errors."""
+    if e == 0.0:
+        return n * (1.0 - confidence ** (1.0 / n))
     if e + 0.5 >= n:
         return max(n - e, 0.0)
     z = NormalDist().inv_cdf(1.0 - confidence)
@@ -81,13 +79,12 @@ def _added_errors(n: float, e: float, confidence: float) -> float:
 
 
 def _pessimistic_errors(counts: np.ndarray, confidence: float) -> np.ndarray:
-    """Pessimistic error estimate of each row of a class-count matrix, one
-    scalar evaluation per distinct (rows, errors) pair."""
-    n = counts.sum(axis=1)
+    """Pessimistic error estimate of each row of a class-count matrix: its
+    errors (the integer count of rows outside its majority class) plus the
+    added errors."""
+    n = counts.sum(axis=1, dtype=np.float64)
     e = n - counts.max(axis=1)
-    pairs, inverse = np.unique(np.stack((n, e), axis=1), axis=0, return_inverse=True)
-    estimates = [float(e) + _added_errors(float(n), float(e), confidence) for n, e in pairs.tolist()]
-    return np.array(estimates)[inverse.ravel()]
+    return np.array([e + _added_errors(n, e, confidence) for n, e in zip(n.tolist(), e.tolist())])
 
 
 # ---------------------------------------------------------------------------

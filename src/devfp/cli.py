@@ -310,7 +310,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DevfpError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

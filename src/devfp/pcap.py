@@ -116,18 +116,14 @@ def parse_capture(data: bytes) -> CaptureFile:
     truncated_at and the frames before it are still returned. Two runs over
     the same bytes produce identical results.
     """
+    if len(data) >= 4:
+        magic = struct.unpack_from("<I", data, 0)[0]
+        if magic not in _MAGICS:
+            _raise_unknown_magic(magic)
     if len(data) < _GLOBAL_HEADER_LEN:
-        if len(data) >= 4:
-            magic = struct.unpack_from("<I", data, 0)[0]
-            if magic not in _MAGICS:
-                _raise_unknown_magic(magic)
         raise TruncatedHeader(
             f"pcap global header needs {_GLOBAL_HEADER_LEN} bytes, found {len(data)}"
         )
-
-    magic = struct.unpack_from("<I", data, 0)[0]
-    if magic not in _MAGICS:
-        _raise_unknown_magic(magic)
     endian = _MAGICS[magic]
 
     (link_type,) = struct.unpack_from(endian + "I", data, 20)  # the global header's last field

@@ -236,9 +236,7 @@ def read_attribute_meta(text: str) -> dict[str, frozenset[str]]:
     for number, parts in registry_fields(text):
         if len(parts) > 2:
             raise RegistryFormatError(number, f"expected `name` or `name<TAB>flags`, got {len(parts)} fields")
-        name = parts[0]
-        if not name:
-            raise RegistryFormatError(number, "attribute name must be non-empty")
+        name = parts[0]  # never blank: registry_fields strips the line
         if name in meta:
             raise RegistryFormatError(number, f"duplicate attribute {name!r}")
         flags: set[str] = set()

@@ -469,6 +469,11 @@ class TestPredictContract:
         assert np.array_equal(dist[2], right)
         assert np.array_equal(dist[3], right)  # absent follows absent_branch
 
+    def test_rows_of_another_width_rejected(self):
+        model = tree_model(("ip.len",), ("A", "B"), [leaf(0, 1), leaf(1, 0), split(0, 5.5, "right", 1, 0)])
+        with pytest.raises(ValueError, match="^rows have 2 columns, the model's schema 1$"):
+            model.distribution_batch(np.zeros((3, 2)))
+
     def test_schema_mismatch_raises(self):
         model = stub((0.5, 0.5))
         bad = StubModel(
@@ -614,6 +619,10 @@ class TestPersistence:
                     }
                 )
                 assert class_proba(model, v) == class_proba(again, v)
+
+    def test_unknown_model_type_not_saved(self):
+        with pytest.raises(ModelFormatError, match="^cannot persist model type StubModel$"):
+            save_model(stub((0.5, 0.5)))
 
     def test_version_mismatch_rejected(self):
         text = save_model(self.trained_models()[0])

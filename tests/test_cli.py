@@ -10,7 +10,7 @@ from pcapbuild import ethernet, ipv4, pcap_file, udp
 
 from devfp.classifiers import save_model
 from devfp.cli import main
-from devfp.features import CSV_HEADER
+from devfp.features import CSV_HEADER, clean, read_csv, write_csv
 from devfp.pcap import parse_capture
 
 
@@ -226,6 +226,30 @@ class TestTrainEval:
         assert code == 0
         doc = json.loads((out_dir / "model.json").read_text())
         assert [m["variant"] for m in doc["params"]["members"]] == ["j48", "nb"]
+
+    def test_dedup_trains_on_the_first_of_each_distinct_row(self, training_csv, tmp_path, capsys):
+        csv, _ = training_csv
+        header, *rows = csv.read_text().splitlines()
+        distinct, stats = clean(read_csv(csv.read_text()), dedup=True)
+        # every row twice, then an all-Absent one
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join([header, *rows, *rows, "," * 9 + rows[0].rsplit(",", 1)[1]]) + "\n")
+        plain = tmp_path / "distinct.csv"
+        plain.write_text(write_csv(distinct))
+        outputs, logs = [], []
+        for path, flags in ((doubled, ["--dedup"]), (plain, [])):
+            out_dir = tmp_path / f"run_{path.stem}"
+            code, stdout, err = run_cli(
+                ["train-eval", "--input", str(path), "--model", "j48", *flags, "--out", str(out_dir)], capsys
+            )
+            assert code == 0
+            outputs.append([stdout] + [(out_dir / name).read_bytes() for name in ("model.json", "report.txt")])
+            logs.append(err.splitlines())
+        assert outputs[0] == outputs[1]
+        empty = 2 * stats.empty_removed + 1
+        duplicates = 2 * len(rows) + 1 - empty - len(distinct)
+        assert logs[0][0] == f"cleaning removed {empty} empty rows and {duplicates} duplicates"
+        assert logs[0][1:] == logs[1]
 
     def test_seed_changes_split(self, training_csv, tmp_path, capsys):
         csv, _ = training_csv

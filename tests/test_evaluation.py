@@ -89,6 +89,11 @@ class TestStratifiedSplit:
         with pytest.raises(EmptyDataset):
             stratified_split(make_dataset({"ip.len": []}, []), SplitSpec())
 
+    def test_unlabeled_row_rejected(self):
+        data = make_dataset({"ip.len": [1, 2, 3, 4]}, ["A", "B", None, "A"])
+        with pytest.raises(ValueError, match="^splitting requires every row to be labeled$"):
+            stratified_split(data, SplitSpec())
+
     @given(
         sizes=st.dictionaries(
             st.sampled_from(["A", "B", "C", "D"]), st.integers(2, 40), min_size=1, max_size=4
@@ -154,6 +159,10 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         with pytest.raises(EmptyDataset):
             evaluate(hand_tree_model(), make_dataset({"ip.len": []}, []))
+
+    def test_unlabeled_test_row_rejected(self):
+        with pytest.raises(ValueError, match="^evaluation requires every test row to be labeled$"):
+            evaluate(hand_tree_model(), one_attr_test_set([(1, "A"), (9, None)]))
 
     def test_unseen_test_label_gets_extra_row(self):
         test = one_attr_test_set([(1, "A"), (9, "C")])
@@ -286,6 +295,14 @@ class TestReportRendering:
         text = report_text(self.sample_report())
         assert "model=j48" in text
         assert "accuracy 0.8500" in text
+
+    def test_text_report_footnotes_undefined_metrics(self):
+        # class y never appears and is never predicted: its tpr and precision are 0/0
+        text = report_text(metrics(ConfusionMatrix(("x", "y"), ((4, 0), (0, 0))), RUN))
+        lines = text.splitlines()
+        assert lines[-2].split() == ["y", "0.0000*", "0.0000*", "0"]
+        assert lines[-1] == "* undefined (0/0), reported as 0"
+        assert "*" not in report_text(self.sample_report())
 
     def test_rendering_is_deterministic(self):
         a, b = self.sample_report(), self.sample_report()

@@ -28,6 +28,7 @@ from devfp.features import (
     label_by_source_mac,
     read_csv,
     read_registry,
+    require_classes,
     write_csv,
 )
 from devfp.pcap import parse_capture
@@ -272,6 +273,19 @@ class TestClean:
         assert len(cleaned.rows) == 2
 
 
+class TestDataset:
+    def test_project_rejects_an_attribute_outside_the_schema(self):
+        dataset = vectors_dataset([FeatureRow(ip_len=60)], ["A"], attributes=("ip.len", "ip.ttl"))
+        assert dataset.project(("ip.ttl",)).attributes == ("ip.ttl",)
+        with pytest.raises(ValueError, match=r"attributes not in schema: \['ip.proto'\]"):
+            dataset.project(("ip.len", "ip.proto"))
+
+    def test_require_classes_rejects_an_unlabeled_row(self):
+        row = FeatureRow(ip_len=60, ip_ttl=64, ip_proto=6)
+        with pytest.raises(ValueError, match="^training requires every row to be labeled$"):
+            require_classes(vectors_dataset([row, row, row], ["A", None, "B"]), "training")
+
+
 class TestCsv:
     def aria_dataset(self):
         row = FeatureRow(
@@ -419,6 +433,20 @@ class TestRegistryFile:
     def test_bad_type_rejected(self):
         with pytest.raises(RegistryFormatError):
             read_registry("aa:bb:cc:dd:ee:ff\tAria\tgadget\n")
+
+    def test_line_without_three_fields_rejected(self):
+        with pytest.raises(RegistryFormatError, match="line 2: expected 3 tab-separated fields, got 2"):
+            read_registry("aa:bb:cc:dd:ee:ff\tAria\tiot\naa:bb:cc:dd:ee:01\tiot\n")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(RegistryFormatError, match="line 1: device name must be non-empty"):
+            read_registry("aa:bb:cc:dd:ee:ff\t \tiot\n")
+
+    def test_add_takes_only_the_two_device_types(self):
+        registry = DeviceRegistry()
+        with pytest.raises(ValueError, match="device type must be IoT or NonIoT: 'iot'"):
+            registry.add("aa:bb:cc:dd:ee:ff", "Aria", "iot")  # a registry file's token, not a type
+        assert len(registry) == 0
 
     def test_duplicate_mac_rejected(self):
         text = "aa:bb:cc:dd:ee:ff\tAria\tiot\naa:bb:cc:dd:ee:ff\tOther\tiot\n"

@@ -43,7 +43,7 @@ from pcapbuild import (  # noqa: E402
 
 from devfp.classifiers import ALL_VARIANTS, load_model  # noqa: E402
 from devfp.cli import main  # noqa: E402
-from devfp.features import CANONICAL_ATTRIBUTES, read_csv  # noqa: E402
+from devfp.features import read_csv  # noqa: E402
 
 TRAIN_SEED = 7
 FRESH_SEED = 8
@@ -192,11 +192,8 @@ def _distributions_text(model_path: Path, csv_path: Path) -> bytes:
     """Every row's full-precision class distribution, one repr per cell."""
     model = load_model(model_path.read_text(encoding="utf-8"))
     dataset = read_csv(csv_path.read_text(encoding="utf-8"))
-    index = [CANONICAL_ATTRIBUTES.index(a) for a in model.schema]
-    lines = []
-    for cells in dataset.rows:
-        dist = model.distribution(tuple(cells[j] for j in index))
-        lines.append(",".join(repr(float(p)) for p in dist))
+    dist = model.distribution_batch(dataset.matrix(model.schema))
+    lines = [",".join(repr(p) for p in row) for row in dist.tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -72,6 +72,14 @@ class TestParseCapture:
         with pytest.raises(UnknownMagic, match="pcapng"):
             parse_capture(data)
 
+    @pytest.mark.parametrize("size", [4, 23])
+    def test_short_file_with_a_foreign_magic_named_as_such(self, size):
+        # the magic is checked before the header length, for any file of 4 bytes or more
+        with pytest.raises(UnknownMagic, match="magic 0x03020100"):
+            parse_capture((b"\x00\x01\x02\x03" + b"\x00" * 20)[:size])
+        with pytest.raises(UnknownMagic, match="pcapng"):
+            parse_capture((b"\x0a\x0d\x0d\x0a" + b"\x00" * 20)[:size])
+
     def test_truncated_global_header(self):
         data = pcap_file([])
         with pytest.raises(TruncatedHeader):

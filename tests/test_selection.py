@@ -348,6 +348,10 @@ class TestMetaRegistry:
         with pytest.raises(RegistryFormatError):
             read_attribute_meta("ip.ttl\nip.ttl\n")
 
+    def test_line_with_three_fields_rejected(self):
+        with pytest.raises(RegistryFormatError, match="line 1: expected `name` or `name<TAB>flags`, got 3 fields"):
+            read_attribute_meta("ip.ttl\ttime_dependent\textra\n")
+
 
 class TestRankReport:
     def test_report_format(self):

@@ -7,6 +7,7 @@ must reach the caller, which leaves no process behind, whatever fails. A
 worker whose caller is killed leaves at its next growth step.
 """
 
+import errno
 import os
 import random
 import select
@@ -108,6 +109,48 @@ def test_killed_worker_raises_devfp_error():
         with pytest.raises(DevfpError, match=f"killed by signal {int(signal.SIGKILL)} "):
             train_model(dataset(), SPECS["bagging"])
     assert_no_children()
+
+
+def raise_unpicklable():
+    class Local(Exception):  # pickle finds no local class by name
+        pass
+
+    raise Local("cannot be sent")
+
+
+def test_worker_without_a_result_raises_devfp_error():
+    # its exception cannot be pickled, so the worker exits with status 1
+    with patch.object(trees, "_usable_cpus", lambda: 2), \
+            patch.object(trees, "_grow", stand_in(nothing, raise_unpicklable)):
+        with pytest.raises(DevfpError, match="^a tree-growing worker exited with status 1 and sent no result$"):
+            train_model(dataset(), SPECS["rf"])
+    assert_no_children()
+
+
+def test_failed_fork_closes_the_pipe_and_raises():
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    with patch.object(trees, "_usable_cpus", lambda: 2), patch.object(os, "pipe", recorded_pipe), \
+            patch.object(os, "fork", side_effect=OSError(errno.EAGAIN, "no more processes")):
+        with pytest.raises(OSError, match="no more processes"):
+            train_model(dataset(), SPECS["bagging"])
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    assert_no_children()
+
+
+def test_usable_cpus_without_affinity_or_fork(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert trees._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert trees._usable_cpus() == 1
 
 
 def test_caller_failure_kills_and_reaps_the_workers():
