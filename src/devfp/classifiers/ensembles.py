@@ -11,9 +11,9 @@ by `derive_rng`:
 
 j48 and nb draw nothing. An rf or bagging member draws its bootstrap sample
 from its RNG, and an rf member then the candidate attributes of each node it
-searches, in the tree's breadth-first order, as an rt model does. All
-samples are drawn first; then the member trees grow in one contiguous chunk
-per usable CPU, every chunk but the first in a forked worker
+searches, in the tree's breadth-first order, as an rt model does. The
+member trees grow in one contiguous chunk per usable CPU, every chunk but
+the first in a forked worker that draws its own trees' samples
 (`trees.grow_trees`), each tree exactly as it would grow alone, into one
 `TreeModel` that holds them all, every tree in breadth-first order. Vote
 members train one after another.
@@ -80,21 +80,22 @@ def _train(dataset: Dataset, variant: str, hp: Hyperparams, rng: Optional[random
     common = {"schema": tuple(dataset.attributes), "class_names": dataset.class_names, "hyperparams": hp}
     if variant == VARIANT_NAIVE_BAYES:
         return NaiveBayesModel(**fit_naive_bayes(X, y, n_classes, hp), **common)
+    n = len(y)
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
-        samples = [np.arange(len(y))]
+        n_trees, sample = 1, lambda t: np.arange(n)
         rngs = None if variant == VARIANT_C45 else [derive_rng(hp.seed, "rt") if rng is None else rng]
     else:
-        # rf or bagging: every bootstrap sample is drawn, then all trees grow together
+        # rf or bagging: tree t draws its bootstrap sample from its own RNG, then all trees grow together
         if variant == VARIANT_RANDOM_FOREST:
-            rounds, fraction = hp.forest_trees, 1.0
+            n_trees, fraction = hp.forest_trees, 1.0
         else:
-            rounds, fraction = hp.bagging_rounds, hp.bag_fraction
+            n_trees, fraction = hp.bagging_rounds, hp.bag_fraction
         token = hp.seed if rng is None else rng.getrandbits(64)
-        draws = [derive_rng(token, variant, i) for i in range(rounds)]
-        n = len(y)
-        samples = (bootstrap_indices(r, n, max(1, round(fraction * n))) for r in draws)
+        draws = [derive_rng(token, variant, i) for i in range(n_trees)]
+        size = max(1, round(fraction * n))
+        sample = lambda t: bootstrap_indices(draws[t], n, size)  # noqa: E731
         rngs = draws if variant == VARIANT_RANDOM_FOREST else None  # bagging grows j48 trees
-    return TreeModel(variant=variant, **grow_trees(X, y, n_classes, samples, hp, rngs), **common)
+    return TreeModel(variant=variant, **grow_trees(X, y, n_classes, n_trees, sample, hp, rngs), **common)
 
 
 def train_model(dataset: Dataset, spec: ModelSpec) -> TrainedModel:

@@ -1,19 +1,23 @@
 """Decision trees: gain-ratio growth, pessimistic pruning, random trees.
 
 One grower grows a list of trees at once, each from a sample of row indices
-into a shared feature matrix (all rows, or a bootstrap sample). It cuts the
-trees into one contiguous chunk per usable CPU and grows every chunk but the
-first in a forked worker, which shares the matrix and sends its columns
-back; the chunks' columns are then joined in tree order. A tree depends only
-on its own sample and RNG, so the columns do not depend on the number of
-chunks. Within a chunk, pending nodes of every tree wait in one first-in,
-first-out queue, the roots first. Each step takes a frontier from the head
-of the queue and scores all its (node, candidate attribute) pairs with one
-batched split search, `selection.split_segments`; the children of the nodes
-that split join the tail, left before right. So each tree's nodes are
-created, searched and numbered in its own breadth-first order, and a random
-tree draws the candidate set of each searched node from its RNG in that
-order, however the steps are cut. A step scores at most _STEP_ROWS rows
+into a shared feature matrix (all rows, or a bootstrap sample). It codes the
+matrix's values once and keeps one row of each distinct (values, class)
+pair; a tree grows on the distinct rows of its sample, each with its count
+as an integer weight, and every count growth reads is a sum of weights. It
+cuts the trees into one contiguous chunk per usable CPU and grows every
+chunk but the first in a forked worker, which shares the coded rows, draws
+its own trees' samples and sends its columns back; the chunks' columns are
+then joined in tree order. A tree depends only on its own sample and RNG,
+so the columns do not depend on the number of chunks. Within a chunk,
+pending nodes of every tree wait in one first-in, first-out queue, the
+roots first. Each step takes a frontier from the head of the queue and
+scores all its (node, candidate attribute) pairs with one batched split
+search, `selection.split_segments`; the children of the nodes that split
+join the tail, left before right. So each tree's nodes are created,
+searched and numbered in its own breadth-first order, and a random tree
+draws the candidate set of each searched node from its RNG in that order,
+however the steps are cut. A step scores at most _STEP_ROWS distinct rows
 (node rows times candidates); nodes beyond that wait, so a step's working
 memory does not grow with the number of trees.
 
@@ -50,7 +54,7 @@ import signal
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -231,19 +235,22 @@ class TreeModel(TrainedModel):
 _BLOCK_PAIRS = 12_000
 
 
-# Rows scored per growth step, summed over the frontier's (node, candidate
-# attribute) pairs. It bounds the step's working memory; a larger node is
-# scored on its own.
+# Distinct rows scored per growth step, summed over the frontier's (node,
+# candidate attribute) pairs. It bounds the step's working memory; a larger
+# node is scored on its own.
 _STEP_ROWS = 1 << 15
 
 
 def grow_trees(
-    X: np.ndarray, y: np.ndarray, n_classes: int, samples: Iterable[np.ndarray], hp: Hyperparams,
-    rngs: Optional[Sequence[random.Random]] = None,
+    X: np.ndarray, y: np.ndarray, n_classes: int, n_trees: int, sample: Callable[[int], np.ndarray],
+    hp: Hyperparams, rngs: Optional[Sequence[random.Random]] = None,
 ) -> dict:
     """The TreeModel columns (sizes, feature, threshold, absent_left and
-    counts) of one tree per sample (row indices into X, y), all taken from
-    `samples` before growth starts.
+    counts) of n_trees trees, tree t grown on sample(t): row indices into X,
+    y, a row as often as it is drawn. A tree grows on the distinct (feature
+    values, class) pairs of its sample, each weighted by how many of its
+    rows hold it; every count that growth reads is a sum of weights, exact
+    in integers, so the tree is the one that its rows would grow one by one.
 
     With rngs None the trees are C4.5 trees over every attribute, pruned
     when hp.c45_prune; otherwise tree t is an unpruned random tree whose
@@ -252,32 +259,35 @@ def grow_trees(
 
     The trees are cut into W contiguous chunks, W the smaller of the usable
     CPUs and the tree count. The caller grows the first chunk; each other
-    chunk grows in a worker forked once every sample is drawn, which sends
-    its columns back over a pipe, and the columns are joined in tree order.
-    The RNGs of a worker's trees advance in the worker, not in the caller. A
-    worker's exception is raised here with its type and message; a worker
-    that dies without a result raises DevfpError. No worker outlives the
-    call, nor its caller by more than a growth step.
+    chunk grows in a forked worker, which sends its columns back over a
+    pipe, and the columns are joined in tree order. Each process calls
+    sample(t) for its own trees only, in tree order, before its growth
+    starts, so the RNGs of a worker's trees advance in the worker, not in
+    the caller. A worker's exception is raised here with its type and
+    message; a worker that dies without a result raises DevfpError. No
+    worker outlives the call, nor its caller by more than a growth step.
     """
     codes, values = value_codes(X)
-    xlog2x = xlog2x_table(len(y))  # no node holds more rows than X
+    first, inverse = _distinct_rows(np.column_stack((codes, y)))
+    codes, y = codes[first], y[first]
     caller = os.getpid()
-    # every tree's rows are pending at once: int32 halves them
-    roots = [rows.astype(np.int32) for rows in samples]
-    n_workers = min(_usable_cpus(), len(roots))
-    cuts = [len(roots) * w // n_workers for w in range(n_workers + 1)]
-    chunks = [roots[a:b] for a, b in zip(cuts, cuts[1:])]
-    del roots
+    n_workers = min(_usable_cpus(), n_trees)
+    cuts = [n_trees * w // n_workers for w in range(n_workers + 1)]
 
     def grow(w: int) -> dict:
+        # each tree's (row, weight) columns; a chunk's are pending at once, int32 halves them
+        roots = []
+        for t in range(cuts[w], cuts[w + 1]):
+            weights = np.bincount(inverse[sample(t)], minlength=len(first))
+            rows = np.flatnonzero(weights)
+            roots.append(np.array((rows, weights[rows]), dtype=np.int32))
         chunk_rngs = None if rngs is None else rngs[cuts[w]:cuts[w + 1]]
-        return _grow(X, y, codes, values, xlog2x, n_classes, chunks[w], hp, chunk_rngs, caller if w else None)
+        return _grow(codes, values, y, n_classes, roots, hp, chunk_rngs, caller if w else None)
 
     workers: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
         for w in range(1, n_workers):
             workers.append(_fork(grow, w))
-        del chunks[1:]  # the workers' samples
         parts = [grow(0)]
         while workers:
             parts.append(_receive(workers))
@@ -287,6 +297,20 @@ def grow_trees(
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the index of one row of each distinct row of `a`,
+    and for every row of `a` the position in `first` of its equal row.
+    np.unique(axis=0) finds the same rows, but it sorts them as structured
+    scalars, about 8x slower than lexsort on 37k rows of 5 columns."""
+    order = np.lexsort(a.T)
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _usable_cpus() -> int:
@@ -352,18 +376,20 @@ def _receive(workers: list[tuple[int, BinaryIO]]) -> dict:
 
 
 def _grow(
-    X: np.ndarray, y: np.ndarray, codes: np.ndarray, values: np.ndarray, xlog2x: np.ndarray, n_classes: int,
+    codes: np.ndarray, values: np.ndarray, y: np.ndarray, n_classes: int,
     roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]], caller: Optional[int],
 ) -> dict:
-    """grow_trees' columns of one tree per int32 sample in `roots`, which
-    it empties (`codes`, `values` are value_codes(X)), in this process; a
-    worker leaves by os._exit once `caller`, a pid, is not its parent."""
-    k = X.shape[1]
+    """grow_trees' columns of one tree per int32 array of (row, weight)
+    columns in `roots`, which it empties, in this process: row r has the
+    value codes codes[r] (see value_codes) and the class y[r]. A worker
+    leaves by os._exit once `caller`, a pid, is not its parent."""
+    k = codes.shape[1]
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
+    xlog2x = xlog2x_table(max(int(entries[1].sum()) for entries in roots))  # no node weighs more than its tree
     attributes = list(range(k))
 
-    def splittable(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return (sizes >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
+    def splittable(counts: np.ndarray) -> np.ndarray:
+        return (counts.sum(axis=1) >= hp.c45_min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
 
     n_trees = len(roots)
     # The node table, a block per step: the tree and class counts of each
@@ -371,38 +397,38 @@ def _grow(
     # ids) of the nodes that split, whose right children follow their left
     # ones. The roots are ids 0..n_trees-1.
     tree_blocks = [np.arange(n_trees)]
-    counts_blocks = [np.array([np.bincount(y[rows], minlength=n_classes) for rows in roots], dtype=np.int32)]
-    grows = splittable(np.array([len(rows) for rows in roots]), counts_blocks[0])
-    # A pending node is (tree, id, rows), in one first-in, first-out queue.
-    # Pending nodes hold the only reference to their rows, so each sample is
-    # freed once its root splits.
-    queue = deque((t, t, rows) for t, rows in enumerate(roots) if grows[t])
+    counts_blocks = [np.array([np.bincount(y[rows], weights, n_classes) for rows, weights in roots], dtype=np.int32)]
+    grows = splittable(counts_blocks[0])
+    # A pending node is (tree, id, its (row, weight) columns), in one
+    # first-in, first-out queue. Pending nodes hold the only references to
+    # their rows: a sample is freed once its root splits, and the children
+    # of one step share an array, freed once the last of them is taken.
+    queue = deque((t, t, entries) for t, entries in enumerate(roots) if grows[t])
     roots.clear()
     split_blocks = []
     n_nodes = n_trees
     while queue:
         if caller is not None and os.getppid() != caller:
             os._exit(1)
-        tree_of, ids, rows, candidates = [], [], [], []
+        tree_of, ids, entries, candidates = [], [], [], []
         budget = _STEP_ROWS
-        while queue and (not ids or len(queue[0][2]) * m <= budget):
-            t, node, node_rows = queue.popleft()
-            budget -= len(node_rows) * m
+        while queue and (not ids or queue[0][2].shape[1] * m <= budget):
+            t, node, node_entries = queue.popleft()
+            budget -= node_entries.shape[1] * m
             tree_of.append(t)
             ids.append(node)
-            rows.append(node_rows)
+            entries.append(node_entries)
             if rngs is not None:
                 candidates.append(attributes if m >= k else sorted(rngs[t].sample(attributes, m)))
 
         cand = np.array(candidates) if rngs is not None else np.broadcast_to(np.arange(k), (len(ids), k))
-        sizes = np.array([len(r) for r in rows])
-        row = np.concatenate(rows, dtype=np.intp)
-        owner = np.repeat(np.arange(len(ids)), sizes)
-        chosen, attribute, threshold = _best_splits(codes, values, xlog2x, y, n_classes, row, owner, cand, sizes)
+        sizes = np.array([node_entries.shape[1] for node_entries in entries])
+        entries = np.concatenate(entries, axis=1, dtype=np.int64)
+        chosen, attribute, threshold = _best_splits(codes, values, xlog2x, y, n_classes, entries, cand, sizes)
         if not len(chosen):
             continue
-        absent_left, child_rows, child_start, child_counts = _route(
-            X, y, n_classes, row, owner, chosen, attribute, threshold
+        absent_left, children, child_start, child_counts = _route(
+            codes, values, y, n_classes, entries, np.repeat(np.arange(len(ids)), sizes), chosen, attribute, threshold
         )
 
         child_trees = np.repeat(np.array(tree_of)[chosen], 2)
@@ -410,11 +436,9 @@ def _grow(
         split_blocks.append((np.array(ids)[chosen], attribute, threshold, absent_left, left))
         tree_blocks.append(child_trees)
         counts_blocks.append(child_counts)
-        grows = splittable(np.diff(child_start), child_counts).tolist()
-        child_start = child_start.tolist()
-        for c, t in enumerate(child_trees.tolist()):  # left, right of each chosen node
-            if grows[c]:
-                queue.append((t, n_nodes + c, child_rows[child_start[c]:child_start[c + 1]].astype(np.int32)))
+        child_start, tree_list = child_start.tolist(), child_trees.tolist()
+        for c in np.flatnonzero(splittable(child_counts)).tolist():  # left, right of each chosen node
+            queue.append((tree_list[c], n_nodes + c, children[:, child_start[c]:child_start[c + 1]]))
         n_nodes += len(child_trees)
 
     counts = np.concatenate(counts_blocks)
@@ -425,19 +449,17 @@ def _grow(
 
 def _best_splits(
     codes: np.ndarray, values: np.ndarray, xlog2x: np.ndarray, y: np.ndarray, n_classes: int,
-    row: np.ndarray, owner: np.ndarray, cand: np.ndarray, sizes: np.ndarray,
+    entries: np.ndarray, cand: np.ndarray, sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(chosen, attribute, threshold): the frontier nodes that split, each
-    with its best candidate and threshold. Frontier node f holds the rows
-    row[owner == f] and candidates cand[f]; (f, j) is segment f * m + j."""
+    with its best candidate and threshold. Frontier node f holds the sizes[f]
+    (row, weight) columns of `entries` that follow the earlier nodes', and
+    the candidates cand[f]; (f, j) is segment f * m + j."""
     n_frontier, m = cand.shape
-    k = codes.shape[1]
-    cell = codes.ravel()[(row * k)[:, None] + np.repeat(cand, sizes, axis=0)]  # codes[row, cand[owner]], faster
-    present = cell >= 0
-    segment = owner[:, None] * m + np.arange(m)
-    label = np.broadcast_to(y[row][:, None], cell.shape)
-    splits = split_segments(segment[present], cell[present], label[present], values, n_frontier * m, n_classes, xlog2x)
-    ratio = gain_ratios(splits, np.repeat(sizes, m))[0].reshape(n_frontier, m)
+    row, weight = entries
+    splits = split_segments(codes, values, row, y[row], weight, sizes, cand, n_classes, xlog2x)
+    node_weight = np.add.reduceat(weight, np.cumsum(sizes) - sizes)
+    ratio = gain_ratios(splits, np.repeat(node_weight, m))[0].reshape(n_frontier, m)
     choice = ratio.argmax(axis=1)  # the first maximum: the lowest candidate wins ties
     chosen = np.flatnonzero(ratio[np.arange(n_frontier), choice] > 0.0)
     choice = choice[chosen]
@@ -445,28 +467,39 @@ def _best_splits(
 
 
 def _route(
-    X: np.ndarray, y: np.ndarray, n_classes: int, row: np.ndarray, owner: np.ndarray,
+    codes: np.ndarray, values: np.ndarray, y: np.ndarray, n_classes: int, entries: np.ndarray, owner: np.ndarray,
     chosen: np.ndarray, attribute: np.ndarray, threshold: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(absent_left, rows, start, class counts) of the children of the
-    chosen frontier nodes, ordered left, right per node: child c holds
-    rows[start[c]:start[c + 1]]. Absent rows join the side with more
-    present rows, the left one on a tie."""
+    """(absent_left, entries, start, class counts) of the children of the
+    chosen frontier nodes, ordered left, right per node: child c holds the
+    int32 (row, weight) columns entries[:, start[c]:start[c + 1]]. Absent
+    rows join the side of more present weight, the left one on a tie."""
     slot = np.full(owner[-1] + 1, -1)
     slot[chosen] = np.arange(len(chosen))
-    routed = slot[owner] >= 0
-    row, split = row[routed], slot[owner[routed]]
-    value = X.ravel()[row * X.shape[1] + attribute[split]]  # X[row, attribute[split]], faster
-    go_left = value <= threshold[split]
-    n_left = np.bincount(split[go_left], minlength=len(chosen))
-    n_right = np.bincount(split[value > threshold[split]], minlength=len(chosen))
-    absent_left = n_left >= n_right
-    go_left |= np.isnan(value) & absent_left[split]
-    child = 2 * split + ~go_left
+    routed = np.flatnonzero(slot[owner] >= 0)
+    (row, weight), split = entries[:, routed], slot[owner[routed]]
+    code = codes.ravel()[row * codes.shape[1] + attribute[split]]  # codes[row, attribute[split]], faster
+    absent = code < 0
+    go_right = values.take(code) > threshold[split]  # an Absent cell's -1 reads the last value
+    go_right &= ~absent
+    # the weight of each split's left, right and absent rows
+    sides = _weighted_counts(go_right + 2 * absent, weight, split, len(chosen), 3)
+    absent_left = sides[:, 0] >= sides[:, 1]
+    child = 2 * split + (go_right | absent & ~absent_left[split])
     n_children = 2 * len(chosen)
     start = np.append(0, np.cumsum(np.bincount(child, minlength=n_children)))
-    counts = np.bincount(child * n_classes + y[row], minlength=n_children * n_classes)
-    return absent_left, row[np.argsort(child, kind="stable")], start, counts.reshape(-1, n_classes).astype(np.int32)
+    counts = _weighted_counts(y[row], weight, child, n_children, n_classes)
+    return absent_left, entries[:, routed[np.argsort(child, kind="stable")]].astype(np.int32), start, counts
+
+
+def _weighted_counts(
+    label: np.ndarray, weight: np.ndarray, group: np.ndarray, n_groups: int, n_labels: int,
+) -> np.ndarray:
+    """(n_groups x n_labels) int32: the summed weight of each group's rows
+    of each label. Summed weights are integers below 2**53, which float64
+    holds exactly."""
+    counts = np.bincount(group * n_labels + label, weights=weight, minlength=n_groups * n_labels)
+    return counts.reshape(n_groups, n_labels).astype(np.int32)
 
 
 def _finish(

@@ -215,10 +215,10 @@ class DeviceRegistry:
 
 def registry_fields(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, stripped tab-separated fields) of each line of a registry
-    file, skipping blank lines and lines starting with #."""
+    file, skipping blank lines and lines starting with #. Each field is
+    stripped, not the line, so a blank first field stays a field."""
     for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
+        if line.strip() and not line.lstrip().startswith("#"):
             yield number, [part.strip() for part in line.split("\t")]
 
 

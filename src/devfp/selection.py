@@ -9,9 +9,10 @@ fraction of present cells before dividing by the split information.
 
 One batched scorer, `split_segments`, serves ranking and tree growth. It
 takes the cells of many segments at once (a segment is one attribute's
-values within one tree node, or a whole column when ranking) and finds the
-best split of every segment with one sort and a segmented cumulative sum of
-class counts. It is exact: class counts at cuts are integers, and one
+values within one tree node, or a whole column when ranking), each cell
+standing for an integer weight of equal rows, and finds the best split of
+every segment with one sort of packed int64 keys and a segmented cumulative
+sum of class counts. It is exact: class counts at cuts are integers, and one
 routine, `weighted_entropies`, gives every n·H (entropy times the row total
 n) as T[n] - T[c_0] - T[c_1] - ..., T[x] = x·log2(x) a table built once per
 ranking or forest with `math.log2`. A cut's gain is (n·H(parent) -
@@ -51,8 +52,11 @@ class AttributeScore:
 
 
 def xlog2x_table(n: int) -> np.ndarray:
-    """T[x] = x·log2(x) for the counts x = 0..n, T[0] = 0, from `math.log2`."""
-    return np.array([0.0] + [x * math.log2(x) for x in range(1, n + 1)])
+    """T[x] = x·log2(x) for the counts x = 0..n, T[0] = 0, from `math.log2`.
+    The product is numpy's, whose every SIMD kernel rounds it correctly."""
+    table = np.arange(n + 1.0)
+    table[1:] *= np.fromiter(map(math.log2, range(1, n + 1)), np.float64, n)
+    return table
 
 
 def weighted_entropies(counts: np.ndarray, xlog2x: np.ndarray) -> np.ndarray:
@@ -86,40 +90,103 @@ class SegmentSplits(NamedTuple):
     threshold: np.ndarray  # NaN where the segment has no split
     info_gain: np.ndarray
     split_info: np.ndarray
-    n_present: np.ndarray  # entries in the segment
+    n_present: np.ndarray  # summed weight of the segment's entries
+
+
+# Bits of the split key: an int64 without its sign bit. The key packs four
+# fields, high to low: segment, value code, class and weight, so it sorts as
+# the tuple (segment, code, class, weight) does, and each field reads back
+# with a shift and a mask.
+_KEY_BITS = 63
 
 
 def split_segments(
-    segment: np.ndarray, code: np.ndarray, label: np.ndarray,
-    values: np.ndarray, n_segments: int, n_classes: int, xlog2x: np.ndarray,
+    codes: np.ndarray, values: np.ndarray, rows: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+    sizes: np.ndarray, cand: np.ndarray, n_classes: int, xlog2x: np.ndarray,
 ) -> SegmentSplits:
-    """Best binary split of each segment's entries, all segments at once.
+    """Best binary split of every (node, candidate) segment of a frontier.
 
-    Entry i has value values[code[i]] (codes ascend with value) and class
-    label[i]. One sort by the composite key (segment, code, label) groups
-    the entries; runs of equal (segment, value) merge into class-count rows
-    whose segmented cumsum gives the exact class counts left of every cut.
-    Each segment takes its first maximum-gain cut, which is the smallest
-    threshold. A segment with fewer than two classes or one distinct value
-    has no split (info_gain 0, split_info 0). `xlog2x` spans every segment's size.
+    Node f of the frontier holds the entries start[f]:start[f + 1], start
+    the cumulative sum of `sizes`. Entry i stands for weights[i] (>= 1)
+    equal rows of class labels[i], whose value codes are codes[rows[i]]
+    (codes as value_codes gives them: values[code], -1 for Absent). Segment
+    f·m + j holds node f's entries whose code in column cand[f, j] is
+    present; its n_present is their summed weight.
+
+    One sort of the packed keys groups the entries; runs of equal (segment,
+    code) merge into class-count rows whose segmented cumsum gives the exact
+    class counts left of every cut. Each segment takes its first
+    maximum-gain cut, which is the smallest threshold; the cuts between two
+    runs of one and the same class, never the best, are not scored. A
+    segment with fewer than two classes or one distinct value has no split
+    (info_gain 0, split_info 0). `xlog2x` spans every node's summed weight.
+
+    A key is built one candidate column at a time, segments numbered column
+    by column (j·F + f for F nodes). When the segment numbers do not fit in
+    the bits the other fields leave, the segments are scored in ranges that
+    fit, which does not change a bit of the result; a lone segment fits
+    unless code, class and weight alone need more than 63 bits.
     """
+    n_frontier, m = cand.shape
+    n_segments = n_frontier * m
+    class_shift = int(weights.max(initial=1)).bit_length()
+    code_shift = class_shift + (n_classes - 1).bit_length()
+    segment_shift = code_shift + max(len(values) - 1, 0).bit_length()
+    if segment_shift > _KEY_BITS:
+        raise ValueError(f"a segment's split key needs {segment_shift} bits, more than {_KEY_BITS}")
+    start = np.append(0, np.cumsum(sizes))
+    owner = np.repeat(np.arange(n_frontier), sizes)
+    low = labels.astype(np.int64) << class_shift
+    low |= weights
+    cells = rows.astype(np.int64) * codes.shape[1]
+    shifts = (class_shift, code_shift, segment_shift)
+    per_call = 1 << (_KEY_BITS - segment_shift)
+    parts = []
+    for first in range(0, n_segments, per_call):
+        stop = min(first + per_call, n_segments)
+        keys = []
+        for j in range(first // n_frontier, (stop - 1) // n_frontier + 1):
+            f0, f1 = max(first - j * n_frontier, 0), min(stop - j * n_frontier, n_frontier)
+            a, b = start[f0], start[f1]
+            code = codes.take(cells[a:b] + np.repeat(cand[f0:f1, j], sizes[f0:f1]))
+            key = owner[a:b] + (j * n_frontier - first)
+            key <<= segment_shift - code_shift
+            key += code  # where the code is -1 the key is dropped
+            key <<= code_shift
+            key |= low[a:b]
+            keys.append(key[code >= 0])
+        parts.append(_split_keys(np.concatenate(keys), stop - first, shifts, values, n_classes, xlog2x))
+    # column by column to node by node
+    return SegmentSplits(*(np.concatenate(part).reshape(m, n_frontier).T.ravel() for part in zip(*parts)))
+
+
+def _split_keys(
+    key: np.ndarray, n_segments: int, shifts: tuple[int, int, int],
+    values: np.ndarray, n_classes: int, xlog2x: np.ndarray,
+) -> SegmentSplits:
+    """split_segments' result for the packed keys of n_segments segments,
+    their fields starting at the bits `shifts` (class, code, segment)."""
     threshold = np.full(n_segments, math.nan)
     info_gain = np.zeros(n_segments)
     split_info = np.zeros(n_segments)
-    present = np.bincount(segment, minlength=n_segments)
-    if not len(segment):
+    present = np.zeros(n_segments, dtype=np.int64)
+    if not len(key):
         return SegmentSplits(threshold, info_gain, split_info, present)
-    n_values = len(values)
-    key = (segment.astype(np.int64) * n_values + code) * n_classes + label
+    class_shift, code_shift, segment_shift = shifts
     key.sort()
-    label = key % n_classes
-    key //= n_classes
+    weight = key & ((1 << class_shift) - 1)
+    key >>= class_shift
+    label = key & ((1 << (code_shift - class_shift)) - 1)
+    key >>= code_shift - class_shift  # (segment, code)
     starts = _run_starts(key)
     run = np.cumsum(starts) - 1
     run_key = key[starts]
-    run_segment = run_key // n_values
+    code_bits = segment_shift - code_shift
+    run_segment = run_key >> code_bits
     n_runs = len(run_key)
-    cum = np.bincount(run * n_classes + label, minlength=n_runs * n_classes).reshape(n_runs, n_classes)
+    # summed weights are integers below 2**53, so float64 holds them exactly
+    cum = np.bincount(run * n_classes + label, weights=weight, minlength=n_runs * n_classes)
+    cum = cum.astype(np.int64).reshape(n_runs, n_classes)
     np.cumsum(cum, axis=0, out=cum)
 
     # the nonempty segments: their first and last runs and the counts before them
@@ -128,11 +195,19 @@ def split_segments(
     base = np.zeros((len(first), n_classes), dtype=cum.dtype)
     base[1:] = cum[first[1:] - 1]
     totals = cum[last] - base
+    present[run_segment[first]] = totals.sum(axis=1)
 
-    # a cut follows every run but the last of a segment with two or more classes
+    # a cut follows every run but the last of a segment with two or more
+    # classes, except a cut between two runs of one and the same class: its
+    # gain is below one of its neighbours' in exact arithmetic (Fayyad and
+    # Irani, Machine Learning 8, 1992), so it is never the best. A run's
+    # classes ascend, so it holds one class when its first and last agree
     cut = np.ones(n_runs, dtype=bool)
     cut[last] = False
     cut &= np.repeat(np.count_nonzero(totals, axis=1) >= 2, last - first + 1)
+    run_class = label[starts]
+    pure = run_class == label[np.append(np.flatnonzero(starts)[1:], len(label)) - 1]
+    cut[:-1] &= ~(pure[:-1] & pure[1:] & (run_class[:-1] == run_class[1:]))
     cut = np.flatnonzero(cut)
     if not len(cut):
         return SegmentSplits(threshold, info_gain, split_info, present)
@@ -156,7 +231,7 @@ def split_segments(
     hits = np.flatnonzero(gains == top)
     best = hits[_run_starts(owner[hits])]
     at = run_segment[cut[best]]
-    run_value = values[run_key - run_segment * n_values]
+    run_value = values[run_key & ((1 << code_bits) - 1)]
     threshold[at] = (run_value[cut[best]] + run_value[cut[best] + 1]) / 2.0
     info_gain[at] = np.maximum(gains[best], 0.0)
     split_info[at] = weighted_entropies(np.stack((n_left[best], n[best] - n_left[best]), axis=1), xlog2x) / n[best]
@@ -183,17 +258,19 @@ def gain_ratios(splits: SegmentSplits, n_rows: np.ndarray) -> tuple[np.ndarray, 
 def rank(dataset: Dataset) -> tuple[AttributeScore, ...]:
     """Score every schema attribute and sort by gain ratio, descending.
 
-    Segment j of one split_segments call holds attribute j's present cells,
-    so ranking is the split search of tree growth at a one-node frontier.
+    One split_segments call scores a one-node frontier of every row, each
+    of weight 1, with every attribute a candidate: ranking is the split
+    search of tree growth at its root.
     An all-Absent attribute scores 0 with present_fraction 0. Sorting is
     stable, so equal scores keep schema order.
     """
     require_classes(dataset, "ranking")
     codes, values = value_codes(dataset.matrix())
     n, k = codes.shape
-    row, attribute = np.nonzero(codes >= 0)
-    y = dataset.class_codes()[row]  # the class of each present cell
-    splits = split_segments(attribute, codes[row, attribute], y, values, k, len(dataset.class_names), xlog2x_table(n))
+    splits = split_segments(
+        codes, values, np.arange(n), dataset.class_codes(), np.ones(n, dtype=np.int64), np.array([n]),
+        np.arange(k)[None, :], len(dataset.class_names), xlog2x_table(n),
+    )
     ratio, gain = gain_ratios(splits, np.full(k, n))
     scores = [
         AttributeScore(name, r, g, t if g > 0.0 else None, present / n)
@@ -236,7 +313,9 @@ def read_attribute_meta(text: str) -> dict[str, frozenset[str]]:
     for number, parts in registry_fields(text):
         if len(parts) > 2:
             raise RegistryFormatError(number, f"expected `name` or `name<TAB>flags`, got {len(parts)} fields")
-        name = parts[0]  # never blank: registry_fields strips the line
+        name = parts[0]
+        if not name:
+            raise RegistryFormatError(number, "attribute name must be non-empty")
         if name in meta:
             raise RegistryFormatError(number, f"duplicate attribute {name!r}")
         flags: set[str] = set()

@@ -18,7 +18,7 @@ from devfp.evaluation import (
     stratified_split,
 )
 from devfp.features import CANONICAL_ATTRIBUTES, Dataset
-from devfp.selection import gain_ratios, split_segments, xlog2x_table
+from devfp.selection import gain_ratios, split_segments, value_codes, xlog2x_table
 
 
 def labels(values) -> np.ndarray:
@@ -79,18 +79,19 @@ class ColumnScore(NamedTuple):
 
 def column_scores(columns, label_lists) -> list[ColumnScore]:
     """The score of each column (None = Absent) against its own list of
-    labels, every column one segment of a single split_segments call. Labels
-    are coded by their sorted order over all the lists."""
+    labels, every column one segment of a single split_segments call: a
+    frontier node of its cells, each of weight 1, with one candidate column.
+    Labels are coded by their sorted order over all the lists."""
     names = sorted({label for column_labels in label_lists for label in column_labels})
     code = {name: c for c, name in enumerate(names)}
     sizes = np.array([len(column) for column in columns])
     cells = np.array([v for column in columns for v in column], dtype=np.float64)  # None becomes NaN
     y = np.array([code[label] for column_labels in label_lists for label in column_labels], dtype=np.intp)
-    segment = np.repeat(np.arange(len(columns)), sizes)
-    present = ~np.isnan(cells)
-    values, cell_codes = np.unique(cells[present], return_inverse=True)
+    codes, values = value_codes(cells[:, None])
+    n = len(cells)
     splits = split_segments(
-        segment[present], cell_codes, y[present], values, len(columns), len(names), xlog2x_table(sizes.max())
+        codes, values, np.arange(n), y, np.ones(n, dtype=np.int64), sizes, np.zeros((len(columns), 1), dtype=np.intp),
+        len(names), xlog2x_table(sizes.max()),
     )
     ratio, gain = gain_ratios(splits, sizes)
     return [

@@ -442,6 +442,12 @@ class TestRegistryFile:
         with pytest.raises(RegistryFormatError, match="line 1: device name must be non-empty"):
             read_registry("aa:bb:cc:dd:ee:ff\t \tiot\n")
 
+    @pytest.mark.parametrize("mac", ["", " "])
+    def test_empty_mac_rejected(self, mac):
+        # the blank field is the MAC, not a line the name and type start
+        with pytest.raises(RegistryFormatError, match="line 2: not a colon-hex MAC address: ''"):
+            read_registry(f"aa:bb:cc:dd:ee:ff\tAria\tiot\n{mac}\tAria\tiot\n")
+
     def test_add_takes_only_the_two_device_types(self):
         registry = DeviceRegistry()
         with pytest.raises(ValueError, match="device type must be IoT or NonIoT: 'iot'"):

@@ -7,8 +7,13 @@ Absent cells, repeated values and gain ties. Each property also runs with
 the per-step row cap patched small, so that nodes and whole trees wait
 across steps. The forest properties also draw the usable CPU count, which
 cuts the trees into chunks grown by forked workers: 1 (no worker), 2, or
-more than the trees. The bulk bootstrap must draw exactly what one
-randrange call per row draws and leave the RNG in the same state.
+more than the trees. `grow_trees` grows each tree on the distinct rows of
+its sample with their counts as weights, so it is also run directly on
+datasets and samples whose rows repeat, against the reference tree of the
+rows one by one; and `split_segments` must give the same bits on weighted
+entries, on the same entries one by one, and split into segment ranges.
+The bulk bootstrap must draw exactly what one randrange call per row draws
+and leave the RNG in the same state.
 """
 
 import math
@@ -20,11 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devfp import selection
 from devfp.classifiers import Hyperparams, ModelSpec, derive_rng, train_model
 from devfp.classifiers import trees
 from devfp.classifiers.base import bootstrap_indices
 from devfp.features import CANONICAL_ATTRIBUTES
-from devfp.selection import gain_ratios, rank, split_segments, xlog2x_table
+from devfp.selection import gain_ratios, rank, split_segments, value_codes, xlog2x_table
 from oracles import (
     reference_best_split,
     reference_bootstrap,
@@ -144,6 +150,93 @@ def test_vote_members_match_reference(step_rows, dataset, fraction, seed, worker
     assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", token, 2, max(1, round(fraction * n))))
 
 
+def random_trees_rngs(seed: int, n_trees: int) -> list:
+    return [random.Random(f"tree|{seed}|{t}") for t in range(n_trees)]
+
+
+@pytest.mark.parametrize("step_rows", STEP_ROWS)
+@given(data=st.data(), dataset=datasets(), kind=st.sampled_from(["rf", "bagging", "j48", "rt"]),
+       prune=st.booleans(), min_leaf=st.integers(1, 3), candidates=st.integers(1, 4), seed=st.integers(0, 99),
+       workers=st.integers(1, 3))
+@settings(max_examples=60)
+def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset, kind, prune, min_leaf,
+                                                       candidates, seed, workers):
+    # the rows repeat, and so do the rows of each sample: a tree grows on
+    # distinct (values, class) rows with their counts, and must be the
+    # reference tree of its sample's rows one by one
+    X, y, n_classes = arrays(dataset)
+    copies = np.array(data.draw(st.lists(st.integers(0, len(y) - 1), min_size=1, max_size=2 * len(y))))
+    X, y = X[copies], y[copies]
+    if kind in ("j48", "rt"):
+        samples = [np.arange(len(y))]
+    else:
+        samples = [np.array(data.draw(st.lists(st.integers(0, len(y) - 1), min_size=1, max_size=2 * len(y))))
+                   for _ in range(data.draw(st.integers(1, 4)))]
+    n_trees = len(samples)
+    hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf, rt_feature_count=candidates)
+    randomized = kind in ("rf", "rt")
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
+        got = trees.grow_trees(X, y, n_classes, n_trees, samples.__getitem__, hp,
+                               random_trees_rngs(seed, n_trees) if randomized else None)
+    references = [
+        reference_tree(X[sample], y[sample], n_classes, hp, rng)
+        for sample, rng in zip(samples, random_trees_rngs(seed, n_trees) if randomized else [None] * n_trees)
+    ]
+    for name, column in reference_columns(references).items():
+        assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (column.dtype, column.shape,
+                                                                           column.tobytes()), name
+
+
+@given(data=st.data(), n_classes=st.integers(1, 4))
+@settings(max_examples=150)
+def test_split_segments_ranges_and_weights_keep_every_bit(data, n_classes):
+    # one call; the same call split into segment ranges under every lower
+    # bit budget down to one segment per range; and one call on the entries
+    # repeated by their weights, each of weight 1: the same SegmentSplits,
+    # whose every segment is the reference scan of its rows one by one over
+    # every cut (split_segments skips the cuts between two runs of one class)
+    n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    X = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=n * k, max_size=n * k))).reshape(n, k)
+    codes, values = value_codes(X)
+    sizes = np.array(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6)))
+    n_entries = int(sizes.sum())
+    entry = st.lists(st.integers(0, n - 1), min_size=n_entries, max_size=n_entries)
+    rows = np.array(data.draw(entry))
+    labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n_entries, max_size=n_entries)))
+    weights = np.array(data.draw(st.lists(st.integers(1, 5), min_size=n_entries, max_size=n_entries)))
+    m = data.draw(st.integers(1, k))
+    cand = np.array([sorted(data.draw(st.permutations(range(k)))[:m]) for _ in sizes])
+    xlog2x = xlog2x_table(int(weights.sum()))
+
+    def same(a, b):
+        return all(x.dtype == z.dtype and x.tobytes() == z.tobytes() for x, z in zip(a, b))
+
+    want = split_segments(codes, values, rows, labels, weights, sizes, cand, n_classes, xlog2x)
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    one_by_one = np.repeat(np.arange(n_entries), weights)
+    for segment, (f, column) in enumerate((f, column) for f in range(len(sizes)) for column in cand[f]):
+        entries = one_by_one[node[one_by_one] == f]
+        cells = X[rows[entries], column]
+        present = ~np.isnan(cells)
+        threshold = None if math.isnan(want.threshold[segment]) else float(want.threshold[segment])
+        got = (threshold, float(want.info_gain[segment]), float(want.split_info[segment]))
+        assert got == reference_best_split(cells[present], labels[entries][present], n_classes), segment
+        assert want.n_present[segment] == np.count_nonzero(present)
+    expanded = split_segments(codes, values, np.repeat(rows, weights), np.repeat(labels, weights),
+                              np.ones(int(weights.sum()), dtype=np.int64), np.bincount(node, weights).astype(np.intp),
+                              cand, n_classes, xlog2x)
+    assert same(expanded, want)
+    bits = selection._KEY_BITS
+    while True:
+        bits -= 1
+        with patch.object(selection, "_KEY_BITS", bits):
+            try:
+                got = split_segments(codes, values, rows, labels, weights, sizes, cand, n_classes, xlog2x)
+            except ValueError:
+                break  # not even a lone segment fits in so few bits
+        assert same(got, want), bits
+
+
 @given(
     values=st.lists(st.sampled_from(VALUES), min_size=1, max_size=40),
     data=st.data(),
@@ -154,19 +247,27 @@ def test_split_scores_match_reference_bits(values, data, n_classes):
     column = np.array(values)
     labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=len(values), max_size=len(values))))
     present = ~np.isnan(column)
-    distinct, code = np.unique(column[present], return_inverse=True)
-    segment = np.zeros(len(code), dtype=np.intp)
+    codes, distinct = value_codes(column[:, None])
     xlog2x = xlog2x_table(len(values))
-    splits = split_segments(segment, code, labels[present], distinct, 1, n_classes, xlog2x)
+
+    def scores(labels, n_classes):
+        # one node of every row, each of weight 1, with the one column a candidate
+        n = len(values)
+        return split_segments(codes, distinct, np.arange(n), labels, np.ones(n, dtype=np.int64), np.array([n]),
+                              np.zeros((1, 1), dtype=np.intp), n_classes, xlog2x)
+
+    splits = scores(labels, n_classes)
     ratio, gain = gain_ratios(splits, np.array([len(column)]))
     threshold = float(splits.threshold[0]) if gain[0] > 0.0 else None
     assert (float(ratio[0]), float(gain[0]), threshold) == reference_score_column(column, labels, n_classes)
     if present.any():
         # the present classes coded 0.., as ranking codes a dataset's classes
-        classes, codes = np.unique(labels[present], return_inverse=True)
-        got = split_segments(segment, code, codes, distinct, 1, len(classes), xlog2x)
+        classes, class_codes = np.unique(labels[present], return_inverse=True)
+        coded = np.zeros(len(values), dtype=np.intp)  # an Absent cell's class is never read
+        coded[present] = class_codes
+        got = scores(coded, len(classes))
         threshold = None if math.isnan(got.threshold[0]) else float(got.threshold[0])
-        want = reference_best_split(column[present], codes, len(classes))
+        want = reference_best_split(column[present], class_codes, len(classes))
         assert (threshold, float(got.info_gain[0]), float(got.split_info[0])) == want
     names = [chr(65 + c) for c in labels]
     if len(set(names)) >= 2:

@@ -348,6 +348,12 @@ class TestMetaRegistry:
         with pytest.raises(RegistryFormatError):
             read_attribute_meta("ip.ttl\nip.ttl\n")
 
+    @pytest.mark.parametrize("line", [" \ttime_dependent", "\ttime_dependent"])
+    def test_empty_name_rejected(self, line):
+        # the flags field does not become the name
+        with pytest.raises(RegistryFormatError, match="line 2: attribute name must be non-empty"):
+            read_attribute_meta(f"ip.ttl\n{line}\n")
+
     def test_line_with_three_fields_rejected(self):
         with pytest.raises(RegistryFormatError, match="line 1: expected `name` or `name<TAB>flags`, got 3 fields"):
             read_attribute_meta("ip.ttl\ttime_dependent\textra\n")
