@@ -93,7 +93,10 @@ def _train(dataset: Dataset, variant: str, hp: Hyperparams, rng: Optional[random
         token = hp.seed if rng is None else rng.getrandbits(64)
         draws = [derive_rng(token, variant, i) for i in range(n_trees)]
         size = max(1, round(fraction * n))
-        sample = lambda t: bootstrap_indices(draws[t], n, size)  # noqa: E731
+
+        def sample(t: int) -> np.ndarray:
+            return bootstrap_indices(draws[t], n, size)
+
         rngs = draws if variant == VARIANT_RANDOM_FOREST else None  # bagging grows j48 trees
     return TreeModel(variant=variant, **grow_trees(X, y, n_classes, n_trees, sample, hp, rngs), **common)
 
