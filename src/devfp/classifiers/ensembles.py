@@ -11,10 +11,10 @@ by `derive_rng`:
 
 j48 and nb draw nothing. An rf or bagging member draws its bootstrap sample
 from its RNG, and an rf member then the candidate attributes of each node it
-searches, in the tree's breadth-first order, as an rt model does. The
-member trees grow in one contiguous chunk per usable CPU, every chunk but
-the first in a forked worker that draws its own trees' samples
-(`trees.grow_trees`), each tree exactly as it would grow alone, into one
+searches, in the tree's breadth-first order, as an rt model does. The member
+trees grow in one contiguous chunk per usable CPU, every chunk but the first
+in a forked worker that draws its own trees' samples (`trees.grow_trees`,
+through `devfp.workers`), each tree exactly as it would grow alone, into one
 `TreeModel` that holds them all, every tree in breadth-first order. Vote
 members train one after another.
 Predictions are the arithmetic mean of member class distributions (rf and

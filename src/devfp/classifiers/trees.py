@@ -6,15 +6,15 @@ matrix's values once and keeps one row of each distinct (values, class)
 pair; a tree grows on the distinct rows of its sample, each with its count
 as an integer weight, and every count growth reads is a sum of weights. It
 cuts the trees into one contiguous chunk per usable CPU and grows every
-chunk but the first in a forked worker, which shares the coded rows, draws
-its own trees' samples and sends its columns back; the chunks' columns are
-then joined in tree order. A tree depends only on its own sample and RNG,
-so the columns do not depend on the number of chunks. Within a chunk,
-pending nodes of every tree wait in one first-in, first-out queue, the
-roots first. Each step takes a frontier from the head of the queue and
-scores all its (node, candidate attribute) pairs with one batched split
-search, `selection.split_segments`; the children of the nodes that split
-join the tail, left before right. So each tree's nodes are created,
+chunk but the first in a forked worker (see `devfp.workers`), which shares
+the coded rows, draws its own trees' samples and sends its columns back; the
+chunks' columns are then joined in tree order. A tree depends only on its
+own sample and RNG, so the columns do not depend on the number of chunks.
+Within a chunk, pending nodes of every tree wait in one first-in, first-out
+queue, the roots first. Each step takes a frontier from the head of the
+queue and scores all its (node, candidate attribute) pairs with one batched
+split search, `selection.split_segments`; the children of the nodes that
+split join the tail, left before right. So each tree's nodes are created,
 searched and numbered in its own breadth-first order, and a random tree
 draws the candidate set of each searched node from its RNG in that order,
 however the steps are cut. A step scores at most _STEP_ROWS distinct rows
@@ -47,18 +47,15 @@ loop.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import random
-import signal
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import BinaryIO, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DevfpError
+from .. import workers
 from ..selection import gain_ratios, split_segments, value_codes, xlog2x_table
 from .base import VARIANT_C45, VARIANT_RANDOM_TREE, Hyperparams, TrainedModel
 
@@ -257,45 +254,28 @@ def grow_trees(
     searched nodes each draw a sorted candidate set from rngs[t], in the
     tree's breadth-first order.
 
-    The trees are cut into W contiguous chunks, W the smaller of the usable
-    CPUs and the tree count. The caller grows the first chunk; each other
-    chunk grows in a forked worker, which sends its columns back over a
-    pipe, and the columns are joined in tree order. Each process calls
+    `workers.run_chunks` cuts the trees into one contiguous chunk per
+    usable CPU: the caller grows the first, a forked worker each other one,
+    and the chunks' columns are joined in tree order. Each process calls
     sample(t) for its own trees only, in tree order, before its growth
     starts, so the RNGs of a worker's trees advance in the worker, not in
-    the caller. A worker's exception is raised here with its type and
-    message; a worker that dies without a result raises DevfpError. No
-    worker outlives the call, nor its caller by more than a growth step.
+    the caller. A worker's exception is raised here; no worker outlives the
+    call, nor its caller by more than a growth step.
     """
     codes, values = value_codes(X)
     first, inverse = _distinct_rows(np.column_stack((codes, y)))
     codes, y = codes[first], y[first]
-    caller = os.getpid()
-    n_workers = min(_usable_cpus(), n_trees)
-    cuts = [n_trees * w // n_workers for w in range(n_workers + 1)]
 
-    def grow(w: int) -> dict:
+    def grow(start: int, stop: int) -> dict:
         # each tree's (row, weight) columns; a chunk's are pending at once, int32 halves them
         roots = []
-        for t in range(cuts[w], cuts[w + 1]):
+        for t in range(start, stop):
             weights = np.bincount(inverse[sample(t)], minlength=len(first))
             rows = np.flatnonzero(weights)
             roots.append(np.array((rows, weights[rows]), dtype=np.int32))
-        chunk_rngs = None if rngs is None else rngs[cuts[w]:cuts[w + 1]]
-        return _grow(codes, values, y, n_classes, roots, hp, chunk_rngs, caller if w else None)
+        return _grow(codes, values, y, n_classes, roots, hp, None if rngs is None else rngs[start:stop])
 
-    workers: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of each worker not yet reaped
-    try:
-        for w in range(1, n_workers):
-            workers.append(_fork(grow, w))
-        parts = [grow(0)]
-        while workers:
-            parts.append(_receive(workers))
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    parts = workers.run_chunks(grow, n_trees)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -313,76 +293,14 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where os.fork does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork(grow: Callable[[int], dict], w: int) -> tuple[int, BinaryIO]:
-    """(pid, read end of its pipe) of a forked worker that pickles
-    (True, grow(w)) or (False, the exception it raised) to the pipe.
-
-    The worker leaves by os._exit, status 0 once the pipe holds its whole
-    result: it runs no atexit handler and flushes no inherited stdio buffer.
-    A forked worker shares X and the samples without pickling them or
-    importing devfp again. Python 3.12 and later warn (DeprecationWarning)
-    on a fork from a process with more than one thread, as numpy's OpenBLAS
-    makes it.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            try:
-                result = (True, grow(w))
-            except BaseException as exc:  # sent to the caller, which raises it
-                result = (False, exc)
-            with open(write, "wb") as pipe:
-                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _receive(workers: list[tuple[int, BinaryIO]]) -> dict:
-    """The columns of the first worker, which is reaped and removed from
-    `workers`; its exception, or a DevfpError when it sent no result."""
-    pid, pipe = workers[0]
-    with pipe:
-        data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del workers[0]
-    if code < 0:
-        raise DevfpError(f"a tree-growing worker was killed by signal {-code} ({signal.strsignal(-code)})")
-    if code != 0:
-        raise DevfpError(f"a tree-growing worker exited with status {code} and sent no result")
-    grown, result = pickle.loads(data)  # bytes that _fork's worker wrote
-    if not grown:
-        raise result
-    return result
-
-
 def _grow(
     codes: np.ndarray, values: np.ndarray, y: np.ndarray, n_classes: int,
-    roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]], caller: Optional[int],
+    roots: list[np.ndarray], hp: Hyperparams, rngs: Optional[Sequence[random.Random]],
 ) -> dict:
     """grow_trees' columns of one tree per int32 array of (row, weight)
     columns in `roots`, which it empties, in this process: row r has the
     value codes codes[r] (see value_codes) and the class y[r]. A worker
-    leaves by os._exit once `caller`, a pid, is not its parent."""
+    whose caller has died leaves at the next step."""
     k = codes.shape[1]
     m = k if rngs is None else hp.resolved_rt_feature_count(k)
     xlog2x = xlog2x_table(max(int(entries[1].sum()) for entries in roots))  # no node weighs more than its tree
@@ -408,8 +326,7 @@ def _grow(
     split_blocks = []
     n_nodes = n_trees
     while queue:
-        if caller is not None and os.getppid() != caller:
-            os._exit(1)
+        workers.leave_if_orphaned()
         tree_of, ids, entries, candidates = [], [], [], []
         budget = _STEP_ROWS
         while queue and (not ids or queue[0][2].shape[1] * m <= budget):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter, defaultdict
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from . import __version__
+from . import __version__, workers
 from .classifiers import (
     ALL_VARIANTS,
     Hyperparams,
@@ -54,6 +55,7 @@ from .selection import apply_criteria, default_meta, rank, rank_report_csv, read
 
 
 _CLASSES = ("device_name", "device_type")  # the training target: device names, or their types
+_FAILURES = (DevfpError, ValueError, OSError)  # reported as "error: ..." with exit status 2
 
 
 def _log(message: str) -> None:
@@ -140,10 +142,10 @@ def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
     return ModelSpec(variant=args.model, hyperparams=hyperparams, vote_members=members)
 
 
-def _read_capture(path: str) -> CaptureFile:
+def _read_capture(path: str, log: Callable[[str], None] = _log) -> CaptureFile:
     capture = parse_capture(Path(path).read_bytes())
     if capture.truncated_at is not None:
-        _log(
+        log(
             f"warning: {path}: truncated or corrupt at frame {capture.truncated_at}; "
             "kept frames before it"
         )
@@ -161,15 +163,50 @@ def _read_registry(path: str) -> DeviceRegistry:
     return read_registry(Path(path).read_text(encoding="utf-8"))
 
 
+def _extract_captures(
+    paths: Sequence[str], raw_ack: bool, registry: DeviceRegistry,
+) -> list[tuple[list[str], object]]:
+    """Per capture, in order: its warning lines, and either (its labeled
+    rows, its unregistered-source count, its ExtractionStats) or the error
+    that stopped it, after which no later capture is read."""
+    done: list[tuple[list[str], object]] = []
+    for path in paths:
+        workers.leave_if_orphaned()
+        lines: list[str] = []
+        stats = ExtractionStats()
+        try:
+            # labeled as it is extracted: unregistered rows never outlive their capture
+            labeled, dropped = label_by_source_mac(
+                extract_capture(_read_capture(path, lines.append), raw_ack=raw_ack, stats=stats), registry
+            )
+        except _FAILURES as exc:
+            done.append((lines, exc))
+            break
+        done.append((lines, (labeled, dropped, stats)))
+    return done
+
+
 def _extract_to_dataset(args: argparse.Namespace, registry: DeviceRegistry) -> Dataset:
+    """The cleaned, labeled rows of every input capture, in input order. The
+    captures are extracted in one contiguous chunk per usable CPU (see
+    `workers.run_chunks`); their warnings, counters and first error reach
+    standard error in input order, as one process would write them."""
+    chunks = workers.run_chunks(
+        lambda start, stop: _extract_captures(args.input[start:stop], args.raw_ack, registry), len(args.input)
+    )
     stats = ExtractionStats()
-    # each capture labeled as it is extracted: unregistered rows never outlive their capture
-    labeled = [
-        label_by_source_mac(extract_capture(_read_capture(path), raw_ack=args.raw_ack, stats=stats), registry)
-        for path in args.input
-    ]
-    dropped = sum(part_dropped for _, part_dropped in labeled)
-    dataset, clean_stats = clean(Dataset.concat([part for part, _ in labeled]), dedup=args.dedup)
+    parts, dropped = [], 0
+    for lines, result in (capture for chunk in chunks for capture in chunk):
+        for line in lines:
+            _log(line)
+        if isinstance(result, Exception):
+            raise result
+        part, part_dropped, part_stats = result
+        parts.append(part)
+        dropped += part_dropped
+        for counter in fields(ExtractionStats):
+            setattr(stats, counter.name, getattr(stats, counter.name) + getattr(part_stats, counter.name))
+    dataset, clean_stats = clean(Dataset.concat(parts), dedup=args.dedup)
     _log(
         f"{_frames_line(stats)}, {dropped} unregistered-source dropped, "
         f"{clean_stats.empty_removed} empty rows removed, "
@@ -307,6 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DevfpError, ValueError, OSError) as exc:
+    except _FAILURES as exc:
         _log(f"error: {exc}")
         return 2

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devfp import selection
+from devfp import selection, workers
 from devfp.classifiers import Hyperparams, ModelSpec, derive_rng, train_model
 from devfp.classifiers import trees
 from devfp.classifiers.base import bootstrap_indices
@@ -118,13 +118,13 @@ def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf,
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
 @given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), min_leaf=st.integers(1, 3), seed=st.integers(0, 99),
-       workers=st.sampled_from(WORKERS))
+       cpus=st.sampled_from(WORKERS))
 @settings(max_examples=40)
-def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed, workers):
+def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed, cpus):
     hp = Hyperparams(seed=seed, forest_trees=3, bagging_rounds=3, bag_fraction=fraction, c45_min_leaf=min_leaf)
     X, y, n_classes = arrays(dataset)
     n = len(y)
-    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         forest = train_model(dataset, ModelSpec("rf", hp))
         bagging = train_model(dataset, ModelSpec("bagging", hp))
     assert_same_trees(forest, reference_forest(X, y, n_classes, hp, "rf", seed, 3, n))
@@ -132,15 +132,15 @@ def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99), workers=st.sampled_from(WORKERS))
+@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99), cpus=st.sampled_from(WORKERS))
 @settings(max_examples=30)
-def test_vote_members_match_reference(step_rows, dataset, fraction, seed, workers):
+def test_vote_members_match_reference(step_rows, dataset, fraction, seed, cpus):
     # vote member i of variant v draws from (seed, "vote", i, v): an rt member
     # directly, an rf or bagging member through a 64-bit token taking the seed's place
     hp = Hyperparams(seed=seed, forest_trees=2, bagging_rounds=2, bag_fraction=fraction)
     X, y, n_classes = arrays(dataset)
     n = len(y)
-    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         vote = train_model(dataset, ModelSpec("vote", hp, ("rt", "rf", "bagging")))
     rt, rf, bagging = vote.members
     assert_same_trees(rt, [reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt"))])
@@ -157,10 +157,10 @@ def random_trees_rngs(seed: int, n_trees: int) -> list:
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
 @given(data=st.data(), dataset=datasets(), kind=st.sampled_from(["rf", "bagging", "j48", "rt"]),
        prune=st.booleans(), min_leaf=st.integers(1, 3), candidates=st.integers(1, 4), seed=st.integers(0, 99),
-       workers=st.integers(1, 3))
+       cpus=st.integers(1, 3))
 @settings(max_examples=60)
 def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset, kind, prune, min_leaf,
-                                                       candidates, seed, workers):
+                                                       candidates, seed, cpus):
     # the rows repeat, and so do the rows of each sample: a tree grows on
     # distinct (values, class) rows with their counts, and must be the
     # reference tree of its sample's rows one by one
@@ -175,7 +175,7 @@ def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset,
     n_trees = len(samples)
     hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf, rt_feature_count=candidates)
     randomized = kind in ("rf", "rt")
-    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(trees, "_usable_cpus", lambda: workers):
+    with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         got = trees.grow_trees(X, y, n_classes, n_trees, samples.__getitem__, hp,
                                random_trees_rngs(seed, n_trees) if randomized else None)
     references = [
