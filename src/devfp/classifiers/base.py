@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence, get_args, get_type_hints
+from dataclasses import dataclass
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -52,49 +52,38 @@ ALL_VARIANTS = (
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs with the benchmark-tool defaults; all configurable.
+    """Training knobs with the benchmark-tool defaults, each set by a flag of
+    train-eval and pipeline. A field of another type than its annotation
+    raises TypeError, an out-of-range value ValueError.
 
-    rt_feature_count defaults to floor(log2(k)) + 1 where k is the number of
-    schema attributes at training time. A field of another type than its
-    annotation raises TypeError, an out-of-range value ValueError.
+    Three settings are constants: a random tree searches floor(log2(k)) + 1
+    candidates of its k attributes (`trees`) and an rf or bagging tree grows
+    on a bootstrap sample as large as the training set (`ensembles`), both
+    Weka's defaults, and naive Bayes floors each stddev at sqrt(1e-9)
+    (`bayes`).
     """
 
     seed: int = 1
     forest_trees: int = 100
-    rt_feature_count: Optional[int] = None
     bagging_rounds: int = 10
-    bag_fraction: float = 1.0
     c45_min_leaf: int = 2
     c45_confidence: float = 0.25
     c45_prune: bool = True
-    nb_variance_floor: float = 1e-9
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            kinds = _HYPERPARAM_TYPES[f.name]
-            if type(getattr(self, f.name)) not in kinds:
-                raise TypeError(f"{f.name} must be of type {' or '.join(k.__name__ for k in kinds)}")
+        for name, kind in _HYPERPARAM_TYPES.items():
+            if type(getattr(self, name)) is not kind:
+                raise TypeError(f"{name} must be of type {kind.__name__}")
         if self.forest_trees < 1 or self.bagging_rounds < 1 or self.c45_min_leaf < 1:
             raise ValueError("counts must be >= 1")
-        if self.rt_feature_count is not None and self.rt_feature_count < 1:
-            raise ValueError("rt_feature_count must be >= 1")
-        if not 0.0 < self.bag_fraction <= 1.0:
-            raise ValueError("bag_fraction must be in (0, 1]")
         if not 0.0 < self.c45_confidence <= 0.5:
             raise ValueError("c45_confidence must be in (0, 0.5]")
-        if self.nb_variance_floor <= 0.0:
-            raise ValueError("nb_variance_floor must be positive")
-
-    def resolved_rt_feature_count(self, n_attributes: int) -> int:
-        if self.rt_feature_count is not None:
-            return min(self.rt_feature_count, n_attributes)
-        return min(int(math.floor(math.log2(n_attributes))) + 1, n_attributes)
 
 
-# The types each Hyperparams field takes exactly, read from its annotation: no
+# The type each Hyperparams field takes exactly, read from its annotation: no
 # bool where an int belongs and no int where a float belongs, as a command
 # line builds them.
-_HYPERPARAM_TYPES = {name: get_args(t) or (t,) for name, t in get_type_hints(Hyperparams).items()}
+_HYPERPARAM_TYPES = get_type_hints(Hyperparams)
 
 
 @dataclass(frozen=True)
@@ -115,9 +104,9 @@ def derive_rng(*parts: object) -> random.Random:
     return random.Random("|".join(str(p) for p in parts))
 
 
-def bootstrap_indices(rng: random.Random, n: int, size: int) -> np.ndarray:
-    """`size` row indices drawn from range(n) with replacement: the indices of
-    `[rng.randrange(n) for _ in range(size)]`, leaving rng in the same state.
+def bootstrap_indices(rng: random.Random, n: int) -> np.ndarray:
+    """n row indices drawn from range(n) with replacement: the indices of
+    `[rng.randrange(n) for _ in range(n)]`, leaving rng in the same state.
 
     This relies on n < 2**32: randrange(n) then takes one 32-bit word w per
     try, keeps w >> (32 - n.bit_length()) and tries again while that is >= n.
@@ -127,7 +116,7 @@ def bootstrap_indices(rng: random.Random, n: int, size: int) -> np.ndarray:
     """
     shift = 32 - n.bit_length()
     drawn = [np.zeros(0, dtype=np.uint32)]
-    missing = size
+    missing = n
     while missing:
         words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"), dtype="<u4")
         tries = words >> shift

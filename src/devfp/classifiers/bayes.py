@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Hyperparams, TrainedModel, VARIANT_NAIVE_BAYES
+from .base import TrainedModel, VARIANT_NAIVE_BAYES
 
 _LOG_MIN_DENSITY = math.log(1e-300)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+# the least stddev of a fitted Gaussian, a variance of 1e-9
+_STD_FLOOR = math.sqrt(1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +67,10 @@ class NaiveBayesModel(TrainedModel):
         return post / post.sum(axis=1, keepdims=True)
 
 
-def fit_naive_bayes(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparams) -> dict:
+def fit_naive_bayes(X: np.ndarray, y: np.ndarray, n_classes: int) -> dict:
     """NaiveBayesModel arrays of per-class Gaussians (present values of X
     only) and frequency priors, for class codes y."""
     n, k = X.shape
-    std_floor = math.sqrt(hp.nb_variance_floor)
     priors = np.empty(n_classes)
     means = np.full((n_classes, k), np.nan)
     stddevs = np.full((n_classes, k), np.nan)
@@ -81,5 +82,5 @@ def fit_naive_bayes(X: np.ndarray, y: np.ndarray, n_classes: int, hp: Hyperparam
             present = column[~np.isnan(column)]
             if present.shape[0] > 0:
                 means[c, j] = present.mean()
-                stddevs[c, j] = max(float(present.std()), std_floor)
+                stddevs[c, j] = max(float(present.std()), _STD_FLOOR)
     return {"priors": priors, "means": means, "stddevs": stddevs}

@@ -79,23 +79,19 @@ def _train(dataset: Dataset, variant: str, hp: Hyperparams, rng: Optional[random
     n_classes = len(dataset.class_names)
     common = {"schema": tuple(dataset.attributes), "class_names": dataset.class_names, "hyperparams": hp}
     if variant == VARIANT_NAIVE_BAYES:
-        return NaiveBayesModel(**fit_naive_bayes(X, y, n_classes, hp), **common)
+        return NaiveBayesModel(**fit_naive_bayes(X, y, n_classes), **common)
     n = len(y)
     if variant in (VARIANT_C45, VARIANT_RANDOM_TREE):
         n_trees, sample = 1, lambda t: np.arange(n)
         rngs = None if variant == VARIANT_C45 else [derive_rng(hp.seed, "rt") if rng is None else rng]
     else:
-        # rf or bagging: tree t draws its bootstrap sample from its own RNG, then all trees grow together
-        if variant == VARIANT_RANDOM_FOREST:
-            n_trees, fraction = hp.forest_trees, 1.0
-        else:
-            n_trees, fraction = hp.bagging_rounds, hp.bag_fraction
+        # rf or bagging: tree t draws its bootstrap sample of n rows from its own RNG, then all trees grow together
+        n_trees = hp.forest_trees if variant == VARIANT_RANDOM_FOREST else hp.bagging_rounds
         token = hp.seed if rng is None else rng.getrandbits(64)
         draws = [derive_rng(token, variant, i) for i in range(n_trees)]
-        size = max(1, round(fraction * n))
 
         def sample(t: int) -> np.ndarray:
-            return bootstrap_indices(draws[t], n, size)
+            return bootstrap_indices(draws[t], n)
 
         rngs = draws if variant == VARIANT_RANDOM_FOREST else None  # bagging grows j48 trees
     return TreeModel(variant=variant, **grow_trees(X, y, n_classes, n_trees, sample, hp, rngs), **common)

@@ -1,16 +1,15 @@
 """Versioned model persistence with exact round-trips.
 
-Grammar (JSON, version 3): a model document is an object with, in this
+Grammar (JSON, version 4): a model document is an object with, in this
 order,
 
     format       "devfp-model"
-    version      3
+    version      4
     variant      "j48" | "rt" | "rf" | "nb" | "bagging" | "vote"
     schema       [attribute names...]
     class_names  [class names...]
-    hyperparams  {seed, forest_trees, rt_feature_count, bagging_rounds,
-                  bag_fraction, c45_min_leaf, c45_confidence, c45_prune,
-                  nb_variance_floor}
+    hyperparams  {seed, forest_trees, bagging_rounds, c45_min_leaf,
+                  c45_confidence, c45_prune}
     params       variant-specific, see below
 
 Tree params (j48, rt, rf, bagging) hold every tree of the model as one set
@@ -63,7 +62,8 @@ strings, TreeModel the tree structure, the attribute range, finite
 thresholds and one non-empty row of non-negative counts per leaf,
 NaiveBayesModel the shapes, positive priors and a positive stddev exactly
 under each mean. Version 1 texts (a node object per node, full documents as
-vote members) and version 2 texts (each tree in post-order) are not read:
+vote members), version 2 texts (each tree in post-order) and version 3 texts
+(three more hyperparams, which training now holds constant) are not read:
 such a model must be trained again.
 """
 
@@ -94,7 +94,7 @@ from .ensembles import EnsembleModel
 from .trees import TreeModel
 
 FORMAT_NAME = "devfp-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _dumps(value: object) -> str:
@@ -312,7 +312,7 @@ def _read_document(text: str) -> TrainedModel:
     if type(header) is not dict or header.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
     version = header.get("version")
-    if type(version) is int and version in (1, 2):
+    if type(version) is int and version in (1, 2, 3):
         raise ModelFormatError(
             f"this build no longer reads model version {version}; retrain the model with this build,"
             f" which writes version {FORMAT_VERSION}"

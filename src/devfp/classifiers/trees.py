@@ -302,7 +302,8 @@ def _grow(
     value codes codes[r] (see value_codes) and the class y[r]. A worker
     whose caller has died leaves at the next step."""
     k = codes.shape[1]
-    m = k if rngs is None else hp.resolved_rt_feature_count(k)
+    # a random tree searches floor(log2 k) + 1 candidates, Weka's default: never more than k
+    m = k if rngs is None else k.bit_length()
     xlog2x = xlog2x_table(max(int(entries[1].sum()) for entries in roots))  # no node weighs more than its tree
     attributes = list(range(k))
 

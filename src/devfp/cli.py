@@ -268,12 +268,13 @@ def _train_eval_on_dataset(dataset: Dataset, args: argparse.Namespace, out_dir: 
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(save_model(model), encoding="utf-8")
-    (out_dir / "report.txt").write_text(report_text(report), encoding="utf-8")
+    text = report_text(report)
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report_classes.csv").write_text(report_classes_csv(report), encoding="utf-8")
     summary = report_summary_line(report)
     (out_dir / "summary.csv").write_text(summary + "\n", encoding="utf-8")
     print(summary)
-    _log(report_text(report).rstrip("\n"))
+    _log(text.rstrip("\n"))
     return 0
 
 

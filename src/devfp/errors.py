@@ -1,7 +1,12 @@
 """Exception types shared across the toolkit.
 
-Every error raised on purpose derives from DevfpError, so callers (and the
-CLI) can distinguish expected failures from bugs.
+A DevfpError subclass names a fault of an input as a whole: a capture, a
+dataset CSV, a registry, a model file, or a dataset a step cannot work on.
+A ValueError names one value that breaks a function's stated contract, such
+as an unknown variant, an unlabeled row or a model's malformed arrays. The
+CLI reports both, and OSError, with exit status 2; any other exception is a
+bug. Each error carries only its message, so it pickles back from a forked
+worker (`devfp.workers`) with its type and text.
 """
 
 
@@ -40,10 +45,6 @@ class EmptyRegistry(DevfpError):
 class RegistryFormatError(DevfpError):
     """A registry or attribute-meta file line is malformed."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
 
 class HeaderMismatch(DevfpError):
     """CSV header row differs from the canonical dataset header."""
@@ -52,18 +53,9 @@ class HeaderMismatch(DevfpError):
 class RaggedRow(DevfpError):
     """CSV row has the wrong number of fields, a carriage return, or no final line feed."""
 
-    def __init__(self, row_index: int, message: str):
-        super().__init__(f"row {row_index}: {message}")
-        self.row_index = row_index
-
 
 class NonNumericCell(DevfpError):
     """CSV feature cell is neither empty nor a decimal integer."""
-
-    def __init__(self, row_index: int, column: str, cell: str):
-        super().__init__(f"row {row_index}, column {column}: not an integer: {cell!r}")
-        self.row_index = row_index
-        self.column = column
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +73,6 @@ class SingleClassDataset(DevfpError):
 class MissingMeta(DevfpError):
     """An attribute has no entry in the attribute-meta registry."""
 
-    def __init__(self, name: str):
-        super().__init__(f"no attribute metadata for {name!r}")
-        self.name = name
-
 
 class SchemaMismatch(DevfpError):
     """Model schema and vector/dataset schema differ."""
@@ -96,10 +84,6 @@ class EmptyMatrix(DevfpError):
 
 class ClassTooSmall(DevfpError):
     """Stratified split needs at least 2 rows per class."""
-
-    def __init__(self, name: str, size: int):
-        super().__init__(f"class {name!r} has {size} row(s); stratified split needs >= 2")
-        self.name = name
 
 
 class ModelFormatError(DevfpError):

@@ -74,7 +74,7 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     test_index: list[int] = []
     for name, indices in groups.items():
         if spec.stratified and len(indices) < 2:
-            raise ClassTooSmall(name, len(indices))
+            raise ClassTooSmall(f"class {name!r} has {len(indices)} row(s); stratified split needs >= 2")
         rng.shuffle(indices)
         cut = _train_count(spec.train_fraction, len(indices))
         train_index += indices[:cut]

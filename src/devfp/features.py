@@ -232,15 +232,15 @@ def read_registry(text: str) -> DeviceRegistry:
     registry = DeviceRegistry()
     for number, parts in registry_fields(text):
         if len(parts) != 3:
-            raise RegistryFormatError(number, f"expected 3 tab-separated fields, got {len(parts)}")
+            raise RegistryFormatError(f"line {number}: expected 3 tab-separated fields, got {len(parts)}")
         mac, name, type_token = parts
         device_type = _TYPE_BY_TOKEN.get(type_token.lower())
         if device_type is None:
-            raise RegistryFormatError(number, f"device type must be iot or non-iot: {type_token!r}")
+            raise RegistryFormatError(f"line {number}: device type must be iot or non-iot: {type_token!r}")
         try:
             registry.add(mac, name, device_type)
         except ValueError as exc:
-            raise RegistryFormatError(number, str(exc)) from exc
+            raise RegistryFormatError(f"line {number}: {exc}") from exc
     return registry
 
 
@@ -429,7 +429,7 @@ def read_csv(text: str) -> Dataset:
     if lines[0] != CSV_HEADER:
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, found {lines[0]!r}")
     if lines.pop() != "":
-        raise RaggedRow(len(lines), "line does not end with a line feed")
+        raise RaggedRow(f"row {len(lines)}: line does not end with a line feed")
     body = lines[1:]
     n_features = len(CANONICAL_ATTRIBUTES)
     if any(line.count(",") != n_features for line in body):
@@ -466,9 +466,9 @@ def _raise_first_fault(lines: list[str]) -> None:
     for index, line in enumerate(lines, start=1):
         cells = line.split(",")
         if len(cells) != n_cols:
-            raise RaggedRow(index, f"expected {n_cols} fields, got {len(cells)}")
+            raise RaggedRow(f"row {index}: expected {n_cols} fields, got {len(cells)}")
         for attribute, cell in zip(CANONICAL_ATTRIBUTES, cells):
             if _cell_value(cell) is None:
-                raise NonNumericCell(index, attribute, cell)
+                raise NonNumericCell(f"row {index}, column {attribute}: not an integer: {cell!r}")
         if "\r" in cells[-1]:
-            raise RaggedRow(index, "carriage return in the class cell; lines end with LF only")
+            raise RaggedRow(f"row {index}: carriage return in the class cell; lines end with LF only")

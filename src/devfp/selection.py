@@ -292,7 +292,7 @@ def apply_criteria(ranked: Iterable[AttributeScore], meta: Mapping[str, frozense
     selected: list[str] = []
     for score in ranked:
         if score.name not in meta:
-            raise MissingMeta(score.name)
+            raise MissingMeta(f"no attribute metadata for {score.name!r}")
         if score.gain_ratio > 0.0 and not meta[score.name]:
             selected.append(score.name)
     return tuple(selected)
@@ -312,18 +312,18 @@ def read_attribute_meta(text: str) -> dict[str, frozenset[str]]:
     meta: dict[str, frozenset[str]] = {}
     for number, parts in registry_fields(text):
         if len(parts) > 2:
-            raise RegistryFormatError(number, f"expected `name` or `name<TAB>flags`, got {len(parts)} fields")
+            raise RegistryFormatError(f"line {number}: expected `name` or `name<TAB>flags`, got {len(parts)} fields")
         name = parts[0]
         if not name:
-            raise RegistryFormatError(number, "attribute name must be non-empty")
+            raise RegistryFormatError(f"line {number}: attribute name must be non-empty")
         if name in meta:
-            raise RegistryFormatError(number, f"duplicate attribute {name!r}")
+            raise RegistryFormatError(f"line {number}: duplicate attribute {name!r}")
         flags: set[str] = set()
         if len(parts) == 2 and parts[1]:
             for token in parts[1].split(","):
                 flag = token.strip()
                 if flag not in _KNOWN_FLAGS:
-                    raise RegistryFormatError(number, f"unknown flag {flag!r}")
+                    raise RegistryFormatError(f"line {number}: unknown flag {flag!r}")
                 flags.add(flag)
         meta[name] = frozenset(flags)
     return meta

@@ -1,9 +1,9 @@
-"""Hand-written model documents (format v3) for tests that need a known tree.
+"""Hand-written model documents (format v4) for tests that need a known tree.
 
 A tree is written as a node list: `leaf(*counts)` and `split(attribute,
 threshold, absent_branch, left, right)`, left and right being indices into
 the list, in post-order: children before their parent and the root last.
-`tree_params` encodes node lists as the v3 tree columns (sizes, attribute,
+`tree_params` encodes node lists as the v4 tree columns (sizes, attribute,
 threshold, absent, and the sparse leaf counts leaf_nnz, count_class and
 count), one tree per list, each tree's nodes in the breadth-first order the
 file stores (the root first, then each split's left and right children in
@@ -38,7 +38,7 @@ def split(attribute: int, threshold: float, absent_branch: str, left: int, right
 
 
 def tree_params(*trees: list) -> dict:
-    """The v3 tree params of one or more node lists."""
+    """The v4 tree params of one or more node lists."""
     params = {"sizes": [], "attribute": [], "threshold": [], "absent": "", "leaf_nnz": [], "count_class": [], "count": []}
     for nodes in trees:
         order = [len(nodes) - 1]
@@ -70,7 +70,7 @@ def document(variant, schema, class_names, params) -> dict:
     """A hand-written model document with these params."""
     return {
         "format": "devfp-model",
-        "version": 3,
+        "version": 4,
         "variant": variant,
         "schema": list(schema),
         "class_names": list(class_names),

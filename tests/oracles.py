@@ -249,7 +249,7 @@ def reference_tree(X, y, n_classes, hp, rng=None) -> dict:
     if rng is None:
         pick = lambda: attributes  # noqa: E731
     else:
-        m = hp.resolved_rt_feature_count(k)
+        m = min(int(math.floor(math.log2(k))) + 1, k)  # Weka's default candidate count
         pick = lambda: attributes if m >= k else sorted(rng.sample(attributes, m))  # noqa: E731
     root = _reference_grow(X, y, n_classes, hp.c45_min_leaf, pick)
     if rng is None and hp.c45_prune:
@@ -257,9 +257,9 @@ def reference_tree(X, y, n_classes, hp, rng=None) -> dict:
     return _flatten(root)
 
 
-def reference_bootstrap(rng, n: int, size: int) -> np.ndarray:
-    """One randrange(n) call per drawn row."""
-    return np.asarray([rng.randrange(n) for _ in range(size)], dtype=np.intp)
+def reference_bootstrap(rng, n: int) -> np.ndarray:
+    """A sample of n rows of n: one randrange(n) call per drawn row."""
+    return np.asarray([rng.randrange(n) for _ in range(n)], dtype=np.intp)
 
 
 def reference_columns(trees: list) -> dict:

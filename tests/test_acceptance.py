@@ -197,7 +197,7 @@ class TestCriterion4EnsembleDegeneracy:
         # the tree the per-node reference grows on the member's bootstrap sample with the member's RNG
         X, y = dataset.matrix(), dataset.class_codes()
         rng = derive_rng(hp.seed, "rf", 0)
-        sample = reference_bootstrap(rng, len(y), len(y))
+        sample = reference_bootstrap(rng, len(y))
         arrays = reference_tree(X[sample], y[sample], len(dataset.class_names), hp, rng)
         standalone = TreeModel(
             schema=forest.schema, class_names=forest.class_names, hyperparams=hp, variant="rt",

@@ -25,7 +25,7 @@ from devfp.classifiers import (
 from devfp.classifiers import trees
 from devfp.classifiers.base import TrainedModel
 from devfp.errors import EmptyDataset, ModelFormatError, SchemaMismatch, SingleClassDataset
-from devfp.features import Dataset
+from devfp.features import CANONICAL_ATTRIBUTES, Dataset
 from pcapbuild import FeatureRow
 from tables import make_dataset, predictions, schema_rows
 from modeldocs import canonical, document, document_model, leaf, member, split, staircase, tree_model, tree_params
@@ -72,6 +72,16 @@ COLUMNS = ("sizes", "feature", "threshold", "absent_left", "counts")
 
 def tree_arrays(model) -> list:
     return [getattr(model, name).tolist() for name in COLUMNS]
+
+
+def v4_header(text: str) -> str:
+    """A version 1, 2 or 3 model text with the version 4 header: the version,
+    less the three hyperparams that training now holds constant."""
+    text = re.sub('"version":[123]', '"version":4', text, count=1)
+    for pair in ('"rt_feature_count":null,', '"bag_fraction":1.0,', ',"nb_variance_floor":1e-09'):
+        assert text.count(pair) == 1
+        text = text.replace(pair, "")
+    return text
 
 
 UNPRUNED = Hyperparams(c45_prune=False)
@@ -203,28 +213,54 @@ class TestRandomTree:
             ["A", "A", "B", "B"],
         )
 
+    def three_attr_dataset(self):
+        # every attribute splits perfectly; a random tree searches 2 of the 3
+        return make_dataset(
+            {"ip.len": [1, 2, 9, 10], "ip.ttl": [64, 64, 32, 32], "ip.proto": [6, 6, 17, 17]},
+            ["A", "A", "B", "B"],
+        )
+
     def test_full_candidate_set_equals_unpruned_c45(self):
+        # 2 attributes: a random tree searches floor(log2 2) + 1 = 2, all of them
         dataset = self.two_attr_dataset()
-        hp = Hyperparams(rt_feature_count=2, c45_prune=False)
+        hp = Hyperparams(c45_prune=False)
         rt = train_model(dataset, ModelSpec("rt", hp))
         c45 = train_model(dataset, ModelSpec("j48", hp))
         assert tree_arrays(rt) == tree_arrays(c45)
 
     def test_same_seed_identical_trees(self):
-        dataset = self.two_attr_dataset()
-        spec = ModelSpec("rt", Hyperparams(rt_feature_count=1, seed=7))
+        dataset = self.three_attr_dataset()
+        spec = ModelSpec("rt", Hyperparams(seed=7))
         a = train_model(dataset, spec)
         b = train_model(dataset, spec)
         assert save_model(a) == save_model(b)
 
     def test_different_seeds_can_pick_different_roots(self):
-        dataset = self.two_attr_dataset()  # both attributes split perfectly
+        # of its 2 candidates the lower attribute wins the tie, so the root is 0 or 1
+        dataset = self.three_attr_dataset()
         roots = set()
         for seed in range(12):
-            model = train_model(dataset, ModelSpec("rt", Hyperparams(rt_feature_count=1, c45_min_leaf=1, seed=seed)))
+            model = train_model(dataset, ModelSpec("rt", Hyperparams(c45_min_leaf=1, seed=seed)))
             if not is_leaf(model):
                 roots.add(int(model.feature[0]))
         assert roots == {0, 1}
+
+    def test_candidate_count_is_weka_default(self):
+        # the root searches floor(log2 k) + 1 of k attributes; all k, with no draw, where that is k
+        drawn = []
+        sample = random.Random.sample
+
+        def recorded(rng, population, count):
+            drawn.append((len(population), count))
+            return sample(rng, population, count)
+
+        for k in range(1, len(CANONICAL_ATTRIBUTES) + 1):
+            dataset = make_dataset({name: [1, 2, 9, 10] for name in CANONICAL_ATTRIBUTES[:k]}, ["A", "A", "B", "B"])
+            drawn.clear()
+            with patch.object(random.Random, "sample", recorded):
+                train_model(dataset, ModelSpec("rt"))
+            m = int(math.floor(math.log2(k))) + 1
+            assert drawn == ([] if m >= k else [(k, m)]), k
 
 
 class TestNaiveBayes:
@@ -279,9 +315,10 @@ class TestNaiveBayes:
         assert proba["A"] > 1 - 1e-12
 
     def test_variance_floor_applied(self):
+        # each class's values are constant: the stddev is floored at a variance of 1e-9
         dataset = one_attr_dataset([5, 5, 9, 9], ["A", "A", "B", "B"])
-        model = train_model(dataset, ModelSpec("nb", Hyperparams(nb_variance_floor=1e-4)))
-        assert model.stddevs[0][0] == pytest.approx(1e-2)
+        model = train_model(dataset, ModelSpec("nb"))
+        assert model.stddevs.tolist() == [[math.sqrt(1e-9)], [math.sqrt(1e-9)]]
 
     def test_infinite_cell_raises_naming_its_column(self):
         dataset = make_dataset({"ip.len": [1, 2, 8, 9], "ip.ttl": [64, 64, 32, None]}, ["A", "A", "B", "B"])
@@ -327,7 +364,7 @@ class TestEnsembles:
             assert class_proba(model, v) == class_proba(member, v)
 
     def test_identical_members_average_to_member_distribution(self):
-        tree = train_model(self.dataset(), ModelSpec("rt", Hyperparams(rt_feature_count=2)))
+        tree = train_model(self.dataset(), ModelSpec("rt"))
         columns = {name: np.concatenate([getattr(tree, name)] * 5) for name in COLUMNS}
         forest = TreeModel(
             schema=tree.schema, class_names=tree.class_names, hyperparams=tree.hyperparams, variant="rf", **columns
@@ -361,7 +398,7 @@ class TestEnsembles:
 
     def test_same_seed_identical_forest(self):
         # the same bytes whether the growth steps take many nodes or one
-        spec = ModelSpec("rf", Hyperparams(forest_trees=5, rt_feature_count=1, c45_min_leaf=1, seed=7))
+        spec = ModelSpec("rf", Hyperparams(forest_trees=5, c45_min_leaf=1, seed=7))
         a = train_model(self.dataset(), spec)
         with patch.object(trees, "_STEP_ROWS", 1):
             b = train_model(self.dataset(), spec)
@@ -372,11 +409,6 @@ class TestEnsembles:
         a = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
         b = train_model(self.dataset(), ModelSpec("bagging", Hyperparams(bagging_rounds=3)))
         assert save_model(a) == save_model(b)
-
-    def test_bag_fraction_controls_sample_size(self):
-        hp = Hyperparams(bagging_rounds=2, bag_fraction=0.5)
-        model = train_model(self.dataset(), ModelSpec("bagging", hp))  # must simply train cleanly
-        assert len(model.sizes) == 2
 
     def test_vote_of_one_equals_member(self):
         voted = train_model(self.dataset(), ModelSpec("vote", vote_members=("j48",)))
@@ -626,7 +658,7 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self):
         text = save_model(self.trained_models()[0])
-        bad = text.replace('"version":3', '"version":99')
+        bad = text.replace('"version":4', '"version":99')
         with pytest.raises(ModelFormatError, match="version"):
             load_model(bad)
 
@@ -652,14 +684,30 @@ class TestPersistence:
     )
 
     def test_version_2_rejected_with_retrain_advice(self):
-        advice = "version 2; retrain the model with this build, which writes version 3"
+        advice = "version 2; retrain the model with this build, which writes version 4"
         with pytest.raises(ModelFormatError, match=advice):
             load_model(self.V2_J48)
         with pytest.raises(ModelFormatError, match=advice):
             load_model(self.V2_J48.encode("utf-8"))
-        # its columns read as version 3 are no tree: the root would be a leaf
+        # its columns read as version 4 are no tree: the root would be a leaf
         with pytest.raises(ModelFormatError, match="malformed tree"):
-            load_model(self.V2_J48.replace('"version":2', '"version":3'))
+            load_model(v4_header(self.V2_J48))
+
+    # the same j48 model as the version 3 format wrote it: its tree breadth-first
+    V3_J48 = V1_J48.replace('"version":1', '"version":3').split('"params":')[0] + (
+        '"params":{"sizes":[3],"attribute":[0,-1,-1],"threshold":[5.5],"absent":"l","leaf_nnz":[1,1],'
+        '"count_class":[0,1],"count":[4,4]}}\n'
+    )
+
+    def test_version_3_rejected_with_retrain_advice(self):
+        advice = "version 3; retrain the model with this build, which writes version 4"
+        with pytest.raises(ModelFormatError, match=advice):
+            load_model(self.V3_J48)
+        with pytest.raises(ModelFormatError, match=advice):
+            load_model(self.V3_J48.encode("utf-8"))
+        # version 4 is version 3 without the three hyperparams that training holds constant
+        v4 = v4_header(self.V3_J48)
+        assert save_model(load_model(v4)) == v4
 
     def test_non_json_rejected(self):
         # nesting beyond the parser's depth, an integer beyond its digit limit, bytes
@@ -667,7 +715,7 @@ class TestPersistence:
         head = '{"format":"devfp-model","version":'
         cases = [
             ("not json at all", "format"),
-            (head + '3,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
+            (head + '4,"variant":"j48","schema":' + "[" * 100000, "schema is not readable JSON"),
             (head + "1" * 5000, "version is not readable JSON"),
             (b"\xff\xfe{", "not UTF-8"),
         ]
@@ -865,7 +913,8 @@ class TestPersistence:
              "variance-floor-int"],
     )
     def test_hyperparams_of_another_type_rejected(self, name, value):
-        # each of these loaded before into hyperparams that no command line builds
+        # each of these loaded before into hyperparams that no command line builds;
+        # rt_feature_count, bag_fraction and nb_variance_floor are now unknown keys
         good = document("j48", ("ip.len",), ("A", "B"), self.GOOD)
         load_model(canonical(good))
         doc = {**good, "hyperparams": {**good["hyperparams"], name: value}}
@@ -1010,25 +1059,14 @@ class TestPersistence:
 
 class TestHyperparams:
     def test_validation(self):
-        with pytest.raises(TypeError):
-            Hyperparams(bag_fraction=1)
+        with pytest.raises(TypeError, match="^c45_confidence must be of type float$"):
+            Hyperparams(c45_confidence=1)
+        with pytest.raises(TypeError, match="^c45_prune must be of type bool$"):
+            Hyperparams(c45_prune=1)
         with pytest.raises(ValueError):
             Hyperparams(forest_trees=0)
         with pytest.raises(ValueError):
-            Hyperparams(bag_fraction=0.0)
-        with pytest.raises(ValueError):
             Hyperparams(c45_confidence=0.75)
-        with pytest.raises(ValueError):
-            Hyperparams(nb_variance_floor=0.0)
-
-    def test_rt_feature_count_default(self):
-        hp = Hyperparams()
-        assert hp.resolved_rt_feature_count(9) == 4  # floor(log2(9)) + 1
-        assert hp.resolved_rt_feature_count(2) == 2
-        assert hp.resolved_rt_feature_count(1) == 1
-
-    def test_rt_feature_count_clamped(self):
-        assert Hyperparams(rt_feature_count=50).resolved_rt_feature_count(9) == 9
 
     def test_model_spec_validates_variant(self):
         with pytest.raises(ValueError):

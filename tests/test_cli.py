@@ -1,5 +1,6 @@
 import codecs
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ from corpus import REFERENCE_ROWS, TRAINING_REGISTRY
 from modeldocs import leaf, split, tree_model
 from pcapbuild import ethernet, ipv4, pcap_file, udp
 
-from devfp.classifiers import save_model
-from devfp.cli import main
+from devfp.classifiers import Hyperparams, save_model
+from devfp.cli import _build_parser, _model_spec_from_args, main
 from devfp.features import CSV_HEADER, clean, read_csv, write_csv
 from devfp.pcap import parse_capture
 
@@ -354,7 +355,7 @@ class TestClassify:
         csv = tmp_path / "empty.csv"
         csv.write_text(CSV_HEADER + "\n")
         model = save_model(tree_model(("ip.len",), ("A", "B"), [leaf(1, 9), leaf(9, 1), split(0, 100.5, "left", 1, 0)]))
-        deep = '{"format":"devfp-model","version":3,"variant":"j48","schema":' + "[" * 100000
+        deep = '{"format":"devfp-model","version":4,"variant":"j48","schema":' + "[" * 100000
         # the JSON parser's nesting depth overflows in the second; the model file is
         # read as bytes, so a CRLF line end, a byte-order mark or UTF-16 reach the loader
         for data in (b"{}", deep.encode(), model.replace("\n", "\r\n").encode(),
@@ -438,3 +439,12 @@ class TestParser:
     def test_unknown_model_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["train-eval", "--input", "x.csv", "--model", "svm", "--out", "y"])
+
+    def test_every_hyperparameter_has_a_flag(self):
+        # a field that no flag sets would hold its default in every run
+        args = _build_parser().parse_args([
+            "train-eval", "--input", "x.csv", "--model", "rf", "--out", "y", "--seed", "2", "--trees", "3",
+            "--bagging-rounds", "4", "--min-leaf", "5", "--confidence", "0.1", "--no-prune",
+        ])
+        hyperparams, default = _model_spec_from_args(args).hyperparams, Hyperparams()
+        assert [f.name for f in fields(Hyperparams) if getattr(hyperparams, f.name) == getattr(default, f.name)] == []

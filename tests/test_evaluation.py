@@ -67,9 +67,8 @@ class TestStratifiedSplit:
         assert not same_dataset(first[0], second[0])
 
     def test_class_too_small_rejected(self):
-        with pytest.raises(ClassTooSmall) as excinfo:
+        with pytest.raises(ClassTooSmall, match=r"^class 'B' has 1 row\(s\); stratified split needs >= 2$"):
             stratified_split(dataset_of({"A": 10, "B": 1}), SplitSpec())
-        assert excinfo.value.name == "B"
 
     def test_unstratified_ignores_class_sizes(self):
         train, test = stratified_split(

@@ -315,9 +315,8 @@ class TestCsv:
 
     def test_ragged_row_reports_index(self):
         text = CSV_HEADER + "\n1,2,3\n"
-        with pytest.raises(RaggedRow) as excinfo:
+        with pytest.raises(RaggedRow, match="^row 1: expected 10 fields, got 3$"):
             read_csv(text)
-        assert excinfo.value.row_index == 1
 
     def test_non_numeric_cell(self):
         text = CSV_HEADER + "\nx,,,,,,60,64,6,A\n"

@@ -55,43 +55,43 @@ EXTRACT_RUNS = {"extract-dedup": ["--dedup"], "extract-raw-ack": ["--raw-ack"]}
 
 GOLDEN = {
     "dataset.csv": "ac82a130cceb21e1f25bab58a5700cb61c253c8b94d4dd94652d3b6c80cc0dd0",
-    "j48/model.json": "5442b84dc1f764eea0a3445c6a675c8034f07856f9a3bb924f8ff5e20612bbcd",
+    "j48/model.json": "10994c22f82078d67b3a524f33a17c2cc7abfb72f5310a2fabd08d384a1923bc",
     "j48/report.txt": "b8650b7dd294421eea888928fe9f1123e5f014fedaf1aff86c580bc4c1fc571e",
     "j48/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "j48/summary.csv": "f34dbfd8235b80fa1e46279bdcb777e3c836f9355b4aacf6c572dfe824c2761c",
     "j48/predictions.csv": "4c9054df4a8eecbf098a456a0cfec563cfe702281f001c7c365d568a44fa88b2",
     "j48/distributions": "854874e7a7848defb2892248d70025339ef8bda8f92559bd5247dc76f3a451ea",
-    "rf/model.json": "bb0d2beea57d285a6c3487da4fb4aa0e4569300bc0587296ac3ab5e3997fa2dc",
+    "rf/model.json": "877f789641b5251ffbdfeb290fc7ad4b326258dfc36610497ea9df5e17e61dfa",
     "rf/report.txt": "446f2032a9f883c8af7ae70c75872139610c453ff4ca74ad59db68f7c2591f7f",
     "rf/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "rf/summary.csv": "5b75778ae74a0af99da68766ddd2f90784341a90af25260f80ef00f3ab9302a8",
     "rf/predictions.csv": "07c5b6b3c03d4dac6a204ca2bcbe53f00363ddd025162d2573663ed140db6add",
     "rf/distributions": "d3523fdd0a8ea396bedaf2830e7056674e516d7cc4fba56e0bf2634dbeb62bc4",
-    "rt/model.json": "41d5b2848400b55ace41d2fc2f3c161bcbcc04a2b059615bfba3ce8b3f3ff423",
+    "rt/model.json": "df69c6aaad246a3b66a127a6a1d68b6009eaaf681e6e46aa90de56bce2d889e5",
     "rt/report.txt": "fe55f47ee8379b0e9fb32075a9e31a4ce6e2690770efcd153babec65d45b6135",
     "rt/report_classes.csv": "5a3bd4cd394bfae3f4af5e1f945334bc8efd71fb12270dd457aee51e213a6926",
     "rt/summary.csv": "a537ca1de435ce11c651dbe6830d131e4e67f3bf111b53be84a8241a3b71131d",
     "rt/predictions.csv": "fe17ee019945026b575d5cf62f5f49a630fdec8e2da766ca5c98fa299bfc60e2",
     "rt/distributions": "09b63f6ff93b522bfb7f832335981647758db2903ae916d7ac5c02292f43d094",
-    "nb/model.json": "27b780a7025fee4695eb4bde80b0aeccd03c27619718a945f0934e6b2878f033",
+    "nb/model.json": "2afe09365ea5dfa4159e6eb898cb08ef4a9bee225a3956fde20e37315ef69991",
     "nb/report.txt": "7a48fbed96df8d0a4f6163a350b9576bbb0948ed21538a9f0ea694ba983d8f45",
     "nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "nb/summary.csv": "bf4230ac88a84de747a7903bea7794c6f4785bac3cd49f39d044d59a06453ef5",
     "nb/predictions.csv": "1e90e89fd2c7ba1b979eafa5921ecdf3596d5bd29466f72ed4aae55fa36424e1",
     "nb/distributions": "444843ab7c02898ba5c52a57fb00818826e5abbef53d52eaae714160e1f2c67e",
-    "bagging/model.json": "595bf28a69757fba009be17f97f163c3756c73f12bb342e92b57018383e860c9",
+    "bagging/model.json": "cf1ddeda5f479879b6ecd9105b394878b327a4d32fd762d14b8384571565e2e4",
     "bagging/report.txt": "66077c3b525433e6b04c54172bf82b6efec8768f975d11c2c7526435ee5978a8",
     "bagging/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "bagging/summary.csv": "6735a12f8cc69e36c428b0cc0d682325b4ab63902049de4383f3e7c509fb9da2",
     "bagging/predictions.csv": "68ad18b5323959c3e97f9c3f31ec3a15deda462fef9ddc3f34c2eaa0d9292fbf",
     "bagging/distributions": "f1285a563dac0d0e7db85809ad74f9a9835346ae26495214b97202dc1082bf0b",
-    "vote/model.json": "f7e290c4f810995d2e9a98f8433f41d6f61765f55fc294c5820b17582dfa1637",
+    "vote/model.json": "2d2d890c35221abafb6af1e10c5d974ee18f091eb7176e2165b0291e1e269325",
     "vote/report.txt": "37bf2910182c3799f634ecafae99bebb478fdb3a90cd337b7cdd4c7ef7db9a97",
     "vote/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "vote/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",
     "vote/predictions.csv": "2de990aa4127bb301e6e630167ba2c82ac1a7f9ba1dc444d41fdce8433134347",
     "vote/distributions": "8a8439a013bd01535be8a31dedd1cfbb126ddaa4ffaba5b269fafe53f95d20b3",
-    "vote-nb/model.json": "828a45e5cf6ec280c77c491655cbd7a027f3881a98145f69af0679d16591045c",
+    "vote-nb/model.json": "ac33f078a408f8aa635a6acc5f2f77f7ad29b77d582786ebabaef8a0e2d4c797",
     "vote-nb/report.txt": "37bf2910182c3799f634ecafae99bebb478fdb3a90cd337b7cdd4c7ef7db9a97",
     "vote-nb/report_classes.csv": "36de2c8b680ffb5d290ddaa67795f06be4685b5584cec40185fe4482e6b9f6aa",
     "vote-nb/summary.csv": "7fb152bd8db2f7e258db42a14ca618e74c3b743e0ed55e45b8d4d2d5bdf69b55",

@@ -13,7 +13,9 @@ datasets and samples whose rows repeat, against the reference tree of the
 rows one by one; and `split_segments` must give the same bits on weighted
 entries, on the same entries one by one, and split into segment ranges.
 The bulk bootstrap must draw exactly what one randrange call per row draws
-and leave the RNG in the same state.
+and leave the RNG in the same state. A random tree searches floor(log2 k) +
+1 of its k attributes, so the datasets' width decides whether it searches
+some (k of 3 or more) or all of them.
 """
 
 import math
@@ -85,13 +87,13 @@ def assert_same_trees(model, references: list) -> None:
     assert model.roots.tolist() == number[first].tolist()
 
 
-def reference_forest(X, y, n_classes, hp, variant, token, rounds, size) -> list:
+def reference_forest(X, y, n_classes, hp, variant, token, rounds) -> list:
     """The reference trees of an rf (rt trees) or bagging (j48 trees) model:
-    tree i grows on `size` rows drawn from (token, variant, i)."""
+    tree i grows on as many rows as the dataset holds, drawn from (token, variant, i)."""
     references = []
     for i in range(rounds):
         rng = derive_rng(token, variant, i)
-        sample = reference_bootstrap(rng, len(y), size)
+        sample = reference_bootstrap(rng, len(y))
         references.append(reference_tree(X[sample], y[sample], n_classes, hp, rng if variant == "rf" else None))
     return references
 
@@ -107,47 +109,44 @@ def test_c45_matches_reference(step_rows, dataset, prune, min_leaf):
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), candidates=st.integers(1, 4), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
+@given(dataset=datasets(), min_leaf=st.integers(1, 3), seed=st.integers(0, 99))
 @settings(max_examples=60)
-def test_random_tree_matches_reference(step_rows, dataset, candidates, min_leaf, seed):
-    hp = Hyperparams(seed=seed, rt_feature_count=candidates, c45_min_leaf=min_leaf)
+def test_random_tree_matches_reference(step_rows, dataset, min_leaf, seed):
+    hp = Hyperparams(seed=seed, c45_min_leaf=min_leaf)
     with patch.object(trees, "_STEP_ROWS", step_rows):
         model = train_model(dataset, ModelSpec("rt", hp))
     assert_same_trees(model, [reference_tree(*arrays(dataset), hp, derive_rng(seed, "rt"))])
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), min_leaf=st.integers(1, 3), seed=st.integers(0, 99),
-       cpus=st.sampled_from(WORKERS))
+@given(dataset=datasets(), min_leaf=st.integers(1, 3), seed=st.integers(0, 99), cpus=st.sampled_from(WORKERS))
 @settings(max_examples=40)
-def test_ensemble_members_match_reference(step_rows, dataset, fraction, min_leaf, seed, cpus):
-    hp = Hyperparams(seed=seed, forest_trees=3, bagging_rounds=3, bag_fraction=fraction, c45_min_leaf=min_leaf)
+def test_ensemble_members_match_reference(step_rows, dataset, min_leaf, seed, cpus):
+    hp = Hyperparams(seed=seed, forest_trees=3, bagging_rounds=3, c45_min_leaf=min_leaf)
     X, y, n_classes = arrays(dataset)
-    n = len(y)
     with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         forest = train_model(dataset, ModelSpec("rf", hp))
         bagging = train_model(dataset, ModelSpec("bagging", hp))
-    assert_same_trees(forest, reference_forest(X, y, n_classes, hp, "rf", seed, 3, n))
-    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", seed, 3, max(1, round(fraction * n))))
+    assert_same_trees(forest, reference_forest(X, y, n_classes, hp, "rf", seed, 3))
+    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", seed, 3))
 
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
-@given(dataset=datasets(), fraction=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99), cpus=st.sampled_from(WORKERS))
+@given(dataset=datasets(), seed=st.integers(0, 99), cpus=st.sampled_from(WORKERS))
 @settings(max_examples=30)
-def test_vote_members_match_reference(step_rows, dataset, fraction, seed, cpus):
+def test_vote_members_match_reference(step_rows, dataset, seed, cpus):
     # vote member i of variant v draws from (seed, "vote", i, v): an rt member
     # directly, an rf or bagging member through a 64-bit token taking the seed's place
-    hp = Hyperparams(seed=seed, forest_trees=2, bagging_rounds=2, bag_fraction=fraction)
+    hp = Hyperparams(seed=seed, forest_trees=2, bagging_rounds=2)
     X, y, n_classes = arrays(dataset)
-    n = len(y)
     with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         vote = train_model(dataset, ModelSpec("vote", hp, ("rt", "rf", "bagging")))
     rt, rf, bagging = vote.members
     assert_same_trees(rt, [reference_tree(X, y, n_classes, hp, derive_rng(seed, "vote", 0, "rt"))])
     token = derive_rng(seed, "vote", 1, "rf").getrandbits(64)
-    assert_same_trees(rf, reference_forest(X, y, n_classes, hp, "rf", token, 2, n))
+    assert_same_trees(rf, reference_forest(X, y, n_classes, hp, "rf", token, 2))
     token = derive_rng(seed, "vote", 2, "bagging").getrandbits(64)
-    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", token, 2, max(1, round(fraction * n))))
+    assert_same_trees(bagging, reference_forest(X, y, n_classes, hp, "bagging", token, 2))
 
 
 def random_trees_rngs(seed: int, n_trees: int) -> list:
@@ -156,11 +155,9 @@ def random_trees_rngs(seed: int, n_trees: int) -> list:
 
 @pytest.mark.parametrize("step_rows", STEP_ROWS)
 @given(data=st.data(), dataset=datasets(), kind=st.sampled_from(["rf", "bagging", "j48", "rt"]),
-       prune=st.booleans(), min_leaf=st.integers(1, 3), candidates=st.integers(1, 4), seed=st.integers(0, 99),
-       cpus=st.integers(1, 3))
+       prune=st.booleans(), min_leaf=st.integers(1, 3), seed=st.integers(0, 99), cpus=st.integers(1, 3))
 @settings(max_examples=60)
-def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset, kind, prune, min_leaf,
-                                                       candidates, seed, cpus):
+def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset, kind, prune, min_leaf, seed, cpus):
     # the rows repeat, and so do the rows of each sample: a tree grows on
     # distinct (values, class) rows with their counts, and must be the
     # reference tree of its sample's rows one by one
@@ -173,7 +170,7 @@ def test_grow_trees_matches_reference_on_expanded_rows(step_rows, data, dataset,
         samples = [np.array(data.draw(st.lists(st.integers(0, len(y) - 1), min_size=1, max_size=2 * len(y))))
                    for _ in range(data.draw(st.integers(1, 4)))]
     n_trees = len(samples)
-    hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf, rt_feature_count=candidates)
+    hp = Hyperparams(c45_prune=prune, c45_min_leaf=min_leaf)
     randomized = kind in ("rf", "rt")
     with patch.object(trees, "_STEP_ROWS", step_rows), patch.object(workers, "_usable_cpus", lambda: cpus):
         got = trees.grow_trees(X, y, n_classes, n_trees, samples.__getitem__, hp,
@@ -280,10 +277,12 @@ def test_split_scores_match_reference_bits(values, data, n_classes):
 @pytest.mark.parametrize("n", [1, 2, 3, 1836, 4096, 4097, 46114])
 @pytest.mark.parametrize("share", [1.0, 0.5, 0.01])
 def test_bulk_bootstrap_replays_randrange(n, share):
-    size = max(1, round(share * n))
+    # a sample as large as its dataset, of n rows scaled by share: sizes on
+    # both sides of powers of two, where randrange's share of rejected words jumps
+    n = max(1, round(share * n))
     for key in range(3):
         bulk, per_row = random.Random(f"bootstrap|{key}"), random.Random(f"bootstrap|{key}")
-        drawn = bootstrap_indices(bulk, n, size)
+        drawn = bootstrap_indices(bulk, n)
         assert drawn.dtype == np.intp
-        assert drawn.tolist() == reference_bootstrap(per_row, n, size).tolist()
+        assert drawn.tolist() == reference_bootstrap(per_row, n).tolist()
         assert bulk.getstate() == per_row.getstate()

@@ -315,9 +315,8 @@ class TestApplyCriteria:
 
     def test_missing_meta_reported(self):
         ranked = self.make_ranked()
-        with pytest.raises(MissingMeta) as excinfo:
+        with pytest.raises(MissingMeta, match="^no attribute metadata for 'ip.ttl'$"):
             apply_criteria(ranked, {"ip.len": frozenset()})
-        assert excinfo.value.name == "ip.ttl"
 
     def test_selection_is_subsequence_of_rank(self):
         dataset = two_column_dataset([1, None, 9, 10], [4, 3, 2, 1], ["A", "B", "B", "A"])

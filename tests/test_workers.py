@@ -24,7 +24,7 @@ from unittest.mock import patch
 import pytest
 
 from corpus import REFERENCE_REGISTRY, TRAINING_REGISTRY, build_reference_capture, build_training_capture
-from devfp import workers
+from devfp import errors, workers
 from devfp.classifiers import Hyperparams, ModelSpec, save_model, train_model
 from devfp.classifiers import trees
 from devfp.cli import main
@@ -131,6 +131,26 @@ def test_worker_without_a_result_raises_devfp_error():
             patch.object(trees, "_grow", stand_in(nothing, raise_unpicklable)):
         with pytest.raises(DevfpError, match="^a forked worker exited with status 1 and sent no result$"):
             train_model(dataset(), SPECS["rf"])
+    assert_no_children()
+
+
+DEVFP_ERRORS = [value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, DevfpError)]
+
+
+@pytest.mark.parametrize("error", DEVFP_ERRORS, ids=lambda error: error.__name__)
+def test_every_devfp_error_comes_back_from_a_worker(error):
+    # an error pickles as its class and message, so its class takes the message alone
+    message = f"line 3: {error.__name__} for 'ip.len' raised in a worker"
+
+    def work(start, stop):
+        if start:
+            raise error(message)
+        return start
+
+    with patch.object(workers, "_usable_cpus", lambda: 2):
+        with pytest.raises(DevfpError) as excinfo:
+            workers.run_chunks(work, 2)
+    assert (type(excinfo.value), str(excinfo.value)) == (error, message)
     assert_no_children()
 
 
