@@ -312,7 +312,7 @@ def _read_document(text: str) -> TrainedModel:
     if type(header) is not dict or header.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
     version = header.get("version")
-    if type(version) is int and version in (1, 2, 3):
+    if type(version) is int and 1 <= version < FORMAT_VERSION:
         raise ModelFormatError(
             f"this build no longer reads model version {version}; retrain the model with this build,"
             f" which writes version {FORMAT_VERSION}"

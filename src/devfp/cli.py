@@ -310,7 +310,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _log(f"wrote {len(dataset)} predictions to {args.out}")
     if from_pcap:
         mac_votes: defaultdict[str, Counter] = defaultdict(Counter)
-        for mac, name in zip(dataset.src_mac.tolist(), predicted):
+        for mac, name in zip(dataset.labels.tolist(), predicted):
             mac_votes[mac][name] += 1
         print("mac,predicted_class,confidence,packets")
         for mac in sorted(mac_votes):

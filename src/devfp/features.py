@@ -24,10 +24,11 @@ each (conversation, direction) keeps the positions of its first SYN and of
 its first SYN with a window-scale option, which a packet uses only when
 they come before it.
 
-A DeviceRegistry maps each MAC to a device name and each name to its one
-type. label_by_source_mac labels rows with names, and Dataset.device_types
-relabels them with types; a name holds no comma, so every label fits the
-unquoted CSV class column.
+A Dataset holds one label per row: extract_capture labels each row with its
+source MAC, label_by_source_mac relabels it with the MAC's device name, and
+Dataset.device_types relabels that with the name's type, the name and the
+type both taken from a DeviceRegistry. A name holds no comma, so every label
+fits the unquoted CSV class column.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def extract_capture(
 ) -> Dataset:
     """Decode a whole capture and extract the nine features of every IPv4 frame.
 
-    Returns an unlabeled Dataset with one row per decoded IPv4 frame, in
-    capture order, and its source MAC column. Every decodable IPv4 frame
-    contributes to conversation state, whatever its source MAC; labeling
-    filters afterwards. Frames that fail to decode are counted and dropped.
-    The counts are added to `stats` when given. Pure function of the capture
-    bytes: two runs yield identical rows in identical order.
+    Returns a Dataset with one row per decoded IPv4 frame, in capture order,
+    each labeled with its source MAC as colon-hex text. Every decodable IPv4
+    frame contributes to conversation state, whatever its source MAC;
+    labeling filters afterwards. Frames that fail to decode are counted and
+    dropped. The counts are added to `stats` when given. Pure function of
+    the capture bytes: two runs yield identical rows in identical order.
     """
     if stats is None:
         stats = ExtractionStats()
@@ -135,7 +136,7 @@ def extract_capture(
     mac_of_row, first = _distinct(headers.src_mac)
     macs = headers.src_mac[first].tolist()
     text = np.array([mac.to_bytes(6, "big").hex(":") for mac in macs], dtype=object)
-    return Dataset(rows, src_mac=text[mac_of_row])
+    return Dataset(rows, text[mac_of_row])
 
 
 def _conversations(headers: Headers, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +250,6 @@ def read_registry(text: str) -> DeviceRegistry:
 
 
 _COLUMN_OF = {attribute: j for j, attribute in enumerate(CANONICAL_ATTRIBUTES)}
-_ROW_COLUMNS = ("rows", "labels", "src_mac")  # one entry per row
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,24 +258,21 @@ class Dataset:
 
     rows is a float64 n x 9 matrix in CANONICAL_ATTRIBUTES order, NaN for
     Absent; every feature is a non-negative int below 2**53, so the floats
-    are exact. labels is an object array of each row's class, a device name
-    or a device type (None where unknown; omitted, all None); src_mac holds
-    each row's source MAC for rows extracted from a capture, else None.
-    attributes is the schema that ranking and training see, canonical names
-    in any order; rows always keeps all nine columns. class_names is the
-    sorted set of labels present. Datasets are treated as immutable;
-    transformations return new objects.
+    are exact. labels is an object array of each row's label: its source
+    MAC after extraction, its device name after label_by_source_mac, its
+    device type after device_types, or a CSV row's class (None where the
+    cell is empty). attributes is the schema that ranking and training see,
+    canonical names in any order; rows always keeps all nine columns.
+    class_names is the sorted set of labels present. Datasets are treated
+    as immutable; transformations return new objects.
     """
 
     rows: np.ndarray
-    labels: Optional[np.ndarray] = None
-    src_mac: Optional[np.ndarray] = None
+    labels: np.ndarray
     attributes: tuple[str, ...] = CANONICAL_ATTRIBUTES
     class_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.labels is None:
-            object.__setattr__(self, "labels", np.full(len(self.rows), None, dtype=object))
         names = set(self.labels.tolist())
         names.discard(None)
         object.__setattr__(self, "class_names", tuple(sorted(names)))
@@ -299,20 +296,16 @@ class Dataset:
 
     def take(self, index: np.ndarray) -> "Dataset":
         """The rows an index array or boolean mask selects, in its order."""
-        columns = {name: getattr(self, name) for name in _ROW_COLUMNS}
-        return replace(
-            self, **{name: None if c is None else c[index] for name, c in columns.items()}
-        )
+        return replace(self, rows=self.rows[index], labels=self.labels[index])
 
     @staticmethod
     def concat(parts: Sequence["Dataset"]) -> "Dataset":
-        """The rows of every part in order, with the first part's schema;
-        src_mac is kept only when every part has it."""
-        columns = {name: [getattr(part, name) for part in parts] for name in _ROW_COLUMNS}
-        return replace(parts[0], **{
-            name: None if any(c is None for c in cs) else np.concatenate(cs)
-            for name, cs in columns.items()
-        })
+        """The rows of every part in order, with the first part's schema."""
+        return replace(
+            parts[0],
+            rows=np.concatenate([part.rows for part in parts]),
+            labels=np.concatenate([part.labels for part in parts]),
+        )
 
     def project(self, attributes: Sequence[str]) -> "Dataset":
         """Dataset restricted to a subset of attributes (rows shared)."""
@@ -346,17 +339,16 @@ def require_classes(dataset: Dataset, task: str) -> None:
 
 
 def label_by_source_mac(dataset: Dataset, registry: DeviceRegistry) -> tuple[Dataset, int]:
-    """Keep rows whose source MAC is registered, labeled with its device name.
+    """Relabel the rows of an extracted dataset, each labeled with its source
+    MAC, with that MAC's device name, dropping the rows of unregistered MACs.
 
-    Returns the labeled dataset and the number of dropped (unregistered)
-    rows. Each distinct MAC is looked up once.
+    Returns the labeled dataset and the number of dropped rows. Each
+    distinct MAC is looked up once.
     """
     if len(registry) == 0:
         raise EmptyRegistry("device registry has no entries")
-    code: dict[str, int] = {}  # each distinct MAC numbered in order of first appearance
-    mac_of_row = np.array([code.setdefault(mac, len(code)) for mac in dataset.src_mac.tolist()], np.intp)
-    names = np.array([registry.entries.get(mac) for mac in code], dtype=object)
-    names = names[mac_of_row]
+    names = np.array([registry.entries.get(mac) for mac in dataset.class_names], dtype=object)
+    names = names[dataset.class_codes()]
     kept = replace(dataset, labels=names).take(np.not_equal(names, None))
     return kept, len(dataset) - len(kept)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class AttributeScore:
     name: str
     gain_ratio: float
     info_gain: float  # best-split gain, already scaled by present_fraction
-    split_threshold: Optional[float]
     present_fraction: float
 
 
@@ -273,10 +272,8 @@ def rank(dataset: Dataset) -> tuple[AttributeScore, ...]:
     )
     ratio, gain = gain_ratios(splits, np.full(k, n))
     scores = [
-        AttributeScore(name, r, g, t if g > 0.0 else None, present / n)
-        for name, r, g, t, present in zip(
-            dataset.attributes, ratio.tolist(), gain.tolist(), splits.threshold.tolist(), splits.n_present.tolist()
-        )
+        AttributeScore(name, r, g, present / n)
+        for name, r, g, present in zip(dataset.attributes, ratio.tolist(), gain.tolist(), splits.n_present.tolist())
     ]
     return tuple(sorted(scores, key=lambda s: -s.gain_ratio))
 

@@ -27,9 +27,9 @@ def labels(values) -> np.ndarray:
 
 def vectors_dataset(vectors, names=None, **fields) -> Dataset:
     """A Dataset of nine-value canonical rows (None = Absent) with optional
-    labels; `fields` pass on to Dataset (src_mac, attributes)."""
+    labels (default all None); `fields` pass on to Dataset (attributes)."""
     rows = np.array(vectors, dtype=np.float64).reshape(len(vectors), len(CANONICAL_ATTRIBUTES))
-    return Dataset(rows, None if names is None else labels(names), **fields)
+    return Dataset(rows, labels([None] * len(rows) if names is None else names), **fields)
 
 
 def make_dataset(columns: dict, names, attributes=None, **fields) -> Dataset:
@@ -45,12 +45,11 @@ def make_dataset(columns: dict, names, attributes=None, **fields) -> Dataset:
 
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
-    """Equal schema, feature cells (NaN equal to NaN), labels and source MACs."""
+    """Equal schema, feature cells (NaN equal to NaN) and labels."""
     return (
         a.attributes == b.attributes
         and np.array_equal(a.rows, b.rows, equal_nan=True)
         and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.src_mac, b.src_mac)
     )
 
 

@@ -661,6 +661,9 @@ class TestPersistence:
         bad = text.replace('"version":4', '"version":99')
         with pytest.raises(ModelFormatError, match="version"):
             load_model(bad)
+        # below the versions that get the retrain advice
+        with pytest.raises(ModelFormatError, match="unsupported model version 0; this build reads version 4"):
+            load_model(text.replace('"version":4', '"version":0'))
 
     # a j48 model as the version 1 format wrote it: one object per node
     V1_J48 = (
@@ -708,6 +711,13 @@ class TestPersistence:
         # version 4 is version 3 without the three hyperparams that training holds constant
         v4 = v4_header(self.V3_J48)
         assert save_model(load_model(v4)) == v4
+
+    def test_every_older_version_rejected_with_retrain_advice(self):
+        # the advice covers each version below the current one, so a format bump extends it
+        text = save_model(self.trained_models()[0])
+        with patch("devfp.classifiers.persist.FORMAT_VERSION", 5):
+            with pytest.raises(ModelFormatError, match="version 4; retrain the model with this build, which writes version 5"):
+                load_model(text)
 
     def test_non_json_rejected(self):
         # nesting beyond the parser's depth, an integer beyond its digit limit, bytes

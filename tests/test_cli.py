@@ -303,6 +303,31 @@ class TestClassify:
         assert summary_lines[0] == "mac,predicted_class,confidence,packets"
         assert summary_lines[1] == "aa:00:00:00:00:07,Aria,0.7,10"
 
+    def test_pcap_summary_per_mac_in_mac_order_ties_to_lower_class(self, tmp_path, capsys):
+        # small datagrams predict Aria and large ones Other; the higher MAC comes
+        # first and splits evenly, its first prediction being Other
+        def frame(mac, i, payload):
+            return ethernet("02:00:00:00:00:fe", mac, 0x0800,
+                            ipv4("10.0.0.5", "10.9.9.9", 17, udp(5000 + i, 53, payload)))
+
+        high, low = "bb:00:00:00:00:02", "aa:00:00:00:00:01"
+        sizes = [(high, 200), (high, 200), (high, 20), (high, 20), (low, 200), (low, 20), (low, 200)]
+        model_path = tmp_path / "model.json"
+        self.write_threshold_model(model_path)
+        pcap_path = tmp_path / "two.pcap"
+        pcap_path.write_bytes(pcap_file([frame(mac, i, b"z" * size) for i, (mac, size) in enumerate(sizes)]))
+        code, stdout, _ = run_cli(
+            ["classify", "--model-file", str(model_path), "--input", str(pcap_path),
+             "--out", str(tmp_path / "preds.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert stdout.splitlines() == [
+            "mac,predicted_class,confidence,packets",
+            "aa:00:00:00:00:01,Other,0.666666666667,3",
+            "bb:00:00:00:00:02,Aria,0.5,4",
+        ]
+
     def test_csv_input_predictions_match_model(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         self.write_threshold_model(model_path)

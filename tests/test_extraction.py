@@ -63,7 +63,7 @@ def assert_matches_reference(capture) -> None:
         rows, macs, counters = reference_extract(capture, raw_ack)
         assert dataset.rows.shape == rows.shape
         assert dataset.rows.tobytes() == rows.tobytes()
-        assert dataset.src_mac.tolist() == macs
+        assert dataset.labels.tolist() == macs
         assert dataclasses.asdict(stats) == counters
 
 

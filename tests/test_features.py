@@ -236,9 +236,32 @@ class TestLabeling:
         assert dataset.labels.tolist() == ["Alpha"] * 6
         assert dataset.device_types(self.registry()).labels.tolist() == ["IoT"] * 6
 
+    def test_extraction_labels_each_row_with_its_source_mac(self):
+        macs = ["aa:00:00:00:00:02", "02:00:00:00:00:99", "aa:00:00:00:00:02", "aa:00:00:00:00:01"]
+        extracted, _ = extract_frames([udp_frame(src_port=100 + i, src_mac=mac) for i, mac in enumerate(macs)])
+        assert extracted.labels.tolist() == macs
+        assert extracted.class_names == ("02:00:00:00:00:99", "aa:00:00:00:00:01", "aa:00:00:00:00:02")
+
+    def test_each_distinct_mac_looked_up_once(self):
+        class CountingDict(dict):
+            def get(self, key, default=None):
+                self.lookups.append(key)
+                return super().get(key, default)
+
+        registry = self.registry()
+        registry.entries = CountingDict(registry.entries)
+        registry.entries.lookups = []
+        macs = ["aa:00:00:00:00:02", "02:00:00:00:00:99", "aa:00:00:00:00:01"] * 3
+        extracted, _ = extract_frames([udp_frame(src_port=100 + i, src_mac=mac) for i, mac in enumerate(macs)])
+        dataset, dropped = label_by_source_mac(extracted, registry)
+        assert sorted(registry.entries.lookups) == sorted(set(macs))
+        assert dataset.labels.tolist() == ["Beta", "Alpha"] * 3
+        assert dataset.rows[:, CANONICAL_ATTRIBUTES.index("udp.srcport")].tolist() == [100, 102, 103, 105, 106, 108]
+        assert dropped == 3
+
     def test_empty_registry_rejected(self):
         with pytest.raises(EmptyRegistry):
-            label_by_source_mac(vectors_dataset([], src_mac=np.array([], dtype=object)), DeviceRegistry())
+            label_by_source_mac(vectors_dataset([]), DeviceRegistry())
 
     def test_single_mac_yields_single_class_dataset(self):
         extracted, _ = extract_frames([udp_frame(src_port=i) for i in (1, 2)])

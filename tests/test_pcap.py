@@ -136,7 +136,7 @@ def decode_bytes(*frames: bytes):
     extraction counters; every frame must be accounted for exactly once."""
     dataset, stats = extract_frames(list(frames))
     assert len(dataset) + stats.non_ipv4_skipped + stats.decode_errors == len(frames)
-    return vectors(dataset), dataset.src_mac.tolist(), stats
+    return vectors(dataset), dataset.labels.tolist(), stats
 
 
 def skipped(frame: bytes) -> bool:

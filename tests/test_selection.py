@@ -207,13 +207,11 @@ class TestRank:
         assert [s.name for s in ranked] == ["ip.len", "ip.ttl"]
         assert ranked[0].gain_ratio == ranked[1].gain_ratio
 
-    def test_zero_gain_attribute_has_no_threshold(self):
+    def test_zero_gain_attribute_scores_zero(self):
         # the one cut of ip.len leaves half A, half B on both sides: gain 0
         dataset = two_column_dataset([0, 0, 1, 1], [1, 2, 9, 10], ["A", "B", "A", "B"])
         scores = {score.name: score for score in rank(dataset)}
         assert scores["ip.len"].info_gain == 0.0
-        assert scores["ip.len"].split_threshold is None
-        assert scores["ip.ttl"].split_threshold is not None
 
     def test_single_class_rejected(self):
         dataset = two_column_dataset([1, 2], [3, 4], ["A", "A"])
@@ -274,8 +272,8 @@ def ranked_datasets(draw):
 
 
 def score_bits(score: AttributeScore) -> tuple:
-    floats = (score.gain_ratio, score.info_gain, score.split_threshold, score.present_fraction)
-    return (score.name, *(None if v is None else v.hex() for v in floats))
+    floats = (score.gain_ratio, score.info_gain, score.present_fraction)
+    return (score.name, *(v.hex() for v in floats))
 
 
 @given(dataset=ranked_datasets())
@@ -284,9 +282,9 @@ def test_rank_matches_reference_score_column_bits(dataset):
     X, y, n_classes = dataset.matrix(), dataset.class_codes(), len(dataset.class_names)
     want = []
     for j, name in enumerate(dataset.attributes):
-        ratio, gain, threshold = reference_score_column(X[:, j], y, n_classes)
+        ratio, gain, _ = reference_score_column(X[:, j], y, n_classes)
         present = int(np.count_nonzero(~np.isnan(X[:, j])))
-        want.append(AttributeScore(name, ratio, gain, threshold, present / len(dataset)))
+        want.append(AttributeScore(name, ratio, gain, present / len(dataset)))
     # a stable sort: equal gain ratios keep schema order
     want.sort(key=lambda score: -score.gain_ratio)
     assert [score_bits(s) for s in rank(dataset)] == [score_bits(s) for s in want]
