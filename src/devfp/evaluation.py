@@ -7,9 +7,13 @@ likely). Overall accuracy is the confusion-matrix trace over the total.
 Macro averages are unweighted means over the classes whose value is
 defined; the support-weighted precision is also reported since published
 "average precision" figures do not always say which convention they use.
-A report is plain data: per-class metrics keyed by class name in the
-confusion matrix's order, the aggregates, the matrix itself and the run's
-seed, model and feature set.
+All three add left to right, the same bits on every Python version.
+
+A confusion matrix is its class names and an int64 n x n count array,
+rows actual and columns predicted. A report holds each per-class figure
+as a length-n array in the matrix's order (float64 tpr and precision,
+int64 support, bool tpr_defined and precision_defined), the aggregates,
+the matrix itself and the run's seed, model and feature set.
 
 Everything here works on immutable inputs, so independent (model, split)
 pairs can be evaluated concurrently.
@@ -18,6 +22,8 @@ pairs can be evaluated concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -82,20 +88,12 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     return dataset.take(train_index), dataset.take(test_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Square count matrix: rows are actual classes, columns predicted."""
+    """Square int64 count array: rows are actual classes, columns predicted."""
 
     class_names: tuple[str, ...]
-    counts: tuple[tuple[int, ...], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(len(self.class_names)))
+    counts: np.ndarray
 
 
 def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
@@ -114,22 +112,13 @@ def evaluate(model: TrainedModel, test: Dataset) -> ConfusionMatrix:
         raise ValueError("evaluation requires every test row to be labeled")
     extra = sorted(set(test.class_names) - set(model.class_names))
     names = tuple(model.class_names) + tuple(extra)
+    n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    counts = [[0] * len(names) for _ in names]
+    actual = np.array([index[name] for name in test.class_names])[test.class_codes()]
     # model classes come first in `names`, so a class index is its column
     predicted = np.argmax(model.distribution_batch(test.matrix()), axis=1)
-    for actual, column in zip(test.labels.tolist(), predicted.tolist()):
-        counts[index[actual]][column] += 1
-    return ConfusionMatrix(class_names=names, counts=tuple(tuple(r) for r in counts))
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    tpr: float
-    precision: float
-    support: int
-    tpr_defined: bool
-    precision_defined: bool
+    counts = np.bincount(actual * n + predicted, minlength=n * n).reshape(n, n)
+    return ConfusionMatrix(class_names=names, counts=counts.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -139,9 +128,13 @@ class RunMetadata:
     feature_set: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    per_class: dict[str, ClassMetrics]  # in the confusion matrix's class order
+    tpr: np.ndarray
+    precision: np.ndarray
+    support: np.ndarray
+    tpr_defined: np.ndarray
+    precision_defined: np.ndarray
     acc: float
     macro_tpr: float
     macro_pre: float
@@ -150,44 +143,39 @@ class EvalReport:
     metadata: RunMetadata
 
 
+def _sum(values: list[float]) -> float:
+    # left to right: the built-in sum() is compensated from Python 3.12
+    return reduce(add, values, 0.0)
+
+
+def _mean(values: list[float]) -> float:
+    return _sum(values) / len(values) if values else 0.0
+
+
 def metrics(matrix: ConfusionMatrix, metadata: RunMetadata) -> EvalReport:
     """Per-class and aggregate TPR/PRE/ACC for a confusion matrix."""
-    n = len(matrix.class_names)
-    total = matrix.total
+    counts = matrix.counts
+    total = int(counts.sum())
     if total == 0:
         raise EmptyMatrix("confusion matrix has no counts")
-    per_class: dict[str, ClassMetrics] = {}
-    defined_tprs = []
-    defined_pres = []
-    weighted_pre_sum = 0.0
-    for c, name in enumerate(matrix.class_names):
-        tp = matrix.counts[c][c]
-        row_sum = sum(matrix.counts[c])
-        col_sum = sum(matrix.counts[r][c] for r in range(n))
-        fn = row_sum - tp
-        fp = col_sum - tp
-        tpr_defined = (tp + fn) > 0
-        pre_defined = (tp + fp) > 0
-        tpr = tp / (tp + fn) if tpr_defined else 0.0
-        pre = tp / (tp + fp) if pre_defined else 0.0
-        per_class[name] = ClassMetrics(
-            tpr=tpr,
-            precision=pre,
-            support=row_sum,
-            tpr_defined=tpr_defined,
-            precision_defined=pre_defined,
-        )
-        if tpr_defined:
-            defined_tprs.append(tpr)
-        if pre_defined:
-            defined_pres.append(pre)
-        weighted_pre_sum += row_sum * pre
+    tp = np.diagonal(counts)
+    support = counts.sum(axis=1)
+    predicted = counts.sum(axis=0)
+    tpr_defined = support > 0
+    precision_defined = predicted > 0
+    # one float64 division of two exact integers, as Python's int / int
+    tpr = np.divide(tp, support, out=np.zeros(len(tp)), where=tpr_defined)
+    precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=precision_defined)
     return EvalReport(
-        per_class=per_class,
-        acc=matrix.trace / total,
-        macro_tpr=sum(defined_tprs) / len(defined_tprs) if defined_tprs else 0.0,
-        macro_pre=sum(defined_pres) / len(defined_pres) if defined_pres else 0.0,
-        weighted_pre=weighted_pre_sum / total,
+        tpr=tpr,
+        precision=precision,
+        support=support,
+        tpr_defined=tpr_defined,
+        precision_defined=precision_defined,
+        acc=int(tp.sum()) / total,
+        macro_tpr=_mean(tpr[tpr_defined].tolist()),
+        macro_pre=_mean(precision[precision_defined].tolist()),
+        weighted_pre=_sum((support * precision).tolist()) / total,
         confusion=matrix,
         metadata=metadata,
     )
@@ -200,8 +188,9 @@ def metrics(matrix: ConfusionMatrix, metadata: RunMetadata) -> EvalReport:
 def report_classes_csv(report: EvalReport) -> str:
     """Machine-readable per-class metrics: class,tpr,precision,support."""
     lines = ["class,tpr,precision,support"]
-    for name, m in report.per_class.items():
-        lines.append(f"{name},{m.tpr:.12g},{m.precision:.12g},{m.support}")
+    columns = (report.tpr, report.precision, report.support)
+    for name, tpr, pre, support in zip(report.confusion.class_names, *(c.tolist() for c in columns)):
+        lines.append(f"{name},{tpr:.12g},{pre:.12g},{support}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,17 +206,19 @@ def report_summary_line(report: EvalReport) -> str:
 def report_text(report: EvalReport) -> str:
     """Human-readable report table."""
     md = report.metadata
-    name_width = max(len(name) for name in ("class", *report.per_class))
+    names = report.confusion.class_names
+    name_width = max(len(name) for name in ("class", *names))
     lines = [
         f"evaluation report (model={md.model}, features={md.feature_set}, seed={md.seed})",
         f"accuracy {report.acc:.4f}   macro TPR {report.macro_tpr:.4f}   "
         f"macro PRE {report.macro_pre:.4f}   weighted PRE {report.weighted_pre:.4f}",
         f"{'class':<{name_width}}  {'tpr':>8}  {'precision':>9}  {'support':>7}",
     ]
-    for name, m in report.per_class.items():
-        tpr = f"{m.tpr:.4f}" + ("" if m.tpr_defined else "*")
-        pre = f"{m.precision:.4f}" + ("" if m.precision_defined else "*")
-        lines.append(f"{name:<{name_width}}  {tpr:>8}  {pre:>9}  {m.support:>7}")
-    if not all(m.tpr_defined and m.precision_defined for m in report.per_class.values()):
+    columns = (report.tpr, report.precision, report.tpr_defined, report.precision_defined, report.support)
+    for name, tpr, pre, tpr_ok, pre_ok, support in zip(names, *(c.tolist() for c in columns)):
+        tpr = f"{tpr:.4f}" + ("" if tpr_ok else "*")
+        pre = f"{pre:.4f}" + ("" if pre_ok else "*")
+        lines.append(f"{name:<{name_width}}  {tpr:>8}  {pre:>9}  {support:>7}")
+    if not (report.tpr_defined.all() and report.precision_defined.all()):
         lines.append("* undefined (0/0), reported as 0")
     return "\n".join(lines) + "\n"

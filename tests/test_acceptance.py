@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tables import column_scores, make_dataset, predictions, same_dataset, vectors_dataset
@@ -51,22 +52,20 @@ class TestCriterion1MetricIdentities:
             if total == 0:
                 counts = ((1,) + (0,) * (n - 1),) + counts[1:]
                 total = 1
-            matrix = ConfusionMatrix(tuple(f"c{i}" for i in range(n)), counts)
+            matrix = ConfusionMatrix(tuple(f"c{i}" for i in range(n)), np.array(counts))
             report = metrics(matrix, RunMetadata(seed=1, model="j48", feature_set="combined"))
             trace = sum(counts[i][i] for i in range(n))
             if report.acc != trace / total:
                 failures += 1
                 continue
             for c in range(n):
-                name = f"c{c}"
-                m = report.per_class[name]
                 row_sum = sum(counts[c])
                 tp = counts[c][c]
                 fn = row_sum - tp
-                if tp + fn != row_sum or m.support != row_sum:
+                if tp + fn != row_sum or report.support[c] != row_sum:
                     failures += 1
                     break
-                if m.tpr_defined and m.tpr != tp / row_sum:
+                if report.tpr_defined[c] and report.tpr[c] != tp / row_sum:
                     failures += 1
                     break
         _report(

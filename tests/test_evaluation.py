@@ -1,6 +1,10 @@
 import random
+from collections import Counter
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,13 +132,13 @@ class TestEvaluate:
     def test_perfect_model_diagonal(self):
         test = one_attr_test_set([(1, "A"), (2, "A"), (9, "B")])
         matrix = evaluate(hand_tree_model(), test)
-        assert matrix.counts == ((2, 0), (0, 1))
+        assert matrix.counts.tolist() == [[2, 0], [0, 1]]
 
     def test_constant_model_single_column(self):
         always_a = tree_model(("ip.len",), ("A", "B"), [leaf(5, 0)])
         test = one_attr_test_set([(1, "A"), (9, "B"), (10, "B")])
         matrix = evaluate(always_a, test)
-        assert matrix.counts == ((1, 0), (2, 0))
+        assert matrix.counts.tolist() == [[1, 0], [2, 0]]
 
     def test_hand_enumerated_matrix(self):
         # routing each row through the tree by hand:
@@ -145,8 +149,9 @@ class TestEvaluate:
         )
         matrix = evaluate(hand_tree_model(), test)
         assert matrix.class_names == ("A", "B")
-        assert matrix.counts == ((2, 1), (2, 1))
-        assert matrix.total == 6
+        assert matrix.counts.dtype == np.int64
+        assert matrix.counts.tolist() == [[2, 1], [2, 1]]
+        assert matrix.counts.sum() == 6
 
     def test_schema_mismatch(self):
         test = one_attr_test_set([(1, "A")]).project(("ip.len",))
@@ -167,31 +172,55 @@ class TestEvaluate:
         test = one_attr_test_set([(1, "A"), (9, "C")])
         matrix = evaluate(hand_tree_model(), test)
         assert matrix.class_names == ("A", "B", "C")
-        assert matrix.total == 2
-        assert matrix.counts[2][1] == 1  # actual C predicted B
+        assert matrix.counts.sum() == 2
+        assert matrix.counts[2, 1] == 1  # actual C predicted B
+
+    @given(
+        seed=st.integers(0, 10_000),
+        variant=st.sampled_from(["j48", "nb"]),
+        test_only=st.lists(st.sampled_from(["D", "E", "0"]), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_a_tally_of_row_predictions(self, seed, variant, test_only):
+        rng = random.Random(seed)
+
+        def rows(labels):
+            columns = {"ip.len": [rng.choice([None, rng.randrange(40)]) for _ in labels],
+                       "ip.ttl": [rng.choice([32, 64]) for _ in labels]}
+            return make_dataset(columns, labels)
+
+        train = rows(["A", "B"] + [rng.choice("ABC") for _ in range(rng.randrange(30))])
+        test = rows([rng.choice("ABC") for _ in range(rng.randrange(1, 20))] + test_only)
+        model = train_model(train, ModelSpec(variant))
+        matrix = evaluate(model, test)
+        extra = sorted(set(test.class_names) - set(model.class_names))
+        assert matrix.class_names == tuple(model.class_names) + tuple(extra)
+        tally = Counter(zip(test.labels.tolist(), predictions(model, test.rows)))
+        names = matrix.class_names
+        assert matrix.counts.tolist() == [[tally[actual, predicted] for predicted in names] for actual in names]
 
 
 class TestMetrics:
     def test_tpr_direct_substitution(self):
-        matrix = ConfusionMatrix(("pos", "neg"), ((5, 5), (0, 10)))
+        matrix = ConfusionMatrix(("pos", "neg"), np.array([[5, 5], [0, 10]]))
         report = metrics(matrix, RUN)
-        assert report.per_class["pos"].tpr == 0.5
+        assert report.tpr[0] == 0.5
 
     def test_two_by_two_accuracy_and_precision(self):
-        matrix = ConfusionMatrix(("x", "y"), ((8, 2), (1, 9)))
+        matrix = ConfusionMatrix(("x", "y"), np.array([[8, 2], [1, 9]]))
         report = metrics(matrix, RUN)
         assert report.acc == pytest.approx(17 / 20)
-        assert report.per_class["x"].precision == pytest.approx(8 / 9)
-        assert report.per_class["x"].tpr == pytest.approx(8 / 10)
-        assert report.per_class["y"].precision == pytest.approx(9 / 11)
+        assert report.precision[0] == pytest.approx(8 / 9)
+        assert report.tpr[0] == pytest.approx(8 / 10)
+        assert report.precision[1] == pytest.approx(9 / 11)
 
     def test_undefined_cells_flagged_not_dropped(self):
         # class y never appears and is never predicted: both metrics 0/0
-        matrix = ConfusionMatrix(("x", "y"), ((4, 0), (0, 0)))
+        matrix = ConfusionMatrix(("x", "y"), np.array([[4, 0], [0, 0]]))
         report = metrics(matrix, RUN)
-        assert report.per_class["y"].tpr == 0.0
-        assert not report.per_class["y"].tpr_defined
-        assert not report.per_class["y"].precision_defined
+        assert report.tpr[1] == 0.0
+        assert not report.tpr_defined[1]
+        assert not report.precision_defined[1]
         assert report.macro_tpr == 1.0  # averaged over defined classes only
 
     def test_row_and_column_identities(self):
@@ -201,41 +230,45 @@ class TestMetrics:
             counts = tuple(tuple(rng.randrange(0, 9) for _ in range(n)) for _ in range(n))
             if sum(map(sum, counts)) == 0:
                 continue
-            matrix = ConfusionMatrix(tuple("abcd"[:n]), counts)
+            matrix = ConfusionMatrix(tuple("abcd"[:n]), np.array(counts))
             report = metrics(matrix, RUN)
-            assert report.acc == matrix.trace / matrix.total
-            for c, name in enumerate(matrix.class_names):
+            assert report.acc == sum(counts[i][i] for i in range(n)) / sum(map(sum, counts))
+            for c in range(n):
                 row_sum = sum(counts[c])
                 col_sum = sum(counts[r][c] for r in range(n))
-                m = report.per_class[name]
-                assert m.support == row_sum
-                if m.tpr_defined:
+                assert report.support[c] == row_sum
+                if report.tpr_defined[c]:
                     tp = counts[c][c]
-                    assert m.tpr * row_sum == pytest.approx(tp)
-                if m.precision_defined:
-                    assert m.precision * col_sum == pytest.approx(counts[c][c])
-            defined_tpr = [m.tpr for m in report.per_class.values() if m.tpr_defined]
+                    assert report.tpr[c] * row_sum == pytest.approx(tp)
+                if report.precision_defined[c]:
+                    assert report.precision[c] * col_sum == pytest.approx(counts[c][c])
+            defined_tpr = report.tpr[report.tpr_defined]
             assert min(defined_tpr) - 1e-12 <= report.macro_tpr <= max(defined_tpr) + 1e-12
-            defined_pre = [m.precision for m in report.per_class.values() if m.precision_defined]
+            defined_pre = report.precision[report.precision_defined]
             assert min(defined_pre) - 1e-12 <= report.macro_pre <= max(defined_pre) + 1e-12
 
     def test_relabeling_permutes_report_consistently(self):
-        counts = ((5, 2, 1), (0, 7, 3), (2, 2, 6))
+        counts = np.array([[5, 2, 1], [0, 7, 3], [2, 2, 6]])
         matrix = ConfusionMatrix(("a", "b", "c"), counts)
         report = metrics(matrix, RUN)
         perm = [2, 0, 1]  # new order: c, a, b
-        permuted_counts = tuple(
-            tuple(counts[perm[i]][perm[j]] for j in range(3)) for i in range(3)
-        )
-        permuted = metrics(ConfusionMatrix(("c", "a", "b"), permuted_counts), RUN)
-        for name in ("a", "b", "c"):
-            assert permuted.per_class[name] == report.per_class[name]
+        permuted = metrics(ConfusionMatrix(("c", "a", "b"), counts[np.ix_(perm, perm)]), RUN)
+        for column in ("tpr", "precision", "support", "tpr_defined", "precision_defined"):
+            assert getattr(permuted, column).tolist() == getattr(report, column)[perm].tolist()
         assert permuted.acc == report.acc
         assert permuted.macro_tpr == pytest.approx(report.macro_tpr)
 
+    def test_averages_add_left_to_right(self):
+        # the built-in sum() of ten 0.1s reads 1.0 from Python 3.12 and
+        # 0.9999999999999999 before it; a left-to-right sum reads the latter
+        report = metrics(ConfusionMatrix(tuple("abcdefghij"), np.ones((10, 10), np.int64)), RUN)
+        left_to_right = reduce(add, [0.1] * 10, 0.0) / 10
+        assert report.macro_tpr == left_to_right
+        assert report.macro_pre == left_to_right
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
-            metrics(ConfusionMatrix(("a", "b"), ((0, 0), (0, 0))), RUN)
+            metrics(ConfusionMatrix(("a", "b"), np.zeros((2, 2), np.int64)), RUN)
 
 
 class TestAblation:
@@ -273,7 +306,7 @@ class TestAblation:
 
 class TestReportRendering:
     def sample_report(self):
-        matrix = ConfusionMatrix(("a", "b"), ((8, 2), (1, 9)))
+        matrix = ConfusionMatrix(("a", "b"), np.array([[8, 2], [1, 9]]))
         return metrics(matrix, RUN)
 
     def test_classes_csv(self):
@@ -297,7 +330,7 @@ class TestReportRendering:
 
     def test_text_report_footnotes_undefined_metrics(self):
         # class y never appears and is never predicted: its tpr and precision are 0/0
-        text = report_text(metrics(ConfusionMatrix(("x", "y"), ((4, 0), (0, 0))), RUN))
+        text = report_text(metrics(ConfusionMatrix(("x", "y"), np.array([[4, 0], [0, 0]])), RUN))
         lines = text.splitlines()
         assert lines[-2].split() == ["y", "0.0000*", "0.0000*", "0"]
         assert lines[-1] == "* undefined (0/0), reported as 0"

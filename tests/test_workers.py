@@ -10,6 +10,7 @@ caller is killed leaves at its next growth step or before its next capture.
 """
 
 import errno
+import json
 import os
 import random
 import select
@@ -294,6 +295,34 @@ def test_extraction_worker_leaves_when_its_caller_is_killed(tmp_path):
     pcap, registry = write_inputs(tmp_path)["reference"], tmp_path / "devices.tsv"
     args = ["extract", "--input", *[str(pcap)] * 100, "--registry", str(registry), "--out", str(tmp_path / "d.csv")]
     assert_worker_leaves_when_killed(script, args)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts OS threads in /proc/self/task")
+def test_the_caller_holds_one_thread_at_every_fork(tmp_path):
+    # Python 3.12 and later warn on a fork from a process with more than one
+    # OS thread. A fork hook cannot be removed, so the count is taken in a
+    # child process, after each fork of its extraction and of its forest growth
+    script = (
+        "import json, os, sys\n"
+        "from unittest.mock import patch\n"
+        "from devfp import cli, workers\n"
+        "threads = []\n"
+        "os.register_at_fork(after_in_parent=lambda: threads.append(len(os.listdir('/proc/self/task'))))\n"
+        "with patch.object(workers, '_usable_cpus', lambda: 2):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, threads]))\n"
+    )
+    paths = write_inputs(tmp_path)
+    second = tmp_path / "second.pcap"
+    second.write_bytes(build_training_capture(seed=12))
+    args = ["pipeline", "--input", str(paths["training"]), str(second),
+            "--registry", str(tmp_path / "devices.tsv"), "--model", "rf", "--out", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert result.returncode == 0, result.stderr
+    code, threads = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert len(threads) >= 2 and set(threads) == {1}, threads
 
 
 def test_chunks_come_back_in_order_and_a_worker_forks_no_worker():
